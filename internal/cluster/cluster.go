@@ -68,7 +68,10 @@ func New(eng *des.Engine, cfg Config) *Cluster {
 	}
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
-		c.nodes[i] = &Node{c: c, rank: i}
+		c.nodes[i] = &Node{c: c, rank: i, label: "master"}
+		if i > 0 {
+			c.nodes[i].label = fmt.Sprintf("worker%d", i)
+		}
 	}
 	return c
 }
@@ -100,14 +103,16 @@ func (c *Cluster) SetDropFn(fn func(*Message) bool) { c.dropFn = fn }
 // receive on a node at a time (each node runs a single rank process,
 // as in the paper's one-solution-per-worker setup).
 type Node struct {
-	c    *Cluster
-	rank int
+	c     *Cluster
+	rank  int
+	label string // trace actor name
 
-	inbox   []*Message
-	waiting *des.Process
-	failed  bool
-	epoch   uint64
-	suspend des.Time
+	inbox     []*Message // delivered, unreceived messages, from inboxHead on
+	inboxHead int
+	waiting   *des.Process
+	failed    bool
+	epoch     uint64
+	suspend   des.Time
 
 	busyIntegral float64
 	busySince    des.Time
@@ -134,9 +139,10 @@ func (n *Node) Fail() {
 	}
 	n.failed = true
 	n.epoch++
-	n.c.messagesLost += uint64(len(n.inbox))
-	n.inbox = n.inbox[:0]
-	n.c.eng.Emit("fail", n.label(), "")
+	n.c.messagesLost += uint64(n.InboxLen())
+	clear(n.inbox)
+	n.inbox, n.inboxHead = n.inbox[:0], 0
+	n.c.eng.Emit("fail", n.label, "")
 }
 
 // Recover marks a failed node alive again. Work it held before the
@@ -147,7 +153,7 @@ func (n *Node) Recover() {
 		return
 	}
 	n.failed = false
-	n.c.eng.Emit("recover", n.label(), "")
+	n.c.eng.Emit("recover", n.label, "")
 }
 
 // Epoch returns the node's incarnation counter: the number of failures
@@ -162,7 +168,7 @@ func (n *Node) Epoch() uint64 { return n.epoch }
 func (n *Node) Suspend(until des.Time) {
 	if until > n.suspend {
 		n.suspend = until
-		n.c.eng.Emit("hang", n.label(), fmt.Sprintf("until=%g", until))
+		n.c.eng.Emit("hang", n.label, fmt.Sprintf("until=%g", until))
 	}
 }
 
@@ -181,7 +187,7 @@ func (n *Node) Send(dst, tag int, payload any) {
 	if n.failed {
 		// A dead node cannot transmit; the message vanishes.
 		n.c.messagesLost++
-		n.c.eng.Emit("drop", n.label(), fmt.Sprintf("dead sender, to=%d tag=%d", dst, tag))
+		n.c.eng.Emit("drop", n.label, fmt.Sprintf("dead sender, to=%d tag=%d", dst, tag))
 		return
 	}
 	lat := 0.0
@@ -200,7 +206,9 @@ func (n *Node) Send(dst, tag int, payload any) {
 	}
 	n.sendCount++
 	n.c.messagesSent++
-	n.c.eng.Emit("send", n.label(), fmt.Sprintf("to=%d tag=%d", dst, tag))
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit("send", n.label, fmt.Sprintf("to=%d tag=%d", dst, tag))
+	}
 	n.c.eng.Schedule(lat, func() { n.c.deliver(msg) })
 }
 
@@ -208,12 +216,12 @@ func (c *Cluster) deliver(msg *Message) {
 	dst := c.nodes[msg.To]
 	if dst.failed {
 		c.messagesLost++
-		c.eng.Emit("drop", dst.label(), fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		c.eng.Emit("drop", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
 		return
 	}
 	if c.dropFn != nil && c.dropFn(msg) {
 		c.messagesLost++
-		c.eng.Emit("loss", dst.label(), fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		c.eng.Emit("loss", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
 		return
 	}
 	msg.ArriveAt = c.eng.Now()
@@ -242,7 +250,7 @@ func (n *Node) RecvTimeout(p *des.Process, timeout des.Time) (*Message, bool) {
 }
 
 func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message, bool) {
-	if len(n.inbox) == 0 {
+	if n.InboxLen() == 0 {
 		timedOut := false
 		n.waiting = p
 		var h des.Handle
@@ -263,26 +271,39 @@ func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message
 			h.Cancel()
 		}
 	}
-	msg := n.inbox[0]
-	copy(n.inbox, n.inbox[1:])
-	n.inbox[len(n.inbox)-1] = nil
-	n.inbox = n.inbox[:len(n.inbox)-1]
+	msg := n.inbox[n.inboxHead]
+	n.inbox[n.inboxHead] = nil
+	n.inboxHead++
+	if 2*n.inboxHead >= len(n.inbox) {
+		// At least half the slice is spent: move the live tail down.
+		// That is at most one move per pop, amortised, and it keeps a
+		// queue that never drains as long as its backlog.
+		live := copy(n.inbox, n.inbox[n.inboxHead:])
+		clear(n.inbox[live:])
+		n.inbox, n.inboxHead = n.inbox[:live], 0
+	}
 	n.recvCount++
-	n.c.eng.Emit("recv", n.label(), fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit("recv", n.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+	}
 	return msg, true
 }
 
 // InboxLen returns the number of delivered-but-unreceived messages.
-func (n *Node) InboxLen() int { return len(n.inbox) }
+func (n *Node) InboxLen() int { return len(n.inbox) - n.inboxHead }
 
 // HoldBusy advances the process by d while accounting the interval as
 // busy time on this node, tagged with kind for the trace ("eval",
 // "comm", "algo", ...).
 func (n *Node) HoldBusy(p *des.Process, d des.Time, kind string) {
 	n.BeginBusy()
-	n.c.eng.Emit(kind+".start", n.label(), "")
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit(kind+".start", n.label, "")
+	}
 	p.Hold(d)
-	n.c.eng.Emit(kind+".end", n.label(), "")
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit(kind+".end", n.label, "")
+	}
 	n.EndBusy()
 }
 
@@ -329,10 +350,3 @@ func (n *Node) Utilization() float64 {
 
 // Counters returns the node's message counts.
 func (n *Node) Counters() (sent, received uint64) { return n.sendCount, n.recvCount }
-
-func (n *Node) label() string {
-	if n.rank == 0 {
-		return "master"
-	}
-	return fmt.Sprintf("worker%d", n.rank)
-}

@@ -319,3 +319,103 @@ func TestNewPanicsOnZeroNodes(t *testing.T) {
 	}()
 	New(des.New(), Config{Nodes: 0})
 }
+
+// TestInboxInterleavedDeliverRecv drives the head-indexed inbox through
+// bursts and partial drains — a backlog that never empties, so the
+// live tail is moved down several times, then a full drain — and checks
+// FIFO order and InboxLen at every step.
+func TestInboxInterleavedDeliverRecv(t *testing.T) {
+	eng := des.New()
+	c := New(eng, Config{Nodes: 2})
+	node := c.Node(1)
+	eng.Go("driver", func(p *des.Process) {
+		sent, received := 0, 0
+		burst := func(send, recv int) {
+			for i := 0; i < send; i++ {
+				c.Node(0).Send(1, sent, nil)
+				sent++
+			}
+			p.Hold(1) // zero-transit deliveries run before the hold ends
+			if got := node.InboxLen(); got != sent-received {
+				t.Fatalf("after sending %d: InboxLen = %d, want %d", sent, got, sent-received)
+			}
+			for i := 0; i < recv; i++ {
+				if msg := node.Recv(p); msg.Tag != received {
+					t.Fatalf("message %d arrived as number %d", msg.Tag, received)
+				}
+				received++
+				if got := node.InboxLen(); got != sent-received {
+					t.Fatalf("after receiving %d: InboxLen = %d, want %d", received, got, sent-received)
+				}
+			}
+		}
+		burst(5, 2)
+		for i := 0; i < 40; i++ {
+			burst(3, 3) // backlog holds at 3
+		}
+		burst(7, 1)
+		burst(0, sent-received)
+		burst(2, 2)
+	})
+	eng.Run()
+	if sent, recvd := c.Node(0).sendCount, node.recvCount; sent != 134 || recvd != 134 {
+		t.Fatalf("sent %d, received %d, want 134 each", sent, recvd)
+	}
+}
+
+// TestTraceEventsExact pins the trace a traced run prints: the actor
+// labels and detail strings are formatted only when a hook is set, and
+// must be what they were when they were formatted always.
+func TestTraceEventsExact(t *testing.T) {
+	eng := des.New()
+	c := New(eng, Config{Nodes: 13})
+	var got []string
+	eng.SetTrace(func(ev des.TraceEvent) {
+		got = append(got, ev.Actor+" "+ev.Kind+" "+ev.Detail)
+	})
+	eng.Go("worker", func(p *des.Process) {
+		msg := c.Node(12).Recv(p)
+		c.Node(12).HoldBusy(p, 1, "eval")
+		c.Node(12).Send(msg.From, 9, nil)
+	})
+	eng.Go("master", func(p *des.Process) {
+		c.Node(0).HoldBusy(p, 0.5, "comm")
+		c.Node(0).Send(12, 7, nil)
+		c.Node(0).Recv(p)
+	})
+	eng.Run()
+	want := []string{
+		"master comm.start ",
+		"master comm.end ",
+		"master send to=12 tag=7",
+		"worker12 recv from=0 tag=7",
+		"worker12 eval.start ",
+		"worker12 eval.end ",
+		"worker12 send to=0 tag=9",
+		"master recv from=12 tag=9",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("trace = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trace event %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestUntracedSendRecvDoesNotFormat: with no trace hook, a message
+// costs its Message and the delivery closure, not two formatted strings
+// on top.
+func TestUntracedSendRecvDoesNotFormat(t *testing.T) {
+	eng := des.New()
+	c := New(eng, Config{Nodes: 1025})
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Node(1024).Send(0, 1000, nil)
+		eng.Run()
+		c.Node(0).inbox, c.Node(0).inboxHead = c.Node(0).inbox[:0], 0
+	})
+	if allocs > 3 { // Message, closure, event
+		t.Fatalf("untraced Send+deliver allocates %.0f objects, want <= 3", allocs)
+	}
+}

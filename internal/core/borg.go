@@ -30,7 +30,8 @@ type Borg struct {
 	nextID         uint64
 	evaluations    uint64
 	initRemaining  int
-	pending        []*Solution // restart injections awaiting evaluation
+	pending        []*Solution // restart injections awaiting evaluation, from pendingHead on
+	pendingHead    int
 	tournamentSize int
 
 	lastCheckEvals   uint64
@@ -41,6 +42,10 @@ type Borg struct {
 	injectOp   operators.UM
 
 	staged []*Solution // accepted-but-unapplied results (StageAccept)
+
+	// Suggest's scratch.
+	probs   []float64
+	parents [][]float64
 }
 
 // New constructs a Borg instance for the problem. cfg is normalized
@@ -139,7 +144,7 @@ func (b *Borg) TournamentSize() int { return b.tournamentSize }
 
 // PendingInjections returns the number of restart injections waiting
 // to be handed out by Suggest.
-func (b *Borg) PendingInjections() int { return len(b.pending) }
+func (b *Borg) PendingInjections() int { return len(b.pending) - b.pendingHead }
 
 // OperatorNames returns the ensemble operator names in order.
 func (b *Borg) OperatorNames() []string {
@@ -158,12 +163,17 @@ func (b *Borg) OperatorSelectionCounts() []uint64 { return b.opSelected }
 // probabilities: Q_i = (C_i + ζ) / Σ_j (C_j + ζ), with C_i the number
 // of archive members produced by operator i.
 func (b *Borg) OperatorProbabilities() []float64 {
-	counts := b.arch.OperatorCounts()
-	probs := make([]float64, len(counts))
+	return b.operatorProbabilitiesInto(make([]float64, 0, len(b.cfg.Operators)))
+}
+
+// operatorProbabilitiesInto computes the probabilities into dst[:0].
+func (b *Borg) operatorProbabilitiesInto(dst []float64) []float64 {
+	probs := dst[:0]
 	total := 0.0
-	for i, c := range counts {
-		probs[i] = float64(c) + b.cfg.Zeta
-		total += probs[i]
+	for _, c := range b.arch.OperatorCounts() {
+		q := float64(c) + b.cfg.Zeta
+		probs = append(probs, q)
+		total += q
 	}
 	for i := range probs {
 		probs[i] /= total
@@ -174,16 +184,16 @@ func (b *Borg) OperatorProbabilities() []float64 {
 // selectOperator samples an operator index from the adapted
 // probabilities.
 func (b *Borg) selectOperator() int {
-	probs := b.OperatorProbabilities()
+	b.probs = b.operatorProbabilitiesInto(b.probs)
 	u := b.rng.Float64()
 	acc := 0.0
-	for i, p := range probs {
+	for i, p := range b.probs {
 		acc += p
 		if u < acc {
 			return i
 		}
 	}
-	return len(probs) - 1
+	return len(b.probs) - 1
 }
 
 // randomSolution draws a uniform solution from the decision box.
@@ -211,11 +221,19 @@ func (b *Borg) Suggest() *Solution {
 		b.initRemaining--
 		return b.randomSolution()
 	}
-	if len(b.pending) > 0 {
-		s := b.pending[0]
-		copy(b.pending, b.pending[1:])
-		b.pending[len(b.pending)-1] = nil
-		b.pending = b.pending[:len(b.pending)-1]
+	if b.pendingHead < len(b.pending) {
+		s := b.pending[b.pendingHead]
+		b.pending[b.pendingHead] = nil
+		b.pendingHead++
+		if 2*b.pendingHead >= len(b.pending) {
+			// At least half the slice is spent: move the live tail
+			// down. That is at most one move per pop, amortised, and
+			// it keeps a backlog that restarts outpace (it never
+			// drains at large P) from growing with the run.
+			live := copy(b.pending, b.pending[b.pendingHead:])
+			clear(b.pending[live:])
+			b.pending, b.pendingHead = b.pending[:live], 0
+		}
 		return s
 	}
 	if b.pop.Size() == 0 {
@@ -228,7 +246,10 @@ func (b *Borg) Suggest() *Solution {
 	op := b.cfg.Operators[opIdx]
 	b.opSelected[opIdx]++
 
-	parents := make([][]float64, op.Arity())
+	if cap(b.parents) < op.Arity() {
+		b.parents = make([][]float64, op.Arity())
+	}
+	parents := b.parents[:op.Arity()]
 	// One parent always comes from the archive (Borg's elitist
 	// recombination); it is placed first, which the parent-centric
 	// operators treat as the index parent.
@@ -341,7 +362,7 @@ func (b *Borg) restart() {
 	needed := newCap - b.pop.Size()
 	for i := 0; i < needed; i++ {
 		parent := b.arch.Members()[b.rng.Intn(b.arch.Size())]
-		child := b.injectOp.Apply([][]float64{parent.Vars}, b.lo, b.hi, b.rng)[0]
+		child := b.injectOp.Mutate(parent.Vars, b.lo, b.hi, b.rng)
 		b.nextID++
 		// Injections are uncredited (Operator -1) so restart noise
 		// does not distort the operator-adaptation signal.

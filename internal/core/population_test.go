@@ -153,6 +153,41 @@ func TestClear(t *testing.T) {
 	}
 }
 
+// TestClearReleasesMembers: a restart must not keep the old generation
+// reachable through the slots beyond the truncated length.
+func TestClearReleasesMembers(t *testing.T) {
+	p := NewPopulation(4)
+	r := rng.New(10)
+	for i := 0; i < 4; i++ {
+		p.Add(sol(float64(i), float64(4-i)), r)
+	}
+	p.Clear()
+	for i, m := range p.Members()[:4] {
+		if m != nil {
+			t.Fatalf("slot %d still holds %v after Clear", i, m.Objs)
+		}
+	}
+	// A cleared population takes its objective count from the next
+	// first member.
+	p.Add(sol(1, 2, 3), r)
+	p.Add(sol(3, 2, 1), r)
+}
+
+func TestPopulationAddObjectiveCountMismatchPanics(t *testing.T) {
+	for _, objs := range [][]float64{{1}, {1, 2, 3}} {
+		p := NewPopulation(2)
+		p.Add(sol(1, 2), rng.New(1))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("adding %d objectives to 2-objective members did not panic", len(objs))
+				}
+			}()
+			p.Add(sol(objs...), rng.New(1))
+		}()
+	}
+}
+
 func TestPopulationValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -82,12 +82,18 @@ func Compare(a, b *Solution) int {
 		}
 		// Equal nonzero violation: fall through to Pareto comparison.
 	}
+	return compareObjs(a.Objs, b.Objs)
+}
+
+// compareObjs is the Pareto half of Compare on bare objective vectors
+// (minimisation): -1 if a dominates b, +1 if b dominates a, else 0.
+func compareObjs(a, b []float64) int {
 	aBetter, bBetter := false, false
-	for i := range a.Objs {
+	for i := range a {
 		switch {
-		case a.Objs[i] < b.Objs[i]:
+		case a[i] < b[i]:
 			aBetter = true
-		case a.Objs[i] > b.Objs[i]:
+		case a[i] > b[i]:
 			bBetter = true
 		}
 	}

@@ -88,6 +88,11 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Emit (and by Resources and Processes). A nil hook disables tracing.
 func (e *Engine) SetTrace(fn func(TraceEvent)) { e.trace = fn }
 
+// Tracing reports whether a trace hook is installed. Callers that must
+// format an Emit argument check it first, so an untraced run does not
+// pay for strings nobody reads.
+func (e *Engine) Tracing() bool { return e.trace != nil }
+
 // Emit records a trace event at the current time if tracing is on.
 func (e *Engine) Emit(kind, actor, detail string) {
 	if e.trace != nil {

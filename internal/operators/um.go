@@ -21,7 +21,14 @@ func (UM) Arity() int   { return 1 }
 // Apply returns one mutated copy of the parent.
 func (op UM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
 	checkParents(op, parents, lo, hi)
-	child := clone(parents[0])
+	return [][]float64{op.Mutate(parents[0], lo, hi, r)}
+}
+
+// Mutate is Apply for a caller that holds the one parent directly
+// (Borg's restart injections, thousands per restart): the same child
+// from the same draws, without the result slice around it.
+func (op UM) Mutate(parent, lo, hi []float64, r *rng.Source) []float64 {
+	child := clone(parent)
 	p := op.Probability
 	if p == 0 {
 		p = 1 / float64(len(child))
@@ -31,5 +38,5 @@ func (op UM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]flo
 			child[i] = r.Range(lo[i], hi[i])
 		}
 	}
-	return [][]float64{child}
+	return child
 }
