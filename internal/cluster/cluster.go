@@ -54,6 +54,7 @@ type Cluster struct {
 	messagesSent uint64
 	messagesLost uint64
 	dropFn       func(*Message) bool
+	deliverFn    func(any) // deliver, built once for des.ScheduleCall
 }
 
 // New builds a cluster on the engine. It panics if cfg.Nodes < 1.
@@ -66,6 +67,7 @@ func New(eng *des.Engine, cfg Config) *Cluster {
 		transit: cfg.Transit,
 		rng:     rng.New(cfg.Seed ^ 0x636c7573746572), // "cluster"
 	}
+	c.deliverFn = func(msg any) { c.deliver(msg.(*Message)) }
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
 		c.nodes[i] = &Node{c: c, rank: i, label: "master"}
@@ -99,9 +101,10 @@ func (c *Cluster) MessagesLost() uint64 { return c.messagesLost }
 // model lossy links. A nil fn disables loss.
 func (c *Cluster) SetDropFn(fn func(*Message) bool) { c.dropFn = fn }
 
-// Node is one machine in the cluster. At most one process should
-// receive on a node at a time (each node runs a single rank process,
-// as in the paper's one-solution-per-worker setup).
+// Node is one machine in the cluster. At most one receiver — a process
+// in Recv/RecvTimeout or a Serve callback — should use a node at a time
+// (each node runs a single rank, as in the paper's
+// one-solution-per-worker setup).
 type Node struct {
 	c     *Cluster
 	rank  int
@@ -109,7 +112,12 @@ type Node struct {
 
 	inbox     []*Message // delivered, unreceived messages, from inboxHead on
 	inboxHead int
-	waiting   *des.Process
+	waiting   *des.Process // parked in recv
+	timedOut  bool         // its RecvTimeout deadline fired first
+	serve     func()       // callback server, see Serve
+	idle      bool         // the server awaits a delivery
+	busyKind  string       // open BusyFor interval
+	busyThen  func()
 	failed    bool
 	epoch     uint64
 	suspend   des.Time
@@ -209,7 +217,7 @@ func (n *Node) Send(dst, tag int, payload any) {
 	if n.c.eng.Tracing() {
 		n.c.eng.Emit("send", n.label, fmt.Sprintf("to=%d tag=%d", dst, tag))
 	}
-	n.c.eng.Schedule(lat, func() { n.c.deliver(msg) })
+	n.c.eng.ScheduleCall(lat, n.c.deliverFn, msg)
 }
 
 func (c *Cluster) deliver(msg *Message) {
@@ -226,10 +234,12 @@ func (c *Cluster) deliver(msg *Message) {
 	}
 	msg.ArriveAt = c.eng.Now()
 	dst.inbox = append(dst.inbox, msg)
-	if dst.waiting != nil {
-		p := dst.waiting
+	if p := dst.waiting; p != nil {
 		dst.waiting = nil
 		p.WakeLater(0)
+	} else if dst.idle {
+		dst.idle = false
+		c.eng.Schedule(0, dst.serve)
 	}
 }
 
@@ -251,26 +261,33 @@ func (n *Node) RecvTimeout(p *des.Process, timeout des.Time) (*Message, bool) {
 
 func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message, bool) {
 	if n.InboxLen() == 0 {
-		timedOut := false
-		n.waiting = p
+		n.waiting, n.timedOut = p, false
 		var h des.Handle
 		if hasTimeout {
-			h = n.c.eng.Schedule(timeout, func() {
-				if n.waiting == p {
-					n.waiting = nil
-					timedOut = true
-					p.WakeLater(0)
-				}
-			})
+			h = n.c.eng.ScheduleCall(timeout, recvDeadline, n)
 		}
 		p.Park()
-		if timedOut {
+		if n.timedOut {
 			return nil, false
 		}
-		if hasTimeout {
-			h.Cancel()
-		}
+		h.Cancel()
 	}
+	return n.pop(), true
+}
+
+// recvDeadline is the RecvTimeout expiry event; a delivery that ran
+// first at the same instant has cleared waiting and wins.
+func recvDeadline(node any) {
+	n := node.(*Node)
+	if p := n.waiting; p != nil {
+		n.waiting = nil
+		n.timedOut = true
+		p.WakeLater(0)
+	}
+}
+
+// pop takes the oldest message out of a non-empty inbox.
+func (n *Node) pop() *Message {
 	msg := n.inbox[n.inboxHead]
 	n.inbox[n.inboxHead] = nil
 	n.inboxHead++
@@ -286,7 +303,47 @@ func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message
 	if n.c.eng.Tracing() {
 		n.c.eng.Emit("recv", n.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
 	}
-	return msg, true
+	return msg
+}
+
+// Serve makes the node a callback server, the goroutine-free
+// counterpart of a process looping on Recv: a message delivered while
+// the server is idle schedules fn as a zero-delay event — the event a
+// parked receiver's wake would have been, so ties break the same way.
+// fn takes messages with TryRecv; the server starts idle and is idle
+// again once TryRecv has found the inbox empty. fn must not block:
+// time passes through BusyFor. Serve(nil) stops serving.
+func (n *Node) Serve(fn func()) { n.serve, n.idle = fn, fn != nil }
+
+// TryRecv returns the oldest delivered message, or false if none.
+func (n *Node) TryRecv() (*Message, bool) {
+	if n.InboxLen() == 0 {
+		n.idle = n.serve != nil
+		return nil, false
+	}
+	return n.pop(), true
+}
+
+// BusyFor is HoldBusy for callbacks: the next d is busy time of the
+// given kind, and then runs when it ends. One interval at a time.
+func (n *Node) BusyFor(d des.Time, kind string, then func()) {
+	n.BeginBusy()
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit(kind+".start", n.label, "")
+	}
+	n.busyKind, n.busyThen = kind, then
+	n.c.eng.ScheduleCall(d, busyDone, n)
+}
+
+func busyDone(node any) {
+	n := node.(*Node)
+	if n.c.eng.Tracing() {
+		n.c.eng.Emit(n.busyKind+".end", n.label, "")
+	}
+	n.EndBusy()
+	then := n.busyThen
+	n.busyThen = nil
+	then()
 }
 
 // InboxLen returns the number of delivered-but-unreceived messages.

@@ -405,8 +405,7 @@ func TestTraceEventsExact(t *testing.T) {
 }
 
 // TestUntracedSendRecvDoesNotFormat: with no trace hook, a message
-// costs its Message and the delivery closure, not two formatted strings
-// on top.
+// costs its Message, not two formatted strings on top.
 func TestUntracedSendRecvDoesNotFormat(t *testing.T) {
 	eng := des.New()
 	c := New(eng, Config{Nodes: 1025})
@@ -415,7 +414,7 @@ func TestUntracedSendRecvDoesNotFormat(t *testing.T) {
 		eng.Run()
 		c.Node(0).inbox, c.Node(0).inboxHead = c.Node(0).inbox[:0], 0
 	})
-	if allocs > 3 { // Message, closure, event
-		t.Fatalf("untraced Send+deliver allocates %.0f objects, want <= 3", allocs)
+	if allocs > 1 {
+		t.Fatalf("untraced Send+deliver allocates %.0f objects, want the Message alone", allocs)
 	}
 }

@@ -500,7 +500,8 @@ func BenchmarkScheduleRun(b *testing.B) {
 	e.Run()
 }
 
-func BenchmarkProcessHoldLoop(b *testing.B) {
+func BenchmarkHold(b *testing.B) {
+	b.ReportAllocs()
 	e := New()
 	e.Go("p", func(p *Process) {
 		for i := 0; i < b.N; i++ {

@@ -6,16 +6,20 @@ import "fmt"
 // the engine shuts down.
 type killed struct{}
 
-// Process is a simulated activity running as a goroutine in lock-step
-// with the engine: while the process executes, the engine (and every
-// other process) is parked, so process code may freely manipulate
-// simulation state. Process methods must only be called from the
-// process's own goroutine (the function passed to Engine.Go), except
-// Name.
+// Process is a simulated activity on its own goroutine, under the
+// baton rule of the package doc: while it executes it holds the baton
+// and every other goroutine of the simulation is blocked, so process
+// code may freely manipulate simulation state. Parked, it drives the
+// event loop from inside the parking call until its own wake comes up
+// or it has handed the baton on; callbacks due meanwhile run on its
+// goroutine. Process methods must only be called from the process's
+// own goroutine (the function passed to Engine.Go), except Name and
+// WakeLater.
 type Process struct {
 	eng      *Engine
 	name     string
-	resume   chan struct{}
+	fn       func(*Process) // body, until the start event runs it
+	resume   chan struct{}  // brings the baton to the parked process
 	finished bool
 	killing  bool
 }
@@ -36,60 +40,70 @@ func (e *Engine) Go(name string, fn func(*Process)) *Process {
 	return e.GoAfter(0, name, fn)
 }
 
-// GoAfter starts fn as a new process after delay units of virtual time.
+// GoAfter starts fn as a new process after delay units of virtual
+// time. The process gets its goroutine when the start event runs, so
+// one that never starts leaves nothing behind.
 func (e *Engine) GoAfter(delay Time, name string, fn func(*Process)) *Process {
-	p := &Process{eng: e, name: name, resume: make(chan struct{})}
-	go func() {
-		<-p.resume // wait for the start event
-		defer func() {
-			p.finished = true
-			delete(e.live, p)
-			r := recover()
-			// Hand control back before anything else so the waiting
-			// domain (engine Run loop, or kill) is never deadlocked.
-			e.park <- struct{}{}
-			if r != nil {
-				if _, ok := r.(killed); ok {
-					return // orderly unwind requested by Shutdown
-				}
-				panic(r) // real bug: crash with the original payload
-			}
-		}()
-		fn(p)
-	}()
-	e.Schedule(delay, p.wake)
+	p := &Process{eng: e, name: name, fn: fn, resume: make(chan struct{}, 1)}
+	p.WakeLater(delay)
 	return p
 }
 
-// wake transfers control to the process and blocks until it parks
-// again or finishes. It runs in the engine domain.
-func (p *Process) wake() {
-	if p.finished {
+// takeBaton gives the caller's baton to the parked (or not yet
+// started) process.
+func (p *Process) takeBaton() {
+	if fn := p.fn; fn != nil {
+		p.fn = nil
+		p.eng.procs = append(p.eng.procs, p)
+		go p.run(fn)
 		return
 	}
-	delete(p.eng.live, p)
 	p.resume <- struct{}{}
-	<-p.eng.park
 }
 
-// parkSelf yields control back to the engine and blocks until woken.
-// It must be called from the process goroutine.
+// run is the process goroutine. When fn returns it still holds the
+// baton and drives the loop until it has passed it on. If instead it
+// unwinds — killed by Shutdown, a panic in fn or in a callback it ran,
+// runtime.Goexit — the baton goes to the root, which re-raises a real
+// panic in the Run caller.
+func (p *Process) run(fn func(*Process)) {
+	e := p.eng
+	passed := false
+	defer func() {
+		if passed {
+			return
+		}
+		p.finished = true
+		if r := recover(); r != (killed{}) {
+			e.failure = r
+		}
+		e.root <- struct{}{}
+	}()
+	fn(p)
+	p.finished = true
+	e.drive(p)
+	passed = true
+}
+
+// parkSelf blocks the process until its wake event comes up, driving
+// the event loop meanwhile. It must be called from the process
+// goroutine.
 func (p *Process) parkSelf() {
-	p.eng.live[p] = struct{}{}
-	p.eng.park <- struct{}{}
-	<-p.resume
+	if !p.eng.drive(p) {
+		<-p.resume
+	}
 	if p.killing {
 		panic(killed{})
 	}
 }
 
-// Hold advances the process by d units of virtual time, yielding to
-// the engine meanwhile. It panics on negative d.
+// Hold advances the process by d units of virtual time, running
+// whatever else is due meanwhile. It panics on negative d.
 func (p *Process) Hold(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: Hold(%v) with negative duration", d))
 	}
-	p.eng.Schedule(d, p.wake)
+	p.WakeLater(d)
 	p.parkSelf()
 }
 
@@ -102,23 +116,8 @@ func (p *Process) Park() { p.parkSelf() }
 // another process or event calls proc.WakeLater(0).
 //
 // Unlike most Process methods, WakeLater may be called from any
-// simulation domain (the engine or another process).
-func (p *Process) WakeLater(delay Time) { p.eng.Schedule(delay, p.wake) }
-
-// kill resumes a parked process in kill mode and waits for its
-// goroutine to unwind. Runs in the engine domain (from Shutdown).
-func (p *Process) kill() {
-	if p.finished {
-		delete(p.eng.live, p)
-		return
-	}
-	p.killing = true
-	delete(p.eng.live, p)
-	p.resume <- struct{}{}
-	// The process panics with killed{}; its deferred handler signals
-	// park once the goroutine has fully unwound.
-	<-p.eng.park
-}
+// simulation domain (a callback or another process).
+func (p *Process) WakeLater(delay Time) { p.eng.after(delay).proc = p }
 
 // Signal is a broadcast condition: processes Wait on it and a Fire
 // wakes every current waiter at the same virtual time.

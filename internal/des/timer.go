@@ -3,11 +3,12 @@ package des
 // Timer is a cancellable, reschedulable one-shot virtual-time timer.
 // It wraps the engine's event handles so callers (e.g. the lease table
 // in internal/parallel) can keep a single timer armed at a moving
-// deadline without leaking dead events: Reset cancels any pending
-// firing before scheduling the next one.
+// deadline without leaking dead events or allocating per rearm: Reset
+// cancels any pending firing, which leaves the queue at once, before
+// scheduling the next one.
 //
 // Like all engine state, a Timer must be used from a single simulation
-// domain (the engine's Run loop or a process it resumed).
+// domain (see the package doc).
 type Timer struct {
 	eng    *Engine
 	fn     func()
@@ -20,15 +21,18 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	return &Timer{eng: e, fn: fn}
 }
 
+func fireTimer(timer any) {
+	t := timer.(*Timer)
+	t.armed = false
+	t.fn()
+}
+
 // Reset arms the timer to fire after delay units of virtual time,
 // cancelling any previously scheduled firing.
 func (t *Timer) Reset(delay Time) {
 	t.Stop()
 	t.armed = true
-	t.handle = t.eng.Schedule(delay, func() {
-		t.armed = false
-		t.fn()
-	})
+	t.handle = t.eng.ScheduleCall(delay, fireTimer, t)
 }
 
 // Stop cancels a pending firing. Stopping an unarmed timer is a no-op.

@@ -119,7 +119,7 @@ func RunAsync(cfg Config) (*Result, error) {
 	var m *master.Core
 
 	recs := newRecorders(&cfg)
-	startWorkers(eng, cl, &cfg, recs)
+	startWorkers(cl, &cfg, recs)
 
 	// Master process: one shared state machine, one mailbox.
 	node := cl.Node(0)

@@ -197,23 +197,13 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 		tfRecs[isl] = make([]*tfRecorder, perP-1)
 		for w := 1; w < perP; w++ {
 			rank := masterRank + w
-			node := cl.Node(rank)
 			tfRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TF}
 			tfRecs[isl][w-1] = tfRec
-			wRng := rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15))
-			eng.Go(fmt.Sprintf("i%dworker%d", isl, w), func(p *des.Process) {
-				for {
-					msg := node.Recv(p)
-					if msg.Tag == tagStop {
-						return
-					}
-					item := msg.Payload.(*master.Item)
-					core.EvaluateSolution(base.Problem, item.S)
-					tf := base.TF.Sample(wRng)
-					tfRec.record(tf)
-					node.HoldBusy(p, tf, "eval")
-					node.Send(masterRank, tagResult, item)
-				}
+			base.spawn(&worker{
+				eng: eng, node: cl.Node(rank), master: masterRank,
+				problem: base.Problem, tf: base.TF, straggler: 1,
+				rng: rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15)),
+				rec: tfRec,
 			})
 		}
 

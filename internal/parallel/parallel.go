@@ -175,6 +175,11 @@ type Config struct {
 	// the same sampler hooks). Honored by the async drivers; nil
 	// disables at zero cost.
 	Quality *obs.QualitySampler
+
+	// spawn starts one virtual-time worker; normalize sets it to
+	// (*worker).start. The differential tests put the goroutine
+	// reference worker here.
+	spawn func(*worker)
 }
 
 // normalize fills defaults and validates.
@@ -196,6 +201,9 @@ func (c *Config) normalize() error {
 	}
 	if c.StragglerFactor == 0 {
 		c.StragglerFactor = 1
+	}
+	if c.spawn == nil {
+		c.spawn = (*worker).start
 	}
 	if c.StragglerFraction < 0 || c.StragglerFraction > 1 {
 		return fmt.Errorf("parallel: straggler fraction %v outside [0,1]", c.StragglerFraction)

@@ -300,17 +300,27 @@ func TestRealtimeAgreesWithVirtual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Sleeps never undershoot, and on a loaded host overshoot by any
+	// factor, so the run reports the T_F it measured, not the nominal.
+	if real.MeanTF < 0.002 {
+		t.Fatalf("measured mean T_F %v below the %v slept", real.MeanTF, 0.002)
+	}
+	// The virtual model, fed the timings the real run measured, must not
+	// predict a slower run than the real one: it leaves out only costs
+	// (goroutine hand-offs, uneven workers) that add to wall-clock time.
+	// How much they add is the host's business, so the bound is
+	// one-sided.
+	cfg.TF = stats.NewConstant(real.MeanTF)
+	cfg.TA = stats.NewConstant(real.MeanTA)
 	virt, err := RunAsync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wall-clock sleep jitter (timer resolution, scheduler) inflates
-	// the real run; agreement within 50% validates the virtual model
-	// end to end.
-	if e := model.RelativeError(real.ElapsedTime, virt.ElapsedTime); e > 0.5 {
-		t.Fatalf("virtual T_P %v vs wall-clock %v (err %.0f%%)",
-			virt.ElapsedTime, real.ElapsedTime, 100*e)
+	if real.ElapsedTime < 0.9*virt.ElapsedTime {
+		t.Fatalf("virtual T_P %v is pessimistic against wall-clock %v at measured T_F %v",
+			virt.ElapsedTime, real.ElapsedTime, real.MeanTF)
 	}
+	t.Logf("wall-clock %v, virtual %v at measured T_F %v", real.ElapsedTime, virt.ElapsedTime, real.MeanTF)
 	if real.Final.Archive().Size() == 0 {
 		t.Fatal("realtime run produced empty archive")
 	}
@@ -321,6 +331,24 @@ func TestRealtimeValidation(t *testing.T) {
 	cfg.TF = nil
 	if _, err := RunAsyncRealtime(cfg); err == nil {
 		t.Error("realtime accepted missing TF")
+	}
+}
+
+// BenchmarkAsyncVirtual1024x40k is one Table II cell as borgbench's
+// des-table2-p1024 runs it: P = 1024, Gamma T_F, sampled T_A. Its
+// allocs/op over 40 000 is the simulator's allocations per simulated
+// evaluation.
+func BenchmarkAsyncVirtual1024x40k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := testConfig(1024, 40000)
+		cfg.Algorithm.Epsilons = core.UniformEpsilons(5, 0.15)
+		cfg.TF = stats.GammaFromMeanCV(0.01, 0.1)
+		cfg.TA = stats.NewConstant(29e-6)
+		cfg.Seed = uint64(i)
+		if _, err := RunAsync(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

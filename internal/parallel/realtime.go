@@ -62,10 +62,12 @@ func (a *rtAlg) ApplyStaged() {
 	}
 }
 
-// rtResult carries an evaluated item back to the master goroutine.
+// rtResult carries an evaluated item back to the master goroutine,
+// with the wall-clock time its evaluation took.
 type rtResult struct {
 	worker int
 	item   *master.Item
+	tf     float64
 }
 
 // RunAsyncRealtime executes the asynchronous master-slave Borg MOEA
@@ -132,13 +134,17 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 					tf *= cfg.StragglerFactor
 				}
 				time.Sleep(time.Duration(tf * float64(time.Second)))
+				// T_F is what the evaluation took, as the paper measures
+				// it — the sampled delay is only how long we asked to
+				// sleep, and a loaded host oversleeps.
+				tf = since() - t0
 				meters.TF.Observe(tf)
 				adv.ObserveTF(w+1, tf)
 				if events != nil {
-					events.Record(obs.Event{TS: t0, Dur: since() - t0, Kind: "eval", Actor: actor})
+					events.Record(obs.Event{TS: t0, Dur: tf, Kind: "eval", Actor: actor})
 				}
 				select {
-				case results <- rtResult{worker: w + 1, item: item}:
+				case results <- rtResult{worker: w + 1, item: item, tf: tf}:
 				case <-done:
 					return
 				}
@@ -187,8 +193,11 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	for w := 1; w <= workers; w++ {
 		exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: w, At: since()}))
 	}
+	tfSum, tfN := 0.0, 0
 	for !m.Done() {
 		r := <-results
+		tfSum += r.tf
+		tfN++
 		exec(m.Handle(master.Event{Kind: master.EvResult, Worker: r.worker, Item: r.item.ID, At: since()}))
 		// Deferred mode: the grant is already on its channel; fold the
 		// staged result in now (no-op when DeferArchive is off).
@@ -206,7 +215,8 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	if alg.taN > 0 {
 		res.MeanTA = alg.taSum / float64(alg.taN)
 	}
-	res.MeanTF = cfg.TF.Mean()
+	// Evaluations > 0, so at least one result came back.
+	res.MeanTF = tfSum / float64(tfN)
 	res.MeanTC = 0 // channel transfers; not separately measurable here
 	return res, nil
 }

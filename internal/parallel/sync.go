@@ -67,7 +67,7 @@ func RunSync(cfg Config) (*Result, error) {
 	}
 
 	recs := newRecorders(&cfg)
-	startWorkers(eng, cl, &cfg, recs)
+	startWorkers(cl, &cfg, recs)
 
 	node := cl.Node(0)
 	masterRec := &tfRecorder{capture: cfg.CaptureTimings, hist: meters.TF}

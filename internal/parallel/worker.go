@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/cluster"
 	"borgmoea/internal/core"
@@ -10,7 +8,9 @@ import (
 	"borgmoea/internal/fault"
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
+	"borgmoea/internal/problems"
 	"borgmoea/internal/rng"
+	"borgmoea/internal/stats"
 )
 
 // tfRecorder accumulates one process's evaluation-time observations.
@@ -85,45 +85,91 @@ func mergeTF(res *Result, recs ...*tfRecorder) {
 	}
 }
 
-// startWorkers launches the P−1 worker processes shared by the async
-// and sync virtual-time drivers: receive a work item, evaluate it,
-// hold T_F, echo the item to the master. Fault semantics: a crash
-// during the evaluation bumps the node's epoch, so the result is never
-// sent (the work died with the node); a transient hang defers the
-// response until the node is responsive again.
-func startWorkers(eng *des.Engine, cl *cluster.Cluster, cfg *Config, recs []*tfRecorder) {
-	for w := 1; w < cfg.Processors; w++ {
-		w := w
-		node := cl.Node(w)
-		rec := recs[w-1]
-		wRng := rng.New(cfg.Seed ^ (uint64(w) * 0x9e3779b97f4a7c15))
-		straggler := cfg.StragglerFraction > 0 &&
-			float64(w-1) < cfg.StragglerFraction*float64(cfg.Processors-1)
-		eng.Go(fmt.Sprintf("worker%d", w), func(p *des.Process) {
-			for {
-				msg := node.Recv(p)
-				if msg.Tag == tagStop {
-					return
-				}
-				item := msg.Payload.(*master.Item)
-				epoch := node.Epoch()
-				core.EvaluateSolution(cfg.Problem, item.S)
-				tf := cfg.TF.Sample(wRng)
-				if straggler {
-					tf *= cfg.StragglerFactor
-				}
-				rec.recordTraced(tf, item)
-				cfg.Trace.ObserveTF(item.ID, tf)
-				node.HoldBusy(p, tf, "eval")
-				if node.Failed() || node.Epoch() != epoch {
-					continue // crashed mid-evaluation: the work is lost
-				}
-				if until := node.SuspendedUntil(); until > p.Now() {
-					p.Hold(until - p.Now()) // hang delays the response
-				}
-				node.Send(0, tagResult, item)
-			}
-		})
+// worker is one evaluation node of the virtual-time drivers: take a
+// work item, evaluate it, stay busy for T_F, echo the item to the
+// master. It is a callback state machine on cluster.Node.Serve, not a
+// process, so a run keeps one goroutine per master however large P is.
+// It schedules what a process looping on Recv/HoldBusy/Send would, in
+// the same order — the zero-delay wake after a delivery, the T_F hold,
+// the send — so every tie in virtual time breaks as it did with
+// process workers (worker_ref_test.go holds it to that).
+//
+// Fault semantics: a crash during the evaluation bumps the node's
+// epoch, so the result is never sent (the work died with the node); a
+// transient hang defers the response until the node is responsive
+// again.
+type worker struct {
+	eng       *des.Engine
+	node      *cluster.Node
+	master    int // rank the results go to
+	problem   problems.Problem
+	tf        stats.Distribution
+	rng       *rng.Source
+	straggler float64 // T_F multiplier, 1 unless a straggler
+	rec       *tfRecorder
+	trace     *obs.Collector // nil-safe
+
+	item  *master.Item // the evaluation in progress
+	epoch uint64       // node incarnation it started under
+	// The callbacks below as func values, built once.
+	evaluated, respond func()
+}
+
+func (w *worker) start() {
+	w.evaluated, w.respond = w.onEvaluated, w.onRespond
+	w.node.Serve(w.serve)
+}
+
+// serve starts on the next queued work item, if there is one;
+// otherwise the node calls it again on the next delivery.
+func (w *worker) serve() {
+	msg, ok := w.node.TryRecv()
+	if !ok {
+		return
+	}
+	if msg.Tag == tagStop {
+		w.node.Serve(nil)
+		return
+	}
+	w.item = msg.Payload.(*master.Item)
+	w.epoch = w.node.Epoch()
+	core.EvaluateSolution(w.problem, w.item.S)
+	tf := w.tf.Sample(w.rng) * w.straggler
+	w.rec.recordTraced(tf, w.item)
+	w.trace.ObserveTF(w.item.ID, tf)
+	w.node.BusyFor(tf, "eval", w.evaluated)
+}
+
+func (w *worker) onEvaluated() {
+	now := w.eng.Now()
+	switch until := w.node.SuspendedUntil(); {
+	case w.node.Failed() || w.node.Epoch() != w.epoch:
+		w.serve() // crashed mid-evaluation: the work is lost
+	case until > now:
+		w.eng.Schedule(until-now, w.respond) // hang delays the response
+	default:
+		w.onRespond()
+	}
+}
+
+func (w *worker) onRespond() {
+	w.node.Send(w.master, tagResult, w.item)
+	w.serve()
+}
+
+// startWorkers starts the P−1 workers shared by the async and sync
+// virtual-time drivers, worker w on node w with its own T_F stream.
+func startWorkers(cl *cluster.Cluster, cfg *Config, recs []*tfRecorder) {
+	for r := 1; r < cfg.Processors; r++ {
+		w := &worker{
+			eng: cl.Engine(), node: cl.Node(r), problem: cfg.Problem, tf: cfg.TF, straggler: 1,
+			rng: rng.New(cfg.Seed ^ (uint64(r) * 0x9e3779b97f4a7c15)),
+			rec: recs[r-1], trace: cfg.Trace,
+		}
+		if cfg.StragglerFraction > 0 && float64(r-1) < cfg.StragglerFraction*float64(cfg.Processors-1) {
+			w.straggler = cfg.StragglerFactor
+		}
+		cfg.spawn(w)
 	}
 }
 
