@@ -252,7 +252,7 @@ func Run(cfg Config) (*Result, error) {
 			closeAll()
 			return nil, err
 		}
-		defer root.Close()
+		defer root.sink.Close()
 		if cfg.OnRoot != nil {
 			cfg.OnRoot(root)
 		}

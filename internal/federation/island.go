@@ -1,11 +1,8 @@
 package federation
 
 import (
-	"bufio"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"borgmoea/internal/advisor"
@@ -41,34 +38,6 @@ type islandResult struct {
 	stats    master.Stats
 	migrants uint64
 	peak     int
-}
-
-type islandEventKind uint8
-
-const (
-	iJoin islandEventKind = iota
-	iMsg
-	iDead
-	iMigrant
-)
-
-// islandEvent is one input to the island master loop: worker transport
-// events exactly as in the distributed driver, plus migrant frames
-// arriving on the peer listener.
-type islandEvent struct {
-	kind islandEventKind
-	sess *islandSession
-	msg  wire.Message
-	mig  *wire.Migrant
-	err  error
-}
-
-// islandSession is one live worker connection, as in the distributed
-// driver.
-type islandSession struct {
-	id   uint64
-	conn *wire.Conn
-	gone bool
 }
 
 // fedAlg adapts the island's Borg instance to the shared state machine,
@@ -163,98 +132,32 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	ic.adv.Configure(0, cfg.Evaluations)
 
-	events := make(chan islandEvent, 256)
-	done := make(chan struct{})
-	defer close(done)
-	push := func(e islandEvent) {
-		select {
-		case events <- e:
-		case <-done:
-		}
-	}
-
 	connOpt := cfg.Conn
 	if connOpt.OnRTT == nil {
 		// Heartbeat RTTs stand in for T_C, as in the distributed driver.
 		connOpt.OnRTT = ic.adv.ObserveRTT
 	}
 
-	welcome := wire.Welcome{
-		Problem:         cfg.Problem.Name(),
-		NumVars:         uint32(cfg.Problem.NumVars()),
-		NumObjs:         uint32(cfg.Problem.NumObjs()),
-		HeartbeatMillis: uint32(connOpt.Heartbeat.Milliseconds()),
-	}
+	// Worker transport, as in the distributed driver; the deferred Close
+	// also covers the failed-dial returns below.
+	var host wire.Host
+	host.Serve(ic.workerLn, connOpt, cfg.Problem)
+	defer host.Close(true)
 
-	// Worker accept loop: identical protocol to the distributed driver —
-	// handshake off the main loop, then feed messages as events.
-	var nextWorkerID atomic.Uint64
-	go func() {
-		for {
-			nc, err := ic.workerLn.Accept()
-			if err != nil {
-				return // listener closed: run over
+	// Peer link: raw migrant frames from the ring predecessor, which may
+	// run epochs ahead; the buffer lets its frames wait for the loop.
+	migrants := make(chan *wire.Migrant, 256)
+	done := make(chan struct{})
+	peer := wire.ServeFrames(ic.peerLn, func(m wire.Message) {
+		if mg, ok := m.(*wire.Migrant); ok {
+			select {
+			case migrants <- mg:
+			case <-done:
 			}
-			go func() {
-				var id uint64
-				conn, _, err := wire.ServerHandshake(nc, connOpt, func(h wire.Hello) (*wire.Welcome, error) {
-					w := welcome
-					if h.WorkerID != 0 {
-						w.WorkerID = h.WorkerID
-					} else {
-						w.WorkerID = nextWorkerID.Add(1)
-					}
-					id = w.WorkerID
-					return &w, nil
-				})
-				if err != nil {
-					return
-				}
-				conn.StartHeartbeat(0)
-				s := &islandSession{id: id, conn: conn}
-				push(islandEvent{kind: iJoin, sess: s})
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						push(islandEvent{kind: iDead, sess: s, err: err})
-						return
-					}
-					push(islandEvent{kind: iMsg, sess: s, msg: m})
-				}
-			}()
 		}
-	}()
-
-	// Peer accept loop: raw migrant frames from the ring predecessor —
-	// no handshake, no heartbeat, just length-prefixed CRC-checked
-	// frames until the predecessor closes.
-	var peerMu sync.Mutex
-	var peerConns []net.Conn
-	go func() {
-		for {
-			nc, err := ic.peerLn.Accept()
-			if err != nil {
-				return
-			}
-			peerMu.Lock()
-			peerConns = append(peerConns, nc)
-			peerMu.Unlock()
-			go func() {
-				br := bufio.NewReader(nc)
-				var buf []byte // payload scratch; messages never alias it
-				for {
-					m, next, err := wire.ReadMessageBuf(br, buf)
-					buf = next
-					if err != nil {
-						return
-					}
-					if mg, ok := m.(*wire.Migrant); ok {
-						push(islandEvent{kind: iMigrant, mig: mg})
-					}
-				}
-			}()
-		}
-	}()
+	})
+	defer peer.Close()
+	defer close(done) // first, so a reader mid-delivery lets peer.Close return
 
 	migrate := cfg.MigrationEvery > 0 && cfg.Islands > 1
 	var succ net.Conn
@@ -320,20 +223,16 @@ func runIsland(ic islandContext) (islandResult, error) {
 	}
 	m := master.NewCore(mcfg)
 
-	byID := make(map[uint64]*islandSession)
-	drop := func(s *islandSession, why error) {
-		if s.gone {
-			return
-		}
-		s.gone = true
-		s.conn.Close()
-		if byID[s.id] == s {
-			delete(byID, s.id)
-		}
-		ic.adv.SetLive(len(byID))
-		cfg.logf("federation: island %d worker %d gone: %v", ic.isl, s.id, why)
-	}
 	var exec func(acts []master.Action)
+	// gone drops a live session and declares its worker dead (inert for
+	// one already torn down: replaced, or send failure).
+	gone := func(s *wire.Session, why error) {
+		if host.Drop(s) {
+			ic.adv.SetLive(host.Live())
+			cfg.logf("federation: island %d worker %d gone: %v", ic.isl, s.ID, why)
+			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
+		}
+	}
 	exec = func(acts []master.Action) {
 		// Handle reuses its action slice; copy before executing, because
 		// a failed grant send re-enters Handle mid-iteration.
@@ -341,36 +240,23 @@ func runIsland(ic islandContext) (islandResult, error) {
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
-				s := byID[uint64(a.Worker)]
-				if s == nil || s.gone {
-					continue
-				}
-				ev := &wire.Evaluate{
-					Lease:    a.Item.ID,
-					SolID:    a.Item.S.ID,
-					Operator: int32(a.Item.S.Operator),
-					Vars:     a.Item.S.Vars,
-					Trace:    a.Item.Trace,
-				}
-				sendStart := time.Now()
-				if err := s.conn.Send(ev); err != nil {
-					drop(s, err)
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: a.Worker, At: since()}))
-					continue
-				}
-				if ic.trace != nil {
-					// The measured send time is the direct T_C sample: it
-					// feeds both the trace (per-evaluation attribution)
-					// and the advisor fit, so borgtrace's per-term means
-					// and /debug/scaling agree by construction.
-					tc := time.Since(sendStart).Seconds()
-					ic.trace.ObserveTCSend(a.Item.ID, tc)
-					ic.adv.ObserveTC(tc)
+				if s := host.Lookup(a.Worker); s != nil {
+					tc, err := host.Grant(s, a.Item.ID, a.Item, "")
+					if err != nil {
+						gone(s, err)
+						continue
+					}
+					if ic.trace != nil {
+						// The measured send time is the direct T_C sample: it
+						// feeds both the trace (per-evaluation attribution)
+						// and the advisor fit, so borgtrace's per-term means
+						// and /debug/scaling agree by construction.
+						ic.trace.ObserveTCSend(a.Item.ID, tc)
+						ic.adv.ObserveTC(tc)
+					}
 				}
 			case master.ActStop:
-				if s := byID[uint64(a.Worker)]; s != nil && !s.gone {
-					_ = s.conn.Send(wire.Stop{})
-				}
+				host.Stop(a.Worker)
 			case master.ActComplete:
 				elapsedAt = since()
 				ic.log.SetElapsed(elapsedAt)
@@ -381,7 +267,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	pred := (ic.isl - 1 + cfg.Islands) % cfg.Islands
 	migRng := NewMigrationRNG(cfg.Seed, ic.isl)
 	pendingMig := make(map[uint64]*wire.Migrant)
-	var backlog []islandEvent
+	var backlog []wire.HostEvent
 	var lastEpoch uint64
 	var migBuf []byte // frame scratch, reused per send
 	var deltaSeq uint64
@@ -398,7 +284,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	// takeMigrant blocks until the predecessor's epoch-e migrant
 	// arrives, buffering early migrants of later epochs and backlogging
-	// every non-migrant event for the main loop.
+	// every worker event for the main loop.
 	takeMigrant := func(epoch uint64) (*wire.Migrant, error) {
 		if mg, ok := pendingMig[epoch]; ok {
 			delete(pendingMig, epoch)
@@ -408,14 +294,12 @@ func runIsland(ic islandContext) (islandResult, error) {
 		defer timeout.Stop()
 		for {
 			select {
-			case e := <-events:
-				if e.kind == iMigrant {
-					if e.mig.Epoch == epoch {
-						return e.mig, nil
-					}
-					pendingMig[e.mig.Epoch] = e.mig
-					continue
+			case mg := <-migrants:
+				if mg.Epoch == epoch {
+					return mg, nil
 				}
+				pendingMig[mg.Epoch] = mg
+			case e := <-host.Events():
 				backlog = append(backlog, e)
 			case <-timeout.C:
 				return nil, fmt.Errorf("migration epoch %d: no migrant from island %d within %v", epoch, pred, cfg.migrationTimeout())
@@ -473,11 +357,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	var tickC <-chan time.Time
 	if cfg.LeaseTimeout > 0 {
-		interval := cfg.LeaseTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(wire.TickInterval(cfg.LeaseTimeout))
 		defer ticker.Stop()
 		tickC = ticker.C
 	}
@@ -485,70 +365,53 @@ func runIsland(ic islandContext) (islandResult, error) {
 	defer wall.Stop()
 
 	for !m.Done() && migErr == nil {
-		var e islandEvent
+		var e wire.HostEvent
 		if len(backlog) > 0 {
 			e = backlog[0]
 			backlog = backlog[1:]
 		} else {
 			select {
-			case e = <-events:
+			case e = <-host.Events():
+			case mg := <-migrants:
+				// A migrant outside a boundary wait: the predecessor runs
+				// ahead; hold its frame for the epoch we will reach.
+				pendingMig[mg.Epoch] = mg
+				continue
 			case <-tickC:
 				exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
 				continue
 			case <-wall.C:
 				migErr = fmt.Errorf("wall limit %v reached with %d/%d evaluations", cfg.wallLimit(), m.Completed(), cfg.Evaluations)
-			}
-			if migErr != nil {
-				break
+				continue
 			}
 		}
-		switch e.kind {
-		case iJoin:
-			if old := byID[e.sess.id]; old != nil && old != e.sess {
-				drop(old, fmt.Errorf("replaced by reconnect"))
+		s := e.Sess
+		switch e.Kind {
+		case wire.HostJoin:
+			if old := host.Admit(s); old != nil {
+				cfg.logf("federation: island %d worker %d gone: replaced by reconnect", ic.isl, old.ID)
 			}
-			byID[e.sess.id] = e.sess
-			ic.adv.SetLive(len(byID))
-			cfg.logf("federation: island %d worker %d joined (%d live)", ic.isl, e.sess.id, len(byID))
-			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(e.sess.id), At: since()}))
-		case iDead:
-			if e.sess.gone {
+			ic.adv.SetLive(host.Live())
+			cfg.logf("federation: island %d worker %d joined (%d live)", ic.isl, s.ID, host.Live())
+			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
+		case wire.HostDead:
+			gone(s, e.Err)
+		case wire.HostResult:
+			if s.Gone() {
 				break
 			}
-			drop(e.sess, e.err)
-			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(e.sess.id), At: since()}))
-		case iMigrant:
-			// A migrant outside a boundary wait: the predecessor runs
-			// ahead; hold its frame for the epoch we will reach.
-			pendingMig[e.mig.Epoch] = e.mig
-		case iMsg:
-			s := e.sess
-			if s.gone {
-				break
-			}
-			msg, ok := e.msg.(*wire.Result)
-			if !ok {
-				break
-			}
+			msg := e.Result
 			var accepted *core.Solution
-			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.id) {
-				if len(msg.Objs) != cfg.Problem.NumObjs() {
-					drop(s, fmt.Errorf("result with %d objectives, want %d", len(msg.Objs), cfg.Problem.NumObjs()))
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.id), At: since()}))
-					break
-				}
-				sol := item.S
-				sol.Objs = msg.Objs
-				sol.Constrs = msg.Constrs
-				accepted = sol
-				evalSec := float64(msg.EvalNanos) / 1e9
-				ic.meters.TF.ObserveExemplar(evalSec, sampledTraceID(item))
-				ic.adv.ObserveTF(int(s.id), evalSec)
+			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
+				evalSec := msg.Fill(item)
+				accepted = item.S
+				ic.meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
+				ic.adv.ObserveTF(int(s.ID), evalSec)
 				ic.trace.ObserveTF(item.ID, evalSec)
 				alg.curItem = item.ID
 			}
 			prev := m.Completed()
-			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.id), Item: msg.Lease, At: since()}))
+			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
 			if n := m.Completed(); n > prev {
 				afterAccept(n, accepted)
 				// Quality cadence: the trigger detours through the master
@@ -560,20 +423,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 			}
 		}
 	}
-
-	// Tear down this island's transports. Stop is written before the
-	// close so healthy workers exit instead of reconnecting.
-	ic.workerLn.Close()
-	ic.peerLn.Close()
-	for _, s := range byID {
-		_ = s.conn.Send(wire.Stop{})
-		s.conn.Close()
-	}
-	peerMu.Lock()
-	for _, nc := range peerConns {
-		nc.Close()
-	}
-	peerMu.Unlock()
 
 	ir.stats = m.Stats()
 	ir.peak = m.Peak()
@@ -587,15 +436,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 // stragglerCheckEvery is how many accepts pass between polls of the
 // advisor's straggler detector when tracing is on.
 const stragglerCheckEvery = 64
-
-// sampledTraceID returns the item's trace id when its evaluation is
-// sampled, else 0 (ObserveExemplar treats 0 as "no exemplar").
-func sampledTraceID(item *master.Item) uint64 {
-	if item.Trace.Sampled() {
-		return item.Trace.TraceID
-	}
-	return 0
-}
 
 // archiveDelta packages the most recent archive members (capped at
 // deltaCap) as a root-bound Delta frame.

@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -18,61 +17,37 @@ import (
 // island archives (MergeArchives); the root's value is the *live* view
 // of the federated front while a long run is still going.
 type Root struct {
-	ln net.Listener
+	addr string
+	sink *wire.FrameSink // the islands' delta streams; Run closes it
 
 	mu        sync.Mutex
 	arch      *core.Archive
 	deltas    uint64
 	completed map[uint32]uint64
-	conns     []net.Conn
 }
 
-// startRoot binds the root listener and starts its accept loop.
+// startRoot binds the root listener and starts merging the delta
+// streams islands dial in with.
 func startRoot(cfg *Config) (*Root, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("federation: root listen: %w", err)
 	}
 	r := &Root{
-		ln:        ln,
+		addr:      ln.Addr().String(),
 		arch:      core.NewArchive(cfg.Algorithm.Epsilons, 0),
 		completed: make(map[uint32]uint64),
 	}
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			r.mu.Lock()
-			r.conns = append(r.conns, nc)
-			r.mu.Unlock()
-			go r.serve(nc)
+	r.sink = wire.ServeFrames(ln, func(m wire.Message) {
+		if d, ok := m.(*wire.Delta); ok {
+			r.merge(d)
 		}
-	}()
+	})
 	return r, nil
 }
 
 // Addr returns the root's listen address, which islands dial.
-func (r *Root) Addr() string { return r.ln.Addr().String() }
-
-// serve reads one island's delta stream until it closes.
-func (r *Root) serve(nc net.Conn) {
-	br := bufio.NewReader(nc)
-	var buf []byte // payload scratch; decoded messages never alias it
-	for {
-		m, next, err := wire.ReadMessageBuf(br, buf)
-		buf = next
-		if err != nil {
-			return
-		}
-		d, ok := m.(*wire.Delta)
-		if !ok {
-			continue
-		}
-		r.merge(d)
-	}
-}
+func (r *Root) Addr() string { return r.addr }
 
 // merge folds one delta into the live archive. Decoder-fresh slices
 // transfer without copies; re-sent members are deduplicated by the
@@ -127,16 +102,4 @@ func (r *Root) Completed() uint64 {
 		n += c
 	}
 	return n
-}
-
-// Close stops the accept loop and drops every island stream.
-func (r *Root) Close() {
-	r.ln.Close()
-	r.mu.Lock()
-	conns := r.conns
-	r.conns = nil
-	r.mu.Unlock()
-	for _, nc := range conns {
-		nc.Close()
-	}
 }

@@ -338,9 +338,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		s.clockOff = last
 	}
 	for _, ev := range log.Events {
-		if uint64(ev.Worker) > s.nextWID.Load() {
-			s.nextWID.Store(uint64(ev.Worker))
-		}
+		s.host.Reserve(uint64(ev.Worker))
 	}
 
 	if err := ck.resumeLog(log, len(log.Events)); err != nil {

@@ -152,30 +152,14 @@ type grantRef struct {
 	item uint64
 }
 
-// fleetWorker is one borgd session. A worker evaluates serially, but
-// probe grants to a suspect worker can pipeline, so outstanding wire
-// leases are a small map, not a single slot.
+// fleetWorker is the scheduling state of one live borgd session. A
+// worker evaluates serially, but probe grants to a suspect worker can
+// pipeline, so outstanding wire leases are a small map, not a single
+// slot.
 type fleetWorker struct {
-	id     uint64
-	conn   *wire.Conn
-	gone   bool
+	sess   *wire.Session
 	job    *job // current assignment (nil = unassigned)
 	leases map[uint64]grantRef
-}
-
-type fleetEventKind uint8
-
-const (
-	fleetJoin fleetEventKind = iota
-	fleetMsg
-	fleetDead
-)
-
-type fleetEvent struct {
-	kind fleetEventKind
-	w    *fleetWorker
-	msg  wire.Message
-	err  error
 }
 
 // Scheduler owns the shared borgd fleet and multiplexes every
@@ -188,7 +172,7 @@ type Scheduler struct {
 	ln       net.Listener
 	leaseSec float64
 
-	events chan fleetEvent
+	host   wire.Host // fleet transport; zero until New serves it
 	cmds   chan func()
 	quit   chan struct{}
 	done   chan struct{}
@@ -207,8 +191,7 @@ type Scheduler struct {
 	order         []string // submission order
 	queue         []*job
 	active        int
-	byID          map[uint64]*fleetWorker
-	nextWID       atomic.Uint64
+	fleet         map[*wire.Session]*fleetWorker // live sessions only
 	nextWireLease uint64
 	nextJob       uint64
 	start         time.Time
@@ -243,7 +226,6 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:      cfg,
 		ln:       ln,
 		leaseSec: cfg.LeaseTimeout.Seconds(),
-		events:   make(chan fleetEvent, 256),
 		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -262,7 +244,7 @@ func New(cfg Config) (*Scheduler, error) {
 		hFirstResult:  reg.Histogram(MetricFirstResult, nil),
 
 		jobs:  make(map[string]*job),
-		byID:  make(map[uint64]*fleetWorker),
+		fleet: make(map[*wire.Session]*fleetWorker),
 		start: time.Now(),
 	}
 	if cfg.StateDir != "" {
@@ -271,7 +253,9 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, err
 		}
 	}
-	go s.acceptLoop()
+	// A multi-problem session (nil problem): each grant names its own,
+	// so one fleet serves every job.
+	s.host.Serve(ln, cfg.Conn, nil)
 	go s.loop()
 	return s, nil
 }
@@ -302,7 +286,6 @@ func (s *Scheduler) now() float64 {
 // running jobs resume from StateDir on the next New.
 func (s *Scheduler) Close() error {
 	s.draining.Store(true)
-	s.ln.Close()
 	s.do(func() { s.shutdown() }) //nolint:errcheck // best effort once closed
 	s.stopIt.Do(func() { close(s.quit) })
 	<-s.done
@@ -325,76 +308,15 @@ func (s *Scheduler) do(fn func()) error {
 	}
 }
 
-// --- fleet transport ------------------------------------------------
-
-// acceptLoop admits borgd workers. The handshake announces a
-// multi-problem session (wire.MultiProblem), so each grant names its
-// own problem and one fleet serves every job.
-func (s *Scheduler) acceptLoop() {
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed: scheduler stopping
-		}
-		go func() {
-			var id uint64
-			conn, _, err := wire.ServerHandshake(nc, s.cfg.Conn, func(h wire.Hello) (*wire.Welcome, error) {
-				if h.WorkerID != 0 {
-					id = h.WorkerID // reconnect keeps its identity
-					// Keep fresh assignments above every announced id.
-					for {
-						cur := s.nextWID.Load()
-						if cur >= id || s.nextWID.CompareAndSwap(cur, id) {
-							break
-						}
-					}
-				} else {
-					id = s.nextWID.Add(1)
-				}
-				return &wire.Welcome{
-					WorkerID:        id,
-					Problem:         wire.MultiProblem,
-					HeartbeatMillis: uint32(s.cfg.Conn.Heartbeat.Milliseconds()),
-				}, nil
-			})
-			if err != nil {
-				return
-			}
-			conn.StartHeartbeat(0)
-			w := &fleetWorker{id: id, conn: conn, leases: make(map[uint64]grantRef)}
-			s.push(fleetEvent{kind: fleetJoin, w: w})
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					s.push(fleetEvent{kind: fleetDead, w: w, err: err})
-					return
-				}
-				s.push(fleetEvent{kind: fleetMsg, w: w, msg: msg})
-			}
-		}()
-	}
-}
-
-func (s *Scheduler) push(e fleetEvent) {
-	select {
-	case s.events <- e:
-	case <-s.done:
-	}
-}
-
 // --- event loop -----------------------------------------------------
 
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	tickEvery := s.cfg.LeaseTimeout / 4
-	if tickEvery < 10*time.Millisecond {
-		tickEvery = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(tickEvery)
+	tick := time.NewTicker(wire.TickInterval(s.cfg.LeaseTimeout))
 	defer tick.Stop()
 	for {
 		select {
-		case e := <-s.events:
+		case e := <-s.host.Events():
 			s.onFleet(e)
 		case fn := <-s.cmds:
 			fn()
@@ -410,55 +332,49 @@ func (s *Scheduler) loop() {
 func (s *Scheduler) updateGauges() {
 	s.gActive.Set(float64(s.active))
 	s.gQueued.Set(float64(len(s.queue)))
-	n := 0
-	for _, w := range s.byID {
-		if !w.gone {
-			n++
-		}
-	}
-	s.gWorkers.Set(float64(n))
+	s.gWorkers.Set(float64(len(s.fleet)))
 }
 
-func (s *Scheduler) onFleet(e fleetEvent) {
-	switch e.kind {
-	case fleetJoin:
-		if old := s.byID[e.w.id]; old != nil && old != e.w {
+func (s *Scheduler) onFleet(e wire.HostEvent) {
+	w := s.fleet[e.Sess] // nil once the session is gone: stale events drop
+	switch e.Kind {
+	case wire.HostJoin:
+		if old := s.host.Admit(e.Sess); old != nil {
 			// The fleet replaced this identity (borgd redial after a
 			// half-dead link); retire the old session first.
-			s.dropWorker(old)
+			s.retire(s.fleet[old])
 		}
-		s.byID[e.w.id] = e.w
-		s.cfg.logf("jobs: worker %d joined (%d live)", e.w.id, len(s.byID))
-		s.assign(e.w)
-	case fleetDead:
-		if s.byID[e.w.id] == e.w {
-			s.cfg.logf("jobs: worker %d lost: %v", e.w.id, e.err)
+		w = &fleetWorker{sess: e.Sess, leases: make(map[uint64]grantRef)}
+		s.fleet[e.Sess] = w
+		s.cfg.logf("jobs: worker %d joined (%d live)", e.Sess.ID, len(s.fleet))
+		s.assign(w)
+	case wire.HostDead:
+		if w != nil {
+			s.cfg.logf("jobs: worker %d lost: %v", e.Sess.ID, e.Err)
+			s.dropWorker(w)
 		}
-		s.dropWorker(e.w)
-	case fleetMsg:
-		if e.w.gone {
-			return
+	case wire.HostResult:
+		if w != nil {
+			s.onResult(w, e.Result)
 		}
-		msg, ok := e.msg.(*wire.Result)
-		if !ok {
-			return
-		}
-		s.onResult(e.w, msg)
 	}
 }
 
-// dropWorker retires a dead session: every job holding one of its
-// leases sees EvGone (resubmitting the work), as does its current
-// assignment.
+// worker returns the live fleet worker with the given id, or nil.
+func (s *Scheduler) worker(id int) *fleetWorker { return s.fleet[s.host.Lookup(id)] }
+
+// dropWorker closes a live session and retires its scheduling state.
 func (s *Scheduler) dropWorker(w *fleetWorker) {
-	if w.gone {
-		return
+	if s.host.Drop(w.sess) {
+		s.retire(w)
 	}
-	w.gone = true
-	w.conn.Close()
-	if s.byID[w.id] == w {
-		delete(s.byID, w.id)
-	}
+}
+
+// retire forgets a session the host dropped: every job holding one of
+// its leases sees EvGone (resubmitting the work), as does its current
+// assignment.
+func (s *Scheduler) retire(w *fleetWorker) {
+	delete(s.fleet, w.sess)
 	goneIn := make(map[*job]struct{})
 	if w.job != nil {
 		goneIn[w.job] = struct{}{}
@@ -476,24 +392,24 @@ func (s *Scheduler) dropWorker(w *fleetWorker) {
 // detachGone removes w from j and declares it dead to j's core, which
 // resubmits any live lease it held there.
 func (s *Scheduler) detachGone(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.id]; ok {
-		delete(j.workers, w.id)
+	if _, ok := j.workers[w.sess.ID]; ok {
+		delete(j.workers, w.sess.ID)
 		j.adv.SetLive(len(j.workers))
 	}
 	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvGone, Worker: int(w.id), At: s.now()}))
+		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvGone, Worker: int(w.sess.ID), At: s.now()}))
 	}
 }
 
 // detach gracefully withdraws a parked worker from j (EvLeave) when
 // the scheduler lends it to another job.
 func (s *Scheduler) detach(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.id]; ok {
-		delete(j.workers, w.id)
+	if _, ok := j.workers[w.sess.ID]; ok {
+		delete(j.workers, w.sess.ID)
 		j.adv.SetLive(len(j.workers))
 	}
 	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvLeave, Worker: int(w.id), At: s.now()}))
+		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvLeave, Worker: int(w.sess.ID), At: s.now()}))
 	}
 }
 
@@ -515,9 +431,9 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		// registry, dimension drift): an empty Result fails the lease,
 		// not the session. Resubmit the work and never offer this
 		// worker the job again.
-		j.failed[w.id] = struct{}{}
+		j.failed[w.sess.ID] = struct{}{}
 		s.mEvalFailures.Inc()
-		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.id, j.problem.Name(), j.id)
+		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.sess.ID, j.problem.Name(), j.id)
 		s.detachGone(w, j)
 		if w.job == j {
 			w.job = nil
@@ -525,26 +441,20 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		s.assign(w)
 		return
 	}
-	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(w.id) {
-		item.S.Objs = msg.Objs
-		item.S.Constrs = msg.Constrs
-		sec := float64(msg.EvalNanos) / 1e9
-		j.adv.ObserveTF(int(w.id), sec)
+	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(w.sess.ID) {
+		sec := msg.Fill(item)
+		j.adv.ObserveTF(int(w.sess.ID), sec)
 		j.trace.ObserveTF(ref.item, sec)
-		var exemplar uint64
-		if item.Trace.Sampled() {
-			exemplar = item.Trace.TraceID
-		}
-		s.hEval.ObserveExemplar(sec, exemplar)
+		s.hEval.ObserveExemplar(sec, item.SampledTraceID())
 	}
-	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.id), Item: ref.item, At: s.now()}))
+	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.sess.ID), Item: ref.item, At: s.now()}))
 	// Quality cadence: the trigger detours through the job's core so
 	// the sample point lands in its BMEL log (a restored job replays
 	// its quality timeline too).
 	if q := j.quality; q != nil && j.state == StateRunning && !j.mcore.Done() && q.Due(j.mcore.Completed(), s.now()) {
 		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: s.now()}))
 	}
-	if !w.gone && len(w.leases) == 0 {
+	if !w.sess.Gone() && len(w.leases) == 0 {
 		s.assign(w)
 	}
 }
@@ -563,13 +473,13 @@ func (s *Scheduler) onTick() {
 }
 
 func (s *Scheduler) sweepAssign() {
-	ids := make([]uint64, 0, len(s.byID))
-	for id := range s.byID {
-		ids = append(ids, id)
+	ws := make([]*fleetWorker, 0, len(s.fleet))
+	for _, w := range s.fleet {
+		ws = append(ws, w)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		s.assign(s.byID[id])
+	sort.Slice(ws, func(a, b int) bool { return ws[a].sess.ID < ws[b].sess.ID })
+	for _, w := range ws {
+		s.assign(w)
 	}
 }
 
@@ -581,7 +491,7 @@ func (s *Scheduler) sweepAssign() {
 // ordinary events in the job's BMEL log, so replay reproduces every
 // fair-share decision.
 func (s *Scheduler) assign(w *fleetWorker) {
-	if w == nil || w.gone || len(w.leases) > 0 {
+	if w == nil || w.sess.Gone() || len(w.leases) > 0 {
 		return
 	}
 	var best *job
@@ -590,7 +500,7 @@ func (s *Scheduler) assign(w *fleetWorker) {
 		if !j.wantWork() {
 			continue
 		}
-		if _, bad := j.failed[w.id]; bad {
+		if _, bad := j.failed[w.sess.ID]; bad {
 			continue
 		}
 		if best == nil || j.pass < best.pass {
@@ -602,16 +512,16 @@ func (s *Scheduler) assign(w *fleetWorker) {
 	}
 	best.pass += best.stride
 	if w.job == best {
-		s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvReady, Worker: int(w.id), At: s.now()}))
+		s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvReady, Worker: int(w.sess.ID), At: s.now()}))
 		return
 	}
 	if w.job != nil {
 		s.detach(w, w.job)
 	}
 	w.job = best
-	best.workers[w.id] = struct{}{}
+	best.workers[w.sess.ID] = struct{}{}
 	best.adv.SetLive(len(best.workers))
-	s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvJoin, Worker: int(w.id), At: s.now()}))
+	s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvJoin, Worker: int(w.sess.ID), At: s.now()}))
 }
 
 // exec carries out a core's actions on the fleet. Grants become wire
@@ -626,34 +536,24 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 	for _, a := range acts {
 		switch a.Kind {
 		case master.ActGrant:
-			w := s.byID[uint64(a.Worker)]
-			if w == nil || w.gone || w.job != j {
+			w := s.worker(a.Worker)
+			if w == nil || w.job != j {
 				continue // stale grant to a worker the fleet lost
 			}
 			s.nextWireLease++
-			wl := s.nextWireLease
-			w.leases[wl] = grantRef{job: j, item: a.Item.ID}
-			ev := &wire.Evaluate{
-				Lease:    wl,
-				SolID:    a.Item.S.ID,
-				Operator: int32(a.Item.S.Operator),
-				Problem:  j.problem.Name(),
-				Vars:     a.Item.S.Vars,
-				Trace:    a.Item.Trace,
-			}
-			sendStart := time.Now()
-			if err := w.conn.Send(ev); err != nil {
+			w.leases[s.nextWireLease] = grantRef{job: j, item: a.Item.ID}
+			tc, err := s.host.Grant(w.sess, s.nextWireLease, a.Item, j.problem.Name())
+			if err != nil {
 				s.cfg.logf("jobs: send to worker %d failed: %v", a.Worker, err)
 				s.dropWorker(w)
 				continue
 			}
-			j.trace.ObserveTCSend(a.Item.ID, time.Since(sendStart).Seconds())
+			j.trace.ObserveTCSend(a.Item.ID, tc)
 		case master.ActComplete:
 			s.finishJob(j)
 		case master.ActStop:
 			// Release, don't stop: the worker belongs to the fleet.
-			w := s.byID[uint64(a.Worker)]
-			if w != nil && !w.gone && w.job == j && len(w.leases) == 0 {
+			if w := s.worker(a.Worker); w != nil && w.job == j && len(w.leases) == 0 {
 				s.assign(w)
 			}
 		}
@@ -923,7 +823,7 @@ func (s *Scheduler) cancel(id string) error {
 		// cancelled job; either way they get reassigned. Clear the
 		// assignment now so idle ones move immediately.
 		for wid := range j.workers {
-			if w := s.byID[wid]; w != nil && w.job == j {
+			if w := s.worker(int(wid)); w != nil && w.job == j {
 				w.job = nil
 			}
 		}
@@ -958,9 +858,7 @@ func (s *Scheduler) shutdown() {
 			j.ck.close()
 		}
 	}
-	for _, w := range s.byID {
-		w.conn.Close()
-	}
+	s.host.Close(false)
 }
 
 // status builds a job's externally visible snapshot; loop-owned.

@@ -203,7 +203,7 @@ func RunAsync(cfg Config) (*Result, error) {
 				continue
 			}
 			item := msg.Payload.(*master.Item)
-			meters.QueueWait.ObserveExemplar(wait, sampledTraceID(item))
+			meters.QueueWait.ObserveExemplar(wait, item.SampledTraceID())
 			cfg.Trace.ObserveQueueWait(item.ID, wait)
 			cfg.Trace.ObserveTCRecv(item.ID, tc)
 			alg.curItem = item.ID

@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"borgmoea/internal/core"
@@ -46,31 +45,6 @@ func (d *DistributedConfig) logf(format string, args ...any) {
 	if d.Logf != nil {
 		d.Logf(format, args...)
 	}
-}
-
-// distSession is one live worker connection as the master sees it —
-// pure transport state. Protocol state (lease, lifecycle, idle queue)
-// lives in the shared state machine; the session only maps a worker id
-// to the conn that currently speaks for it.
-type distSession struct {
-	id   uint64
-	conn *wire.Conn
-	gone bool // connection closed or replaced; terminal
-}
-
-type distEventKind uint8
-
-const (
-	distJoin distEventKind = iota
-	distMsg
-	distDead
-)
-
-type distEvent struct {
-	kind distEventKind
-	sess *distSession
-	msg  wire.Message
-	err  error
 }
 
 // distAlg adapts the Borg core for the distributed driver, metering
@@ -177,63 +151,11 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			return nil, fmt.Errorf("parallel: listen: %w", err)
 		}
 	}
-	defer listener.Close()
-
-	welcome := wire.Welcome{
-		Problem:         cfg.Problem.Name(),
-		NumVars:         uint32(cfg.Problem.NumVars()),
-		NumObjs:         uint32(cfg.Problem.NumObjs()),
-		HeartbeatMillis: uint32(dcfg.Conn.Heartbeat.Milliseconds()),
-	}
-
-	events := make(chan distEvent, 256)
-	done := make(chan struct{})
-	defer close(done)
-	push := func(e distEvent) {
-		select {
-		case events <- e:
-		case <-done:
-		}
-	}
-
-	// Accept loop: handshake each connection off the main loop, then
-	// feed its messages to the master as events.
-	var nextWorkerID atomic.Uint64
-	go func() {
-		for {
-			nc, err := listener.Accept()
-			if err != nil {
-				return // listener closed: run over
-			}
-			go func() {
-				var id uint64
-				conn, _, err := wire.ServerHandshake(nc, dcfg.Conn, func(h wire.Hello) (*wire.Welcome, error) {
-					w := welcome
-					if h.WorkerID != 0 {
-						w.WorkerID = h.WorkerID // reconnect keeps its identity
-					} else {
-						w.WorkerID = nextWorkerID.Add(1)
-					}
-					id = w.WorkerID
-					return &w, nil
-				})
-				if err != nil {
-					return
-				}
-				conn.StartHeartbeat(0)
-				s := &distSession{id: id, conn: conn}
-				push(distEvent{kind: distJoin, sess: s})
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						push(distEvent{kind: distDead, sess: s, err: err})
-						return
-					}
-					push(distEvent{kind: distMsg, sess: s, msg: m})
-				}
-			}()
-		}
-	}()
+	// Transport: the shared socket host feeds joins, results and deaths;
+	// its deferred Close stops every worker it ever accepted.
+	var host wire.Host
+	host.Serve(listener, dcfg.Conn, cfg.Problem)
+	defer host.Close(true)
 
 	// Master side: the shared state machine on the wall clock, lazy
 	// offspring generation (the worker pool is dynamic, so offspring
@@ -243,7 +165,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	meters := master.NewMeters(cfg.Metrics)
 	journal := cfg.Events
 	meter := &taMeter{dist: cfg.TA, rng: rng.New(cfg.Seed ^ 0x6d617374), capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
-	byID := make(map[uint64]*distSession)
 	tfSum, tfN := 0.0, uint64(0)
 	start := time.Now()
 	var elapsedAtN float64
@@ -292,23 +213,22 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	}
 	m := master.NewCore(mcfg)
 
-	// drop tears down a session's transport; the state machine hears
+	// lost records a session the host dropped; the state machine hears
 	// about the death separately (EvGone, or the retire inside a
 	// replacing EvJoin).
-	drop := func(s *distSession, why error) {
-		if s.gone {
-			return
-		}
-		s.gone = true
-		record(obs.Event{Kind: "worker.dead", Actor: fmt.Sprintf("worker%d", s.id), Detail: fmt.Sprintf("%v", why)})
-		s.conn.Close()
-		if byID[s.id] == s {
-			delete(byID, s.id)
-		}
-		adv.SetLive(len(byID))
-		dcfg.logf("parallel: worker %d gone: %v", s.id, why)
+	lost := func(s *wire.Session, why error) {
+		record(obs.Event{Kind: "worker.dead", Actor: fmt.Sprintf("worker%d", s.ID), Detail: fmt.Sprintf("%v", why)})
+		adv.SetLive(host.Live())
+		dcfg.logf("parallel: worker %d gone: %v", s.ID, why)
 	}
 	var exec func(acts []master.Action)
+	// gone drops a live session and declares its worker dead.
+	gone := func(s *wire.Session, why error) {
+		if host.Drop(s) {
+			lost(s, why)
+			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
+		}
+	}
 	exec = func(acts []master.Action) {
 		// Handle reuses its action slice; copy before executing, because
 		// a failed grant send re-enters Handle mid-iteration.
@@ -316,28 +236,16 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
-				s := byID[uint64(a.Worker)]
-				if s == nil || s.gone {
-					continue
+				if s := host.Lookup(a.Worker); s != nil {
+					tc, err := host.Grant(s, a.Item.ID, a.Item, "")
+					if err != nil {
+						gone(s, err)
+						continue
+					}
+					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
 				}
-				ev := &wire.Evaluate{
-					Lease:    a.Item.ID,
-					SolID:    a.Item.S.ID,
-					Operator: int32(a.Item.S.Operator),
-					Vars:     a.Item.S.Vars,
-					Trace:    a.Item.Trace,
-				}
-				sendStart := time.Now()
-				if err := s.conn.Send(ev); err != nil {
-					drop(s, err)
-					exec(m.Handle(master.Event{Kind: master.EvGone, Worker: a.Worker, At: since()}))
-					continue
-				}
-				cfg.Trace.ObserveTCSend(a.Item.ID, time.Since(sendStart).Seconds())
 			case master.ActStop:
-				if s := byID[uint64(a.Worker)]; s != nil && !s.gone {
-					_ = s.conn.Send(wire.Stop{})
-				}
+				host.Stop(a.Worker)
 			case master.ActComplete:
 				elapsedAtN = since()
 				cfg.Protocol.SetElapsed(elapsedAtN)
@@ -347,11 +255,7 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 
 	var tickC <-chan time.Time
 	if leaseTimeout > 0 {
-		interval := leaseTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(wire.TickInterval(leaseTimeout))
 		defer ticker.Stop()
 		tickC = ticker.C
 	}
@@ -365,60 +269,44 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 loop:
 	for !m.Done() {
 		select {
-		case e := <-events:
-			switch e.kind {
-			case distJoin:
-				if old := byID[e.sess.id]; old != nil && old != e.sess {
+		case e := <-host.Events():
+			s := e.Sess
+			switch e.Kind {
+			case wire.HostJoin:
+				if old := host.Admit(s); old != nil {
 					// Reconnect-with-hello: the old incarnation's work
 					// died with it; the machine retires it inside EvJoin.
-					drop(old, fmt.Errorf("replaced by reconnect"))
+					lost(old, fmt.Errorf("replaced by reconnect"))
 				}
-				byID[e.sess.id] = e.sess
-				adv.SetLive(len(byID))
-				record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", e.sess.id), Detail: e.sess.conn.RemoteAddr().String()})
-				dcfg.logf("parallel: worker %d joined from %s (%d live)", e.sess.id, e.sess.conn.RemoteAddr(), len(byID))
-				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(e.sess.id), At: since()}))
-			case distDead:
-				if e.sess.gone {
-					break // already torn down (replaced, or send failure)
-				}
-				drop(e.sess, e.err)
-				exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(e.sess.id), At: since()}))
-			case distMsg:
-				s := e.sess
-				if s.gone {
+				adv.SetLive(host.Live())
+				record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", s.ID), Detail: s.RemoteAddr().String()})
+				dcfg.logf("parallel: worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), host.Live())
+				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
+			case wire.HostDead:
+				gone(s, e.Err) // inert when already torn down (replaced, or send failure)
+			case wire.HostResult:
+				if s.Gone() {
 					break
 				}
-				msg, ok := e.msg.(*wire.Result)
-				if !ok {
-					break // nothing else is expected after the handshake
-				}
+				msg := e.Result
 				// Fill in the solution and meter T_F only when the
 				// machine will accept this result (a live lease granted
 				// to this worker); late duplicates are discarded inside.
-				if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.id) {
-					if len(msg.Objs) != cfg.Problem.NumObjs() {
-						drop(s, fmt.Errorf("result with %d objectives, want %d", len(msg.Objs), cfg.Problem.NumObjs()))
-						exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.id), At: since()}))
-						break
-					}
-					sol := item.S
-					sol.Objs = msg.Objs
-					sol.Constrs = msg.Constrs
-					evalSec := float64(msg.EvalNanos) / 1e9
+				if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
+					evalSec := msg.Fill(item)
 					tfSum += evalSec
 					tfN++
-					meters.TF.ObserveExemplar(evalSec, sampledTraceID(item))
-					adv.ObserveTF(int(s.id), evalSec)
+					meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
+					adv.ObserveTF(int(s.ID), evalSec)
 					cfg.Trace.ObserveTF(item.ID, evalSec)
 					alg.curItem = item.ID
 					if journal != nil {
 						// Reconstruct the worker's eval span master-side
 						// from the reported duration.
-						journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.id)})
+						journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
 					}
 				}
-				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.id), Item: msg.Lease, At: since()}))
+				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
 				// Deferred mode: the grant frame is on the wire; fold the
 				// staged result in now (no-op when DeferArchive is off).
 				m.Flush()
@@ -435,18 +323,6 @@ loop:
 			dcfg.logf("parallel: wall limit %v reached with %d/%d evaluations", dcfg.WallLimit, m.Completed(), cfg.Evaluations)
 			break loop
 		}
-	}
-
-	// Tear down: stop accepting, stop every worker. Stop is written
-	// before the close, so a healthy worker reads it ahead of the FIN
-	// and exits cleanly instead of reconnecting. (On a completed run
-	// the machine's ActStop already said stop; the extra send on a
-	// drained conn is harmless, and this sweep also covers wall-limit
-	// exits.)
-	listener.Close()
-	for _, s := range byID {
-		_ = s.conn.Send(wire.Stop{})
-		s.conn.Close()
 	}
 
 	st := m.Stats()

@@ -48,17 +48,8 @@ func (r *tfRecorder) recordTraced(tf float64, item *master.Item) {
 	if r.capture {
 		r.samples = append(r.samples, tf)
 	}
-	r.hist.ObserveExemplar(tf, sampledTraceID(item))
+	r.hist.ObserveExemplar(tf, item.SampledTraceID())
 	r.adv.ObserveTF(r.worker, tf)
-}
-
-// sampledTraceID returns the item's trace id when the evaluation is
-// sampled, else 0 (ObserveExemplar treats 0 as "no exemplar").
-func sampledTraceID(item *master.Item) uint64 {
-	if item.Trace.Sampled() {
-		return item.Trace.TraceID
-	}
-	return 0
 }
 
 // newRecorders returns one recorder per worker rank 1..P−1.

@@ -152,6 +152,7 @@ type Conn struct {
 	rsc      DecodeScratch
 	done     chan struct{}
 	once     sync.Once
+	hb       sync.WaitGroup // the pinger; Close waits for it
 }
 
 func newConn(nc net.Conn, opt Options) *Conn {
@@ -252,7 +253,8 @@ func isTransportErr(err error) bool {
 // StartHeartbeat launches the background pinger at the given interval
 // (0 = the connection's configured/default interval; disabled options
 // make this a no-op). The pinger stops when the connection closes or a
-// ping fails.
+// ping fails. Call it before any other goroutine can Close the
+// connection.
 func (c *Conn) StartHeartbeat(interval time.Duration) {
 	if interval <= 0 {
 		interval = c.opt.heartbeat()
@@ -260,7 +262,9 @@ func (c *Conn) StartHeartbeat(interval time.Duration) {
 	if interval <= 0 {
 		return
 	}
+	c.hb.Add(1)
 	go func() {
+		defer c.hb.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -277,11 +281,14 @@ func (c *Conn) StartHeartbeat(interval time.Duration) {
 	}()
 }
 
-// Close tears the connection down; it is safe to call repeatedly and
-// from any goroutine (Recv/Send unblock with errors).
+// Close tears the connection down and waits for its pinger; it is safe
+// to call repeatedly and from any goroutine (Recv/Send unblock with
+// errors).
 func (c *Conn) Close() error {
 	c.once.Do(func() { close(c.done) })
-	return c.nc.Close()
+	err := c.nc.Close()
+	c.hb.Wait()
+	return err
 }
 
 // Dial connects to a master, performs the client side of the handshake
