@@ -57,7 +57,6 @@ func run() int {
 		mtbf        = flag.Float64("mtbf", 0, "worker mean time between failures in seconds (0 = no faults; parallel mode)")
 		mttr        = flag.Float64("mttr", 0.5, "worker mean time to repair in seconds (with -mtbf)")
 		leaseT      = flag.Float64("lease-timeout", 0, "master lease timeout in seconds (0 = auto when faults are on)")
-		deferArch   = flag.Bool("defer-archive", false, "defer archive insertion until after each grant is sent (two-phase result path; recorded in the event log)")
 		printFront  = flag.Bool("front", false, "print the full Pareto approximation")
 		plot        = flag.Bool("plot", false, "render an ASCII scatter of the first two objectives")
 		outPath     = flag.String("out", "", "save the final archive as JSON to this path")
@@ -249,7 +248,6 @@ func run() int {
 			Evaluations:  *evals,
 			Seed:         *seed,
 			LeaseTimeout: *leaseT,
-			DeferArchive: *deferArch,
 			Metrics:      reg,
 			Events:       rec,
 			Protocol:     plog,
@@ -281,7 +279,6 @@ func run() int {
 			TF:           borgmoea.GammaFromMeanCV(*tf, *tfcv),
 			Seed:         *seed,
 			LeaseTimeout: *leaseT,
-			DeferArchive: *deferArch,
 			Metrics:      reg,
 			Events:       rec,
 			Protocol:     plog,

@@ -41,8 +41,6 @@ type Borg struct {
 	opSelected []uint64 // times each operator was chosen (diagnostics)
 	injectOp   operators.UM
 
-	staged []*Solution // accepted-but-unapplied results (StageAccept)
-
 	// Suggest's scratch.
 	probs   []float64
 	parents [][]float64
@@ -296,27 +294,12 @@ func (b *Borg) Accept(s *Solution) {
 	}
 }
 
-// StageAccept queues an evaluated solution for a later ApplyStaged
-// without touching algorithm state. The asynchronous master's
-// deferred-apply mode uses the pair to generate (and grant) the next
-// offspring before the insertion work runs, so Accept's T_A overlaps
-// the granted evaluation instead of delaying it (asynchronous-sorting
-// style, after Yakupov & Buzdalov).
-func (b *Borg) StageAccept(s *Solution) {
-	if !s.Evaluated() {
-		panic("core: StageAccept of unevaluated solution")
-	}
-	b.staged = append(b.staged, s)
-}
-
-// ApplyStaged folds every staged solution in via Accept, in staging
-// order.
-func (b *Borg) ApplyStaged() {
-	for i, s := range b.staged {
-		b.staged[i] = nil
-		b.Accept(s)
-	}
-	b.staged = b.staged[:0]
+// AcceptSuggest folds s in and generates the next offspring — Accept
+// then Suggest as one call, the combined T_A critical section of the
+// paper's master loop. With it *Borg is a master.Algorithm as it stands.
+func (b *Borg) AcceptSuggest(s *Solution) *Solution {
+	b.Accept(s)
+	return b.Suggest()
 }
 
 // InjectEvaluated folds an externally evaluated solution (e.g. an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"borgmoea/internal/metrics"
@@ -307,6 +308,42 @@ func TestAcceptUnevaluatedPanics(t *testing.T) {
 		}
 	}()
 	b.Accept(&Solution{Vars: make([]float64, 12)})
+}
+
+// TestAcceptSuggestEqualsAcceptThenSuggest: the combined call is
+// exactly Accept followed by Suggest — same offspring, archive,
+// population and RNG state at every step of a fixed-seed run that goes
+// through initialization, adaptation and restarts.
+func TestAcceptSuggestEqualsAcceptThenSuggest(t *testing.T) {
+	p := problems.NewDTLZ2(3)
+	split, joint := MustNew(p, dtlz2Config(3, 42)), MustNew(p, dtlz2Config(3, 42))
+	s1, s2 := split.Suggest(), joint.Suggest()
+	for step := 0; step < 5000; step++ {
+		EvaluateSolution(p, s1)
+		EvaluateSolution(p, s2)
+		split.Accept(s1)
+		s1 = split.Suggest()
+		s2 = joint.AcceptSuggest(s2)
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("step %d: offspring differ: %+v vs %+v", step, s1, s2)
+		}
+		if *split.rng != *joint.rng {
+			t.Fatalf("step %d: RNG state diverged", step)
+		}
+	}
+	if !reflect.DeepEqual(split.Archive().Members(), joint.Archive().Members()) {
+		t.Fatal("archives differ")
+	}
+	if !reflect.DeepEqual(split.Population().Members(), joint.Population().Members()) {
+		t.Fatal("populations differ")
+	}
+	if joint.Restarts() == 0 {
+		t.Fatal("run never restarted; the comparison missed the restart path")
+	}
+	if split.Restarts() != joint.Restarts() || split.Evaluations() != joint.Evaluations() {
+		t.Fatalf("counters differ: restarts %d/%d, evaluations %d/%d",
+			split.Restarts(), joint.Restarts(), split.Evaluations(), joint.Evaluations())
+	}
 }
 
 func TestDeterministicRuns(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
-	"borgmoea/internal/stats"
 	"borgmoea/internal/wire"
 )
 
@@ -38,67 +37,6 @@ type islandResult struct {
 	stats    master.Stats
 	migrants uint64
 	peak     int
-}
-
-// fedAlg adapts the island's Borg instance to the shared state machine,
-// measuring the wall-clock critical section as T_A and optionally
-// stretching it with a sampled SimulateTA hold (the knob that drags the
-// per-island P_UB into loopback-test range).
-type fedAlg struct {
-	b    *core.Borg
-	adv  *advisor.Advisor
-	ic   *islandContext
-	sim  stats.Distribution
-	simR *rng.Source
-	busy float64
-	n    uint64
-	// curItem is the lease id of the result being folded in (stashed by
-	// the island loop before Handle); the accept critical section
-	// attributes its T_A to that evaluation's trace.
-	curItem uint64
-}
-
-// section wraps one master critical section, charging its T_A.
-func (a *fedAlg) section(fn func()) float64 {
-	start := time.Now()
-	fn()
-	if a.sim != nil {
-		time.Sleep(time.Duration(a.sim.Sample(a.simR) * float64(time.Second)))
-	}
-	ta := time.Since(start).Seconds()
-	a.busy += ta
-	a.n++
-	a.ic.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	return ta
-}
-
-func (a *fedAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	a.section(func() { s = a.b.Suggest() })
-	return s
-}
-
-func (a *fedAlg) Accept(s *core.Solution) {
-	ta := a.section(func() { a.b.Accept(s) })
-	a.ic.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *fedAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	var next *core.Solution
-	ta := a.section(func() {
-		a.b.Accept(s)
-		next = a.b.Suggest()
-	})
-	a.ic.trace.ObserveTA(a.curItem, ta)
-	return next
-}
-
-// inject folds a migrant into the algorithm inside its own measured
-// critical section — the live counterpart of the DES driver's
-// "T_A but no function evaluation" migrant charge.
-func (a *fedAlg) inject(s *core.Solution) {
-	a.section(func() { a.b.InjectEvaluated(s) })
 }
 
 // dialPeer dials the ring successor's peer listener, retrying while the
@@ -179,10 +117,28 @@ func runIsland(ic islandContext) (islandResult, error) {
 		defer rootConn.Close()
 	}
 
-	alg := &fedAlg{b: b, adv: ic.adv, ic: &ic, sim: cfg.SimulateTA}
-	if alg.sim != nil {
-		alg.simR = rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
+	// T_A is the wall-clock critical section, optionally stretched by a
+	// sampled SimulateTA sleep (the knob that drags the per-island P_UB
+	// into loopback-test range). curItem is the lease id of the result
+	// being folded in (stashed by the loop before Handle), so the
+	// accept's T_A lands on that evaluation's trace.
+	var simR *rng.Source
+	if cfg.SimulateTA != nil {
+		simR = rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
 	}
+	var sectionStart time.Time
+	var curItem uint64
+	alg := &master.Bracket{Algorithm: b, Enter: func() { sectionStart = time.Now() }, Leave: func(accept bool) {
+		if simR != nil {
+			time.Sleep(time.Duration(cfg.SimulateTA.Sample(simR) * float64(time.Second)))
+		}
+		ta := time.Since(sectionStart).Seconds()
+		ic.meters.TA.Observe(ta)
+		ic.adv.ObserveTA(ta)
+		if accept {
+			ic.trace.ObserveTA(curItem, ta)
+		}
+	}}
 
 	start := time.Now()
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -209,7 +165,11 @@ func runIsland(ic islandContext) (islandResult, error) {
 		OnAcceptFrom:    ic.adv.ObserveAccept,
 		OnMigrant: func(source int, epoch uint64) {
 			if staged != nil {
-				alg.inject(staged)
+				// A migrant is folded in inside its own measured critical
+				// section: T_A but no function evaluation, as on the DES.
+				alg.Enter()
+				b.InjectEvaluated(staged)
+				alg.Leave(false)
 				staged = nil
 			}
 		},
@@ -408,7 +368,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 				ic.meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
 				ic.adv.ObserveTF(int(s.ID), evalSec)
 				ic.trace.ObserveTF(item.ID, evalSec)
-				alg.curItem = item.ID
+				curItem = item.ID
 			}
 			prev := m.Completed()
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))

@@ -9,18 +9,6 @@ import (
 	"borgmoea/internal/problems"
 )
 
-// replayAlg is the timing-free optimizer adapter replays use: the
-// recorded run's T_A holds shaped only the event *order*, which the log
-// already pins, so replaying re-runs the algorithm bare.
-type replayAlg struct{ b *core.Borg }
-
-func (a replayAlg) Suggest() *core.Solution { return a.b.Suggest() }
-func (a replayAlg) Accept(s *core.Solution) { a.b.Accept(s) }
-func (a replayAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.b.Accept(s)
-	return a.b.Suggest()
-}
-
 // ReplayResult is the offline reconstruction of a federated run.
 type ReplayResult struct {
 	// Islands holds each island's replayed Borg instance; its archive
@@ -72,7 +60,9 @@ func ReplayQuality(problem problems.Problem, algCfg core.Config, seed uint64, lo
 		res.Islands[isl] = b
 		var injectErr error
 		rc := master.ReplayConfig{
-			Alg:      replayAlg{b: b},
+			// The recorded run's T_A holds shaped only the event order,
+			// which the log already pins: the algorithm re-runs bare.
+			Alg:      b,
 			Evaluate: func(item *master.Item) { core.EvaluateSolution(problem, item.S) },
 			OnMigrant: func(source int, epoch uint64) {
 				if injectErr != nil {

@@ -309,7 +309,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	j.adv.Configure(0, j.spec.Evaluations)
 	j.replaying = true
 	rc := master.ReplayConfig{
-		Alg:          &jobAlg{b: b, adv: j.adv},
+		Alg:          j.alg(b),
 		Evaluate:     evalFor(j.problem),
 		OnAccept:     s.onAcceptHook(j),
 		OnAcceptFrom: s.onAcceptFromHook(j),

@@ -350,7 +350,7 @@ func replayFromFile(t *testing.T, dir, id string, spec *Spec) (*master.Core, *co
 		t.Fatal(err)
 	}
 	mc, err := master.Replay(log, master.ReplayConfig{
-		Alg:      &jobAlg{b: b},
+		Alg:      b,
 		Evaluate: evalFor(problem),
 	})
 	if err != nil {

@@ -112,6 +112,7 @@ type job struct {
 	log     *master.Log
 	adv     *advisor.Advisor
 	trace   *obs.Collector      // nil unless Config.TraceRate > 0
+	curItem uint64              // lease id of the result being folded in
 	quality *obs.QualitySampler // nil unless Spec.QualityEvery > 0
 	ck      *ckpt               // nil without StateDir
 
@@ -445,6 +446,7 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		sec := msg.Fill(item)
 		j.adv.ObserveTF(int(w.sess.ID), sec)
 		j.trace.ObserveTF(ref.item, sec)
+		j.curItem = ref.item
 		s.hEval.ObserveExemplar(sec, item.SampledTraceID())
 	}
 	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.sess.ID), Item: ref.item, At: s.now()}))
@@ -562,29 +564,19 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 
 // --- job lifecycle --------------------------------------------------
 
-// jobAlg adapts a Borg instance for a job's core, metering the serial
-// critical section (the paper's T_A) into the job's advisor.
-type jobAlg struct {
-	b   *core.Borg
-	adv *advisor.Advisor
-}
-
-func (a *jobAlg) Suggest() *core.Solution {
-	t := time.Now()
-	s := a.b.Suggest()
-	a.adv.ObserveTA(time.Since(t).Seconds())
-	return s
-}
-
-func (a *jobAlg) Accept(sol *core.Solution) {
-	t := time.Now()
-	a.b.Accept(sol)
-	a.adv.ObserveTA(time.Since(t).Seconds())
-}
-
-func (a *jobAlg) AcceptSuggest(sol *core.Solution) *core.Solution {
-	a.Accept(sol)
-	return a.Suggest()
+// alg brackets the job's Borg instance for its core, metering the
+// serial critical section (the paper's T_A) into the job's advisor and,
+// on accepts, onto the trace of the evaluation being folded in
+// (curItem, stashed by onResult; nil-safe when the job is untraced).
+func (j *job) alg(b *core.Borg) master.Algorithm {
+	var start time.Time
+	return &master.Bracket{Algorithm: b, Enter: func() { start = time.Now() }, Leave: func(accept bool) {
+		ta := time.Since(start).Seconds()
+		j.adv.ObserveTA(ta)
+		if accept {
+			j.trace.ObserveTA(j.curItem, ta)
+		}
+	}}
 }
 
 func (s *Scheduler) submit(spec *Spec) (Status, error) {
@@ -676,7 +668,7 @@ func (s *Scheduler) startJob(j *job) {
 		// encode the solution), so an expired lease's wrapper and
 		// Solution can be reissued in place instead of cloned.
 		ReuseOnResubmit: true,
-		Alg:             &jobAlg{b: b, adv: j.adv},
+		Alg:             j.alg(b),
 		Log:             j.log,
 		OnAccept:        s.onAcceptHook(j),
 		OnAcceptFrom:    s.onAcceptFromHook(j),

@@ -48,8 +48,8 @@ const (
 	// EvQuality: the driver's quality-sampling cadence fired. Item is
 	// the sample sequence number and At the trigger clock. Like
 	// EvMigrant this charges nothing and grants nothing — it invokes
-	// OnQuality, under which the sampler snapshots the (flushed)
-	// algorithm state — but recording the trigger in the BMEL log pins
+	// OnQuality, under which the sampler snapshots the algorithm
+	// state — but recording the trigger in the BMEL log pins
 	// the sample point in the accept stream, which is what lets any
 	// run's quality timeline replay byte-identically, even when the
 	// cadence was wall-clock-driven.
@@ -112,9 +112,10 @@ type Action struct {
 	Item   *Item
 }
 
-// Algorithm is the Core's view of the optimizer. Drivers wrap the Borg
-// core, charging transport-appropriate T_A costs (DES holds, measured
-// wall time, sampled distributions) around the calls — the Core only
+// Algorithm is the Core's view of the optimizer. *core.Borg is one as
+// it stands (what replays use); live drivers put it in a Bracket to
+// charge transport-appropriate T_A costs (DES holds, measured wall
+// time, sampled distributions) around the calls — the Core only
 // sequences them.
 type Algorithm interface {
 	// Suggest generates one offspring (seeding, and lazy dispatch).
@@ -124,20 +125,6 @@ type Algorithm interface {
 	// AcceptSuggest folds s in and generates the next offspring in one
 	// critical section — the paper's combined T_A (eager policy).
 	AcceptSuggest(s *core.Solution) *core.Solution
-}
-
-// StagedAlgorithm is the optional Algorithm extension deferred-apply
-// mode needs: accepted results are staged cheaply while the grant goes
-// out, and applied — in staging order — at the next Handle or an
-// explicit Core.Flush. Splitting the accept this way keeps grants from
-// queueing behind archive insertion (asynchronous-sorting style): the
-// returning worker's next evaluation overlaps the master's T_A.
-type StagedAlgorithm interface {
-	Algorithm
-	// StageAccept records an evaluated solution without folding it in.
-	StageAccept(s *core.Solution)
-	// ApplyStaged folds every staged solution in, in staging order.
-	ApplyStaged()
 }
 
 // Policy selects when the Core generates fresh offspring.
@@ -181,16 +168,6 @@ type Config struct {
 	MaxProbes int
 	// Alg is the optimizer adapter (required).
 	Alg Algorithm
-	// DeferApply splits each accepted result into a cheap stage and a
-	// deferred apply (Alg must implement StagedAlgorithm; NewCore
-	// panics otherwise). Under the eager policy the next offspring is
-	// then suggested — one accept staler — and granted before the
-	// staged result is folded in; the apply runs at the next Handle or
-	// an explicit Flush, overlapping the grant's transmission and the
-	// worker's evaluation. Deferral changes where the algorithm's RNG
-	// draws interleave, so the flag is recorded in the event log's
-	// metadata and honored by Replay.
-	DeferApply bool
 	// ReuseOnResubmit re-enqueues a lost lease's Item — same wrapper,
 	// same Solution, fresh id — instead of deep-cloning the Solution.
 	// Safe only when workers hold copies rather than references to
@@ -225,12 +202,10 @@ type Config struct {
 	// stream.
 	OnMigrant func(source int, epoch uint64)
 	// OnQuality runs under every EvQuality with the sample sequence
-	// number and the trigger's clock stamp. It fires after the entry
-	// flush, so under DeferApply the quality sampler always observes
-	// the applied archive — never a stale-by-one front. Live drivers
-	// and Replay both route their sampler's Sample call through this
-	// hook, which is how a recorded quality timeline reconstructs
-	// byte-identically offline.
+	// number and the trigger's clock stamp. Live drivers and Replay
+	// both route their sampler's Sample call through this hook, which
+	// is how a recorded quality timeline reconstructs byte-identically
+	// offline.
 	OnQuality func(seq uint64, at float64)
 	// Tracer, when set, receives the distributed-tracing hooks: every
 	// grant mints a span context (stamped on the Item, carried on the
@@ -288,12 +263,6 @@ type Core struct {
 	done        bool
 	acts        []Action
 
-	// staged is cfg.Alg's StagedAlgorithm view when DeferApply is on
-	// (nil otherwise); stagedDirty marks an accept staged but not yet
-	// applied.
-	staged      StagedAlgorithm
-	stagedDirty bool
-
 	// freeItems recycles the Item wrappers of accepted results, and
 	// freeLeases the lease records of closed leases (expiry disabled
 	// only — the deadline heap lazily retains done leases otherwise),
@@ -309,20 +278,12 @@ func NewCore(cfg Config) *Core {
 	if cfg.MaxProbes == 0 {
 		cfg.MaxProbes = DefaultMaxProbes
 	}
-	cfg.Log.setMeta(LogMeta{Policy: cfg.Policy, Budget: cfg.Budget, LeaseTimeout: cfg.LeaseTimeout, DeferApply: cfg.DeferApply})
-	c := &Core{
+	cfg.Log.setMeta(LogMeta{Policy: cfg.Policy, Budget: cfg.Budget, LeaseTimeout: cfg.LeaseTimeout})
+	return &Core{
 		cfg:         cfg,
 		reg:         NewRegistry(),
 		outstanding: make(map[uint64]*lease),
 	}
-	if cfg.DeferApply {
-		sa, ok := cfg.Alg.(StagedAlgorithm)
-		if !ok {
-			panic("master: DeferApply requires a StagedAlgorithm")
-		}
-		c.staged = sa
-	}
-	return c
 }
 
 // Handle applies one event and returns the actions it implies, in
@@ -333,11 +294,6 @@ func (c *Core) Handle(ev Event) []Action {
 	if c.done {
 		return nil
 	}
-	// Deferred archive work from the previous result lands here — after
-	// its grant was transmitted, before this event touches the
-	// algorithm — whether or not the driver called Flush in between, so
-	// the algorithm-call sequence is identical either way.
-	c.flush()
 	c.cfg.Log.record(ev)
 	c.acts = c.acts[:0]
 	switch ev.Kind {
@@ -369,21 +325,6 @@ func (c *Core) Handle(ev Event) []Action {
 // Done reports whether the budget has been reached.
 func (c *Core) Done() bool { return c.done }
 
-// Flush applies any archive work the last result deferred (no-op
-// otherwise). Drivers in deferred-apply mode call it right after
-// transmitting a Handle's actions so the apply overlaps the worker's
-// evaluation; skipping it only postpones the apply to the next Handle,
-// never changes semantics.
-func (c *Core) Flush() { c.flush() }
-
-func (c *Core) flush() {
-	if !c.stagedDirty {
-		return
-	}
-	c.stagedDirty = false
-	c.staged.ApplyStaged()
-}
-
 // AttachLog swaps the Core's event log mid-run. Replay leaves the
 // replayed Core logless (re-recording would duplicate the stream); a
 // resuming driver attaches the original log — already holding the
@@ -391,7 +332,7 @@ func (c *Core) flush() {
 // the file on disk stays a single coherent history.
 func (c *Core) AttachLog(l *Log) {
 	c.cfg.Log = l
-	l.setMeta(LogMeta{Policy: c.cfg.Policy, Budget: c.cfg.Budget, LeaseTimeout: c.cfg.LeaseTimeout, DeferApply: c.cfg.DeferApply})
+	l.setMeta(LogMeta{Policy: c.cfg.Policy, Budget: c.cfg.Budget, LeaseTimeout: c.cfg.LeaseTimeout})
 }
 
 // LiveWorkers returns the ids of workers not marked gone, in join
@@ -512,20 +453,7 @@ func (c *Core) result(ev Event) {
 	}
 	w.probes = 0
 	if c.cfg.Policy == EagerOffspring {
-		var next *core.Solution
-		if c.staged != nil && c.stats.Completed+1 < c.cfg.Budget {
-			// Deferred apply: stage the result, suggest the next
-			// offspring from the one-accept-staler state, and grant it
-			// before the insertion work runs (it lands at Flush or the
-			// next Handle). The budget-reaching accept takes the plain
-			// path — nothing is granted after it and completion must
-			// see the applied state.
-			c.staged.StageAccept(item.S)
-			c.stagedDirty = true
-			next = c.cfg.Alg.Suggest()
-		} else {
-			next = c.cfg.Alg.AcceptSuggest(item.S)
-		}
+		next := c.cfg.Alg.AcceptSuggest(item.S)
 		c.recycleItem(item)
 		c.accepted()
 		c.acceptedFrom(ev)
@@ -547,14 +475,7 @@ func (c *Core) result(ev Event) {
 		c.dispatch(ev.At)
 		return
 	}
-	if c.staged != nil {
-		// Lazy/scheduled deferred apply: dispatch-time Suggests run one
-		// accept staler; the apply lands at Flush or the next Handle.
-		c.staged.StageAccept(item.S)
-		c.stagedDirty = true
-	} else {
-		c.cfg.Alg.Accept(item.S)
-	}
+	c.cfg.Alg.Accept(item.S)
 	c.recycleItem(item)
 	c.accepted()
 	c.acceptedFrom(ev)
@@ -622,9 +543,7 @@ func (c *Core) migrant(ev Event) {
 
 // quality is EvQuality's handler: no evaluation charged, no lease, no
 // grant — only the OnQuality hook, under which the driver's sampler
-// snapshots the algorithm. The entry flush in Handle has already
-// applied any deferred archive work, so the sample sees the same state
-// live and on replay.
+// snapshots the algorithm.
 func (c *Core) quality(ev Event) {
 	if c.cfg.OnQuality != nil {
 		c.cfg.OnQuality(ev.Item, ev.At)
@@ -766,9 +685,6 @@ func (c *Core) accepted() {
 		c.cfg.OnAccept(c.stats.Completed)
 	}
 	if c.stats.Completed >= c.cfg.Budget {
-		// The budget-reaching accept must be folded in before the run
-		// completes (drivers snapshot the algorithm at ActComplete).
-		c.flush()
 		c.complete()
 	}
 }

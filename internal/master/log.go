@@ -20,12 +20,6 @@ type LogMeta struct {
 	Policy       Policy
 	Budget       uint64
 	LeaseTimeout float64
-	// DeferApply records whether the run staged accepts and applied
-	// them deferred (Config.DeferApply). It changes where the
-	// algorithm's RNG draws interleave, so Replay must run the same
-	// mode. Encoded as the high bit of the header's policy byte, which
-	// keeps the log format at version 1 (old logs read back false).
-	DeferApply bool
 }
 
 // Log records the exact event stream a Core consumed. Because the
@@ -110,8 +104,10 @@ const (
 	logVersion = 1
 	// logEventSize is the fixed record width: kind, worker, item, at.
 	logEventSize = 1 + 4 + 8 + 8
-	// logDeferFlag marks DeferApply in the header's policy byte; the
-	// low bits stay the Policy value.
+	// logDeferFlag is the retired deferred-apply bit of the header's
+	// policy byte. Such a recording interleaved the algorithm's RNG
+	// draws differently, so replaying it through the one remaining
+	// result path would silently diverge: ReadLog rejects it.
 	logDeferFlag = 0x80
 )
 
@@ -122,11 +118,7 @@ const streamCount = ^uint64(0)
 
 func appendLogHeader(dst []byte, meta LogMeta, elapsed float64, count uint64) []byte {
 	dst = append(dst, logMagic...)
-	pol := byte(meta.Policy)
-	if meta.DeferApply {
-		pol |= logDeferFlag
-	}
-	dst = append(dst, logVersion, pol)
+	dst = append(dst, logVersion, byte(meta.Policy))
 	dst = binary.BigEndian.AppendUint64(dst, meta.Budget)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(meta.LeaseTimeout))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(elapsed))
@@ -218,12 +210,14 @@ const (
 	EventSize  = logEventSize
 )
 
-// ReadLog deserializes a log written by WriteTo. Malformed input —
-// wrong magic or version, truncated streams, an absurd event count —
-// returns a clean error, never a panic.
+// ReadLog deserializes a log written by WriteTo or a LogWriter.
+// Malformed input — wrong magic or version, an unknown policy or event
+// kind, the retired deferred-apply bit, truncated streams, an absurd
+// event count — returns a clean error, never a panic. Only a short
+// trailing record of a streamed log is tolerated (a torn tail).
 func ReadLog(r io.Reader) (*Log, error) {
 	br := bufio.NewReader(r)
-	hdr := make([]byte, len(logMagic)+2+4*8)
+	hdr := make([]byte, HeaderSize)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("master: short log header: %w", err)
 	}
@@ -233,9 +227,14 @@ func ReadLog(r io.Reader) (*Log, error) {
 	if hdr[4] != logVersion {
 		return nil, fmt.Errorf("master: log version %d, want %d", hdr[4], logVersion)
 	}
+	if hdr[5]&logDeferFlag != 0 {
+		return nil, fmt.Errorf("master: log was recorded with deferred apply, which no longer exists; it cannot be replayed")
+	}
+	if Policy(hdr[5]) > ScheduledOffspring {
+		return nil, fmt.Errorf("master: log has unknown offspring policy %d", hdr[5])
+	}
 	l := &Log{Meta: LogMeta{
-		Policy:       Policy(hdr[5] &^ logDeferFlag),
-		DeferApply:   hdr[5]&logDeferFlag != 0,
+		Policy:       Policy(hdr[5]),
 		Budget:       binary.BigEndian.Uint64(hdr[6:]),
 		LeaseTimeout: math.Float64frombits(binary.BigEndian.Uint64(hdr[14:])),
 	}}
@@ -247,7 +246,9 @@ func ReadLog(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("master: log claims %d events (limit %d)", count, maxEvents)
 	}
 	if !streaming {
-		l.Events = make([]Event, 0, count)
+		// Trust the claimed count only up to a point: a corrupt header
+		// must not reserve gigabytes before the first record is read.
+		l.Events = make([]Event, 0, min(count, 1<<16))
 	}
 	rec := make([]byte, logEventSize)
 	for i := uint64(0); streaming || i < count; i++ {
@@ -259,8 +260,12 @@ func ReadLog(r io.Reader) (*Log, error) {
 			}
 			return nil, fmt.Errorf("master: truncated log at event %d/%d: %w", i, count, err)
 		}
+		kind := EventKind(rec[0])
+		if kind < EvJoin || kind > EvQuality {
+			return nil, fmt.Errorf("master: log event %d has unknown kind %d", i, rec[0])
+		}
 		l.Events = append(l.Events, Event{
-			Kind:   EventKind(rec[0]),
+			Kind:   kind,
 			Worker: int(binary.BigEndian.Uint32(rec[1:])),
 			Item:   binary.BigEndian.Uint64(rec[5:]),
 			At:     math.Float64frombits(binary.BigEndian.Uint64(rec[13:])),
@@ -279,8 +284,6 @@ func (traceStubAlg) Accept(*core.Solution)   {}
 func (traceStubAlg) AcceptSuggest(*core.Solution) *core.Solution {
 	return &core.Solution{}
 }
-func (traceStubAlg) StageAccept(*core.Solution) {}
-func (traceStubAlg) ApplyStaged()               {}
 
 // ReplayTrace re-feeds the recorded event stream through a fresh Core
 // with only the tracer attached, re-deriving the exact tracer-call
@@ -345,7 +348,6 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 		Budget:       log.Meta.Budget,
 		LeaseTimeout: log.Meta.LeaseTimeout,
 		Policy:       log.Meta.Policy,
-		DeferApply:   log.Meta.DeferApply,
 		MaxProbes:    rc.MaxProbes,
 		Alg:          rc.Alg,
 		Meters:       rc.Meters,

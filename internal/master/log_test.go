@@ -47,8 +47,14 @@ func TestReadLogRejectsMalformedInput(t *testing.T) {
 		"empty":           {},
 		"short header":    raw[:10],
 		"bad magic":       append([]byte("NOPE"), raw[4:]...),
-		"bad version":     append(append([]byte{}, raw[:4]...), append([]byte{99}, raw[5:]...)...),
+		"bad version":     patched(raw, 4, 99),
 		"truncated event": raw[:len(raw)-5],
+		// The retired deferred-apply bit: such a recording interleaved
+		// the algorithm's RNG draws differently and must not replay.
+		"defer bit":  patched(raw, 5, raw[5]|0x80),
+		"bad policy": patched(raw, 5, 0x7f),
+		"bad kind":   patched(raw, HeaderSize+EventSize, 0),
+		"kind above": patched(raw, HeaderSize, byte(EvQuality)+1),
 	}
 	for name, data := range cases {
 		if _, err := ReadLog(bytes.NewReader(data)); err == nil {
@@ -63,6 +69,90 @@ func TestReadLogRejectsMalformedInput(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader(huge)); err == nil {
 		t.Error("ReadLog accepted an absurd event count")
 	}
+}
+
+// patched returns a copy of raw with the byte at off replaced.
+func patched(raw []byte, off int, b byte) []byte {
+	out := append([]byte{}, raw...)
+	out[off] = b
+	return out
+}
+
+// streamedSample is sampleLog as a LogWriter wrote it.
+func streamedSample(t testing.TB) []byte {
+	var buf bytes.Buffer
+	l := sampleLog()
+	lw, err := NewLogWriter(&buf, l.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range l.Events {
+		if err := lw.Record(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestReadLogStreamedTornTailOnly: a streamed log forgives a short
+// trailing record and nothing else — a whole record with a bad kind is
+// corruption, not a torn tail.
+func TestReadLogStreamedTornTailOnly(t *testing.T) {
+	raw := streamedSample(t)
+	n := len(sampleLog().Events)
+	got, err := ReadLog(bytes.NewReader(raw[:len(raw)-5]))
+	if err != nil || len(got.Events) != n-1 {
+		t.Fatalf("torn tail: %d events, err %v; want %d, nil", len(got.Events), err, n-1)
+	}
+	if _, err := ReadLog(bytes.NewReader(patched(raw, len(raw)-EventSize, 0xee))); err == nil {
+		t.Fatal("streamed log with an unknown event kind was accepted")
+	}
+}
+
+// FuzzReadLog: ReadLog never panics, and whatever it accepts survives
+// a WriteTo → ReadLog round trip unchanged.
+func FuzzReadLog(f *testing.F) {
+	var good bytes.Buffer
+	if _, err := sampleLog().WriteTo(&good); err != nil {
+		f.Fatal(err)
+	}
+	raw := good.Bytes()
+	f.Add(raw)
+	f.Add(streamedSample(f))
+	f.Add(patched(raw, 5, raw[5]|0x80))           // the retired defer bit
+	f.Add(patched(raw, 5, 0x7f))                  // bad policy
+	f.Add(patched(raw, HeaderSize+EventSize, 99)) // bad kind
+	f.Add(raw[:len(raw)-5])                       // torn tail
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ReadLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, ev := range l.Events {
+			if ev.Kind < EvJoin || ev.Kind > EvQuality {
+				t.Fatalf("accepted event %d with kind %d", i, ev.Kind)
+			}
+		}
+		if l.Meta.Policy > ScheduledOffspring {
+			t.Fatalf("accepted policy %d", l.Meta.Policy)
+		}
+		// Byte-level fixpoint (NaN-safe, unlike DeepEqual on floats).
+		var b1, b2 bytes.Buffer
+		if _, err := l.WriteTo(&b1); err != nil {
+			t.Fatalf("re-encode of accepted log failed: %v", err)
+		}
+		l2, err := ReadLog(bytes.NewReader(b1.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read of re-encoded log failed: %v", err)
+		}
+		if _, err := l2.WriteTo(&b2); err != nil {
+			t.Fatalf("second encode failed: %v", err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatal("decode/encode fixpoint violated")
+		}
+	})
 }
 
 func TestCanonicalBytesIgnoresTicksAndTimestamps(t *testing.T) {

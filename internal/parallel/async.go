@@ -5,61 +5,8 @@ import (
 	"borgmoea/internal/core"
 	"borgmoea/internal/des"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 )
-
-// desAlg adapts the Borg core to the shared master state machine for
-// the virtual-time driver: every critical section is metered (sampled
-// or measured T_A) and charged to the master node as an "algo" hold,
-// exactly as the paper instruments it.
-type desAlg struct {
-	b     *core.Borg
-	p     *des.Process
-	node  *cluster.Node
-	meter *taMeter
-	trace *obs.Collector // nil-safe
-	// curItem is the lease id of the result being folded in: the master
-	// loop stashes it before Handle(EvResult) so the accept critical
-	// section can attribute its T_A to the evaluation's trace.
-	curItem uint64
-}
-
-func (a *desAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	ta := a.meter.measure(func() { s = a.b.Suggest() })
-	a.node.HoldBusy(a.p, ta, "algo")
-	return s
-}
-
-func (a *desAlg) Accept(s *core.Solution) {
-	ta := a.meter.measure(func() { a.b.Accept(s) })
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *desAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	var next *core.Solution
-	ta := a.meter.measure(func() {
-		a.b.Accept(s)
-		next = a.b.Suggest()
-	})
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-	return next
-}
-
-// StageAccept is the cheap half of a deferred accept: an append, not
-// worth a virtual-time charge (Config.DeferArchive).
-func (a *desAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, charged as T_A after
-// the grant instead of before it.
-func (a *desAlg) ApplyStaged() {
-	ta := a.meter.measure(func() { a.b.ApplyStaged() })
-	a.node.HoldBusy(a.p, ta, "algo")
-	a.trace.ObserveTA(a.curItem, ta)
-}
 
 // RunAsync executes the asynchronous, master-slave Borg MOEA on the
 // virtual cluster and returns its timing and search results.
@@ -124,12 +71,23 @@ func RunAsync(cfg Config) (*Result, error) {
 	// Master process: one shared state machine, one mailbox.
 	node := cl.Node(0)
 	eng.Go("master", func(p *des.Process) {
-		alg := &desAlg{b: b, p: p, node: node, meter: meter, trace: cfg.Trace}
+		// Every critical section is metered (sampled or measured T_A)
+		// and charged to the master node as an "algo" hold, exactly as the
+		// paper instruments it. curItem is the lease id of the result
+		// being folded in: the loop stashes it before Handle(EvResult) so
+		// the accept can attribute its T_A to the evaluation's trace.
+		var curItem uint64
+		alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
+			ta := meter.leave()
+			node.HoldBusy(p, ta, "algo")
+			if accept {
+				cfg.Trace.ObserveTA(curItem, ta)
+			}
+		}}
 		mcfg := master.Config{
 			Budget:       cfg.Evaluations,
 			LeaseTimeout: cfg.LeaseTimeout,
 			Policy:       master.EagerOffspring,
-			DeferApply:   cfg.DeferArchive,
 			Alg:          alg,
 			Meters:       meters,
 			Emit:         func(kind, detail string) { eng.Emit(kind, "master", detail) },
@@ -206,12 +164,8 @@ func RunAsync(cfg Config) (*Result, error) {
 			meters.QueueWait.ObserveExemplar(wait, item.SampledTraceID())
 			cfg.Trace.ObserveQueueWait(item.ID, wait)
 			cfg.Trace.ObserveTCRecv(item.ID, tc)
-			alg.curItem = item.ID
+			curItem = item.ID
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: msg.From, Item: item.ID, At: p.Now()}))
-			// Deferred mode: the grant's T_C hold has been charged; fold
-			// the staged result in now, charging its T_A after the send
-			// (no-op when DeferArchive is off or nothing is staged).
-			m.Flush()
 			// Quality cadence: the trigger detours through the master so
 			// the sample point lands in the BMEL log (replayable).
 			if q := cfg.Quality; q != nil && !m.Done() && q.Due(m.Completed(), p.Now()) {

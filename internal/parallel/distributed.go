@@ -47,46 +47,6 @@ func (d *DistributedConfig) logf(format string, args ...any) {
 	}
 }
 
-// distAlg adapts the Borg core for the distributed driver, metering
-// Accept and Suggest separately (the lazy policy splits them across
-// the result and dispatch paths); per completed evaluation they sum to
-// the paper's T_A.
-type distAlg struct {
-	b     *core.Borg
-	meter *taMeter
-	trace *obs.Collector // nil-safe
-	// curItem is the lease id of the result being folded in (see
-	// desAlg.curItem); the lazy policy's dispatch-path Suggest is not
-	// attributed to any one evaluation.
-	curItem uint64
-}
-
-func (a *distAlg) Suggest() *core.Solution {
-	var s *core.Solution
-	a.meter.measure(func() { s = a.b.Suggest() })
-	return s
-}
-
-func (a *distAlg) Accept(s *core.Solution) {
-	ta := a.meter.measure(func() { a.b.Accept(s) })
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
-func (a *distAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.Accept(s)
-	return a.Suggest()
-}
-
-// StageAccept is the cheap half of a deferred accept (Config.DeferArchive).
-func (a *distAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, metered as T_A after
-// the grant frame went out.
-func (a *distAlg) ApplyStaged() {
-	ta := a.meter.measure(func() { a.b.ApplyStaged() })
-	a.trace.ObserveTA(a.curItem, ta)
-}
-
 // RunAsyncDistributed executes the asynchronous master-slave Borg MOEA
 // over real TCP: the master listens, borgd workers dial in, and the
 // shared lease/resubmission protocol recovers evaluations lost to
@@ -180,12 +140,23 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	if leaseTimeout > 0 {
 		coreTimeout = leaseTimeout.Seconds()
 	}
-	alg := &distAlg{b: b, meter: meter, trace: cfg.Trace}
+	// Accept and Suggest are metered separately (the lazy policy splits
+	// them across the result and dispatch paths); per completed
+	// evaluation they sum to the paper's T_A. curItem is the lease id of
+	// the result being folded in, so the accept's T_A lands on that
+	// evaluation's trace; a dispatch-path Suggest belongs to no one
+	// evaluation.
+	var curItem uint64
+	alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
+		ta := meter.leave()
+		if accept {
+			cfg.Trace.ObserveTA(curItem, ta)
+		}
+	}}
 	mcfg := master.Config{
 		Budget:       cfg.Evaluations,
 		LeaseTimeout: coreTimeout,
 		Policy:       master.LazyOffspring,
-		DeferApply:   cfg.DeferArchive,
 		// Workers hold deep copies of granted work (frames encode the
 		// solution), so an expired lease's wrapper and Solution can be
 		// reissued in place instead of cloned.
@@ -299,7 +270,7 @@ loop:
 					meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
 					adv.ObserveTF(int(s.ID), evalSec)
 					cfg.Trace.ObserveTF(item.ID, evalSec)
-					alg.curItem = item.ID
+					curItem = item.ID
 					if journal != nil {
 						// Reconstruct the worker's eval span master-side
 						// from the reported duration.
@@ -307,9 +278,6 @@ loop:
 					}
 				}
 				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
-				// Deferred mode: the grant frame is on the wire; fold the
-				// staged result in now (no-op when DeferArchive is off).
-				m.Flush()
 				// Quality cadence: route the trigger through the master
 				// so the sample point lands in the BMEL log (replayable
 				// even though this driver's clock is wall time).

@@ -78,34 +78,6 @@ func (r *IslandsResult) Efficiency(meanTF, meanTA float64, totalProcessors int) 
 	return ts / (float64(totalProcessors) * r.ElapsedTime)
 }
 
-// islandAlg adapts one island's Borg instance to the shared master
-// state machine, charging a sampled T_A per critical section to the
-// island's master node.
-type islandAlg struct {
-	b        *core.Borg
-	p        *des.Process
-	node     *cluster.Node
-	sampleTA func() float64
-}
-
-func (a *islandAlg) Suggest() *core.Solution {
-	s := a.b.Suggest()
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-	return s
-}
-
-func (a *islandAlg) Accept(s *core.Solution) {
-	a.b.Accept(s)
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-}
-
-func (a *islandAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.b.Accept(s)
-	next := a.b.Suggest()
-	a.node.HoldBusy(a.p, a.sampleTA(), "algo")
-	return next
-}
-
 // RunIslands executes Islands concurrent asynchronous master-slave
 // Borg instances under one virtual clock. Each island master runs its
 // own instance of the shared state machine (internal/master) with
@@ -164,7 +136,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	// one T_F recorder per worker, merged in deterministic (island-
 	// major, rank) order after the run — no shared counters are touched
 	// from inside process closures.
-	taRecs := make([]*tfRecorder, k)
+	taMeters := make([]*taMeter, k)
 	tfRecs := make([][]*tfRecorder, k)
 
 	for isl := 0; isl < k; isl++ {
@@ -180,17 +152,12 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 		mRng := rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)) // per-island master stream (T_A, T_C)
 		migRng := federation.NewMigrationRNG(base.Seed, isl)  // emigrant selection, shared with TCP
-		taRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TA}
-		taRecs[isl] = taRec
+		meter := &taMeter{dist: base.TA, rng: mRng, capture: base.CaptureTimings, hist: meters.TA}
+		taMeters[isl] = meter
 		sampleTC := func() float64 {
 			tc := base.TC.Sample(mRng)
 			meters.TC.Observe(tc)
 			return tc
-		}
-		sampleTA := func() float64 {
-			ta := base.TA.Sample(mRng)
-			taRec.record(ta)
-			return ta
 		}
 
 		// Island workers.
@@ -225,16 +192,22 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			// hook under Handle — the same injection point federation
 			// replays resolve from the migrant sidecar log.
 			var staged *core.Solution
+			// A sampled T_A per critical section, charged to the island's
+			// master node; a migrant costs one too, but no evaluation.
+			alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(bool) {
+				node.HoldBusy(p, meter.leave(), "algo")
+			}}
 			m := master.NewCore(master.Config{
 				Budget: base.Evaluations,
 				Policy: master.EagerOffspring,
-				Alg:    &islandAlg{b: b, p: p, node: node, sampleTA: sampleTA},
+				Alg:    alg,
 				Meters: meters,
 				Log:    ilog,
 				OnMigrant: func(source int, epoch uint64) {
 					if staged != nil {
+						alg.Enter()
 						b.InjectEvaluated(staged)
-						node.HoldBusy(p, sampleTA(), "algo")
+						alg.Leave(false)
 						staged = nil
 					}
 				},
@@ -368,9 +341,9 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	taSum, taN := 0.0, uint64(0)
 	tfSum, tfN := 0.0, uint64(0)
 	for isl := 0; isl < k; isl++ {
-		taSum += taRecs[isl].sum
-		taN += taRecs[isl].n
-		res.TASamples = append(res.TASamples, taRecs[isl].samples...)
+		taSum += taMeters[isl].sum
+		taN += taMeters[isl].n
+		res.TASamples = append(res.TASamples, taMeters[isl].samples...)
 		for _, r := range tfRecs[isl] {
 			tfSum += r.sum
 			tfN += r.n

@@ -64,19 +64,6 @@ type Config struct {
 	// Seed seeds all random streams of the run.
 	Seed uint64
 
-	// DeferArchive splits the master's result handling in two: the
-	// result is staged cheaply and the next grant goes out before the
-	// ε-archive insertion runs (the apply is charged as T_A right
-	// after the grant). This takes the archive-update half of T_A off
-	// the grant's critical path, the lever that moves the paper's
-	// saturation bound T_F/(2·T_C + T_A). Deferral reorders the
-	// algorithm's RNG stream relative to the default path, so deferred
-	// and non-deferred runs explore differently; the mode is recorded
-	// in the protocol log (master.LogMeta.DeferApply) and honored by
-	// ReplayAsync automatically. Honored by the async drivers
-	// (RunAsync, RunAsyncRealtime, RunAsyncDistributed).
-	DeferArchive bool
-
 	// CheckpointEvery invokes OnCheckpoint after every k completed
 	// evaluations (0 disables). Used for hypervolume trajectories.
 	CheckpointEvery uint64
@@ -330,20 +317,25 @@ type taMeter struct {
 	n       uint64
 	hist    *obs.Histogram   // optional telemetry sink (nil-safe)
 	adv     *advisor.Advisor // optional advisor feed (nil-safe)
+	start   time.Time        // the open section's start (measured mode)
 }
 
-// measure wraps the master critical section fn, returning the T_A
-// charge: sampled from the distribution when set, otherwise the
-// measured wall-clock duration of fn.
-func (m *taMeter) measure(fn func()) float64 {
+// enter opens a master critical section and leave closes it, returning
+// the T_A charge: sampled from the distribution when set, otherwise the
+// wall-clock time since enter. They are the hooks the drivers hang on a
+// master.Bracket; sections do not nest.
+func (m *taMeter) enter() {
+	if m.dist == nil {
+		m.start = time.Now()
+	}
+}
+
+func (m *taMeter) leave() float64 {
 	var ta float64
 	if m.dist != nil {
-		fn()
 		ta = m.dist.Sample(m.rng)
 	} else {
-		start := time.Now()
-		fn()
-		ta = time.Since(start).Seconds()
+		ta = time.Since(m.start).Seconds()
 	}
 	m.sum += ta
 	m.n++

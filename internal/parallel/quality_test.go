@@ -30,14 +30,11 @@ func testQualityConfig() obs.QualityConfig {
 	}
 }
 
-// TestQualityCadenceDeferApply: in deferred-archive mode, quality
-// samples must still fire on the evaluation cadence and observe the
-// applied (post-flush) archive — the Handle-entry flush guarantees the
-// sampler never sees a stale-by-one front.
+// TestQualityCadenceDeferApply: quality samples fire on the evaluation
+// cadence and observe the archive with every accept so far folded in.
 func TestQualityCadenceDeferApply(t *testing.T) {
 	const n, every = 2000, 100
 	cfg := testConfig(8, n)
-	cfg.DeferArchive = true
 	qc := testQualityConfig()
 	qc.Every = every
 	cfg.Quality = obs.NewQualitySampler(qc)

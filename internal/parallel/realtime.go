@@ -4,63 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 )
-
-// rtAlg adapts the Borg core to the shared master state machine for
-// the wall-clock executor. Only the Accept+Suggest critical section is
-// timed (the paper's T_A): seeding Suggest calls during worker join
-// are protocol setup, not steady-state algorithm time.
-type rtAlg struct {
-	b      *core.Borg
-	meters master.Meters
-	events *obs.Recorder
-	adv    *advisor.Advisor
-	since  func() float64
-	taSum  float64
-	taN    uint64
-}
-
-func (a *rtAlg) Suggest() *core.Solution { return a.b.Suggest() }
-
-func (a *rtAlg) Accept(s *core.Solution) { a.b.Accept(s) }
-
-func (a *rtAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	t0 := time.Now()
-	a.b.Accept(s)
-	next := a.b.Suggest()
-	ta := time.Since(t0).Seconds()
-	a.taSum += ta
-	a.taN++
-	a.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	if a.events != nil {
-		a.events.Record(obs.Event{TS: a.since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-	}
-	return next
-}
-
-// StageAccept is the cheap half of a deferred accept (Config.DeferArchive).
-func (a *rtAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-
-// ApplyStaged is the deferred archive insertion, timed as T_A after
-// the grant went out.
-func (a *rtAlg) ApplyStaged() {
-	t0 := time.Now()
-	a.b.ApplyStaged()
-	ta := time.Since(t0).Seconds()
-	a.taSum += ta
-	a.taN++
-	a.meters.TA.Observe(ta)
-	a.adv.ObserveTA(ta)
-	if a.events != nil {
-		a.events.Record(obs.Event{TS: a.since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-	}
-}
 
 // rtResult carries an evaluated item back to the master goroutine,
 // with the wall-clock time its evaluation took.
@@ -153,14 +101,25 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Processors: cfg.Processors, Final: b}
-	alg := &rtAlg{b: b, meters: meters, events: events, adv: adv, since: since}
+	// Only the Accept+Suggest critical section is timed (the paper's
+	// T_A, always wall-clock here): seeding Suggest calls during worker
+	// join are protocol setup, not steady-state algorithm time.
+	meter := &taMeter{hist: meters.TA, adv: adv}
+	alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
+		if !accept {
+			return
+		}
+		ta := meter.leave()
+		if events != nil {
+			events.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
+		}
+	}}
 	mcfg := master.Config{
-		Budget:     cfg.Evaluations,
-		Policy:     master.EagerOffspring,
-		DeferApply: cfg.DeferArchive,
-		Alg:        alg,
-		Meters:     meters,
-		Log:        cfg.Protocol,
+		Budget: cfg.Evaluations,
+		Policy: master.EagerOffspring,
+		Alg:    alg,
+		Meters: meters,
+		Log:    cfg.Protocol,
 		OnAccept: func(n uint64) {
 			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
 				meters.Checkpoints.Inc()
@@ -199,9 +158,6 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 		tfSum += r.tf
 		tfN++
 		exec(m.Handle(master.Event{Kind: master.EvResult, Worker: r.worker, Item: r.item.ID, At: since()}))
-		// Deferred mode: the grant is already on its channel; fold the
-		// staged result in now (no-op when DeferArchive is off).
-		m.Flush()
 		// Quality cadence: route the trigger through the master so the
 		// sample point lands in the BMEL log (replayable).
 		if q := cfg.Quality; q != nil && !m.Done() && q.Due(m.Completed(), since()) {
@@ -212,9 +168,7 @@ func RunAsyncRealtime(cfg Config) (*Result, error) {
 
 	res.Evaluations = m.Completed()
 	res.Completed = true
-	if alg.taN > 0 {
-		res.MeanTA = alg.taSum / float64(alg.taN)
-	}
+	res.MeanTA = meter.mean()
 	// Evaluations > 0, so at least one result came back.
 	res.MeanTF = tfSum / float64(tfN)
 	res.MeanTC = 0 // channel transfers; not separately measurable here

@@ -7,25 +7,6 @@ import (
 	"borgmoea/internal/master"
 )
 
-// replayAlg is the plain adapter for off-line replay: no holds, no
-// meters, no clocks — the algorithm runs at full speed and the
-// protocol decisions come from the recorded stream.
-type replayAlg struct{ b *core.Borg }
-
-func (a *replayAlg) Suggest() *core.Solution { return a.b.Suggest() }
-func (a *replayAlg) Accept(s *core.Solution) { a.b.Accept(s) }
-func (a *replayAlg) AcceptSuggest(s *core.Solution) *core.Solution {
-	a.b.Accept(s)
-	return a.b.Suggest()
-}
-
-// StageAccept/ApplyStaged replay logs recorded with DeferApply on
-// (master.Replay reads the mode from the log header); the split keeps
-// the algorithm's call sequence — and so its RNG stream — identical to
-// the live deferred run's.
-func (a *replayAlg) StageAccept(s *core.Solution) { a.b.StageAccept(s) }
-func (a *replayAlg) ApplyStaged()                 { a.b.ApplyStaged() }
-
 // ReplayAsync re-executes a recorded asynchronous run off-line from
 // its protocol event log (Config.Protocol, or a log deserialized with
 // master.ReadLog). cfg must carry the original run's Problem,
@@ -54,7 +35,9 @@ func ReplayAsync(cfg Config, log *master.Log) (*Result, error) {
 		return nil, err
 	}
 	rc := master.ReplayConfig{
-		Alg:      &replayAlg{b: b},
+		// No holds, no meters, no clocks: the algorithm runs at full speed
+		// and the protocol decisions come from the recorded stream.
+		Alg:      b,
 		Evaluate: func(item *master.Item) { core.EvaluateSolution(cfg.Problem, item.S) },
 		Meters:   master.NewMeters(cfg.Metrics),
 	}

@@ -101,10 +101,9 @@ func RunSync(cfg Config) (*Result, error) {
 					meters.Resub.Inc()
 					continue
 				}
-				var s *core.Solution
-				ta := meter.measure(func() { s = b.Suggest() })
-				node.HoldBusy(p, ta, "algo")
-				batch[i] = s
+				meter.enter()
+				batch[i] = b.Suggest()
+				node.HoldBusy(p, meter.leave(), "algo")
 			}
 			// Scatter: one offspring per live worker.
 			for i, w := range alive {
@@ -186,8 +185,9 @@ func RunSync(cfg Config) (*Result, error) {
 				if i > 0 && !got[alive[i-1]] {
 					continue
 				}
-				ta := meter.measure(func() { b.Accept(s) })
-				node.HoldBusy(p, ta, "algo")
+				meter.enter()
+				b.Accept(s)
+				node.HoldBusy(p, meter.leave(), "algo")
 				completed++
 				meters.Evals.Inc()
 				if cfg.CheckpointEvery > 0 && completed%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {

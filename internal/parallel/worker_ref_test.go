@@ -190,12 +190,11 @@ func TestWorkerEquivalence(t *testing.T) {
 	faults := 0
 	for _, plan := range oraclePlans {
 		for _, tf := range oracleTF {
-			for _, mode := range []string{"async", "async-defer", "sync"} {
+			for _, mode := range []string{"async", "sync"} {
 				t.Run(plan.name+"/"+tf.name+"/"+mode, func(t *testing.T) {
 					cfg := testConfig(12, 1500)
 					cfg.TF = tf.dist
 					cfg.CaptureTimings = true
-					cfg.DeferArchive = mode == "async-defer"
 					plan.apply(&cfg)
 					run := RunAsync
 					if mode == "sync" {
@@ -301,13 +300,12 @@ func FuzzWorkerEquivalence(f *testing.F) {
 		cfg.Seed = seed
 		cfg.TF = oracleTF[int(tfKind)%len(oracleTF)].dist
 		cfg.CaptureTimings = true
-		cfg.DeferArchive = mode%3 == 1
 		oraclePlans[int(plan)%len(oraclePlans)].apply(&cfg)
 		if cfg.Fault != nil {
 			cfg.Fault.Seed ^= seed
 		}
 		run := RunAsync
-		if mode%3 == 2 {
+		if mode%2 == 1 {
 			run = RunSync
 		}
 		checkEquivalent(t, run, cfg)
