@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation section, at reduced scale so `go test -bench=.` finishes
 // in minutes. The full-scale reproductions live behind the cmd/
-// tools (cmd/table2 -paper, cmd/figures); see EXPERIMENTS.md for the
+// tools (borgexp table2 -paper, borgexp figures); see EXPERIMENTS.md for the
 // recorded paper-vs-measured comparison.
 package borgmoea_test
 
@@ -125,7 +125,7 @@ func BenchmarkFigure5Surface(b *testing.B) {
 // data of Figures 1–2 (trace-instrumented sync and async runs).
 func BenchmarkFigure1And2Timelines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		events := 0
+		rec := borgmoea.NewTraceRecorder(0)
 		cfg := borgmoea.ParallelConfig{
 			Problem:     borgmoea.NewDTLZ2(5),
 			Algorithm:   borgmoea.Config{Epsilons: borgmoea.UniformEpsilons(5, 0.1)},
@@ -135,7 +135,7 @@ func BenchmarkFigure1And2Timelines(b *testing.B) {
 			TA:          borgmoea.ConstantDist(0.0025),
 			TC:          borgmoea.ConstantDist(0.00125),
 			Seed:        uint64(i),
-			TraceHook:   func(float64, string, string, string) { events++ },
+			Events:      rec,
 		}
 		if _, err := borgmoea.RunSync(cfg); err != nil {
 			b.Fatal(err)
@@ -143,7 +143,7 @@ func BenchmarkFigure1And2Timelines(b *testing.B) {
 		if _, err := borgmoea.RunAsync(cfg); err != nil {
 			b.Fatal(err)
 		}
-		if events == 0 {
+		if rec.Len() == 0 {
 			b.Fatal("no trace events")
 		}
 	}

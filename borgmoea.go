@@ -214,7 +214,7 @@ var (
 // assembles per-evaluation span trees whose children are the paper's
 // model terms (queue wait, T_C send/recv, T_F, T_A). The collector's
 // sidecar (TraceSidecar) plus the BMEL protocol log reconstruct the
-// identical forest offline (TracesFromProtocolLog); cmd/borgtrace
+// identical forest offline (TracesFromProtocolLog); borgview trace
 // renders the attribution and Chrome trace exports.
 type (
 	// TraceCollector assembles distributed evaluation traces.
@@ -266,7 +266,7 @@ var (
 // stream their timing telemetry through the paper's analytical model —
 // predicted vs observed speedup/efficiency, processor bounds, model
 // drift and per-worker straggler detection, served at /debug/scaling
-// and journaled as JSONL snapshots (cmd/borgtop renders either).
+// and journaled as JSONL snapshots (borgview top renders either).
 type (
 	// ScalingAdvisor fits the analytical model to a live run.
 	ScalingAdvisor = advisor.Advisor
@@ -291,7 +291,7 @@ var NewScalingAdvisor = advisor.New
 // as quality.* gauges, served at /debug/quality, and recorded as
 // EvQuality points in the BMEL log so any run's quality timeline
 // reconstructs byte-identically offline (the QLOG sidecar;
-// cmd/timeline -quality renders one). Wire QualityConfig.OnSample to
+// borgview timeline -quality renders one). Wire QualityConfig.OnSample to
 // ScalingAdvisor.ObserveQuality for stall and restart-regression
 // alerting in the /debug/scaling report.
 type (
@@ -332,7 +332,7 @@ var (
 // stream archive deltas to a merging root. The paper's Eq. 4 ceiling
 // P_UB = T_F/(2·T_C + T_A) binds each island separately, so the
 // federation's aggregate useful processor count approaches k·P_UB.
-// cmd/borgfed runs a federation; borgtop -fed watches one.
+// cmd/borgfed runs a federation; borgview top -fed watches one.
 type (
 	// FederationConfig describes one TCP federation run.
 	FederationConfig = federation.Config

@@ -18,7 +18,7 @@
 //	borg -transport tcp -listen :7070 -debug-addr localhost:6060
 //
 // With -debug-addr the live scalability advisor also serves
-// /debug/scaling (watch it with: borgtop -addr localhost:6060). On
+// /debug/scaling (watch it with: borgview top -addr localhost:6060). On
 // SIGINT/SIGTERM an instrumented run flushes its final metrics and
 // advisor snapshot before exiting, so interrupted runs keep their
 // telemetry.
@@ -35,6 +35,7 @@ import (
 
 	"borgmoea"
 	"borgmoea/internal/ascii"
+	"borgmoea/internal/cli"
 	"borgmoea/internal/shutdown"
 )
 
@@ -70,7 +71,7 @@ func run() int {
 		replayPath  = flag.String("replay", "", "replay a recorded event log off-line instead of running; pass the original run's -problem/-objectives/-epsilon/-seed")
 		qualEvery   = flag.Uint64("quality-every", 0, "sample search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations (parallel transports; 0 = off)")
 		qualWall    = flag.Float64("quality-wall", 0, "also sample search quality every S seconds of driver time (with or instead of -quality-every)")
-		qualLog     = flag.String("quality-log", "", "write the run's quality timeline as a QLOG sidecar to this path (implies -quality-every 1000 unless set; read with: timeline -quality)")
+		qualLog     = flag.String("quality-log", "", "write the run's quality timeline as a QLOG sidecar to this path (implies -quality-every 1000 unless set; read with: borgview timeline -quality)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -162,7 +163,7 @@ func run() int {
 	var flusher shutdown.Flusher
 	if *metricsOut != "" {
 		flusher.Add(func() {
-			if err := writeFileWith(*metricsOut, reg.WriteJSON); err != nil {
+			if err := cli.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
 				logger.Error("writing metrics", "err", err)
 				return
 			}
@@ -180,7 +181,7 @@ func run() int {
 				return
 			}
 			logger.Info("advisor journal written", "path", *adviseOut,
-				"hint", fmt.Sprintf("watch with: borgtop -file %s", *adviseOut))
+				"hint", fmt.Sprintf("watch with: borgview top -file %s", *adviseOut))
 		})
 	}
 	if *metricsOut != "" || *adviseOut != "" {
@@ -209,12 +210,7 @@ func run() int {
 
 	var alg *borgmoea.Algorithm
 	if *replayPath != "" {
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			return fail(1, err.Error())
-		}
-		recorded, err := borgmoea.ReadProtocolLog(f)
-		f.Close()
+		recorded, err := cli.ReadFile(*replayPath, borgmoea.ReadProtocolLog)
 		if err != nil {
 			return fail(1, "reading event log", "err", err)
 		}
@@ -321,23 +317,23 @@ func run() int {
 		if *tracePath != "" || *metricsOut != "" || *eventLog != "" || *adviseOut != "" || quality != nil {
 			logger.Warn("-trace/-metrics-out/-event-log/-advise-out/-quality-* instrument the parallel drivers; the serial run records nothing")
 		}
-		alg = borgmoea.MustNewBorg(problem, cfg)
+		var err error
+		if alg, err = borgmoea.NewBorg(problem, cfg); err != nil {
+			return fail(1, err.Error())
+		}
 		alg.Run(*evals, nil)
 		fmt.Printf("serial run: N=%d\n", *evals)
 	}
 
 	if *tracePath != "" {
-		if err := writeFileWith(*tracePath, rec.WriteChromeTrace); err != nil {
+		if err := cli.WriteFile(*tracePath, rec.WriteChromeTrace); err != nil {
 			return fail(1, "writing trace", "err", err)
 		}
 		logger.Info("trace written", "path", *tracePath, "events", rec.Len(), "dropped", rec.Dropped())
 	}
 	flusher.Flush()
 	if plog != nil && len(plog.Events) > 0 {
-		if err := writeFileWith(*eventLog, func(w io.Writer) error {
-			_, err := plog.WriteTo(w)
-			return err
-		}); err != nil {
+		if err := cli.WriteLog(*eventLog, plog); err != nil {
 			return fail(1, "writing event log", "err", err)
 		}
 		logger.Info("event log written", "path", *eventLog, "events", len(plog.Events),
@@ -345,14 +341,11 @@ func run() int {
 				*eventLog, *problemName, *objectives, *epsilon, *seed))
 	}
 	if quality != nil && *qualLog != "" {
-		if err := writeFileWith(*qualLog, func(w io.Writer) error {
-			_, err := quality.Log().WriteTo(w)
-			return err
-		}); err != nil {
+		if err := cli.WriteLog(*qualLog, quality.Log()); err != nil {
 			return fail(1, "writing quality log", "err", err)
 		}
 		logger.Info("quality log written", "path", *qualLog, "samples", len(quality.Log().Samples),
-			"hint", fmt.Sprintf("render with: timeline -quality %s", *qualLog))
+			"hint", fmt.Sprintf("render with: borgview timeline -quality %s", *qualLog))
 	}
 
 	front := alg.Archive().Objectives()
@@ -384,18 +377,10 @@ func run() int {
 		fmt.Print(ascii.Scatter(pts, 70, 20))
 	}
 	if *printFront {
-		for _, f := range front {
-			for j, v := range f {
-				if j > 0 {
-					fmt.Print("\t")
-				}
-				fmt.Printf("%.6f", v)
-			}
-			fmt.Println()
-		}
+		cli.PrintFront(front)
 	}
 	if *outPath != "" {
-		if err := writeFileWith(*outPath, func(w io.Writer) error {
+		if err := cli.WriteFile(*outPath, func(w io.Writer) error {
 			return borgmoea.SaveArchive(w, alg.Archive())
 		}); err != nil {
 			return fail(1, "saving archive", "err", err)
@@ -403,18 +388,4 @@ func run() int {
 		logger.Info("archive saved", "path", *outPath)
 	}
 	return 0
-}
-
-// writeFileWith creates path and streams content into it via write,
-// reporting the first error from the write or the close.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

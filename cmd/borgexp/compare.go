@@ -1,47 +1,52 @@
-// Command compare runs the Borg MOEA head-to-head against the
-// generational NSGA-II baseline on a named problem at an equal
-// evaluation budget and reports quality metrics — the kind of
-// comparison that motivated parallelizing Borg in the first place
-// (Section II of the paper).
-//
-// Usage:
-//
-//	compare -problem DTLZ2 -objectives 5 -evals 50000
-//	compare -problem ZDT4
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"borgmoea"
 )
 
-func main() {
+// runCompare is `borgexp compare`: it runs the Borg MOEA head-to-head
+// against the generational NSGA-II baseline on a named problem at an
+// equal evaluation budget and reports quality metrics — the kind of
+// comparison that motivated parallelizing Borg in the first place
+// (Section II of the paper).
+//
+// Usage:
+//
+//	borgexp compare -problem DTLZ2 -objectives 5 -evals 50000
+//	borgexp compare -problem ZDT4
+func runCompare(fs *flag.FlagSet, args []string) int {
 	var (
-		problemName = flag.String("problem", "DTLZ2", "DTLZ1-7, ZDT1-4, ZDT6, UF1-11")
-		objectives  = flag.Int("objectives", 3, "objectives (DTLZ problems)")
-		evals       = flag.Uint64("evals", 30000, "evaluation budget per algorithm")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		epsilon     = flag.Float64("epsilon", 0.05, "Borg archive epsilon")
+		problemName = fs.String("problem", "DTLZ2", "DTLZ1-7, ZDT1-4, ZDT6, UF1-11")
+		objectives  = fs.Int("objectives", 3, "objectives (DTLZ problems)")
+		evals       = fs.Uint64("evals", 30000, "evaluation budget per algorithm")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		epsilon     = fs.Float64("epsilon", 0.05, "Borg archive epsilon")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	problem, err := borgmoea.LookupProblem(*problemName, *objectives)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	m := problem.NumObjs()
 
-	borg := borgmoea.MustNewBorg(problem, borgmoea.Config{
+	borg, err := borgmoea.NewBorg(problem, borgmoea.Config{
 		Epsilons: borgmoea.UniformEpsilons(m, *epsilon),
 		Seed:     *seed,
 	})
+	if err != nil {
+		return fail(err)
+	}
 	borg.Run(*evals, nil)
 	borgFront := borg.Archive().Objectives()
 
-	nsga := borgmoea.MustNewNSGA2(problem, borgmoea.NSGA2Config{Seed: *seed})
+	nsga, err := borgmoea.NewNSGA2(problem, borgmoea.NSGA2Config{Seed: *seed})
+	if err != nil {
+		return fail(err)
+	}
 	nsga.Run(*evals)
 	nsgaFront := nsga.Front()
 
@@ -73,9 +78,5 @@ func main() {
 		fmt.Printf(" %s=%.2f", names[i], p)
 	}
 	fmt.Println()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return 0
 }

@@ -1,11 +1,3 @@
-// Command figures regenerates the paper's Figures 3, 4 and 5.
-//
-//	figures -fig 3            # DTLZ2 hypervolume-threshold speedup (3 panels)
-//	figures -fig 4            # UF11 hypervolume-threshold speedup
-//	figures -fig 5            # sync vs async efficiency surfaces
-//
-// Each figure prints a textual table/heatmap; -csv writes the series
-// to a file for external plotting.
 package main
 
 import (
@@ -19,23 +11,32 @@ import (
 	"borgmoea"
 )
 
-func main() {
+// runFigures is `borgexp figures`: it regenerates the paper's Figures
+// 3, 4 and 5.
+//
+//	borgexp figures -fig 3            # DTLZ2 hypervolume-threshold speedup (3 panels)
+//	borgexp figures -fig 4            # UF11 hypervolume-threshold speedup
+//	borgexp figures -fig 5            # sync vs async efficiency surfaces
+//
+// Each figure prints a textual table/heatmap; -csv writes the series
+// to a file for external plotting.
+func runFigures(fs *flag.FlagSet, args []string) int {
 	var (
-		fig     = flag.Int("fig", 3, "figure to regenerate: 3, 4 or 5")
-		evals   = flag.Uint64("evals", 50000, "evaluation budget per run (figs 3-4)")
-		reps    = flag.Int("reps", 2, "replicates per configuration (figs 3-4; paper: 50)")
-		tfList  = flag.String("tf", "", "comma-separated TF means (default per figure)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		csvPath = flag.String("csv", "", "also write CSV to this path")
-		quick   = flag.Bool("quick", false, "small smoke configuration")
+		fig     = fs.Int("fig", 3, "figure to regenerate: 3, 4 or 5")
+		evals   = fs.Uint64("evals", 50000, "evaluation budget per run (figs 3-4)")
+		reps    = fs.Int("reps", 2, "replicates per configuration (figs 3-4; paper: 50)")
+		tfList  = fs.String("tf", "", "comma-separated TF means (default per figure)")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		csvPath = fs.String("csv", "", "also write CSV to this path")
+		quick   = fs.Bool("quick", false, "small smoke configuration")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var csvW io.Writer
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		csvW = f
@@ -49,7 +50,10 @@ func main() {
 		}
 		tfs := []float64{0.001, 0.01, 0.1}
 		if *tfList != "" {
-			tfs = parseFloats(*tfList)
+			var err error
+			if tfs, err = parseFloats(*tfList); err != nil {
+				return fail(err)
+			}
 		}
 		procs := []int{16, 32, 64, 128, 256, 512, 1024}
 		if *quick {
@@ -66,29 +70,25 @@ func main() {
 				Evaluations: *evals,
 				Replicates:  *reps,
 				Seed:        *seed,
-				Progress: func(line string) {
-					fmt.Fprintln(os.Stderr, line)
-				},
+				Progress:    progress,
 			})
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := borgmoea.WriteSpeedup(os.Stdout, res); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			fmt.Println()
 			if csvW != nil {
 				if err := borgmoea.WriteSpeedupCSV(csvW, res); err != nil {
-					fatal(err)
+					return fail(err)
 				}
 			}
 		}
 	case 5:
 		cfg := borgmoea.SurfaceConfig{
-			Seed: *seed,
-			Progress: func(line string) {
-				fmt.Fprintln(os.Stderr, line)
-			},
+			Seed:     *seed,
+			Progress: progress,
 		}
 		if *quick {
 			cfg.TFValues = []float64{0.0001, 0.001, 0.01, 0.1, 1}
@@ -96,38 +96,34 @@ func main() {
 		}
 		res, err := borgmoea.RunSurface(cfg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := borgmoea.WriteSurface(os.Stdout, "(a) Synchronous efficiency (Cantú-Paz analytical model)", res.Sync); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Println()
 		if err := borgmoea.WriteSurface(os.Stdout, "(b) Asynchronous efficiency (simulation model)", res.Async); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if csvW != nil {
 			if err := borgmoea.WriteSurfaceCSV(csvW, res); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	default:
-		fatal(fmt.Errorf("unknown figure %d (want 3, 4 or 5)", *fig))
+		return fail(fmt.Errorf("unknown figure %d (want 3, 4 or 5)", *fig))
 	}
+	return 0
 }
 
-func parseFloats(s string) []float64 {
+func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad TF value %q: %w", part, err))
+			return nil, fmt.Errorf("bad TF value %q: %w", part, err)
 		}
 		out = append(out, v)
 	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return out, nil
 }

@@ -17,13 +17,13 @@
 //	borgfed -replay-dir run/ -islands 2 -problem DTLZ2 -objectives 3  # replay a recorded federation
 //
 // With -debug-addr the federated scalability roll-up serves
-// /debug/scaling (watch it with: borgtop -fed -addr localhost:6060;
+// /debug/scaling (watch it with: borgview top -fed -addr localhost:6060;
 // ?island=i narrows to one island). With -log-dir every island writes
 // island-<i>.bmel and island-<i>.migrants; -replay-dir reconstructs
 // the identical merged front from those files, offline. -trace-rate
 // samples distributed per-evaluation traces (advisor-flagged
 // stragglers are always kept); with -log-dir each island adds an
-// island-<i>.trace sidecar that cmd/borgtrace turns into the run's
+// island-<i>.trace sidecar that borgview trace turns into the run's
 // critical-path attribution, offline. -quality-every samples every
 // island's search quality (hypervolume, ε-progress, operator
 // adaptation) on that cadence: with -debug-addr the federation serves
@@ -45,13 +45,13 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"borgmoea"
+	"borgmoea/internal/cli"
 	"borgmoea/internal/shutdown"
 )
 
@@ -76,7 +76,7 @@ func run() int {
 		root        = flag.Bool("root", true, "run the merging root the islands stream archive deltas to")
 		deltaEvery  = flag.Uint64("delta-every", 500, "stream recent archive members to the root every this many accepts per island (0 = off)")
 		debugAddr   = flag.String("debug-addr", "", "serve the federated /debug/scaling (plus /debug/vars, /debug/pprof) on this address (e.g. localhost:6060)")
-		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1]; with -log-dir every island also writes an island-<i>.trace sidecar for offline borgtrace analysis (0 = tracing off)")
+		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1]; with -log-dir every island also writes an island-<i>.trace sidecar for offline borgview trace analysis (0 = tracing off)")
 		qualEvery   = flag.Uint64("quality-every", 0, "sample each island's search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations; with -log-dir every island writes an island-<i>.qlog sidecar, with -debug-addr the federation serves /debug/quality (0 = off)")
 		logDir      = flag.String("log-dir", "", "write per-island BMEL event logs and migrant sidecar logs into this directory")
 		replayDir   = flag.String("replay-dir", "", "replay a recorded federation from this directory instead of running (pass the original -islands/-problem/-objectives/-epsilon/-seed)")
@@ -159,15 +159,12 @@ func run() int {
 		for i := range cfg.Logs {
 			cfg.Logs[i] = borgmoea.NewProtocolLog()
 			cfg.MigrantLogs[i] = borgmoea.NewMigrantLog()
-			if err := streamEventLog(&flusher, logger, islandLogPath(*logDir, i, "bmel"), cfg.Logs[i]); err != nil {
+			if err := streamEventLog(&flusher, logger, cli.IslandPath(*logDir, i, "bmel"), cfg.Logs[i]); err != nil {
 				return fail(1, "creating event log", "island", i, "err", err)
 			}
-			mlog, path := cfg.MigrantLogs[i], islandLogPath(*logDir, i, "migrants")
+			mlog, path := cfg.MigrantLogs[i], cli.IslandPath(*logDir, i, "migrants")
 			flusher.Add(func() {
-				if err := writeFileWith(path, func(w io.Writer) error {
-					_, err := mlog.WriteTo(w)
-					return err
-				}); err != nil {
+				if err := cli.WriteLog(path, mlog); err != nil {
 					logger.Error("writing migrant log", "path", path, "err", err)
 				}
 			})
@@ -185,12 +182,9 @@ func run() int {
 			}
 			// The sidecar snapshot is mutex-guarded, so the hook is safe
 			// to run from the signal path while islands are still live.
-			col, path := cfg.Tracers[i], islandLogPath(*logDir, i, "trace")
+			col, path := cfg.Tracers[i], cli.IslandPath(*logDir, i, "trace")
 			flusher.Add(func() {
-				if err := writeFileWith(path, func(w io.Writer) error {
-					_, err := col.TraceLog().WriteTo(w)
-					return err
-				}); err != nil {
+				if err := cli.WriteLog(path, col.TraceLog()); err != nil {
 					logger.Error("writing trace sidecar", "path", path, "err", err)
 				}
 			})
@@ -216,12 +210,9 @@ func run() int {
 			if *logDir == "" {
 				continue
 			}
-			q, path := cfg.Quality[i], islandLogPath(*logDir, i, "qlog")
+			q, path := cfg.Quality[i], cli.IslandPath(*logDir, i, "qlog")
 			flusher.Add(func() {
-				if err := writeFileWith(path, func(w io.Writer) error {
-					_, err := q.Log().WriteTo(w)
-					return err
-				}); err != nil {
+				if err := cli.WriteLog(path, q.Log()); err != nil {
 					logger.Error("writing quality sidecar", "path", path, "err", err)
 				}
 			})
@@ -246,7 +237,7 @@ func run() int {
 		defer srv.Close()
 		logger.Info("debug listener up", "addr", srv.Addr(),
 			"scaling", fmt.Sprintf("http://%s/debug/scaling", srv.Addr()),
-			"hint", fmt.Sprintf("watch with: borgtop -fed -addr %s", srv.Addr()))
+			"hint", fmt.Sprintf("watch with: borgview top -fed -addr %s", srv.Addr()))
 	}
 
 	start := time.Now()
@@ -299,7 +290,7 @@ func run() int {
 				*logDir, *islands, *problemName, *objectives, *epsilon, *seed))
 		if *traceRate > 0 {
 			logger.Info("trace sidecars written", "dir", *logDir,
-				"hint", fmt.Sprintf("attribute with: borgtrace -dir %s -islands %d", *logDir, *islands))
+				"hint", fmt.Sprintf("attribute with: borgview trace -dir %s -islands %d", *logDir, *islands))
 		}
 	}
 
@@ -354,10 +345,10 @@ func replay(logger *slog.Logger, dir string, problem borgmoea.Problem, algCfg bo
 	mlogs := make([]*borgmoea.MigrantLog, islands)
 	for i := 0; i < islands; i++ {
 		var err error
-		if logs[i], err = readFileWith(islandLogPath(dir, i, "bmel"), borgmoea.ReadProtocolLog); err != nil {
+		if logs[i], err = cli.ReadFile(cli.IslandPath(dir, i, "bmel"), borgmoea.ReadProtocolLog); err != nil {
 			return fail(1, "reading event log", "island", i, "err", err)
 		}
-		if mlogs[i], err = readFileWith(islandLogPath(dir, i, "migrants"), borgmoea.ReadMigrantLog); err != nil {
+		if mlogs[i], err = cli.ReadFile(cli.IslandPath(dir, i, "migrants"), borgmoea.ReadMigrantLog); err != nil {
 			return fail(1, "reading migrant log", "island", i, "err", err)
 		}
 	}
@@ -374,17 +365,14 @@ func replay(logger *slog.Logger, dir string, problem borgmoea.Problem, algCfg bo
 		return fail(1, err.Error())
 	}
 	for i, q := range quality {
-		path := islandLogPath(dir, i, "qlog")
+		path := cli.IslandPath(dir, i, "qlog")
 		qlog := q.Log()
-		if err := writeFileWith(path, func(w io.Writer) error {
-			_, err := qlog.WriteTo(w)
-			return err
-		}); err != nil {
+		if err := cli.WriteLog(path, qlog); err != nil {
 			return fail(1, "writing quality sidecar", "island", i, "err", err)
 		}
 		logger.Info("quality timeline rebuilt", "island", i,
 			"samples", len(qlog.Samples), "path", path,
-			"hint", fmt.Sprintf("render with: timeline -quality %s", path))
+			"hint", fmt.Sprintf("render with: borgview timeline -quality %s", path))
 	}
 	var evals uint64
 	for _, b := range rep.Islands {
@@ -398,18 +386,10 @@ func replay(logger *slog.Logger, dir string, problem borgmoea.Problem, algCfg bo
 // emitFront prints/saves the merged front per the output flags.
 func emitFront(logger *slog.Logger, front [][]float64, arch *borgmoea.Archive, outPath string, printFront bool) int {
 	if printFront {
-		for _, f := range front {
-			for j, v := range f {
-				if j > 0 {
-					fmt.Print("\t")
-				}
-				fmt.Printf("%.6f", v)
-			}
-			fmt.Println()
-		}
+		cli.PrintFront(front)
 	}
 	if outPath != "" {
-		if err := writeFileWith(outPath, func(w io.Writer) error {
+		if err := cli.WriteFile(outPath, func(w io.Writer) error {
 			return borgmoea.SaveArchive(w, arch)
 		}); err != nil {
 			logger.Error("saving archive", "err", err)
@@ -471,31 +451,3 @@ func streamEventLog(flusher *shutdown.Flusher, logger *slog.Logger, path string,
 
 // share formats a critical-path share for the trace summary lines.
 func share(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-func islandLogPath(dir string, island int, ext string) string {
-	return filepath.Join(dir, fmt.Sprintf("island-%d.%s", island, ext))
-}
-
-// writeFileWith creates path and streams content into it via write.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readFileWith opens path and decodes it via read.
-func readFileWith[T any](path string, read func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	return read(f)
-}

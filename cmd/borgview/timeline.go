@@ -1,27 +1,3 @@
-// Command timeline renders the paper's Figure 1 and Figure 2: ASCII
-// Gantt charts of the synchronous versus asynchronous master-slave
-// MOEA with P = 4 (one master, three workers), showing where each
-// node spends its time — communication (C), algorithm processing (A),
-// function evaluation (E) and idle (·).
-//
-// Usage:
-//
-//	timeline [-p 4] [-evals 12] [-width 110] [-tf 0.01] [-tfcv 0.3]
-//
-// With -events the tool renders a recorded run instead of simulating
-// one. Both recorded forms are accepted and auto-detected: the binary
-// protocol event log written by `borg -event-log` (BMEL format,
-// internal/master) and the JSONL trace journal (obs.Event per line,
-// TraceRecorder.WriteJSONL):
-//
-//	timeline -events run.bmel [-width 110]
-//
-// With -quality the tool renders a quality-timeline sidecar (BQLG
-// format, written by `borg -quality-log` or rebuilt by replay)
-// instead: a hypervolume curve over evaluations, per-sample quality
-// rows and the final adaptive operator mix:
-//
-//	timeline -quality run.qlog [-width 110]
 package main
 
 import (
@@ -61,42 +37,52 @@ func newCollector() *collector {
 	}
 }
 
-func (c *collector) hook(at float64, kind, actor, _ string) {
-	if at > c.horizon {
-		c.horizon = at
-	}
-	var base string
-	var isStart bool
-	switch {
-	case strings.HasSuffix(kind, ".start"):
-		base, isStart = strings.TrimSuffix(kind, ".start"), true
-	case strings.HasSuffix(kind, ".end"):
-		base, isStart = strings.TrimSuffix(kind, ".end"), false
-	default:
+// spanKinds maps a journal span kind to its chart letter.
+var spanKinds = map[string]byte{"comm": 'C', "algo": 'A', "eval": 'E'}
+
+// event folds one journal event into intervals: an event with a
+// duration is a complete span, and "<kind>.start"/"<kind>.end" pairs
+// open and close one.
+func (c *collector) event(ev obs.Event) {
+	if ev.Dur > 0 {
+		k, ok := spanKinds[ev.Kind]
+		if !ok {
+			return
+		}
+		end := ev.TS + ev.Dur
+		if end > c.horizon {
+			c.horizon = end
+		}
+		c.intervals[ev.Actor] = append(c.intervals[ev.Actor], interval{start: ev.TS, end: end, kind: k})
 		return
+	}
+	if ev.TS > c.horizon {
+		c.horizon = ev.TS
+	}
+	base, isStart := strings.CutSuffix(ev.Kind, ".start")
+	if !isStart {
+		var isEnd bool
+		if base, isEnd = strings.CutSuffix(ev.Kind, ".end"); !isEnd {
+			return
+		}
 	}
 	if isStart {
-		if c.open[actor] == nil {
-			c.open[actor] = map[string]float64{}
+		if c.open[ev.Actor] == nil {
+			c.open[ev.Actor] = map[string]float64{}
 		}
-		c.open[actor][base] = at
+		c.open[ev.Actor][base] = ev.TS
 		return
 	}
-	start, ok := c.open[actor][base]
+	start, ok := c.open[ev.Actor][base]
 	if !ok {
 		return
 	}
-	delete(c.open[actor], base)
-	k := byte('?')
-	switch base {
-	case "comm":
-		k = 'C'
-	case "algo":
-		k = 'A'
-	case "eval":
-		k = 'E'
+	delete(c.open[ev.Actor], base)
+	k, ok := spanKinds[base]
+	if !ok {
+		k = '?'
 	}
-	c.intervals[actor] = append(c.intervals[actor], interval{start: start, end: at, kind: k})
+	c.intervals[ev.Actor] = append(c.intervals[ev.Actor], interval{start: start, end: ev.TS, kind: k})
 }
 
 // render draws the Gantt chart over [0, horizon] with the given width.
@@ -135,8 +121,10 @@ func (c *collector) render(width int) {
 	}
 }
 
-func run(name string, sync bool, p int, evals uint64, tf, tfcv float64, width int) {
-	col := newCollector()
+// simulate runs one traced virtual-time master-slave run and draws its
+// chart.
+func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, width int) error {
+	rec := borgmoea.NewTraceRecorder(0)
 	cfg := borgmoea.ParallelConfig{
 		Problem: borgmoea.NewDTLZ2(5),
 		Algorithm: borgmoea.Config{
@@ -146,11 +134,11 @@ func run(name string, sync bool, p int, evals uint64, tf, tfcv float64, width in
 		Evaluations: evals,
 		// Exaggerated TA/TC so the master's work is visible at
 		// figure scale, like the paper's schematic.
-		TF:        borgmoea.GammaFromMeanCV(tf, tfcv),
-		TA:        borgmoea.ConstantDist(tf / 4),
-		TC:        borgmoea.ConstantDist(tf / 8),
-		Seed:      3,
-		TraceHook: col.hook,
+		TF:     borgmoea.GammaFromMeanCV(tf, tfcv),
+		TA:     borgmoea.ConstantDist(tf / 4),
+		TC:     borgmoea.ConstantDist(tf / 8),
+		Seed:   3,
+		Events: rec,
 	}
 	var err error
 	if sync {
@@ -159,13 +147,17 @@ func run(name string, sync bool, p int, evals uint64, tf, tfcv float64, width in
 		_, err = borgmoea.RunAsync(cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
+	}
+	col := newCollector()
+	for _, ev := range rec.Events() {
+		col.event(ev)
 	}
 	fmt.Printf("%s (P=%d: 1 master + %d workers; C=comm A=algorithm E=evaluation ·=idle)\n",
 		name, p, p-1)
 	col.render(width)
 	fmt.Println()
+	return nil
 }
 
 // loadEventLog reads a recorded run, auto-detecting the format by the
@@ -228,8 +220,7 @@ func collectProtocol(log *borgmoea.ProtocolLog) *collector {
 }
 
 // collectJSONL folds a JSONL trace journal (one obs.Event per line)
-// into intervals: events with a duration become complete spans, and
-// "<kind>.start"/"<kind>.end" pairs go through the live-trace hook.
+// into intervals.
 func collectJSONL(r io.Reader) (*collector, error) {
 	col := newCollector()
 	sc := bufio.NewScanner(r)
@@ -245,27 +236,7 @@ func collectJSONL(r io.Reader) (*collector, error) {
 		if err := json.Unmarshal([]byte(text), &ev); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
-		if ev.Dur > 0 {
-			k := byte('?')
-			switch ev.Kind {
-			case "comm":
-				k = 'C'
-			case "algo":
-				k = 'A'
-			case "eval":
-				k = 'E'
-			default:
-				continue
-			}
-			end := ev.TS + ev.Dur
-			if end > col.horizon {
-				col.horizon = end
-			}
-			col.intervals[ev.Actor] = append(col.intervals[ev.Actor],
-				interval{start: ev.TS, end: end, kind: k})
-			continue
-		}
-		col.hook(ev.TS, ev.Kind, ev.Actor, ev.Detail)
+		col.event(ev)
 	}
 	return col, sc.Err()
 }
@@ -279,7 +250,7 @@ func renderQuality(path string, width int) error {
 		return err
 	}
 	defer f.Close()
-	log, err := borgmoea.ReadQualitySidecar(bufio.NewReader(f))
+	log, err := borgmoea.ReadQualitySidecar(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -290,11 +261,7 @@ func renderQuality(path string, width int) error {
 		path, len(log.Samples), log.Ref, log.MaxExact, log.MCSamples)
 	fmt.Println()
 
-	pts := make([][]float64, len(log.Samples))
-	for i, s := range log.Samples {
-		pts[i] = []float64{float64(s.Evaluations), s.Hypervolume}
-	}
-	fmt.Printf("hypervolume vs evaluations\n%s\n", ascii.Scatter(pts, width-16, 10))
+	fmt.Printf("hypervolume vs evaluations\n%s\n", ascii.Scatter(hvPoints(log.Samples), width-16, 10))
 
 	fmt.Printf("%5s %10s %9s %12s %12s %8s %5s %8s %5s %9s\n",
 		"seq", "at", "evals", "hv", "Δhv", "εprog", "arch", "pop", "rst", "spread")
@@ -307,48 +274,78 @@ func renderQuality(path string, width int) error {
 	}
 
 	last := log.Samples[len(log.Samples)-1]
-	if len(log.Operators) > 0 && len(last.OperatorProbs) == len(log.Operators) {
-		fmt.Printf("\nfinal operator mix (tournament size %d)\n", last.TournamentSize)
-		for i, name := range log.Operators {
-			p := last.OperatorProbs[i]
-			fmt.Printf("  %-8s %6.1f%% |%s|\n", name, 100*p, ascii.Bar(p, 40))
-		}
+	if rows := operatorRows(log.Operators, last.OperatorProbs, 40); rows != "" {
+		fmt.Printf("\nfinal operator mix (tournament size %d)\n%s", last.TournamentSize, rows)
 	}
 	return nil
 }
 
-func main() {
+// runTimeline is `borgview timeline`: it renders the paper's Figure 1
+// and Figure 2: ASCII Gantt charts of the synchronous versus
+// asynchronous master-slave MOEA with P = 4 (one master, three
+// workers), showing where each node spends its time — communication
+// (C), algorithm processing (A), function evaluation (E) and idle (·).
+//
+// Usage:
+//
+//	borgview timeline [-p 4] [-evals 12] [-width 110] [-tf 0.01] [-tfcv 0.3]
+//
+// With -events the tool renders a recorded run instead of simulating
+// one. Both recorded forms are accepted and auto-detected: the binary
+// protocol event log written by `borg -event-log` (BMEL format,
+// internal/master) and the JSONL trace journal (obs.Event per line,
+// TraceRecorder.WriteJSONL):
+//
+//	borgview timeline -events run.bmel [-width 110]
+//
+// With -quality the tool renders a quality-timeline sidecar (BQLG
+// format, written by `borg -quality-log` or rebuilt by replay)
+// instead: a hypervolume curve over evaluations, per-sample quality
+// rows and the final adaptive operator mix:
+//
+//	borgview timeline -quality run.qlog [-width 110]
+func runTimeline(fs *flag.FlagSet, args []string) int {
 	var (
-		p       = flag.Int("p", 4, "processor count")
-		evals   = flag.Uint64("evals", 12, "evaluations to draw")
-		width   = flag.Int("width", 110, "chart width in characters")
-		tf      = flag.Float64("tf", 0.01, "mean evaluation time")
-		tfcv    = flag.Float64("tfcv", 0.3, "evaluation time variability (higher shows the sync barrier cost)")
-		events  = flag.String("events", "", "render a recorded run from this file (binary event log or JSONL trace) instead of simulating")
-		quality = flag.String("quality", "", "render a quality-timeline sidecar (BQLG, from borg -quality-log) instead of simulating")
+		p       = fs.Int("p", 4, "processor count")
+		evals   = fs.Uint64("evals", 12, "evaluations to draw")
+		width   = fs.Int("width", 110, "chart width in characters")
+		tf      = fs.Float64("tf", 0.01, "mean evaluation time")
+		tfcv    = fs.Float64("tfcv", 0.3, "evaluation time variability (higher shows the sync barrier cost)")
+		events  = fs.String("events", "", "render a recorded run from this file (binary event log or JSONL trace) instead of simulating")
+		quality = fs.String("quality", "", "render a quality-timeline sidecar (BQLG, from borg -quality-log) instead of simulating")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if *width < 1 {
+		fmt.Fprintf(os.Stderr, "borgview timeline: -width must be at least 1, got %d\n", *width)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	if *quality != "" {
 		if err := renderQuality(*quality, *width); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *events != "" {
 		col, err := loadEventLog(*events)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if len(col.intervals) == 0 {
-			fmt.Fprintf(os.Stderr, "%s: no renderable events\n", *events)
-			os.Exit(1)
+			return fail(fmt.Errorf("%s: no renderable events", *events))
 		}
 		fmt.Printf("%s (%.3fs; C=comm A=algorithm E=evaluation ·=idle)\n", *events, col.horizon)
 		col.render(*width)
-		return
+		return 0
 	}
-	run("Figure 1: synchronous master-slave MOEA", true, *p, *evals, *tf, *tfcv, *width)
-	run("Figure 2: asynchronous master-slave MOEA", false, *p, *evals, *tf, *tfcv, *width)
+	if err := simulate("Figure 1: synchronous master-slave MOEA", true, *p, *evals, *tf, *tfcv, *width); err != nil {
+		return fail(err)
+	}
+	if err := simulate("Figure 2: asynchronous master-slave MOEA", false, *p, *evals, *tf, *tfcv, *width); err != nil {
+		return fail(err)
+	}
+	return 0
 }

@@ -1,25 +1,3 @@
-// Command borgtop is a terminal dashboard for the live scalability
-// advisor: it tails a running master's /debug/scaling endpoint (or an
-// -advise-out JSONL journal) and renders the paper's model quantities
-// as they evolve — fitted T_F/T_A/T_C, predicted vs observed speedup
-// and efficiency, the processor bounds, master saturation, model
-// drift, and a per-worker straggler view. When the master runs with
-// -quality-* it adds a search-health pane: the hypervolume trajectory,
-// ε-progress rate with stall/regression alerts, and the live adaptive
-// operator mix (from /debug/quality).
-//
-// Usage:
-//
-//	borgtop -addr localhost:6060             # follow a live master (-debug-addr)
-//	borgtop -addr localhost:6060 -job j000001  # one job on a borgsvc server
-//	borgtop -fed -addr localhost:6060        # follow a borgfed federation roll-up
-//	borgtop -file scaling.jsonl              # follow an -advise-out journal
-//	borgtop -addr localhost:6060 -once       # one report, no screen control
-//
-// -fed renders the federated view of a borgfed -debug-addr endpoint:
-// the pooled timing fit, the single-master P_UB the federation is
-// sailing past, aggregate speedup/effective processors, and one row
-// per island.
 package main
 
 import (
@@ -27,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	neturl "net/url"
 	"os"
 	"strings"
@@ -37,108 +14,105 @@ import (
 	"borgmoea/internal/ascii"
 )
 
-func main() { os.Exit(run()) }
-
-func run() int {
+// runTop is `borgview top`, a terminal dashboard for the live
+// scalability advisor: it tails a running master's /debug/scaling
+// endpoint (or an -advise-out JSONL journal) and renders the paper's
+// model quantities as they evolve — fitted T_F/T_A/T_C, predicted vs
+// observed speedup and efficiency, the processor bounds, master
+// saturation, model drift, and a per-worker straggler view. When the
+// master runs with -quality-* it adds a search-health pane: the
+// hypervolume trajectory, ε-progress rate with stall/regression alerts,
+// and the live adaptive operator mix (from /debug/quality).
+//
+// Usage:
+//
+//	borgview top -addr localhost:6060             # follow a live master (-debug-addr)
+//	borgview top -addr localhost:6060 -job j000001  # one job on a borgsvc server
+//	borgview top -fed -addr localhost:6060        # follow a borgfed federation roll-up
+//	borgview top -file scaling.jsonl              # follow an -advise-out journal
+//	borgview top -addr localhost:6060 -once       # one report, no screen control
+//
+// -fed renders the federated view of a borgfed -debug-addr endpoint:
+// the pooled timing fit, the single-master P_UB the federation is
+// sailing past, aggregate speedup/effective processors, and one row
+// per island.
+func runTop(fs *flag.FlagSet, args []string) int {
 	var (
-		addr  = flag.String("addr", "", "master debug address to poll (host:port of borg -debug-addr)")
-		job   = flag.String("job", "", "job id on a borgsvc job server: poll that job's per-run analysis")
-		file  = flag.String("file", "", "advisor JSONL journal to follow (borg -advise-out path)")
-		every = flag.Duration("every", time.Second, "refresh interval")
-		once  = flag.Bool("once", false, "render one report and exit (no screen control)")
-		fed   = flag.Bool("fed", false, "the endpoint is a borgfed federation: render the multi-island roll-up")
+		addr  = fs.String("addr", "", "master debug address to poll (host:port of borg -debug-addr)")
+		job   = fs.String("job", "", "job id on a borgsvc job server: poll that job's per-run analysis")
+		file  = fs.String("file", "", "advisor JSONL journal to follow (borg -advise-out path)")
+		every = fs.Duration("every", time.Second, "refresh interval")
+		once  = fs.Bool("once", false, "render one report and exit (no screen control)")
+		fed   = fs.Bool("fed", false, "the endpoint is a borgfed federation: render the multi-island roll-up")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if (*addr == "") == (*file == "") {
-		fmt.Fprintln(os.Stderr, "borgtop: need exactly one of -addr or -file")
+		fmt.Fprintln(os.Stderr, "borgview top: need exactly one of -addr or -file")
 		return 2
 	}
 	if *job != "" && *addr == "" {
-		fmt.Fprintln(os.Stderr, "borgtop: -job needs -addr (a borgsvc server)")
+		fmt.Fprintln(os.Stderr, "borgview top: -job needs -addr (a borgsvc server)")
 		return 2
 	}
 	if *fed && *addr == "" {
-		fmt.Fprintln(os.Stderr, "borgtop: -fed needs -addr (a borgfed -debug-addr endpoint)")
+		fmt.Fprintln(os.Stderr, "borgview top: -fed needs -addr (a borgfed -debug-addr endpoint)")
 		return 2
 	}
 	if *every < 100*time.Millisecond {
 		*every = 100 * time.Millisecond
 	}
 
-	if *fed {
-		return runFed(*addr, *every, *once)
-	}
-	for {
+	// screen fetches the newest report and renders it.
+	screen := func() (string, error) {
 		rep, err := load(*addr, *job, *file)
 		if err != nil {
-			if *once {
-				fmt.Fprintf(os.Stderr, "borgtop: %v\n", err)
-				return 1
+			return "", err
+		}
+		out := render(rep)
+		// The quality pane needs the sampler's /debug/quality feed,
+		// only available when following a live master directly. A
+		// run without -quality-* (404 / no samples) just skips it.
+		if *addr != "" && *job == "" {
+			if qr, err := fetchQuality(*addr); err == nil {
+				out += renderQualityPane(qr)
 			}
+		}
+		return out, nil
+	}
+	if *fed {
+		screen = func() (string, error) {
+			fr, err := fetchFed(*addr)
+			if err != nil {
+				return "", err
+			}
+			return renderFed(fr), nil
+		}
+	}
+	for {
+		out, err := screen()
+		switch {
+		case err != nil && *once:
+			fmt.Fprintf(os.Stderr, "borgview top: %v\n", err)
+			return 1
+		case err != nil:
 			// A master that has not started (or already exited) is not
 			// fatal when following: keep polling.
-			fmt.Printf("\x1b[H\x1b[2Jborgtop: waiting for data: %v\n", err)
-		} else {
-			out := render(rep)
-			// The quality pane needs the sampler's /debug/quality feed,
-			// only available when following a live master directly. A
-			// run without -quality-* (404 / no samples) just skips it.
-			if *addr != "" && *job == "" {
-				if qr, err := fetchQuality(*addr); err == nil {
-					out += renderQuality(qr)
-				}
-			}
-			if *once {
-				fmt.Print(out)
-				return 0
-			}
+			fmt.Printf("\x1b[H\x1b[2Jborgview top: waiting for data: %v\n", err)
+		case *once:
+			fmt.Print(out)
+			return 0
+		default:
 			fmt.Print("\x1b[H\x1b[2J" + out)
 		}
 		time.Sleep(*every)
 	}
 }
 
-// runFed is the -fed loop: poll a borgfed roll-up and render the
-// federated dashboard.
-func runFed(addr string, every time.Duration, once bool) int {
-	for {
-		fr, err := fetchFed(addr)
-		if err != nil {
-			if once {
-				fmt.Fprintf(os.Stderr, "borgtop: %v\n", err)
-				return 1
-			}
-			fmt.Printf("\x1b[H\x1b[2Jborgtop: waiting for data: %v\n", err)
-		} else {
-			out := renderFed(fr)
-			if once {
-				fmt.Print(out)
-				return 0
-			}
-			fmt.Print("\x1b[H\x1b[2J" + out)
-		}
-		time.Sleep(every)
-	}
-}
-
 func fetchFed(addr string) (*borgmoea.FederationScalingReport, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/scaling"
-	c := &http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
+	var fr borgmoea.FederationScalingReport
+	url, err := getJSON(addr, "/debug/scaling", &fr)
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	var fr borgmoea.FederationScalingReport
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
 	}
 	if fr.Islands == 0 {
 		return nil, fmt.Errorf("%s: no islands attached yet (is this a borgfed endpoint?)", url)
@@ -194,28 +168,15 @@ func load(addr, job, file string) (*borgmoea.AdvisorReport, error) {
 }
 
 func fetchHTTP(addr, job string) (*borgmoea.AdvisorReport, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/scaling"
+	path := "/debug/scaling"
 	if job != "" {
 		// A borgsvc job server serves one job's report — in the
 		// single-run schema — under ?job=<id>.
-		url += "?job=" + neturl.QueryEscape(job)
-	}
-	c := &http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
+		path += "?job=" + neturl.QueryEscape(job)
 	}
 	var rep borgmoea.AdvisorReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
+	if _, err := getJSON(addr, path, &rep); err != nil {
+		return nil, err
 	}
 	return &rep, nil
 }
@@ -339,23 +300,10 @@ func render(r *borgmoea.AdvisorReport) string {
 // master. Masters running without -quality-* return 404 or an empty
 // report; callers treat any error as "no pane".
 func fetchQuality(addr string) (*borgmoea.QualityReport, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/quality"
-	c := &http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
+	var qr borgmoea.QualityReport
+	url, err := getJSON(addr, "/debug/quality", &qr)
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	var qr borgmoea.QualityReport
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
 	}
 	if qr.Latest == nil {
 		return nil, fmt.Errorf("%s: no quality samples yet", url)
@@ -363,28 +311,20 @@ func fetchQuality(addr string) (*borgmoea.QualityReport, error) {
 	return &qr, nil
 }
 
-// renderQuality draws the search-quality pane: the hypervolume
+// renderQualityPane draws the search-quality pane: the hypervolume
 // trajectory over the sampler's history window and the live adaptive
 // operator mix. The stall/regression verdict itself lives on the
-// quality line render() emits from the advisor report.
-func renderQuality(qr *borgmoea.QualityReport) string {
+// quality line render emits from the advisor report.
+func renderQualityPane(qr *borgmoea.QualityReport) string {
 	var sb strings.Builder
 	if len(qr.History) >= 2 {
-		pts := make([][]float64, len(qr.History))
-		for i, s := range qr.History {
-			pts[i] = []float64{float64(s.Evaluations), s.Hypervolume}
-		}
 		fmt.Fprintf(&sb, "\nhypervolume vs evaluations (last %d samples)\n%s",
-			len(qr.History), ascii.Scatter(pts, 56, 8))
+			len(qr.History), ascii.Scatter(hvPoints(qr.History), 56, 8))
 	}
 	last := qr.Latest
-	if len(qr.Operators) > 0 && len(last.OperatorProbs) == len(qr.Operators) {
-		fmt.Fprintf(&sb, "\noperators (tournament size %d, archive %d / pop %d, spread %.3f)\n",
-			last.TournamentSize, last.ArchiveSize, last.PopulationSize, last.FrontSpread)
-		for i, name := range qr.Operators {
-			p := last.OperatorProbs[i]
-			fmt.Fprintf(&sb, "  %-8s %6.1f%% |%s|\n", name, 100*p, ascii.Bar(p, 30))
-		}
+	if rows := operatorRows(qr.Operators, last.OperatorProbs, 30); rows != "" {
+		fmt.Fprintf(&sb, "\noperators (tournament size %d, archive %d / pop %d, spread %.3f)\n%s",
+			last.TournamentSize, last.ArchiveSize, last.PopulationSize, last.FrontSpread, rows)
 	}
 	return sb.String()
 }

@@ -1,10 +1,22 @@
-// Command borgtrace turns a recorded run's distributed evaluation
-// traces into the paper's critical-path attribution: where every
-// traced evaluation spent its wall-clock, split into the model terms
-// T_F (evaluation), T_C (send/receive transport) and T_A (algorithm
-// critical section) plus master queue wait — the measured counterpart
-// of the scalability advisor's fitted estimates, and the empirical
-// inputs of the Eq. 4 ceiling P_UB = T_F/(2·T_C+T_A).
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+
+	"borgmoea"
+	"borgmoea/internal/cli"
+)
+
+// runTrace is `borgview trace`: it turns a recorded run's distributed
+// evaluation traces into the paper's critical-path attribution: where
+// every traced evaluation spent its wall-clock, split into the model
+// terms T_F (evaluation), T_C (send/receive transport) and T_A
+// (algorithm critical section) plus master queue wait — the measured
+// counterpart of the scalability advisor's fitted estimates, and the
+// empirical inputs of the Eq. 4 ceiling P_UB = T_F/(2·T_C+T_A).
 //
 // It reconstructs the trace forest entirely offline from a BMEL event
 // log plus the collector's trace sidecar; the result is byte-identical
@@ -13,35 +25,21 @@
 //
 // Usage:
 //
-//	borgtrace -dir run/                       # federation: island-<i>.bmel + island-<i>.trace
-//	borgtrace -dir run/ -islands 4            # pin the island count instead of auto-detecting
-//	borgtrace -log run.bmel -trace run.trace  # single master
-//	borgtrace -dir run/ -chrome trace.json    # merged Chrome trace_event (chrome://tracing, Perfetto)
-//	borgtrace -dir run/ -jsonl spans.jsonl    # canonical span-tree JSONL
-package main
-
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-
-	"borgmoea"
-)
-
-func main() { os.Exit(run()) }
-
-func run() int {
+//	borgview trace -dir run/                       # federation: island-<i>.bmel + island-<i>.trace
+//	borgview trace -dir run/ -islands 4            # pin the island count instead of auto-detecting
+//	borgview trace -log run.bmel -trace run.trace  # single master
+//	borgview trace -dir run/ -chrome trace.json    # merged Chrome trace_event (chrome://tracing, Perfetto)
+//	borgview trace -dir run/ -jsonl spans.jsonl    # canonical span-tree JSONL
+func runTrace(fs *flag.FlagSet, args []string) int {
 	var (
-		dir       = flag.String("dir", "", "federation log directory holding island-<i>.bmel and island-<i>.trace (as written by borgfed -log-dir -trace-rate)")
-		islands   = flag.Int("islands", 0, "island count in -dir (0 = auto-detect from the files present)")
-		logPath   = flag.String("log", "", "single BMEL event log (paired with -trace)")
-		tracePath = flag.String("trace", "", "single trace sidecar (paired with -log)")
-		chromeOut = flag.String("chrome", "", "write the merged Chrome trace_event file to this path")
-		jsonlOut  = flag.String("jsonl", "", "write the canonical span-tree JSONL to this path")
+		dir       = fs.String("dir", "", "federation log directory holding island-<i>.bmel and island-<i>.trace (as written by borgfed -log-dir -trace-rate)")
+		islands   = fs.Int("islands", 0, "island count in -dir (0 = auto-detect from the files present)")
+		logPath   = fs.String("log", "", "single BMEL event log (paired with -trace)")
+		tracePath = fs.String("trace", "", "single trace sidecar (paired with -log)")
+		chromeOut = fs.String("chrome", "", "write the merged Chrome trace_event file to this path")
+		jsonlOut  = fs.String("jsonl", "", "write the canonical span-tree JSONL to this path")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	logger := borgmoea.NewLogger(os.Stderr, false)
 	fail := func(msg string, args ...any) int {
 		logger.Error(msg, args...)
@@ -56,7 +54,7 @@ func run() int {
 	case *dir != "" && *logPath == "":
 		k := *islands
 		if k == 0 {
-			for fileExists(islandPath(*dir, k, "trace")) {
+			for fileExists(cli.IslandPath(*dir, k, "trace")) {
 				k++
 			}
 			if k == 0 {
@@ -65,7 +63,7 @@ func run() int {
 			}
 		}
 		for i := 0; i < k; i++ {
-			forest, err := loadForest(islandPath(*dir, i, "bmel"), islandPath(*dir, i, "trace"))
+			forest, err := loadForest(cli.IslandPath(*dir, i, "bmel"), cli.IslandPath(*dir, i, "trace"))
 			if err != nil {
 				return fail("reconstructing island traces", "island", i, "err", err)
 			}
@@ -100,7 +98,7 @@ func run() int {
 	}
 
 	if *jsonlOut != "" {
-		if err := writeFileWith(*jsonlOut, func(w io.Writer) error {
+		if err := cli.WriteFile(*jsonlOut, func(w io.Writer) error {
 			for _, forest := range forests {
 				if err := forest.WriteJSONL(w); err != nil {
 					return err
@@ -113,7 +111,7 @@ func run() int {
 		logger.Info("span trees written", "path", *jsonlOut)
 	}
 	if *chromeOut != "" {
-		if err := writeFileWith(*chromeOut, func(w io.Writer) error {
+		if err := cli.WriteFile(*chromeOut, func(w io.Writer) error {
 			return borgmoea.WriteChromeTraceForests(w, labels, forests)
 		}); err != nil {
 			return fail("writing Chrome trace", "err", err)
@@ -127,11 +125,11 @@ func run() int {
 // loadForest reconstructs one master's trace forest from its BMEL
 // event log and trace sidecar.
 func loadForest(logPath, tracePath string) (borgmoea.TraceForest, error) {
-	log, err := readFileWith(logPath, borgmoea.ReadProtocolLog)
+	log, err := cli.ReadFile(logPath, borgmoea.ReadProtocolLog)
 	if err != nil {
 		return nil, err
 	}
-	sidecar, err := readFileWith(tracePath, borgmoea.ReadTraceSidecar)
+	sidecar, err := cli.ReadFile(tracePath, borgmoea.ReadTraceSidecar)
 	if err != nil {
 		return nil, err
 	}
@@ -197,35 +195,7 @@ func printAttribution(name string, a borgmoea.TraceAttribution) {
 	}
 }
 
-func islandPath(dir string, island int, ext string) string {
-	return filepath.Join(dir, fmt.Sprintf("island-%d.%s", island, ext))
-}
-
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-// writeFileWith creates path and streams content into it via write.
-func writeFileWith(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readFileWith opens path and decodes it via read.
-func readFileWith[T any](path string, read func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	return read(f)
 }

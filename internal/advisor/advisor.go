@@ -16,7 +16,7 @@
 // Three consumers share one Advisor: the /debug/scaling HTTP endpoint
 // (Handler), periodic JSONL snapshots (Config.OnSnapshot, driven by
 // the driver's own clock so DES runs snapshot in virtual time), and
-// cmd/borgtop, which renders either of the first two.
+// borgview top, which renders either of the first two.
 package advisor
 
 import (

@@ -2,7 +2,7 @@ package ascii
 
 // Bar renders frac (clamped to [0, 1]) as a fixed-width horizontal
 // gauge using block-drawing characters, with eighth-block resolution
-// in the final cell — the building block of cmd/borgtop's live view.
+// in the final cell — the building block of borgview top's live view.
 // Width values below 1 are raised to 1.
 func Bar(frac float64, width int) string {
 	if width < 1 {

@@ -209,7 +209,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 					if ic.trace != nil {
 						// The measured send time is the direct T_C sample: it
 						// feeds both the trace (per-evaluation attribution)
-						// and the advisor fit, so borgtrace's per-term means
+						// and the advisor fit, so borgview trace's per-term means
 						// and /debug/scaling agree by construction.
 						ic.trace.ObserveTCSend(a.Item.ID, tc)
 						ic.adv.ObserveTC(tc)

@@ -100,13 +100,12 @@ func (c *ckpt) openLog(l *master.Log) error {
 	return nil
 }
 
-// resumeLog reopens an existing stream after replay consumed n events:
-// any crash-torn partial record is truncated away, and appended events
-// continue the same replayable stream.
-func (c *ckpt) resumeLog(l *master.Log, n int) error {
-	valid := int64(master.HeaderSize) + int64(n)*int64(master.EventSize)
+// resumeLog reopens the stream l was read from: any crash-torn partial
+// record is truncated away, and appended events continue the same
+// replayable stream.
+func (c *ckpt) resumeLog(l *master.Log) error {
 	path := c.path("bmel")
-	if err := os.Truncate(path, valid); err != nil {
+	if err := os.Truncate(path, master.StreamLen(len(l.Events))); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -274,7 +273,7 @@ func (s *Scheduler) resumeJob(id string) error {
 	}
 
 	// No event stream (or an empty one): the job never ran; re-queue.
-	if fi, err := os.Stat(ck.path("bmel")); err != nil || fi.Size() < int64(master.HeaderSize+master.EventSize) {
+	if fi, err := os.Stat(ck.path("bmel")); err != nil || fi.Size() < master.StreamLen(1) {
 		s.queue = append(s.queue, j)
 		return nil
 	}
@@ -341,7 +340,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		s.host.Reserve(uint64(ev.Worker))
 	}
 
-	if err := ck.resumeLog(log, len(log.Events)); err != nil {
+	if err := ck.resumeLog(log); err != nil {
 		return err
 	}
 	mc.AttachLog(log)

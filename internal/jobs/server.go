@@ -24,7 +24,7 @@ import (
 //	DELETE /jobs/{id}         cancel (idempotent)
 //	GET    /debug/scaling     per-job advisor reports; ?job=id serves
 //	                          one job's report in the exact shape the
-//	                          single-run master serves (borgtop -job)
+//	                          single-run master serves (borgview top -job)
 //
 // It also installs the scheduler's readiness check, so /readyz fails
 // the moment the scheduler starts draining while /healthz stays green.
@@ -165,7 +165,7 @@ func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleScaling serves the advisor analysis. With ?job=id the response
 // is that job's advisor.Report verbatim — the same schema the
-// single-run master serves on /debug/scaling, so borgtop points at a
+// single-run master serves on /debug/scaling, so borgview top points at a
 // job unchanged. Without it, a map of every job's report.
 func (s *Scheduler) handleScaling(w http.ResponseWriter, r *http.Request) {
 	advs, err := s.Advisors()

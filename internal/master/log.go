@@ -1,15 +1,14 @@
 package master
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/obs"
+	"borgmoea/internal/reclog"
 )
 
 // LogMeta is the configuration slice a recorded run carries with it:
@@ -97,13 +96,20 @@ func (l *Log) CanonicalBytes() []byte {
 	return out
 }
 
-// Binary log format: magic, version, meta, then fixed-width events.
-// Everything big-endian; floats as IEEE 754 bits.
+// Binary log format ("BMEL"), a reclog container: after magic and
+// version the header is policy u8, budget u64, lease timeout f64,
+// elapsed f64, event count u64; then fixed-width events: kind u8,
+// worker u32, item u64, at f64. Everything big-endian; floats as IEEE
+// 754 bits.
+var logFormat = reclog.Format{Name: "master: event log", Magic: "BMEL", Version: 1}
+
 const (
-	logMagic   = "BMEL"
-	logVersion = 1
-	// logEventSize is the fixed record width: kind, worker, item, at.
-	logEventSize = 1 + 4 + 8 + 8
+	// HeaderSize is the byte length of a BMEL log header and EventSize
+	// that of one fixed-width event record.
+	HeaderSize = 4 + 1 + logHeaderSize
+	EventSize  = 1 + 4 + 8 + 8
+
+	logHeaderSize = 1 + 4*8
 	// logDeferFlag is the retired deferred-apply bit of the header's
 	// policy byte. Such a recording interleaved the algorithm's RNG
 	// draws differently, so replaying it through the one remaining
@@ -111,14 +117,10 @@ const (
 	logDeferFlag = 0x80
 )
 
-// streamCount is the header event-count sentinel of a streamed log: a
-// LogWriter cannot know the count up front, so readers of such a log
-// consume events until EOF instead.
-const streamCount = ^uint64(0)
-
+// appendLogHeader encodes the header; count is the event count, or
+// reclog.Stream for a streamed log whose writer cannot know it.
 func appendLogHeader(dst []byte, meta LogMeta, elapsed float64, count uint64) []byte {
-	dst = append(dst, logMagic...)
-	dst = append(dst, logVersion, byte(meta.Policy))
+	dst = append(dst, byte(meta.Policy))
 	dst = binary.BigEndian.AppendUint64(dst, meta.Budget)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(meta.LeaseTimeout))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(elapsed))
@@ -134,81 +136,42 @@ func appendLogEvent(dst []byte, ev Event) []byte {
 
 // WriteTo serializes the log. It implements io.WriterTo.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	put := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		return err
-	}
-	if err := put(appendLogHeader(nil, l.Meta, l.Elapsed, uint64(len(l.Events)))); err != nil {
-		return n, err
-	}
-	var buf []byte
-	for _, ev := range l.Events {
-		buf = appendLogEvent(buf[:0], ev)
-		if err := put(buf); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	hdr := appendLogHeader(nil, l.Meta, l.Elapsed, uint64(len(l.Events)))
+	return reclog.WriteAll(logFormat, w, hdr, l.Events, appendLogEvent)
 }
 
+// StreamLen is the byte length of a streamed log holding n events: the
+// header plus n fixed-width records. A resuming writer truncates a
+// crash-interrupted file to the StreamLen of the events ReadLog
+// returned, dropping the torn partial record ReadLog skipped.
+func StreamLen(n int) int64 { return HeaderSize + int64(n)*EventSize }
+
 // LogWriter streams a BMEL log as events are recorded, instead of
-// serializing a finished Log in one WriteTo pass. It writes the header
-// immediately with the streaming count sentinel, then one fixed-width
-// record per Record call — append-only, so a process crash costs at
-// most the trailing partial record, which ReadLog tolerates. Wire it
-// to a recording Log through the OnRecord hook; the job server's
-// per-job checkpoints are written this way.
-type LogWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
+// serializing a finished Log in one WriteTo pass: the header
+// immediately, with the streaming count sentinel, then one fixed-width
+// record per Record call, one Write each — append-only, so a process
+// crash costs at most the trailing partial record, which ReadLog
+// tolerates. After a write error Record and Err keep returning it; the
+// caller decides whether the run goes on without durability. Wire it to
+// a recording Log through the OnRecord hook; the job server's per-job
+// checkpoints are written this way.
+type LogWriter = reclog.Writer[Event]
 
 // NewLogWriter writes the streaming header for meta and returns the
 // writer. A streamed log's Elapsed is unknown up front and reads back
 // as 0.
 func NewLogWriter(w io.Writer, meta LogMeta) (*LogWriter, error) {
-	if _, err := w.Write(appendLogHeader(nil, meta, 0, streamCount)); err != nil {
-		return nil, fmt.Errorf("master: stream log header: %w", err)
-	}
-	return &LogWriter{w: w}, nil
+	return reclog.NewWriter(logFormat, w, appendLogHeader(nil, meta, 0, reclog.Stream), appendLogEvent)
 }
-
-// Record appends one event. After a write error every later call
-// returns the same error; the caller decides whether the run goes on
-// without durability.
-func (lw *LogWriter) Record(ev Event) error {
-	if lw.err != nil {
-		return lw.err
-	}
-	lw.buf = appendLogEvent(lw.buf[:0], ev)
-	if _, err := lw.w.Write(lw.buf); err != nil {
-		lw.err = fmt.Errorf("master: stream log event: %w", err)
-	}
-	return lw.err
-}
-
-// Err returns the first write error, if any.
-func (lw *LogWriter) Err() error { return lw.err }
 
 // ResumeLogWriter returns a LogWriter that appends to an existing
 // streamed log without writing a fresh header. The caller must have
-// positioned w at the end of the last complete record (truncating any
-// crash-torn partial record first), so the resumed stream stays
-// readable by ReadLog.
-func ResumeLogWriter(w io.Writer) *LogWriter { return &LogWriter{w: w} }
-
-// HeaderSize is the byte length of a BMEL log header, and EventSize
-// that of one fixed-width event record — what a resuming reader needs
-// to compute the last consistent length of a crash-interrupted
-// streamed log: HeaderSize + n*EventSize.
-const (
-	HeaderSize = len(logMagic) + 2 + 4*8
-	EventSize  = logEventSize
-)
+// positioned w at the end of the last complete record (truncating the
+// file to StreamLen of the events read first), so the resumed stream
+// stays readable by ReadLog.
+func ResumeLogWriter(w io.Writer) *LogWriter {
+	return reclog.ResumeWriter(logFormat, w, appendLogEvent)
+}
 
 // ReadLog deserializes a log written by WriteTo or a LogWriter.
 // Malformed input — wrong magic or version, an unknown policy or event
@@ -216,61 +179,41 @@ const (
 // event count — returns a clean error, never a panic. Only a short
 // trailing record of a streamed log is tolerated (a torn tail).
 func ReadLog(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("master: short log header: %w", err)
-	}
-	if string(hdr[:4]) != logMagic {
-		return nil, fmt.Errorf("master: not an event log (magic %q)", hdr[:4])
-	}
-	if hdr[4] != logVersion {
-		return nil, fmt.Errorf("master: log version %d, want %d", hdr[4], logVersion)
-	}
-	if hdr[5]&logDeferFlag != 0 {
+	rd := logFormat.NewReader(r)
+	hdr := rd.Header(logHeaderSize) // zeroes after a read error, which Records reports
+	if hdr[0]&logDeferFlag != 0 {
 		return nil, fmt.Errorf("master: log was recorded with deferred apply, which no longer exists; it cannot be replayed")
 	}
-	if Policy(hdr[5]) > ScheduledOffspring {
-		return nil, fmt.Errorf("master: log has unknown offspring policy %d", hdr[5])
+	if Policy(hdr[0]) > ScheduledOffspring {
+		return nil, fmt.Errorf("master: log has unknown offspring policy %d", hdr[0])
 	}
 	l := &Log{Meta: LogMeta{
-		Policy:       Policy(hdr[5]),
-		Budget:       binary.BigEndian.Uint64(hdr[6:]),
-		LeaseTimeout: math.Float64frombits(binary.BigEndian.Uint64(hdr[14:])),
+		Policy:       Policy(hdr[0]),
+		Budget:       binary.BigEndian.Uint64(hdr[1:]),
+		LeaseTimeout: math.Float64frombits(binary.BigEndian.Uint64(hdr[9:])),
 	}}
-	l.Elapsed = math.Float64frombits(binary.BigEndian.Uint64(hdr[22:]))
-	count := binary.BigEndian.Uint64(hdr[30:])
-	streaming := count == streamCount
+	l.Elapsed = math.Float64frombits(binary.BigEndian.Uint64(hdr[17:]))
+	count := binary.BigEndian.Uint64(hdr[25:])
 	const maxEvents = 1 << 28 // ~5.6 GiB of events; far beyond any real run
-	if !streaming && count > maxEvents {
+	if count != reclog.Stream && count > maxEvents {
 		return nil, fmt.Errorf("master: log claims %d events (limit %d)", count, maxEvents)
 	}
-	if !streaming {
-		// Trust the claimed count only up to a point: a corrupt header
-		// must not reserve gigabytes before the first record is read.
-		l.Events = make([]Event, 0, min(count, 1<<16))
-	}
-	rec := make([]byte, logEventSize)
-	for i := uint64(0); streaming || i < count; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			if streaming && (err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF)) {
-				// A streamed log ends wherever the writer stopped; a
-				// crash mid-record costs exactly that partial record.
-				break
-			}
-			return nil, fmt.Errorf("master: truncated log at event %d/%d: %w", i, count, err)
-		}
+	recs, err := reclog.Records(rd, EventSize, count, func(rec []byte) (Event, error) {
 		kind := EventKind(rec[0])
 		if kind < EvJoin || kind > EvQuality {
-			return nil, fmt.Errorf("master: log event %d has unknown kind %d", i, rec[0])
+			return Event{}, fmt.Errorf("unknown event kind %d", rec[0])
 		}
-		l.Events = append(l.Events, Event{
+		return Event{
 			Kind:   kind,
 			Worker: int(binary.BigEndian.Uint32(rec[1:])),
 			Item:   binary.BigEndian.Uint64(rec[5:]),
 			At:     math.Float64frombits(binary.BigEndian.Uint64(rec[13:])),
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	l.Events = recs
 	return l, nil
 }
 

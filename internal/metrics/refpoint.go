@@ -3,7 +3,7 @@ package metrics
 import "strings"
 
 // Hypervolume reference-point conventions, shared by every consumer
-// (cmd/borg, cmd/compare, internal/experiment, the quality sampler in
+// (cmd/borg, cmd/borgexp, internal/experiment, the quality sampler in
 // internal/obs). Before these helpers each site assembled its own
 // reference point with a hand-rolled loop and a magic scale; hoisting
 // the convention here keeps the reported hypervolumes comparable

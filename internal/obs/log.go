@@ -7,7 +7,7 @@ import (
 )
 
 // NewLogger returns the shared CLI logger used by cmd/borg, cmd/borgd,
-// cmd/table2 and the examples: leveled slog with key=value text output
+// cmd/borgexp and the examples: leveled slog with key=value text output
 // (machine-parseable, one event per line). verbose lowers the level to
 // Debug — the cmds' -v flag.
 func NewLogger(w io.Writer, verbose bool) *slog.Logger {

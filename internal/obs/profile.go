@@ -16,7 +16,7 @@ import (
 // Continuous profiling: a background loop that captures periodic
 // pprof CPU and heap snapshots into a bounded on-disk ring, one pair
 // of files per capture epoch. The epoch counter keys the snapshots to
-// the run's trace timeline — borgtrace output and the /debug/profiles/
+// the run's trace timeline — borgview trace output and the /debug/profiles/
 // listing both report epochs, so a latency regression seen in a trace
 // window points at the profile captured during it.
 

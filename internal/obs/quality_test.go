@@ -74,7 +74,7 @@ func TestQualityLogRejectsGarbage(t *testing.T) {
 	if _, err := ReadQualityLog(bytes.NewReader([]byte("BTRC\x01junkjunkjunkjunk"))); err == nil {
 		t.Error("wrong magic accepted")
 	}
-	bad := append([]byte(qualityMagic), 99)
+	bad := append([]byte(qualityFormat.Magic), 99)
 	bad = append(bad, make([]byte, 12)...)
 	if _, err := ReadQualityLog(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown version accepted")
@@ -165,7 +165,7 @@ func FuzzReadQualityLog(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
-	f.Add([]byte(qualityMagic))
+	f.Add([]byte(qualityFormat.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := ReadQualityLog(bytes.NewReader(data))

@@ -2,19 +2,20 @@ package obs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
+
+	"borgmoea/internal/reclog"
 )
 
 // QualityLog is the QLOG sidecar: a run's full quality timeline in a
 // compact binary format ("BQLG"), mirroring the BTRC trace sidecar.
 // Replaying a recorded run regenerates the identical timeline, so a
 // recorded QLOG file and a replay-produced one compare byte-for-byte —
-// the property the offline tools (cmd/timeline -quality) and the
+// the property the offline tools (borgview timeline -quality) and the
 // replay tests pin.
 //
-// Layout (big-endian, like BMEL and BTRC):
+// Layout (a reclog container, big-endian like BMEL and BTRC):
 //
 //	"BQLG" | version u8 | M u16 | maxExact u32 | mcSamples u32 |
 //	K u16 | M × ref f64 | K × (len u16, name bytes)
@@ -35,10 +36,11 @@ type QualityLog struct {
 	Samples   []QualitySample
 }
 
-const (
-	qualityMagic   = "BQLG"
-	qualityVersion = 1
-)
+var qualityFormat = reclog.Format{Name: "obs: quality log", Magic: "BQLG", Version: 1}
+
+// qualityFixedHeader is the fixed-width part of the header: M,
+// maxExact, mcSamples, K.
+const qualityFixedHeader = 2 + 4 + 4 + 2
 
 // qualityRecSize is the fixed record width for K operators.
 func qualityRecSize(k int) int { return 8 + 8 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 8 + 8*k }
@@ -46,22 +48,18 @@ func qualityRecSize(k int) int { return 8 + 8 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 8 + 
 // WriteTo serializes the log in BQLG format.
 func (l *QualityLog) WriteTo(w io.Writer) (int64, error) {
 	k := len(l.Operators)
-	buf := make([]byte, 0, 4+1+2+4+4+2+8*len(l.Ref)+len(l.Samples)*qualityRecSize(k))
-	buf = append(buf, qualityMagic...)
-	buf = append(buf, qualityVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(l.Ref)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(l.MaxExact))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(l.MCSamples))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(k))
+	hdr := binary.BigEndian.AppendUint16(nil, uint16(len(l.Ref)))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(l.MaxExact))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(l.MCSamples))
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(k))
 	for _, v := range l.Ref {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+		hdr = binary.BigEndian.AppendUint64(hdr, math.Float64bits(v))
 	}
 	for _, name := range l.Operators {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
+		hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(name)))
+		hdr = append(hdr, name...)
 	}
-	for i := range l.Samples {
-		s := &l.Samples[i]
+	return reclog.WriteAll(qualityFormat, w, hdr, l.Samples, func(buf []byte, s QualitySample) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, s.Seq)
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.At))
 		buf = binary.BigEndian.AppendUint64(buf, s.Evaluations)
@@ -79,36 +77,24 @@ func (l *QualityLog) WriteTo(w io.Writer) (int64, error) {
 			}
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p))
 		}
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
+		return buf
+	})
 }
 
 // ReadQualityLog decodes a BQLG stream. A truncated trailing record is
 // dropped silently (torn-tail tolerance); a malformed header or an
 // unsupported version is an error.
 func ReadQualityLog(r io.Reader) (*QualityLog, error) {
-	var hdr [4 + 1 + 2 + 4 + 4 + 2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("obs: quality log header: %w", err)
-	}
-	if string(hdr[:4]) != qualityMagic {
-		return nil, fmt.Errorf("obs: not a quality log (magic %q)", hdr[:4])
-	}
-	if hdr[4] != qualityVersion {
-		return nil, fmt.Errorf("obs: quality log version %d unsupported", hdr[4])
-	}
-	m := int(binary.BigEndian.Uint16(hdr[5:]))
+	rd := qualityFormat.NewReader(r)
+	hdr := rd.Header(qualityFixedHeader) // zeroes after a read error, which Records reports
+	m := int(binary.BigEndian.Uint16(hdr))
 	l := &QualityLog{
-		MaxExact:  int(binary.BigEndian.Uint32(hdr[7:])),
-		MCSamples: int(binary.BigEndian.Uint32(hdr[11:])),
+		MaxExact:  int(binary.BigEndian.Uint32(hdr[2:])),
+		MCSamples: int(binary.BigEndian.Uint32(hdr[6:])),
 	}
-	k := int(binary.BigEndian.Uint16(hdr[15:]))
+	k := int(binary.BigEndian.Uint16(hdr[10:]))
 	if m > 0 {
-		refBytes := make([]byte, 8*m)
-		if _, err := io.ReadFull(r, refBytes); err != nil {
-			return nil, fmt.Errorf("obs: quality log reference point: %w", err)
-		}
+		refBytes := rd.Header(8 * m)
 		l.Ref = make([]float64, m)
 		for i := range l.Ref {
 			l.Ref[i] = math.Float64frombits(binary.BigEndian.Uint64(refBytes[8*i:]))
@@ -117,25 +103,11 @@ func ReadQualityLog(r io.Reader) (*QualityLog, error) {
 	if k > 0 {
 		l.Operators = make([]string, k)
 		for i := range l.Operators {
-			var lb [2]byte
-			if _, err := io.ReadFull(r, lb[:]); err != nil {
-				return nil, fmt.Errorf("obs: quality log operator name: %w", err)
-			}
-			name := make([]byte, binary.BigEndian.Uint16(lb[:]))
-			if _, err := io.ReadFull(r, name); err != nil {
-				return nil, fmt.Errorf("obs: quality log operator name: %w", err)
-			}
-			l.Operators[i] = string(name)
+			n := binary.BigEndian.Uint16(rd.Header(2))
+			l.Operators[i] = string(rd.Header(int(n)))
 		}
 	}
-	rec := make([]byte, qualityRecSize(k))
-	for {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return l, nil // torn tail: keep the complete prefix
-			}
-			return nil, fmt.Errorf("obs: quality log record: %w", err)
-		}
+	recs, err := reclog.Records(rd, qualityRecSize(k), reclog.Stream, func(rec []byte) (QualitySample, error) {
 		s := QualitySample{
 			Seq:            binary.BigEndian.Uint64(rec[0:]),
 			At:             math.Float64frombits(binary.BigEndian.Uint64(rec[8:])),
@@ -154,6 +126,11 @@ func ReadQualityLog(r io.Reader) (*QualityLog, error) {
 				s.OperatorProbs[j] = math.Float64frombits(binary.BigEndian.Uint64(rec[68+8*j:]))
 			}
 		}
-		l.Samples = append(l.Samples, s)
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	l.Samples = recs
+	return l, nil
 }

@@ -2,9 +2,10 @@ package obs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
+
+	"borgmoea/internal/reclog"
 )
 
 // The trace sidecar ("BTRC") persists the half of a run's trace state
@@ -14,18 +15,18 @@ import (
 // else — grants, results, expiries, resubmission lineage, migrant
 // events and all their timestamps — replays from the BMEL log itself.
 //
-// Layout: a fixed header (magic "BTRC", version, run id, sampling
-// rate), then 26-byte records until EOF. Like the BMEL log the tail
-// is torn-write tolerant: a partial trailing record is ignored, so a
-// crashed run keeps every complete record.
+// Layout (a reclog container, like the BMEL log): magic "BTRC",
+// version, then the header — run id u64, sampling rate f64 — then
+// 26-byte records until EOF. The tail is torn-write tolerant: a partial
+// trailing record is ignored, so a crashed run keeps every complete
+// record.
 
+var traceFormat = reclog.Format{Name: "obs: trace sidecar", Magic: "BTRC", Version: 1}
+
+// On-disk sizes: the header after magic and version, and one record.
 const (
-	traceMagic   = "BTRC"
-	traceVersion = 1
-
-	// TraceHeaderSize and TraceRecSize are the on-disk sizes.
-	TraceHeaderSize = 4 + 1 + 8 + 8
-	TraceRecSize    = 1 + 8 + 8 + 8 + 1
+	traceHeaderSize = 8 + 8
+	traceRecSize    = 1 + 8 + 8 + 8 + 1
 )
 
 // TraceRec sidecar record kinds.
@@ -77,55 +78,39 @@ func (c *Collector) TraceLog() *TraceLog {
 
 // WriteTo serializes the sidecar.
 func (l *TraceLog) WriteTo(w io.Writer) (int64, error) {
-	buf := make([]byte, 0, TraceHeaderSize+len(l.Recs)*TraceRecSize)
-	buf = append(buf, traceMagic...)
-	buf = append(buf, traceVersion)
-	buf = binary.BigEndian.AppendUint64(buf, l.RunID)
-	buf = binary.BigEndian.AppendUint64(buf, f64bits(l.Rate))
-	for _, r := range l.Recs {
-		buf = append(buf, r.Kind)
-		buf = binary.BigEndian.AppendUint64(buf, r.A)
-		buf = binary.BigEndian.AppendUint64(buf, r.B)
-		buf = binary.BigEndian.AppendUint64(buf, r.C)
-		buf = append(buf, r.Flags)
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
+	hdr := binary.BigEndian.AppendUint64(nil, l.RunID)
+	hdr = binary.BigEndian.AppendUint64(hdr, f64bits(l.Rate))
+	return reclog.WriteAll(traceFormat, w, hdr, l.Recs, func(dst []byte, r TraceRec) []byte {
+		dst = append(dst, r.Kind)
+		dst = binary.BigEndian.AppendUint64(dst, r.A)
+		dst = binary.BigEndian.AppendUint64(dst, r.B)
+		dst = binary.BigEndian.AppendUint64(dst, r.C)
+		return append(dst, r.Flags)
+	})
 }
 
 // ReadTraceLog parses a sidecar, tolerating a torn trailing record.
 func ReadTraceLog(r io.Reader) (*TraceLog, error) {
-	hdr := make([]byte, TraceHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("obs: reading trace sidecar header: %w", err)
-	}
-	if string(hdr[:4]) != traceMagic {
-		return nil, fmt.Errorf("obs: not a trace sidecar (magic %q)", hdr[:4])
-	}
-	if hdr[4] != traceVersion {
-		return nil, fmt.Errorf("obs: unsupported trace sidecar version %d", hdr[4])
-	}
+	rd := traceFormat.NewReader(r)
+	hdr := rd.Header(traceHeaderSize) // zeroes after a read error, which Records reports
 	l := &TraceLog{
-		RunID: binary.BigEndian.Uint64(hdr[5:]),
-		Rate:  math.Float64frombits(binary.BigEndian.Uint64(hdr[13:])),
+		RunID: binary.BigEndian.Uint64(hdr),
+		Rate:  math.Float64frombits(binary.BigEndian.Uint64(hdr[8:])),
 	}
-	rec := make([]byte, TraceRecSize)
-	for {
-		_, err := io.ReadFull(r, rec)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return l, nil // torn tail: keep every complete record
-		}
-		if err != nil {
-			return nil, fmt.Errorf("obs: reading trace sidecar record: %w", err)
-		}
-		l.Recs = append(l.Recs, TraceRec{
+	recs, err := reclog.Records(rd, traceRecSize, reclog.Stream, func(rec []byte) (TraceRec, error) {
+		return TraceRec{
 			Kind:  rec[0],
 			A:     binary.BigEndian.Uint64(rec[1:]),
 			B:     binary.BigEndian.Uint64(rec[9:]),
 			C:     binary.BigEndian.Uint64(rec[17:]),
 			Flags: rec[25],
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	l.Recs = recs
+	return l, nil
 }
 
 // NewCollectorFromLog builds a collector primed with a recorded

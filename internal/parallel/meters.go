@@ -29,17 +29,14 @@ const (
 )
 
 // installTrace wires the DES engine's trace stream into the run's
-// sinks: the user's TraceHook and/or the obs event journal. With
-// neither attached the engine keeps its nil hook and emits nothing.
+// event journal. Without one the engine keeps its nil hook and emits
+// nothing.
 func installTrace(eng *des.Engine, cfg *Config) {
-	hook, rec := cfg.TraceHook, cfg.Events
-	if hook == nil && rec == nil {
+	rec := cfg.Events
+	if rec == nil {
 		return
 	}
 	eng.SetTrace(func(ev des.TraceEvent) {
-		if hook != nil {
-			hook(ev.At, ev.Kind, ev.Actor, ev.Detail)
-		}
 		rec.Record(obs.Event{TS: ev.At, Kind: ev.Kind, Actor: ev.Actor, Detail: ev.Detail})
 	})
 }

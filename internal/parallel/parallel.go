@@ -113,23 +113,19 @@ type Config struct {
 	// limit ends with Result.Completed == false.
 	SimTimeLimit float64
 
-	// TraceHook, when set, receives every simulation trace event
-	// (sends, receives, and the start/end of eval/comm/algo busy
-	// intervals per node). Used to render Figure 1/2-style
-	// timelines; it adds overhead, so leave nil for experiments.
-	TraceHook func(at float64, kind, actor, detail string)
-
 	// Metrics, when set, receives the run's telemetry: counters
 	// (evaluations, resubmissions, lease expiries, duplicates),
 	// gauges (live workers) and timing histograms (T_A, T_F, T_C,
 	// master queue wait). All drivers honor it; nil (obs.Disabled)
 	// keeps the hot path free of telemetry work.
 	Metrics *obs.Registry
-	// Events, when set, journals the run's protocol events — the
-	// same stream TraceHook sees on the virtual-time drivers, plus
-	// driver-level events (lease expiries, joins, deaths) — for
-	// JSONL export and Chrome trace rendering (see internal/obs).
-	// Like TraceHook it adds overhead; leave nil for experiments.
+	// Events, when set, journals the run's protocol events — on the
+	// virtual-time drivers every simulation trace event (sends,
+	// receives, and the start/end of eval/comm/algo busy intervals
+	// per node), plus driver-level events (lease expiries, joins,
+	// deaths) — for JSONL export, Chrome trace rendering (see
+	// internal/obs) and Figure 1/2-style timelines. It adds
+	// overhead; leave nil for experiments.
 	Events *obs.Recorder
 	// Protocol, when set, records the exact event stream the shared
 	// master state machine consumed — the compact replay log. A

@@ -22,7 +22,7 @@ func traceForestJSON(t testing.TB, f obs.Forest) []byte {
 
 // reconstructForest round-trips the BMEL log and trace sidecar through
 // their on-disk serializations and rebuilds the forest offline — the
-// exact path cmd/borgtrace takes.
+// exact path borgview trace takes.
 func reconstructForest(t testing.TB, log *master.Log, col *obs.Collector) obs.Forest {
 	t.Helper()
 	var lb bytes.Buffer

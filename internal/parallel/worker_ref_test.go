@@ -13,6 +13,7 @@ import (
 	"borgmoea/internal/fault"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/stats"
 )
 
@@ -66,15 +67,16 @@ func runOracle(t testing.TB, run runner, cfg Config, spawn func(*worker)) oracle
 	var out oracleRun
 	cfg.spawn = spawn
 	cfg.Protocol = master.NewLog()
-	cfg.TraceHook = func(at float64, kind, actor, detail string) {
-		if kind == "send" {
-			out.sends++
-		}
-		out.trace = append(out.trace, fmt.Sprintf("%.17g %s %s %s", at, actor, kind, detail))
-	}
+	cfg.Events = obs.NewRecorder(0)
 	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, ev := range cfg.Events.Events() {
+		if ev.Kind == "send" {
+			out.sends++
+		}
+		out.trace = append(out.trace, traceLine(ev))
 	}
 	var buf bytes.Buffer
 	if err := core.SaveArchive(&buf, res.Final.Archive()); err != nil {
@@ -82,6 +84,12 @@ func runOracle(t testing.TB, run runner, cfg Config, spawn func(*worker)) oracle
 	}
 	out.res, out.arch, out.log = res, buf.Bytes(), cfg.Protocol.CanonicalBytes()
 	return out
+}
+
+// traceLine renders one journal event with its timestamp at full
+// precision, so equal traces mean bit-equal virtual times.
+func traceLine(ev obs.Event) string {
+	return fmt.Sprintf("%.17g %s %s %s", ev.TS, ev.Actor, ev.Kind, ev.Detail)
 }
 
 // diffTrace reports the first position where two trace sequences part.
@@ -237,9 +245,7 @@ func TestWorkerEquivalenceIslands(t *testing.T) {
 		cfg.Base.TF = tf
 		cfg.Base.CaptureTimings = true
 		cfg.Base.spawn = spawn
-		cfg.Base.TraceHook = func(at float64, kind, actor, detail string) {
-			o.trace = append(o.trace, fmt.Sprintf("%.17g %s %s %s", at, actor, kind, detail))
-		}
+		cfg.Base.Events = obs.NewRecorder(0)
 		for i := 0; i < k; i++ {
 			cfg.Logs = append(cfg.Logs, master.NewLog())
 			cfg.MigrantLogs = append(cfg.MigrantLogs, federation.NewMigrantLog())
@@ -247,6 +253,9 @@ func TestWorkerEquivalenceIslands(t *testing.T) {
 		res, err := RunIslands(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, ev := range cfg.Base.Events.Events() {
+			o.trace = append(o.trace, traceLine(ev))
 		}
 		for i := 0; i < k; i++ {
 			var buf bytes.Buffer
