@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,6 +164,62 @@ func TestRunSpeedupShape(t *testing.T) {
 	s16 := res.Series[1].Speedup[len(res.Series[1].Speedup)-1]
 	if s16 <= s8 {
 		t.Fatalf("speedup did not grow with P in efficient regime: P=8 %.1f vs P=16 %.1f", s8, s16)
+	}
+}
+
+// TestRunSpeedupPinned: the toy panel's result, recorded from the
+// commit before the hypervolume kernel was rebuilt and the meter
+// stopped re-filtering archive fronts, bit for bit — neither may move
+// a threshold or a series.
+func TestRunSpeedupPinned(t *testing.T) {
+	bits := func(vs ...uint64) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64frombits(v)
+		}
+		return out
+	}
+	fractions := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+	want := map[uint64]*SpeedupResult{
+		2: {
+			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
+			AttainableHV: math.Float64frombits(0x3ff11dd2f65c932b),
+			Thresholds: bits(0x3fbb62eb23c751df, 0x3fcb62eb23c751df, 0x3fd48a305ad57d67, 0x3fdb62eb23c751df, 0x3fe11dd2f65c932b,
+				0x3fe48a305ad57d67, 0x3fe7f68dbf4e67a2, 0x3feb62eb23c751df, 0x3feecf4888403c1a, 0x3ff11dd2f65c932b),
+			SerialTimeToThreshold: bits(0x40000be0ded288ce, 0x40000be0ded288ce, 0x40100be0ded288ce, 0x401811d14e3bcd35, 0x401811d14e3bcd35,
+				0x40240ed916872b02, 0x40240ed916872b02, 0x40300be0ded288ce, 0x4036105532617c1c, 0x403c14c985f06f69),
+			Series: []SpeedupSeries{
+				{P: 8, Speedup: bits(0x401bdf36b064b3e3, 0x401bdf36b064b3e3, 0x4012bc8c0ef0bbda, 0x401c1ad2166919c7, 0x40151dc7642022dc,
+					0x4017673a02300335, 0x40118ae369dd418d, 0x40145f2d3a4b44d1, 0x4017b6877b2b11e4, 0x40139c54860375be)},
+				{P: 16, Speedup: bits(0x402ca2b3e1abdb9f, 0x401d7d0bb7c9c40d, 0x4023cdebe1512ecd, 0x40264558f757a220, 0x40264558f757a220,
+					0x4028cad3eeeb9e31, 0x40229c834c6e7936, 0x402dc7387a4a5b89, 0x4025eb25464f3bda, 0x4024eb900dcedfca)},
+			},
+		},
+		3: {
+			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
+			AttainableHV: math.Float64frombits(0x3ff06f034bb9e7c5),
+			Thresholds: bits(0x3fba4b38792972d5, 0x3fca4b38792972d5, 0x3fd3b86a5adf161f, 0x3fda4b38792972d5, 0x3fe06f034bb9e7c5,
+				0x3fe3b86a5adf161f, 0x3fe701d16a04447a, 0x3fea4b38792972d5, 0x3fed949f884ea130, 0x3ff06f034bb9e7c5),
+			SerialTimeToThreshold: bits(0x40000be0ded288ce, 0x40100be0ded288ce, 0x40200be0ded288ce, 0x40240ed916872b02, 0x40240ed916872b02,
+				0x402c14c985f06f69, 0x40320d5cfaacd9e8, 0x403811d14e3bcd35, 0x403c14c985f06f69, 0x40430e1b089a0275),
+			Series: []SpeedupSeries{
+				{P: 8, Speedup: bits(0x401bd819904cf131, 0x401bd7efa75e19ca, 0x402298f097b1131f, 0x40273f2cbd9d57e7, 0x401bf9acf4277bac,
+					0x4023952c448209c5, 0x4024f82769987d58, 0x4022aa7e0f0cc774, 0x4021d1b3ec99b6d6, 0x4021bb84a36a3be8)},
+				{P: 16, Speedup: bits(0x401d84ec0b5f37b2, 0x401db95b313b4191, 0x402db95b313b4191, 0x4028e0d64d8a09c4, 0x4025544c0039464e,
+					0x402ddc6a66b695a0, 0x402de9f4a92f4db0, 0x402de6cc5e4d0aba, 0x402befb55df46670, 0x402c6b8c5b8ab273)},
+			},
+		},
+	}
+	for seed, w := range want {
+		cfg := smallSpeedupConfig()
+		cfg.Seed = seed
+		got, err := RunSpeedup(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("seed %d: result moved\n got  %+v\n want %+v", seed, got, w)
+		}
 	}
 }
 

@@ -2,9 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
-
-	"borgmoea/internal/rng"
 )
 
 // Hypervolume computes the exact hypervolume of the set relative to
@@ -15,59 +14,84 @@ import (
 // Degenerate fronts are well-defined: an empty set, a set whose every
 // point lies outside the reference box, or a set of non-finite points
 // all yield 0; a single point yields its box volume; duplicates
-// contribute no extra volume. Mismatched point dimensions panic.
+// contribute no extra volume. A point with a NaN or infinite
+// coordinate is dropped like one outside the box — it contributes
+// nothing and does not disturb the rest of the set — so one diverged
+// evaluation cannot turn the indicator into NaN or +Inf. Mismatched
+// point dimensions panic.
 //
 // Complexity is exponential in the worst case but fast for the
 // archive sizes produced by ε-dominance archives (hundreds of points,
 // ≤ 10 objectives). For very large sets prefer HypervolumeMC.
 func Hypervolume(set [][]float64, ref []float64) float64 {
-	m := len(ref)
-	pts := make([][]float64, 0, len(set))
-	for _, p := range set {
-		if len(p) != m {
-			panic(fmt.Sprintf("metrics: point dimension %d != reference dimension %d", len(p), m))
-		}
-		if strictlyBelow(p, ref) {
-			pts = append(pts, p)
-		}
-	}
+	pts := nondominatedInPlace(inBox(set, ref))
 	if len(pts) == 0 {
 		return 0
 	}
-	pts = NondominatedFilter(pts)
 	// Sorting by the last objective (descending) improves limit-set
 	// pruning substantially.
+	m := len(ref)
 	sort.Slice(pts, func(i, j int) bool { return pts[i][m-1] > pts[j][m-1] })
-	return wfg(pts, ref)
+	w := wfgArena{ref: ref, levels: make([]wfgLevel, 0, len(pts))} // a level loses a point at least
+	return w.hv(pts, 0)
 }
 
-func strictlyBelow(p, ref []float64) bool {
-	for i := range p {
-		if p[i] >= ref[i] {
+// inBox returns, in a fresh slice, the points that contribute.
+func inBox(set [][]float64, ref []float64) [][]float64 {
+	pts := make([][]float64, 0, len(set))
+	for _, p := range set {
+		if contributes(p, ref) {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// contributes reports whether p can add hypervolume under ref: every
+// coordinate finite and strictly below ref's. The exact and the
+// Monte-Carlo estimator share it, so they agree on which points count.
+// A point of the wrong dimension panics.
+func contributes(p, ref []float64) bool {
+	if len(p) != len(ref) {
+		panic(fmt.Sprintf("metrics: point dimension %d != reference dimension %d", len(p), len(ref)))
+	}
+	for i, v := range p {
+		// NaN fails the first test, -Inf the second; +Inf is below no
+		// reference.
+		if !(v < ref[i]) || math.IsInf(v, -1) {
 			return false
 		}
 	}
 	return true
 }
 
-// wfg computes hypervolume of a mutually nondominated set.
-func wfg(pts [][]float64, ref []float64) float64 {
-	total := 0.0
-	for i := range pts {
-		total += exclhv(pts, i, ref)
-	}
-	return total
+// wfgArena runs the WFG recursion without allocating per call: level
+// d holds the limit set the d-th nested exclusive-hypervolume term is
+// taken over, written into storage the level keeps, and is filtered in
+// place. A level is built when the recursion first reaches its depth.
+type wfgArena struct {
+	ref    []float64
+	levels []wfgLevel
 }
 
-// exclhv is the hypervolume dominated exclusively by pts[i] relative
-// to the points after it.
-func exclhv(pts [][]float64, i int, ref []float64) float64 {
-	v := inclhv(pts[i], ref)
-	limited := limitSet(pts, i)
-	if len(limited) > 0 {
-		v -= wfg(NondominatedFilter(limited), ref)
+type wfgLevel struct {
+	pts [][]float64 // the level's current set: views into buf
+	buf []float64
+}
+
+// hv is the hypervolume of the mutually nondominated pts, which live
+// on level depth: the sum over i of what pts[i] dominates and the
+// points after it do not.
+func (w *wfgArena) hv(pts [][]float64, depth int) float64 {
+	total := 0.0
+	for i, p := range pts {
+		v := inclhv(p, w.ref)
+		if rest := pts[i+1:]; len(rest) > 0 {
+			v -= w.hv(w.limit(p, rest, depth+1), depth+1)
+		}
+		total += v
 	}
-	return v
+	return total
 }
 
 // inclhv is the hypervolume dominated by a single point.
@@ -79,109 +103,55 @@ func inclhv(p, ref []float64) float64 {
 	return v
 }
 
-// limitSet worsens each later point to the component-wise maximum
-// with pts[i], restricting to the box dominated by pts[i].
-func limitSet(pts [][]float64, i int) [][]float64 {
-	out := make([][]float64, 0, len(pts)-i-1)
-	for _, q := range pts[i+1:] {
-		lim := make([]float64, len(q))
+// limit writes onto level depth the limit set of rest under p — each
+// point worsened to the component-wise maximum with p, which restricts
+// it to the box p dominates — and returns its nondominated subset.
+func (w *wfgArena) limit(p []float64, rest [][]float64, depth int) [][]float64 {
+	for len(w.levels) <= depth {
+		w.levels = append(w.levels, wfgLevel{})
+	}
+	lv, m := &w.levels[depth], len(p)
+	if cap(lv.buf) < len(rest)*m {
+		lv.buf = make([]float64, len(rest)*m)
+		lv.pts = make([][]float64, 0, len(rest))
+	}
+	lv.pts = lv.pts[:0]
+	for k, q := range rest {
+		lim := lv.buf[k*m : (k+1)*m : (k+1)*m]
 		for j := range q {
-			if q[j] > pts[i][j] {
+			if q[j] > p[j] {
 				lim[j] = q[j]
 			} else {
-				lim[j] = pts[i][j]
+				lim[j] = p[j]
 			}
 		}
-		out = append(out, lim)
+		lv.pts = append(lv.pts, lim)
 	}
-	return out
+	return nondominatedInPlace(lv.pts)
 }
 
-// HypervolumeMC estimates hypervolume by Monte Carlo: the fraction of
-// samples points uniform in the box [min(set), ref] that are dominated
-// by the set, scaled by the box volume. A fixed seed gives
-// reproducible estimates; the standard error is ≈ HV/√samples.
-//
-// The degenerate-front contract matches Hypervolume (empty or
-// out-of-box sets yield 0, duplicates are fine); samples <= 0 panics.
-func HypervolumeMC(set [][]float64, ref []float64, samples int, seed uint64) float64 {
-	return hypervolumeMC(set, ref, samples, seed, true)
-}
-
-// HypervolumeMCNondominated is HypervolumeMC for a set that is already
-// mutually nondominated (an ε-archive front, say), skipping the O(n²)
-// dominance filter. The estimate is identical either way — a dominated
-// point covers a subset of its dominator's region and cannot extend
-// the sampling box — so this is purely the hot-path variant; the
-// quality sampler uses it on every sample.
-func HypervolumeMCNondominated(set [][]float64, ref []float64, samples int, seed uint64) float64 {
-	return hypervolumeMC(set, ref, samples, seed, false)
-}
-
-func hypervolumeMC(set [][]float64, ref []float64, samples int, seed uint64, filter bool) float64 {
-	m := len(ref)
-	if samples <= 0 {
-		panic("metrics: HypervolumeMC needs samples > 0")
-	}
-	pts := make([][]float64, 0, len(set))
-	for _, p := range set {
-		if len(p) != m {
-			panic("metrics: dimension mismatch")
-		}
-		if strictlyBelow(p, ref) {
-			pts = append(pts, p)
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	if filter {
-		pts = NondominatedFilter(pts)
-	}
-	// Tight sampling box: [component-wise min, ref].
-	lo := append([]float64(nil), pts[0]...)
-	for _, p := range pts[1:] {
-		for j := range lo {
-			if p[j] < lo[j] {
-				lo[j] = p[j]
+// nondominatedInPlace is NondominatedFilter compacting set itself: the
+// same survivors in the same order. Testing a point against the
+// survivors before it and everything after it decides as testing it
+// against the whole set does — whatever dominated a dropped point
+// dominates all that the point did, and a duplicate's first copy is
+// dropped only with every other copy.
+func nondominatedInPlace(set [][]float64) [][]float64 {
+	kept := 0
+outer:
+	for i, p := range set {
+		for _, q := range set[:kept] {
+			if Dominates(q, p) || equal(q, p) {
+				continue outer
 			}
 		}
-	}
-	vol := 1.0
-	for j := range lo {
-		vol *= ref[j] - lo[j]
-	}
-	if vol <= 0 {
-		return 0
-	}
-	// Sort points by first objective so the dominance scan can often
-	// stop early.
-	sort.Slice(pts, func(i, j int) bool { return pts[i][0] < pts[j][0] })
-	r := rng.New(seed)
-	x := make([]float64, m)
-	hit := 0
-	for s := 0; s < samples; s++ {
-		for j := range x {
-			x[j] = lo[j] + (ref[j]-lo[j])*r.Float64()
-		}
-		for _, p := range pts {
-			if p[0] > x[0] {
-				break // no later point can dominate x in objective 0
-			}
-			if weaklyDominates(p, x) {
-				hit++
-				break
+		for _, q := range set[i+1:] {
+			if Dominates(q, p) {
+				continue outer
 			}
 		}
+		set[kept] = p
+		kept++
 	}
-	return vol * float64(hit) / float64(samples)
-}
-
-func weaklyDominates(p, x []float64) bool {
-	for j := range p {
-		if p[j] > x[j] {
-			return false
-		}
-	}
-	return true
+	return set[:kept]
 }

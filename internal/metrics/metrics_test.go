@@ -346,6 +346,26 @@ func TestIndicatorsEmptySetsWellDefined(t *testing.T) {
 			t.Errorf("%s = %v, want 0", name, v)
 		}
 	}
+	// A point with a non-finite coordinate is dropped, not propagated:
+	// one diverged evaluation must not turn the indicator into NaN or
+	// +Inf.
+	ref := []float64{1.1, 1.1}
+	poisoned := [][]float64{{math.NaN(), 0.5}, {0.5, 0.5}}
+	clean := [][]float64{{0.5, 0.5}}
+	for name, got := range map[string][2]float64{
+		"hv NaN point":              {Hypervolume(poisoned, ref), Hypervolume(clean, ref)},
+		"hv MC NaN point":           {HypervolumeMC(poisoned, ref, 1000, 1), HypervolumeMC(clean, ref, 1000, 1)},
+		"hv MC nondominated NaN":    {HypervolumeMCNondominated(poisoned, ref, 1000, 1), HypervolumeMCNondominated(clean, ref, 1000, 1)},
+		"hv -Inf point":             {Hypervolume([][]float64{{math.Inf(-1), 0.5}}, ref), 0},
+		"hv MC -Inf point":          {HypervolumeMC([][]float64{{math.Inf(-1), 0.5}}, ref, 1000, 1), 0},
+		"hv MC nondominated +Inf":   {HypervolumeMCNondominated([][]float64{{math.Inf(1), 0.5}}, ref, 1000, 1), 0},
+		"hv all points non-finite":  {Hypervolume([][]float64{{math.NaN(), math.NaN()}, {0.5, math.Inf(-1)}}, ref), 0},
+		"hv MC -Inf beside a point": {HypervolumeMC([][]float64{{math.Inf(-1), 0.5}, {0.5, 0.5}}, ref, 1000, 1), HypervolumeMC(clean, ref, 1000, 1)},
+	} {
+		if got[0] != got[1] {
+			t.Errorf("%s = %v, want %v", name, got[0], got[1])
+		}
+	}
 	// Dimension mismatch between non-empty sets stays a panic.
 	defer func() {
 		if recover() == nil {
@@ -406,23 +426,5 @@ func TestHypervolumeMonotonicity(t *testing.T) {
 			t.Fatalf("HV decreased after adding a point: %v -> %v", prev, hv)
 		}
 		prev = hv
-	}
-}
-
-func BenchmarkHypervolumeExact5D100(b *testing.B) {
-	front := problems.SphereFront(5, 100, 1)
-	ref := []float64{1.1, 1.1, 1.1, 1.1, 1.1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Hypervolume(front, ref)
-	}
-}
-
-func BenchmarkHypervolumeMC5D300(b *testing.B) {
-	front := problems.SphereFront(5, 300, 1)
-	ref := []float64{1.1, 1.1, 1.1, 1.1, 1.1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HypervolumeMC(front, ref, 10000, uint64(i))
 	}
 }
