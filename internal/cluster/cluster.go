@@ -22,7 +22,10 @@ import (
 	"borgmoea/internal/stats"
 )
 
-// Message is one point-to-point datagram between nodes.
+// Message is one point-to-point datagram between nodes. Messages
+// travel by value: Recv and TryRecv return a copy the caller owns. In
+// flight the cluster keeps each one in a recycled *Message, which the
+// drop hook sees for the duration of its call only.
 type Message struct {
 	From, To int
 	Tag      int
@@ -54,7 +57,8 @@ type Cluster struct {
 	messagesSent uint64
 	messagesLost uint64
 	dropFn       func(*Message) bool
-	deliverFn    func(any) // deliver, built once for des.ScheduleCall
+	deliverFn    func(any)  // deliver, built once for des.ScheduleCall
+	free         []*Message // in-flight carriers delivery has returned
 }
 
 // New builds a cluster on the engine. It panics if cfg.Nodes < 1.
@@ -98,7 +102,8 @@ func (c *Cluster) MessagesLost() uint64 { return c.messagesLost }
 
 // SetDropFn installs a per-message loss hook consulted at delivery
 // time: returning true discards the message. Used by internal/fault to
-// model lossy links. A nil fn disables loss.
+// model lossy links. A nil fn disables loss. The hook must not keep
+// the *Message: the cluster reuses it once the call returns.
 func (c *Cluster) SetDropFn(fn func(*Message) bool) { c.dropFn = fn }
 
 // Node is one machine in the cluster. At most one receiver — a process
@@ -110,7 +115,7 @@ type Node struct {
 	rank  int
 	label string // trace actor name
 
-	inbox     []*Message // delivered, unreceived messages, from inboxHead on
+	inbox     []Message // delivered, unreceived messages, from inboxHead on
 	inboxHead int
 	waiting   *des.Process // parked in recv
 	timedOut  bool         // its RecvTimeout deadline fired first
@@ -176,7 +181,9 @@ func (n *Node) Epoch() uint64 { return n.epoch }
 func (n *Node) Suspend(until des.Time) {
 	if until > n.suspend {
 		n.suspend = until
-		n.c.eng.Emit("hang", n.label, fmt.Sprintf("until=%g", until))
+		if n.c.eng.Tracing() {
+			n.c.eng.Emit("hang", n.label, fmt.Sprintf("until=%g", until))
+		}
 	}
 }
 
@@ -195,7 +202,9 @@ func (n *Node) Send(dst, tag int, payload any) {
 	if n.failed {
 		// A dead node cannot transmit; the message vanishes.
 		n.c.messagesLost++
-		n.c.eng.Emit("drop", n.label, fmt.Sprintf("dead sender, to=%d tag=%d", dst, tag))
+		if n.c.eng.Tracing() {
+			n.c.eng.Emit("drop", n.label, fmt.Sprintf("dead sender, to=%d tag=%d", dst, tag))
+		}
 		return
 	}
 	lat := 0.0
@@ -205,7 +214,8 @@ func (n *Node) Send(dst, tag int, payload any) {
 			lat = 0
 		}
 	}
-	msg := &Message{
+	msg := n.c.carrier()
+	*msg = Message{
 		From:    n.rank,
 		To:      dst,
 		Tag:     tag,
@@ -220,20 +230,44 @@ func (n *Node) Send(dst, tag int, payload any) {
 	n.c.eng.ScheduleCall(lat, n.c.deliverFn, msg)
 }
 
+// carrier returns a recycled (or new) in-flight message.
+func (c *Cluster) carrier() *Message {
+	if n := len(c.free); n > 0 {
+		msg := c.free[n-1]
+		c.free = c.free[:n-1]
+		return msg
+	}
+	return new(Message)
+}
+
+// deliver lands an in-flight message — in the destination's inbox, as
+// a value, or lost — and recycles its carrier.
 func (c *Cluster) deliver(msg *Message) {
+	c.land(msg)
+	*msg = Message{}
+	c.free = append(c.free, msg)
+}
+
+// land puts msg in its destination's inbox, waking the receiver, or
+// counts it lost to a failed node or the drop hook.
+func (c *Cluster) land(msg *Message) {
 	dst := c.nodes[msg.To]
 	if dst.failed {
 		c.messagesLost++
-		c.eng.Emit("drop", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		if c.eng.Tracing() {
+			c.eng.Emit("drop", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		}
 		return
 	}
 	if c.dropFn != nil && c.dropFn(msg) {
 		c.messagesLost++
-		c.eng.Emit("loss", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		if c.eng.Tracing() {
+			c.eng.Emit("loss", dst.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
+		}
 		return
 	}
 	msg.ArriveAt = c.eng.Now()
-	dst.inbox = append(dst.inbox, msg)
+	dst.inbox = append(dst.inbox, *msg)
 	if p := dst.waiting; p != nil {
 		dst.waiting = nil
 		p.WakeLater(0)
@@ -245,7 +279,7 @@ func (c *Cluster) deliver(msg *Message) {
 
 // Recv blocks the calling process until a message is available and
 // returns it (FIFO by arrival).
-func (n *Node) Recv(p *des.Process) *Message {
+func (n *Node) Recv(p *des.Process) Message {
 	msg, ok := n.recv(p, 0, false)
 	if !ok {
 		panic("cluster: Recv returned without message") // unreachable
@@ -253,13 +287,13 @@ func (n *Node) Recv(p *des.Process) *Message {
 	return msg
 }
 
-// RecvTimeout is Recv with a deadline: it returns (nil, false) if no
-// message arrives within timeout units of virtual time.
-func (n *Node) RecvTimeout(p *des.Process, timeout des.Time) (*Message, bool) {
+// RecvTimeout is Recv with a deadline: it returns (Message{}, false)
+// if no message arrives within timeout units of virtual time.
+func (n *Node) RecvTimeout(p *des.Process, timeout des.Time) (Message, bool) {
 	return n.recv(p, timeout, true)
 }
 
-func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message, bool) {
+func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (Message, bool) {
 	if n.InboxLen() == 0 {
 		n.waiting, n.timedOut = p, false
 		var h des.Handle
@@ -268,7 +302,7 @@ func (n *Node) recv(p *des.Process, timeout des.Time, hasTimeout bool) (*Message
 		}
 		p.Park()
 		if n.timedOut {
-			return nil, false
+			return Message{}, false
 		}
 		h.Cancel()
 	}
@@ -287,9 +321,9 @@ func recvDeadline(node any) {
 }
 
 // pop takes the oldest message out of a non-empty inbox.
-func (n *Node) pop() *Message {
+func (n *Node) pop() Message {
 	msg := n.inbox[n.inboxHead]
-	n.inbox[n.inboxHead] = nil
+	n.inbox[n.inboxHead] = Message{} // drop the payload reference
 	n.inboxHead++
 	if 2*n.inboxHead >= len(n.inbox) {
 		// At least half the slice is spent: move the live tail down.
@@ -316,10 +350,10 @@ func (n *Node) pop() *Message {
 func (n *Node) Serve(fn func()) { n.serve, n.idle = fn, fn != nil }
 
 // TryRecv returns the oldest delivered message, or false if none.
-func (n *Node) TryRecv() (*Message, bool) {
+func (n *Node) TryRecv() (Message, bool) {
 	if n.InboxLen() == 0 {
 		n.idle = n.serve != nil
-		return nil, false
+		return Message{}, false
 	}
 	return n.pop(), true
 }

@@ -134,3 +134,67 @@ func TestSetDropFn(t *testing.T) {
 	eng.Run()
 	eng.Shutdown()
 }
+
+// TestUntracedFaultPathsDoNotFormat: with no trace hook, a lost
+// message — dropped by the loss hook, addressed to a failed node or
+// sent by one — and a hang allocate nothing: their trace details are
+// formatted only for a hook that reads them.
+func TestUntracedFaultPathsDoNotFormat(t *testing.T) {
+	eng := des.New()
+	c := New(eng, Config{Nodes: 3, Seed: 1})
+	c.SetDropFn(func(*Message) bool { return true })
+	c.Node(2).Fail()
+	const msgs = 100
+	until := 0.0
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < msgs; i++ {
+			c.Node(0).Send(1, 1000+i, nil) // the loss hook drops it
+			c.Node(0).Send(2, 1000+i, nil) // to a failed node
+			c.Node(2).Send(0, 1000+i, nil) // from a failed node
+			until++
+			c.Node(1).Suspend(until)
+		}
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per %d lost messages and hangs, want 0", allocs, 3*msgs)
+	}
+	if c.MessagesLost() == 0 {
+		t.Fatal("test premise: messages should have been lost")
+	}
+}
+
+// TestFaultTraceEventsExact pins the fault paths' trace lines, which
+// are formatted only when a hook is set.
+func TestFaultTraceEventsExact(t *testing.T) {
+	eng := des.New()
+	c := New(eng, Config{Nodes: 3, Seed: 1})
+	var got []string
+	eng.SetTrace(func(ev des.TraceEvent) {
+		got = append(got, ev.Actor+" "+ev.Kind+" "+ev.Detail)
+	})
+	c.SetDropFn(func(m *Message) bool { return m.Tag == 13 })
+	c.Node(1).Suspend(2.5)
+	c.Node(2).Fail()
+	c.Node(0).Send(1, 13, nil)
+	c.Node(0).Send(2, 7, nil)
+	c.Node(2).Send(0, 9, nil)
+	eng.Run()
+	want := []string{
+		"worker1 hang until=2.5",
+		"worker2 fail ",
+		"master send to=1 tag=13",
+		"master send to=2 tag=7",
+		"worker2 drop dead sender, to=0 tag=9",
+		"worker1 loss from=0 tag=13",
+		"worker2 drop from=0 tag=7",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("trace = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trace event %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}

@@ -13,9 +13,11 @@ import "math"
 //
 // Add is the master's T_A hot path, so the box set is indexed rather
 // than scanned: a grid hash keyed on the ε-box coordinates resolves
-// same-box duels in O(1), and a cached per-box coordinate sum prunes
-// the cross-box dominance sweep to the candidates a single float
-// compare cannot exclude. All working storage is reused across calls,
+// same-box duels in O(1), a cached per-box coordinate sum tells the
+// cross-box dominance sweep which direction each member could dominate
+// in, and a packed lane signature per box rules most members out of
+// that direction with one word operation before any coordinate is
+// compared. All working storage is reused across calls,
 // so Add performs no heap allocations in steady state. Observable
 // behavior — acceptance decisions, member ordering (swap-remove),
 // ε-progress, operator credits — is byte-identical to the original
@@ -34,8 +36,13 @@ type Archive struct {
 	// of the dominance sweep. grid maps a box to its member index for
 	// O(1) same-box lookups; it is nil when the objective count exceeds
 	// gridDims, in which case the sum filter locates same-box members.
+	// sigs[i] packs member i's first sigLanes box coordinates, each
+	// clamped to [0, sigBuckets), one byte per lane: clamping is
+	// monotone, so box x ≤ box y implies lanesLE(sigs[x], sigs[y]) —
+	// an exact prefilter for the coordinatewise dominance test.
 	boxData []int64
 	sums    []float64
+	sigs    []uint64
 	grid    map[gridKey]int
 
 	scratch []int64 // candidate's box vector, reused across Add calls
@@ -113,15 +120,18 @@ func (a *Archive) box(s *Solution) []int64 {
 }
 
 // boxInto fills dst with the solution's ε-box index vector and returns
-// the float64 sum of its coordinates (the dominance prefilter key).
-func (a *Archive) boxInto(s *Solution, dst []int64) float64 {
-	sum := 0.0
+// the two dominance prefilter keys: the float64 sum of its coordinates
+// and its lane signature.
+func (a *Archive) boxInto(s *Solution, dst []int64) (sum float64, sig uint64) {
 	for i, f := range s.Objs {
 		b := int64(math.Floor(f / a.epsilons[i]))
 		dst[i] = b
 		sum += float64(b)
+		if i < sigLanes {
+			sig |= uint64(min(max(b, 0), sigBuckets-1)) << (8 * i)
+		}
 	}
-	return sum
+	return sum, sig
 }
 
 // boxAt returns member i's box vector (a view into boxData).
@@ -222,7 +232,7 @@ func (a *Archive) Add(s *Solution) bool {
 	// A feasible candidate flushes any infeasible placeholders.
 	a.dropInfeasible()
 
-	sum := a.boxInto(s, a.scratch)
+	sum, sig := a.boxInto(s, a.scratch)
 
 	// In-box duel. The archive's boxes are unique and mutually
 	// nondominated, so a same-box incumbent rules out any cross-box
@@ -240,7 +250,7 @@ func (a *Archive) Add(s *Solution) bool {
 			}
 		}
 		a.removeAt(j)
-		a.appendMember(s, sum)
+		a.appendMember(s, sum, sig)
 		// Same-box replacement is not ε-progress.
 		return true
 	}
@@ -254,19 +264,22 @@ func (a *Archive) Add(s *Solution) bool {
 	// dominating another member would contradict the members' own
 	// nondominance by transitivity), so a rejection can only occur
 	// with no removal marks set: returning early never leaves state
-	// behind. The loop streams boxData sequentially, hand-inlined.
+	// behind. Before a test reads the member's box, the lane signatures
+	// must allow it; the coordinate loops are hand-inlined.
 	dirty := false
 	cand := a.scratch
 	m := len(a.epsilons)
 	data := a.boxData
-	off := 0
+	sigs := a.sigs
 sweep:
 	for i, si := range a.sums {
-		box := data[off : off+m : off+m]
-		off += m
 		switch {
 		case si < sum:
 			// Only the member can dominate the candidate.
+			if !lanesLE(sigs[i], sig) {
+				continue
+			}
+			box := data[i*m : i*m+m : i*m+m]
 			better := false
 			for j, c := range cand {
 				if b := box[j]; b > c {
@@ -280,6 +293,10 @@ sweep:
 			}
 		case si > sum:
 			// Only the candidate can dominate the member.
+			if !lanesLE(sig, sigs[i]) {
+				continue
+			}
+			box := data[i*m : i*m+m : i*m+m]
 			better := false
 			for j, c := range cand {
 				if b := box[j]; c > b {
@@ -295,6 +312,7 @@ sweep:
 		default:
 			// Equal sums (rare): either direction is still possible,
 			// so run both full tests.
+			box := data[i*m : i*m+m : i*m+m]
 			if boxDominates(box, cand) {
 				return false
 			}
@@ -317,7 +335,7 @@ sweep:
 			}
 		}
 	}
-	a.appendMember(s, sum)
+	a.appendMember(s, sum, sig)
 	// New box opened (possibly displacing dominated boxes): ε-progress
 	// in Borg's sense.
 	a.improvements++
@@ -329,7 +347,8 @@ sweep:
 func (a *Archive) addInfeasible(s *Solution, v float64) bool {
 	if len(a.members) == 0 {
 		a.infeasible = true
-		a.appendMember(s, a.boxInto(s, a.scratch))
+		sum, sig := a.boxInto(s, a.scratch)
+		a.appendMember(s, sum, sig)
 		return true
 	}
 	if !a.infeasible {
@@ -337,7 +356,8 @@ func (a *Archive) addInfeasible(s *Solution, v float64) bool {
 	}
 	if v < a.members[0].Violation() {
 		a.removeAt(0)
-		a.appendMember(s, a.boxInto(s, a.scratch))
+		sum, sig := a.boxInto(s, a.scratch)
+		a.appendMember(s, sum, sig)
 		return true
 	}
 	return false
@@ -360,11 +380,13 @@ func (a *Archive) dropInfeasible() {
 }
 
 // appendMember appends s, whose box vector is in a.scratch and whose
-// box-coordinate sum is sum, as the last member.
-func (a *Archive) appendMember(s *Solution, sum float64) {
+// box-coordinate sum and lane signature are sum and sig, as the last
+// member.
+func (a *Archive) appendMember(s *Solution, sum float64, sig uint64) {
 	a.members = append(a.members, s)
 	a.boxData = append(a.boxData, a.scratch...)
 	a.sums = append(a.sums, sum)
+	a.sigs = append(a.sigs, sig)
 	a.marks = append(a.marks, false)
 	if a.grid != nil {
 		a.grid[makeKey(a.scratch)] = len(a.members) - 1
@@ -375,7 +397,7 @@ func (a *Archive) appendMember(s *Solution, sum float64) {
 // removeAt removes member i by swapping the last member into its slot
 // (the seed's ordering artifact, preserved because member order is
 // observable) and keeps every parallel structure — boxData, sums,
-// marks, grid — consistent.
+// sigs, marks, grid — consistent.
 func (a *Archive) removeAt(i int) {
 	a.credit(a.members[i], -1)
 	m := len(a.epsilons)
@@ -387,6 +409,7 @@ func (a *Archive) removeAt(i int) {
 		a.members[i] = a.members[last]
 		copy(a.boxData[i*m:(i+1)*m], a.boxData[last*m:(last+1)*m])
 		a.sums[i] = a.sums[last]
+		a.sigs[i] = a.sigs[last]
 		a.marks[i] = a.marks[last]
 		if a.grid != nil {
 			a.grid[makeKey(a.boxAt(i))] = i
@@ -396,6 +419,7 @@ func (a *Archive) removeAt(i int) {
 	a.members = a.members[:last]
 	a.boxData = a.boxData[:last*m]
 	a.sums = a.sums[:last]
+	a.sigs = a.sigs[:last]
 	a.marks = a.marks[:last]
 }
 

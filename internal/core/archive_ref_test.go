@@ -170,14 +170,22 @@ func checkArchivesEqual(t *testing.T, step int, a *Archive, ref *refArchive) {
 			t.Fatalf("step %d: opCounts %v, ref %v", step, a.opCounts, ref.opCounts)
 		}
 	}
-	// Index integrity: sums and grid must agree with boxData.
+	// Index integrity: sums, lane signatures and grid must agree with
+	// boxData.
 	for i := range a.members {
 		sum := 0.0
-		for _, b := range a.boxAt(i) {
+		var sig uint64
+		for j, b := range a.boxAt(i) {
 			sum += float64(b)
+			if j < sigLanes {
+				sig |= uint64(min(max(b, 0), sigBuckets-1)) << (8 * j)
+			}
 		}
 		if a.sums[i] != sum {
 			t.Fatalf("step %d: stale sum at %d: %g want %g", step, i, a.sums[i], sum)
+		}
+		if a.sigs[i] != sig {
+			t.Fatalf("step %d: stale signature at %d: %#x want %#x", step, i, a.sigs[i], sig)
 		}
 		if a.marks[i] {
 			t.Fatalf("step %d: stale removal mark at %d", step, i)
@@ -187,6 +195,9 @@ func checkArchivesEqual(t *testing.T, step int, a *Archive, ref *refArchive) {
 				t.Fatalf("step %d: grid maps box of member %d to (%d,%v)", step, i, j, ok)
 			}
 		}
+	}
+	if len(a.sigs) != len(a.members) {
+		t.Fatalf("step %d: %d signatures for %d members", step, len(a.sigs), len(a.members))
 	}
 	if a.grid != nil && len(a.grid) != len(a.members) {
 		t.Fatalf("step %d: grid has %d entries for %d members", step, len(a.grid), len(a.members))
@@ -244,12 +255,20 @@ func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) {
 func TestArchiveMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		// Vary dimensionality (including m > gridDims to exercise the
-		// sum-filtered fallback) and box resolution.
+		// sum-filtered fallback, and m > sigLanes, whose signatures
+		// cover the leading objectives only) and box resolution, down
+		// to ε = 0.001, where box indices run to ±1000 and every lane
+		// signature clamps at both ends.
 		m := 1 + int(seed%9) // 1..9 objectives; 9 exceeds gridDims
-		eps := []float64{0.25, 0.1, 0.05}[seed%3]
+		eps := archiveEpsilons[seed%uint64(len(archiveEpsilons))]
 		diffStream(t, seed, m, eps, 400)
 	}
 }
+
+// archiveEpsilons are the box resolutions the differential harness
+// draws from; the fuzzer's dims byte picks one past its first nine
+// values, so the seed corpus keeps the original ε = 0.1.
+var archiveEpsilons = []float64{0.1, 0.25, 0.05, 0.001}
 
 // FuzzArchiveEquivalence lets the fuzzer hunt for divergence between
 // the indexed archive and the reference implementation.
@@ -257,9 +276,11 @@ func FuzzArchiveEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2))
 	f.Add(uint64(42), uint8(5))
 	f.Add(uint64(7), uint8(9))
+	f.Add(uint64(11), uint8(3*9+4)) // ε = 0.001: clamped lanes
 	f.Fuzz(func(t *testing.T, seed uint64, dims uint8) {
 		m := 1 + int(dims%9)
-		diffStream(t, seed, m, 0.1, 200)
+		eps := archiveEpsilons[int(dims/9)%len(archiveEpsilons)]
+		diffStream(t, seed, m, eps, 200)
 	})
 }
 

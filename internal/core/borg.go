@@ -44,6 +44,7 @@ type Borg struct {
 	// Suggest's scratch.
 	probs   []float64
 	parents [][]float64
+	opWork  operators.Scratch
 }
 
 // New constructs a Borg instance for the problem. cfg is normalized
@@ -259,7 +260,8 @@ func (b *Borg) Suggest() *Solution {
 	for i := 1; i < len(parents); i++ {
 		parents[i] = b.pop.Tournament(b.tournamentSize, b.rng).Vars
 	}
-	child := op.Apply(parents, b.lo, b.hi, b.rng)[0]
+	child := make([]float64, len(b.lo))
+	op.Child(child, parents, b.lo, b.hi, b.rng, &b.opWork)
 	b.nextID++
 	return &Solution{Vars: child, Operator: opIdx, ID: b.nextID}
 }

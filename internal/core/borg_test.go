@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"borgmoea/internal/metrics"
+	"borgmoea/internal/operators"
 	"borgmoea/internal/problems"
 )
 
@@ -437,5 +438,26 @@ func BenchmarkBorgStepUF11(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alg.Step()
+	}
+}
+
+// TestSuggestAllocs: a steady-state operator Suggest allocates exactly
+// the offspring's Solution and its Vars — the operators work in the
+// Borg's own scratch — for each operator of the ensemble alone.
+func TestSuggestAllocs(t *testing.T) {
+	for _, op := range operators.BorgEnsemble() {
+		cfg := dtlz2Config(5, 6)
+		cfg.Operators = []operators.Operator{op}
+		b := MustNew(problems.NewDTLZ2(5), cfg)
+		b.Run(1000, nil)
+		for b.PendingInjections() > 0 {
+			b.Suggest()
+		}
+		for i := 0; i < 200; i++ {
+			b.Suggest() // warm the operator scratch
+		}
+		if a := testing.AllocsPerRun(200, func() { b.Suggest() }); a != 2 {
+			t.Errorf("%s: Suggest allocates %v objects, want 2 (Solution and Vars)", op.Name(), a)
+		}
 	}
 }

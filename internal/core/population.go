@@ -20,6 +20,15 @@ const (
 	plainSig = ^uint64(0)
 )
 
+// lanesLE reports whether every lane of signature a is <= the same
+// lane of b: with 7-bit lanes, (b|sigHigh)-a borrows out of no byte,
+// and a byte's high bit survives exactly when its lane of b is at least
+// a's. Signatures are monotone in what they pack — the population's
+// objective buckets, the archive's ε-box indices — so "x dominates y"
+// implies lanesLE(sig(x), sig(y)) and one word operation rules most
+// candidate pairs out before any coordinate is compared.
+func lanesLE(a, b uint64) bool { return ((b|sigHigh)-a)&sigHigh == sigHigh }
+
 // Population is Borg's fixed-capacity working population with
 // tournament selection and the steady-state replacement rule.
 //
@@ -133,7 +142,7 @@ func (p *Population) Add(s *Solution, r *rng.Source) bool {
 		for i, ms := range p.sigs {
 			// The member can dominate s only if no lane of ms exceeds
 			// sig's, and s the member only the other way round.
-			if ((sig|sigHigh)-ms)&sigHigh != sigHigh && ((ms|sigHigh)-sig)&sigHigh != sigHigh {
+			if !lanesLE(ms, sig) && !lanesLE(sig, ms) {
 				continue
 			}
 			switch compareObjs(s.Objs, p.objs[i*n:(i+1)*n]) {
@@ -177,7 +186,7 @@ func (p *Population) Tournament(k int, r *rng.Source) *Solution {
 	for i := 1; i < k; i++ {
 		c := r.Intn(len(p.sigs))
 		cs := p.sigs[c]
-		if ((bs|sigHigh)-cs)&sigHigh != sigHigh {
+		if !lanesLE(cs, bs) {
 			continue // a lane of the challenger exceeds the incumbent's
 		}
 		if compareObjs(p.objs[c*n:(c+1)*n], p.objs[best*n:(best+1)*n]) == -1 {

@@ -226,8 +226,8 @@ func TestStaleHandleIsInert(t *testing.T) {
 	e.Run()
 	ran := false
 	fresh := e.Schedule(1, func() { ran = true })
-	if fresh.ev != stale.ev {
-		t.Fatal("test premise: the second event should reuse the first one's storage")
+	if fresh.slot != stale.slot {
+		t.Fatal("test premise: the second event should reuse the first one's slot")
 	}
 	stale.Cancel()
 	stale.Cancel()

@@ -27,20 +27,28 @@ import (
 type Time = float64
 
 // event is a scheduled callback (fn, or call(arg)) or process wake
-// (proc). Events are recycled; gen counts the recyclings so a Handle
-// from an earlier life is inert.
+// (proc), stored in a slot of Engine.slab. Slots are recycled; gen
+// counts the recyclings so a Handle from an earlier life is inert.
 type event struct {
-	at   Time
-	seq  uint64 // FIFO tie-break
 	fn   func()
 	call func(any)
 	arg  any
 	proc *Process
-	idx  int // position in Engine.events
+	idx  int // position of the slot's entry in Engine.events
 	gen  uint64
 }
 
-func (a *event) before(b *event) bool {
+// entry is one heap element: an event's key and its slot. It holds no
+// pointers, so sifting it is plain memory traffic — no GC write
+// barriers, no chasing an event to compare keys — and the garbage
+// collector never scans the heap.
+type entry struct {
+	at   Time
+	seq  uint64 // FIFO tie-break; (at, seq) is unique
+	slot int
+}
+
+func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
@@ -49,8 +57,9 @@ func (a *event) before(b *event) bool {
 // goroutine that calls Run, or simulation code running under it.
 type Engine struct {
 	now    Time
-	events []*event // binary min-heap on (at, seq)
-	free   []*event
+	events []entry // binary min-heap on (at, seq)
+	slab   []event // event storage, indexed by entry.slot
+	free   []int   // recycled slots
 	seq    uint64
 	// limit and quota bound the current run wherever the baton is: no
 	// event after limit runs, and at most quota more.
@@ -107,35 +116,37 @@ func (t TraceEvent) String() string {
 
 // Handle identifies a scheduled event so it can be canceled.
 type Handle struct {
-	eng *Engine
-	ev  *event
-	gen uint64
+	eng  *Engine
+	slot int
+	gen  uint64
 }
 
 // Cancel prevents the event from running and takes it out of the queue
 // at once. Canceling an already-run or already-canceled event is a
-// no-op, also once the engine has reused the event's storage.
+// no-op, also once the engine has reused the event's slot.
 func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.eng.remove(h.ev.idx)
-		h.eng.recycle(h.ev)
+	if e := h.eng; e != nil && e.slab[h.slot].gen == h.gen {
+		e.remove(e.slab[h.slot].idx)
+		e.recycle(h.slot)
 	}
 }
 
 // Schedule runs fn after delay units of virtual time. It panics on a
 // negative or NaN delay.
 func (e *Engine) Schedule(delay Time, fn func()) Handle {
-	ev := e.after(delay)
+	slot := e.after(delay)
+	ev := &e.slab[slot]
 	ev.fn = fn
-	return Handle{e, ev, ev.gen}
+	return Handle{e, slot, ev.gen}
 }
 
 // ScheduleCall runs fn(arg) after delay: Schedule without a closure
 // per event, for a caller that keeps fn and passes a pointer.
 func (e *Engine) ScheduleCall(delay Time, fn func(any), arg any) Handle {
-	ev := e.after(delay)
+	slot := e.after(delay)
+	ev := &e.slab[slot]
 	ev.call, ev.arg = fn, arg
-	return Handle{e, ev, ev.gen}
+	return Handle{e, slot, ev.gen}
 }
 
 // At runs fn at absolute virtual time t, which must not precede Now.
@@ -143,103 +154,107 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	if !(t >= e.now) {
 		panic(fmt.Sprintf("des: At(%v) before now (%v)", t, e.now))
 	}
-	ev := e.push(t)
+	slot := e.push(t)
+	ev := &e.slab[slot]
 	ev.fn = fn
-	return Handle{e, ev, ev.gen}
+	return Handle{e, slot, ev.gen}
 }
 
-// after queues an event delay from now for the caller to fill in.
-func (e *Engine) after(delay Time) *event {
+// after queues an event delay from now and returns its slot for the
+// caller to fill in.
+func (e *Engine) after(delay Time) int {
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("des: Schedule with invalid delay %v", delay))
 	}
 	return e.push(e.now + delay)
 }
 
-// push queues a recycled (or new) event at time t.
-func (e *Engine) push(t Time) *event {
-	var ev *event
+// push queues an event at time t in a recycled (or new) slot.
+func (e *Engine) push(t Time) int {
+	var slot int
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(event)
+		slot = len(e.slab)
+		e.slab = append(e.slab, event{})
 	}
-	ev.at, ev.seq = t, e.seq
+	e.events = append(e.events, entry{})
+	e.siftUp(len(e.events)-1, entry{at: t, seq: e.seq, slot: slot})
 	e.seq++
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events)-1, ev)
-	return ev
+	return slot
 }
 
-// siftUp places ev at or above the hole at heap position i.
-func (e *Engine) siftUp(i int, ev *event) {
+// siftUp places x at or above the hole at heap position i.
+func (e *Engine) siftUp(i int, x entry) {
 	h := e.events
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(h[parent]) {
+		if !x.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].idx = i
+		e.slab[h[i].slot].idx = i
 		i = parent
 	}
-	h[i] = ev
-	ev.idx = i
+	h[i] = x
+	e.slab[x.slot].idx = i
 }
 
-// remove takes the event at heap position i out of the queue.
+// remove takes the entry at heap position i out of the queue.
 func (e *Engine) remove(i int) {
 	h := e.events
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
 	h = h[:n]
 	e.events = h
 	if i == n {
 		return
 	}
-	// Refill the hole with the last event: down past earlier children,
+	// Refill the hole with the last entry: down past earlier children,
 	// then (from mid-heap) up past later parents.
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && h[r].before(h[child]) {
+		if r := child + 1; r < n && h[r].before(&h[child]) {
 			child = r
 		}
-		if !h[child].before(last) {
+		if !h[child].before(&last) {
 			break
 		}
 		h[i] = h[child]
-		h[i].idx = i
+		e.slab[h[i].slot].idx = i
 		i = child
 	}
 	e.siftUp(i, last)
 }
 
-// recycle frees a popped or canceled event and voids its Handles.
-func (e *Engine) recycle(ev *event) {
+// recycle frees a popped or canceled event's slot and voids its
+// Handles.
+func (e *Engine) recycle(slot int) {
+	ev := &e.slab[slot]
 	ev.fn, ev.call, ev.arg, ev.proc = nil, nil, nil, nil
 	ev.gen++
-	e.free = append(e.free, ev)
+	e.free = append(e.free, slot)
 }
 
-// next pops the earliest event, if the current run may execute it.
-func (e *Engine) next() *event {
+// next pops the earliest event, if the current run may execute it, and
+// returns its slot.
+func (e *Engine) next() (slot int, ok bool) {
 	if len(e.events) == 0 || e.quota == 0 {
-		return nil
+		return 0, false
 	}
-	ev := e.events[0]
-	if ev.at > e.limit {
-		return nil
+	top := e.events[0]
+	if top.at > e.limit {
+		return 0, false
 	}
 	e.quota--
 	e.remove(0)
-	e.now = ev.at
+	e.now = top.at
 	e.processed++
-	return ev
+	return top.slot, true
 }
 
 // drive runs the event loop on the calling goroutine, which holds the
@@ -251,15 +266,16 @@ func (e *Engine) next() *event {
 // on, so for it false means nothing is left.
 func (e *Engine) drive(self *Process) bool {
 	for {
-		ev := e.next()
-		if ev == nil {
+		slot, ok := e.next()
+		if !ok {
 			if self != nil {
 				e.root <- struct{}{}
 			}
 			return false
 		}
+		ev := &e.slab[slot]
 		fn, call, arg, p := ev.fn, ev.call, ev.arg, ev.proc
-		e.recycle(ev)
+		e.recycle(slot)
 		switch {
 		case fn != nil:
 			fn()
@@ -334,10 +350,9 @@ func (e *Engine) Shutdown() {
 		}
 	}
 	e.procs = nil
-	for _, ev := range e.events {
-		e.recycle(ev) // a Handle kept past Shutdown stays inert
+	for _, x := range e.events {
+		e.recycle(x.slot) // a Handle kept past Shutdown stays inert
 	}
-	clear(e.events)
 	e.events = e.events[:0]
 	e.rethrow()
 }

@@ -117,7 +117,7 @@ func (p *Process) Park() { p.parkSelf() }
 //
 // Unlike most Process methods, WakeLater may be called from any
 // simulation domain (a callback or another process).
-func (p *Process) WakeLater(delay Time) { p.eng.after(delay).proc = p }
+func (p *Process) WakeLater(delay Time) { p.eng.slab[p.eng.after(delay)].proc = p }
 
 // Signal is a broadcast condition: processes Wait on it and a Fire
 // wakes every current waiter at the same virtual time.

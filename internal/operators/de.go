@@ -18,14 +18,20 @@ type DE struct {
 // NewDE returns DE with Borg's defaults (CR 0.1, F 0.5).
 func NewDE() DE { return DE{CrossoverRate: 0.1, StepSize: 0.5} }
 
-func (DE) Name() string { return "de" }
-func (DE) Arity() int   { return 4 }
+func (DE) Name() string   { return "de" }
+func (DE) Arity() int     { return 4 }
+func (DE) Offspring() int { return 1 }
 
 // Apply returns one trial vector.
 func (op DE) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
+	return applyOne(op, parents, lo, hi, r)
+}
+
+// Child writes the trial vector into child.
+func (op DE) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, _ *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
 	base, a, b, c := parents[0], parents[1], parents[2], parents[3]
-	child := clone(base)
+	copy(child, base)
 	n := len(child)
 	jrand := r.Intn(n)
 	for i := range child {
@@ -34,5 +40,4 @@ func (op DE) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]flo
 		}
 	}
 	clamp(child, lo, hi)
-	return [][]float64{child}
 }

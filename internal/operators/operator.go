@@ -23,10 +23,55 @@ type Operator interface {
 	Name() string
 	// Arity returns the number of parents required.
 	Arity() int
-	// Apply returns one or more offspring. Parents must contain
-	// exactly Arity() vectors of equal length matching lo/hi; the
-	// parents are not modified. Offspring are clamped to [lo, hi].
+	// Offspring returns the number of children Apply returns.
+	Offspring() int
+	// Apply returns Offspring() children in fresh storage. Parents
+	// must contain exactly Arity() vectors of equal length matching
+	// lo/hi; the parents are not modified. Offspring are clamped to
+	// [lo, hi].
 	Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64
+	// Child writes Apply's first child into child (len(lo) elements,
+	// not aliasing a parent) without building the others: it makes
+	// every draw Apply makes, in the same order, so the child and r's
+	// state afterwards are bit-identical to Apply's. s holds the
+	// working vectors, so a warm Child allocates nothing.
+	Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, s *Scratch)
+}
+
+// Scratch is Child's working storage — centroid and direction
+// vectors, work and basis rows, SPX vertices — reused across calls.
+// The zero value is ready; one Scratch serves every operator and size,
+// growing to the largest seen. It is not safe for concurrent use.
+type Scratch struct {
+	g, d  []float64
+	rows  [][]float64
+	basis [][]float64
+}
+
+// grow returns v resized to n elements, reallocating if too small. The
+// contents are stale: callers overwrite every element.
+func grow(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
+}
+
+// row returns working row k with n elements (stale contents).
+func (s *Scratch) row(k, n int) []float64 {
+	for len(s.rows) <= k {
+		s.rows = append(s.rows, nil)
+	}
+	s.rows[k] = grow(s.rows[k], n)
+	return s.rows[k]
+}
+
+// applyOne is Apply for an operator with one child: Child into fresh
+// storage, so the operator's arithmetic exists once.
+func applyOne(op Operator, parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
+	child := make([]float64, len(lo))
+	op.Child(child, parents, lo, hi, r, new(Scratch))
+	return [][]float64{child}
 }
 
 // clamp snaps each variable of x into [lo, hi].
@@ -40,11 +85,13 @@ func clamp(x, lo, hi []float64) {
 	}
 }
 
-// checkParents validates the Apply contract; operators call it first.
-func checkParents(op Operator, parents [][]float64, lo, hi []float64) {
-	if len(parents) != op.Arity() {
+// checkParents validates the Apply/Child contract; operators call it
+// first. It takes the name and arity rather than the operator so the
+// hot path boxes nothing into an interface.
+func checkParents(name string, arity int, parents [][]float64, lo, hi []float64) {
+	if len(parents) != arity {
 		panic(fmt.Sprintf("operators: %s requires %d parents, got %d",
-			op.Name(), op.Arity(), len(parents)))
+			name, arity, len(parents)))
 	}
 	n := len(lo)
 	if len(hi) != n {
@@ -53,7 +100,7 @@ func checkParents(op Operator, parents [][]float64, lo, hi []float64) {
 	for _, p := range parents {
 		if len(p) != n {
 			panic(fmt.Sprintf("operators: %s parent length %d != %d variables",
-				op.Name(), len(p), n))
+				name, len(p), n))
 		}
 	}
 }
@@ -63,9 +110,9 @@ func clone(x []float64) []float64 {
 	return append([]float64(nil), x...)
 }
 
-// centroid returns the mean of the vectors.
-func centroid(vs [][]float64) []float64 {
-	g := make([]float64, len(vs[0]))
+// centroidInto writes the mean of the vectors into g.
+func centroidInto(g []float64, vs [][]float64) {
+	clear(g)
 	for _, v := range vs {
 		for i, x := range v {
 			g[i] += x
@@ -75,16 +122,13 @@ func centroid(vs [][]float64) []float64 {
 	for i := range g {
 		g[i] *= inv
 	}
-	return g
 }
 
-// sub returns a - b as a new vector.
-func sub(a, b []float64) []float64 {
-	d := make([]float64, len(a))
+// subInto writes a - b into d.
+func subInto(d, a, b []float64) {
 	for i := range a {
 		d[i] = a[i] - b[i]
 	}
-	return d
 }
 
 // dot returns the inner product.

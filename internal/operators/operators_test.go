@@ -309,7 +309,7 @@ func TestSPXCentroidPreservation(t *testing.T) {
 	parents := [][]float64{
 		{0, 0, 0}, {1, 0, 1}, {0, 1, 2}, {1, 1, 1},
 	}
-	g := centroid(parents)
+	g := refCentroid(parents)
 	sum := make([]float64, n)
 	const trials = 30000
 	for i := 0; i < trials; i++ {
@@ -352,7 +352,7 @@ func TestUNDXCentroidCentered(t *testing.T) {
 	lo, hi := bounds(n)
 	r := rng.New(16)
 	parents := randomParents(r, op.Arity(), n, lo, hi)
-	g := centroid(parents[:op.Arity()-1])
+	g := refCentroid(parents[:op.Arity()-1])
 	sum := make([]float64, n)
 	const trials = 20000
 	for i := 0; i < trials; i++ {
@@ -468,13 +468,17 @@ func BenchmarkSPX(b *testing.B)  { benchOp(b, NewWithPM(NewSPX())) }
 func BenchmarkUNDX(b *testing.B) { benchOp(b, NewWithPM(NewUNDX())) }
 func BenchmarkUM(b *testing.B)   { benchOp(b, NewUM()) }
 
+// benchOp times Child, the call Borg makes per offspring.
 func benchOp(b *testing.B, op Operator) {
 	const n = 14 // DTLZ2 M=5 size
 	lo, hi := bounds(n)
 	r := rng.New(1)
 	parents := randomParents(r, op.Arity(), n, lo, hi)
+	child := make([]float64, n)
+	var s Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op.Apply(parents, lo, hi, r)
+		op.Child(child, parents, lo, hi, r, &s)
 	}
 }

@@ -21,30 +21,46 @@ type PM struct {
 // NewPM returns PM with Borg's defaults (1/L, index 20).
 func NewPM() PM { return PM{DistributionIndex: 20} }
 
-func (PM) Name() string { return "pm" }
-func (PM) Arity() int   { return 1 }
+func (PM) Name() string   { return "pm" }
+func (PM) Arity() int     { return 1 }
+func (PM) Offspring() int { return 1 }
 
 // Apply returns one mutated copy of the parent.
 func (op PM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
-	child := clone(parents[0])
+	return applyOne(op, parents, lo, hi, r)
+}
+
+// Child writes the mutated copy of the parent into child.
+func (op PM) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, _ *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
+	copy(child, parents[0])
+	op.mutate(child, lo, hi, r)
+}
+
+// mutate applies the mutation to x in place. With x nil it makes the
+// same draws for a vector of len(lo) variables and none of the
+// arithmetic: the mutation of a sibling nobody keeps.
+func (op PM) mutate(x, lo, hi []float64, r *rng.Source) {
 	p := op.Probability
 	if p == 0 {
-		p = 1 / float64(len(child))
+		p = 1 / float64(len(lo))
 	}
 	eta := op.DistributionIndex
-	for i := range child {
+	for i := range lo {
 		if r.Float64() > p {
 			continue
 		}
-		x := child[i]
 		lb, ub := lo[i], hi[i]
 		if ub <= lb {
 			continue
 		}
-		d1 := (x - lb) / (ub - lb)
-		d2 := (ub - x) / (ub - lb)
 		u := r.Float64()
+		if x == nil {
+			continue
+		}
+		xi := x[i]
+		d1 := (xi - lb) / (ub - lb)
+		d2 := (ub - xi) / (ub - lb)
 		mpow := 1 / (eta + 1)
 		var deltaq float64
 		if u < 0.5 {
@@ -56,8 +72,9 @@ func (op PM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]flo
 			val := 2*(1-u) + (2*u-1)*math.Pow(xy, eta+1)
 			deltaq = 1 - math.Pow(val, mpow)
 		}
-		child[i] = x + deltaq*(ub-lb)
+		x[i] = xi + deltaq*(ub-lb)
 	}
-	clamp(child, lo, hi)
-	return [][]float64{child}
+	if x != nil {
+		clamp(x, lo, hi)
+	}
 }

@@ -20,16 +20,35 @@ type SBX struct {
 // NewSBX returns SBX with Borg's defaults (rate 1.0, index 15).
 func NewSBX() SBX { return SBX{Rate: 1.0, DistributionIndex: 15} }
 
-func (SBX) Name() string { return "sbx" }
-func (SBX) Arity() int   { return 2 }
+func (SBX) Name() string   { return "sbx" }
+func (SBX) Arity() int     { return 2 }
+func (SBX) Offspring() int { return 2 }
 
 // Apply returns two offspring bracketing the parents.
 func (op SBX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
-	c1 := clone(parents[0])
-	c2 := clone(parents[1])
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
+	c1 := make([]float64, len(lo))
+	c2 := make([]float64, len(lo))
+	op.cross(c1, c2, parents[0], parents[1], lo, hi, r)
+	return [][]float64{c1, c2}
+}
+
+// Child writes Apply's first offspring into child.
+func (op SBX) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, _ *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
+	op.cross(child, nil, parents[0], parents[1], lo, hi, r)
+}
+
+// cross writes the two children of p1 and p2 into c1 and c2. With c2
+// nil it still makes every draw, the swap draw included, but computes
+// only the side the swap hands to c1.
+func (op SBX) cross(c1, c2, p1, p2, lo, hi []float64, r *rng.Source) {
+	copy(c1, p1)
+	if c2 != nil {
+		copy(c2, p2)
+	}
 	if r.Float64() > op.Rate {
-		return [][]float64{c1, c2}
+		return
 	}
 	for i := range c1 {
 		// Each variable participates with probability 0.5, the
@@ -37,7 +56,7 @@ func (op SBX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]fl
 		if r.Float64() > 0.5 {
 			continue
 		}
-		x1, x2 := c1[i], c2[i]
+		x1, x2 := p1[i], p2[i]
 		if math.Abs(x1-x2) < 1e-14 {
 			continue
 		}
@@ -46,18 +65,24 @@ func (op SBX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]fl
 		}
 		lb, ub := lo[i], hi[i]
 		u := r.Float64()
-		y1 := sbxChild(x1, x2, lb, ub, u, op.DistributionIndex, true)
-		y2 := sbxChild(x1, x2, lb, ub, u, op.DistributionIndex, false)
 		// Randomly swap which child gets which side, as in Deb's
 		// reference implementation.
-		if r.Float64() < 0.5 {
+		swap := r.Float64() < 0.5
+		if c2 == nil {
+			c1[i] = sbxChild(x1, x2, lb, ub, u, op.DistributionIndex, !swap)
+			continue
+		}
+		y1 := sbxChild(x1, x2, lb, ub, u, op.DistributionIndex, true)
+		y2 := sbxChild(x1, x2, lb, ub, u, op.DistributionIndex, false)
+		if swap {
 			y1, y2 = y2, y1
 		}
 		c1[i], c2[i] = y1, y2
 	}
 	clamp(c1, lo, hi)
-	clamp(c2, lo, hi)
-	return [][]float64{c1, c2}
+	if c2 != nil {
+		clamp(c2, lo, hi)
+	}
 }
 
 // sbxChild computes one bounded-SBX child variable. lower selects the

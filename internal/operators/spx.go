@@ -18,40 +18,48 @@ type SPX struct {
 // NewSPX returns SPX with Borg's defaults.
 func NewSPX() SPX { return SPX{Parents: 10, Epsilon: 3} }
 
-func (op SPX) Name() string { return "spx" }
-func (op SPX) Arity() int   { return op.Parents }
+func (op SPX) Name() string   { return "spx" }
+func (op SPX) Arity() int     { return op.Parents }
+func (op SPX) Offspring() int { return 1 }
 
 // Apply returns one offspring sampled from the expanded simplex.
 func (op SPX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
+	return applyOne(op, parents, lo, hi, r)
+}
+
+// Child writes one offspring sampled from the expanded simplex into
+// child.
+func (op SPX) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, s *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
 	k := len(parents)
 	n := len(parents[0])
-	g := centroid(parents)
+	s.g = grow(s.g, n)
+	g := s.g
+	centroidInto(g, parents)
 
-	// Expanded vertices y_i = g + ε(x_i − g).
-	y := make([][]float64, k)
+	// Expanded vertices y_i = g + ε(x_i − g), one scratch row each.
 	for i, p := range parents {
-		v := make([]float64, n)
+		v := s.row(i, n)
 		for j := range v {
 			v[j] = g[j] + op.Epsilon*(p[j]-g[j])
 		}
-		y[i] = v
 	}
+	y := s.rows
 
 	// Uniform sampling from the simplex via Tsutsui's recurrence:
 	// c_0 = 0; c_i = r_{i-1}(y_{i-1} − y_i + c_{i-1}); child = y_{k-1} + c_{k-1},
 	// with r_i = u^{1/(i+1)}.
-	c := make([]float64, n)
+	s.d = grow(s.d, n)
+	c := s.d
+	clear(c)
 	for i := 1; i < k; i++ {
 		ri := math.Pow(r.Float64(), 1/float64(i))
 		for j := 0; j < n; j++ {
 			c[j] = ri * (y[i-1][j] - y[i][j] + c[j])
 		}
 	}
-	child := make([]float64, n)
 	for j := 0; j < n; j++ {
 		child[j] = y[k-1][j] + c[j]
 	}
 	clamp(child, lo, hi)
-	return [][]float64{child}
 }

@@ -15,13 +15,20 @@ type UM struct {
 // NewUM returns UM with the 1/L default.
 func NewUM() UM { return UM{} }
 
-func (UM) Name() string { return "um" }
-func (UM) Arity() int   { return 1 }
+func (UM) Name() string   { return "um" }
+func (UM) Arity() int     { return 1 }
+func (UM) Offspring() int { return 1 }
 
 // Apply returns one mutated copy of the parent.
 func (op UM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
-	return [][]float64{op.Mutate(parents[0], lo, hi, r)}
+	return applyOne(op, parents, lo, hi, r)
+}
+
+// Child writes the mutated copy of the parent into child.
+func (op UM) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, _ *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
+	copy(child, parents[0])
+	op.mutate(child, lo, hi, r)
 }
 
 // Mutate is Apply for a caller that holds the one parent directly
@@ -29,14 +36,19 @@ func (op UM) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]flo
 // from the same draws, without the result slice around it.
 func (op UM) Mutate(parent, lo, hi []float64, r *rng.Source) []float64 {
 	child := clone(parent)
+	op.mutate(child, lo, hi, r)
+	return child
+}
+
+// mutate applies the mutation to x in place.
+func (op UM) mutate(x, lo, hi []float64, r *rng.Source) {
 	p := op.Probability
 	if p == 0 {
-		p = 1 / float64(len(child))
+		p = 1 / float64(len(x))
 	}
-	for i := range child {
+	for i := range x {
 		if r.Float64() <= p {
-			child[i] = r.Range(lo[i], hi[i])
+			x[i] = r.Range(lo[i], hi[i])
 		}
 	}
-	return child
 }

@@ -21,31 +21,45 @@ type UNDX struct {
 // NewUNDX returns UNDX with Borg's defaults.
 func NewUNDX() UNDX { return UNDX{Parents: 10, Zeta: 0.5, Eta: 0.35} }
 
-func (op UNDX) Name() string { return "undx" }
-func (op UNDX) Arity() int   { return op.Parents }
+func (op UNDX) Name() string   { return "undx" }
+func (op UNDX) Arity() int     { return op.Parents }
+func (op UNDX) Offspring() int { return 1 }
 
 // Apply returns one offspring centered on the centroid of the first
 // k−1 parents.
 func (op UNDX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]float64 {
-	checkParents(op, parents, lo, hi)
+	return applyOne(op, parents, lo, hi, r)
+}
+
+// Child writes the offspring centered on the centroid of the first k−1
+// parents into child.
+func (op UNDX) Child(child []float64, parents [][]float64, lo, hi []float64, r *rng.Source, s *Scratch) {
+	checkParents(op.Name(), op.Arity(), parents, lo, hi)
 	k := len(parents)
 	n := len(parents[0])
 	m := k - 1 // parents spanning the primary subspace
 
-	g := centroid(parents[:m])
+	s.g = grow(s.g, n)
+	g := s.g
+	centroidInto(g, parents[:m])
 
 	// Primary directions d_i = x_i − g, orthonormalized to a basis of
 	// the primary subspace; each contributes a Gaussian component
-	// scaled by its own length (classic UNDX-m).
-	child := clone(g)
-	basis := make([][]float64, 0, n)
+	// scaled by its own length (classic UNDX-m). A candidate is
+	// written into the next free row and kept by extending basis over
+	// it.
+	copy(child, g)
+	s.d = grow(s.d, n)
+	d := s.d
+	basis := s.basis[:0]
 	for _, p := range parents[:m] {
-		d := sub(p, g)
+		subInto(d, p, g)
 		dLen := norm(d)
 		if dLen < 1e-12 {
 			continue
 		}
-		e := clone(d)
+		e := s.row(len(basis), n)
+		copy(e, d)
 		if orthogonalize(e, basis) < 1e-10 || !normalize(e) {
 			continue
 		}
@@ -58,12 +72,12 @@ func (op UNDX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]f
 
 	// Orthogonal complement: scale D is the distance from the last
 	// parent to the primary subspace.
-	dLast := sub(parents[k-1], g)
-	bigD := orthogonalize(dLast, basis)
+	subInto(d, parents[k-1], g)
+	bigD := orthogonalize(d, basis)
 	if bigD > 1e-12 && n > len(basis) {
 		sigma := op.Eta / math.Sqrt(float64(n))
 		for len(basis) < n {
-			v := make([]float64, n)
+			v := s.row(len(basis), n)
 			for i := range v {
 				v[i] = r.Norm()
 			}
@@ -77,6 +91,6 @@ func (op UNDX) Apply(parents [][]float64, lo, hi []float64, r *rng.Source) [][]f
 			}
 		}
 	}
+	s.basis = basis
 	clamp(child, lo, hi)
-	return [][]float64{child}
 }

@@ -90,7 +90,6 @@ func RunAsync(cfg Config) (*Result, error) {
 			Policy:       master.EagerOffspring,
 			Alg:          alg,
 			Meters:       meters,
-			Emit:         func(kind, detail string) { eng.Emit(kind, "master", detail) },
 			Log:          cfg.Protocol,
 			OnAccept: func(n uint64) {
 				if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
@@ -98,6 +97,11 @@ func RunAsync(cfg Config) (*Result, error) {
 					cfg.OnCheckpoint(p.Now(), b)
 				}
 			},
+		}
+		if eng.Tracing() {
+			// Only a traced engine reads the annotations, so only then
+			// is the master handed a hook to format them for.
+			mcfg.Emit = func(kind, detail string) { eng.Emit(kind, "master", detail) }
 		}
 		if adv != nil {
 			mcfg.OnAcceptFrom = adv.ObserveAccept
@@ -129,7 +133,7 @@ func RunAsync(cfg Config) (*Result, error) {
 		// receive blocks for the next message, ticking the machine when
 		// a lease deadline passes while waiting. With no live leases
 		// (or lease expiry disabled) it degenerates to a plain Recv.
-		receive := func() *cluster.Message {
+		receive := func() cluster.Message {
 			for {
 				dl, ok := m.NextDeadline()
 				if !ok {

@@ -229,12 +229,12 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			// recv charges the one-way T_C exactly once per message at
 			// first receive; messages backlogged during a migration wait
 			// are not re-charged when the main loop gets to them.
-			recv := func() *cluster.Message {
+			recv := func() cluster.Message {
 				msg := node.Recv(p)
 				node.HoldBusy(p, sampleTC(), "comm")
 				return msg
 			}
-			var backlog []*cluster.Message
+			var backlog []cluster.Message
 			pendingMig := make(map[uint64]*wire.Migrant)
 			var lastEpoch uint64
 			var migBuf []byte // frame scratch, reused per epoch
@@ -300,7 +300,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: w, At: p.Now()}))
 			}
 			for !m.Done() {
-				var msg *cluster.Message
+				var msg cluster.Message
 				if len(backlog) > 0 {
 					msg = backlog[0]
 					backlog = backlog[1:]

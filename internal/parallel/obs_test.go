@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -320,5 +321,33 @@ func BenchmarkAsyncAdvised(b *testing.B) {
 		if _, err := RunAsync(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAsyncLeaseExpireTraced: the master's lease.expire annotations
+// reach a traced run's journal, formatted as before, while an untraced
+// run hands the master no hook to format them for.
+func TestAsyncLeaseExpireTraced(t *testing.T) {
+	cfg := testConfig(12, 1500)
+	cfg.StragglerFraction, cfg.StragglerFactor = 0.2, 30
+	cfg.LeaseTimeout = 0.005
+	cfg.Events = obs.NewRecorder(0)
+	res, err := RunAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired := 0
+	for _, ev := range cfg.Events.Events() {
+		if ev.Kind != "lease.expire" {
+			continue
+		}
+		expired++
+		var w, id int
+		if n, err := fmt.Sscanf(ev.Detail, "worker=%d id=%d", &w, &id); n != 2 || err != nil || ev.Actor != "master" {
+			t.Fatalf("lease.expire event %+v: want actor master, detail worker=<n> id=<n>", ev)
+		}
+	}
+	if expired == 0 || res.Resubmissions == 0 {
+		t.Fatalf("%d lease.expire events, %d resubmissions: the plan should expire leases", expired, res.Resubmissions)
 	}
 }

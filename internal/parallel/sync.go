@@ -121,7 +121,7 @@ func RunSync(cfg Config) (*Result, error) {
 				got[w] = false
 			}
 			count, need := 0, len(alive)
-			gatherMsg := func(msg *cluster.Message) {
+			gatherMsg := func(msg cluster.Message) {
 				switch msg.Tag {
 				case tagHello:
 					// A recovered worker re-registered; it rejoins the
@@ -144,7 +144,7 @@ func RunSync(cfg Config) (*Result, error) {
 			}
 			deadline := p.Now() + cfg.BarrierTimeout
 			for count < need {
-				var msg *cluster.Message
+				var msg cluster.Message
 				if cfg.BarrierTimeout > 0 {
 					remaining := deadline - p.Now()
 					if remaining <= 0 {

@@ -8,7 +8,10 @@
 // splitmix64, the combination recommended by Blackman & Vigna.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random number generator. It is not
 // safe for concurrent use; split independent streams with Split.
@@ -83,28 +86,11 @@ func (r *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	c = t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // Range returns a uniform float64 in [lo, hi).
