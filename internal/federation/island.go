@@ -76,14 +76,16 @@ func runIsland(ic islandContext) (islandResult, error) {
 		connOpt.OnRTT = ic.adv.ObserveRTT
 	}
 
-	// Worker transport, as in the distributed driver; the deferred Close
-	// also covers the failed-dial returns below.
+	// Worker transport, as in the distributed driver: the host calls the
+	// island's handler for every session event under its loop lock, and
+	// ticks and the wall limit enter through Do. It starts serving once
+	// the ring is dialled (workers that connect earlier wait in the
+	// listen backlog).
 	var host wire.Host
-	host.Serve(ic.workerLn, connOpt, cfg.Problem)
-	defer host.Close(true)
 
 	// Peer link: raw migrant frames from the ring predecessor, which may
-	// run epochs ahead; the buffer lets its frames wait for the loop.
+	// run epochs ahead; the buffer lets its frames wait for the barrier,
+	// the channel's only consumer.
 	migrants := make(chan *wire.Migrant, 256)
 	done := make(chan struct{})
 	peer := wire.ServeFrames(ic.peerLn, func(m wire.Message) {
@@ -103,6 +105,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 		var err error
 		succ, err = dialPeer(ic.succAddr, time.Now().Add(cfg.migrationTimeout()))
 		if err != nil {
+			ic.workerLn.Close() // never served, so no host Close will
 			return ir, err
 		}
 		defer succ.Close()
@@ -112,6 +115,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 		var err error
 		rootConn, err = dialPeer(ic.root.Addr(), time.Now().Add(cfg.migrationTimeout()))
 		if err != nil {
+			ic.workerLn.Close()
 			return ir, err
 		}
 		defer rootConn.Close()
@@ -184,26 +188,29 @@ func runIsland(ic islandContext) (islandResult, error) {
 	m := master.NewCore(mcfg)
 
 	var exec func(acts []master.Action)
-	// gone drops a live session and declares its worker dead (inert for
-	// one already torn down: replaced, or send failure).
+	// gone declares a dropped session's worker dead.
 	gone := func(s *wire.Session, why error) {
-		if host.Drop(s) {
-			ic.adv.SetLive(host.Live())
-			cfg.logf("federation: island %d worker %d gone: %v", ic.isl, s.ID, why)
-			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
-		}
+		ic.adv.SetLive(host.Live())
+		cfg.logf("federation: island %d worker %d gone: %v", ic.isl, s.ID, why)
+		exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
 	}
 	exec = func(acts []master.Action) {
-		// Handle reuses its action slice; copy before executing, because
-		// a failed grant send re-enters Handle mid-iteration.
-		acts = append([]master.Action(nil), acts...)
+		// Handle reuses its action slice, so a session whose grant send
+		// failed is dropped at once (later actions skip it) but declared
+		// gone only after the loop.
+		type failure struct {
+			s   *wire.Session
+			err error
+		}
+		var failed []failure
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
 				if s := host.Lookup(a.Worker); s != nil {
 					tc, err := host.Grant(s, a.Item.ID, a.Item, "")
 					if err != nil {
-						gone(s, err)
+						host.Drop(s)
+						failed = append(failed, failure{s, err})
 						continue
 					}
 					if ic.trace != nil {
@@ -222,12 +229,14 @@ func runIsland(ic islandContext) (islandResult, error) {
 				ic.log.SetElapsed(elapsedAt)
 			}
 		}
+		for _, f := range failed {
+			gone(f.s, f.err)
+		}
 	}
 
 	pred := (ic.isl - 1 + cfg.Islands) % cfg.Islands
 	migRng := NewMigrationRNG(cfg.Seed, ic.isl)
 	pendingMig := make(map[uint64]*wire.Migrant)
-	var backlog []wire.HostEvent
 	var lastEpoch uint64
 	var migBuf []byte // frame scratch, reused per send
 	var deltaSeq uint64
@@ -243,8 +252,10 @@ func runIsland(ic islandContext) (islandResult, error) {
 	}
 
 	// takeMigrant blocks until the predecessor's epoch-e migrant
-	// arrives, buffering early migrants of later epochs and backlogging
-	// every worker event for the main loop.
+	// arrives, buffering early migrants of later epochs. It runs inside
+	// the result handler, so it holds the loop lock throughout: every
+	// other session's events wait behind it, in arrival order, and so
+	// do ticks.
 	takeMigrant := func(epoch uint64) (*wire.Migrant, error) {
 		if mg, ok := pendingMig[epoch]; ok {
 			delete(pendingMig, epoch)
@@ -259,8 +270,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 					return mg, nil
 				}
 				pendingMig[mg.Epoch] = mg
-			case e := <-host.Events():
-				backlog = append(backlog, e)
 			case <-timeout.C:
 				return nil, fmt.Errorf("migration epoch %d: no migrant from island %d within %v", epoch, pred, cfg.migrationTimeout())
 			}
@@ -315,35 +324,20 @@ func runIsland(ic islandContext) (islandResult, error) {
 		}
 	}
 
-	var tickC <-chan time.Time
-	if cfg.LeaseTimeout > 0 {
-		ticker := time.NewTicker(wire.TickInterval(cfg.LeaseTimeout))
-		defer ticker.Stop()
-		tickC = ticker.C
+	// over (loop-locked) ends the island: once the budget completes or
+	// the run fails, the handler ignores whatever still arrives until
+	// Close stops the readers.
+	over := false
+	finished := make(chan struct{})
+	finish := func() {
+		if !over {
+			over = true
+			close(finished)
+		}
 	}
-	wall := time.NewTimer(cfg.wallLimit())
-	defer wall.Stop()
-
-	for !m.Done() && migErr == nil {
-		var e wire.HostEvent
-		if len(backlog) > 0 {
-			e = backlog[0]
-			backlog = backlog[1:]
-		} else {
-			select {
-			case e = <-host.Events():
-			case mg := <-migrants:
-				// A migrant outside a boundary wait: the predecessor runs
-				// ahead; hold its frame for the epoch we will reach.
-				pendingMig[mg.Epoch] = mg
-				continue
-			case <-tickC:
-				exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
-				continue
-			case <-wall.C:
-				migErr = fmt.Errorf("wall limit %v reached with %d/%d evaluations", cfg.wallLimit(), m.Completed(), cfg.Evaluations)
-				continue
-			}
+	handle := func(e wire.HostEvent) {
+		if over {
+			return
 		}
 		s := e.Sess
 		switch e.Kind {
@@ -355,7 +349,9 @@ func runIsland(ic islandContext) (islandResult, error) {
 			cfg.logf("federation: island %d worker %d joined (%d live)", ic.isl, s.ID, host.Live())
 			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
 		case wire.HostDead:
-			gone(s, e.Err)
+			if host.Drop(s) { // inert when already torn down (replaced, or send failure)
+				gone(s, e.Err)
+			}
 		case wire.HostResult:
 			if s.Gone() {
 				break
@@ -382,7 +378,44 @@ func runIsland(ic islandContext) (islandResult, error) {
 				}
 			}
 		}
+		if m.Done() || migErr != nil {
+			finish()
+		}
 	}
+	host.Serve(ic.workerLn, connOpt, cfg.Problem, handle)
+
+	var tickC <-chan time.Time
+	if cfg.LeaseTimeout > 0 {
+		ticker := time.NewTicker(wire.TickInterval(cfg.LeaseTimeout))
+		defer ticker.Stop()
+		tickC = ticker.C
+	}
+	wall := time.NewTimer(cfg.wallLimit())
+	defer wall.Stop()
+	tick := func() {
+		if !over {
+			exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
+		}
+	}
+	wallLimit := func() {
+		if !over {
+			migErr = fmt.Errorf("wall limit %v reached with %d/%d evaluations", cfg.wallLimit(), m.Completed(), cfg.Evaluations)
+			finish()
+		}
+	}
+	for waiting := true; waiting; {
+		select {
+		case <-finished:
+			waiting = false
+		case <-tickC:
+			host.Do(tick)
+		case <-wall.C:
+			host.Do(wallLimit)
+		}
+	}
+	// Stops every worker the host ever accepted; no handler runs after
+	// it, so the state below is final.
+	host.Close(true)
 
 	ir.stats = m.Stats()
 	ir.peak = m.Peak()

@@ -187,8 +187,8 @@ func evalFor(p problems.Problem) func(*master.Item) {
 // resume loads every job persisted in StateDir: terminal jobs come
 // back as queryable records, jobs with a recorded event stream replay
 // to their pre-kill state and continue, and jobs that never started
-// re-queue. Runs before the event loop starts, so it may touch loop
-// state freely.
+// re-queue. Runs before the fleet host serves, so it may touch
+// loop-locked state freely.
 func (s *Scheduler) resume() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("jobs: state dir: %w", err)

@@ -707,3 +707,60 @@ func TestMultiProblemFleetPartialCapability(t *testing.T) {
 		}
 	}
 }
+
+// TestResultConstraintCountChecked: a worker whose result carries
+// constraint violations the job's problem does not have fails that
+// lease like a worker that cannot evaluate the problem — the
+// violations are never folded into the solution — and the job
+// completes on a well-behaved worker.
+func TestResultConstraintCountChecked(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{FleetListen: "127.0.0.1:0", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// A hand-rolled worker: right objective count, one spurious violation.
+	c, _, err := wire.Dial(s.FleetAddr(), wire.Hello{}, wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go func() {
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			if ev, ok := m.(*wire.Evaluate); ok {
+				c.Send(&wire.Result{Lease: ev.Lease, SolID: ev.SolID, Operator: ev.Operator, Objs: []float64{0, 0}, Constrs: []float64{1}}) //nolint:errcheck
+			}
+		}
+	}()
+	const budget = 40
+	job, err := s.Submit(&Spec{Problem: "ZDT1", Evaluations: budget, Population: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := reg.Counter(MetricEvalFailures)
+	for deadline := time.Now().Add(10 * time.Second); failures.Value() == 0; time.Sleep(time.Millisecond) {
+		if st, _ := s.Get(job.ID); st.Evaluations > 0 {
+			t.Fatalf("a result with 1 constraint violation for unconstrained %s was accepted", st.Problem)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the misshapen result was neither accepted nor failed within 10s")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorkers(ctx, 1, s.FleetAddr(), nil)
+	waitJobs(t, s, 30*time.Second, func(st Status) bool { return st.State == StateDone })
+	if st, _ := s.Get(job.ID); st.Evaluations != budget {
+		t.Fatalf("%d evaluations, want %d", st.Evaluations, budget)
+	}
+	if n := failures.Value(); n != 1 {
+		t.Fatalf("%d failed evaluations, want the one misshapen result", n)
+	}
+}

@@ -96,8 +96,8 @@ func (c *Config) logf(format string, args ...any) {
 // slower and receives p times the grants of a priority-1 job.
 const strideOne = 1 << 20
 
-// job is the scheduler's per-run state. All fields are owned by the
-// event loop.
+// job is the scheduler's per-run state. All fields are guarded by the
+// fleet host's loop lock.
 type job struct {
 	id      string
 	spec    *Spec
@@ -166,17 +166,18 @@ type fleetWorker struct {
 // Scheduler owns the shared borgd fleet and multiplexes every
 // submitted job over it: one ScheduledOffspring master.Core per active
 // job, stride-scheduled fair sharing at per-evaluation granularity,
-// and per-job checkpoint streams. All scheduling state lives in one
-// event-loop goroutine — the public methods send it closures.
+// and per-job checkpoint streams. All scheduling state lives under the
+// fleet host's loop lock: fleet events arrive in onFleet on their
+// readers' goroutines, and the public methods and lease ticks enter
+// through do.
 type Scheduler struct {
 	cfg      Config
 	ln       net.Listener
 	leaseSec float64
 
-	host   wire.Host // fleet transport; zero until New serves it
-	cmds   chan func()
-	quit   chan struct{}
-	done   chan struct{}
+	host   wire.Host     // fleet transport; zero until New serves it
+	quit   chan struct{} // closed by Close: stops the ticker
+	done   chan struct{} // closed when the ticker has stopped
 	stopIt sync.Once
 
 	draining atomic.Bool
@@ -187,7 +188,8 @@ type Scheduler struct {
 	gActive, gQueued, gWorkers                             *obs.Gauge
 	hEval, hFirstResult                                    *obs.Histogram
 
-	// --- event-loop state below ---
+	// --- loop-locked state below ---
+	closed        bool // Close has run shutdown: nothing else may
 	jobs          map[string]*job
 	order         []string // submission order
 	queue         []*job
@@ -227,7 +229,6 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:      cfg,
 		ln:       ln,
 		leaseSec: cfg.LeaseTimeout.Seconds(),
-		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 
@@ -256,8 +257,8 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	// A multi-problem session (nil problem): each grant names its own,
 	// so one fleet serves every job.
-	s.host.Serve(ln, cfg.Conn, nil)
-	go s.loop()
+	s.host.Serve(ln, cfg.Conn, nil, s.onFleet)
+	go s.ticks()
 	return s, nil
 }
 
@@ -287,46 +288,40 @@ func (s *Scheduler) now() float64 {
 // running jobs resume from StateDir on the next New.
 func (s *Scheduler) Close() error {
 	s.draining.Store(true)
-	s.do(func() { s.shutdown() }) //nolint:errcheck // best effort once closed
+	s.do(s.shutdown) //nolint:errcheck // best effort once closed
+	s.host.Close(false)
 	s.stopIt.Do(func() { close(s.quit) })
 	<-s.done
 	return nil
 }
 
-// do runs fn on the event loop and waits for it.
+// do runs fn under the loop lock, unless the scheduler has closed.
 func (s *Scheduler) do(fn func()) error {
-	ran := make(chan struct{})
-	select {
-	case s.cmds <- func() { fn(); close(ran) }:
-	case <-s.done:
-		return ErrClosed
-	}
-	select {
-	case <-ran:
-		return nil
-	case <-s.done:
-		return ErrClosed
-	}
+	err := ErrClosed
+	s.host.Do(func() {
+		if !s.closed {
+			fn()
+			s.updateGauges()
+			err = nil
+		}
+	})
+	return err
 }
 
-// --- event loop -----------------------------------------------------
+// --- event handling -------------------------------------------------
 
-func (s *Scheduler) loop() {
+// ticks feeds lease ticks until Close.
+func (s *Scheduler) ticks() {
 	defer close(s.done)
 	tick := time.NewTicker(wire.TickInterval(s.cfg.LeaseTimeout))
 	defer tick.Stop()
 	for {
 		select {
-		case e := <-s.host.Events():
-			s.onFleet(e)
-		case fn := <-s.cmds:
-			fn()
 		case <-tick.C:
-			s.onTick()
+			s.do(s.onTick) //nolint:errcheck // a tick after Close has nothing to do
 		case <-s.quit:
 			return
 		}
-		s.updateGauges()
 	}
 }
 
@@ -336,7 +331,13 @@ func (s *Scheduler) updateGauges() {
 	s.gWorkers.Set(float64(len(s.fleet)))
 }
 
+// onFleet is the fleet host's handler: one session event, under the
+// loop lock.
 func (s *Scheduler) onFleet(e wire.HostEvent) {
+	if s.closed {
+		return
+	}
+	defer s.updateGauges()
 	w := s.fleet[e.Sess] // nil once the session is gone: stale events drop
 	switch e.Kind {
 	case wire.HostJoin:
@@ -427,11 +428,11 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		s.assign(w)
 		return
 	}
-	if len(msg.Objs) != j.problem.NumObjs() {
+	if len(msg.Objs) != j.problem.NumObjs() || len(msg.Constrs) != problems.NumConstraints(j.problem) {
 		// The worker could not evaluate this problem (not in its
-		// registry, dimension drift): an empty Result fails the lease,
-		// not the session. Resubmit the work and never offer this
-		// worker the job again.
+		// registry, dimension drift): an empty or misshapen Result
+		// fails the lease, not the session. Resubmit the work and never
+		// offer this worker the job again.
 		j.failed[w.sess.ID] = struct{}{}
 		s.mEvalFailures.Inc()
 		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.sess.ID, j.problem.Name(), j.id)
@@ -532,9 +533,10 @@ func (s *Scheduler) assign(w *fleetWorker) {
 // back to the pool — the fleet is shared, so a completed job never
 // stops a worker process.
 func (s *Scheduler) exec(j *job, acts []master.Action) {
-	// Copy: a failed send re-enters Handle (EvGone) which recycles the
-	// core's action buffer.
-	acts = append([]master.Action(nil), acts...)
+	// Handle reuses the core's action slice, so a worker whose grant
+	// send failed is dropped at once (later actions skip it) but
+	// retired — which feeds its jobs' cores EvGone — after the actions.
+	var failed []*fleetWorker
 	for _, a := range acts {
 		switch a.Kind {
 		case master.ActGrant:
@@ -547,7 +549,8 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 			tc, err := s.host.Grant(w.sess, s.nextWireLease, a.Item, j.problem.Name())
 			if err != nil {
 				s.cfg.logf("jobs: send to worker %d failed: %v", a.Worker, err)
-				s.dropWorker(w)
+				s.host.Drop(w.sess)
+				failed = append(failed, w)
 				continue
 			}
 			j.trace.ObserveTCSend(a.Item.ID, tc)
@@ -559,6 +562,9 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 				s.assign(w)
 			}
 		}
+	}
+	for _, w := range failed {
+		s.retire(w)
 	}
 }
 
@@ -837,10 +843,12 @@ func (s *Scheduler) cancel(id string) error {
 	return nil
 }
 
-// shutdown runs on the event loop during Close: final checkpoints,
-// then every fleet connection drops (no Stop — workers redial the next
-// scheduler).
+// shutdown runs under the loop lock during Close: final checkpoints,
+// after which the scheduler is closed to everything but its host's
+// Close, which drops every fleet connection (no Stop — workers redial
+// the next scheduler).
 func (s *Scheduler) shutdown() {
+	s.closed = true
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.state == StateRunning && j.ck != nil {
@@ -850,10 +858,9 @@ func (s *Scheduler) shutdown() {
 			j.ck.close()
 		}
 	}
-	s.host.Close(false)
 }
 
-// status builds a job's externally visible snapshot; loop-owned.
+// status builds a job's externally visible snapshot; loop-locked.
 func (s *Scheduler) status(j *job) Status {
 	st := Status{
 		ID:                 j.id,
@@ -892,7 +899,7 @@ func (s *Scheduler) status(j *job) Status {
 	return st
 }
 
-// --- public API (each call crosses into the event loop) -------------
+// --- public API (each call takes the loop lock) ---------------------
 
 // Submit validates and enqueues a job, returning its initial status.
 func (s *Scheduler) Submit(spec *Spec) (Status, error) {
@@ -920,7 +927,7 @@ func (s *Scheduler) Get(id string) (Status, error) {
 		return Status{}, err
 	}
 	if adv != nil {
-		// Report takes the advisor's own lock; do it off the loop.
+		// Report takes the advisor's own lock; do it off the loop lock.
 		r := adv.Report()
 		st.Advisor = &r
 	}

@@ -264,9 +264,8 @@ type Core struct {
 	acts        []Action
 
 	// freeItems recycles the Item wrappers of accepted results, and
-	// freeLeases the lease records of closed leases (expiry disabled
-	// only — the deadline heap lazily retains done leases otherwise),
-	// so the steady-state grant path allocates neither.
+	// freeLeases the lease records of settled leases, so the
+	// steady-state grant path allocates neither.
 	freeItems  []*Item
 	freeLeases []*lease
 }
@@ -586,9 +585,9 @@ func (c *Core) grant(worker int, item *Item, at float64) {
 		l = c.freeLeases[n-1]
 		c.freeLeases[n-1] = nil
 		c.freeLeases = c.freeLeases[:n-1]
-		*l = lease{item: item, worker: worker, seq: c.nextSeq}
+		*l = lease{item: item, worker: worker, seq: c.nextSeq, idx: -1}
 	} else {
-		l = &lease{item: item, worker: worker, seq: c.nextSeq}
+		l = &lease{item: item, worker: worker, seq: c.nextSeq, idx: -1}
 	}
 	w.lease = l
 	w.state = StateBusy
@@ -611,15 +610,13 @@ func (c *Core) release(l *lease) {
 		w.lease = nil
 	}
 	c.busy--
-	if c.cfg.LeaseTimeout <= 0 {
-		// With expiry disabled the lease was never pushed on the
-		// deadline heap, so nothing else can hold it (callers capture
-		// item/worker before releasing): pool it. With expiry enabled
-		// the heap lazily retains done leases until peek discards them,
-		// so those must stay unpooled.
-		*l = lease{done: true}
-		c.freeLeases = append(c.freeLeases, l)
+	if l.idx >= 0 {
+		c.heap.remove(l)
 	}
+	// Off the heap and out of the tables, nothing else holds the lease
+	// (callers capture item/worker before releasing): pool it.
+	*l = lease{done: true, idx: -1}
+	c.freeLeases = append(c.freeLeases, l)
 }
 
 // lose presumes a leased evaluation dead and re-enqueues a clone under
@@ -761,13 +758,14 @@ func (c *Core) expire(now float64) {
 		c.heap.pop()
 		c.stats.Expiries++
 		c.cfg.Meters.LeaseExp.Inc()
+		worker := l.worker // lose pools l
 		if c.cfg.Emit != nil {
-			c.cfg.Emit("lease.expire", fmt.Sprintf("worker=%d id=%d", l.worker, l.item.ID))
+			c.cfg.Emit("lease.expire", fmt.Sprintf("worker=%d id=%d", worker, l.item.ID))
 		}
 		if c.cfg.Tracer != nil {
-			c.cfg.Tracer.TraceExpire(l.worker, l.item.ID, now)
+			c.cfg.Tracer.TraceExpire(worker, l.item.ID, now)
 		}
 		c.lose(l)
-		c.reg.MarkSuspect(l.worker)
+		c.reg.MarkSuspect(worker)
 	}
 }

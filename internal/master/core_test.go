@@ -221,7 +221,15 @@ func TestLeaseHeapOrdering(t *testing.T) {
 		leases[i] = &lease{deadline: d, seq: uint64(i)}
 		h.push(leases[i])
 	}
-	leases[2].done = true // settled before expiry: peek must skip it
+	h.remove(leases[2]) // settled before expiry: it leaves the heap at once
+	if leases[2].idx != -1 || h.len() != len(deadlines)-1 {
+		t.Fatalf("remove left idx=%d len=%d", leases[2].idx, h.len())
+	}
+	for i, l := range h.q {
+		if l.idx != i {
+			t.Fatalf("heap slot %d holds a lease indexed %d", i, l.idx)
+		}
+	}
 
 	want := []struct {
 		deadline float64

@@ -2,23 +2,28 @@ package master
 
 // lease is one outstanding evaluation: the dispatched work item, the
 // worker it was granted to, and the deadline after which the master
-// presumes the work lost and resubmits a clone. done marks leases
-// settled (result accepted, or expired and reissued) so stale heap
-// entries are skipped lazily. seq breaks deadline ties in grant order,
-// keeping expiry processing deterministic.
+// presumes the work lost and resubmits a clone. done marks settled
+// leases (result accepted, or expired and reissued). seq breaks
+// deadline ties in grant order, keeping expiry processing
+// deterministic. idx is the lease's position on the deadline heap, -1
+// when it is not on it, so settling a lease removes it in O(log n).
 type lease struct {
 	item     *Item
 	worker   int
 	deadline float64
 	seq      uint64
+	idx      int
 	done     bool
 }
 
-// leaseHeap is a binary min-heap of live leases ordered by (deadline,
-// seq). It replaces the FIFO scan the drivers used when the timeout
-// was a single constant: the heap stays O(log n) per grant/expiry even
-// if per-worker or adaptive timeouts make deadlines non-monotonic, and
-// peek is O(1) on the master's hot receive path.
+// leaseHeap is an indexed binary min-heap of live leases ordered by
+// (deadline, seq). It replaces the FIFO scan the drivers used when the
+// timeout was a single constant: the heap stays O(log n) per
+// grant/settle/expiry even if per-worker or adaptive timeouts make
+// deadlines non-monotonic, and peek is O(1). It holds live leases
+// only: release removes a lease the moment it settles, so the heap
+// never outgrows the outstanding set and a settled lease can be pooled
+// at once.
 type leaseHeap struct {
 	q []*lease
 }
@@ -30,27 +35,46 @@ func leaseLess(a, b *lease) bool {
 	return a.seq < b.seq
 }
 
+func (h *leaseHeap) swap(i, j int) {
+	h.q[i], h.q[j] = h.q[j], h.q[i]
+	h.q[i].idx, h.q[j].idx = i, j
+}
+
 func (h *leaseHeap) push(l *lease) {
+	l.idx = len(h.q)
 	h.q = append(h.q, l)
-	i := len(h.q) - 1
+	h.siftUp(l.idx)
+}
+
+// pop removes and returns the lease with the earliest deadline.
+func (h *leaseHeap) pop() *lease {
+	top := h.q[0]
+	h.remove(top)
+	return top
+}
+
+// remove takes l off the heap; it must be on it.
+func (h *leaseHeap) remove(l *lease) {
+	i, last := l.idx, len(h.q)-1
+	h.swap(i, last)
+	h.q[last] = nil
+	h.q = h.q[:last]
+	if i < last {
+		h.siftDown(i)
+		h.siftUp(i)
+	}
+	l.idx = -1
+}
+
+func (h *leaseHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !leaseLess(h.q[i], h.q[parent]) {
-			break
+			return
 		}
-		h.q[i], h.q[parent] = h.q[parent], h.q[i]
+		h.swap(i, parent)
 		i = parent
 	}
-}
-
-func (h *leaseHeap) pop() *lease {
-	n := len(h.q)
-	top := h.q[0]
-	h.q[0] = h.q[n-1]
-	h.q[n-1] = nil
-	h.q = h.q[:n-1]
-	h.siftDown(0)
-	return top
 }
 
 func (h *leaseHeap) siftDown(i int) {
@@ -67,22 +91,17 @@ func (h *leaseHeap) siftDown(i int) {
 		if min == i {
 			return
 		}
-		h.q[i], h.q[min] = h.q[min], h.q[i]
+		h.swap(i, min)
 		i = min
 	}
 }
 
-// peek returns the live lease with the earliest deadline, discarding
-// settled leases lazily (release marks them done instead of searching
-// the heap).
+// peek returns the live lease with the earliest deadline.
 func (h *leaseHeap) peek() (*lease, bool) {
-	for len(h.q) > 0 {
-		if !h.q[0].done {
-			return h.q[0], true
-		}
-		h.pop()
+	if len(h.q) == 0 {
+		return nil, false
 	}
-	return nil, false
+	return h.q[0], true
 }
 
 func (h *leaseHeap) len() int { return len(h.q) }

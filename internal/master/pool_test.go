@@ -96,6 +96,116 @@ func TestGrantPathSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSettledLeasesLeaveHeap: with expiry on — every TCP master — a
+// settled lease leaves the deadline heap at once, so the heap holds
+// exactly the outstanding leases after every event, expiries and
+// resubmissions included, and the lazy result→grant path allocates
+// nothing once warm (leases are pooled, the idle queue keeps its
+// capacity).
+func TestSettledLeasesLeaveHeap(t *testing.T) {
+	alg := &preallocAlg{}
+	c := NewCore(Config{Budget: 1 << 30, LeaseTimeout: 30, Policy: LazyOffspring, ReuseOnResubmit: true, Alg: alg})
+	check := func(what string) {
+		t.Helper()
+		if c.heap.len() != c.Outstanding() {
+			t.Fatalf("after %s: heap holds %d leases, %d outstanding", what, c.heap.len(), c.Outstanding())
+		}
+	}
+	// lease[w] is worker w's live lease id, 0 when it holds none.
+	lease := map[int]uint64{}
+	at := 0.0
+	handle := func(ev Event) {
+		t.Helper()
+		ev.At = at
+		for _, a := range c.Handle(ev) {
+			if a.Kind == ActGrant {
+				lease[a.Worker] = a.Item.ID
+			}
+		}
+		check(ev.Kind.String())
+	}
+	for w := 1; w <= 3; w++ {
+		handle(Event{Kind: EvJoin, Worker: w})
+	}
+	for round := 0; round < 50; round++ {
+		at += 1
+		for w := 1; w <= 3; w++ {
+			id := lease[w]
+			lease[w] = 0
+			handle(Event{Kind: EvResult, Worker: w, Item: id})
+		}
+		if round == 20 {
+			// Worker 3 goes silent: its lease expires and is reissued.
+			silent := lease[3]
+			at += 31
+			handle(Event{Kind: EvTick})
+			handle(Event{Kind: EvResult, Worker: 3, Item: silent}) // late duplicate
+		}
+	}
+	if st := c.Stats(); st.Expiries == 0 || st.Duplicates == 0 {
+		t.Fatalf("scenario exercised no expiry: %+v", st)
+	}
+
+	// Batched, because AllocsPerRun truncates: a reallocation every few
+	// evaluations would read as 0 per single call.
+	id := lease[1]
+	avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 100; i++ {
+			at += 1e-3
+			acts := c.Handle(Event{Kind: EvResult, Worker: 1, Item: id, At: at})
+			id = acts[0].Item.ID
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("result→grant with expiry on allocates %.0f objects per 100, want 0", avg)
+	}
+	check("steady state")
+}
+
+// TestIdleQueueSteadyStateAllocs: popping the idle queue keeps its
+// capacity, so a worker cycling idle → busy never reallocates it.
+func TestIdleQueueSteadyStateAllocs(t *testing.T) {
+	r := NewRegistry()
+	for w := 1; w <= 4; w++ {
+		r.Join(w)
+		r.MarkIdle(w)
+	}
+	cycle := func() {
+		w, ok := r.popIdle()
+		if !ok {
+			t.Fatal("idle queue ran dry")
+		}
+		w.state = StateBusy
+		r.MarkIdle(w.id)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	batch := func() { // AllocsPerRun truncates; see TestSettledLeasesLeaveHeap
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+	}
+	if avg := testing.AllocsPerRun(20, batch); avg != 0 {
+		t.Fatalf("idle → busy → idle allocates %.0f objects per 100 cycles, want 0", avg)
+	}
+	// FIFO order survives the compaction.
+	var got []int
+	for w, ok := r.popIdle(); ok; w, ok = r.popIdle() {
+		got = append(got, w.id)
+	}
+	// Every cycle moved the head to the tail, so what is left is a
+	// rotation of the join order.
+	if len(got) != 4 {
+		t.Fatalf("drained %v, want all four workers", got)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[i-1]%4+1 {
+			t.Fatalf("drained %v, want a rotation of [1 2 3 4]", got)
+		}
+	}
+}
+
 // preallocAlg recycles one Solution so the allocation test isolates the
 // protocol layer.
 type preallocAlg struct {

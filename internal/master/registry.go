@@ -45,11 +45,12 @@ type workerInfo struct {
 // the per-island masters use it directly. It is deterministic: Known
 // iterates in join order and the idle queue is FIFO.
 type Registry struct {
-	byID  map[int]*workerInfo
-	order []int
-	idleQ []int
-	live  int
-	peak  int
+	byID     map[int]*workerInfo
+	order    []int
+	idleQ    []int // FIFO from idleHead on
+	idleHead int
+	live     int
+	peak     int
 }
 
 // NewRegistry returns an empty registry.
@@ -137,9 +138,17 @@ func (r *Registry) State(id int) WorkerState {
 // popIdle pops the next genuinely idle worker, discarding stale queue
 // entries (workers whose state moved on since they were queued).
 func (r *Registry) popIdle() (*workerInfo, bool) {
-	for len(r.idleQ) > 0 {
-		id := r.idleQ[0]
-		r.idleQ = r.idleQ[1:]
+	for r.idleHead < len(r.idleQ) {
+		id := r.idleQ[r.idleHead]
+		r.idleHead++
+		if 2*r.idleHead >= len(r.idleQ) {
+			// At least half the slice is spent: move the live tail down,
+			// at most one move per pop amortised. Re-slicing the front
+			// instead would strand capacity, and MarkIdle's append would
+			// reallocate every few evaluations.
+			live := copy(r.idleQ, r.idleQ[r.idleHead:])
+			r.idleQ, r.idleHead = r.idleQ[:live], 0
+		}
 		w := r.byID[id]
 		if w != nil && w.state == StateIdle {
 			return w, true

@@ -111,12 +111,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			return nil, fmt.Errorf("parallel: listen: %w", err)
 		}
 	}
-	// Transport: the shared socket host feeds joins, results and deaths;
-	// its deferred Close stops every worker it ever accepted.
-	var host wire.Host
-	host.Serve(listener, dcfg.Conn, cfg.Problem)
-	defer host.Close(true)
-
 	// Master side: the shared state machine on the wall clock, lazy
 	// offspring generation (the worker pool is dynamic, so offspring
 	// are suggested on demand at dispatch, bounded by the remaining
@@ -184,6 +178,11 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	}
 	m := master.NewCore(mcfg)
 
+	// Transport: the shared socket host calls handle for every join,
+	// result and death, on that session's reader goroutine under the
+	// host's loop lock; lease ticks and the wall limit enter through Do.
+	var host wire.Host
+
 	// lost records a session the host dropped; the state machine hears
 	// about the death separately (EvGone, or the retire inside a
 	// replacing EvJoin).
@@ -193,24 +192,28 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		dcfg.logf("parallel: worker %d gone: %v", s.ID, why)
 	}
 	var exec func(acts []master.Action)
-	// gone drops a live session and declares its worker dead.
+	// gone declares a dropped session's worker dead.
 	gone := func(s *wire.Session, why error) {
-		if host.Drop(s) {
-			lost(s, why)
-			exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
-		}
+		lost(s, why)
+		exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
 	}
 	exec = func(acts []master.Action) {
-		// Handle reuses its action slice; copy before executing, because
-		// a failed grant send re-enters Handle mid-iteration.
-		acts = append([]master.Action(nil), acts...)
+		// Handle reuses its action slice, so a session whose grant send
+		// failed is dropped at once (later actions skip it) but declared
+		// gone only after the loop.
+		type failure struct {
+			s   *wire.Session
+			err error
+		}
+		var failed []failure
 		for _, a := range acts {
 			switch a.Kind {
 			case master.ActGrant:
 				if s := host.Lookup(a.Worker); s != nil {
 					tc, err := host.Grant(s, a.Item.ID, a.Item, "")
 					if err != nil {
-						gone(s, err)
+						host.Drop(s)
+						failed = append(failed, failure{s, err})
 						continue
 					}
 					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
@@ -222,7 +225,77 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 				cfg.Protocol.SetElapsed(elapsedAtN)
 			}
 		}
+		for _, f := range failed {
+			gone(f.s, f.err)
+		}
 	}
+
+	// over (loop-locked) ends the run: once the budget completes or the
+	// wall limit strikes, the handler ignores whatever still arrives
+	// until Close stops the readers.
+	over := false
+	finished := make(chan struct{})
+	finish := func() {
+		if !over {
+			over = true
+			close(finished)
+		}
+	}
+	handle := func(e wire.HostEvent) {
+		if over {
+			return
+		}
+		s := e.Sess
+		switch e.Kind {
+		case wire.HostJoin:
+			if old := host.Admit(s); old != nil {
+				// Reconnect-with-hello: the old incarnation's work
+				// died with it; the machine retires it inside EvJoin.
+				lost(old, fmt.Errorf("replaced by reconnect"))
+			}
+			adv.SetLive(host.Live())
+			record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", s.ID), Detail: s.RemoteAddr().String()})
+			dcfg.logf("parallel: worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), host.Live())
+			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
+		case wire.HostDead:
+			if host.Drop(s) { // inert when already torn down (replaced, or send failure)
+				gone(s, e.Err)
+			}
+		case wire.HostResult:
+			if s.Gone() {
+				break
+			}
+			msg := e.Result
+			// Fill in the solution and meter T_F only when the
+			// machine will accept this result (a live lease granted
+			// to this worker); late duplicates are discarded inside.
+			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
+				evalSec := msg.Fill(item)
+				tfSum += evalSec
+				tfN++
+				meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
+				adv.ObserveTF(int(s.ID), evalSec)
+				cfg.Trace.ObserveTF(item.ID, evalSec)
+				curItem = item.ID
+				if journal != nil {
+					// Reconstruct the worker's eval span master-side
+					// from the reported duration.
+					journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
+				}
+			}
+			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
+			// Quality cadence: route the trigger through the master
+			// so the sample point lands in the BMEL log (replayable
+			// even though this driver's clock is wall time).
+			if q := cfg.Quality; q != nil && !m.Done() && q.Due(m.Completed(), since()) {
+				exec(m.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: since()}))
+			}
+		}
+		if m.Done() {
+			finish()
+		}
+	}
+	host.Serve(listener, dcfg.Conn, cfg.Problem, handle)
 
 	var tickC <-chan time.Time
 	if leaseTimeout > 0 {
@@ -236,62 +309,30 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		defer wall.Stop()
 		wallC = wall.C
 	}
-
-loop:
-	for !m.Done() {
-		select {
-		case e := <-host.Events():
-			s := e.Sess
-			switch e.Kind {
-			case wire.HostJoin:
-				if old := host.Admit(s); old != nil {
-					// Reconnect-with-hello: the old incarnation's work
-					// died with it; the machine retires it inside EvJoin.
-					lost(old, fmt.Errorf("replaced by reconnect"))
-				}
-				adv.SetLive(host.Live())
-				record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", s.ID), Detail: s.RemoteAddr().String()})
-				dcfg.logf("parallel: worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), host.Live())
-				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
-			case wire.HostDead:
-				gone(s, e.Err) // inert when already torn down (replaced, or send failure)
-			case wire.HostResult:
-				if s.Gone() {
-					break
-				}
-				msg := e.Result
-				// Fill in the solution and meter T_F only when the
-				// machine will accept this result (a live lease granted
-				// to this worker); late duplicates are discarded inside.
-				if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
-					evalSec := msg.Fill(item)
-					tfSum += evalSec
-					tfN++
-					meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
-					adv.ObserveTF(int(s.ID), evalSec)
-					cfg.Trace.ObserveTF(item.ID, evalSec)
-					curItem = item.ID
-					if journal != nil {
-						// Reconstruct the worker's eval span master-side
-						// from the reported duration.
-						journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
-					}
-				}
-				exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
-				// Quality cadence: route the trigger through the master
-				// so the sample point lands in the BMEL log (replayable
-				// even though this driver's clock is wall time).
-				if q := cfg.Quality; q != nil && !m.Done() && q.Due(m.Completed(), since()) {
-					exec(m.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: since()}))
-				}
-			}
-		case <-tickC:
+	tick := func() {
+		if !over {
 			exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
-		case <-wallC:
-			dcfg.logf("parallel: wall limit %v reached with %d/%d evaluations", dcfg.WallLimit, m.Completed(), cfg.Evaluations)
-			break loop
 		}
 	}
+	wallLimit := func() {
+		if !over {
+			dcfg.logf("parallel: wall limit %v reached with %d/%d evaluations", dcfg.WallLimit, m.Completed(), cfg.Evaluations)
+			finish()
+		}
+	}
+	for waiting := true; waiting; {
+		select {
+		case <-finished:
+			waiting = false
+		case <-tickC:
+			host.Do(tick)
+		case <-wallC:
+			host.Do(wallLimit)
+		}
+	}
+	// Stops every worker the host ever accepted; no handler runs after
+	// it, so the state below is final.
+	host.Close(true)
 
 	st := m.Stats()
 	res.ElapsedTime = elapsedAtN

@@ -38,6 +38,15 @@ type Constrained interface {
 	EvaluateWithConstraints(vars, objs, constrs []float64)
 }
 
+// NumConstraints returns p's constraint count: NumConstraints() for a
+// Constrained problem, 0 otherwise.
+func NumConstraints(p Problem) int {
+	if cp, ok := p.(Constrained); ok {
+		return cp.NumConstraints()
+	}
+	return 0
+}
+
 // checkEvalArgs validates an Evaluate call's slice lengths.
 func checkEvalArgs(p Problem, vars, objs []float64) {
 	if len(vars) != p.NumVars() {

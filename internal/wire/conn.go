@@ -23,16 +23,23 @@ type Options struct {
 	// IdleTimeout is how long Recv waits without any inbound frame
 	// (heartbeats included) before declaring the peer dead. 0 means
 	// 4× the effective heartbeat, or DefaultIdleTimeout when
-	// heartbeats are disabled.
+	// heartbeats are disabled. A silent peer is detected between 1×
+	// and 1.25× this long after the last frame: the connection re-arms
+	// its read deadline only when less than IdleTimeout remains on it,
+	// and then to 1.25× ahead, rather than resetting a timer per frame.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one frame write (default 10s).
+	// WriteTimeout bounds one frame write (default 10s). The write
+	// deadline is armed the same lazy way as the read deadline, so a
+	// write blocked on a peer that stopped reading fails between 1×
+	// and 1.25× WriteTimeout after it started.
 	WriteTimeout time.Duration
 	// DialTimeout bounds the TCP connect (default 5s).
 	DialTimeout time.Duration
 	// Metrics, when set, receives transport telemetry: frame and byte
-	// counters in both directions, frame decode errors, and a
-	// heartbeat round-trip-time histogram. Shared by every connection
-	// built from these options; nil disables (zero hot-path cost).
+	// counters in both directions, the socket read and write calls
+	// beneath the buffering, frame decode errors, and a heartbeat
+	// round-trip-time histogram. Shared by every connection built from
+	// these options; nil disables (zero hot-path cost).
 	Metrics *obs.Registry
 	// OnRTT, when set, receives every measured heartbeat round-trip
 	// time in seconds, in addition to the Metrics histogram — the live
@@ -44,9 +51,10 @@ type Options struct {
 	// Result, Migrant) into per-connection scratch structs, so a
 	// steady-state receive allocates nothing. Only safe when every
 	// message returned by Recv is fully consumed before the next Recv
-	// call — the worker serve loop's pattern. Leave it off when
-	// received messages are retained or handed to another goroutine
-	// (the master's reader loops).
+	// call — the pattern of the worker serve loop and of Host, whose
+	// readers hand each result to the master before reading the next
+	// (both turn it on themselves). Leave it off when received messages
+	// are retained or handed to another goroutine.
 	ReuseMessages bool
 }
 
@@ -56,6 +64,8 @@ const (
 	MetricFramesRecv  = "wire.frames_recv"
 	MetricBytesSent   = "wire.bytes_sent"
 	MetricBytesRecv   = "wire.bytes_recv"
+	MetricReadCalls   = "wire.read_calls"
+	MetricWriteCalls  = "wire.write_calls"
 	MetricFrameErrors = "wire.frame_errors"
 	MetricRedials     = "wire.redials"
 	MetricRTT         = "wire.heartbeat_rtt_seconds"
@@ -66,6 +76,7 @@ const (
 type connMetrics struct {
 	framesSent, framesRecv *obs.Counter
 	bytesSent, bytesRecv   *obs.Counter
+	readCalls, writeCalls  *obs.Counter
 	frameErrors            *obs.Counter
 	rtt                    *obs.Histogram
 }
@@ -76,20 +87,26 @@ func newConnMetrics(reg *obs.Registry) connMetrics {
 		framesRecv:  reg.Counter(MetricFramesRecv),
 		bytesSent:   reg.Counter(MetricBytesSent),
 		bytesRecv:   reg.Counter(MetricBytesRecv),
+		readCalls:   reg.Counter(MetricReadCalls),
+		writeCalls:  reg.Counter(MetricWriteCalls),
 		frameErrors: reg.Counter(MetricFrameErrors),
 		rtt:         reg.Histogram(MetricRTT, nil),
 	}
 }
 
-// countingReader counts bytes as they leave the socket, beneath the
-// bufio layer, so read-ahead is attributed when it happens.
+// countingReader counts bytes and read calls as they leave the socket,
+// beneath the bufio layer, so read-ahead is attributed when it happens
+// and a call is one socket read (plus whatever EAGAIN retries the
+// runtime's poller makes inside it).
 type countingReader struct {
-	r io.Reader
-	n *obs.Counter
+	r     io.Reader
+	n     *obs.Counter
+	calls *obs.Counter
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
+	cr.calls.Inc()
 	if n > 0 {
 		cr.n.Add(uint64(n))
 	}
@@ -153,6 +170,11 @@ type Conn struct {
 	done     chan struct{}
 	once     sync.Once
 	hb       sync.WaitGroup // the pinger; Close waits for it
+
+	// The armed deadlines, as offsets from born on the monotonic clock
+	// (see rearm): rdl belongs to the Recv caller, wdl to wmu's holder.
+	born     time.Time
+	rdl, wdl time.Duration
 }
 
 func newConn(nc net.Conn, opt Options) *Conn {
@@ -161,9 +183,24 @@ func newConn(nc net.Conn, opt Options) *Conn {
 		opt:  opt,
 		met:  newConnMetrics(opt.Metrics),
 		done: make(chan struct{}),
+		born: time.Now(),
 	}
-	c.br = bufio.NewReader(&countingReader{r: nc, n: c.met.bytesRecv})
+	c.br = bufio.NewReader(&countingReader{r: nc, n: c.met.bytesRecv, calls: c.met.readCalls})
 	return c
+}
+
+// rearm reports the deadline to set on the socket when less than
+// timeout remains on the armed one — now + 5/4 of timeout — and false
+// while the armed one still covers timeout. One clock read per frame
+// replaces a runtime-timer reset per frame; the price is that an
+// operation may run up to 1.25× timeout before it fails.
+func (c *Conn) rearm(armed *time.Duration, timeout time.Duration) (time.Time, bool) {
+	now := time.Since(c.born)
+	if *armed-now >= timeout {
+		return time.Time{}, false
+	}
+	*armed = now + timeout + timeout/4
+	return c.born.Add(*armed), true
 }
 
 // RemoteAddr reports the peer's address.
@@ -171,15 +208,20 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // Send frames and writes one message under the write deadline. The
 // frame is encoded into a per-connection scratch buffer guarded by
-// the write lock, so steady-state sends allocate nothing.
+// the write lock, so steady-state sends allocate nothing. Each Send is
+// one socket write call.
 func (c *Conn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = AppendFrame(c.wbuf[:0], m)
-	if err := c.nc.SetWriteDeadline(time.Now().Add(c.opt.writeTimeout())); err != nil {
-		return err
+	if at, ok := c.rearm(&c.wdl, c.opt.writeTimeout()); ok {
+		if err := c.nc.SetWriteDeadline(at); err != nil {
+			return err
+		}
 	}
-	if _, err := c.nc.Write(c.wbuf); err != nil {
+	_, err := c.nc.Write(c.wbuf)
+	c.met.writeCalls.Inc()
+	if err != nil {
 		return err
 	}
 	c.met.framesSent.Inc()
@@ -188,8 +230,8 @@ func (c *Conn) Send(m Message) error {
 }
 
 // Recv returns the next protocol message. Heartbeats are consumed
-// internally: a Ping is answered with a Pong, and both refresh the
-// idle deadline without surfacing. An idle timeout, a peer close, or a
+// internally: a Ping is answered with a Pong, and both keep the link
+// alive without surfacing. An idle timeout, a peer close, or a
 // malformed frame all return an error — the connection is then dead.
 //
 // Frame payloads land in a per-connection buffer that decoding never
@@ -198,8 +240,10 @@ func (c *Conn) Send(m Message) error {
 // are also reused (see the option's aliasing contract).
 func (c *Conn) Recv() (Message, error) {
 	for {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.idleTimeout())); err != nil {
-			return nil, err
+		if at, ok := c.rearm(&c.rdl, c.opt.idleTimeout()); ok {
+			if err := c.nc.SetReadDeadline(at); err != nil {
+				return nil, err
+			}
 		}
 		var m Message
 		payload, next, err := readFrame(c.br, c.rbuf)
@@ -224,8 +268,8 @@ func (c *Conn) Recv() (Message, error) {
 				return nil, err
 			}
 		case Pong:
-			// Liveness only; the deadline reset above did the work —
-			// but a pending ping's round trip is worth recording.
+			// Liveness only; arriving kept the link alive — but a
+			// pending ping's round trip is worth recording.
 			if sent := c.pingNano.Swap(0); sent != 0 {
 				rtt := time.Since(time.Unix(0, sent)).Seconds()
 				c.met.rtt.Observe(rtt)

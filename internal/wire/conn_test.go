@@ -350,3 +350,43 @@ func TestRunWorkerMultiProblem(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTimeoutBounds: a Send to a peer that stopped reading fails
+// once the kernel buffers fill, between 1× and 1.25× WriteTimeout after
+// that Send began — the window the lazily armed write deadline
+// promises (Options.WriteTimeout).
+func TestWriteTimeoutBounds(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	a, b := tcpPair(t, Options{Heartbeat: -1, WriteTimeout: timeout}, Options{Heartbeat: -1})
+	defer a.Close()
+	defer b.Close() // b never reads
+
+	// Arm the deadline early, then let part of it run down, so the
+	// blocking Send starts with less than the timeout left on the armed
+	// deadline and must re-arm.
+	if err := a.Send(Stop{}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(timeout / 2)
+	big := &Evaluate{Lease: 1, Vars: make([]float64, 64<<10)} // 512 KiB frames
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("1000 sends to a peer that never reads all succeeded")
+		}
+		start := time.Now()
+		err := a.Send(big)
+		took := time.Since(start)
+		if err == nil {
+			continue
+		}
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("blocked send failed with %v, want a timeout", err)
+		}
+		// The upper bound allows scheduler slack on a loaded machine.
+		if took < timeout || took > timeout*5/4+150*time.Millisecond {
+			t.Fatalf("blocked send failed after %v, want within [%v, %v]", took, timeout, timeout*5/4)
+		}
+		return
+	}
+}

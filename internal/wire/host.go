@@ -13,7 +13,7 @@ import (
 )
 
 // HostEventKind discriminates the three things a worker connection can
-// tell the master loop.
+// tell the master.
 type HostEventKind uint8
 
 const (
@@ -26,7 +26,9 @@ const (
 	HostDead
 )
 
-// HostEvent is one input from the worker fleet to a master loop.
+// HostEvent is one input from the worker fleet to a master. Result
+// points into its reader's decode scratch: it is valid only until the
+// handler returns (Fill copies what the master keeps).
 type HostEvent struct {
 	Kind   HostEventKind
 	Sess   *Session
@@ -39,11 +41,11 @@ type HostEvent struct {
 type Session struct {
 	ID   uint64
 	conn *Conn
-	gone bool // dropped or replaced; terminal. Owned by the master loop.
+	gone bool // dropped or replaced; terminal. Guarded by the loop lock.
 }
 
-// Gone reports whether the session was dropped or replaced; events of a
-// gone session that were already queued are stale and must be ignored.
+// Gone reports whether the session was dropped or replaced; a result
+// its reader delivers afterwards is stale and must be ignored.
 func (s *Session) Gone() bool { return s.gone }
 
 // RemoteAddr reports the worker's address.
@@ -51,48 +53,61 @@ func (s *Session) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
 
 // Host is the master side of the worker transport under every TCP
 // master (distributed, federation islands, job service). It owns the
-// accept loop, the off-loop handshake, a reader goroutine per connection
-// feeding one event channel, worker-id assignment, the id → Session
-// table and the teardown of every connection it accepted — and nothing
-// else: the select loop, master.Core wiring, metering and policy stay
-// with the driver (DESIGN.md §10, "One host, three loops").
+// accept loop, the off-loop handshake, a reader goroutine per
+// connection, worker-id assignment, the id → Session table, the loop
+// lock that serialises everything a master reacts to, and the teardown
+// of every connection it accepted — and nothing else: master.Core
+// wiring, metering and policy stay with the driver's handler (DESIGN.md
+// §10, "One host, three masters").
 //
-// Reserve and Lookup work on the zero Host; the rest needs Serve first.
-// Events, Admit, Drop, Lookup, Live, Grant and Stop belong to the one
-// goroutine that runs the master loop.
+// Each reader calls the handler itself, under the loop lock, for its
+// session's join, every result and the final dead event; the rest of
+// what a master reacts to (lease ticks, wall limits, API calls) enters
+// through Do. So the master state is only ever touched under that one
+// lock, and a result is handled before its reader reads the next frame.
+//
+// Reserve, Lookup and Do work on the zero Host; the rest needs Serve
+// first. Admit, Drop, Lookup, Live, Grant and Stop must be called under
+// the loop lock: from the handler or inside Do.
 type Host struct {
-	ln      net.Listener
-	opt     Options
-	welcome Welcome
-	events  chan HostEvent
-	done    chan struct{} // closed by Close: unblocks readers mid-push
-	nextID  atomic.Uint64
-	wg      sync.WaitGroup
+	ln       net.Listener
+	opt      Options
+	welcome  Welcome
+	nconstrs int // a single-problem session's constraint count
+	handle   func(HostEvent)
+	nextID   atomic.Uint64
+	wg       sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[net.Conn]*Conn // every accepted connection and how far it got (see track)
 	closed bool
 	stop   bool // Close(true): also Stop a handshake that lands after Close
 
-	byID  map[uint64]*Session // live sessions; loop-owned
-	grant Evaluate            // Grant's frame source; Send copies it out before returning
+	// loop is the loop lock. halted (set by Close) ends delivery: no
+	// handler call starts after it.
+	loop   sync.Mutex
+	halted bool
+	byID   map[uint64]*Session // live sessions
+	grant  Evaluate            // Grant's frame source; Send copies it out before returning
 }
 
 // Serve starts the host on ln and returns. Workers are welcomed to a
 // session on problem or, when it is nil, to a MultiProblem session whose
-// grants name their own. Pair it with a deferred Close.
-func (h *Host) Serve(ln net.Listener, opt Options, problem problems.Problem) {
-	h.ln, h.opt = ln, opt
+// grants name their own. handle receives every session's events (see
+// Host); it runs on the session's reader goroutine under the loop lock,
+// and must not call Close. Pair Serve with Close.
+func (h *Host) Serve(ln net.Listener, opt Options, problem problems.Problem, handle func(HostEvent)) {
+	// Each result is handled before its reader's next Recv, which is
+	// ReuseMessages' contract: readers decode into per-connection scratch.
+	opt.ReuseMessages = true
+	h.ln, h.opt, h.handle = ln, opt, handle
 	h.welcome = Welcome{Problem: MultiProblem, HeartbeatMillis: uint32(opt.Heartbeat.Milliseconds())}
 	if problem != nil {
 		h.welcome.Problem = problem.Name()
 		h.welcome.NumVars = uint32(problem.NumVars())
 		h.welcome.NumObjs = uint32(problem.NumObjs())
+		h.nconstrs = problems.NumConstraints(problem)
 	}
-	// Buffered so readers rarely block on a loop that is inside Handle;
-	// a full buffer only back-pressures the sockets.
-	h.events = make(chan HostEvent, 256)
-	h.done = make(chan struct{})
 	h.conns = make(map[net.Conn]*Conn)
 	h.byID = make(map[uint64]*Session)
 	h.wg.Add(1)
@@ -127,7 +142,7 @@ var welcomed = new(Conn)
 
 // track records how far an accepted connection got — nil while it
 // awaits the Hello, welcomed, then its Conn — so Close reaches it whether
-// or not the loop ever saw it. Once the host is closed it reports false.
+// or not the handler ever saw it. Once the host is closed it reports false.
 func (h *Host) track(nc net.Conn, state *Conn) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -177,39 +192,62 @@ func (h *Host) serveConn(nc net.Conn) {
 		return
 	}
 	s := &Session{ID: id, conn: conn}
-	alive := h.push(HostEvent{Kind: HostJoin, Sess: s})
+	alive := h.deliver(HostEvent{Kind: HostJoin, Sess: s})
 	for alive {
 		m, err := conn.Recv()
 		if err != nil {
-			h.push(HostEvent{Kind: HostDead, Sess: s, Err: err})
+			h.deliver(HostEvent{Kind: HostDead, Sess: s, Err: err})
 			return
 		}
 		r, ok := m.(*Result)
 		if !ok {
 			continue // nothing but results is expected after the handshake
 		}
-		// The handshake fixed a single-problem session's dimensions; a
-		// MultiProblem master checks each result against its own job.
-		if want := int(h.welcome.NumObjs); h.welcome.Problem != MultiProblem && len(r.Objs) != want {
-			h.push(HostEvent{Kind: HostDead, Sess: s, Err: fmt.Errorf("wire: result with %d objectives, want %d", len(r.Objs), want)})
+		if err := h.check(r); err != nil {
+			h.deliver(HostEvent{Kind: HostDead, Sess: s, Err: err})
 			return
 		}
-		alive = h.push(HostEvent{Kind: HostResult, Sess: s, Result: r})
+		alive = h.deliver(HostEvent{Kind: HostResult, Sess: s, Result: r})
 	}
 }
 
-func (h *Host) push(e HostEvent) bool {
-	select {
-	case h.events <- e:
-		return true
-	case <-h.done:
+// check validates a result against the dimensions the handshake fixed
+// for a single-problem session; a MultiProblem master checks each
+// result against its own job.
+func (h *Host) check(r *Result) error {
+	if h.welcome.Problem == MultiProblem {
+		return nil
+	}
+	if want := int(h.welcome.NumObjs); len(r.Objs) != want {
+		return fmt.Errorf("wire: result with %d objectives, want %d", len(r.Objs), want)
+	}
+	if len(r.Constrs) != h.nconstrs {
+		return fmt.Errorf("wire: result with %d constraint violations, want %d", len(r.Constrs), h.nconstrs)
+	}
+	return nil
+}
+
+// deliver hands one event to the handler under the loop lock; it
+// reports false once Close has begun, and the reader then stops.
+func (h *Host) deliver(e HostEvent) bool {
+	h.loop.Lock()
+	defer h.loop.Unlock()
+	if h.halted {
 		return false
 	}
+	h.handle(e)
+	return true
 }
 
-// Events is the fleet's one event stream. Per session the order is
-// join, results, dead.
-func (h *Host) Events() <-chan HostEvent { return h.events }
+// Do runs fn under the loop lock: everything a master reacts to besides
+// its sessions' events (lease ticks, wall limits, API calls) enters
+// through here, so fn may use the master state and the
+// loop-lock methods. It must not call Close.
+func (h *Host) Do(fn func()) {
+	h.loop.Lock()
+	defer h.loop.Unlock()
+	fn()
+}
 
 // Admit installs a joined session. A live session already holding the
 // worker id (reconnect-with-hello) is dropped and returned, so the
@@ -273,11 +311,22 @@ func (h *Host) Stop(worker int) {
 }
 
 // Close stops accepting, closes every connection the host accepted —
-// admitted, handshaking, or handshaken after the loop's last read — and
-// waits for its goroutines. With stop, each worker is first sent Stop,
-// which a healthy worker reads ahead of the FIN and exits instead of
-// redialing. Call it once.
+// admitted, handshaking, or handshaken after the last event the
+// handler saw — and waits for its goroutines. It waits for a handler
+// call in progress; none starts after it. With stop, each worker is
+// first sent Stop, which a healthy worker reads ahead of the FIN and
+// exits instead of redialing. Call it from outside the handler and Do;
+// later calls do nothing.
 func (h *Host) Close(stop bool) {
+	// Holding the loop lock across the sweep keeps readers that are
+	// waiting to deliver from leaving, and closing their connections,
+	// ahead of the Stop.
+	h.loop.Lock()
+	if h.halted {
+		h.loop.Unlock()
+		return
+	}
+	h.halted = true
 	h.mu.Lock()
 	h.closed, h.stop = true, stop
 	conns := h.conns
@@ -297,17 +346,19 @@ func (h *Host) Close(stop bool) {
 			conn.Close()
 		}
 	}
-	// Only now release readers blocked mid-push: one that left earlier
-	// would close its connection ahead of the Stop.
-	close(h.done)
+	h.loop.Unlock()
 	h.wg.Wait()
 }
 
-// Fill moves a result's objectives and constraint violations into the
-// leased item and returns the evaluation time in seconds (the T_F sample).
+// Fill copies a result's objectives and constraint violations into the
+// leased item — the result itself is reader scratch — and returns the
+// evaluation time in seconds (the T_F sample).
 func (r *Result) Fill(item *master.Item) float64 {
-	item.S.Objs = r.Objs
-	item.S.Constrs = r.Constrs
+	item.S.Objs = append([]float64(nil), r.Objs...)
+	item.S.Constrs = nil
+	if len(r.Constrs) > 0 {
+		item.S.Constrs = append([]float64(nil), r.Constrs...)
+	}
 	return float64(r.EvalNanos) / 1e9
 }
 

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,16 +25,34 @@ import (
 // hostConn keeps failure detection snappy without relying on it.
 var hostConn = Options{Heartbeat: 50 * time.Millisecond, IdleTimeout: 5 * time.Second}
 
+// testHost is a Host whose handler forwards a copy of every event to a
+// channel, so a test can step through them. The test goroutine is then
+// the only user of the session table, so it calls the loop-lock
+// methods directly.
+type testHost struct {
+	*Host
+	events chan HostEvent
+}
+
 // serveHost starts a host on a fresh loopback listener. The test owns
 // the Close (its mode is what several tests are about).
-func serveHost(t *testing.T, problem problems.Problem) (*Host, string) {
+func serveHost(t *testing.T, problem problems.Problem) (*testHost, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := new(Host)
-	h.Serve(ln, hostConn, problem)
+	h := &testHost{Host: new(Host), events: make(chan HostEvent, 64)}
+	h.Serve(ln, hostConn, problem, func(e HostEvent) {
+		if e.Result != nil {
+			// The result is reader scratch: keep a copy.
+			r := *e.Result
+			r.Objs = append([]float64(nil), r.Objs...)
+			r.Constrs = append([]float64(nil), r.Constrs...)
+			e.Result = &r
+		}
+		h.events <- e
+	})
 	return h, ln.Addr().String()
 }
 
@@ -48,10 +69,10 @@ func dialHost(t *testing.T, addr string, announce uint64) (*Conn, uint64) {
 }
 
 // nextEvent waits for the host's next event and checks its kind.
-func nextEvent(t *testing.T, h *Host, want HostEventKind) HostEvent {
+func nextEvent(t *testing.T, h *testHost, want HostEventKind) HostEvent {
 	t.Helper()
 	select {
-	case e := <-h.Events():
+	case e := <-h.events:
 		if e.Kind != want {
 			t.Fatalf("event kind %d (err %v), want %d", e.Kind, e.Err, want)
 		}
@@ -156,7 +177,7 @@ func TestHostFreshIDsSkipAnnounced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Serve(ln, hostConn, nil)
+	h.Serve(ln, hostConn, nil, func(HostEvent) {})
 	defer h.Close(false)
 	addr := ln.Addr().String()
 
@@ -208,6 +229,220 @@ func TestHostResultSizeChecked(t *testing.T) {
 	}
 	if e := nextEvent(t, h, HostDead); e.Sess != s || !strings.Contains(e.Err.Error(), "2 objectives, want 3") {
 		t.Fatalf("dead event %v, want an objective-count error", e.Err)
+	}
+}
+
+// twoConstraints gives a problem two always-satisfied constraints.
+type twoConstraints struct{ problems.Problem }
+
+func (twoConstraints) NumConstraints() int { return 2 }
+
+func (p twoConstraints) EvaluateWithConstraints(vars, objs, constrs []float64) {
+	p.Evaluate(vars, objs)
+	clear(constrs)
+}
+
+// TestHostResultConstraintsChecked: a single-problem session's results
+// must also carry the problem's constraint count — violations from an
+// unconstrained problem, or too few for a constrained one, would
+// otherwise be folded into the solution and turn a feasible point
+// infeasible.
+func TestHostResultConstraintsChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		problem problems.Problem
+		constrs []float64
+		want    string // "" = delivered as a result
+	}{
+		{"unconstrained with a violation", problems.NewDTLZ2(3), []float64{0.5}, "1 constraint violations, want 0"},
+		{"constrained without violations", twoConstraints{problems.NewDTLZ2(3)}, nil, "0 constraint violations, want 2"},
+		{"constrained with both", twoConstraints{problems.NewDTLZ2(3)}, []float64{0, 0.25}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, addr := serveHost(t, tc.problem)
+			defer h.Close(true)
+			c, _ := dialHost(t, addr, 0) // a hand-rolled worker
+			s := nextEvent(t, h, HostJoin).Sess
+			h.Admit(s)
+			if err := c.Send(&Result{Lease: 1, Objs: []float64{1, 2, 3}, Constrs: tc.constrs}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == "" {
+				if e := nextEvent(t, h, HostResult); len(e.Result.Constrs) != len(tc.constrs) {
+					t.Fatalf("delivered %v, want %v", e.Result.Constrs, tc.constrs)
+				}
+				return
+			}
+			if e := nextEvent(t, h, HostDead); e.Sess != s || !strings.Contains(e.Err.Error(), tc.want) {
+				t.Fatalf("dead event %v, want %q", e.Err, tc.want)
+			}
+		})
+	}
+}
+
+// TestHostConcurrentSessionsOrder: with several sessions delivering at
+// once, the handler runs one event at a time, each session's events
+// arrive join → results in send order → dead, and a handler that
+// blocks in one session holds back every other session (and Do) without
+// reordering any of them.
+func TestHostConcurrentSessionsOrder(t *testing.T) {
+	const workers, results, blockAt = 4, 50, 10
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := new(Host)
+	var (
+		inside   atomic.Int32
+		overlaps atomic.Int32
+		logs     = map[uint64][]string{} // loop-locked
+		dead     int                     // loop-locked
+		blocked  = make(chan struct{})
+		release  = make(chan struct{})
+		allDead  = make(chan struct{})
+		holding  bool // loop-locked: a handler is parked on release
+		didBlock bool // loop-locked
+	)
+	h.Serve(ln, hostConn, problems.NewDTLZ2(3), func(e HostEvent) {
+		if inside.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		defer inside.Add(-1)
+		id := e.Sess.ID
+		switch e.Kind {
+		case HostJoin:
+			h.Admit(e.Sess)
+			logs[id] = append(logs[id], "join")
+		case HostResult:
+			logs[id] = append(logs[id], fmt.Sprint(e.Result.Lease))
+			if e.Result.Lease == blockAt && !didBlock {
+				didBlock, holding = true, true
+				close(blocked)
+				<-release
+				holding = false
+			}
+		case HostDead:
+			logs[id] = append(logs[id], "dead")
+			if dead++; dead == workers {
+				close(allDead)
+			}
+		}
+	})
+	defer h.Close(true)
+
+	var sent sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		c, _ := dialHost(t, ln.Addr().String(), 0)
+		sent.Add(1)
+		go func() {
+			defer sent.Done()
+			for lease := uint64(1); lease <= results; lease++ {
+				if err := c.Send(&Result{Lease: lease, Objs: []float64{1, 2, 3}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			c.Close()
+		}()
+	}
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no session reached the blocking result")
+	}
+	sent.Wait() // every other session's frames are in; their readers queue on the lock
+	ran := make(chan bool, 1)
+	go h.Do(func() { ran <- holding })
+	select {
+	case <-ran:
+		t.Fatal("Do ran while a handler held the loop lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if stillHolding := <-ran; stillHolding {
+		t.Fatal("Do ran inside a blocked handler")
+	}
+	select {
+	case <-allDead:
+	case <-time.After(5 * time.Second):
+		t.Fatal("not every session reported dead")
+	}
+	h.Close(true)
+
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d handler calls overlapped another", n)
+	}
+	want := []string{"join"}
+	for lease := 1; lease <= results; lease++ {
+		want = append(want, fmt.Sprint(lease))
+	}
+	want = append(want, "dead")
+	if len(logs) != workers {
+		t.Fatalf("events from %d sessions, want %d", len(logs), workers)
+	}
+	for id, got := range logs {
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("session %d saw %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestSocketCallsPerEvaluation pins the socket traffic of one
+// evaluation on a one-worker loopback fleet with heartbeats off:
+// exactly two write calls (the grant, the result). Reads are reported:
+// one per frame when the frame is whole in the kernel buffer.
+func TestSocketCallsPerEvaluation(t *testing.T) {
+	const n = 200
+	p := problems.NewDTLZ2(3)
+	reg := obs.NewRegistry()
+	opt := Options{Heartbeat: -1, IdleTimeout: 10 * time.Second, Metrics: reg}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := new(Host)
+	item := testItem(0, p.NumVars())
+	done := make(chan struct{})
+	var lease uint64 // loop-locked
+	grant := func(s *Session) {
+		lease++
+		if _, err := h.Grant(s, lease, item, ""); err != nil {
+			t.Error(err)
+		}
+	}
+	h.Serve(ln, opt, p, func(e HostEvent) {
+		switch e.Kind {
+		case HostJoin:
+			h.Admit(e.Sess)
+			grant(e.Sess)
+		case HostResult:
+			if lease < n {
+				grant(e.Sess)
+			} else {
+				close(done)
+			}
+		}
+	})
+	worker := make(chan error, 1)
+	go func() { worker <- RunWorker(context.Background(), WorkerConfig{Addr: ln.Addr().String(), Conn: opt}) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("evaluations did not finish")
+	}
+	h.Close(true)
+	if err := <-worker; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	// Hello, Welcome and Stop, plus a grant and a result per evaluation.
+	writes := reg.Counter(MetricWriteCalls).Value()
+	if writes != 2*n+3 {
+		t.Fatalf("%d write calls for %d evaluations, want %d (2 per evaluation + 3)", writes, n, 2*n+3)
+	}
+	reads := reg.Counter(MetricReadCalls).Value()
+	t.Logf("%d evaluations: %d write calls, %d read calls (%.2f per evaluation)", n, writes, reads, float64(reads)/n)
+	if reads < 2*n {
+		t.Fatalf("%d read calls, fewer than one per received frame", reads)
 	}
 }
 
@@ -357,25 +592,29 @@ func TestServeFrames(t *testing.T) {
 
 // TestNoHandRolledHosts keeps the copies from growing back: under
 // internal/, only host.go may accept connections or run the server
-// handshake.
+// handshake, and no package — host.go included — may pass worker events
+// from readers to a master over a channel again: the host's readers
+// deliver them to the handler themselves.
 func TestNoHandRolledHosts(t *testing.T) {
-	banned := regexp.MustCompile(`\.Accept\(\)|\bServerHandshake\(`)
+	hosting := regexp.MustCompile(`\.Accept\(\)|\bServerHandshake\(`)
+	hop := regexp.MustCompile(`chan\s+(\*?wire\.)?\*?HostEvent\b|\bEvents\(\)\s+<-chan|\bhost\.Events\(\)`)
 	decl := "func ServerHandshake("
 	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
-		if filepath.ToSlash(path) == "../wire/host.go" {
-			return nil
-		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
+		isHost := filepath.ToSlash(path) == "../wire/host.go"
 		for i, line := range strings.Split(string(src), "\n") {
 			code, _, _ := strings.Cut(line, "//")
-			if banned.MatchString(code) && !strings.HasPrefix(line, decl) {
+			if !isHost && hosting.MatchString(code) && !strings.HasPrefix(line, decl) {
 				t.Errorf("%s:%d: %s\n\tsocket hosting belongs in internal/wire/host.go (wire.Host, wire.ServeFrames)", path, i+1, strings.TrimSpace(line))
+			}
+			if hop.MatchString(code) {
+				t.Errorf("%s:%d: %s\n\tworker events reach a master through Host.Serve's handler, not a channel", path, i+1, strings.TrimSpace(line))
 			}
 		}
 		return nil
