@@ -10,9 +10,8 @@
 //     operator ensemble, adaptive restarts): NewBorg / Algorithm.
 //   - The asynchronous master-slave parallel algorithm on a
 //     discrete-event virtual cluster (RunAsync), the synchronous
-//     generational baseline (RunSync), a wall-clock goroutine
-//     executor (RunAsyncRealtime), and a real TCP transport where
-//     borgd worker daemons dial a listening master
+//     generational baseline (RunSync), and a real TCP transport
+//     where borgd worker daemons dial a listening master
 //     (RunAsyncDistributed / RunWorker). Both virtual-time drivers are
 //     fault-tolerant: a FaultPlan injects crashes, hangs and message
 //     loss, and lease/barrier-timeout protocols recover lost work
@@ -551,9 +550,6 @@ var (
 	RunAsync = parallel.RunAsync
 	// RunSync executes the synchronous generational baseline.
 	RunSync = parallel.RunSync
-	// RunAsyncRealtime executes with real goroutines and wall-clock
-	// delays.
-	RunAsyncRealtime = parallel.RunAsyncRealtime
 	// RunIslands executes several concurrent master-slave instances
 	// (the hierarchical topology of the paper's Section VI).
 	RunIslands = parallel.RunIslands

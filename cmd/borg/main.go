@@ -50,7 +50,7 @@ func run() int {
 		epsilon     = flag.Float64("epsilon", 0.1, "archive epsilon (uniform)")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		parallelP   = flag.Int("parallel", 0, "processor count P for the async master-slave run (0 = serial)")
-		transport   = flag.String("transport", "virtual", "parallel transport: virtual (DES cluster), realtime (goroutines) or tcp (borgd workers)")
+		transport   = flag.String("transport", "virtual", "parallel transport: virtual (DES cluster) or tcp (borgd workers)")
 		listen      = flag.String("listen", "", "master listen address for -transport tcp (e.g. :7070)")
 		wallLimit   = flag.Duration("wall-limit", 0, "abort a tcp run after this wall time (0 = none)")
 		tf          = flag.Float64("tf", 0.01, "mean evaluation delay in seconds (parallel mode)")
@@ -78,6 +78,9 @@ func run() int {
 	fail := func(code int, msg string, args ...any) int {
 		logger.Error(msg, args...)
 		return code
+	}
+	if *transport != "virtual" && *transport != "tcp" {
+		return fail(2, "unknown transport (want virtual or tcp)", "transport", *transport)
 	}
 
 	problem, err := borgmoea.LookupProblem(*problemName, *objectives)
@@ -290,30 +293,19 @@ func run() int {
 			f := *mttr / (*mtbf + *mttr)
 			pcfg.Fault = borgmoea.FailedFractionPlan(f, *mttr, *seed)
 		}
-		run := borgmoea.RunAsync
-		switch *transport {
-		case "virtual":
-		case "realtime":
-			run = borgmoea.RunAsyncRealtime
-		default:
-			return fail(2, "unknown transport (want virtual, realtime or tcp)", "transport", *transport)
-		}
-		res, err := run(pcfg)
+		res, err := borgmoea.RunAsync(pcfg)
 		if err != nil {
 			return fail(1, err.Error())
 		}
 		alg = res.Final
-		fmt.Printf("async master-slave (%s): P=%d  T_P=%.2fs  speedup=%.1f  efficiency=%.2f  master-util=%.2f\n",
-			*transport, *parallelP, res.ElapsedTime, res.Speedup(), res.Efficiency(), res.MasterUtilization)
+		fmt.Printf("async master-slave (virtual): P=%d  T_P=%.2fs  speedup=%.1f  efficiency=%.2f  master-util=%.2f\n",
+			*parallelP, res.ElapsedTime, res.Speedup(), res.Efficiency(), res.MasterUtilization)
 		if *mtbf > 0 {
 			fmt.Printf("faults: completed=%v crashes=%d recoveries=%d resubmitted=%d lost=%d duplicates=%d messages-lost=%d\n",
 				res.Completed, res.WorkerCrashes, res.WorkerRecoveries,
 				res.Resubmissions, res.LostEvaluations, res.DuplicateResults, res.MessagesLost)
 		}
 	} else {
-		if *transport != "virtual" {
-			return fail(2, "-transport needs -parallel (or -listen for tcp)", "transport", *transport)
-		}
 		if *tracePath != "" || *metricsOut != "" || *eventLog != "" || *adviseOut != "" || quality != nil {
 			logger.Warn("-trace/-metrics-out/-event-log/-advise-out/-quality-* instrument the parallel drivers; the serial run records nothing")
 		}

@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,7 +27,7 @@ func TestCmdHoldsExactlyTheSevenBinaries(t *testing.T) {
 	}
 	var dirs []string
 	for _, e := range entries {
-		if e.IsDir() {
+		if e.IsDir() && e.Name() != "testdata" {
 			dirs = append(dirs, e.Name())
 		}
 	}
@@ -99,21 +100,61 @@ func (tl *tools) ok(name string, args ...string) string {
 	return stdout
 }
 
-// same asserts two files in the scratch directory are byte-identical
-// and non-empty.
+// start launches a binary in the background in the scratch directory;
+// it is killed at the end of the test if it has not exited by then.
+func (tl *tools) start(name string, args ...string) *exec.Cmd {
+	tl.t.Helper()
+	cmd := exec.Command(filepath.Join(tl.bin, name), args...)
+	cmd.Dir = tl.dir
+	if err := cmd.Start(); err != nil {
+		tl.t.Fatalf("%s %v: %v", name, args, err)
+	}
+	tl.t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	return cmd
+}
+
+// same asserts two files are byte-identical and non-empty; relative
+// names are in the scratch directory.
 func (tl *tools) same(a, b string) {
 	tl.t.Helper()
-	da, err := os.ReadFile(filepath.Join(tl.dir, a))
-	if err != nil {
-		tl.t.Fatal(err)
+	read := func(name string) []byte {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(tl.dir, name)
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tl.t.Fatal(err)
+		}
+		return data
 	}
-	db, err := os.ReadFile(filepath.Join(tl.dir, b))
-	if err != nil {
-		tl.t.Fatal(err)
-	}
+	da, db := read(a), read(b)
 	if len(da) == 0 || !bytes.Equal(da, db) {
 		tl.t.Fatalf("%s (%d bytes) and %s (%d bytes) differ", a, len(da), b, len(db))
 	}
+}
+
+// freeAddr returns a loopback address nothing is listening on.
+func freeAddr(t *testing.T) string {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// testdata returns the absolute path of a file in cmd/testdata.
+func testdata(t *testing.T, name string) string {
+	p, err := filepath.Abs(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestScripts(t *testing.T) {
@@ -136,10 +177,24 @@ func TestScripts(t *testing.T) {
 		tl.same("v.json", "v.replay.json")
 		tl.same("v.qlog", "v.replay.qlog")
 
-		tl.ok("borg", with("-parallel", "4", "-transport", "realtime", "-tf", "0.0005", "-evals", "600",
-			"-event-log", "rt.bmel", "-out", "rt.json")...)
-		tl.ok("borg", with("-replay", "rt.bmel", "-out", "rt.replay.json")...)
-		tl.same("rt.json", "rt.replay.json")
+		// A live TCP run: borgd redials until the master is up and exits
+		// when the master sends Stop.
+		addr := freeAddr(t)
+		worker := tl.start("borgd", "-connect", addr, "-quiet")
+		tl.ok("borg", with("-transport", "tcp", "-listen", addr, "-evals", "600", "-wall-limit", "60s",
+			"-event-log", "tcp.bmel", "-out", "tcp.json")...)
+		if err := worker.Wait(); err != nil {
+			t.Fatalf("borgd: %v", err)
+		}
+		tl.ok("borg", with("-replay", "tcp.bmel", "-out", "tcp.replay.json")...)
+		tl.same("tcp.json", "tcp.replay.json")
+
+		// Recorded by the goroutine driver before it was deleted (borg
+		// -parallel 4 -transport realtime -tf 0.0005 -evals 300); the
+		// log is transport-free, so it still replays to the recorded
+		// archive. Never regenerate these files with current code.
+		tl.ok("borg", with("-replay", testdata(t, "realtime.bmel"), "-out", "rt.replay.json")...)
+		tl.same(testdata(t, "realtime.json"), "rt.replay.json")
 
 		tl.ok("borgview", "timeline", "-events", "v.bmel")
 		tl.ok("borgview", "timeline", "-quality", "v.qlog")
@@ -226,6 +281,8 @@ func TestScripts(t *testing.T) {
 			{1, "no island-<i>.trace sidecars found", "borgview", []string{"trace", "-dir", "missing"}},
 			{1, "epsilons must be positive", "borgexp", []string{"compare", "-epsilon", "0"}},
 			{1, "epsilons must be positive", "borg", []string{"-epsilon", "0", "-evals", "10"}},
+			{2, "unknown transport", "borg", []string{"-parallel", "4", "-transport", "realtime"}},
+			{2, "needs -listen", "borg", []string{"-transport", "tcp"}},
 			{1, "NOPE", "borgexp", []string{"compare", "-problem", "NOPE"}},
 			{2, "bad processor count", "borgexp", []string{"scalesim", "-p", "1"}},
 			{2, "-mttr must be positive", "borgexp", []string{"scalesim", "-mtbf", "1", "-mttr", "0"}},

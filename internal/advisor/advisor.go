@@ -54,8 +54,8 @@ type Config struct {
 	Budget uint64
 	// SnapshotEvery is the interval between OnSnapshot callbacks in
 	// seconds of the driver's clock — virtual seconds under DES, wall
-	// seconds in the realtime and distributed drivers. <= 0 disables
-	// periodic snapshots.
+	// seconds in the distributed drivers. <= 0 disables periodic
+	// snapshots.
 	SnapshotEvery float64
 	// OnSnapshot, when set, receives a Report every SnapshotEvery
 	// driver-clock seconds (evaluated at acceptance events, so an idle

@@ -133,8 +133,8 @@ type Policy uint8
 const (
 	// EagerOffspring generates the next offspring inside each accept
 	// (one AcceptSuggest critical section, the paper's T_A) and grants
-	// it straight back to the returning worker. Used by the DES,
-	// realtime and island drivers.
+	// it straight back to the returning worker. Used by the DES and
+	// island drivers.
 	EagerOffspring Policy = iota
 	// LazyOffspring generates offspring on demand at dispatch time,
 	// bounded so live work chains never exceed the remaining budget.

@@ -73,10 +73,10 @@ func (l *Log) SetElapsed(t float64) {
 
 // CanonicalBytes serializes the logical protocol sequence — event
 // kinds, workers and lease ids, excluding timestamps and ticks — for
-// cross-transport comparison: the DES, realtime and loopback-TCP
-// drivers run different clocks (and only the TCP driver polls with
-// ticks), but for the same seed they must drive the shared Core
-// through the identical logical sequence.
+// cross-transport comparison: the DES and loopback-TCP drivers run
+// different clocks (and only the TCP driver polls with ticks), but for
+// the same seed they must drive the shared Core through the identical
+// logical sequence.
 func (l *Log) CanonicalBytes() []byte {
 	if l == nil {
 		return nil

@@ -20,8 +20,8 @@
 //     nil receiver, and a nil *Registry (the Disabled sentinel) hands
 //     out nil instruments — so an uninstrumented run pays one
 //     predictable nil check per record and nothing else.
-//   - Safe for concurrent use. Wall-clock drivers (realtime,
-//     distributed, wire) record from many goroutines.
+//   - Safe for concurrent use. Wall-clock drivers (distributed,
+//     wire) record from many goroutines.
 package obs
 
 import (

@@ -12,8 +12,8 @@ import (
 
 // Event is one entry in a run's protocol journal. TS is seconds since
 // the start of the run on whichever clock drives it — the DES virtual
-// clock for the virtual-time drivers, the wall clock for the realtime
-// and distributed ones. Span events carry a Dur; point events (sends,
+// clock for the virtual-time drivers, the wall clock for the
+// distributed ones. Span events carry a Dur; point events (sends,
 // receives, joins, expiries) leave it zero. Kind follows the DES trace
 // vocabulary: "send", "recv", "eval.start"/"eval.end" (paired spans),
 // "eval" (complete span with Dur), "lease.expire", "join", "dead", …

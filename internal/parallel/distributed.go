@@ -119,7 +119,9 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	meters := master.NewMeters(cfg.Metrics)
 	journal := cfg.Events
 	meter := &taMeter{dist: cfg.TA, rng: rng.New(cfg.Seed ^ 0x6d617374), capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
-	tfSum, tfN := 0.0, uint64(0)
+	// One T_F recorder for the fleet: results arrive one at a time
+	// under the host's loop lock, and each names its worker.
+	tfRec := &tfRecorder{capture: cfg.CaptureTimings, hist: meters.TF, adv: adv}
 	start := time.Now()
 	var elapsedAtN float64
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -139,12 +141,16 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// evaluation they sum to the paper's T_A. curItem is the lease id of
 	// the result being folded in, so the accept's T_A lands on that
 	// evaluation's trace; a dispatch-path Suggest belongs to no one
-	// evaluation.
+	// evaluation. The journal shows each accept as an algo span: the
+	// master's critical sections on the run's timeline.
 	var curItem uint64
 	alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
 		ta := meter.leave()
 		if accept {
 			cfg.Trace.ObserveTA(curItem, ta)
+			if journal != nil {
+				journal.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
+			}
 		}
 	}}
 	mcfg := master.Config{
@@ -271,10 +277,8 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			// to this worker); late duplicates are discarded inside.
 			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
 				evalSec := msg.Fill(item)
-				tfSum += evalSec
-				tfN++
-				meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
-				adv.ObserveTF(int(s.ID), evalSec)
+				tfRec.worker = int(s.ID)
+				tfRec.recordTraced(evalSec, item)
 				cfg.Trace.ObserveTF(item.ID, evalSec)
 				curItem = item.ID
 				if journal != nil {
@@ -355,8 +359,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		res.MeanTA = meter.sum / float64(st.Completed)
 	}
 	res.TASamples = meter.samples
-	if tfN > 0 {
-		res.MeanTF = tfSum / float64(tfN)
-	}
+	mergeTF(res, tfRec)
 	return res, nil
 }

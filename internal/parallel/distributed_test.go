@@ -45,7 +45,8 @@ func startWorker(ctx context.Context, addr string, seed uint64, delay stats.Dist
 
 // TestDistributedLoopback: a master and three real-TCP workers run
 // DTLZ2 (M=5) to N=2,000 evaluations and complete with a non-empty
-// archive and no loss accounting.
+// archive, no loss accounting, and — under CaptureTimings — one T_F
+// sample per evaluation.
 func TestDistributedLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network integration test skipped in -short mode")
@@ -60,7 +61,9 @@ func TestDistributedLoopback(t *testing.T) {
 		startWorker(ctx, l.Addr().String(), uint64(i+1), nil)
 	}
 
-	res, err := RunAsyncDistributed(distConfig(2000), DistributedConfig{
+	cfg := distConfig(2000)
+	cfg.CaptureTimings = true
+	res, err := RunAsyncDistributed(cfg, DistributedConfig{
 		Listener:     l,
 		LeaseTimeout: 10 * time.Second,
 		Conn:         fastConn,
@@ -71,6 +74,9 @@ func TestDistributedLoopback(t *testing.T) {
 	}
 	if !res.Completed || res.Evaluations != 2000 {
 		t.Fatalf("Completed=%v Evaluations=%d, want full budget", res.Completed, res.Evaluations)
+	}
+	if got := uint64(len(res.TFSamples)); got != res.Evaluations || len(res.TASamples) == 0 {
+		t.Fatalf("%d T_F and %d T_A samples for %d evaluations", got, len(res.TASamples), res.Evaluations)
 	}
 	if res.Final.Archive().Size() == 0 {
 		t.Fatal("distributed run produced an empty archive")
@@ -169,6 +175,60 @@ func TestDistributedLeaseExpiryRecovers(t *testing.T) {
 	}
 }
 
+// TestDistributedAgreesWithVirtual is the paper's experiment-vs-
+// simulation check at toy size: four loopback workers hold each
+// evaluation for 2 ms, then the virtual-time driver, fed the T_F and
+// T_A the real run measured, must not predict a run more than 10 %
+// slower than the wall clock. The model leaves out only costs
+// (syscalls, wake-ups, uneven workers) that add to wall-clock time, and
+// how much they add is the host's business, so the bound is one-sided.
+func TestDistributedAgreesWithVirtual(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test skipped in -short mode")
+	}
+	const tf = 0.002
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 4; i++ {
+		startWorker(ctx, l.Addr().String(), uint64(i+1), stats.NewConstant(tf))
+	}
+	cfg := testConfig(5, 400)
+	cfg.TA = nil // the TCP master measures T_A
+	real, err := RunAsyncDistributed(cfg, DistributedConfig{
+		Listener:     l,
+		LeaseTimeout: 10 * time.Second,
+		Conn:         fastConn,
+		WallLimit:    2 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !real.Completed {
+		t.Fatalf("run incomplete: %d/%d", real.Evaluations, cfg.Evaluations)
+	}
+	// Sleeps never undershoot, and on a loaded host overshoot by any
+	// factor, so the run reports the T_F it measured, not the nominal.
+	if real.MeanTF < tf {
+		t.Fatalf("measured mean T_F %v below the %v slept", real.MeanTF, tf)
+	}
+	cfg.TF = stats.NewConstant(real.MeanTF)
+	cfg.TA = stats.NewConstant(real.MeanTA)
+	virt, err := RunAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if real.ElapsedTime < 0.9*virt.ElapsedTime {
+		t.Fatalf("virtual T_P %v is pessimistic against wall-clock %v at measured T_F %v",
+			virt.ElapsedTime, real.ElapsedTime, real.MeanTF)
+	}
+	t.Logf("wall-clock %v, virtual %v (ratio %.3f) at measured T_F %v, T_A %v",
+		real.ElapsedTime, virt.ElapsedTime, real.ElapsedTime/virt.ElapsedTime, real.MeanTF, real.MeanTA)
+}
+
 // TestDistributedValidation mirrors the virtual drivers' error style.
 func TestDistributedValidation(t *testing.T) {
 	cfg := distConfig(100)
@@ -191,5 +251,50 @@ func TestDistributedValidation(t *testing.T) {
 
 	if _, err := RunAsyncDistributed(distConfig(100), DistributedConfig{}); err == nil {
 		t.Error("missing listen address accepted")
+	}
+}
+
+// TestRealtimeValidation: the wall-clock driver rejects an incomplete
+// config before it opens a socket, so the error names the missing
+// field even when the listen address is already taken.
+func TestRealtimeValidation(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	for name, mut := range map[string]func(*Config){
+		"nil problem":      func(c *Config) { c.Problem = nil },
+		"zero evaluations": func(c *Config) { c.Evaluations = 0 },
+	} {
+		cfg := distConfig(100)
+		mut(&cfg)
+		_, err := RunAsyncDistributed(cfg, DistributedConfig{Listen: busy.Addr().String()})
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if strings.Contains(err.Error(), "listen") {
+			t.Errorf("%s: socket opened before validation: %v", name, err)
+		}
+	}
+}
+
+// TestRealtimeFaultCheckBeforeNormalize: on the wall-clock driver the
+// fault-plan rejection is the cheap validation that runs first — a
+// config that is *also* invalid (no problem, no budget) must still get
+// the fault error, and the message must point at the virtual-time
+// drivers.
+func TestRealtimeFaultCheckBeforeNormalize(t *testing.T) {
+	cfg := distConfig(0)
+	cfg.Problem = nil
+	cfg.Fault = &fault.Plan{Rules: []fault.Rule{{
+		Ranks: []int{1},
+		Model: fault.CrashStop{At: stats.NewConstant(1)},
+	}}}
+	_, err := RunAsyncDistributed(cfg, DistributedConfig{Listen: "127.0.0.1:0", WallLimit: time.Second})
+	if err == nil {
+		t.Fatal("fault plan accepted by the wall-clock driver")
+	}
+	if !strings.Contains(err.Error(), "virtual-time driver") {
+		t.Fatalf("fault check did not run first: %v", err)
 	}
 }

@@ -15,12 +15,13 @@ import (
 )
 
 // TestCrossTransportEquivalence: with a fixed seed and one worker, the
-// DES, realtime and loopback-TCP drivers must drive the shared state
-// machine through the byte-identical logical event sequence (canonical
-// log: kinds, workers, lease ids — clocks and polling ticks excluded)
-// and end with byte-identical archives. This is the tentpole property
-// of the shared core: fault-tolerance and protocol semantics cannot
-// drift between transports because there is only one implementation.
+// DES and loopback-TCP drivers must drive the shared state machine
+// through the byte-identical logical event sequence (canonical log:
+// kinds, workers, lease ids — clocks and polling ticks excluded) and
+// end with byte-identical archives. This is the tentpole property of
+// the shared core: fault-tolerance and protocol semantics cannot drift
+// between transports because there is only one implementation. It
+// runs under -short too: 300 evaluations on one loopback worker.
 func TestCrossTransportEquivalence(t *testing.T) {
 	const n = 300
 	mk := func() Config {
@@ -42,22 +43,6 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	}
 	desLog, desArch := desCfg.Protocol.CanonicalBytes(), archiveBytes(t, desRes)
 
-	rtCfg := mk()
-	rtRes, err := RunAsyncRealtime(rtCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(desLog, rtCfg.Protocol.CanonicalBytes()) {
-		t.Error("realtime: canonical event sequence differs from DES")
-	}
-	if !bytes.Equal(desArch, archiveBytes(t, rtRes)) {
-		t.Error("realtime: final archive differs from DES")
-	}
-
-	if testing.Short() {
-		t.Log("skipping the loopback-TCP leg in -short mode")
-		return
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"testing"
+	"time"
 
 	"borgmoea/internal/fault"
 	"borgmoea/internal/stats"
@@ -213,14 +214,14 @@ func TestMasterFaultRejected(t *testing.T) {
 	}
 }
 
-// TestRealtimeRejectsFaults: the wall-clock executor has no simulated
-// cluster to fail.
+// TestRealtimeRejectsFaults: the wall-clock (loopback TCP) driver has
+// no simulated cluster to fail. The wall limit only bounds a driver
+// that wrongly starts the run.
 func TestRealtimeRejectsFaults(t *testing.T) {
 	cfg := testConfig(4, 100)
-	cfg.TF = stats.NewConstant(0.0001)
 	cfg.Fault = fault.FailedFractionPlan(0.1, 0.5, 1)
-	if _, err := RunAsyncRealtime(cfg); err == nil {
-		t.Fatal("realtime executor accepted a fault plan")
+	if _, err := RunAsyncDistributed(cfg, DistributedConfig{Listen: "127.0.0.1:0", WallLimit: time.Second}); err == nil {
+		t.Fatal("wall-clock driver accepted a fault plan")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -206,6 +205,9 @@ func TestDistributedObservability(t *testing.T) {
 	if tf := reg.Histogram(mTF, nil).Count(); tf != n {
 		t.Errorf("%s count = %d, want %d", mTF, tf, n)
 	}
+	if reg.Histogram(mTA, nil).Count() == 0 {
+		t.Errorf("%s saw no observations", mTA)
+	}
 	// The wire layer shares the registry (master side by default, the
 	// worker side explicitly above), so protocol frames must be there.
 	if frames := reg.Counter(wire.MetricFramesRecv).Value(); frames == 0 {
@@ -213,7 +215,8 @@ func TestDistributedObservability(t *testing.T) {
 	}
 
 	// Golden check: the exported trace validates and shows the
-	// distributed-specific shapes (joins, reconstructed eval spans).
+	// distributed-specific shapes (joins, reconstructed eval spans, one
+	// master algo span per accept).
 	var buf bytes.Buffer
 	if err := cfg.Events.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -231,6 +234,9 @@ func TestDistributedObservability(t *testing.T) {
 	if kinds["eval"] != n {
 		t.Errorf("journal has %d eval spans, want %d", kinds["eval"], n)
 	}
+	if kinds["algo"] != n {
+		t.Errorf("journal has %d algo spans, want %d", kinds["algo"], n)
+	}
 }
 
 func firstKB(b []byte) string {
@@ -240,35 +246,59 @@ func firstKB(b []byte) string {
 	return string(b)
 }
 
-// TestRealtimeMetrics smoke-checks the wall-clock executor's telemetry.
+// TestRealtimeMetrics smoke-checks the wall-clock driver's telemetry
+// at a size that also runs under -short: one loopback TCP worker, 300
+// evaluations, every accept metered as T_A and journalled as an algo
+// span.
 func TestRealtimeMetrics(t *testing.T) {
-	cfg := testConfig(4, 300)
-	cfg.TF = cfg.TC // keep sleeps tiny (6 µs)
+	const n = 300
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(ctx, l.Addr().String(), 1, nil)
+
+	cfg := testConfig(4, n)
 	cfg.TA = nil
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Events = obs.NewRecorder(0)
-	res, err := RunAsyncRealtime(cfg)
+	res, err := RunAsyncDistributed(cfg, DistributedConfig{
+		Listener:     l,
+		LeaseTimeout: 10 * time.Second,
+		Conn:         fastConn,
+		WallLimit:    time.Minute,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
 		t.Fatal("run incomplete")
 	}
-	if got := cfg.Metrics.Counter(mEvaluations).Value(); got != 300 {
-		t.Fatalf("%s = %d, want 300", mEvaluations, got)
+	if got := cfg.Metrics.Counter(mEvaluations).Value(); got != n {
+		t.Fatalf("%s = %d, want %d", mEvaluations, got, n)
 	}
-	if cfg.Metrics.Histogram(mTA, nil).Count() != 300 {
-		t.Fatal("realtime run missed T_A observations")
+	// Dispatch-path suggestions are metered too, so at least one T_A
+	// observation per accept.
+	if got := cfg.Metrics.Histogram(mTA, nil).Count(); got < n {
+		t.Fatalf("%s count = %d, want >= %d", mTA, got, n)
 	}
 	var buf bytes.Buffer
 	if err := cfg.Events.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("realtime trace invalid: %v", err)
+		t.Fatalf("wall-clock trace invalid: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"algo"`) {
-		t.Error("realtime trace has no algo spans")
+	algo := 0
+	for _, ev := range cfg.Events.Events() {
+		if ev.Kind == "algo" {
+			algo++
+		}
+	}
+	if algo != n {
+		t.Errorf("journal has %d algo spans, want %d", algo, n)
 	}
 }
 

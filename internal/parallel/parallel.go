@@ -1,7 +1,8 @@
 // Package parallel implements the paper's parallel Borg MOEA drivers:
-// the asynchronous master-slave algorithm (the paper's subject), the
-// synchronous generational master-slave baseline (Cantú-Paz's model),
-// and a wall-clock goroutine executor used to cross-validate the
+// the asynchronous master-slave algorithm (the paper's subject) on the
+// virtual cluster and over real TCP, the synchronous generational
+// master-slave baseline (Cantú-Paz's model), and hierarchical islands.
+// On loopback the TCP driver is the wall-clock cross-check of the
 // virtual-time results.
 //
 // The virtual-time drivers execute the *real* Borg MOEA — actual
@@ -132,7 +133,7 @@ type Config struct {
 	// recorded log re-runs deterministically through ReplayAsync (any
 	// transport, including TCP) and serializes with Log.WriteTo /
 	// master.ReadLog. Honored by the async drivers (RunAsync,
-	// RunAsyncRealtime, RunAsyncDistributed).
+	// RunAsyncDistributed).
 	Protocol *master.Log
 	// Advisor, when set, receives the run's timing streams (T_A, T_F
 	// per worker, T_C, queue waits) and acceptance events, fitting the
@@ -227,7 +228,7 @@ func (c *Config) normalize() error {
 type Result struct {
 	// ElapsedTime is T_P: the virtual time at which the N-th
 	// evaluation was accepted by the master (wall-clock seconds for
-	// the realtime executor).
+	// the TCP driver).
 	ElapsedTime float64
 	// Evaluations actually completed (== the configured budget).
 	Evaluations uint64

@@ -288,52 +288,6 @@ func TestResultDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestRealtimeAgreesWithVirtual(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock test skipped in -short mode")
-	}
-	// Small real run: 4 workers, 400 evals, 2ms each → ≈ 0.2s.
-	cfg := testConfig(5, 400)
-	cfg.TF = stats.NewConstant(0.002)
-	cfg.TA = nil // realtime always measures
-	real, err := RunAsyncRealtime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sleeps never undershoot, and on a loaded host overshoot by any
-	// factor, so the run reports the T_F it measured, not the nominal.
-	if real.MeanTF < 0.002 {
-		t.Fatalf("measured mean T_F %v below the %v slept", real.MeanTF, 0.002)
-	}
-	// The virtual model, fed the timings the real run measured, must not
-	// predict a slower run than the real one: it leaves out only costs
-	// (goroutine hand-offs, uneven workers) that add to wall-clock time.
-	// How much they add is the host's business, so the bound is
-	// one-sided.
-	cfg.TF = stats.NewConstant(real.MeanTF)
-	cfg.TA = stats.NewConstant(real.MeanTA)
-	virt, err := RunAsync(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if real.ElapsedTime < 0.9*virt.ElapsedTime {
-		t.Fatalf("virtual T_P %v is pessimistic against wall-clock %v at measured T_F %v",
-			virt.ElapsedTime, real.ElapsedTime, real.MeanTF)
-	}
-	t.Logf("wall-clock %v, virtual %v at measured T_F %v", real.ElapsedTime, virt.ElapsedTime, real.MeanTF)
-	if real.Final.Archive().Size() == 0 {
-		t.Fatal("realtime run produced empty archive")
-	}
-}
-
-func TestRealtimeValidation(t *testing.T) {
-	cfg := testConfig(4, 10)
-	cfg.TF = nil
-	if _, err := RunAsyncRealtime(cfg); err == nil {
-		t.Error("realtime accepted missing TF")
-	}
-}
-
 // BenchmarkAsyncVirtual1024x40k is one Table II cell as borgbench's
 // des-table2-p1024 runs it: P = 1024, Gamma T_F, sampled T_A. Its
 // allocs/op over 40 000 is the simulator's allocations per simulated

@@ -15,7 +15,7 @@ import (
 // original's search trajectory (archive, operator state) and protocol
 // accounting exactly; ElapsedTime is the recorded T_P.
 //
-// Replay works for any transport's recording — DES, realtime, or a
+// Replay works for any transport's recording — DES, or a
 // distributed TCP run whose nondeterminism (scheduling, packet timing,
 // worker crashes) is fully captured in the event order.
 func ReplayAsync(cfg Config, log *master.Log) (*Result, error) {
