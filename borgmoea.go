@@ -237,11 +237,6 @@ type (
 	// SpanContext is the trace identity an evaluation carries across
 	// process boundaries.
 	SpanContext = obs.SpanContext
-	// ContinuousProfiler captures periodic pprof CPU/heap snapshots
-	// into a bounded on-disk ring, served under /debug/profiles/.
-	ContinuousProfiler = obs.Profiler
-	// ProfileConfig tunes the profiler's cadence and retention.
-	ProfileConfig = obs.ProfileConfig
 )
 
 var (
@@ -256,8 +251,6 @@ var (
 	// WriteChromeTraceForests renders one or more forests as a merged
 	// Chrome trace_event file with cross-process flow arrows.
 	WriteChromeTraceForests = obs.WriteChromeForests
-	// StartContinuousProfiler starts the pprof snapshot ring.
-	StartContinuousProfiler = obs.StartProfiler
 )
 
 // Live scalability advisor (see internal/advisor): attach a

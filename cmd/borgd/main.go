@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"borgmoea"
+	"borgmoea/internal/cli"
 	"borgmoea/internal/shutdown"
 )
 
@@ -47,9 +48,7 @@ func run() int {
 		debugAddr   = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics and /debug/pprof on this address (e.g. localhost:6061)")
 		adviseOut   = flag.String("advise-out", "", "journal periodic metric snapshots as JSONL to this path")
 		adviseEvery = flag.Duration("advise-every", time.Second, "interval between -advise-out snapshots (min 1s)")
-		profDir     = flag.String("profile-dir", "", "continuously capture pprof CPU+heap snapshots into this directory (served under /debug/profiles/ with -debug-addr)")
-		profEvery   = flag.Duration("profile-every", 30*time.Second, "interval between -profile-dir capture epochs")
-		profKeep    = flag.Int("profile-keep", 8, "capture epochs retained in the -profile-dir ring")
+		prof        = cli.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -75,27 +74,13 @@ func run() int {
 		// -advise-out journal.
 		cfg.Conn.Metrics = borgmoea.NewMetrics()
 	}
-	var prof *borgmoea.ContinuousProfiler
-	if *profDir != "" {
-		var err error
-		prof, err = borgmoea.StartContinuousProfiler(borgmoea.ProfileConfig{
-			Dir:   *profDir,
-			Every: *profEvery,
-			Keep:  *profKeep,
-			Logf:  borgmoea.LogfAdapter(logger),
-		})
-		if err != nil {
-			logger.Error("starting profiler", "err", err)
-			return 1
-		}
-		defer prof.Close()
-		logger.Info("continuous profiling", "dir", *profDir, "every", profEvery.String(), "keep", *profKeep)
+	opts, stopProf, err := prof.Start(logger)
+	if err != nil {
+		logger.Error("starting profiler", "err", err)
+		return 1
 	}
+	defer stopProf()
 	if *debugAddr != "" {
-		var opts []borgmoea.DebugOption
-		if prof != nil {
-			opts = append(opts, borgmoea.WithDebugHandler("/debug/profiles/", prof.Handler()))
-		}
 		srv, err := borgmoea.ServeDebug(*debugAddr, cfg.Conn.Metrics, opts...)
 		if err != nil {
 			logger.Error("debug listener failed", "err", err)

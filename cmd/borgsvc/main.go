@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"borgmoea"
+	"borgmoea/internal/cli"
 	"borgmoea/internal/shutdown"
 )
 
@@ -48,9 +49,7 @@ func run() int {
 		ckEvery     = flag.Uint64("checkpoint-every", 64, "archive snapshot cadence in accepted evaluations (with -state-dir)")
 		drainT      = flag.Duration("drain-timeout", 5*time.Second, "graceful HTTP drain on shutdown")
 		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1] applied to every job (0 = tracing off)")
-		profDir     = flag.String("profile-dir", "", "continuously capture pprof CPU+heap snapshots into this directory, served under /debug/profiles/")
-		profEvery   = flag.Duration("profile-every", 30*time.Second, "interval between -profile-dir capture epochs")
-		profKeep    = flag.Int("profile-keep", 8, "capture epochs retained in the -profile-dir ring")
+		prof        = cli.ProfileFlags(", served under /debug/profiles/")
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
@@ -72,25 +71,14 @@ func run() int {
 		logger.Error("starting scheduler", "err", err)
 		return 1
 	}
-	opts := sched.DebugOptions()
-	var prof *borgmoea.ContinuousProfiler
-	if *profDir != "" {
-		prof, err = borgmoea.StartContinuousProfiler(borgmoea.ProfileConfig{
-			Dir:   *profDir,
-			Every: *profEvery,
-			Keep:  *profKeep,
-			Logf:  borgmoea.LogfAdapter(logger),
-		})
-		if err != nil {
-			sched.Close()
-			logger.Error("starting profiler", "err", err)
-			return 1
-		}
-		defer prof.Close()
-		opts = append(opts, borgmoea.WithDebugHandler("/debug/profiles/", prof.Handler()))
-		logger.Info("continuous profiling", "dir", *profDir, "every", profEvery.String(), "keep", *profKeep)
+	profOpts, stopProf, err := prof.Start(logger)
+	if err != nil {
+		sched.Close()
+		logger.Error("starting profiler", "err", err)
+		return 1
 	}
-	srv, err := borgmoea.ServeDebug(*apiAddr, reg, opts...)
+	defer stopProf()
+	srv, err := borgmoea.ServeDebug(*apiAddr, reg, append(sched.DebugOptions(), profOpts...)...)
 	if err != nil {
 		sched.Close()
 		logger.Error("api listener failed", "err", err)

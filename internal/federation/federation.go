@@ -58,10 +58,6 @@ type Config struct {
 	// LeaseTimeout bounds outstanding evaluations (0 disables expiry —
 	// in-process fleets do not need the fault machinery).
 	LeaseTimeout time.Duration
-	// MigrationTimeout bounds the wait for a predecessor's migrant
-	// (default 30s); expiring it fails the island rather than hanging
-	// the ring.
-	MigrationTimeout time.Duration
 	// WallLimit aborts a run that makes no progress (default 5m).
 	WallLimit time.Duration
 	// Conn tunes every connection the federation makes.
@@ -126,13 +122,6 @@ func (c *Config) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
 	}
-}
-
-func (c *Config) migrationTimeout() time.Duration {
-	if c.MigrationTimeout > 0 {
-		return c.MigrationTimeout
-	}
-	return 30 * time.Second
 }
 
 func (c *Config) wallLimit() time.Duration {

@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -157,73 +158,78 @@ func TestFederationLoopback(t *testing.T) {
 // the loopback-TCP federation drive every island's master through the
 // byte-identical logical event sequence — EvMigrant injections
 // included — and end with byte-identical per-island and merged
-// archives. There is one migration protocol, not one per transport.
+// archives. There is one migration protocol, not one per transport. At
+// k = 2 an island's predecessor is also its successor; k = 3 takes the
+// ring apart.
 func TestCrossTransportIslandsEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP leg skipped in -short mode")
 	}
 	const (
-		islands = 2
-		perIsl  = 400
-		every   = 100
+		perIsl = 400
+		every  = 100
 	)
 	problem := problems.NewDTLZ2(5)
 	algCfg := core.Config{Epsilons: core.UniformEpsilons(5, 0.15)}
 
-	desLogs, desMlogs := newLogs(islands)
-	desRes, err := parallel.RunIslands(parallel.IslandsConfig{
-		Base: parallel.Config{
-			Problem:     problem,
-			Algorithm:   algCfg,
-			Processors:  2, // one worker per island: result order is forced
-			Evaluations: perIsl,
-			TF:          stats.NewConstant(1e-5),
-			TA:          stats.NewConstant(1e-6),
-			Seed:        42,
-		},
-		Islands:        islands,
-		MigrationEvery: every,
-		Logs:           desLogs,
-		MigrantLogs:    desMlogs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, islands := range []int{2, 3} {
+		t.Run(fmt.Sprintf("k=%d", islands), func(t *testing.T) {
+			desLogs, desMlogs := newLogs(islands)
+			desRes, err := parallel.RunIslands(parallel.IslandsConfig{
+				Base: parallel.Config{
+					Problem:     problem,
+					Algorithm:   algCfg,
+					Processors:  2, // one worker per island: result order is forced
+					Evaluations: perIsl,
+					TF:          stats.NewConstant(1e-5),
+					TA:          stats.NewConstant(1e-6),
+					Seed:        42,
+				},
+				Islands:        islands,
+				MigrationEvery: every,
+				Logs:           desLogs,
+				MigrantLogs:    desMlogs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	tcpLogs, tcpMlogs := newLogs(islands)
-	tcpRes, err := federation.Run(federation.Config{
-		Problem:        problem,
-		Algorithm:      algCfg,
-		Seed:           42,
-		Islands:        islands,
-		Evaluations:    perIsl,
-		MigrationEvery: every,
-		Workers:        1,
-		Conn:           fastConn,
-		Logs:           tcpLogs,
-		MigrantLogs:    tcpMlogs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			tcpLogs, tcpMlogs := newLogs(islands)
+			tcpRes, err := federation.Run(federation.Config{
+				Problem:        problem,
+				Algorithm:      algCfg,
+				Seed:           42,
+				Islands:        islands,
+				Evaluations:    perIsl,
+				MigrationEvery: every,
+				Workers:        1,
+				Conn:           fastConn,
+				Logs:           tcpLogs,
+				MigrantLogs:    tcpMlogs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for i := 0; i < islands; i++ {
-		if !bytes.Equal(desLogs[i].CanonicalBytes(), tcpLogs[i].CanonicalBytes()) {
-			t.Errorf("island %d: TCP canonical event sequence differs from DES", i)
-		}
-		if desMlogs[i].Len() != tcpMlogs[i].Len() {
-			t.Errorf("island %d: %d migrants over TCP, %d over DES", i, tcpMlogs[i].Len(), desMlogs[i].Len())
-		}
-		if !bytes.Equal(archiveBytes(t, desRes.Islands[i].Archive()), archiveBytes(t, tcpRes.Islands[i].Archive())) {
-			t.Errorf("island %d: TCP archive differs from DES", i)
-		}
-	}
-	desMerged := federation.MergeArchives(algCfg.Epsilons, desRes.Islands)
-	if !bytes.Equal(archiveBytes(t, desMerged), archiveBytes(t, tcpRes.MergedArchive)) {
-		t.Error("TCP merged archive differs from DES")
-	}
-	if desRes.Migrants != tcpRes.Migrants {
-		t.Errorf("TCP sent %d migrants, DES %d", tcpRes.Migrants, desRes.Migrants)
+			for i := 0; i < islands; i++ {
+				if !bytes.Equal(desLogs[i].CanonicalBytes(), tcpLogs[i].CanonicalBytes()) {
+					t.Errorf("island %d: TCP canonical event sequence differs from DES", i)
+				}
+				if desMlogs[i].Len() != tcpMlogs[i].Len() {
+					t.Errorf("island %d: %d migrants over TCP, %d over DES", i, tcpMlogs[i].Len(), desMlogs[i].Len())
+				}
+				if !bytes.Equal(archiveBytes(t, desRes.Islands[i].Archive()), archiveBytes(t, tcpRes.Islands[i].Archive())) {
+					t.Errorf("island %d: TCP archive differs from DES", i)
+				}
+			}
+			desMerged := federation.MergeArchives(algCfg.Epsilons, desRes.Islands)
+			if !bytes.Equal(archiveBytes(t, desMerged), archiveBytes(t, tcpRes.MergedArchive)) {
+				t.Error("TCP merged archive differs from DES")
+			}
+			if desRes.Migrants != tcpRes.Migrants {
+				t.Errorf("TCP sent %d migrants, DES %d", tcpRes.Migrants, desRes.Migrants)
+			}
+		})
 	}
 }
 

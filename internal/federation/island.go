@@ -13,6 +13,11 @@ import (
 	"borgmoea/internal/wire"
 )
 
+// migrationTimeout bounds every ring wait — the successor and root
+// dials, a frame write, each wait for the predecessor's next migrant —
+// failing the island rather than hanging the ring.
+const migrationTimeout = 30 * time.Second
+
 // islandContext is everything one island master needs, assembled by
 // Run before the island goroutines start.
 type islandContext struct {
@@ -84,8 +89,8 @@ func runIsland(ic islandContext) (islandResult, error) {
 	var host wire.Host
 
 	// Peer link: raw migrant frames from the ring predecessor, which may
-	// run epochs ahead; the buffer lets its frames wait for the barrier,
-	// the channel's only consumer.
+	// run epochs ahead; the buffer lets its frames wait for the barrier's
+	// next, the channel's only consumer.
 	migrants := make(chan *wire.Migrant, 256)
 	done := make(chan struct{})
 	peer := wire.ServeFrames(ic.peerLn, func(m wire.Message) {
@@ -99,11 +104,10 @@ func runIsland(ic islandContext) (islandResult, error) {
 	defer peer.Close()
 	defer close(done) // first, so a reader mid-delivery lets peer.Close return
 
-	migrate := cfg.MigrationEvery > 0 && cfg.Islands > 1
 	var succ net.Conn
-	if migrate {
+	if cfg.MigrationEvery > 0 && cfg.Islands > 1 {
 		var err error
-		succ, err = dialPeer(ic.succAddr, time.Now().Add(cfg.migrationTimeout()))
+		succ, err = dialPeer(ic.succAddr, time.Now().Add(migrationTimeout))
 		if err != nil {
 			ic.workerLn.Close() // never served, so no host Close will
 			return ir, err
@@ -113,7 +117,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	var rootConn net.Conn
 	if ic.root != nil && cfg.DeltaEvery > 0 {
 		var err error
-		rootConn, err = dialPeer(ic.root.Addr(), time.Now().Add(cfg.migrationTimeout()))
+		rootConn, err = dialPeer(ic.root.Addr(), time.Now().Add(migrationTimeout))
 		if err != nil {
 			ic.workerLn.Close()
 			return ir, err
@@ -148,10 +152,8 @@ func runIsland(ic islandContext) (islandResult, error) {
 	since := func() float64 { return time.Since(start).Seconds() }
 	var elapsedAt float64
 
-	// staged carries the migrant solution from the driver into the
-	// OnMigrant hook under Handle — the hook body is identical in
-	// Replay, which stages from the migrant sidecar log instead.
-	var staged *core.Solution
+	mig := NewMigration(cfg.Seed, ic.isl, cfg.Islands, cfg.MigrationEvery, b, alg, ic.mlog, ic.meters.Migrants)
+
 	coreTimeout := 0.0
 	if cfg.LeaseTimeout > 0 {
 		coreTimeout = cfg.LeaseTimeout.Seconds()
@@ -167,16 +169,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 		Meters:          ic.meters,
 		Log:             ic.log,
 		OnAcceptFrom:    ic.adv.ObserveAccept,
-		OnMigrant: func(source int, epoch uint64) {
-			if staged != nil {
-				// A migrant is folded in inside its own measured critical
-				// section: T_A but no function evaluation, as on the DES.
-				alg.Enter()
-				b.InjectEvaluated(staged)
-				alg.Leave(false)
-				staged = nil
-			}
-		},
+		OnMigrant:       mig.Fold,
 	}
 	if ic.trace != nil {
 		mcfg.Tracer = ic.trace
@@ -234,79 +227,53 @@ func runIsland(ic islandContext) (islandResult, error) {
 		}
 	}
 
-	pred := (ic.isl - 1 + cfg.Islands) % cfg.Islands
-	migRng := NewMigrationRNG(cfg.Seed, ic.isl)
-	pendingMig := make(map[uint64]*wire.Migrant)
-	var lastEpoch uint64
-	var migBuf []byte // frame scratch, reused per send
+	var deltaBuf []byte // delta frame scratch, reused per send
 	var deltaSeq uint64
 	var migErr error
 
-	writeFrame := func(nc net.Conn, msg wire.Message) error {
-		migBuf = wire.AppendFrame(migBuf[:0], msg)
-		if err := nc.SetWriteDeadline(time.Now().Add(cfg.migrationTimeout())); err != nil {
+	write := func(nc net.Conn, frame []byte) error {
+		if err := nc.SetWriteDeadline(time.Now().Add(migrationTimeout)); err != nil {
 			return err
 		}
-		_, err := nc.Write(migBuf)
+		_, err := nc.Write(frame)
 		return err
 	}
 
-	// takeMigrant blocks until the predecessor's epoch-e migrant
-	// arrives, buffering early migrants of later epochs. It runs inside
-	// the result handler, so it holds the loop lock throughout: every
-	// other session's events wait behind it, in arrival order, and so
-	// do ticks.
-	takeMigrant := func(epoch uint64) (*wire.Migrant, error) {
-		if mg, ok := pendingMig[epoch]; ok {
-			delete(pendingMig, epoch)
-			return mg, nil
-		}
-		timeout := time.NewTimer(cfg.migrationTimeout())
+	// next is the ring's wall-clock wait for the predecessor's next
+	// frame. It runs inside the result handler, so it holds the loop
+	// lock throughout: every other session's events wait behind it, in
+	// arrival order, and so do ticks.
+	next := func() (*wire.Migrant, error) {
+		timeout := time.NewTimer(migrationTimeout)
 		defer timeout.Stop()
-		for {
-			select {
-			case mg := <-migrants:
-				if mg.Epoch == epoch {
-					return mg, nil
-				}
-				pendingMig[mg.Epoch] = mg
-			case <-timeout.C:
-				return nil, fmt.Errorf("migration epoch %d: no migrant from island %d within %v", epoch, pred, cfg.migrationTimeout())
-			}
+		select {
+		case mg := <-migrants:
+			return mg, nil
+		case <-timeout.C:
+			return nil, fmt.Errorf("timed out after %v", migrationTimeout)
 		}
 	}
 
-	// afterAccept implements the synchronous epoch protocol at accept
-	// count n, plus the root delta stream. Send-before-wait keeps the
-	// ring deadlock-free; the fixed injection point keeps the event log
-	// canonical across transports.
+	// afterAccept runs the migration protocol at accept count n over the
+	// ring link, plus the root delta stream.
 	afterAccept := func(n uint64, accepted *core.Solution) {
-		if migrate && n > 0 && n%cfg.MigrationEvery == 0 {
-			epoch := n / cfg.MigrationEvery
-			if epoch > lastEpoch {
-				lastEpoch = epoch
-				mg := Emigrant(ic.isl, epoch, b.Archive(), migRng, accepted)
-				// The emigrant span context rides the wire to the ring
-				// successor, which links it into its own forest — the
-				// cross-island flow arrow in a merged Chrome export.
-				mg.Trace = ic.trace.ObserveEmigrant(epoch, since())
-				if err := writeFrame(succ, mg); err != nil {
-					migErr = fmt.Errorf("send migrant epoch %d: %w", epoch, err)
-					return
-				}
-				ic.mlog.Record(mg)
-				ir.migrants++
-				ic.meters.Migrants.Inc()
-				if !m.Done() {
-					in, err := takeMigrant(epoch)
-					if err != nil {
-						migErr = err
-						return
-					}
-					ic.trace.LinkMigrant(epoch, in.Trace)
-					staged = MigrantSolution(in)
-					exec(m.Handle(master.Event{Kind: master.EvMigrant, Worker: int(in.Island), Item: epoch, At: since()}))
-				}
+		if epoch, ok := mig.Boundary(n); ok {
+			// The emigrant span context rides the wire to the ring
+			// successor, which links it into its own forest — the
+			// cross-island flow arrow in a merged Chrome export.
+			frame := mig.Emigrant(accepted, ic.trace.ObserveEmigrant(epoch, since()))
+			if err := write(succ, frame); err != nil {
+				migErr = fmt.Errorf("send migrant epoch %d: %w", epoch, err)
+				return
+			}
+			in, err := mig.Await(m.Done(), next)
+			if err != nil {
+				migErr = err
+				return
+			}
+			if in != nil {
+				ic.trace.LinkMigrant(epoch, in.Trace)
+				exec(m.Handle(master.Event{Kind: master.EvMigrant, Worker: int(in.Island), Item: epoch, At: since()}))
 			}
 		}
 		if ic.trace != nil && n%stragglerCheckEvery == 0 {
@@ -316,7 +283,8 @@ func runIsland(ic islandContext) (islandResult, error) {
 		}
 		if rootConn != nil && n > 0 && n%cfg.DeltaEvery == 0 {
 			deltaSeq++
-			if err := writeFrame(rootConn, archiveDelta(ic.isl, deltaSeq, n, b.Archive())); err != nil {
+			deltaBuf = wire.AppendFrame(deltaBuf[:0], archiveDelta(ic.isl, deltaSeq, n, b.Archive()))
+			if err := write(rootConn, deltaBuf); err != nil {
 				cfg.logf("federation: island %d delta: %v", ic.isl, err)
 				rootConn.Close()
 				rootConn = nil
@@ -417,6 +385,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	// it, so the state below is final.
 	host.Close(true)
 
+	ir.migrants = mig.Sent()
 	ir.stats = m.Stats()
 	ir.peak = m.Peak()
 	ir.elapsed = elapsedAt

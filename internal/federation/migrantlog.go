@@ -66,7 +66,7 @@ func (l *MigrantLog) Solution(epoch uint64) (*core.Solution, bool) {
 	defer l.mu.Unlock()
 	for _, m := range l.migrants {
 		if m.Epoch == epoch {
-			s := MigrantSolution(m)
+			s := migrantSolution(m)
 			s.Vars = append([]float64(nil), m.Vars...)
 			s.Objs = append([]float64(nil), m.Objs...)
 			s.Constrs = append([]float64(nil), m.Constrs...)

@@ -8,6 +8,7 @@ import (
 	"borgmoea/internal/des"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 	"borgmoea/internal/wire"
 )
@@ -29,11 +30,8 @@ type IslandsConfig struct {
 	Islands int
 	// MigrationEvery exchanges one archive member to the next island
 	// in the ring after every such number of accepted evaluations on
-	// an island (0 disables migration). Migration follows the
-	// synchronous epoch protocol shared with the TCP federation (see
-	// internal/federation): send to the ring successor first, then
-	// block for the predecessor's migrant of the same epoch and fold
-	// it in as an EvMigrant event.
+	// an island (0 disables migration), on the synchronous epoch
+	// protocol the TCP federation runs too (federation.Migration).
 	MigrationEvery uint64
 	// Logs, when non-nil, must have length Islands: island isl records
 	// its BMEL event stream into Logs[isl]. MigrantLogs likewise
@@ -82,15 +80,10 @@ func (r *IslandsResult) Efficiency(meanTF, meanTA float64, totalProcessors int) 
 // Borg instances under one virtual clock. Each island master runs its
 // own instance of the shared state machine (internal/master) with
 // worker ids local to the island; the driver maps them onto global
-// cluster ranks. With migration enabled, island masters exchange
-// migrants on the synchronous epoch protocol: at each boundary the
-// master serializes a random archive member as a wire.Migrant frame
-// (no Solution clone — the frame is the copy), sends it to the ring
-// successor, then blocks for the predecessor's migrant of the same
-// epoch and folds it in under an EvMigrant event — algorithm time
-// charged, but no function evaluation. Recording those events makes
-// migration part of the replayable BMEL stream instead of a side
-// channel.
+// cluster ranks. With migration enabled, island masters run
+// federation.Migration over the cluster mailbox, each emigrant frame
+// costing a T_C to send; the EvMigrant fold-ins (T_A, no evaluation)
+// are logged, so migration is part of the replayable BMEL stream.
 func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	if cfg.Islands < 1 {
 		return nil, fmt.Errorf("parallel: need at least 1 island, got %d", cfg.Islands)
@@ -151,7 +144,6 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 		res.Islands[isl] = b
 
 		mRng := rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)) // per-island master stream (T_A, T_C)
-		migRng := federation.NewMigrationRNG(base.Seed, isl)  // emigrant selection, shared with TCP
 		meter := &taMeter{dist: base.TA, rng: mRng, capture: base.CaptureTimings, hist: meters.TA}
 		taMeters[isl] = meter
 		sampleTC := func() float64 {
@@ -188,29 +180,19 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			mlog = cfg.MigrantLogs[isl]
 		}
 		eng.Go(fmt.Sprintf("i%dmaster", isl), func(p *des.Process) {
-			// staged carries the migrant solution into the OnMigrant
-			// hook under Handle — the same injection point federation
-			// replays resolve from the migrant sidecar log.
-			var staged *core.Solution
 			// A sampled T_A per critical section, charged to the island's
 			// master node; a migrant costs one too, but no evaluation.
 			alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(bool) {
 				node.HoldBusy(p, meter.leave(), "algo")
 			}}
+			mig := federation.NewMigration(base.Seed, isl, k, cfg.MigrationEvery, b, alg, mlog, meters.Migrants)
 			m := master.NewCore(master.Config{
-				Budget: base.Evaluations,
-				Policy: master.EagerOffspring,
-				Alg:    alg,
-				Meters: meters,
-				Log:    ilog,
-				OnMigrant: func(source int, epoch uint64) {
-					if staged != nil {
-						alg.Enter()
-						b.InjectEvaluated(staged)
-						alg.Leave(false)
-						staged = nil
-					}
-				},
+				Budget:    base.Evaluations,
+				Policy:    master.EagerOffspring,
+				Alg:       alg,
+				Meters:    meters,
+				Log:       ilog,
+				OnMigrant: mig.Fold,
 			})
 			exec := func(acts []master.Action) {
 				for _, a := range acts {
@@ -235,9 +217,6 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				return msg
 			}
 			var backlog []cluster.Message
-			pendingMig := make(map[uint64]*wire.Migrant)
-			var lastEpoch uint64
-			var migBuf []byte // frame scratch, reused per epoch
 			decode := func(payload any) *wire.Migrant {
 				mg, err := wire.DecodeFrame(payload.([]byte)[4:])
 				if err != nil {
@@ -245,56 +224,16 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				}
 				return mg.(*wire.Migrant)
 			}
-			// takeMigrant blocks until the predecessor's epoch-e migrant
-			// arrives, buffering early migrants of later epochs and
+			// next blocks for the predecessor's next migrant frame,
 			// backlogging every other message for the main loop.
-			takeMigrant := func(epoch uint64) *wire.Migrant {
-				if mg, ok := pendingMig[epoch]; ok {
-					delete(pendingMig, epoch)
-					return mg
-				}
+			next := func() (*wire.Migrant, error) {
 				for {
 					msg := recv()
 					if msg.Tag == tagMigrant {
-						mg := decode(msg.Payload)
-						if mg.Epoch == epoch {
-							return mg
-						}
-						pendingMig[mg.Epoch] = mg
-						continue
+						return decode(msg.Payload), nil
 					}
 					backlog = append(backlog, msg)
 				}
-			}
-			// afterAccept is the synchronous epoch protocol at accept
-			// count n: serialize the emigrant straight into the pooled
-			// frame buffer (no Solution clone), send to the successor,
-			// then — unless the budget just completed — wait for the
-			// predecessor's migrant of the same epoch and fold it in as
-			// an EvMigrant event. Send-before-wait keeps the ring
-			// deadlock-free.
-			afterAccept := func(n uint64, accepted *core.Solution) {
-				if cfg.MigrationEvery == 0 || k <= 1 || n%cfg.MigrationEvery != 0 {
-					return
-				}
-				epoch := n / cfg.MigrationEvery
-				if epoch <= lastEpoch {
-					return
-				}
-				lastEpoch = epoch
-				mg := federation.Emigrant(isl, epoch, b.Archive(), migRng, accepted)
-				migBuf = wire.AppendFrame(migBuf[:0], mg)
-				node.HoldBusy(p, sampleTC(), "comm")
-				node.Send(nextMaster, tagMigrant, append([]byte(nil), migBuf...))
-				mlog.Record(mg)
-				res.Migrants++
-				meters.Migrants.Inc()
-				if m.Done() {
-					return
-				}
-				in := takeMigrant(epoch)
-				staged = federation.MigrantSolution(in)
-				exec(m.Handle(master.Event{Kind: master.EvMigrant, Worker: int(in.Island), Item: epoch, At: p.Now()}))
 			}
 			for w := 1; w < perP; w++ {
 				exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: w, At: p.Now()}))
@@ -309,21 +248,27 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				}
 				switch msg.Tag {
 				case tagMigrant:
-					// Outside a boundary wait: the predecessor runs
-					// ahead; hold its frame for the epoch we will reach.
-					mg := decode(msg.Payload)
-					pendingMig[mg.Epoch] = mg
+					mig.Hold(decode(msg.Payload))
 				case tagResult:
 					item := msg.Payload.(*master.Item)
-					prev := m.Completed()
 					exec(m.Handle(master.Event{
 						Kind: master.EvResult, Worker: msg.From - masterRank, Item: item.ID, At: p.Now(),
 					}))
-					if n := m.Completed(); n > prev {
-						afterAccept(n, item.S)
+					// An accept that opens an epoch sends its emigrant
+					// frame (one T_C) and waits; a result that was not
+					// accepted leaves the count where Boundary saw it.
+					if _, ok := mig.Boundary(m.Completed()); ok {
+						frame := mig.Emigrant(item.S, obs.SpanContext{})
+						node.HoldBusy(p, sampleTC(), "comm")
+						node.Send(nextMaster, tagMigrant, append([]byte(nil), frame...))
+						// The mailbox never fails, so neither does the wait.
+						if in, _ := mig.Await(m.Done(), next); in != nil {
+							exec(m.Handle(master.Event{Kind: master.EvMigrant, Worker: int(in.Island), Item: in.Epoch, At: p.Now()}))
+						}
 					}
 				}
 			}
+			res.Migrants += mig.Sent()
 		})
 	}
 
