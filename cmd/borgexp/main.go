@@ -17,7 +17,6 @@ func main() {
 		{Name: "figures", Doc: "regenerate Figure 3, 4 or 5 (-fig)", Run: runFigures},
 		{Name: "scalesim", Doc: "sweep the simulation model over processor counts (-mtbf for the fault-tolerant driver)", Run: runScalesim},
 		{Name: "fitdist", Doc: "fit and rank distributions for timing samples (stdin, -file or -collect)", Run: runFitdist},
-		{Name: "compare", Doc: "compare Borg with NSGA-II on a named problem", Run: runCompare},
 	})
 }
 

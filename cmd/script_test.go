@@ -252,9 +252,6 @@ func TestScripts(t *testing.T) {
 		if code, fromStdin, _ := tl.run(samples, "borgexp", "fitdist"); code != 0 || fromStdin != fromFile {
 			t.Fatalf("borgexp fitdist on stdin: exit %d, differs from -file", code)
 		}
-		if out := tl.ok("borgexp", "compare", "-evals", "500"); !strings.Contains(out, "NSGA-II") {
-			t.Fatalf("borgexp compare: unexpected report\n%s", out)
-		}
 	})
 
 	t.Run("bad input", func(t *testing.T) {
@@ -279,18 +276,17 @@ func TestScripts(t *testing.T) {
 			{1, "no such file", "borgview", []string{"top", "-file", "missing.jsonl", "-once"}},
 			{1, "pass either -dir or both -log and -trace", "borgview", []string{"trace"}},
 			{1, "no island-<i>.trace sidecars found", "borgview", []string{"trace", "-dir", "missing"}},
-			{1, "epsilons must be positive", "borgexp", []string{"compare", "-epsilon", "0"}},
 			{1, "epsilons must be positive", "borg", []string{"-epsilon", "0", "-evals", "10"}},
 			{2, "unknown transport", "borg", []string{"-parallel", "4", "-transport", "realtime"}},
 			{2, "needs -listen", "borg", []string{"-transport", "tcp"}},
-			{1, "NOPE", "borgexp", []string{"compare", "-problem", "NOPE"}},
+			{1, "NOPE", "borgexp", []string{"fitdist", "-collect", "-problem", "NOPE"}},
 			{2, "bad processor count", "borgexp", []string{"scalesim", "-p", "1"}},
 			{2, "-mttr must be positive", "borgexp", []string{"scalesim", "-mtbf", "1", "-mttr", "0"}},
 			{1, "unknown figure 9", "borgexp", []string{"figures", "-fig", "9"}},
 			{1, "bad TF value", "borgexp", []string{"figures", "-tf", "abc"}},
 			{1, "no samples", "borgexp", []string{"fitdist", "-file", os.DevNull}},
 			{2, "unknown problem", "borgexp", []string{"table2", "-problems", "NOPE"}},
-			{2, "flag provided but not defined", "borgexp", []string{"compare", "-nope"}},
+			{2, "flag provided but not defined", "borgexp", []string{"fitdist", "-nope"}},
 		} {
 			code, _, stderr := tl.run("", c.name, c.args...)
 			if code != c.want || !strings.Contains(stderr, c.msg) {

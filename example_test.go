@@ -2,6 +2,7 @@ package borgmoea_test
 
 import (
 	"fmt"
+	"math"
 
 	"borgmoea"
 )
@@ -46,6 +47,29 @@ func ExampleAsyncTime() {
 	// Output:
 	// T_P(P=16) = 66.9 s
 	// T_P(P=64) = 15.9 s
+}
+
+// ExamplePlanHierarchy is the paper's Section VI use case: at
+// T_F = 1 ms a single master saturates near P_UB ≈ 24, so the
+// simulation model splits a 1024-processor machine into islands
+// sized below that bound.
+func ExamplePlanHierarchy() {
+	t := borgmoea.Times{TF: 0.001, TA: 0.000029, TC: 0.000006}
+	lb, ub := borgmoea.ProcessorLowerBound(t), borgmoea.ProcessorUpperBound(t)
+	fmt.Printf("P_LB = %.2f, so at least %d processors\n", lb, int(math.Floor(lb))+1)
+	fmt.Printf("P_UB = %.0f\n", ub)
+
+	plan, err := borgmoea.PlanHierarchy(1024, t, 0.1, 20000, 99)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(plan)
+	fmt.Printf("island size below P_UB: %v\n", float64(plan.IslandSize) < ub)
+	// Output:
+	// P_LB = 2.01, so at least 3 processors
+	// P_UB = 24
+	// 1024 processors → 64 islands × 16 processors (eff 0.91/island vs 0.02 monolithic)
+	// island size below P_UB: true
 }
 
 // ExampleSimulate runs the discrete-event simulation model — the

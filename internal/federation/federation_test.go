@@ -138,7 +138,7 @@ func TestFederationLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := federation.Replay(problem, algCfg, cfg.Seed, logs, mlogs)
+	rep, err := federation.ReplayQuality(problem, algCfg, cfg.Seed, logs, mlogs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,9 @@ func TestFederationQualityReplay(t *testing.T) {
 		}
 	}
 
-	// Plain Replay tolerates the recorded EvQuality events (no sampler:
-	// they are no-ops) and still reconstructs the archives.
-	rep2, err := federation.Replay(problem, algCfg, 42, logs, mlogs)
+	// Replay without samplers tolerates the recorded EvQuality events
+	// (they are no-ops) and still reconstructs the archives.
+	rep2, err := federation.ReplayQuality(problem, algCfg, 42, logs, mlogs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

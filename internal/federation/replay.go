@@ -20,22 +20,19 @@ type ReplayResult struct {
 	MergedArchive *core.Archive
 }
 
-// Replay reconstructs a federated run offline from its per-island BMEL
-// event logs and migrant sidecar logs: each island's log replays
-// through a fresh Core with the island's algorithm seed, and every
-// recorded EvMigrant resolves against the *source* island's sidecar to
-// re-inject the identical solution at the identical point in the
-// accept stream. With a deterministic problem the replay reproduces
-// every island archive — and therefore the merged front — byte for
-// byte.
-func Replay(problem problems.Problem, algCfg core.Config, seed uint64, logs []*master.Log, mlogs []*MigrantLog) (*ReplayResult, error) {
-	return ReplayQuality(problem, algCfg, seed, logs, mlogs, nil)
-}
-
-// ReplayQuality is Replay with per-island quality samplers: island
-// isl's recorded EvQuality points re-trigger quality[isl].Sample
-// against the replayed algorithm, regenerating the live run's QLOG
-// timeline byte for byte (construct each sampler with the live run's
+// ReplayQuality reconstructs a federated run offline from its
+// per-island BMEL event logs and migrant sidecar logs: each island's
+// log replays through a fresh Core with the island's algorithm seed,
+// and every recorded EvMigrant resolves against the *source* island's
+// sidecar to re-inject the identical solution at the identical point
+// in the accept stream. With a deterministic problem the replay
+// reproduces every island archive — and therefore the merged front —
+// byte for byte.
+//
+// quality holds optional per-island samplers: island isl's recorded
+// EvQuality points re-trigger quality[isl].Sample against the
+// replayed algorithm, regenerating the live run's QLOG timeline byte
+// for byte (construct each sampler with the live run's
 // Ref/MaxExact/MCSamples). quality may be nil, shorter than logs, or
 // hold nil entries — recorded EvQuality events without a sampler are
 // no-ops and do not perturb the archive reconstruction.

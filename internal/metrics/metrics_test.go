@@ -239,105 +239,11 @@ func TestHypervolumeMCValidation(t *testing.T) {
 	HypervolumeMC([][]float64{{0, 0}}, []float64{1, 1}, 0, 1)
 }
 
-func TestGenerationalDistanceZeroOnSubset(t *testing.T) {
-	ref := problems.SphereFront(3, 100, 1)
-	if gd := GenerationalDistance(ref[:10], ref); gd != 0 {
-		t.Fatalf("GD of subset = %v, want 0", gd)
-	}
-}
-
-func TestGenerationalDistanceKnown(t *testing.T) {
-	approx := [][]float64{{0, 1}}
-	ref := [][]float64{{0, 0}}
-	if gd := GenerationalDistance(approx, ref); math.Abs(gd-1) > 1e-12 {
-		t.Fatalf("GD = %v, want 1", gd)
-	}
-}
-
-func TestIGDPenalizesPoorCoverage(t *testing.T) {
-	ref := problems.SphereFront(3, 200, 2)
-	full := ref
-	partial := ref[:5]
-	igdFull := InvertedGenerationalDistance(full, ref)
-	igdPartial := InvertedGenerationalDistance(partial, ref)
-	if igdFull != 0 {
-		t.Fatalf("IGD of full coverage = %v, want 0", igdFull)
-	}
-	if igdPartial <= igdFull {
-		t.Fatal("IGD did not penalize partial coverage")
-	}
-}
-
-func TestAdditiveEpsilon(t *testing.T) {
-	// Approx exactly matches reference: ε = 0.
-	ref := [][]float64{{0, 1}, {1, 0}}
-	if eps := AdditiveEpsilon(ref, ref); math.Abs(eps) > 1e-12 {
-		t.Fatalf("ε of identical sets = %v, want 0", eps)
-	}
-	// Approx uniformly worse by 0.25.
-	worse := [][]float64{{0.25, 1.25}, {1.25, 0.25}}
-	if eps := AdditiveEpsilon(worse, ref); math.Abs(eps-0.25) > 1e-12 {
-		t.Fatalf("ε = %v, want 0.25", eps)
-	}
-	// Approx better than reference: ε negative.
-	better := [][]float64{{-0.5, 0.5}, {0.5, -0.5}}
-	if eps := AdditiveEpsilon(better, ref); eps >= 0 {
-		t.Fatalf("ε = %v, want negative for a strictly better set", eps)
-	}
-}
-
-func TestSpacing(t *testing.T) {
-	// Evenly spaced points: spacing 0.
-	even := [][]float64{{0, 3}, {1, 2}, {2, 1}, {3, 0}}
-	if s := Spacing(even); math.Abs(s) > 1e-12 {
-		t.Fatalf("spacing of even set = %v, want 0", s)
-	}
-	// Uneven spacing: positive.
-	uneven := [][]float64{{0, 3}, {0.1, 2.9}, {3, 0}}
-	if s := Spacing(uneven); s <= 0 {
-		t.Fatalf("spacing of uneven set = %v, want > 0", s)
-	}
-	// Degenerate sizes.
-	if Spacing(nil) != 0 || Spacing([][]float64{{1, 1}}) != 0 {
-		t.Fatal("spacing of tiny sets should be 0")
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	a := [][]float64{{0, 0}}
-	b := [][]float64{{1, 1}, {2, 2}}
-	if c := Coverage(a, b); c != 1 {
-		t.Errorf("C(a,b) = %v, want 1 (a dominates all of b)", c)
-	}
-	if c := Coverage(b, a); c != 0 {
-		t.Errorf("C(b,a) = %v, want 0", c)
-	}
-	// Weak dominance: identical points count as covered.
-	if c := Coverage(a, a); c != 1 {
-		t.Errorf("C(a,a) = %v, want 1 (weak dominance)", c)
-	}
-	// Partial coverage.
-	mixed := [][]float64{{-1, 5}, {5, 5}}
-	if c := Coverage(a, mixed); c != 0.5 {
-		t.Errorf("C = %v, want 0.5", c)
-	}
-}
-
 func TestIndicatorsEmptySetsWellDefined(t *testing.T) {
 	// The degenerate-front contract: empty inputs yield 0, never NaN
 	// or a panic — a live quality sampler can hit a pre-first-accept
 	// archive.
-	one := [][]float64{{1}}
 	for name, v := range map[string]float64{
-		"GD empty approx":    GenerationalDistance(nil, one),
-		"GD empty ref":       GenerationalDistance(one, nil),
-		"IGD empty ref":      InvertedGenerationalDistance(one, nil),
-		"IGD empty approx":   InvertedGenerationalDistance(nil, one),
-		"eps both empty":     AdditiveEpsilon(nil, nil),
-		"coverage empty b":   Coverage(one, nil),
-		"coverage empty a":   Coverage(nil, one),
-		"spacing empty":      Spacing(nil),
-		"spacing single":     Spacing(one),
 		"hv empty":           Hypervolume(nil, []float64{1, 1}),
 		"hv MC empty":        HypervolumeMC(nil, []float64{1, 1}, 10, 1),
 		"hv all outside box": Hypervolume([][]float64{{2, 2}}, []float64{1, 1}),
@@ -366,13 +272,6 @@ func TestIndicatorsEmptySetsWellDefined(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got[0], got[1])
 		}
 	}
-	// Dimension mismatch between non-empty sets stays a panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("dimension mismatch did not panic")
-		}
-	}()
-	GenerationalDistance([][]float64{{1}}, [][]float64{{1, 2}})
 }
 
 func TestIndicatorsDuplicatePoints(t *testing.T) {
@@ -380,12 +279,6 @@ func TestIndicatorsDuplicatePoints(t *testing.T) {
 	ref := []float64{1, 1}
 	if hv, want := Hypervolume(dup, ref), 0.25; math.Abs(hv-want) > 1e-12 {
 		t.Errorf("duplicate-point HV = %v, want %v", hv, want)
-	}
-	if s := Spacing(dup); s != 0 {
-		t.Errorf("duplicate-point spacing = %v, want 0", s)
-	}
-	if c := Coverage(dup, dup); c != 1 {
-		t.Errorf("duplicate-point coverage = %v, want 1", c)
 	}
 }
 

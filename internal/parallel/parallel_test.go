@@ -263,6 +263,10 @@ func TestStragglersHurtSyncMoreThanAsync(t *testing.T) {
 	if syncPenalty < 2 {
 		t.Fatalf("sync straggler penalty ×%.2f suspiciously small", syncPenalty)
 	}
+	if syncSlow.ElapsedTime <= asyncSlow.ElapsedTime {
+		t.Fatalf("with stragglers sync (%v) finished no later than async (%v)",
+			syncSlow.ElapsedTime, asyncSlow.ElapsedTime)
+	}
 }
 
 func TestResultDerivedQuantities(t *testing.T) {
