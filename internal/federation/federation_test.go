@@ -256,29 +256,3 @@ func TestFederationValidation(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkFederationLoopback measures a small end-to-end federation
-// over loopback TCP — the protocol overhead benchmark CI tracks
-// head-vs-base (see bench-federation in ci.yml).
-func BenchmarkFederationLoopback(b *testing.B) {
-	problem := problems.NewDTLZ2(3)
-	for i := 0; i < b.N; i++ {
-		res, err := federation.Run(federation.Config{
-			Problem:        problem,
-			Algorithm:      core.Config{Epsilons: core.UniformEpsilons(3, 0.1)},
-			Seed:           uint64(42 + i),
-			Islands:        2,
-			Evaluations:    300,
-			MigrationEvery: 75,
-			Workers:        2,
-			Conn:           fastConn,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TotalEvaluations != 600 {
-			b.Fatalf("completed %d evaluations, want 600", res.TotalEvaluations)
-		}
-	}
-	b.ReportMetric(600*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
-}

@@ -240,27 +240,22 @@ func TestNegativeTimeoutsRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkAsyncFaultFree guards the fault-free overhead of the lease
-// bookkeeping: with no plan and no timeout the driver must stay within
-// a few percent of the pre-fault-tolerance driver (compare against
-// BenchmarkAsyncCrashRecover for the faulted cost).
-func BenchmarkAsyncFaultFree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 5000)
-		cfg.Seed = uint64(i + 1)
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// faultFreeConfig is BenchmarkAsyncFaultFree's run i: the bare
+// simulated driver, no plan and no timeout — the baseline the
+// instrumented, advised and traced variants build on.
+func faultFreeConfig(i int) Config {
+	cfg := testConfig(16, 5000)
+	cfg.Seed = uint64(i + 1)
+	return cfg
 }
 
-func BenchmarkAsyncCrashRecover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 5000)
-		cfg.Seed = uint64(i + 1)
-		cfg.Fault = fault.FailedFractionPlan(0.01, 0.05, uint64(i+1))
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// crashRecoverConfig is faultFreeConfig(i) under crash-recover faults
+// that keep 1% of the workers down on average.
+func crashRecoverConfig(i int) Config {
+	cfg := faultFreeConfig(i)
+	cfg.Fault = fault.FailedFractionPlan(0.01, 0.05, cfg.Seed)
+	return cfg
 }
+
+func BenchmarkAsyncFaultFree(b *testing.B)    { benchAsync(b, faultFreeConfig) }
+func BenchmarkAsyncCrashRecover(b *testing.B) { benchAsync(b, crashRecoverConfig) }

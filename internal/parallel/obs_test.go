@@ -322,37 +322,29 @@ func TestIslandsMetrics(t *testing.T) {
 	}
 }
 
-// BenchmarkAsyncInstrumented is BenchmarkAsyncFaultFree with the full
-// metrics registry attached — the CI benchmark job diffs the two to
-// enforce the <5% instrumentation-overhead budget.
-func BenchmarkAsyncInstrumented(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 5000)
-		cfg.Seed = uint64(i + 1)
-		cfg.Metrics = obs.NewRegistry()
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// instrumentedConfig is faultFreeConfig(i) with the full metrics
+// registry attached: BenchmarkAsyncInstrumented against
+// BenchmarkAsyncFaultFree gives the instrumentation overhead.
+func instrumentedConfig(i int) Config {
+	cfg := faultFreeConfig(i)
+	cfg.Metrics = obs.NewRegistry()
+	return cfg
 }
 
-// BenchmarkAsyncAdvised adds the live scalability advisor on top of the
-// instrumented run — the CI benchmark job diffs it against
-// BenchmarkAsyncFaultFree to enforce the same <5% overhead budget.
-func BenchmarkAsyncAdvised(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 5000)
-		cfg.Seed = uint64(i + 1)
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Advisor = advisor.New(advisor.Config{
-			SnapshotEvery: 0.1,
-			Registry:      cfg.Metrics,
-		})
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// advisedConfig adds the live scalability advisor on top of
+// instrumentedConfig(i); BenchmarkAsyncAdvised against
+// BenchmarkAsyncFaultFree gives the whole telemetry stack's overhead.
+func advisedConfig(i int) Config {
+	cfg := instrumentedConfig(i)
+	cfg.Advisor = advisor.New(advisor.Config{
+		SnapshotEvery: 0.1,
+		Registry:      cfg.Metrics,
+	})
+	return cfg
 }
+
+func BenchmarkAsyncInstrumented(b *testing.B) { benchAsync(b, instrumentedConfig) }
+func BenchmarkAsyncAdvised(b *testing.B)      { benchAsync(b, advisedConfig) }
 
 // TestAsyncLeaseExpireTraced: the master's lease.expire annotations
 // reach a traced run's journal, formatted as before, while an untraced

@@ -190,22 +190,20 @@ func TestQualityAdvisorWiring(t *testing.T) {
 	}
 }
 
-// BenchmarkAsyncQualitySampled is the overhead benchmark the CI
-// bench-quality job diffs against BenchmarkAsyncVirtual16x10k
-// (sampler on vs off, 5% budget). The cadence is the cmd/borg
-// default — one sample per 1000 accepted evaluations — and the DES
-// driver is the worst case for it: with zero simulated T_F, every
-// microsecond of sampler work lands directly on the run time.
-func BenchmarkAsyncQualitySampled(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 10000)
-		cfg.Seed = uint64(i + 1)
-		cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{
-			Every: 1000,
-			Ref:   metrics.RefPointFor("DTLZ2", 5),
-		})
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// qualitySampledConfig is virtual16x10kConfig(i) with the quality
+// sampler on: BenchmarkAsyncQualitySampled against
+// BenchmarkAsyncVirtual16x10k gives the sampler's overhead. The
+// cadence is the cmd/borg default — one sample per 1000 accepted
+// evaluations — and the DES driver is the worst case for it: the
+// simulated T_F costs no wall time, so every microsecond of sampler
+// work lands directly on the run time.
+func qualitySampledConfig(i int) Config {
+	cfg := virtual16x10kConfig(i)
+	cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{
+		Every: 1000,
+		Ref:   metrics.RefPointFor("DTLZ2", 5),
+	})
+	return cfg
 }
+
+func BenchmarkAsyncQualitySampled(b *testing.B) { benchAsync(b, qualitySampledConfig) }

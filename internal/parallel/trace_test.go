@@ -160,17 +160,15 @@ func TestAsyncTraceDisabledUnchanged(t *testing.T) {
 	}
 }
 
-// BenchmarkAsyncTraced layers full-rate distributed tracing over the
-// instrumented run — the CI bench-trace job diffs it against
-// BenchmarkAsyncInstrumented to enforce the <5% overhead budget.
-func BenchmarkAsyncTraced(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, 5000)
-		cfg.Seed = uint64(i + 1)
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
-		if _, err := RunAsync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+// tracedConfig layers full-rate distributed tracing over
+// instrumentedConfig(i): BenchmarkAsyncTraced against
+// BenchmarkAsyncInstrumented gives the price of sampling every
+// evaluation. That tracing changes no decision of the run is
+// TestAsyncTraceDisabledUnchanged's to check.
+func tracedConfig(i int) Config {
+	cfg := instrumentedConfig(i)
+	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
+	return cfg
 }
+
+func BenchmarkAsyncTraced(b *testing.B) { benchAsync(b, tracedConfig) }

@@ -204,12 +204,13 @@ func TestConnRecvReuseMessages(t *testing.T) {
 	}
 }
 
-// BenchmarkGrantResultRoundTrip measures the full codec round trip of
-// one evaluation — master encodes a grant, worker decodes it into
-// scratch, fills a Result reusing its buffers, encodes it back, master
-// decodes the result into scratch — the per-evaluation wire cost of
-// the distributed driver. The acceptance bar is 0 allocs/op.
-func BenchmarkGrantResultRoundTrip(b *testing.B) {
+// grantResultRoundTrip returns the full codec round trip of one
+// evaluation — master encodes a grant, worker decodes it into scratch,
+// fills a Result reusing its buffers, encodes it back, master decodes
+// the result into scratch — the per-evaluation wire cost of the
+// distributed driver. Each call grants the next lease. The call is
+// made once here, so the frame buffers and scratches start warm.
+func grantResultRoundTrip(tb testing.TB) func() {
 	vars := make([]float64, 11)
 	for i := range vars {
 		vars[i] = float64(i) / 11
@@ -222,10 +223,11 @@ func BenchmarkGrantResultRoundTrip(b *testing.B) {
 	var workerSc, masterSc DecodeScratch
 	var res Result
 	roundTrip := func() {
+		ev.Lease++
 		gbuf = AppendFrame(gbuf[:0], ev)
 		m, err := DecodeFrameInto(gbuf[4:], &workerSc)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		req := m.(*Evaluate)
 		res.Lease, res.SolID, res.Operator = req.Lease, req.SolID, req.Operator
@@ -238,17 +240,32 @@ func BenchmarkGrantResultRoundTrip(b *testing.B) {
 		rbuf = AppendFrame(rbuf[:0], &res)
 		m2, err := DecodeFrameInto(rbuf[4:], &masterSc)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if m2.(*Result).Lease != ev.Lease {
-			b.Fatal("lease mismatch")
+			tb.Fatal("lease mismatch")
 		}
 	}
-	roundTrip() // warm the frame buffers and scratches
+	roundTrip()
+	return roundTrip
+}
+
+// TestGrantResultRoundTripNoAllocs pins both halves of the wire's
+// steady state together: once warm, a grant and its result cross the
+// codec without touching the heap (TestRecvSteadyStateAllocs covers
+// the receive half alone).
+func TestGrantResultRoundTripNoAllocs(t *testing.T) {
+	if avg := testing.AllocsPerRun(1000, grantResultRoundTrip(t)); avg != 0 {
+		t.Fatalf("grant-result round trip allocates %v times per evaluation, want 0", avg)
+	}
+}
+
+// BenchmarkGrantResultRoundTrip times grantResultRoundTrip.
+func BenchmarkGrantResultRoundTrip(b *testing.B) {
+	roundTrip := grantResultRoundTrip(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Lease++
 		roundTrip()
 	}
 }
