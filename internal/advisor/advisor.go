@@ -1,6 +1,6 @@
 // Package advisor is the live scalability advisor: it streams the
-// telemetry the drivers already emit (T_A, T_F, T_C, queue waits,
-// heartbeat RTTs) through constant-memory estimators and continuously
+// telemetry the drivers already emit (T_A, T_F, T_C, queue waits)
+// through constant-memory estimators and continuously
 // places the running system on the paper's analytical model — fitted
 // model.Times, predicted vs observed asynchronous speedup and
 // efficiency (Eqs. 2–3), the processor bounds (Eqs. 3–4), master
@@ -185,10 +185,10 @@ type Advisor struct {
 	cfg Config
 	g   gauges
 
-	ta, tc, rtt, queue obs.Welford
-	tf                 obs.Welford
-	tfP50, tfP90       *obs.P2Quantile
-	tfP99              *obs.P2Quantile
+	ta, tc, queue obs.Welford
+	tf            obs.Welford
+	tfP50, tfP90  *obs.P2Quantile
+	tfP99         *obs.P2Quantile
 
 	workers map[int]*workerStat
 	flagged map[int]bool // workers OnStraggler already fired for
@@ -286,18 +286,6 @@ func (a *Advisor) ObserveQueueWait(sec float64) {
 	}
 	a.mu.Lock()
 	a.queue.Observe(sec)
-	a.mu.Unlock()
-}
-
-// ObserveRTT records one heartbeat round-trip time in seconds. When no
-// direct T_C measurements exist (the distributed driver cannot see
-// one-way latency), the fit falls back to RTT/2.
-func (a *Advisor) ObserveRTT(sec float64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.rtt.Observe(sec)
 	a.mu.Unlock()
 }
 
@@ -413,14 +401,9 @@ func (a *Advisor) processors() int {
 }
 
 // fitted returns the model.Times fit from the streams; callers hold
-// a.mu. T_C falls back to half the heartbeat RTT when the driver has
-// no direct one-way measurements.
+// a.mu.
 func (a *Advisor) fitted() model.Times {
-	t := model.Times{TF: a.tf.Mean(), TA: a.ta.Mean(), TC: a.tc.Mean()}
-	if a.tc.Count() == 0 && a.rtt.Count() > 0 {
-		t.TC = a.rtt.Mean() / 2
-	}
-	return t
+	return model.Times{TF: a.tf.Mean(), TA: a.ta.Mean(), TC: a.tc.Mean()}
 }
 
 // report builds the full Report; callers hold a.mu. DriftSmoothed and
@@ -446,7 +429,6 @@ func (a *Advisor) report() Report {
 			Samples: a.tf.Count(),
 		},
 		QueueWaitMean: sanitize(a.queue.Mean()),
-		RTTMean:       sanitize(a.rtt.Mean()),
 	}
 
 	r.PredictedSpeedup = sanitize(model.AsyncSpeedupCapped(p, t))

@@ -181,7 +181,6 @@ func TestNilAdvisorIsSafe(t *testing.T) {
 	a.ObserveTA(1e-5)
 	a.ObserveTC(1e-6)
 	a.ObserveQueueWait(1e-6)
-	a.ObserveRTT(1e-4)
 	a.SetLive(3)
 	a.ObserveAccept(1, 1, 0.01)
 }

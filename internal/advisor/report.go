@@ -42,7 +42,6 @@ type Report struct {
 	// Fitted model parameters.
 	Times         FittedTimes `json:"times"`
 	QueueWaitMean float64     `json:"queue_wait_mean_seconds"`
-	RTTMean       float64     `json:"rtt_mean_seconds,omitempty"`
 
 	// The paper's model, evaluated live (Eqs. 2–4 on the fit).
 	PredictedSpeedup    float64 `json:"predicted_speedup"`

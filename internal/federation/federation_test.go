@@ -34,8 +34,7 @@ func newLogs(k int) ([]*master.Log, []*federation.MigrantLog) {
 	return logs, mlogs
 }
 
-// fastConn keeps loopback heartbeats snappy so RTT-derived T_C
-// estimates exist early in short test runs.
+// fastConn keeps loopback heartbeats snappy in short test runs.
 var fastConn = wire.Options{Heartbeat: 50 * time.Millisecond, IdleTimeout: 10 * time.Second}
 
 // TestFederationLoopback is the live half of the ISSUE's acceptance

@@ -75,12 +75,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	ic.adv.Configure(0, cfg.Evaluations)
 
-	connOpt := cfg.Conn
-	if connOpt.OnRTT == nil {
-		// Heartbeat RTTs stand in for T_C, as in the distributed driver.
-		connOpt.OnRTT = ic.adv.ObserveRTT
-	}
-
 	// Worker transport, as in the distributed driver: the host calls the
 	// island's handler for every session event under its loop lock, and
 	// ticks and the wall limit enter through Do. It starts serving once
@@ -127,26 +121,16 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	// T_A is the wall-clock critical section, optionally stretched by a
 	// sampled SimulateTA sleep (the knob that drags the per-island P_UB
-	// into loopback-test range). curItem is the lease id of the result
-	// being folded in (stashed by the loop before Handle), so the
-	// accept's T_A lands on that evaluation's trace.
-	var simR *rng.Source
+	// into loopback-test range).
+	terms := master.NewTerms(master.TermsConfig{Meters: ic.meters, Advisor: ic.adv, Trace: ic.trace})
+	alg := terms.Bracket(b, nil)
 	if cfg.SimulateTA != nil {
-		simR = rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
-	}
-	var sectionStart time.Time
-	var curItem uint64
-	alg := &master.Bracket{Algorithm: b, Enter: func() { sectionStart = time.Now() }, Leave: func(accept bool) {
-		if simR != nil {
+		simR := rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"
+		alg.Leave = func(accept bool) {
 			time.Sleep(time.Duration(cfg.SimulateTA.Sample(simR) * float64(time.Second)))
+			terms.Leave(accept)
 		}
-		ta := time.Since(sectionStart).Seconds()
-		ic.meters.TA.Observe(ta)
-		ic.adv.ObserveTA(ta)
-		if accept {
-			ic.trace.ObserveTA(curItem, ta)
-		}
-	}}
+	}
 
 	start := time.Now()
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -170,9 +154,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 		Log:             ic.log,
 		OnAcceptFrom:    ic.adv.ObserveAccept,
 		OnMigrant:       mig.Fold,
-	}
-	if ic.trace != nil {
-		mcfg.Tracer = ic.trace
+		Tracer:          terms.Tracer(),
 	}
 	if q := ic.quality; q != nil {
 		q.Attach(b)
@@ -206,14 +188,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 						failed = append(failed, failure{s, err})
 						continue
 					}
-					if ic.trace != nil {
-						// The measured send time is the direct T_C sample: it
-						// feeds both the trace (per-evaluation attribution)
-						// and the advisor fit, so borgview trace's per-term means
-						// and /debug/scaling agree by construction.
-						ic.trace.ObserveTCSend(a.Item.ID, tc)
-						ic.adv.ObserveTC(tc)
-					}
+					terms.Sent(a.Item, tc)
 				}
 			case master.ActStop:
 				host.Stop(a.Worker)
@@ -329,10 +304,8 @@ func runIsland(ic islandContext) (islandResult, error) {
 			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
 				evalSec := msg.Fill(item)
 				accepted = item.S
-				ic.meters.TF.ObserveExemplar(evalSec, item.SampledTraceID())
-				ic.adv.ObserveTF(int(s.ID), evalSec)
-				ic.trace.ObserveTF(item.ID, evalSec)
-				curItem = item.ID
+				terms.Evaluated(int(s.ID), item, evalSec)
+				terms.Queued(item, e.Wait)
 			}
 			prev := m.Completed()
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
@@ -350,7 +323,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 			finish()
 		}
 	}
-	host.Serve(ic.workerLn, connOpt, cfg.Problem, handle)
+	host.Serve(ic.workerLn, cfg.Conn, cfg.Problem, handle)
 
 	var tickC <-chan time.Time
 	if cfg.LeaseTimeout > 0 {

@@ -306,9 +306,10 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	j.borg = b
 	j.adv = advisor.New(advisor.Config{})
 	j.adv.Configure(0, j.spec.Evaluations)
+	j.terms = s.newTerms(j)
 	j.replaying = true
 	rc := master.ReplayConfig{
-		Alg:          j.alg(b),
+		Alg:          j.terms.Bracket(b, nil),
 		Evaluate:     evalFor(j.problem),
 		OnAccept:     s.onAcceptHook(j),
 		OnAcceptFrom: s.onAcceptFromHook(j),

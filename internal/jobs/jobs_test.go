@@ -763,4 +763,13 @@ func TestResultConstraintCountChecked(t *testing.T) {
 	if n := failures.Value(); n != 1 {
 		t.Fatalf("%d failed evaluations, want the one misshapen result", n)
 	}
+	// The job's meter reports under the names every master shares: one
+	// T_F and one queue wait per accepted result (the failed one has
+	// neither), a T_C per grant, a T_A per critical section.
+	count := func(name string) uint64 { return reg.Histogram(name, nil).Count() }
+	if count(master.MetricTF) != budget || count(master.MetricQueueWait) != budget ||
+		count(master.MetricTC) <= budget || count(master.MetricTA) < budget {
+		t.Fatalf("timing histograms T_F %d, wait %d, T_C %d, T_A %d for %d accepted evaluations and one failed",
+			count(master.MetricTF), count(master.MetricQueueWait), count(master.MetricTC), count(master.MetricTA), budget)
+	}
 }

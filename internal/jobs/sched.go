@@ -32,7 +32,6 @@ const (
 	MetricActive       = "jobs.active"
 	MetricQueued       = "jobs.queued"
 	MetricWorkers      = "jobs.workers"
-	MetricEvalSeconds  = "jobs.eval_seconds"
 	MetricFirstResult  = "jobs.first_result_seconds"
 )
 
@@ -112,7 +111,7 @@ type job struct {
 	log     *master.Log
 	adv     *advisor.Advisor
 	trace   *obs.Collector      // nil unless Config.TraceRate > 0
-	curItem uint64              // lease id of the result being folded in
+	terms   *master.Terms       // the job's meter over adv, trace and the scheduler's timing histograms
 	quality *obs.QualitySampler // nil unless Spec.QualityEvery > 0
 	ck      *ckpt               // nil without StateDir
 
@@ -186,7 +185,10 @@ type Scheduler struct {
 	mSubmitted, mRejected, mCompleted, mCancelled, mFailed *obs.Counter
 	mEvals, mEvalFailures                                  *obs.Counter
 	gActive, gQueued, gWorkers                             *obs.Gauge
-	hEval, hFirstResult                                    *obs.Histogram
+	hFirstResult                                           *obs.Histogram
+	// timing holds the four histograms every master reports its terms
+	// to, under the shared names; each job's meter feeds them.
+	timing master.Meters
 
 	// --- loop-locked state below ---
 	closed        bool // Close has run shutdown: nothing else may
@@ -242,8 +244,11 @@ func New(cfg Config) (*Scheduler, error) {
 		gActive:       reg.Gauge(MetricActive),
 		gQueued:       reg.Gauge(MetricQueued),
 		gWorkers:      reg.Gauge(MetricWorkers),
-		hEval:         reg.Histogram(MetricEvalSeconds, nil),
 		hFirstResult:  reg.Histogram(MetricFirstResult, nil),
+		timing: master.Meters{
+			TA: reg.Histogram(master.MetricTA, nil), TF: reg.Histogram(master.MetricTF, nil),
+			TC: reg.Histogram(master.MetricTC, nil), QueueWait: reg.Histogram(master.MetricQueueWait, nil),
+		},
 
 		jobs:  make(map[string]*job),
 		fleet: make(map[*wire.Session]*fleetWorker),
@@ -357,7 +362,7 @@ func (s *Scheduler) onFleet(e wire.HostEvent) {
 		}
 	case wire.HostResult:
 		if w != nil {
-			s.onResult(w, e.Result)
+			s.onResult(w, e.Result, e.Wait)
 		}
 	}
 }
@@ -415,7 +420,9 @@ func (s *Scheduler) detach(w *fleetWorker, j *job) {
 	}
 }
 
-func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
+// onResult folds one fleet result into its job; wait is how long it
+// queued for the loop lock.
+func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result, wait float64) {
 	ref, ok := w.leases[msg.Lease]
 	if !ok {
 		return // lease of a job that was cancelled mid-flight, or noise
@@ -444,11 +451,8 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result) {
 		return
 	}
 	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(w.sess.ID) {
-		sec := msg.Fill(item)
-		j.adv.ObserveTF(int(w.sess.ID), sec)
-		j.trace.ObserveTF(ref.item, sec)
-		j.curItem = ref.item
-		s.hEval.ObserveExemplar(sec, item.SampledTraceID())
+		j.terms.Evaluated(int(w.sess.ID), item, msg.Fill(item))
+		j.terms.Queued(item, wait)
 	}
 	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.sess.ID), Item: ref.item, At: s.now()}))
 	// Quality cadence: the trigger detours through the job's core so
@@ -553,7 +557,7 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 				failed = append(failed, w)
 				continue
 			}
-			j.trace.ObserveTCSend(a.Item.ID, tc)
+			j.terms.Sent(a.Item, tc)
 		case master.ActComplete:
 			s.finishJob(j)
 		case master.ActStop:
@@ -570,19 +574,10 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 
 // --- job lifecycle --------------------------------------------------
 
-// alg brackets the job's Borg instance for its core, metering the
-// serial critical section (the paper's T_A) into the job's advisor and,
-// on accepts, onto the trace of the evaluation being folded in
-// (curItem, stashed by onResult; nil-safe when the job is untraced).
-func (j *job) alg(b *core.Borg) master.Algorithm {
-	var start time.Time
-	return &master.Bracket{Algorithm: b, Enter: func() { start = time.Now() }, Leave: func(accept bool) {
-		ta := time.Since(start).Seconds()
-		j.adv.ObserveTA(ta)
-		if accept {
-			j.trace.ObserveTA(j.curItem, ta)
-		}
-	}}
+// newTerms builds the job's meter over its advisor, its trace collector
+// (if any) and the scheduler's timing histograms.
+func (s *Scheduler) newTerms(j *job) *master.Terms {
+	return master.NewTerms(master.TermsConfig{Meters: s.timing, Advisor: j.adv, Trace: j.trace})
 }
 
 func (s *Scheduler) submit(spec *Spec) (Status, error) {
@@ -665,6 +660,7 @@ func (s *Scheduler) startJob(j *job) {
 	}
 	j.adv = advisor.New(advCfg)
 	j.adv.Configure(0, j.spec.Evaluations)
+	j.terms = s.newTerms(j)
 	j.log = master.NewLog()
 	mcfg := master.Config{
 		Budget:       j.spec.Evaluations,
@@ -674,13 +670,11 @@ func (s *Scheduler) startJob(j *job) {
 		// encode the solution), so an expired lease's wrapper and
 		// Solution can be reissued in place instead of cloned.
 		ReuseOnResubmit: true,
-		Alg:             j.alg(b),
+		Alg:             j.terms.Bracket(b, nil),
 		Log:             j.log,
 		OnAccept:        s.onAcceptHook(j),
 		OnAcceptFrom:    s.onAcceptFromHook(j),
-	}
-	if j.trace != nil {
-		mcfg.Tracer = j.trace
+		Tracer:          j.terms.Tracer(),
 	}
 	if q := newJobQuality(j); q != nil {
 		q.Attach(b)

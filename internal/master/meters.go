@@ -2,13 +2,13 @@ package master
 
 import "borgmoea/internal/obs"
 
-// Metric names shared by all five drivers, so dashboards and the
+// Metric names shared by all drivers, so dashboards and the
 // /debug/vars endpoint read the same keys regardless of transport.
 // The protocol counters (evaluations, resubmissions, expiries,
 // duplicates, hellos, joins, deaths, live) are recorded once, by the
-// Core; the timing histograms and the driver-level counters
-// (generations, migrants, checkpoints) stay with the drivers, which
-// own the clocks and the algorithm critical sections.
+// Core; the timing histograms once, by each master's Terms; the
+// driver-level counters (generations, migrants, checkpoints) stay with
+// the drivers.
 const (
 	MetricEvaluations = "master.evaluations"
 	MetricResub       = "master.resubmissions"

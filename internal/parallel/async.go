@@ -50,40 +50,23 @@ func RunAsync(cfg Config) (*Result, error) {
 	meters := master.NewMeters(cfg.Metrics)
 	adv := cfg.Advisor
 	adv.Configure(cfg.Processors, cfg.Evaluations)
-	masterRng := rng.New(cfg.Seed ^ 0x6d617374) // "mast"
-	meter := &taMeter{dist: cfg.TA, rng: masterRng, capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
-	tcSum, tcN := 0.0, uint64(0)
-	sampleTC := func() float64 {
-		tc := cfg.TC.Sample(masterRng)
-		tcSum += tc
-		tcN++
-		meters.TC.Observe(tc)
-		adv.ObserveTC(tc)
-		return tc
-	}
+	terms := master.NewTerms(master.TermsConfig{
+		Meters: meters, Advisor: adv, Trace: cfg.Trace, Capture: cfg.CaptureTimings,
+		TA: cfg.TA, TC: cfg.TC, Rng: rng.New(cfg.Seed ^ 0x6d617374), // "mast"
+	})
 
 	var elapsedAtN float64
 	var m *master.Core
 
-	recs := newRecorders(&cfg)
-	startWorkers(cl, &cfg, recs)
+	startWorkers(cl, &cfg, terms)
 
 	// Master process: one shared state machine, one mailbox.
 	node := cl.Node(0)
 	eng.Go("master", func(p *des.Process) {
 		// Every critical section is metered (sampled or measured T_A)
 		// and charged to the master node as an "algo" hold, exactly as the
-		// paper instruments it. curItem is the lease id of the result
-		// being folded in: the loop stashes it before Handle(EvResult) so
-		// the accept can attribute its T_A to the evaluation's trace.
-		var curItem uint64
-		alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
-			ta := meter.leave()
-			node.HoldBusy(p, ta, "algo")
-			if accept {
-				cfg.Trace.ObserveTA(curItem, ta)
-			}
-		}}
+		// paper instruments it.
+		alg := terms.Bracket(b, func(ta float64, _ bool) { node.HoldBusy(p, ta, "algo") })
 		mcfg := master.Config{
 			Budget:       cfg.Evaluations,
 			LeaseTimeout: cfg.LeaseTimeout,
@@ -91,6 +74,7 @@ func RunAsync(cfg Config) (*Result, error) {
 			Alg:          alg,
 			Meters:       meters,
 			Log:          cfg.Protocol,
+			Tracer:       terms.Tracer(),
 			OnAccept: func(n uint64) {
 				if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
 					meters.Checkpoints.Inc()
@@ -106,9 +90,6 @@ func RunAsync(cfg Config) (*Result, error) {
 		if adv != nil {
 			mcfg.OnAcceptFrom = adv.ObserveAccept
 		}
-		if cfg.Trace != nil {
-			mcfg.Tracer = cfg.Trace
-		}
 		if q := cfg.Quality; q != nil {
 			q.Attach(b)
 			mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
@@ -118,9 +99,7 @@ func RunAsync(cfg Config) (*Result, error) {
 			for _, a := range acts {
 				switch a.Kind {
 				case master.ActGrant:
-					tc := sampleTC()
-					node.HoldBusy(p, tc, "comm")
-					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
+					node.HoldBusy(p, terms.Send(a.Item), "comm")
 					node.Send(a.Worker, tagEvaluate, a.Item)
 				case master.ActStop:
 					node.Send(a.Worker, tagStop, nil)
@@ -156,19 +135,15 @@ func RunAsync(cfg Config) (*Result, error) {
 		for !m.Done() {
 			msg := receive()
 			wait := p.Now() - msg.ArriveAt
-			adv.ObserveQueueWait(wait)
-			tc := sampleTC()
-			node.HoldBusy(p, tc, "comm")
 			if msg.Tag == tagHello {
-				meters.QueueWait.Observe(wait)
+				terms.Queued(nil, wait)
+				node.HoldBusy(p, terms.Recv(nil), "comm")
 				exec(m.Handle(master.Event{Kind: master.EvHello, Worker: msg.From, At: p.Now()}))
 				continue
 			}
 			item := msg.Payload.(*master.Item)
-			meters.QueueWait.ObserveExemplar(wait, item.SampledTraceID())
-			cfg.Trace.ObserveQueueWait(item.ID, wait)
-			cfg.Trace.ObserveTCRecv(item.ID, tc)
-			curItem = item.ID
+			terms.Queued(item, wait)
+			node.HoldBusy(p, terms.Recv(item), "comm")
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: msg.From, Item: item.ID, At: p.Now()}))
 			// Quality cadence: the trigger detours through the master so
 			// the sample point lands in the BMEL log (replayable).
@@ -204,11 +179,6 @@ func RunAsync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = meter.mean()
-	res.TASamples = meter.samples
-	mergeTF(res, recs...)
-	if tcN > 0 {
-		res.MeanTC = tcSum / float64(tcN)
-	}
+	res.setTerms(terms)
 	return res, nil
 }

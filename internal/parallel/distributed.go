@@ -81,11 +81,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// P is dynamic here (inferred from live workers via SetLive); only
 	// the budget is known up front.
 	adv.Configure(0, cfg.Evaluations)
-	if adv != nil && dcfg.Conn.OnRTT == nil {
-		// Heartbeat RTTs stand in for T_C when there is no way to
-		// observe one-way latency directly.
-		dcfg.Conn.OnRTT = adv.ObserveRTT
-	}
 	leaseTimeout := dcfg.LeaseTimeout
 	if leaseTimeout == 0 && cfg.LeaseTimeout > 0 {
 		leaseTimeout = time.Duration(cfg.LeaseTimeout * float64(time.Second))
@@ -118,10 +113,12 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	res := &Result{Final: b}
 	meters := master.NewMeters(cfg.Metrics)
 	journal := cfg.Events
-	meter := &taMeter{dist: cfg.TA, rng: rng.New(cfg.Seed ^ 0x6d617374), capture: cfg.CaptureTimings, hist: meters.TA, adv: adv}
-	// One T_F recorder for the fleet: results arrive one at a time
-	// under the host's loop lock, and each names its worker.
-	tfRec := &tfRecorder{capture: cfg.CaptureTimings, hist: meters.TF, adv: adv}
+	// One meter for the fleet: results arrive one at a time under the
+	// host's loop lock, and each names its worker.
+	terms := master.NewTerms(master.TermsConfig{
+		Meters: meters, Advisor: adv, Trace: cfg.Trace, Capture: cfg.CaptureTimings,
+		TA: cfg.TA, Rng: rng.New(cfg.Seed ^ 0x6d617374),
+	})
 	start := time.Now()
 	var elapsedAtN float64
 	since := func() float64 { return time.Since(start).Seconds() }
@@ -138,21 +135,14 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	}
 	// Accept and Suggest are metered separately (the lazy policy splits
 	// them across the result and dispatch paths); per completed
-	// evaluation they sum to the paper's T_A. curItem is the lease id of
-	// the result being folded in, so the accept's T_A lands on that
-	// evaluation's trace; a dispatch-path Suggest belongs to no one
-	// evaluation. The journal shows each accept as an algo span: the
-	// master's critical sections on the run's timeline.
-	var curItem uint64
-	alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(accept bool) {
-		ta := meter.leave()
-		if accept {
-			cfg.Trace.ObserveTA(curItem, ta)
-			if journal != nil {
-				journal.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-			}
+	// evaluation they sum to the paper's T_A. The journal shows each
+	// accept as an algo span: the master's critical sections on the run's
+	// timeline.
+	alg := terms.Bracket(b, func(ta float64, accept bool) {
+		if accept && journal != nil {
+			journal.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
 		}
-	}}
+	})
 	mcfg := master.Config{
 		Budget:       cfg.Evaluations,
 		LeaseTimeout: coreTimeout,
@@ -165,6 +155,7 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		Meters:          meters,
 		Emit:            func(kind, detail string) { record(obs.Event{Kind: kind, Actor: "master", Detail: detail}) },
 		Log:             cfg.Protocol,
+		Tracer:          terms.Tracer(),
 		OnAccept: func(n uint64) {
 			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
 				meters.Checkpoints.Inc()
@@ -174,9 +165,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	}
 	if adv != nil {
 		mcfg.OnAcceptFrom = adv.ObserveAccept
-	}
-	if cfg.Trace != nil {
-		mcfg.Tracer = cfg.Trace
 	}
 	if q := cfg.Quality; q != nil {
 		q.Attach(b)
@@ -222,7 +210,7 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 						failed = append(failed, failure{s, err})
 						continue
 					}
-					cfg.Trace.ObserveTCSend(a.Item.ID, tc)
+					terms.Sent(a.Item, tc)
 				}
 			case master.ActStop:
 				host.Stop(a.Worker)
@@ -277,10 +265,8 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			// to this worker); late duplicates are discarded inside.
 			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
 				evalSec := msg.Fill(item)
-				tfRec.worker = int(s.ID)
-				tfRec.recordTraced(evalSec, item)
-				cfg.Trace.ObserveTF(item.ID, evalSec)
-				curItem = item.ID
+				terms.Evaluated(int(s.ID), item, evalSec)
+				terms.Queued(item, e.Wait)
 				if journal != nil {
 					// Reconstruct the worker's eval span master-side
 					// from the reported duration.
@@ -349,16 +335,15 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	res.LostEvaluations = st.Lost
 	res.DuplicateResults = st.Duplicates
 	res.Processors = m.Peak() + 1
-	res.MasterBusy = meter.sum
+	res.setTerms(terms)
+	res.MasterBusy = terms.TA.Sum
 	if res.ElapsedTime > 0 {
 		res.MasterUtilization = res.MasterBusy / res.ElapsedTime
 	}
+	// Accept and Suggest are metered separately here; per completed
+	// evaluation they sum to the paper's T_A.
 	if st.Completed > 0 {
-		// Accept and Suggest are metered separately here; per
-		// completed evaluation they sum to the paper's T_A.
-		res.MeanTA = meter.sum / float64(st.Completed)
+		res.MeanTA = terms.TA.Sum / float64(st.Completed)
 	}
-	res.TASamples = meter.samples
-	mergeTF(res, tfRec)
 	return res, nil
 }

@@ -125,12 +125,9 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	// federation puts on the network.
 	const tagMigrant = 100
 
-	// Per-process timing recorders: one T_A recorder per island master,
-	// one T_F recorder per worker, merged in deterministic (island-
-	// major, rank) order after the run — no shared counters are touched
-	// from inside process closures.
-	taMeters := make([]*taMeter, k)
-	tfRecs := make([][]*tfRecorder, k)
+	// One meter per island master, which its workers report T_F to;
+	// merged in island order after the run.
+	terms := make([]*master.Terms, k)
 
 	for isl := 0; isl < k; isl++ {
 		isl := isl
@@ -143,26 +140,20 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 		}
 		res.Islands[isl] = b
 
-		mRng := rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)) // per-island master stream (T_A, T_C)
-		meter := &taMeter{dist: base.TA, rng: mRng, capture: base.CaptureTimings, hist: meters.TA}
-		taMeters[isl] = meter
-		sampleTC := func() float64 {
-			tc := base.TC.Sample(mRng)
-			meters.TC.Observe(tc)
-			return tc
-		}
+		t := master.NewTerms(master.TermsConfig{
+			Meters: meters, Capture: base.CaptureTimings, TA: base.TA, TC: base.TC,
+			Rng: rng.New(base.Seed ^ (uint64(isl+1) * 0x6d61)), // per-island master stream (T_A, T_C)
+		})
+		terms[isl] = t
 
 		// Island workers.
-		tfRecs[isl] = make([]*tfRecorder, perP-1)
 		for w := 1; w < perP; w++ {
 			rank := masterRank + w
-			tfRec := &tfRecorder{capture: base.CaptureTimings, hist: meters.TF}
-			tfRecs[isl][w-1] = tfRec
 			base.spawn(&worker{
 				eng: eng, node: cl.Node(rank), master: masterRank,
 				problem: base.Problem, tf: base.TF, straggler: 1,
-				rng: rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15)),
-				rec: tfRec,
+				rng:   rng.New(base.Seed ^ (uint64(rank+1) * 0x9e3779b97f4a7c15)),
+				terms: t,
 			})
 		}
 
@@ -182,9 +173,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 		eng.Go(fmt.Sprintf("i%dmaster", isl), func(p *des.Process) {
 			// A sampled T_A per critical section, charged to the island's
 			// master node; a migrant costs one too, but no evaluation.
-			alg := &master.Bracket{Algorithm: b, Enter: meter.enter, Leave: func(bool) {
-				node.HoldBusy(p, meter.leave(), "algo")
-			}}
+			alg := t.Bracket(b, func(ta float64, _ bool) { node.HoldBusy(p, ta, "algo") })
 			mig := federation.NewMigration(base.Seed, isl, k, cfg.MigrationEvery, b, alg, mlog, meters.Migrants)
 			m := master.NewCore(master.Config{
 				Budget:    base.Evaluations,
@@ -198,7 +187,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 				for _, a := range acts {
 					switch a.Kind {
 					case master.ActGrant:
-						node.HoldBusy(p, sampleTC(), "comm")
+						node.HoldBusy(p, t.Send(a.Item), "comm")
 						node.Send(masterRank+a.Worker, tagEvaluate, a.Item)
 					case master.ActStop:
 						node.Send(masterRank+a.Worker, tagStop, nil)
@@ -213,7 +202,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 			// are not re-charged when the main loop gets to them.
 			recv := func() cluster.Message {
 				msg := node.Recv(p)
-				node.HoldBusy(p, sampleTC(), "comm")
+				node.HoldBusy(p, t.Recv(nil), "comm")
 				return msg
 			}
 			var backlog []cluster.Message
@@ -259,7 +248,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 					// accepted leaves the count where Boundary saw it.
 					if _, ok := mig.Boundary(m.Completed()); ok {
 						frame := mig.Emigrant(item.S, obs.SpanContext{})
-						node.HoldBusy(p, sampleTC(), "comm")
+						node.HoldBusy(p, t.Send(nil), "comm")
 						node.Send(nextMaster, tagMigrant, append([]byte(nil), frame...))
 						// The mailbox never fails, so neither does the wait.
 						if in, _ := mig.Await(m.Done(), next); in != nil {
@@ -283,24 +272,13 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	}
 
 	// Aggregate per-island timing observations (island-major order).
-	taSum, taN := 0.0, uint64(0)
-	tfSum, tfN := 0.0, uint64(0)
-	for isl := 0; isl < k; isl++ {
-		taSum += taMeters[isl].sum
-		taN += taMeters[isl].n
-		res.TASamples = append(res.TASamples, taMeters[isl].samples...)
-		for _, r := range tfRecs[isl] {
-			tfSum += r.sum
-			tfN += r.n
-			res.TFSamples = append(res.TFSamples, r.samples...)
-		}
+	var ta, tf master.Tally
+	for _, t := range terms {
+		ta.Merge(t.TA)
+		tf.Merge(t.TF)
 	}
-	if taN > 0 {
-		res.MeanTA = taSum / float64(taN)
-	}
-	if tfN > 0 {
-		res.MeanTF = tfSum / float64(tfN)
-	}
+	res.MeanTA, res.TASamples = ta.Mean(), ta.Samples
+	res.MeanTF, res.TFSamples = tf.Mean(), tf.Samples
 
 	// Merge: ε-nondominated union of all island archives, via the same
 	// helper the federation (and its replays) use.

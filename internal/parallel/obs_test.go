@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -299,6 +300,60 @@ func TestRealtimeMetrics(t *testing.T) {
 	}
 	if algo != n {
 		t.Errorf("journal has %d algo spans, want %d", algo, n)
+	}
+}
+
+// TestDistributedTermsReachEverySink: on the socket path each grant's
+// measured send is one T_C sample and each result's loop-lock wait one
+// queue wait, and the meter hands both to every sink — the Result, the
+// histograms, the advisor fit and the traces — so they agree, whether or
+// not the run is traced.
+func TestDistributedTermsReachEverySink(t *testing.T) {
+	const n = 300
+	for _, traced := range []bool{false, true} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		startWorker(ctx, l.Addr().String(), 1, nil)
+		startWorker(ctx, l.Addr().String(), 2, nil)
+		cfg := testConfig(4, n)
+		cfg.TA = nil
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Advisor = advisor.New(advisor.Config{})
+		if traced {
+			cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: 1, Rate: 1})
+		}
+		res, err := RunAsyncDistributed(cfg, DistributedConfig{
+			Listener: l, LeaseTimeout: 10 * time.Second, Conn: fastConn, WallLimit: time.Minute,
+		})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatal("run incomplete")
+		}
+		tc := cfg.Metrics.Histogram(mTC, nil)
+		if tc.Count() < n || res.MeanTC <= 0 || math.Abs(tc.Mean()-res.MeanTC) > 1e-12 {
+			t.Fatalf("traced=%v: %d T_C observations with mean %v, Result.MeanTC %v; want one per grant, agreeing", traced, tc.Count(), tc.Mean(), res.MeanTC)
+		}
+		r := cfg.Advisor.Report()
+		if math.Abs(r.Times.TC-res.MeanTC) > 1e-9*res.MeanTC {
+			t.Fatalf("traced=%v: advisor T_C %v, Result.MeanTC %v: the fit should use the measured sends", traced, r.Times.TC, res.MeanTC)
+		}
+		wait := cfg.Metrics.Histogram(mQueueWait, nil)
+		if wait.Count() != n || math.Abs(r.QueueWaitMean-wait.Mean()) > 1e-9*wait.Mean()+1e-15 {
+			t.Fatalf("traced=%v: %d queue waits (mean %v), advisor mean %v; want one per accepted result, agreeing", traced, wait.Count(), wait.Mean(), r.QueueWaitMean)
+		}
+		if !traced {
+			continue
+		}
+		a := cfg.Trace.Forest().Attribution()
+		if a.TCSend.N < n || a.Wait.N != n || a.TF.N != n || a.TA.N != n {
+			t.Fatalf("trace terms %+v: want every evaluation's T_C send, wait, T_F and T_A", a)
+		}
 	}
 }
 

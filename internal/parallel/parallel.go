@@ -19,7 +19,6 @@ package parallel
 
 import (
 	"fmt"
-	"time"
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
@@ -27,7 +26,6 @@ import (
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/problems"
-	"borgmoea/internal/rng"
 	"borgmoea/internal/stats"
 )
 
@@ -304,49 +302,9 @@ func (r *Result) Efficiency() float64 {
 	return r.SerialTime() / (float64(r.Processors) * r.ElapsedTime)
 }
 
-// taMeter measures or samples the master's algorithm time.
-type taMeter struct {
-	dist    stats.Distribution
-	rng     *rng.Source
-	capture bool
-	samples []float64
-	sum     float64
-	n       uint64
-	hist    *obs.Histogram   // optional telemetry sink (nil-safe)
-	adv     *advisor.Advisor // optional advisor feed (nil-safe)
-	start   time.Time        // the open section's start (measured mode)
-}
-
-// enter opens a master critical section and leave closes it, returning
-// the T_A charge: sampled from the distribution when set, otherwise the
-// wall-clock time since enter. They are the hooks the drivers hang on a
-// master.Bracket; sections do not nest.
-func (m *taMeter) enter() {
-	if m.dist == nil {
-		m.start = time.Now()
-	}
-}
-
-func (m *taMeter) leave() float64 {
-	var ta float64
-	if m.dist != nil {
-		ta = m.dist.Sample(m.rng)
-	} else {
-		ta = time.Since(m.start).Seconds()
-	}
-	m.sum += ta
-	m.n++
-	if m.capture {
-		m.samples = append(m.samples, ta)
-	}
-	m.hist.Observe(ta)
-	m.adv.ObserveTA(ta)
-	return ta
-}
-
-func (m *taMeter) mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
+// setTerms copies a meter's tallies into the result.
+func (r *Result) setTerms(t *master.Terms) {
+	r.MeanTA, r.TASamples = t.TA.Mean(), t.TA.Samples
+	r.MeanTF, r.TFSamples = t.TF.Mean(), t.TF.Samples
+	r.MeanTC = t.TC.Mean()
 }

@@ -55,22 +55,13 @@ func RunSync(cfg Config) (*Result, error) {
 
 	res := &Result{Processors: cfg.Processors, Final: b}
 	meters := master.NewMeters(cfg.Metrics)
-	masterRng := rng.New(cfg.Seed ^ 0x73796e63) // "sync"
-	meter := &taMeter{dist: cfg.TA, rng: masterRng, capture: cfg.CaptureTimings, hist: meters.TA}
-	tcSum, tcN := 0.0, uint64(0)
-	sampleTC := func() float64 {
-		tc := cfg.TC.Sample(masterRng)
-		tcSum += tc
-		tcN++
-		meters.TC.Observe(tc)
-		return tc
-	}
-
-	recs := newRecorders(&cfg)
-	startWorkers(cl, &cfg, recs)
+	terms := master.NewTerms(master.TermsConfig{
+		Meters: meters, Capture: cfg.CaptureTimings,
+		TA: cfg.TA, TC: cfg.TC, Rng: rng.New(cfg.Seed ^ 0x73796e63), // "sync"
+	})
+	startWorkers(cl, &cfg, terms)
 
 	node := cl.Node(0)
-	masterRec := &tfRecorder{capture: cfg.CaptureTimings, hist: meters.TF}
 	masterTFRng := rng.New(cfg.Seed ^ 0x6d746600)
 	completed := uint64(0)
 	var elapsedAtN float64
@@ -101,19 +92,19 @@ func RunSync(cfg Config) (*Result, error) {
 					meters.Resub.Inc()
 					continue
 				}
-				meter.enter()
+				terms.Enter()
 				batch[i] = b.Suggest()
-				node.HoldBusy(p, meter.leave(), "algo")
+				node.HoldBusy(p, terms.Leave(false), "algo")
 			}
 			// Scatter: one offspring per live worker.
 			for i, w := range alive {
-				node.HoldBusy(p, sampleTC(), "comm")
+				node.HoldBusy(p, terms.Send(nil), "comm")
 				node.Send(w, tagEvaluate, &master.Item{Gen: gen, S: batch[i+1]})
 			}
 			// The master evaluates one offspring itself.
 			core.EvaluateSolution(cfg.Problem, batch[0])
 			tf := cfg.TF.Sample(masterTFRng)
-			masterRec.record(tf)
+			terms.Evaluated(0, nil, tf)
 			node.HoldBusy(p, tf, "eval")
 			// Gather: the synchronization barrier, bounded by
 			// BarrierTimeout when set.
@@ -158,7 +149,7 @@ func RunSync(cfg Config) (*Result, error) {
 				} else {
 					msg = node.Recv(p)
 				}
-				node.HoldBusy(p, sampleTC(), "comm")
+				node.HoldBusy(p, terms.Recv(nil), "comm")
 				gatherMsg(msg)
 			}
 			// Drain messages already delivered (recovery hellos, late
@@ -166,7 +157,7 @@ func RunSync(cfg Config) (*Result, error) {
 			// the next generation's barrier.
 			for node.InboxLen() > 0 {
 				msg := node.Recv(p)
-				node.HoldBusy(p, sampleTC(), "comm")
+				node.HoldBusy(p, terms.Recv(nil), "comm")
 				gatherMsg(msg)
 			}
 			// Workers that missed the barrier are presumed dead; their
@@ -185,9 +176,9 @@ func RunSync(cfg Config) (*Result, error) {
 				if i > 0 && !got[alive[i-1]] {
 					continue
 				}
-				meter.enter()
+				terms.Enter()
 				b.Accept(s)
-				node.HoldBusy(p, meter.leave(), "algo")
+				node.HoldBusy(p, terms.Leave(true), "algo")
 				completed++
 				meters.Evals.Inc()
 				if cfg.CheckpointEvery > 0 && completed%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
@@ -222,11 +213,6 @@ func RunSync(cfg Config) (*Result, error) {
 		}
 		res.MeanWorkerUtilization = sum / float64(cfg.Processors-1)
 	}
-	res.MeanTA = meter.mean()
-	res.TASamples = meter.samples
-	mergeTF(res, append([]*tfRecorder{masterRec}, recs...)...)
-	if tcN > 0 {
-		res.MeanTC = tcSum / float64(tcN)
-	}
+	res.setTerms(terms)
 	return res, nil
 }

@@ -1,80 +1,15 @@
 package parallel
 
 import (
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/cluster"
 	"borgmoea/internal/core"
 	"borgmoea/internal/des"
 	"borgmoea/internal/fault"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/problems"
 	"borgmoea/internal/rng"
 	"borgmoea/internal/stats"
 )
-
-// tfRecorder accumulates one process's evaluation-time observations.
-// Each worker process owns its recorder exclusively and the drivers
-// merge them in rank order at teardown, so no shared counters are
-// mutated from inside worker closures — the drivers stay clean under
-// the race detector even if the DES engine's lock-step execution model
-// ever changed.
-type tfRecorder struct {
-	worker  int
-	sum     float64
-	n       uint64
-	capture bool
-	samples []float64
-	hist    *obs.Histogram   // optional shared telemetry sink (nil-safe, concurrent-safe)
-	adv     *advisor.Advisor // optional advisor feed (nil-safe; attributes by worker)
-}
-
-func (r *tfRecorder) record(tf float64) {
-	r.sum += tf
-	r.n++
-	if r.capture {
-		r.samples = append(r.samples, tf)
-	}
-	r.hist.Observe(tf)
-	r.adv.ObserveTF(r.worker, tf)
-}
-
-// recordTraced is record plus an exemplar: a sampled evaluation pins
-// its trace id to the T_F histogram bucket it lands in, so /debug/
-// metrics links a latency bucket to a concrete trace.
-func (r *tfRecorder) recordTraced(tf float64, item *master.Item) {
-	r.sum += tf
-	r.n++
-	if r.capture {
-		r.samples = append(r.samples, tf)
-	}
-	r.hist.ObserveExemplar(tf, item.SampledTraceID())
-	r.adv.ObserveTF(r.worker, tf)
-}
-
-// newRecorders returns one recorder per worker rank 1..P−1.
-func newRecorders(cfg *Config) []*tfRecorder {
-	hist := cfg.Metrics.Histogram(mTF, nil)
-	recs := make([]*tfRecorder, cfg.Processors-1)
-	for i := range recs {
-		recs[i] = &tfRecorder{worker: i + 1, capture: cfg.CaptureTimings, hist: hist, adv: cfg.Advisor}
-	}
-	return recs
-}
-
-// mergeTF folds recorders into the result in the caller's (rank)
-// order, making TFSamples deterministic.
-func mergeTF(res *Result, recs ...*tfRecorder) {
-	sum, n := 0.0, uint64(0)
-	for _, r := range recs {
-		sum += r.sum
-		n += r.n
-		res.TFSamples = append(res.TFSamples, r.samples...)
-	}
-	if n > 0 {
-		res.MeanTF = sum / float64(n)
-	}
-}
 
 // worker is one evaluation node of the virtual-time drivers: take a
 // work item, evaluate it, stay busy for T_F, echo the item to the
@@ -96,9 +31,8 @@ type worker struct {
 	problem   problems.Problem
 	tf        stats.Distribution
 	rng       *rng.Source
-	straggler float64 // T_F multiplier, 1 unless a straggler
-	rec       *tfRecorder
-	trace     *obs.Collector // nil-safe
+	straggler float64       // T_F multiplier, 1 unless a straggler
+	terms     *master.Terms // the master's meter, which T_F is reported to
 
 	item  *master.Item // the evaluation in progress
 	epoch uint64       // node incarnation it started under
@@ -126,10 +60,12 @@ func (w *worker) serve() {
 	w.epoch = w.node.Epoch()
 	core.EvaluateSolution(w.problem, w.item.S)
 	tf := w.tf.Sample(w.rng) * w.straggler
-	w.rec.recordTraced(tf, w.item)
-	w.trace.ObserveTF(w.item.ID, tf)
+	w.terms.Evaluated(w.id(), w.item, tf)
 	w.node.BusyFor(tf, "eval", w.evaluated)
 }
+
+// id is the worker's id on its master: its rank past the master's.
+func (w *worker) id() int { return w.node.Rank() - w.master }
 
 func (w *worker) onEvaluated() {
 	now := w.eng.Now()
@@ -149,13 +85,14 @@ func (w *worker) onRespond() {
 }
 
 // startWorkers starts the P−1 workers shared by the async and sync
-// virtual-time drivers, worker w on node w with its own T_F stream.
-func startWorkers(cl *cluster.Cluster, cfg *Config, recs []*tfRecorder) {
+// virtual-time drivers, worker w on node w with its own T_F stream,
+// reporting to the master's meter.
+func startWorkers(cl *cluster.Cluster, cfg *Config, terms *master.Terms) {
 	for r := 1; r < cfg.Processors; r++ {
 		w := &worker{
 			eng: cl.Engine(), node: cl.Node(r), problem: cfg.Problem, tf: cfg.TF, straggler: 1,
-			rng: rng.New(cfg.Seed ^ (uint64(r) * 0x9e3779b97f4a7c15)),
-			rec: recs[r-1], trace: cfg.Trace,
+			rng:   rng.New(cfg.Seed ^ (uint64(r) * 0x9e3779b97f4a7c15)),
+			terms: terms,
 		}
 		if cfg.StragglerFraction > 0 && float64(r-1) < cfg.StragglerFraction*float64(cfg.Processors-1) {
 			w.straggler = cfg.StragglerFactor

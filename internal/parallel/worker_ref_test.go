@@ -24,7 +24,7 @@ import (
 // archive, same Result, same protocol log, same trace-event sequence —
 // in the refArchive/refPopulation tradition.
 func refSpawn(w *worker) {
-	node, rec, wRng := w.node, w.rec, w.rng
+	node, terms, wRng := w.node, w.terms, w.rng
 	straggler := w.straggler != 1
 	w.eng.Go(fmt.Sprintf("worker%d", node.Rank()), func(p *des.Process) {
 		for {
@@ -39,8 +39,7 @@ func refSpawn(w *worker) {
 			if straggler {
 				tf *= w.straggler
 			}
-			rec.recordTraced(tf, item)
-			w.trace.ObserveTF(item.ID, tf)
+			terms.Evaluated(w.id(), item, tf)
 			node.HoldBusy(p, tf, "eval")
 			if node.Failed() || node.Epoch() != epoch {
 				continue // crashed mid-evaluation: the work is lost

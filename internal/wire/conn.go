@@ -41,12 +41,6 @@ type Options struct {
 	// round-trip-time histogram. Shared by every connection built from
 	// these options; nil disables (zero hot-path cost).
 	Metrics *obs.Registry
-	// OnRTT, when set, receives every measured heartbeat round-trip
-	// time in seconds, in addition to the Metrics histogram — the live
-	// T_C feed of the scalability advisor (one-way communication time
-	// ≈ RTT/2). Called from the connection's reader goroutine; keep it
-	// fast and concurrency-safe.
-	OnRTT func(seconds float64)
 	// ReuseMessages makes Recv decode the hot-path messages (Evaluate,
 	// Result, Migrant) into per-connection scratch structs, so a
 	// steady-state receive allocates nothing. Only safe when every
@@ -271,11 +265,7 @@ func (c *Conn) Recv() (Message, error) {
 			// Liveness only; arriving kept the link alive — but a
 			// pending ping's round trip is worth recording.
 			if sent := c.pingNano.Swap(0); sent != 0 {
-				rtt := time.Since(time.Unix(0, sent)).Seconds()
-				c.met.rtt.Observe(rtt)
-				if c.opt.OnRTT != nil {
-					c.opt.OnRTT(rtt)
-				}
+				c.met.rtt.Observe(time.Since(time.Unix(0, sent)).Seconds())
 			}
 		default:
 			return m, nil

@@ -34,6 +34,10 @@ type HostEvent struct {
 	Sess   *Session
 	Result *Result
 	Err    error
+	// Wait is how long the reader waited for the loop lock, in seconds:
+	// on a socket host, the queue wait of a result while the master
+	// handled other events.
+	Wait float64
 }
 
 // Session is one handshaken worker connection: which connection speaks
@@ -230,7 +234,12 @@ func (h *Host) check(r *Result) error {
 // deliver hands one event to the handler under the loop lock; it
 // reports false once Close has begun, and the reader then stops.
 func (h *Host) deliver(e HostEvent) bool {
-	h.loop.Lock()
+	// A free lock is no wait; only a contended one reads the clock.
+	if !h.loop.TryLock() {
+		start := time.Now()
+		h.loop.Lock()
+		e.Wait = time.Since(start).Seconds()
+	}
 	defer h.loop.Unlock()
 	if h.halted {
 		return false

@@ -135,6 +135,35 @@ func TestHostSessionEventOrder(t *testing.T) {
 	}
 }
 
+// TestHostStampsLoopWait: a result whose reader finds the loop lock
+// free is delivered with no wait, without reading the clock; one that
+// arrives while the master holds the lock carries the time it waited —
+// the queue wait the master loops report.
+func TestHostStampsLoopWait(t *testing.T) {
+	p := problems.NewDTLZ2(3)
+	h, addr := serveHost(t, p)
+	defer h.Close(true)
+	c, _ := dialHost(t, addr, 0)
+	h.Admit(nextEvent(t, h, HostJoin).Sess)
+	result := &Result{Lease: 1, Objs: []float64{1, 2, 3}}
+	if err := c.Send(result); err != nil {
+		t.Fatal(err)
+	}
+	if e := nextEvent(t, h, HostResult); e.Wait != 0 {
+		t.Fatalf("uncontended result waited %v s, want 0", e.Wait)
+	}
+	const hold = 30 * time.Millisecond
+	h.Do(func() {
+		if err := c.Send(result); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(hold)
+	})
+	if e := nextEvent(t, h, HostResult); e.Wait < (hold / 2).Seconds() {
+		t.Fatalf("result queued behind a %v hold waited %v s", hold, e.Wait)
+	}
+}
+
 // TestHostReconnectReplaces: a redial announcing a live id replaces the
 // old session and hands it back; the old session's late HostDead and a
 // second Drop are inert.
