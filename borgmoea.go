@@ -328,13 +328,13 @@ var (
 type (
 	// ProtocolLog records a master run's protocol events for replay.
 	ProtocolLog = master.Log
-	// MasterEvent is one recorded master protocol event (the OnRecord
-	// hook's argument).
+	// MasterEvent is one recorded master protocol event (the
+	// argument of a ProtocolLog's Sink).
 	MasterEvent = master.Event
 	// ProtocolLogWriter streams a BMEL log to disk at event
-	// granularity — wire it to a recording ProtocolLog through the
-	// OnRecord hook and an interrupted run keeps every complete
-	// record.
+	// granularity — make it a recording ProtocolLog's Sink and an
+	// interrupted run keeps every complete record while the log holds
+	// none in memory.
 	ProtocolLogWriter = master.LogWriter
 )
 

@@ -400,12 +400,12 @@ func emitFront(logger *slog.Logger, front [][]float64, arch *borgmoea.Archive, o
 	return 0
 }
 
-// streamEventLog wires the log's OnRecord hook to a streaming BMEL
-// writer: the island's event log is on disk at event granularity, so a
-// signal (or crash) costs at most the trailing partial record, which
-// the replay reader tolerates. The registered flusher hook closes the
-// file; the mutex covers the signal goroutine racing the recording
-// island goroutine.
+// streamEventLog makes a streaming BMEL writer the log's Sink: the
+// island's event log is on disk at event granularity and nowhere in
+// memory, so a signal (or crash) costs at most the trailing partial
+// record, which the replay reader tolerates. The registered flusher
+// hook closes the file; the mutex covers the signal goroutine racing
+// the recording island goroutine.
 func streamEventLog(flusher *shutdown.Flusher, logger *slog.Logger, path string, log *borgmoea.ProtocolLog) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -417,7 +417,7 @@ func streamEventLog(flusher *shutdown.Flusher, logger *slog.Logger, path string,
 		initErr error
 		closed  bool
 	)
-	log.OnRecord = func(ev borgmoea.MasterEvent) {
+	log.Sink = func(ev borgmoea.MasterEvent) {
 		mu.Lock()
 		defer mu.Unlock()
 		if closed || initErr != nil {

@@ -81,10 +81,11 @@ func (c *ckpt) writeSpec(spec *Spec, wall time.Time, at float64) error {
 	return c.writeAtomic(c.path("spec.json"), data)
 }
 
-// openLog starts a fresh checkpoint stream for l: header now, one
-// record per event as the core handles it. Write errors are sticky on
-// the LogWriter and surface at finalize — a run does not stop because
-// its durability did.
+// openLog starts a fresh checkpoint stream for l: header now, then
+// l's Sink writes one record per event as the core handles it, and l
+// itself retains none. Write errors are sticky on the LogWriter and
+// surface at finalize — a run does not stop because its durability
+// did.
 func (c *ckpt) openLog(l *master.Log) error {
 	f, err := os.Create(c.path("bmel"))
 	if err != nil {
@@ -96,13 +97,14 @@ func (c *ckpt) openLog(l *master.Log) error {
 		return err
 	}
 	c.logF, c.lw = f, lw
-	l.OnRecord = func(ev master.Event) { lw.Record(ev) } //nolint:errcheck // sticky, read at finalize
+	c.sinkTo(l)
 	return nil
 }
 
 // resumeLog reopens the stream l was read from: any crash-torn partial
 // record is truncated away, and appended events continue the same
-// replayable stream.
+// replayable stream. The replayed prefix is on disk already, so l
+// drops it and from here on streams like a fresh job's log.
 func (c *ckpt) resumeLog(l *master.Log) error {
 	path := c.path("bmel")
 	if err := os.Truncate(path, master.StreamLen(len(l.Events))); err != nil {
@@ -113,8 +115,15 @@ func (c *ckpt) resumeLog(l *master.Log) error {
 		return err
 	}
 	c.logF, c.lw = f, master.ResumeLogWriter(f)
-	l.OnRecord = func(ev master.Event) { c.lw.Record(ev) } //nolint:errcheck // sticky, read at finalize
+	l.Events = nil
+	c.sinkTo(l)
 	return nil
+}
+
+// sinkTo makes the checkpoint writer l's sink.
+func (c *ckpt) sinkTo(l *master.Log) {
+	lw := c.lw
+	l.Sink = func(ev master.Event) { lw.Record(ev) } //nolint:errcheck // sticky, read at finalize
 }
 
 func (c *ckpt) saveArchive(a *core.Archive) error {
@@ -251,7 +260,7 @@ func (s *Scheduler) resumeJob(id string) error {
 		j.errMsg = err.Error()
 		return nil
 	}
-	j.problem, j.algCfg = problem, algCfg
+	j.problem, j.name, j.algCfg = problem, problem.Name(), algCfg
 	j.stride = strideOne / uint64(sf.Spec.Priority)
 
 	// Already terminal: a marker records the outcome; the archive

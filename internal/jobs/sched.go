@@ -101,6 +101,7 @@ type job struct {
 	id      string
 	spec    *Spec
 	problem problems.Problem
+	name    string // problem.Name(), the wire name every grant carries
 	algCfg  core.Config
 
 	state  State
@@ -108,7 +109,7 @@ type job struct {
 
 	borg    *core.Borg
 	mcore   *master.Core
-	log     *master.Log
+	log     *master.Log // nil without StateDir; streams to ck, retaining no events
 	adv     *advisor.Advisor
 	trace   *obs.Collector      // nil unless Config.TraceRate > 0
 	terms   *master.Terms       // the job's meter over adv, trace and the scheduler's timing histograms
@@ -442,7 +443,7 @@ func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result, wait float64) {
 		// offer this worker the job again.
 		j.failed[w.sess.ID] = struct{}{}
 		s.mEvalFailures.Inc()
-		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.sess.ID, j.problem.Name(), j.id)
+		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.sess.ID, j.name, j.id)
 		s.detachGone(w, j)
 		if w.job == j {
 			w.job = nil
@@ -550,7 +551,7 @@ func (s *Scheduler) exec(j *job, acts []master.Action) {
 			}
 			s.nextWireLease++
 			w.leases[s.nextWireLease] = grantRef{job: j, item: a.Item.ID}
-			tc, err := s.host.Grant(w.sess, s.nextWireLease, a.Item, j.problem.Name())
+			tc, err := s.host.Grant(w.sess, s.nextWireLease, a.Item, j.name)
 			if err != nil {
 				s.cfg.logf("jobs: send to worker %d failed: %v", a.Worker, err)
 				s.host.Drop(w.sess)
@@ -599,6 +600,7 @@ func (s *Scheduler) submit(spec *Spec) (Status, error) {
 		id:            fmt.Sprintf("j%06d", s.nextJob),
 		spec:          spec,
 		problem:       problem,
+		name:          problem.Name(),
 		algCfg:        algCfg,
 		state:         StateQueued,
 		stride:        strideOne / uint64(spec.Priority),
@@ -623,7 +625,7 @@ func (s *Scheduler) submit(spec *Spec) (Status, error) {
 	s.order = append(s.order, j.id)
 	s.queue = append(s.queue, j)
 	s.mSubmitted.Inc()
-	s.cfg.logf("jobs: %s submitted: %s budget %d priority %d", j.id, problem.Name(), spec.Evaluations, spec.Priority)
+	s.cfg.logf("jobs: %s submitted: %s budget %d priority %d", j.id, j.name, spec.Evaluations, spec.Priority)
 	s.maybeStart()
 	return s.status(j), nil
 }
@@ -661,7 +663,11 @@ func (s *Scheduler) startJob(j *job) {
 	j.adv = advisor.New(advCfg)
 	j.adv.Configure(0, j.spec.Evaluations)
 	j.terms = s.newTerms(j)
-	j.log = master.NewLog()
+	if j.ck != nil {
+		// The events go to the checkpoint stream or nowhere: a job
+		// without StateDir records no log, since nothing would read it.
+		j.log = master.NewLog()
+	}
 	mcfg := master.Config{
 		Budget:       j.spec.Evaluations,
 		LeaseTimeout: s.leaseSec,
@@ -717,7 +723,7 @@ func newJobQuality(j *job) *obs.QualitySampler {
 	}
 	j.quality = obs.NewQualitySampler(obs.QualityConfig{
 		Every:    j.spec.QualityEvery,
-		Ref:      metrics.RefPointFor(j.problem.Name(), j.problem.NumObjs()),
+		Ref:      metrics.RefPointFor(j.name, j.problem.NumObjs()),
 		OnSample: j.adv.ObserveQuality,
 	})
 	return j.quality
@@ -859,7 +865,7 @@ func (s *Scheduler) status(j *job) Status {
 	st := Status{
 		ID:                 j.id,
 		State:              j.state,
-		Problem:            j.problem.Name(),
+		Problem:            j.name,
 		Priority:           j.spec.Priority,
 		Budget:             j.spec.Evaluations,
 		SubmittedAt:        j.submittedWall.Format(time.RFC3339Nano),

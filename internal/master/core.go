@@ -326,9 +326,9 @@ func (c *Core) Done() bool { return c.done }
 
 // AttachLog swaps the Core's event log mid-run. Replay leaves the
 // replayed Core logless (re-recording would duplicate the stream); a
-// resuming driver attaches the original log — already holding the
-// replayed prefix — so continued events append to the same stream and
-// the file on disk stays a single coherent history.
+// resuming driver attaches a log whose Sink appends to the replayed
+// file, so continued events extend the same stream and the file on
+// disk stays a single coherent history.
 func (c *Core) AttachLog(l *Log) {
 	c.cfg.Log = l
 	l.setMeta(LogMeta{Policy: c.cfg.Policy, Budget: c.cfg.Budget, LeaseTimeout: c.cfg.LeaseTimeout})

@@ -37,22 +37,27 @@ type Log struct {
 	Meta    LogMeta
 	Elapsed float64
 	Events  []Event
-	// OnRecord, when set, observes every event as it is recorded — the
-	// hook a streaming LogWriter rides so checkpoints hit disk at event
-	// granularity instead of waiting for a WriteTo at the end.
-	OnRecord func(Event)
+	// Sink, when set, receives every recorded event instead of Events:
+	// a Log with a Sink passes each event on and appends nothing, so a
+	// run streamed to disk through a LogWriter (borgfed -log-dir, the
+	// job server's per-job checkpoints) holds no copy in memory and
+	// Events stays as the caller left it. Without a Sink the Log
+	// retains the whole stream, which is what WriteTo, Replay and
+	// CanonicalBytes read.
+	Sink func(Event)
 }
 
 // NewLog returns an empty log ready to attach to a Config.
 func NewLog() *Log { return &Log{} }
 
-// record appends one event (nil-safe).
+// record passes one event to the sink, or appends it (nil-safe).
 func (l *Log) record(ev Event) {
-	if l != nil {
+	switch {
+	case l == nil:
+	case l.Sink != nil:
+		l.Sink(ev)
+	default:
 		l.Events = append(l.Events, ev)
-		if l.OnRecord != nil {
-			l.OnRecord(ev)
-		}
 	}
 }
 
@@ -152,9 +157,10 @@ func StreamLen(n int) int64 { return HeaderSize + int64(n)*EventSize }
 // record per Record call, one Write each — append-only, so a process
 // crash costs at most the trailing partial record, which ReadLog
 // tolerates. After a write error Record and Err keep returning it; the
-// caller decides whether the run goes on without durability. Wire it to
-// a recording Log through the OnRecord hook; the job server's per-job
-// checkpoints are written this way.
+// caller decides whether the run goes on without durability. Make it a
+// recording Log's Sink and the run streams to disk without retaining
+// its events; the job server's per-job checkpoints are written this
+// way.
 type LogWriter = reclog.Writer[Event]
 
 // NewLogWriter writes the streaming header for meta and returns the

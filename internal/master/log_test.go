@@ -286,35 +286,59 @@ func TestLogWriterStreamsAndTolerates(t *testing.T) {
 	}
 }
 
-func TestLogOnRecordStreamsLiveRun(t *testing.T) {
-	log := NewLog()
-	alg := &stubAlg{}
-	c := NewCore(Config{Budget: 2, Policy: LazyOffspring, Alg: alg, Log: log})
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, log.Meta) // meta stamped by NewCore
-	if err != nil {
-		t.Fatal(err)
+// TestLogSinkStreamsLiveRun pins the Sink contract: a Log with a sink
+// passes every event on and retains none, and what it streams is
+// exactly what a retaining Log records from the same inputs.
+func TestLogSinkStreamsLiveRun(t *testing.T) {
+	inputs := []Event{
+		{Kind: EvJoin, Worker: 1, At: 0},
+		{Kind: EvJoin, Worker: 2, At: 0.5},
+		{Kind: EvResult, Worker: 1, Item: 1, At: 1},
+		{Kind: EvTick, At: 1.5},
+		{Kind: EvResult, Worker: 2, Item: 2, At: 2},
+		{Kind: EvResult, Worker: 1, Item: 3, At: 3},
 	}
-	log.OnRecord = func(ev Event) { lw.Record(ev) }
+	run := func(log *Log) *Core {
+		c := NewCore(Config{Budget: 3, Policy: LazyOffspring, Alg: &stubAlg{}, Log: log})
+		for _, ev := range inputs {
+			c.Handle(ev)
+		}
+		if !c.Done() {
+			t.Fatalf("run did not complete: %+v", c.Stats())
+		}
+		return c
+	}
+	retained := NewLog()
+	run(retained)
 
-	c.Handle(Event{Kind: EvJoin, Worker: 1, At: 0})
-	c.Handle(Event{Kind: EvResult, Worker: 1, Item: 1, At: 1})
-	c.Handle(Event{Kind: EvResult, Worker: 1, Item: 2, At: 2})
-	if !c.Done() {
-		t.Fatalf("run did not complete: %+v", c.Stats())
+	streamed := NewLog()
+	var buf bytes.Buffer
+	var lw *LogWriter
+	streamed.Sink = func(ev Event) {
+		if lw == nil {
+			// NewCore stamped the meta before anything was recorded.
+			var err error
+			if lw, err = NewLogWriter(&buf, streamed.Meta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lw.Record(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := lw.Err(); err != nil {
-		t.Fatalf("stream writer error: %v", err)
+	run(streamed)
+	if len(streamed.Events) != 0 {
+		t.Fatalf("a Log with a Sink retained %d events", len(streamed.Events))
 	}
 
 	loaded, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(loaded.Events, log.Events) {
-		t.Fatalf("streamed log diverged from in-memory log:\n  mem  %+v\n  disk %+v", log.Events, loaded.Events)
+	if len(loaded.Events) != len(inputs) || !reflect.DeepEqual(loaded.Events, retained.Events) {
+		t.Fatalf("streamed log diverged from the retaining twin's:\n  mem  %+v\n  disk %+v", retained.Events, loaded.Events)
 	}
-	if loaded.Meta != log.Meta {
-		t.Fatalf("streamed meta = %+v, want %+v", loaded.Meta, log.Meta)
+	if loaded.Meta != retained.Meta {
+		t.Fatalf("streamed meta = %+v, want %+v", loaded.Meta, retained.Meta)
 	}
 }
