@@ -30,7 +30,7 @@ type Borg struct {
 	nextID         uint64
 	evaluations    uint64
 	initRemaining  int
-	pending        []*Solution // restart injections awaiting evaluation, from pendingHead on
+	pending        []*Solution // the last restart's (or the Latin hypercube's) undrawn batch, from pendingHead on
 	pendingHead    int
 	tournamentSize int
 
@@ -38,8 +38,9 @@ type Borg struct {
 	lastImprovements uint64
 	restarts         uint64
 
-	opSelected []uint64 // times each operator was chosen (diagnostics)
-	injectOp   operators.UM
+	opSelected   []uint64 // times each operator was chosen (diagnostics)
+	injectOp     operators.UM
+	injectParent [1][]float64 // restart's parents argument to injectOp.Child
 
 	// Suggest's scratch.
 	probs   []float64
@@ -142,7 +143,8 @@ func (b *Borg) Population() *Population { return b.pop }
 func (b *Borg) TournamentSize() int { return b.tournamentSize }
 
 // PendingInjections returns the number of restart injections waiting
-// to be handed out by Suggest.
+// to be handed out by Suggest: what is left of the last restart's
+// batch, so never more than the population capacity.
 func (b *Borg) PendingInjections() int { return len(b.pending) - b.pendingHead }
 
 // OperatorNames returns the ensemble operator names in order.
@@ -221,18 +223,11 @@ func (b *Borg) Suggest() *Solution {
 		return b.randomSolution()
 	}
 	if b.pendingHead < len(b.pending) {
+		// Pop by head index; the next restart rewinds the queue, so
+		// the slice never outgrows one batch.
 		s := b.pending[b.pendingHead]
 		b.pending[b.pendingHead] = nil
 		b.pendingHead++
-		if 2*b.pendingHead >= len(b.pending) {
-			// At least half the slice is spent: move the live tail
-			// down. That is at most one move per pop, amortised, and
-			// it keeps a backlog that restarts outpace (it never
-			// drains at large P) from growing with the run.
-			live := copy(b.pending, b.pending[b.pendingHead:])
-			clear(b.pending[live:])
-			b.pending, b.pendingHead = b.pending[:live], 0
-		}
 		return s
 	}
 	if b.pop.Size() == 0 {
@@ -333,6 +328,14 @@ func (b *Borg) checkRestart() {
 // archive, and queue uniformly-mutated archive members for evaluation
 // to restore diversity. Tournament size is re-derived from the new
 // population size to hold selection pressure constant.
+//
+// The new batch replaces the queue, as the new population replaces the
+// old: injections earlier batches left undrawn (a master with many
+// evaluations in flight restarts faster than it drains them) are
+// dropped. Suggest never handed those out, so the batch is written
+// into their Solutions and Vars; only a batch larger than the
+// leftovers allocates. The draws, IDs and their order are those of a
+// restart that appends.
 func (b *Borg) restart() {
 	b.restarts++
 	newCap := int(math.Round(b.cfg.Gamma * float64(b.arch.Size())))
@@ -345,14 +348,29 @@ func (b *Borg) restart() {
 		b.pop.Add(m, b.rng)
 	}
 	needed := newCap - b.pop.Size()
+	// The batch is built in the same backing array: slot i is written
+	// only after spare[i], at index pendingHead+i >= i, has been read.
+	spare := b.pending[b.pendingHead:]
+	queue := b.pending[:0]
 	for i := 0; i < needed; i++ {
-		parent := b.arch.Members()[b.rng.Intn(b.arch.Size())]
-		child := b.injectOp.Mutate(parent.Vars, b.lo, b.hi, b.rng)
+		var s *Solution
+		if i < len(spare) {
+			s = spare[i]
+		} else {
+			s = &Solution{Vars: make([]float64, len(b.lo))}
+		}
+		b.injectParent[0] = b.arch.Members()[b.rng.Intn(b.arch.Size())].Vars
+		b.injectOp.Child(s.Vars, b.injectParent[:], b.lo, b.hi, b.rng, nil)
 		b.nextID++
 		// Injections are uncredited (Operator -1) so restart noise
 		// does not distort the operator-adaptation signal.
-		b.pending = append(b.pending, &Solution{Vars: child, Operator: -1, ID: b.nextID})
+		*s = Solution{Vars: s.Vars, Operator: -1, ID: b.nextID}
+		queue = append(queue, s)
 	}
+	if len(queue) < len(b.pending) {
+		clear(b.pending[len(queue):]) // the dropped leftovers
+	}
+	b.pending, b.pendingHead = queue, 0
 	b.tournamentSize = b.tournamentSizeFor(newCap)
 }
 

@@ -105,11 +105,6 @@ func checkParents(name string, arity int, parents [][]float64, lo, hi []float64)
 	}
 }
 
-// clone returns a copy of x.
-func clone(x []float64) []float64 {
-	return append([]float64(nil), x...)
-}
-
 // centroidInto writes the mean of the vectors into g.
 func centroidInto(g []float64, vs [][]float64) {
 	clear(g)

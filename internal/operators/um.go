@@ -31,15 +31,6 @@ func (op UM) Child(child []float64, parents [][]float64, lo, hi []float64, r *rn
 	op.mutate(child, lo, hi, r)
 }
 
-// Mutate is Apply for a caller that holds the one parent directly
-// (Borg's restart injections, thousands per restart): the same child
-// from the same draws, without the result slice around it.
-func (op UM) Mutate(parent, lo, hi []float64, r *rng.Source) []float64 {
-	child := clone(parent)
-	op.mutate(child, lo, hi, r)
-	return child
-}
-
 // mutate applies the mutation to x in place.
 func (op UM) mutate(x, lo, hi []float64, r *rng.Source) {
 	p := op.Probability

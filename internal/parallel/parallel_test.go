@@ -303,6 +303,25 @@ func virtual1024x40kConfig(i int) Config {
 	return cfg
 }
 
+// TestRestartBacklogBounded: with 1 024 evaluations in flight, restarts
+// fire faster than Suggest drains their injections. Each restart must
+// replace the queue, not stack on it, so at the end of the DES cell's
+// run at most one batch — never more than the population — is queued.
+func TestRestartBacklogBounded(t *testing.T) {
+	res, err := RunAsync(virtual1024x40kConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := res.Final
+	if b.Restarts() == 0 {
+		t.Fatal("no restarts; the cell no longer exercises the queue")
+	}
+	if p, c := b.PendingInjections(), b.Population().Capacity(); p > c {
+		t.Fatalf("%d injections queued after %d restarts, more than the population capacity %d",
+			p, b.Restarts(), c)
+	}
+}
+
 func virtual16x10kConfig(i int) Config {
 	cfg := testConfig(16, 10000)
 	cfg.Seed = uint64(i)
@@ -338,7 +357,7 @@ func TestAsyncVirtualAllocsPerEval(t *testing.T) {
 		perEval float64
 	}{
 		{"Virtual16x10k", virtual16x10kConfig, 3.053},
-		{"Virtual1024x40k", virtual1024x40kConfig, 3.677},
+		{"Virtual1024x40k", virtual1024x40kConfig, 3.438},
 		{"FaultFree", faultFreeConfig, 3.104},
 		{"CrashRecover", crashRecoverConfig, 3.115},
 		{"Instrumented", instrumentedConfig, 3.110},
