@@ -59,6 +59,9 @@ import (
 // Core algorithm types.
 type (
 	// Algorithm is the Borg MOEA state machine (Suggest/Accept/Run).
+	// Accept takes ownership. Clone a solution to keep it: a solution
+	// Suggest returned may be rewritten as a later offspring once it is
+	// in neither the population nor the archive.
 	Algorithm = core.Borg
 	// Config parameterizes the Borg MOEA.
 	Config = core.Config

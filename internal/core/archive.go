@@ -26,6 +26,7 @@ import "math"
 type Archive struct {
 	epsilons []float64
 	members  []*Solution
+	owner    *freeList // the Borg's, which members that leave go back to; nil standalone
 
 	// The ε-box index. boxData holds every member's box vector in one
 	// flat slice (stride len(epsilons)): boxData[i*m:(i+1)*m] belongs
@@ -101,7 +102,9 @@ func (a *Archive) Epsilons() []float64 { return a.epsilons }
 func (a *Archive) Size() int { return len(a.members) }
 
 // Members returns the archived solutions (the live slice; callers must
-// not modify it).
+// not modify it). In a Borg's archive a member that later leaves both
+// archive and population may be rewritten as a new offspring: clone a
+// member to keep it.
 func (a *Archive) Members() []*Solution { return a.members }
 
 // Improvements returns the cumulative ε-progress count.
@@ -392,6 +395,7 @@ func (a *Archive) appendMember(s *Solution, sum float64, sig uint64) {
 		a.grid[makeKey(a.scratch)] = len(a.members) - 1
 	}
 	a.credit(s, +1)
+	a.owner.enter(s)
 }
 
 // removeAt removes member i by swapping the last member into its slot
@@ -399,7 +403,8 @@ func (a *Archive) appendMember(s *Solution, sum float64, sig uint64) {
 // observable) and keeps every parallel structure — boxData, sums,
 // sigs, marks, grid — consistent.
 func (a *Archive) removeAt(i int) {
-	a.credit(a.members[i], -1)
+	gone := a.members[i]
+	a.credit(gone, -1)
 	m := len(a.epsilons)
 	last := len(a.members) - 1
 	if a.grid != nil {
@@ -421,6 +426,7 @@ func (a *Archive) removeAt(i int) {
 	a.sums = a.sums[:last]
 	a.sigs = a.sigs[:last]
 	a.marks = a.marks[:last]
+	a.owner.leave(gone)
 }
 
 func (a *Archive) credit(s *Solution, delta int) {

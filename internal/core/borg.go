@@ -18,6 +18,16 @@ import (
 // once evaluated (by the caller, a worker, or EvaluateSolution),
 // Accept() folds it into the population and archive, adapts operator
 // probabilities, and triggers restarts. Run() is the serial loop.
+//
+// Accept takes ownership. Clone a solution to keep it. A solution
+// Suggest returned goes through minted → in flight → Accept → member
+// (of the population, the archive or both) → released → reused: once
+// it is in neither structure its storage goes on the Borg's free list,
+// and a later Suggest or restart rewrites it as a new offspring.
+// Solutions the Borg did not mint (clones, migrants, solutions the
+// caller built) are never released, and one never accepted, such as a
+// lost lease's original still held by a straggler, is never released
+// either.
 type Borg struct {
 	problem problems.Problem
 	cfg     Config
@@ -26,6 +36,7 @@ type Borg struct {
 
 	pop  *Population
 	arch *Archive
+	free freeList // released storage of solutions this Borg minted
 
 	nextID         uint64
 	evaluations    uint64
@@ -71,6 +82,8 @@ func New(problem problems.Problem, cfg Config) (*Borg, error) {
 		opSelected:    make([]uint64, len(cfg.Operators)),
 		injectOp:      operators.NewUM(),
 	}
+	b.free.mark = new(ownerMark)
+	b.pop.owner, b.arch.owner = &b.free, &b.free
 	b.tournamentSize = b.tournamentSizeFor(cfg.InitialPopulationSize)
 	if cfg.Initialization == InitLatinHypercube {
 		// Pre-generate the stratified initial batch; Suggest serves
@@ -100,7 +113,7 @@ func (b *Borg) latinHypercube(k int) []*Solution {
 	out := make([]*Solution, k)
 	for i, vars := range samples {
 		b.nextID++
-		out[i] = &Solution{Vars: vars, Operator: -1, ID: b.nextID}
+		out[i] = &Solution{Vars: vars, Operator: -1, ID: b.nextID, owner: b.free.mark}
 	}
 	return out
 }
@@ -197,14 +210,26 @@ func (b *Borg) selectOperator() int {
 	return len(b.probs) - 1
 }
 
-// randomSolution draws a uniform solution from the decision box.
-func (b *Borg) randomSolution() *Solution {
-	vars := make([]float64, len(b.lo))
-	for i := range vars {
-		vars[i] = b.rng.Range(b.lo[i], b.hi[i])
+// mint returns the next solution to hand out, with the next ID, the
+// given operator and Vars for the caller to overwrite: released
+// storage off the free list when there is some, else a new solution.
+func (b *Borg) mint(operator int) *Solution {
+	s := b.free.get()
+	if s == nil {
+		s = &Solution{Vars: make([]float64, len(b.lo)), owner: b.free.mark}
 	}
 	b.nextID++
-	return &Solution{Vars: vars, Operator: -1, ID: b.nextID}
+	s.Operator, s.ID = operator, b.nextID
+	return s
+}
+
+// randomSolution draws a uniform solution from the decision box.
+func (b *Borg) randomSolution() *Solution {
+	s := b.mint(-1)
+	for i := range s.Vars {
+		s.Vars[i] = b.rng.Range(b.lo[i], b.hi[i])
+	}
+	return s
 }
 
 // Suggest produces the next solution requiring evaluation. During
@@ -255,23 +280,24 @@ func (b *Borg) Suggest() *Solution {
 	for i := 1; i < len(parents); i++ {
 		parents[i] = b.pop.Tournament(b.tournamentSize, b.rng).Vars
 	}
-	child := make([]float64, len(b.lo))
-	op.Child(child, parents, b.lo, b.hi, b.rng, &b.opWork)
-	b.nextID++
-	return &Solution{Vars: child, Operator: opIdx, ID: b.nextID}
+	// Parents are members, so never the free list's storage the child
+	// is written into.
+	child := b.mint(opIdx)
+	op.Child(child.Vars, parents, b.lo, b.hi, b.rng, &b.opWork)
+	return child
 }
 
 // EvaluateSolution computes the solution's objectives (and
-// constraints) in place using the problem. The parallel drivers call
-// this on worker nodes.
+// constraints) in place using the problem, into storage the solution
+// keeps across reuse. The parallel drivers call this on worker nodes.
 func EvaluateSolution(p problems.Problem, s *Solution) {
-	s.Objs = make([]float64, p.NumObjs())
 	if cp, ok := p.(problems.Constrained); ok {
-		s.Constrs = make([]float64, cp.NumConstraints())
-		cp.EvaluateWithConstraints(s.Vars, s.Objs, s.Constrs)
+		objs, constrs := s.resultsFor(p.NumObjs(), cp.NumConstraints())
+		cp.EvaluateWithConstraints(s.Vars, objs, constrs)
 		return
 	}
-	p.Evaluate(s.Vars, s.Objs)
+	objs, _ := s.resultsFor(p.NumObjs(), 0)
+	p.Evaluate(s.Vars, objs)
 }
 
 // Accept folds an evaluated solution back into the algorithm: the
@@ -279,13 +305,17 @@ func EvaluateSolution(p problems.Problem, s *Solution) {
 // operator adaptation), and the periodic stagnation/ratio check that
 // may trigger a restart. This is the T_A critical section of the
 // paper's model.
+//
+// Accept takes ownership. Clone a solution to keep it. A solution this
+// Borg's Suggest returned may be rewritten as a later offspring once it
+// is in neither the population nor the archive, which for an offspring
+// both reject is at once.
 func (b *Borg) Accept(s *Solution) {
 	if !s.Evaluated() {
 		panic("core: Accept of unevaluated solution")
 	}
 	b.evaluations++
-	b.pop.Add(s, b.rng)
-	b.arch.Add(s)
+	b.fold(s)
 	if b.evaluations-b.lastCheckEvals >= uint64(b.cfg.WindowSize) {
 		b.checkRestart()
 	}
@@ -302,12 +332,24 @@ func (b *Borg) AcceptSuggest(s *Solution) *Solution {
 // InjectEvaluated folds an externally evaluated solution (e.g. an
 // island-model migrant) into the population and archive without
 // charging a function evaluation or running restart checks.
+//
+// It takes ownership as Accept does, but a solution this Borg did not
+// mint, such as a migrant decoded from a frame, is never rewritten: it
+// only must not change while it is a member. Clone another Borg's
+// member before injecting it, since that Borg may rewrite it.
 func (b *Borg) InjectEvaluated(s *Solution) {
 	if !s.Evaluated() {
 		panic("core: InjectEvaluated of unevaluated solution")
 	}
+	b.fold(s)
+}
+
+// fold offers s to the population and the archive, and releases it at
+// once if both reject it.
+func (b *Borg) fold(s *Solution) {
 	b.pop.Add(s, b.rng)
 	b.arch.Add(s)
+	b.free.release(s)
 }
 
 // checkRestart applies Borg's two restart triggers: ε-progress
@@ -332,10 +374,11 @@ func (b *Borg) checkRestart() {
 // The new batch replaces the queue, as the new population replaces the
 // old: injections earlier batches left undrawn (a master with many
 // evaluations in flight restarts faster than it drains them) are
-// dropped. Suggest never handed those out, so the batch is written
-// into their Solutions and Vars; only a batch larger than the
-// leftovers allocates. The draws, IDs and their order are those of a
-// restart that appends.
+// dropped. Suggest never handed those out, so they go back on the free
+// list with the former members the refill left out of both structures,
+// and the batch is written into that storage; only a batch larger than
+// what was released allocates. The draws, IDs and their order are those
+// of a restart that appends.
 func (b *Borg) restart() {
 	b.restarts++
 	newCap := int(math.Round(b.cfg.Gamma * float64(b.arch.Size())))
@@ -347,30 +390,19 @@ func (b *Borg) restart() {
 	for _, m := range b.arch.Members() {
 		b.pop.Add(m, b.rng)
 	}
-	needed := newCap - b.pop.Size()
-	// The batch is built in the same backing array: slot i is written
-	// only after spare[i], at index pendingHead+i >= i, has been read.
-	spare := b.pending[b.pendingHead:]
-	queue := b.pending[:0]
-	for i := 0; i < needed; i++ {
-		var s *Solution
-		if i < len(spare) {
-			s = spare[i]
-		} else {
-			s = &Solution{Vars: make([]float64, len(b.lo))}
-		}
+	for _, s := range b.pending[b.pendingHead:] {
+		b.free.release(s)
+	}
+	clear(b.pending)
+	b.pending, b.pendingHead = b.pending[:0], 0
+	for needed := newCap - b.pop.Size(); needed > 0; needed-- {
 		b.injectParent[0] = b.arch.Members()[b.rng.Intn(b.arch.Size())].Vars
-		b.injectOp.Child(s.Vars, b.injectParent[:], b.lo, b.hi, b.rng, nil)
-		b.nextID++
 		// Injections are uncredited (Operator -1) so restart noise
 		// does not distort the operator-adaptation signal.
-		*s = Solution{Vars: s.Vars, Operator: -1, ID: b.nextID}
-		queue = append(queue, s)
+		s := b.mint(-1)
+		b.injectOp.Child(s.Vars, b.injectParent[:], b.lo, b.hi, b.rng, nil)
+		b.pending = append(b.pending, s)
 	}
-	if len(queue) < len(b.pending) {
-		clear(b.pending[len(queue):]) // the dropped leftovers
-	}
-	b.pending, b.pendingHead = queue, 0
 	b.tournamentSize = b.tournamentSizeFor(newCap)
 }
 

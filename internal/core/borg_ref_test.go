@@ -322,30 +322,32 @@ func FuzzBorgRestartEquivalence(f *testing.F) {
 	})
 }
 
-// TestRestartLeavesHandedOutSolutions: a restart only rewrites
-// injections Suggest has not served. Every Solution Suggest returned —
-// in flight, accepted, or evicted — keeps the Vars, ID and operator it
-// was returned with, and the objectives it was evaluated to, across
-// every restart, including those that replace a queue.
+// TestRestartLeavesHandedOutSolutions: Accept takes ownership, and a
+// restart rewrites only storage nothing else holds. Across every
+// restart, including those that replace a queue, each solution in
+// flight and each current population or archive member keeps the
+// Vars, ID and operator Suggest last returned it with, and the
+// objectives it was evaluated to. A solution that was accepted and
+// then left both structures may be rewritten, and the run must reuse
+// some.
 func TestRestartLeavesHandedOutSolutions(t *testing.T) {
 	prob := problems.NewDTLZ2(3)
 	b := MustNew(prob, Config{Epsilons: UniformEpsilons(3, 0.05), WindowSize: 25, Seed: 4})
-	type handed struct {
-		s    *Solution
-		snap Solution
-	}
-	var all []handed
+	handed := make(map[*Solution]Solution) // each solution as Suggest last returned it
 	var inFlight []*Solution
-	replacing := 0
+	replacing, reused := 0, 0
 	for b.Evaluations() < 3000 {
 		for len(inFlight) < 200 {
 			s := b.Suggest()
+			if _, ok := handed[s]; ok {
+				reused++
+			}
 			EvaluateSolution(prob, s)
 			inFlight = append(inFlight, s)
-			all = append(all, handed{s, Solution{
+			handed[s] = Solution{
 				Vars: append([]float64(nil), s.Vars...), Objs: append([]float64(nil), s.Objs...),
 				Operator: s.Operator, ID: s.ID,
-			}})
+			}
 		}
 		queued, restarts := b.PendingInjections(), b.Restarts()
 		b.Accept(inFlight[0])
@@ -356,16 +358,21 @@ func TestRestartLeavesHandedOutSolutions(t *testing.T) {
 		if queued > 0 {
 			replacing++
 		}
-		for _, h := range all {
-			if h.s.ID != h.snap.ID || h.s.Operator != h.snap.Operator ||
-				!sameBits(h.s.Vars, h.snap.Vars) || !sameBits(h.s.Objs, h.snap.Objs) {
-				t.Fatalf("restart %d rewrote handed-out solution %d: %+v, was %+v",
-					b.Restarts(), h.snap.ID, *h.s, h.snap)
+		for _, s := range slices.Concat(inFlight, b.Population().Members(), b.Archive().Members()) {
+			h, ok := handed[s]
+			if !ok {
+				t.Fatalf("restart %d: solution %d is held but Suggest never returned it", b.Restarts(), s.ID)
+			}
+			if s.ID != h.ID || s.Operator != h.Operator || !sameBits(s.Vars, h.Vars) || !sameBits(s.Objs, h.Objs) {
+				t.Fatalf("restart %d rewrote held solution %d: %+v, was %+v", b.Restarts(), h.ID, *s, h)
 			}
 		}
 	}
 	if replacing == 0 {
 		t.Fatal("no restart fired with injections queued")
+	}
+	if reused == 0 {
+		t.Fatal("Suggest reused no released solution")
 	}
 }
 

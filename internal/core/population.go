@@ -46,6 +46,7 @@ func lanesLE(a, b uint64) bool { return ((b|sigHigh)-a)&sigHigh == sigHigh }
 type Population struct {
 	members  []*Solution
 	capacity int
+	owner    *freeList // the Borg's, which members that leave go back to; nil standalone
 
 	nobj  int       // objectives per member, fixed by the first one in
 	objs  []float64 // row i is a copy of members[i].Objs
@@ -92,6 +93,9 @@ func (p *Population) SetCapacity(capacity int, r *rng.Source) {
 // Clear empties the population (capacity unchanged) and drops its
 // references to the former members.
 func (p *Population) Clear() {
+	for _, m := range p.members {
+		p.owner.leave(m)
+	}
 	clear(p.members)
 	p.members = p.members[:0]
 	p.objs = p.objs[:0]
@@ -100,6 +104,9 @@ func (p *Population) Clear() {
 }
 
 // Members returns the live member slice (callers must not modify it).
+// In a Borg's population a member that later leaves both population
+// and archive may be rewritten as a new offspring: clone a member to
+// keep it.
 func (p *Population) Members() []*Solution { return p.members }
 
 // Add inserts an evaluated solution using Borg's steady-state rule:
@@ -216,6 +223,7 @@ func (p *Population) set(i int, s *Solution, sig uint64) {
 		if p.sigs[i] == plainSig {
 			p.plain--
 		}
+		p.owner.leave(p.members[i])
 		p.members[i] = s
 		copy(p.objs[i*p.nobj:], s.Objs)
 		p.sigs[i] = sig
@@ -223,6 +231,7 @@ func (p *Population) set(i int, s *Solution, sig uint64) {
 	if sig == plainSig {
 		p.plain++
 	}
+	p.owner.enter(s)
 	p.stale++
 }
 
@@ -230,6 +239,7 @@ func (p *Population) removeAt(i int) {
 	if p.sigs[i] == plainSig {
 		p.plain--
 	}
+	p.owner.leave(p.members[i])
 	last, n := len(p.members)-1, p.nobj
 	p.members[i] = p.members[last]
 	p.members[last] = nil

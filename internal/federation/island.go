@@ -231,12 +231,12 @@ func runIsland(ic islandContext) (islandResult, error) {
 
 	// afterAccept runs the migration protocol at accept count n over the
 	// ring link, plus the root delta stream.
-	afterAccept := func(n uint64, accepted *core.Solution) {
+	afterAccept := func(n uint64) {
 		if epoch, ok := mig.Boundary(n); ok {
 			// The emigrant span context rides the wire to the ring
 			// successor, which links it into its own forest — the
 			// cross-island flow arrow in a merged Chrome export.
-			frame := mig.Emigrant(accepted, ic.trace.ObserveEmigrant(epoch, since()))
+			frame := mig.Emigrant(ic.trace.ObserveEmigrant(epoch, since()))
 			if err := write(succ, frame); err != nil {
 				migErr = fmt.Errorf("send migrant epoch %d: %w", epoch, err)
 				return
@@ -300,17 +300,15 @@ func runIsland(ic islandContext) (islandResult, error) {
 				break
 			}
 			msg := e.Result
-			var accepted *core.Solution
 			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
 				evalSec := msg.Fill(item)
-				accepted = item.S
 				terms.Evaluated(int(s.ID), item, evalSec)
 				terms.Queued(item, e.Wait)
 			}
 			prev := m.Completed()
 			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
 			if n := m.Completed(); n > prev {
-				afterAccept(n, accepted)
+				afterAccept(n)
 				// Quality cadence: the trigger detours through the master
 				// so the sample point lands in this island's BMEL log
 				// (replayable via ReplayQuality).

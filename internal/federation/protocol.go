@@ -88,16 +88,13 @@ func (m *Migration) Boundary(n uint64) (epoch uint64, ok bool) {
 }
 
 // Emigrant selects the open epoch's emigrant — a random ε-archive
-// member, or accepted while the archive is empty (constrained problems
-// with nothing feasible yet) so the ring never stalls — stamps it with
-// the sender's trace context, records and counts it, and returns its
-// frame, scratch the next epoch overwrites. A failed send ends the
-// run, so the record stands.
-func (m *Migration) Emigrant(accepted *core.Solution, trace obs.SpanContext) []byte {
-	s := accepted
-	if n := m.b.Archive().Size(); n > 0 {
-		s = m.b.Archive().Members()[m.rng.Intn(n)]
-	}
+// member, which after any accept exists — stamps it with the sender's
+// trace context, records and counts it, and returns its frame, scratch
+// the next epoch overwrites. A failed send ends the run, so the record
+// stands.
+func (m *Migration) Emigrant(trace obs.SpanContext) []byte {
+	arch := m.b.Archive()
+	s := arch.Members()[m.rng.Intn(arch.Size())]
 	// The frame is the copy: mg references the member's live slices.
 	mg := &wire.Migrant{Island: uint32(m.isl), Epoch: m.epoch, SolID: s.ID, Operator: int32(s.Operator),
 		Vars: s.Vars, Objs: s.Objs, Constrs: s.Constrs, Trace: trace}
@@ -166,7 +163,8 @@ func migrantSolution(m *wire.Migrant) *core.Solution {
 
 // MergeArchives returns the ε-nondominated union of the island
 // archives, folded in island order — the canonical merged Result every
-// transport (and Replay) computes identically.
+// transport (and Replay) computes identically. It shares the islands'
+// members, so it stays valid only while the islands accept no more.
 func MergeArchives(epsilons []float64, islands []*core.Borg) *core.Archive {
 	merged := core.NewArchive(epsilons, 0)
 	for _, b := range islands {

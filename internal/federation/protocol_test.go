@@ -36,6 +36,9 @@ func newIsland(t *testing.T) *island {
 	isl := &island{b: b, log: federation.NewMigrantLog(), sent: obs.NewRegistry().Counter("migrants")}
 	alg := &master.Bracket{Algorithm: b, Enter: func() { isl.enters++ }, Leave: func(bool) { isl.leaves++ }}
 	isl.mig = federation.NewMigration(7, 1, 3, 10, b, alg, isl.log, isl.sent)
+	// An epoch opens only after accepts, so the archive the emigrant is
+	// drawn from is never empty.
+	b.Accept(isl.accepted())
 	return isl
 }
 
@@ -63,7 +66,7 @@ func (isl *island) boundary(t *testing.T, n, want uint64) {
 	if !ok || epoch != want {
 		t.Fatalf("accept %d opened epoch %d (%v), want %d", n, epoch, ok, want)
 	}
-	if len(isl.mig.Emigrant(isl.accepted(), obs.SpanContext{})) == 0 {
+	if len(isl.mig.Emigrant(obs.SpanContext{})) == 0 {
 		t.Fatalf("epoch %d: empty emigrant frame", epoch)
 	}
 }
@@ -110,8 +113,8 @@ func TestMigrationProtocol(t *testing.T) {
 		if *calls != 3 {
 			t.Fatalf("next called %d times for 3 frames", *calls)
 		}
-		if isl.b.Archive().Size() == 0 {
-			t.Fatal("no folded migrant reached the archive")
+		if n := isl.b.Population().Size(); n != 1+3 {
+			t.Fatalf("population of %d after one accept and three folds, want 4", n)
 		}
 		isl.mig.Fold(0, 3) // nothing staged: no critical section
 		if isl.enters != 3 {
@@ -147,7 +150,7 @@ func TestMigrationProtocol(t *testing.T) {
 	t.Run("budget completes on a boundary", func(t *testing.T) {
 		isl := newIsland(t)
 		epoch, _ := isl.mig.Boundary(10)
-		frame := isl.mig.Emigrant(isl.accepted(), obs.SpanContext{})
+		frame := isl.mig.Emigrant(obs.SpanContext{})
 		msg, err := wire.DecodeFrame(frame[4:])
 		if err != nil {
 			t.Fatal(err)

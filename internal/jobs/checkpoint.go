@@ -180,17 +180,7 @@ func (c *ckpt) close() error {
 // objectives for deterministic problems, so the replayed trajectory is
 // bit-identical to the recorded run's.
 func evalFor(p problems.Problem) func(*master.Item) {
-	if cp, ok := p.(problems.Constrained); ok {
-		return func(it *master.Item) {
-			it.S.Objs = make([]float64, cp.NumObjs())
-			it.S.Constrs = make([]float64, cp.NumConstraints())
-			cp.EvaluateWithConstraints(it.S.Vars, it.S.Objs, it.S.Constrs)
-		}
-	}
-	return func(it *master.Item) {
-		it.S.Objs = make([]float64, p.NumObjs())
-		p.Evaluate(it.S.Vars, it.S.Objs)
-	}
+	return func(it *master.Item) { core.EvaluateSolution(p, it.S) }
 }
 
 // resume loads every job persisted in StateDir: terminal jobs come

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -296,5 +297,50 @@ func TestRealtimeFaultCheckBeforeNormalize(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "virtual-time driver") {
 		t.Fatalf("fault check did not run first: %v", err)
+	}
+}
+
+// TestDistributedSteadyStateAllocs: over real TCP with one in-process
+// loopback worker, the whole process — master loop, socket host,
+// worker and codec — allocates at most 0.05 objects per evaluation
+// once warm. The offspring, its Vars and its objectives reuse the
+// storage of solutions that left the population and archive, so what
+// is left is growth of the live set.
+func TestDistributedSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network integration test skipped in -short mode")
+	}
+	const warm, n = 10_000, 20_000
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(ctx, l.Addr().String(), 1, nil)
+	cfg := Config{
+		Problem:         problems.NewDTLZ2(3),
+		Algorithm:       core.Config{Epsilons: core.UniformEpsilons(3, 0.1)},
+		Evaluations:     n,
+		Seed:            1,
+		CheckpointEvery: warm,
+	}
+	var mallocs [2]uint64
+	cfg.OnCheckpoint = func(float64, *core.Borg) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs[0], mallocs[1] = mallocs[1], ms.Mallocs
+	}
+	res, err := RunAsyncDistributed(cfg, DistributedConfig{Listener: l, Conn: fastConn, WallLimit: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("run did not complete")
+	}
+	perEval := float64(mallocs[1]-mallocs[0]) / (n - warm)
+	t.Logf("%.4f allocations per evaluation after %d warm-up evaluations", perEval, warm)
+	if perEval > 0.05 {
+		t.Fatalf("%.3f allocations per evaluation once warm, budget 0.05", perEval)
 	}
 }

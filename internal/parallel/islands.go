@@ -247,7 +247,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 					// frame (one T_C) and waits; a result that was not
 					// accepted leaves the count where Boundary saw it.
 					if _, ok := mig.Boundary(m.Completed()); ok {
-						frame := mig.Emigrant(item.S, obs.SpanContext{})
+						frame := mig.Emigrant(obs.SpanContext{})
 						node.HoldBusy(p, t.Send(nil), "comm")
 						node.Send(nextMaster, tagMigrant, append([]byte(nil), frame...))
 						// The mailbox never fails, so neither does the wait.

@@ -363,11 +363,7 @@ func (h *Host) Close(stop bool) {
 // leased item — the result itself is reader scratch — and returns the
 // evaluation time in seconds (the T_F sample).
 func (r *Result) Fill(item *master.Item) float64 {
-	item.S.Objs = append([]float64(nil), r.Objs...)
-	item.S.Constrs = nil
-	if len(r.Constrs) > 0 {
-		item.S.Constrs = append([]float64(nil), r.Constrs...)
-	}
+	item.S.SetResult(r.Objs, r.Constrs)
 	return float64(r.EvalNanos) / 1e9
 }
 
