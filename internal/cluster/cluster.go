@@ -54,7 +54,6 @@ type Cluster struct {
 	transit stats.Distribution
 	rng     *rng.Source
 
-	messagesSent uint64
 	messagesLost uint64
 	dropFn       func(*Message) bool
 	deliverFn    func(any)  // deliver, built once for des.ScheduleCall
@@ -93,9 +92,6 @@ func (c *Cluster) Node(rank int) *Node {
 	return c.nodes[rank]
 }
 
-// MessagesSent returns the number of messages sent so far.
-func (c *Cluster) MessagesSent() uint64 { return c.messagesSent }
-
 // MessagesLost returns the number of messages discarded by the drop
 // hook or by delivery to a failed node.
 func (c *Cluster) MessagesLost() uint64 { return c.messagesLost }
@@ -130,8 +126,6 @@ type Node struct {
 	busyIntegral float64
 	busySince    des.Time
 	busyDepth    int
-	recvCount    uint64
-	sendCount    uint64
 }
 
 // Rank returns the node's rank (0 is the master by convention).
@@ -222,8 +216,6 @@ func (n *Node) Send(dst, tag int, payload any) {
 		Payload: payload,
 		SentAt:  n.c.eng.Now(),
 	}
-	n.sendCount++
-	n.c.messagesSent++
 	if n.c.eng.Tracing() {
 		n.c.eng.Emit("send", n.label, fmt.Sprintf("to=%d tag=%d", dst, tag))
 	}
@@ -333,7 +325,6 @@ func (n *Node) pop() Message {
 		clear(n.inbox[live:])
 		n.inbox, n.inboxHead = n.inbox[:live], 0
 	}
-	n.recvCount++
 	if n.c.eng.Tracing() {
 		n.c.eng.Emit("recv", n.label, fmt.Sprintf("from=%d tag=%d", msg.From, msg.Tag))
 	}
@@ -428,16 +419,3 @@ func (n *Node) BusyTime() des.Time {
 	}
 	return t
 }
-
-// Utilization returns busy time divided by elapsed virtual time, or 0
-// at time 0.
-func (n *Node) Utilization() float64 {
-	now := n.c.eng.Now()
-	if now <= 0 {
-		return 0
-	}
-	return n.BusyTime() / now
-}
-
-// Counters returns the node's message counts.
-func (n *Node) Counters() (sent, received uint64) { return n.sendCount, n.recvCount }

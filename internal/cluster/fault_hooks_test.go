@@ -74,12 +74,8 @@ func TestDeadSenderDrops(t *testing.T) {
 	c := New(eng, Config{Nodes: 2, Seed: 1})
 	eng.Go("driver", func(p *des.Process) {
 		c.Node(0).Fail()
-		sentBefore := c.MessagesSent()
 		c.Node(0).Send(1, 7, "x")
 		p.Hold(1)
-		if c.MessagesSent() != sentBefore {
-			t.Error("dead sender's message counted as sent")
-		}
 		if lost := c.MessagesLost(); lost != 1 {
 			t.Errorf("messages lost = %d, want 1", lost)
 		}

@@ -163,55 +163,6 @@ func TestInjectEvaluatedDoesNotCount(t *testing.T) {
 	}
 }
 
-// TestLatinHypercubeInitialization: the first InitialPopulationSize
-// suggestions must form a Latin hypercube — exactly one sample per
-// stratum per variable.
-func TestLatinHypercubeInitialization(t *testing.T) {
-	const k = 50
-	b := MustNew(problems.NewDTLZ2(3), Config{
-		Epsilons:              UniformEpsilons(3, 0.05),
-		InitialPopulationSize: k,
-		Initialization:        InitLatinHypercube,
-		Seed:                  33,
-	})
-	lo, hi := b.Problem().Bounds()
-	n := b.Problem().NumVars()
-	seen := make([][]bool, n)
-	for j := range seen {
-		seen[j] = make([]bool, k)
-	}
-	for i := 0; i < k; i++ {
-		s := b.Suggest()
-		if s.Operator != -1 {
-			t.Fatal("LHS initialization credited to an operator")
-		}
-		for j, x := range s.Vars {
-			stratum := int((x - lo[j]) / (hi[j] - lo[j]) * k)
-			if stratum == k {
-				stratum = k - 1
-			}
-			if seen[j][stratum] {
-				t.Fatalf("variable %d stratum %d sampled twice: not a Latin hypercube", j, stratum)
-			}
-			seen[j][stratum] = true
-		}
-		EvaluateSolution(b.Problem(), s)
-		b.Accept(s)
-	}
-	for j := range seen {
-		for st, ok := range seen[j] {
-			if !ok {
-				t.Fatalf("variable %d stratum %d never sampled", j, st)
-			}
-		}
-	}
-	// The algorithm proceeds normally afterwards.
-	b.Run(2000, nil)
-	if b.Archive().Size() == 0 {
-		t.Fatal("LHS-initialized run produced empty archive")
-	}
-}
-
 func TestInjectEvaluatedPanicsOnUnevaluated(t *testing.T) {
 	b := MustNew(problems.NewDTLZ2(3), dtlz2Config(3, 27))
 	defer func() {

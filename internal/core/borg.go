@@ -41,7 +41,7 @@ type Borg struct {
 	nextID         uint64
 	evaluations    uint64
 	initRemaining  int
-	pending        []*Solution // the last restart's (or the Latin hypercube's) undrawn batch, from pendingHead on
+	pending        []*Solution // the last restart's undrawn batch, from pendingHead on
 	pendingHead    int
 	tournamentSize int
 
@@ -85,37 +85,7 @@ func New(problem problems.Problem, cfg Config) (*Borg, error) {
 	b.free.mark = new(ownerMark)
 	b.pop.owner, b.arch.owner = &b.free, &b.free
 	b.tournamentSize = b.tournamentSizeFor(cfg.InitialPopulationSize)
-	if cfg.Initialization == InitLatinHypercube {
-		// Pre-generate the stratified initial batch; Suggest serves
-		// it through the pending queue.
-		b.initRemaining = 0
-		b.pending = b.latinHypercube(cfg.InitialPopulationSize)
-	}
 	return b, nil
-}
-
-// latinHypercube produces k stratified samples over the decision box.
-func (b *Borg) latinHypercube(k int) []*Solution {
-	n := len(b.lo)
-	// strata[j] is a permutation of the k slices for variable j.
-	perm := make([]int, k)
-	samples := make([][]float64, k)
-	for i := range samples {
-		samples[i] = make([]float64, n)
-	}
-	for j := 0; j < n; j++ {
-		b.rng.Perm(perm)
-		width := (b.hi[j] - b.lo[j]) / float64(k)
-		for i := 0; i < k; i++ {
-			samples[i][j] = b.lo[j] + (float64(perm[i])+b.rng.Float64())*width
-		}
-	}
-	out := make([]*Solution, k)
-	for i, vars := range samples {
-		b.nextID++
-		out[i] = &Solution{Vars: vars, Operator: -1, ID: b.nextID, owner: b.free.mark}
-	}
-	return out
 }
 
 // MustNew is New that panics on configuration errors; convenient for

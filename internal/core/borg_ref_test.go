@@ -250,7 +250,7 @@ func sameState(t *testing.T, run borgRun, step int, b, ref *Borg, full bool) {
 		t.Fatalf("%v: eval %d: archives differ", run, step)
 	}
 	if b.pop.Capacity() != ref.pop.Capacity() || b.pop.Size() != ref.pop.Size() ||
-		full && !sameMembers(b.pop.Members(), ref.pop.Members()) {
+		full && !sameMembers(b.pop.members, ref.pop.members) {
 		t.Fatalf("%v: eval %d: populations differ", run, step)
 	}
 }
@@ -358,7 +358,7 @@ func TestRestartLeavesHandedOutSolutions(t *testing.T) {
 		if queued > 0 {
 			replacing++
 		}
-		for _, s := range slices.Concat(inFlight, b.Population().Members(), b.Archive().Members()) {
+		for _, s := range slices.Concat(inFlight, b.Population().members, b.Archive().Members()) {
 			h, ok := handed[s]
 			if !ok {
 				t.Fatalf("restart %d: solution %d is held but Suggest never returned it", b.Restarts(), s.ID)

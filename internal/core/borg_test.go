@@ -335,7 +335,7 @@ func TestAcceptSuggestEqualsAcceptThenSuggest(t *testing.T) {
 	if !reflect.DeepEqual(split.Archive().Members(), joint.Archive().Members()) {
 		t.Fatal("archives differ")
 	}
-	if !reflect.DeepEqual(split.Population().Members(), joint.Population().Members()) {
+	if !reflect.DeepEqual(split.Population().members, joint.Population().members) {
 		t.Fatal("populations differ")
 	}
 	if joint.Restarts() == 0 {

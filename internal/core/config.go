@@ -32,26 +32,9 @@ type Config struct {
 	// Zeta is the smoothing constant in operator-probability updates
 	// (probability ∝ archive contributions + Zeta). Default 1.
 	Zeta float64
-	// Initialization selects how the initial population is sampled.
-	// Default InitUniform.
-	Initialization InitMethod
 	// Seed seeds the algorithm's random stream.
 	Seed uint64
 }
-
-// InitMethod selects the initial sampling scheme.
-type InitMethod int
-
-const (
-	// InitUniform draws each initial solution independently uniform
-	// over the decision box (the Borg default).
-	InitUniform InitMethod = iota
-	// InitLatinHypercube stratifies each variable into
-	// InitialPopulationSize equal slices and samples one point per
-	// slice per variable with independent permutations, giving
-	// better marginal coverage than independent uniform draws.
-	InitLatinHypercube
-)
 
 // UniformEpsilons returns an m-vector of equal ε values.
 func UniformEpsilons(m int, eps float64) []float64 {

@@ -80,7 +80,7 @@ func TestRecycledOnlyAfterRelease(t *testing.T) {
 func checkFreeList(t *testing.T, b *Borg, held, foreign map[*Solution]bool) {
 	t.Helper()
 	members := make(map[*Solution]int)
-	for _, m := range b.Population().Members() {
+	for _, m := range b.Population().members {
 		members[m]++
 	}
 	for _, m := range b.Archive().Members() {

@@ -103,12 +103,6 @@ func (p *Population) Clear() {
 	p.plain = 0
 }
 
-// Members returns the live member slice (callers must not modify it).
-// In a Borg's population a member that later leaves both population
-// and archive may be rewritten as a new offspring: clone a member to
-// keep it.
-func (p *Population) Members() []*Solution { return p.members }
-
 // Add inserts an evaluated solution using Borg's steady-state rule:
 // below capacity it is simply appended; at capacity the solution is
 // compared against the population — if any member dominates it, it is
@@ -201,15 +195,6 @@ func (p *Population) Tournament(k int, r *rng.Source) *Solution {
 		}
 	}
 	return p.members[best]
-}
-
-// Random returns a uniformly random member. It panics on an empty
-// population.
-func (p *Population) Random(r *rng.Source) *Solution {
-	if len(p.members) == 0 {
-		panic("core: Random on empty population")
-	}
-	return p.members[r.Intn(len(p.members))]
 }
 
 // set writes s, whose signature is sig, as member i; i == Size()

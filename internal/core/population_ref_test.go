@@ -359,7 +359,7 @@ func benchPopulation(n int) (*Population, []*Solution) {
 			pts[i] = simplex()
 			continue
 		}
-		parent := p.Members()[r.Intn(n)]
+		parent := p.members[r.Intn(n)]
 		objs := make([]float64, 5)
 		for j, f := range parent.Objs {
 			objs[j] = f + 0.01*(r.Float64()-0.5)
@@ -393,7 +393,7 @@ func BenchmarkPopulationAddReference(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p, pts := benchPopulation(n)
 			ref := newRefPopulation(n)
-			ref.members = append(ref.members, p.Members()...)
+			ref.members = append(ref.members, p.members...)
 			r := rng.New(2)
 			b.ReportAllocs()
 			b.ResetTimer()

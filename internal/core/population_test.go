@@ -41,7 +41,7 @@ func TestPopulationSteadyStateReplacesDominated(t *testing.T) {
 		t.Fatal("offspring dominating a member rejected")
 	}
 	// (0.9, 0.9) must be gone; (0.4, 0.6) must survive.
-	for _, m := range p.Members() {
+	for _, m := range p.members {
 		if m.Objs[0] == 0.9 {
 			t.Fatal("dominated member survived replacement")
 		}
@@ -63,7 +63,7 @@ func TestPopulationSteadyStateNondominatedReplacesRandom(t *testing.T) {
 		t.Fatalf("size = %d, want 2 (replacement, not growth)", p.Size())
 	}
 	found := false
-	for _, m := range p.Members() {
+	for _, m := range p.members {
 		if m.Objs[0] == 0.5 {
 			found = true
 		}
@@ -162,7 +162,7 @@ func TestClearReleasesMembers(t *testing.T) {
 		p.Add(sol(float64(i), float64(4-i)), r)
 	}
 	p.Clear()
-	for i, m := range p.Members()[:4] {
+	for i, m := range p.members[:4] {
 		if m != nil {
 			t.Fatalf("slot %d still holds %v after Clear", i, m.Objs)
 		}

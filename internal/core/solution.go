@@ -221,7 +221,3 @@ func compareObjs(a, b []float64) int {
 		return 0
 	}
 }
-
-// Dominates reports whether a dominates b under the constraint-aware
-// comparison.
-func Dominates(a, b *Solution) bool { return Compare(a, b) == -1 }

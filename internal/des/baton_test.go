@@ -19,7 +19,7 @@ func TestRunUntilBoundsBatonHolder(t *testing.T) {
 		}
 	})
 	for _, at := range []Time{2.5, 3.5} {
-		e.At(at, func() { callbacks = append(callbacks, e.Now()) })
+		e.Schedule(at, func() { callbacks = append(callbacks, e.Now()) })
 	}
 	if now := e.RunUntil(3); now != 3 {
 		t.Fatalf("RunUntil(3) returned %v", now)
@@ -27,7 +27,7 @@ func TestRunUntilBoundsBatonHolder(t *testing.T) {
 	if len(holds) != 3 || holds[2] != 3 || len(callbacks) != 1 || callbacks[0] != 2.5 {
 		t.Fatalf("by t=3: holds %v callbacks %v, want [1 2 3] and [2.5]", holds, callbacks)
 	}
-	if !e.Pending() {
+	if len(e.events) == 0 {
 		t.Fatal("events after the limit were dropped")
 	}
 	e.Run()
@@ -56,8 +56,8 @@ func TestStepRunsOneEvent(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step reported an event on an empty queue")
 	}
-	if e.Processed() != 3 {
-		t.Fatalf("Processed = %d, want 3", e.Processed())
+	if e.processed != 3 {
+		t.Fatalf("Processed = %d, want 3", e.processed)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestShutdownUnwindsEveryParkedState(t *testing.T) {
 			t.Errorf("%s not unwound", name)
 		}
 	}
-	if e.Pending() {
+	if len(e.events) > 0 {
 		t.Error("events pending after Shutdown")
 	}
 	waitGoroutines(t, base)
@@ -173,17 +173,18 @@ func TestPanicsReachRunCaller(t *testing.T) {
 func TestCanceledEventsLeaveTheQueue(t *testing.T) {
 	e := New()
 	e.Schedule(1e9, func() {})
-	tm := e.NewTimer(func() {})
+	var timer Handle
 	for i := 0; i < 100000; i++ {
-		tm.Reset(1e6)
-		h := e.Schedule(1e6, func() {}) // a RecvTimeout deadline...
+		timer.Cancel() // a lease timer rearmed...
+		timer = e.Schedule(1e6, func() {})
+		h := e.Schedule(1e6, func() {}) // ...and a RecvTimeout deadline...
 		e.RunUntil(e.Now() + 1)
 		h.Cancel() // ...beaten by the message
 		if len(e.events) != 2 || len(e.free) > 2 {
 			t.Fatalf("cycle %d: %d queued, %d free; want 2 queued (timer + sentinel)", i, len(e.events), len(e.free))
 		}
 	}
-	tm.Stop()
+	timer.Cancel()
 	if len(e.events) != 1 {
 		t.Fatalf("%d queued after Stop, want the sentinel alone", len(e.events))
 	}

@@ -75,18 +75,6 @@ func TestSchedulePanicsOnNegativeDelay(t *testing.T) {
 	New().Schedule(-1, func() {})
 }
 
-func TestAtPanicsOnPast(t *testing.T) {
-	e := New()
-	e.Schedule(5, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At(past) did not panic")
-		}
-	}()
-	e.At(1, func() {})
-}
-
 func TestCancel(t *testing.T) {
 	e := New()
 	ran := false
@@ -96,8 +84,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("canceled event still ran")
 	}
-	if e.Pending() {
-		t.Fatal("Pending() true after cancel + run")
+	if len(e.events) > 0 {
+		t.Fatal("events queued after cancel + run")
 	}
 }
 
@@ -224,45 +212,6 @@ func TestParkWake(t *testing.T) {
 	if resumedAt != 4.5 {
 		t.Fatalf("sleeper resumed at %v, want 4.5", resumedAt)
 	}
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	e := New()
-	sig := NewSignal(e)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		e.Go("w", func(p *Process) {
-			sig.Wait(p)
-			woken++
-		})
-	}
-	e.Go("firer", func(p *Process) {
-		p.Hold(1)
-		if sig.Waiting() != 5 {
-			t.Errorf("Waiting() = %d, want 5", sig.Waiting())
-		}
-		sig.Fire()
-	})
-	e.Run()
-	if woken != 5 {
-		t.Fatalf("Fire woke %d of 5 waiters", woken)
-	}
-}
-
-func TestSignalDoesNotWakeLateWaiters(t *testing.T) {
-	e := New()
-	sig := NewSignal(e)
-	lateWoken := false
-	e.Go("firer", func(p *Process) { sig.Fire() })
-	e.GoAfter(1, "late", func(p *Process) {
-		sig.Wait(p)
-		lateWoken = true
-	})
-	e.Run()
-	if lateWoken {
-		t.Fatal("waiter registered after Fire was woken by it")
-	}
-	e.Shutdown()
 }
 
 func TestShutdownTerminatesParked(t *testing.T) {
@@ -454,8 +403,8 @@ func TestProcessedCount(t *testing.T) {
 		e.Schedule(Time(i), func() {})
 	}
 	e.Run()
-	if e.Processed() != 5 {
-		t.Fatalf("Processed = %d, want 5", e.Processed())
+	if e.processed != 5 {
+		t.Fatalf("Processed = %d, want 5", e.processed)
 	}
 }
 

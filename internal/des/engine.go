@@ -82,9 +82,6 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.processed }
-
 // SetTrace installs a hook invoked for every trace event emitted via
 // Emit (and by Resources and Processes). A nil hook disables tracing.
 func (e *Engine) SetTrace(fn func(TraceEvent)) { e.trace = fn }
@@ -146,17 +143,6 @@ func (e *Engine) ScheduleCall(delay Time, fn func(any), arg any) Handle {
 	slot := e.after(delay)
 	ev := &e.slab[slot]
 	ev.call, ev.arg = fn, arg
-	return Handle{e, slot, ev.gen}
-}
-
-// At runs fn at absolute virtual time t, which must not precede Now.
-func (e *Engine) At(t Time, fn func()) Handle {
-	if !(t >= e.now) {
-		panic(fmt.Sprintf("des: At(%v) before now (%v)", t, e.now))
-	}
-	slot := e.push(t)
-	ev := &e.slab[slot]
-	ev.fn = fn
 	return Handle{e, slot, ev.gen}
 }
 
@@ -312,12 +298,6 @@ func (e *Engine) run(limit Time, quota uint64) bool {
 	return e.processed != before
 }
 
-// Step executes the next pending event, advancing the clock, and
-// reports whether there was one: one callback, or one process start or
-// wake with everything the process does until it next parks or ends
-// (it then returns the baton instead of driving further events).
-func (e *Engine) Step() bool { return e.run(math.Inf(1), 1) }
-
 // Run executes events until none remain, then returns the final time.
 func (e *Engine) Run() Time {
 	e.run(math.Inf(1), math.MaxUint64)
@@ -334,9 +314,6 @@ func (e *Engine) RunUntil(t Time) Time {
 	}
 	return e.now
 }
-
-// Pending reports whether any events remain.
-func (e *Engine) Pending() bool { return len(e.events) > 0 }
 
 // Shutdown terminates all parked processes so their goroutines exit.
 // Pending events are discarded. The engine remains usable for

@@ -1,8 +1,17 @@
 package des
 
 import (
+	"math"
 	"testing"
 )
+
+// Step executes the next pending event, advancing the clock, and
+// reports whether there was one: one callback, or one process start or
+// wake with everything the process does until it next parks or ends
+// (it then returns the baton instead of driving further events). The
+// engine's tests single-step it against refEngine and process
+// hand-offs; the simulations themselves only Run and RunUntil.
+func (e *Engine) Step() bool { return e.run(math.Inf(1), 1) }
 
 // refEngine is the event queue as it was before the heap held
 // pointer-free entries — a min-heap of *refEvent with the index

@@ -27,9 +27,6 @@ type Process struct {
 // Name returns the process's diagnostic name.
 func (p *Process) Name() string { return p.name }
 
-// Engine returns the engine the process runs on.
-func (p *Process) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Process) Now() Time { return p.eng.now }
 
@@ -118,32 +115,3 @@ func (p *Process) Park() { p.parkSelf() }
 // Unlike most Process methods, WakeLater may be called from any
 // simulation domain (a callback or another process).
 func (p *Process) WakeLater(delay Time) { p.eng.slab[p.eng.after(delay)].proc = p }
-
-// Signal is a broadcast condition: processes Wait on it and a Fire
-// wakes every current waiter at the same virtual time.
-type Signal struct {
-	eng     *Engine
-	waiters []*Process
-}
-
-// NewSignal returns a Signal bound to the engine.
-func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
-
-// Wait parks the calling process until the next Fire.
-func (s *Signal) Wait(p *Process) {
-	s.waiters = append(s.waiters, p)
-	p.Park()
-}
-
-// Fire wakes all currently waiting processes. Processes that start
-// waiting after Fire returns wait for the next Fire.
-func (s *Signal) Fire() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
-		p.WakeLater(0)
-	}
-}
-
-// Waiting returns the number of processes currently waiting.
-func (s *Signal) Waiting() int { return len(s.waiters) }

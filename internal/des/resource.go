@@ -87,12 +87,6 @@ func (r *Resource) Release(p *Process) {
 	r.inUse--
 }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // ResourceStats summarizes a resource's load over an interval.
 type ResourceStats struct {
 	Name          string

@@ -55,9 +55,6 @@ type TimingReport struct {
 	Samples []float64
 }
 
-// Best returns the selected (highest log-likelihood) fit.
-func (r *TimingReport) Best() stats.Fit { return r.Fits[0] }
-
 // CollectTimings runs an instrumented asynchronous run (measured T_A)
 // and fits candidate distributions to the observed master algorithm
 // times. evaluations controls the sample count (one T_A sample per

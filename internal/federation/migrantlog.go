@@ -20,7 +20,7 @@ import (
 //
 // Serialized form: the migrants as ordinary wire frames, concatenated
 // — versioned and CRC-checked like all wire traffic, readable with
-// wire.ReadMessage until EOF.
+// wire.ReadMessageBuf until EOF.
 type MigrantLog struct {
 	mu       sync.Mutex
 	migrants []*wire.Migrant

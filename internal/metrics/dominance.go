@@ -22,28 +22,6 @@ func Dominates(a, b []float64) bool {
 	return better
 }
 
-// NondominatedFilter returns the subset of set whose members are not
-// dominated by any other member (duplicates are kept once).
-func NondominatedFilter(set [][]float64) [][]float64 {
-	var out [][]float64
-outer:
-	for i, p := range set {
-		for j, q := range set {
-			if i == j {
-				continue
-			}
-			if Dominates(q, p) {
-				continue outer
-			}
-			if j < i && equal(q, p) {
-				continue outer // drop duplicate, keep first
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 func equal(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {

@@ -266,11 +266,11 @@ func TestHypervolumeMatchesReference(t *testing.T) {
 }
 
 // TestNondominatedInPlaceMatchesFilter: the compacting filter keeps
-// NondominatedFilter's survivors in its order.
+// refNondominated's survivors in its order.
 func TestNondominatedInPlaceMatchesFilter(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		set := mcTestSets[1].gen(3, 60, nil, seed)
-		want := NondominatedFilter(set)
+		want := refNondominated(set)
 		got := nondominatedInPlace(append([][]float64(nil), set...))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: in place kept %d points, filter %d, or in another order", seed, len(got), len(want))

@@ -130,8 +130,9 @@ func (w *wfgArena) limit(p []float64, rest [][]float64, depth int) [][]float64 {
 	return nondominatedInPlace(lv.pts)
 }
 
-// nondominatedInPlace is NondominatedFilter compacting set itself: the
-// same survivors in the same order. Testing a point against the
+// nondominatedInPlace is refNondominated (the oracle in
+// hypervolume_ref_test.go) compacting set itself: the same survivors
+// in the same order. Testing a point against the
 // survivors before it and everything after it decides as testing it
 // against the whole set does — whatever dominated a dropped point
 // dominates all that the point did, and a duplicate's first copy is

@@ -14,6 +14,28 @@ import (
 // edit is refStrictlyBelow's finiteness test — the non-finite-point
 // fix, the only intended behaviour change.
 
+// refNondominated returns the subset of set whose members are not
+// dominated by any other member (duplicates are kept once).
+func refNondominated(set [][]float64) [][]float64 {
+	var out [][]float64
+outer:
+	for i, p := range set {
+		for j, q := range set {
+			if i == j {
+				continue
+			}
+			if Dominates(q, p) {
+				continue outer
+			}
+			if j < i && equal(q, p) {
+				continue outer // drop duplicate, keep first
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 func refStrictlyBelow(p, ref []float64) bool {
 	for i := range p {
 		if p[i] >= ref[i] || math.IsNaN(p[i]) || math.IsInf(p[i], 0) {
@@ -37,7 +59,7 @@ func refHypervolume(set [][]float64, ref []float64) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	pts = NondominatedFilter(pts)
+	pts = refNondominated(pts)
 	// Sorting by the last objective (descending) improves limit-set
 	// pruning substantially.
 	sort.Slice(pts, func(i, j int) bool { return pts[i][m-1] > pts[j][m-1] })
@@ -59,7 +81,7 @@ func refExclhv(pts [][]float64, i int, ref []float64) float64 {
 	v := refInclhv(pts[i], ref)
 	limited := refLimitSet(pts, i)
 	if len(limited) > 0 {
-		v -= refWFG(NondominatedFilter(limited), ref)
+		v -= refWFG(refNondominated(limited), ref)
 	}
 	return v
 }
@@ -109,7 +131,7 @@ func refHypervolumeMC(set [][]float64, ref []float64, samples int, seed uint64, 
 		return 0
 	}
 	if filter {
-		pts = NondominatedFilter(pts)
+		pts = refNondominated(pts)
 	}
 	// Tight sampling box: [component-wise min, ref].
 	lo := append([]float64(nil), pts[0]...)

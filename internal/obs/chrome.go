@@ -15,12 +15,6 @@ import (
 // draw the grant → compute → result arrows across them — plus
 // emigrant → migrant arrows between islands in a merged export.
 
-// WriteChromeTrace exports a single forest (master pid 1, workers
-// pid 2) in Chrome trace_event JSON.
-func (f Forest) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeForests(w, []string{"island"}, []Forest{f})
-}
-
 // WriteChromeForests exports several forests — typically one per
 // island — into one Chrome trace. Forest i's master is pid 2i+1, its
 // workers pid 2i+2; migration links between forests connect as flow

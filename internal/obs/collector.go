@@ -116,22 +116,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	}
 }
 
-// RunID returns the id salting this collector's trace ids.
-func (c *Collector) RunID() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.runID
-}
-
-// Rate returns the head-based sampling rate.
-func (c *Collector) Rate() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.rate
-}
-
 // Dropped returns the number of evaluations lost to the state limit.
 func (c *Collector) Dropped() uint64 {
 	if c == nil {

@@ -17,9 +17,9 @@
 //     recorded through lock-free atomics. Drivers resolve their
 //     instruments before the master loop starts.
 //   - Zero cost when disabled. All instrument methods are no-ops on a
-//     nil receiver, and a nil *Registry (the Disabled sentinel) hands
-//     out nil instruments — so an uninstrumented run pays one
-//     predictable nil check per record and nothing else.
+//     nil receiver, and a nil *Registry hands out nil instruments —
+//     so an uninstrumented run pays one predictable nil check per
+//     record and nothing else.
 //   - Safe for concurrent use. Wall-clock drivers (distributed,
 //     wire) record from many goroutines.
 package obs
@@ -33,11 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Disabled is the nil registry: it hands out nil instruments whose
-// methods all no-op, so `cfg.Metrics = obs.Disabled` (or simply
-// leaving the field nil) runs a driver without telemetry overhead.
-var Disabled *Registry
 
 // Counter is a monotonically increasing event count.
 type Counter struct{ v atomic.Uint64 }
@@ -71,21 +66,6 @@ type Gauge struct{ bits atomic.Uint64 }
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adjusts the gauge by dv (CAS loop; safe concurrently). No-op on
-// a nil gauge.
-func (g *Gauge) Add(dv float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + dv)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 

@@ -21,16 +21,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("live")
 	g.Set(3)
-	g.Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %v, want 2", got)
+	if got := g.Value(); got != 3 {
+		t.Fatalf("gauge = %v, want 3", got)
 	}
 }
 
 func TestDisabledRegistryNoOps(t *testing.T) {
 	// Everything on the nil registry and its nil instruments must be
 	// callable and inert.
-	r := Disabled
+	var r *Registry
 	c := r.Counter("x")
 	c.Inc()
 	c.Add(10)
@@ -39,7 +38,6 @@ func TestDisabledRegistryNoOps(t *testing.T) {
 	}
 	g := r.Gauge("y")
 	g.Set(1)
-	g.Add(2)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge accumulated")
 	}

@@ -51,7 +51,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWritePrometheusNilRegistry(t *testing.T) {
 	var sb strings.Builder
-	if err := Disabled.WritePrometheus(&sb); err != nil {
+	if err := (*Registry)(nil).WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if sb.Len() != 0 {

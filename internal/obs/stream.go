@@ -196,9 +196,6 @@ func (e *P2Quantile) linear(i int, s float64) float64 {
 	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
 }
 
-// Count returns the number of observations.
-func (e *P2Quantile) Count() uint64 { return e.n }
-
 // Value returns the current quantile estimate. With fewer than five
 // observations it interpolates the sorted sample directly (the same
 // convention as stats.Quantile); with none it returns 0.

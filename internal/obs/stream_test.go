@@ -34,7 +34,7 @@ func relErr(a, b float64) float64 {
 // processes have (lognormal-ish T_A, exponential-ish failure gaps).
 func TestWelfordMatchesSummarize(t *testing.T) {
 	dists := map[string]stats.Distribution{
-		"lognormal":   stats.NewLogNormal(0, 0.5),
+		"lognormal":   stats.LogNormal{Mu: 0, Sigma: 0.5},
 		"exponential": stats.NewExponential(3),
 	}
 	for name, dist := range dists {
@@ -63,7 +63,7 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 
 func TestP2QuantileConvergesToBatchQuantile(t *testing.T) {
 	dists := map[string]stats.Distribution{
-		"lognormal":   stats.NewLogNormal(0, 0.5),
+		"lognormal":   stats.LogNormal{Mu: 0, Sigma: 0.5},
 		"exponential": stats.NewExponential(3),
 	}
 	quantiles := []struct {

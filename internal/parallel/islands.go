@@ -66,16 +66,6 @@ type IslandsResult struct {
 	TASamples, TFSamples []float64
 }
 
-// Efficiency returns T_S / (P_total · T_P) treating the union of
-// islands as one machine, using the configured mean timings.
-func (r *IslandsResult) Efficiency(meanTF, meanTA float64, totalProcessors int) float64 {
-	if r.ElapsedTime == 0 || totalProcessors == 0 {
-		return 0
-	}
-	ts := float64(r.TotalEvaluations) * (meanTF + meanTA)
-	return ts / (float64(totalProcessors) * r.ElapsedTime)
-}
-
 // RunIslands executes Islands concurrent asynchronous master-slave
 // Borg instances under one virtual clock. Each island master runs its
 // own instance of the shared state machine (internal/master) with

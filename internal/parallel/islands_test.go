@@ -185,14 +185,3 @@ func TestIslandsMigrationOffByDefault(t *testing.T) {
 		t.Fatalf("unexpected migrants: %d", res.Migrants)
 	}
 }
-
-func TestIslandsEfficiencyHelper(t *testing.T) {
-	res := &IslandsResult{ElapsedTime: 10, TotalEvaluations: 1000}
-	// TS = 1000·(0.04+0.01) = 50; eff = 50/(5·10) = 1.
-	if e := res.Efficiency(0.04, 0.01, 5); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("efficiency = %v, want 1", e)
-	}
-	if (&IslandsResult{}).Efficiency(1, 1, 4) != 0 {
-		t.Fatal("zero-result efficiency should be 0")
-	}
-}

@@ -114,15 +114,23 @@ func TestAsyncMetricsMatchFaultAccounting(t *testing.T) {
 	}
 }
 
-// TestAsyncDiagnosticsCadence attaches core.Diagnostics through the
+// checkpoint is one snapshot of the algorithm the checkpoint hook saw.
+type checkpoint struct {
+	evaluations uint64
+	archiveSize int
+}
+
+// TestAsyncDiagnosticsCadence snapshots the algorithm through the
 // parallel checkpoint hook — the supported way to observe algorithm
 // dynamics under the parallel drivers — and checks the cadence.
 func TestAsyncDiagnosticsCadence(t *testing.T) {
 	const n, every = 5000, 500
-	var d core.Diagnostics
+	var snaps []checkpoint
 	cfg := testConfig(8, n)
 	cfg.CheckpointEvery = every
-	cfg.OnCheckpoint = func(_ float64, b *core.Borg) { d.Observe(b) }
+	cfg.OnCheckpoint = func(_ float64, b *core.Borg) {
+		snaps = append(snaps, checkpoint{b.Evaluations(), b.Archive().Size()})
+	}
 
 	res, err := RunAsync(cfg)
 	if err != nil {
@@ -131,23 +139,23 @@ func TestAsyncDiagnosticsCadence(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("run incomplete")
 	}
-	if got, want := len(d.Records), n/every; got != want {
-		t.Fatalf("got %d diagnostic records, want %d", got, want)
+	if got, want := len(snaps), n/every; got != want {
+		t.Fatalf("got %d checkpoints, want %d", got, want)
 	}
-	for i := 1; i < len(d.Records); i++ {
-		if d.Records[i].Evaluations <= d.Records[i-1].Evaluations {
-			t.Fatalf("record %d not monotone: %d after %d", i,
-				d.Records[i].Evaluations, d.Records[i-1].Evaluations)
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i].evaluations <= snaps[i-1].evaluations {
+			t.Fatalf("checkpoint %d not monotone: %d after %d", i,
+				snaps[i].evaluations, snaps[i-1].evaluations)
 		}
 	}
-	if last := d.Records[len(d.Records)-1]; last.ArchiveSize == 0 {
-		t.Fatal("final diagnostic snapshot has an empty archive")
+	if last := snaps[len(snaps)-1]; last.archiveSize == 0 {
+		t.Fatal("final checkpoint has an empty archive")
 	}
 }
 
 // TestDistributedObservability is the loopback acceptance test for the
-// telemetry tentpole: a real-TCP run with metrics, journal and
-// diagnostics attached must (a) keep the diagnostics cadence, (b)
+// telemetry tentpole: a real-TCP run with metrics, journal and a
+// checkpoint hook attached must (a) keep the checkpoint cadence, (b)
 // count evaluations and worker joins, (c) see wire frames on the
 // shared registry, and (d) produce a -trace file that validates
 // against the Chrome trace-event schema.
@@ -173,12 +181,12 @@ func TestDistributedObservability(t *testing.T) {
 		})
 	}
 
-	var d core.Diagnostics
+	checkpoints := 0
 	cfg := distConfig(n)
 	cfg.Metrics = conn.Metrics
 	cfg.Events = obs.NewRecorder(0)
 	cfg.CheckpointEvery = every
-	cfg.OnCheckpoint = func(_ float64, b *core.Borg) { d.Observe(b) }
+	cfg.OnCheckpoint = func(float64, *core.Borg) { checkpoints++ }
 
 	res, err := RunAsyncDistributed(cfg, DistributedConfig{
 		Listener:     l,
@@ -193,8 +201,8 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("run incomplete: %d/%d", res.Evaluations, n)
 	}
 
-	if got, want := len(d.Records), n/every; got != want {
-		t.Fatalf("got %d diagnostic records, want %d", got, want)
+	if got, want := checkpoints, n/every; got != want {
+		t.Fatalf("got %d checkpoints, want %d", got, want)
 	}
 	reg := cfg.Metrics
 	if got := reg.Counter(mEvaluations).Value(); got != n {

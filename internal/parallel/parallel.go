@@ -115,8 +115,8 @@ type Config struct {
 	// Metrics, when set, receives the run's telemetry: counters
 	// (evaluations, resubmissions, lease expiries, duplicates),
 	// gauges (live workers) and timing histograms (T_A, T_F, T_C,
-	// master queue wait). All drivers honor it; nil (obs.Disabled)
-	// keeps the hot path free of telemetry work.
+	// master queue wait). All drivers honor it; nil keeps the hot
+	// path free of telemetry work.
 	Metrics *obs.Registry
 	// Events, when set, journals the run's protocol events — on the
 	// virtual-time drivers every simulation trace event (sends,

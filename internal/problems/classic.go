@@ -104,79 +104,3 @@ func (p Kursawe) Evaluate(vars, objs []float64) {
 	objs[0] = f1
 	objs[1] = f2
 }
-
-// Rotated wraps any problem with a fixed random orthogonal rotation
-// of its decision space — the general form of UF11's construction —
-// turning a separable problem into a non-separable one while
-// preserving its objective-space geometry. The wrapped decision box
-// is the hypercube centered on the base box's center with half-width
-// equal to the base box's circumradius, guaranteeing every base point
-// has a preimage; rotated points falling outside the base box are
-// clamped component-wise.
-type Rotated struct {
-	base           Problem
-	rot            [][]float64
-	lo, hi         []float64
-	center, radius []float64
-}
-
-// NewRotated wraps base with a deterministic rotation from seed.
-func NewRotated(base Problem, seed uint64) *Rotated {
-	n := base.NumVars()
-	bl, bh := base.Bounds()
-	r := &Rotated{
-		base:   base,
-		rot:    RandomRotation(n, seed),
-		center: make([]float64, n),
-		radius: make([]float64, n),
-	}
-	circum := 0.0
-	for i := 0; i < n; i++ {
-		r.center[i] = (bl[i] + bh[i]) / 2
-		half := (bh[i] - bl[i]) / 2
-		r.radius[i] = half
-		circum += half * half
-	}
-	circum = math.Sqrt(circum)
-	r.lo = make([]float64, n)
-	r.hi = make([]float64, n)
-	for i := 0; i < n; i++ {
-		r.lo[i] = -circum
-		r.hi[i] = circum
-	}
-	return r
-}
-
-func (r *Rotated) Name() string               { return r.base.Name() + "_rot" }
-func (r *Rotated) NumVars() int               { return r.base.NumVars() }
-func (r *Rotated) NumObjs() int               { return r.base.NumObjs() }
-func (r *Rotated) Bounds() (lo, hi []float64) { return r.lo, r.hi }
-func (r *Rotated) Unwrap() Problem            { return r.base }
-func (r *Rotated) Rotation() [][]float64      { return r.rot }
-
-// Evaluate maps through the rotation (clamping into the base box) and
-// evaluates the base problem.
-func (r *Rotated) Evaluate(vars, objs []float64) {
-	checkEvalArgs(r, vars, objs)
-	y := MatVec(r.rot, vars)
-	bl, bh := r.base.Bounds()
-	for i := range y {
-		y[i] += r.center[i]
-		if y[i] < bl[i] {
-			y[i] = bl[i]
-		} else if y[i] > bh[i] {
-			y[i] = bh[i]
-		}
-	}
-	r.base.Evaluate(y, objs)
-}
-
-// Preimage returns a decision vector of the rotated problem that maps
-// to the given base-space point.
-func (r *Rotated) Preimage(baseVars []float64) []float64 {
-	w := make([]float64, len(baseVars))
-	for i := range w {
-		w[i] = baseVars[i] - r.center[i]
-	}
-	return MatTVec(r.rot, w)
-}

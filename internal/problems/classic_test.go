@@ -89,81 +89,3 @@ func TestClassicConstructorPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestRotatedPreservesObjectives(t *testing.T) {
-	base := NewDTLZ2(3)
-	rot := NewRotated(base, 11)
-	if rot.Name() != "DTLZ2_3_rot" {
-		t.Errorf("Name = %q", rot.Name())
-	}
-	if rot.NumVars() != base.NumVars() || rot.NumObjs() != base.NumObjs() {
-		t.Fatal("rotation changed dimensions")
-	}
-	// Preimage of any base point evaluates identically.
-	r := rng.New(3)
-	bl, bh := base.Bounds()
-	baseObjs := make([]float64, 3)
-	rotObjs := make([]float64, 3)
-	lo, hi := rot.Bounds()
-	for trial := 0; trial < 100; trial++ {
-		baseVars := make([]float64, base.NumVars())
-		for i := range baseVars {
-			baseVars[i] = r.Range(bl[i], bh[i])
-		}
-		base.Evaluate(baseVars, baseObjs)
-		pre := rot.Preimage(baseVars)
-		for i := range pre {
-			if pre[i] < lo[i]-1e-9 || pre[i] > hi[i]+1e-9 {
-				t.Fatalf("preimage outside rotated box at var %d", i)
-			}
-		}
-		rot.Evaluate(pre, rotObjs)
-		for i := range baseObjs {
-			if math.Abs(baseObjs[i]-rotObjs[i]) > 1e-9 {
-				t.Fatalf("rotated evaluation differs: %v vs %v", rotObjs, baseObjs)
-			}
-		}
-	}
-}
-
-func TestRotatedNonSeparable(t *testing.T) {
-	rot := NewRotated(NewDTLZ2(3), 12)
-	a := make([]float64, 3)
-	b := make([]float64, 3)
-	x := make([]float64, rot.NumVars())
-	rot.Evaluate(x, a)
-	x[0] += 0.05
-	rot.Evaluate(x, b)
-	diff := 0
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Fatal("perturbation had no effect through the rotation")
-	}
-	if rot.Unwrap() == nil || len(rot.Rotation()) != rot.NumVars() {
-		t.Fatal("accessors broken")
-	}
-}
-
-func TestRotatedClampsOutOfBox(t *testing.T) {
-	rot := NewRotated(NewDTLZ2(3), 13)
-	lo, hi := rot.Bounds()
-	objs := make([]float64, 3)
-	x := make([]float64, rot.NumVars())
-	for i := range x {
-		if i%2 == 0 {
-			x[i] = lo[i]
-		} else {
-			x[i] = hi[i]
-		}
-	}
-	rot.Evaluate(x, objs) // corner maps far outside the base box
-	for _, f := range objs {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			t.Fatal("clamping failed: non-finite objective")
-		}
-	}
-}

@@ -413,17 +413,9 @@ func TestIdealSphereHypervolumeKnownValues(t *testing.T) {
 	}
 }
 
-func TestIdealLinearHypervolumeKnownValues(t *testing.T) {
-	// m=2, ref=1: 1 − 0.25/2 = 0.875.
-	if got := IdealLinearHypervolume(2, 1); math.Abs(got-0.875) > 1e-12 {
-		t.Errorf("ideal linear HV(2,1) = %v, want 0.875", got)
-	}
-}
-
 func TestIdealHypervolumePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { IdealSphereHypervolume(3, 0.9) },
-		func() { IdealLinearHypervolume(3, 0.4) },
 	} {
 		func() {
 			defer func() {
@@ -513,4 +505,32 @@ func BenchmarkUF11Evaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Evaluate(vars, objs)
 	}
+}
+
+// ParetoPreimage returns a decision vector that maps to the given
+// DTLZ2-space target z* (which must have distance components 0.5 to be
+// Pareto-optimal).
+func (p *UF11) ParetoPreimage(zstar []float64) []float64 {
+	if len(zstar) != p.n {
+		panic("problems: ParetoPreimage target length mismatch")
+	}
+	w := make([]float64, p.n)
+	for i := range w {
+		w[i] = (zstar[i] - 0.5) / p.scale[i]
+	}
+	return MatTVec(p.rot, w)
+}
+
+// MatTVec computes y = Mᵀ·x.
+func MatTVec(m [][]float64, x []float64) []float64 {
+	n := len(m)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for j := 0; j < n; j++ {
+			s += m[j][i] * x[j]
+		}
+		y[i] = s
+	}
+	return y
 }

@@ -92,16 +92,3 @@ func IdealSphereHypervolume(m int, ref float64) float64 {
 	ballOrthant := math.Pow(math.Pi, float64(m)/2) / math.Exp(lg) / math.Pow(2, float64(m))
 	return math.Pow(ref, float64(m)) - ballOrthant
 }
-
-// IdealLinearHypervolume returns the exact hypervolume dominated by
-// the DTLZ1 front {Σf = 0.5} within [0, ref]^m: ref^m − 0.5^m/m!.
-func IdealLinearHypervolume(m int, ref float64) float64 {
-	if ref < 0.5 {
-		panic("problems: reference point must dominate the nadir (ref >= 0.5)")
-	}
-	fact := 1.0
-	for i := 2; i <= m; i++ {
-		fact *= float64(i)
-	}
-	return math.Pow(ref, float64(m)) - math.Pow(0.5, float64(m))/fact
-}

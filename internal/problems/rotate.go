@@ -61,20 +61,6 @@ func MatVec(m [][]float64, x []float64) []float64 {
 	return y
 }
 
-// MatTVec computes y = Mᵀ·x.
-func MatTVec(m [][]float64, x []float64) []float64 {
-	n := len(m)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += m[j][i] * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 func dotVec(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {

@@ -127,17 +127,3 @@ func (p *UF11) Evaluate(vars, objs []float64) {
 	g := sphereG(z[p.m-1:]) + penalty
 	evalSpherical(z[:p.m-1], g, 1, objs)
 }
-
-// ParetoPreimage returns a decision vector that maps to the given
-// DTLZ2-space target z* (which must have distance components 0.5 to be
-// Pareto-optimal). Used by tests and reference-set generation.
-func (p *UF11) ParetoPreimage(zstar []float64) []float64 {
-	if len(zstar) != p.n {
-		panic("problems: ParetoPreimage target length mismatch")
-	}
-	w := make([]float64, p.n)
-	for i := range w {
-		w[i] = (zstar[i] - 0.5) / p.scale[i]
-	}
-	return MatTVec(p.rot, w)
-}

@@ -309,3 +309,38 @@ func TestDTLZ7Shape(t *testing.T) {
 		t.Fatalf("DTLZ7 f3 = %v, want %v", objs[2], 2*h)
 	}
 }
+
+// ParetoPoint returns a decision vector on UF<variant>'s Pareto set
+// with the given position parameters (pos[0] = x1, and pos[1] = x2
+// for the tri-objective problems). Distance variables are set to the
+// values that zero every y_j.
+func (p *UF) ParetoPoint(pos []float64) []float64 {
+	x := make([]float64, p.n)
+	x[0] = pos[0]
+	if p.variant >= 8 {
+		x[1] = pos[1]
+	}
+	for j := 2; j <= p.n; j++ {
+		switch p.variant {
+		case 1, 4, 5, 6, 7:
+			x[j-1] = math.Sin(6*math.Pi*x[0] + float64(j)*math.Pi/float64(p.n))
+		case 2:
+			a := 0.3*x[0]*x[0]*math.Cos(24*math.Pi*x[0]+4*float64(j)*math.Pi/float64(p.n)) + 0.6*x[0]
+			if j%2 == 1 {
+				x[j-1] = a * math.Cos(6*math.Pi*x[0]+float64(j)*math.Pi/float64(p.n))
+			} else {
+				x[j-1] = a * math.Sin(6*math.Pi*x[0]+float64(j)*math.Pi/float64(p.n))
+			}
+		case 3:
+			e := 0.5 * (1 + 3*float64(j-2)/float64(p.n-2))
+			x[j-1] = math.Pow(x[0], e)
+		case 8, 9, 10:
+			if j >= 3 {
+				x[j-1] = 2 * x[1] * math.Sin(2*math.Pi*x[0]+float64(j)*math.Pi/float64(p.n))
+			} else {
+				x[j-1] = pos[1]
+			}
+		}
+	}
+	return x
+}

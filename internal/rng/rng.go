@@ -164,42 +164,3 @@ func (r *Source) Gamma(shape, scale float64) float64 {
 		}
 	}
 }
-
-// Perm fills dst with a uniform random permutation of [0, len(dst)).
-func (r *Source) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
-}
-
-// Shuffle performs a Fisher-Yates shuffle over n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Sample picks k distinct indices from [0, n) without replacement,
-// appending them to dst and returning it. It panics if k > n.
-func (r *Source) Sample(n, k int, dst []int) []int {
-	if k > n {
-		panic("rng: Sample with k > n")
-	}
-	// Floyd's algorithm: O(k) expected work, no O(n) scratch.
-	chosen := make(map[int]struct{}, k)
-	start := len(dst)
-	for j := n - k; j < n; j++ {
-		t := r.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		dst = append(dst, t)
-	}
-	// Shuffle the selected tail so order is uniform too.
-	tail := dst[start:]
-	r.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
-	return dst
-}

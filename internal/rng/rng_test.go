@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -171,94 +170,6 @@ func TestGammaPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	New(1).Gamma(0, 1)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(29)
-	p := make([]int, 50)
-	r.Perm(p)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleDistinct(t *testing.T) {
-	r := New(31)
-	err := quick.Check(func(nRaw, kRaw uint8) bool {
-		n := int(nRaw%40) + 1
-		k := int(kRaw) % (n + 1)
-		idx := r.Sample(n, k, nil)
-		if len(idx) != k {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, v := range idx {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleAppends(t *testing.T) {
-	r := New(37)
-	dst := []int{99}
-	dst = r.Sample(10, 3, dst)
-	if len(dst) != 4 || dst[0] != 99 {
-		t.Fatalf("Sample did not append: %v", dst)
-	}
-}
-
-func TestSamplePanicsWhenKTooLarge(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sample(2, 3, nil) did not panic")
-		}
-	}()
-	New(1).Sample(2, 3, nil)
-}
-
-func TestSampleCoversAll(t *testing.T) {
-	// Sampling n of n must be a permutation.
-	r := New(41)
-	idx := r.Sample(12, 12, nil)
-	seen := make([]bool, 12)
-	for _, v := range idx {
-		if seen[v] {
-			t.Fatalf("Sample(12,12) repeated index %d: %v", v, idx)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleUniformity(t *testing.T) {
-	// Over many shuffles of [0,1,2], each of the 6 orderings should
-	// appear roughly 1/6 of the time.
-	r := New(43)
-	counts := map[[3]int]int{}
-	const n = 60000
-	for i := 0; i < n; i++ {
-		a := [3]int{0, 1, 2}
-		r.Shuffle(3, func(x, y int) { a[x], a[y] = a[y], a[x] })
-		counts[a]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("expected 6 orderings, got %d", len(counts))
-	}
-	for ord, c := range counts {
-		if c < n/6-n/60 || c > n/6+n/60 {
-			t.Fatalf("ordering %v appeared %d times, want ~%d", ord, c, n/6)
-		}
-	}
 }
 
 func TestRange(t *testing.T) {

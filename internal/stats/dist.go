@@ -33,16 +33,6 @@ type Distribution interface {
 	String() string
 }
 
-// CV returns the coefficient of variation (stddev/mean) of d, or 0 if
-// the mean is 0.
-func CV(d Distribution) float64 {
-	m := d.Mean()
-	if m == 0 {
-		return 0
-	}
-	return math.Sqrt(d.Var()) / m
-}
-
 // Constant is the degenerate distribution that always returns Value.
 // It models the analytical-model assumption of fixed T_F, T_A, T_C.
 type Constant struct{ Value float64 }
@@ -67,15 +57,6 @@ func (c Constant) String() string { return fmt.Sprintf("constant(%g)", c.Value) 
 // Uniform is the continuous uniform distribution on [Lo, Hi).
 type Uniform struct{ Lo, Hi float64 }
 
-// NewUniform returns a uniform distribution on [lo, hi). It panics if
-// hi <= lo.
-func NewUniform(lo, hi float64) Uniform {
-	if hi <= lo {
-		panic("stats: NewUniform requires hi > lo")
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
 func (u Uniform) Sample(r *rng.Source) float64 { return r.Range(u.Lo, u.Hi) }
 
 func (u Uniform) LogPDF(x float64) float64 {
@@ -93,17 +74,8 @@ func (u Uniform) String() string {
 }
 
 // Normal is the Gaussian distribution. Sampled values are not
-// truncated; use TruncatedNormal for durations that must stay
-// non-negative.
+// truncated, so a duration drawn from it can be negative.
 type Normal struct{ Mu, Sigma float64 }
-
-// NewNormal returns a normal distribution. It panics if sigma <= 0.
-func NewNormal(mu, sigma float64) Normal {
-	if sigma <= 0 {
-		panic("stats: NewNormal requires sigma > 0")
-	}
-	return Normal{Mu: mu, Sigma: sigma}
-}
 
 func (n Normal) Sample(r *rng.Source) float64 { return r.NormMS(n.Mu, n.Sigma) }
 
@@ -117,60 +89,8 @@ func (n Normal) Var() float64   { return n.Sigma * n.Sigma }
 func (n Normal) Name() string   { return "normal" }
 func (n Normal) String() string { return fmt.Sprintf("normal(%g, %g)", n.Mu, n.Sigma) }
 
-// TruncatedNormal is a normal distribution resampled to be
-// non-negative. It is the distribution used for the paper's controlled
-// delays (nominal T_F with coefficient of variation 0.1): with CV 0.1
-// the truncation probability is ~1e-23, so moments are effectively the
-// parent's. LogPDF uses the untruncated density, which is exact to the
-// same degree.
-type TruncatedNormal struct{ Mu, Sigma float64 }
-
-// NewTruncatedNormal returns a non-negative normal distribution. It
-// panics if sigma <= 0 or mu < 0.
-func NewTruncatedNormal(mu, sigma float64) TruncatedNormal {
-	if sigma <= 0 {
-		panic("stats: NewTruncatedNormal requires sigma > 0")
-	}
-	if mu < 0 {
-		panic("stats: NewTruncatedNormal requires mu >= 0")
-	}
-	return TruncatedNormal{Mu: mu, Sigma: sigma}
-}
-
-func (n TruncatedNormal) Sample(r *rng.Source) float64 {
-	for {
-		x := r.NormMS(n.Mu, n.Sigma)
-		if x >= 0 {
-			return x
-		}
-	}
-}
-
-func (n TruncatedNormal) LogPDF(x float64) float64 {
-	if x < 0 {
-		return math.Inf(-1)
-	}
-	return Normal{Mu: n.Mu, Sigma: n.Sigma}.LogPDF(x)
-}
-
-func (n TruncatedNormal) Mean() float64 { return n.Mu }
-func (n TruncatedNormal) Var() float64  { return n.Sigma * n.Sigma }
-func (n TruncatedNormal) Name() string  { return "truncnormal" }
-func (n TruncatedNormal) String() string {
-	return fmt.Sprintf("truncnormal(%g, %g)", n.Mu, n.Sigma)
-}
-
 // LogNormal is the log-normal distribution: exp(Normal(Mu, Sigma)).
 type LogNormal struct{ Mu, Sigma float64 }
-
-// NewLogNormal returns a log-normal distribution parameterized on the
-// log scale. It panics if sigma <= 0.
-func NewLogNormal(mu, sigma float64) LogNormal {
-	if sigma <= 0 {
-		panic("stats: NewLogNormal requires sigma > 0")
-	}
-	return LogNormal{Mu: mu, Sigma: sigma}
-}
 
 func (l LogNormal) Sample(r *rng.Source) float64 {
 	return math.Exp(r.NormMS(l.Mu, l.Sigma))
@@ -226,15 +146,6 @@ func (e Exponential) String() string { return fmt.Sprintf("exponential(%g)", e.R
 // (θ).
 type Gamma struct{ Shape, Scale float64 }
 
-// NewGamma returns a gamma distribution. It panics on non-positive
-// parameters.
-func NewGamma(shape, scale float64) Gamma {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: NewGamma requires positive parameters")
-	}
-	return Gamma{Shape: shape, Scale: scale}
-}
-
 // GammaFromMeanCV returns the gamma distribution with the given mean
 // and coefficient of variation. This is the paper's controlled-delay
 // shape: a strictly positive distribution with precisely dialed CV.
@@ -267,15 +178,6 @@ func (g Gamma) String() string {
 // Scale (λ).
 type Weibull struct{ Shape, Scale float64 }
 
-// NewWeibull returns a Weibull distribution. It panics on non-positive
-// parameters.
-func NewWeibull(shape, scale float64) Weibull {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: NewWeibull requires positive parameters")
-	}
-	return Weibull{Shape: shape, Scale: scale}
-}
-
 func (w Weibull) Sample(r *rng.Source) float64 {
 	u := 1 - r.Float64() // in (0,1]
 	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
@@ -303,26 +205,4 @@ func (w Weibull) Var() float64 {
 func (w Weibull) Name() string { return "weibull" }
 func (w Weibull) String() string {
 	return fmt.Sprintf("weibull(shape=%g, scale=%g)", w.Shape, w.Scale)
-}
-
-// Shifted wraps a distribution and adds a constant offset to every
-// sample: Offset + Base. It models a fixed floor (e.g. a minimum
-// service time) plus stochastic jitter.
-type Shifted struct {
-	Base   Distribution
-	Offset float64
-}
-
-// NewShifted returns base shifted right by offset.
-func NewShifted(base Distribution, offset float64) Shifted {
-	return Shifted{Base: base, Offset: offset}
-}
-
-func (s Shifted) Sample(r *rng.Source) float64 { return s.Offset + s.Base.Sample(r) }
-func (s Shifted) LogPDF(x float64) float64     { return s.Base.LogPDF(x - s.Offset) }
-func (s Shifted) Mean() float64                { return s.Offset + s.Base.Mean() }
-func (s Shifted) Var() float64                 { return s.Base.Var() }
-func (s Shifted) Name() string                 { return "shifted+" + s.Base.Name() }
-func (s Shifted) String() string {
-	return fmt.Sprintf("%g + %s", s.Offset, s.Base.String())
 }

@@ -18,7 +18,7 @@ func draw(d Distribution, n int, seed uint64) []float64 {
 }
 
 func TestFitNormalRecovers(t *testing.T) {
-	xs := draw(NewNormal(5, 2), 50000, 1)
+	xs := draw(Normal{Mu: 5, Sigma: 2}, 50000, 1)
 	got, err := FitNormal(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestFitNormalRecovers(t *testing.T) {
 }
 
 func TestFitLogNormalRecovers(t *testing.T) {
-	xs := draw(NewLogNormal(-2, 0.7), 50000, 2)
+	xs := draw(LogNormal{Mu: -2, Sigma: 0.7}, 50000, 2)
 	got, err := FitLogNormal(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestFitExponentialRecovers(t *testing.T) {
 }
 
 func TestFitUniformRecovers(t *testing.T) {
-	xs := draw(NewUniform(3, 9), 50000, 4)
+	xs := draw(Uniform{Lo: 3, Hi: 9}, 50000, 4)
 	got, err := FitUniform(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +73,9 @@ func TestFitUniformRecovers(t *testing.T) {
 
 func TestFitGammaRecovers(t *testing.T) {
 	cases := []Gamma{
-		NewGamma(100, 1e-4), // the paper's CV=0.1 controlled-delay shape
-		NewGamma(2, 3),
-		NewGamma(0.7, 1),
+		{Shape: 100, Scale: 1e-4}, // the paper's CV=0.1 controlled-delay shape
+		{Shape: 2, Scale: 3},
+		{Shape: 0.7, Scale: 1},
 	}
 	for _, want := range cases {
 		xs := draw(want, 50000, 5)
@@ -94,8 +94,8 @@ func TestFitGammaRecovers(t *testing.T) {
 
 func TestFitWeibullRecovers(t *testing.T) {
 	cases := []Weibull{
-		NewWeibull(1.5, 2),
-		NewWeibull(4, 0.01),
+		{Shape: 1.5, Scale: 2},
+		{Shape: 4, Scale: 0.01},
 	}
 	for _, want := range cases {
 		xs := draw(want, 50000, 6)
@@ -146,11 +146,11 @@ func TestSelectBestPrefersTrueFamily(t *testing.T) {
 	}{
 		// Gamma with CV 0.1 looks normal-ish; accept gamma or its
 		// close relatives that achieve near-identical likelihood.
-		{NewGamma(2, 1), map[string]bool{"gamma": true, "weibull": true}},
+		{Gamma{Shape: 2, Scale: 1}, map[string]bool{"gamma": true, "weibull": true}},
 		{NewExponential(5), map[string]bool{"exponential": true, "gamma": true, "weibull": true}},
-		{NewNormal(100, 1), map[string]bool{"normal": true, "gamma": true, "lognormal": true, "weibull": true}},
-		{NewLogNormal(0, 1.5), map[string]bool{"lognormal": true}},
-		{NewUniform(10, 11), map[string]bool{"uniform": true}},
+		{Normal{Mu: 100, Sigma: 1}, map[string]bool{"normal": true, "gamma": true, "lognormal": true, "weibull": true}},
+		{LogNormal{Mu: 0, Sigma: 1.5}, map[string]bool{"lognormal": true}},
+		{Uniform{Lo: 10, Hi: 11}, map[string]bool{"uniform": true}},
 	}
 	for _, c := range cases {
 		xs := draw(c.gen, 20000, 7)
@@ -185,7 +185,7 @@ func TestSelectBestEmptySample(t *testing.T) {
 }
 
 func TestFitAllSortedByLogLikelihood(t *testing.T) {
-	xs := draw(NewGamma(3, 2), 5000, 8)
+	xs := draw(Gamma{Shape: 3, Scale: 2}, 5000, 8)
 	fits := FitAll(xs)
 	if len(fits) < 4 {
 		t.Fatalf("expected several candidate fits, got %d", len(fits))
@@ -224,7 +224,7 @@ func TestDigammaTrigamma(t *testing.T) {
 }
 
 func TestLogLikelihoodMatchesManualSum(t *testing.T) {
-	d := NewNormal(0, 1)
+	d := Normal{Mu: 0, Sigma: 1}
 	xs := []float64{-1, 0, 2}
 	want := d.LogPDF(-1) + d.LogPDF(0) + d.LogPDF(2)
 	if got := LogLikelihood(d, xs); math.Abs(got-want) > 1e-12 {

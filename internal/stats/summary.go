@@ -100,41 +100,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram bins xs into n equal-width bins over [min, max] and
-// returns the bin counts and the bin edges (n+1 values). It panics if
-// n <= 0 or the sample is empty.
-func Histogram(xs []float64, n int) (counts []int, edges []float64) {
-	if n <= 0 {
-		panic("stats: Histogram with non-positive bin count")
-	}
-	if len(xs) == 0 {
-		panic("stats: Histogram of empty sample")
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1 // all mass in one bin
-	}
-	counts = make([]int, n)
-	edges = make([]float64, n+1)
-	width := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
-}

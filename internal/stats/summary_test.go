@@ -101,48 +101,3 @@ func TestMeanEmpty(t *testing.T) {
 		t.Error("Mean(nil) != 0")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.5, 0.9, 1.0}
-	counts, edges := Histogram(xs, 2)
-	if len(counts) != 2 || len(edges) != 3 {
-		t.Fatalf("histogram shape wrong: %v %v", counts, edges)
-	}
-	if counts[0]+counts[1] != len(xs) {
-		t.Errorf("histogram lost samples: %v", counts)
-	}
-	// 0.5 lands exactly on the second bin's left edge.
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Errorf("counts = %v, want [3 3]", counts)
-	}
-	if edges[0] != 0 || edges[2] != 1 {
-		t.Errorf("edges = %v, want [0 0.5 1]", edges)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	counts, _ := Histogram([]float64{5, 5, 5}, 4)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("degenerate histogram lost samples: %v", counts)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { Histogram(nil, 3) },
-		func() { Histogram([]float64{1}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("Histogram did not panic on bad input")
-				}
-			}()
-			fn()
-		}()
-	}
-}

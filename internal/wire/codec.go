@@ -332,12 +332,6 @@ func AppendFrame(dst []byte, m Message) []byte {
 	return dst
 }
 
-// EncodeFrame serializes a message as one freshly allocated wire
-// frame. See AppendFrame for the layout.
-func EncodeFrame(m Message) []byte {
-	return AppendFrame(make([]byte, 0, 64), m)
-}
-
 // --- decoding -------------------------------------------------------
 
 // bodyReader is a bounds-checked cursor over a frame body. All getters
@@ -615,25 +609,13 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 	return nil, fmt.Errorf("wire: unknown message tag %d", uint8(tag))
 }
 
-// WriteMessage frames and writes one message.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := w.Write(EncodeFrame(m))
-	return err
-}
-
-// ReadMessage reads one length-prefixed frame and decodes it.
-func ReadMessage(r io.Reader) (Message, error) {
-	m, _, err := ReadMessageBuf(r, nil)
-	return m, err
-}
-
-// ReadMessageBuf is ReadMessage with payload-buffer reuse: the frame
-// payload is read into buf when its capacity suffices, and the
-// (possibly grown) buffer is returned for the caller to thread into
-// the next call. Frames larger than ReuseLimit get a one-off
-// allocation that is not retained. The returned Message never aliases
-// the buffer — decoding copies every field out — so the buffer is free
-// for reuse immediately.
+// ReadMessageBuf reads one length-prefixed frame and decodes it,
+// reusing a payload buffer: the frame payload is read into buf when
+// its capacity suffices, and the (possibly grown) buffer is returned
+// for the caller to thread into the next call. Frames larger than
+// ReuseLimit get a one-off allocation that is not retained. The
+// returned Message never aliases the buffer — decoding copies every
+// field out — so the buffer is free for reuse immediately.
 func ReadMessageBuf(r io.Reader, buf []byte) (Message, []byte, error) {
 	payload, buf, err := readFrame(r, buf)
 	if err != nil {

@@ -50,7 +50,7 @@ func sampleMessages() []Message {
 // for every protocol tag (NaN compared bitwise via re-encode).
 func TestRoundTripAllTags(t *testing.T) {
 	for _, m := range sampleMessages() {
-		frame := EncodeFrame(m)
+		frame := AppendFrame(nil, m)
 		got, err := DecodeFrame(frame[4:])
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Tag(), err)
@@ -58,7 +58,7 @@ func TestRoundTripAllTags(t *testing.T) {
 		if got.Tag() != m.Tag() {
 			t.Fatalf("tag %s decoded as %s", m.Tag(), got.Tag())
 		}
-		if re := EncodeFrame(got); !bytes.Equal(re, frame) {
+		if re := AppendFrame(nil, got); !bytes.Equal(re, frame) {
 			t.Errorf("%s: re-encode differs:\n  in  %x\n  out %x", m.Tag(), frame, re)
 		}
 	}
@@ -89,7 +89,7 @@ func TestRoundTripRandomized(t *testing.T) {
 			&Migrant{Island: uint32(r.Intn(8)), Epoch: r.Uint64(), Vars: randFloats(), Objs: randFloats(), Trace: obs.SpanContext{TraceID: r.Uint64() | 1, SpanID: r.Uint64()}},
 		}
 		for _, m := range msgs {
-			frame := EncodeFrame(m)
+			frame := AppendFrame(nil, m)
 			got, err := DecodeFrame(frame[4:])
 			if err != nil {
 				t.Fatalf("decode %s: %v", m.Tag(), err)
@@ -101,32 +101,36 @@ func TestRoundTripRandomized(t *testing.T) {
 	}
 }
 
-// TestReadWriteMessage exercises the stream framing end to end.
+// TestReadWriteMessage exercises the stream framing end to end: the
+// frames the connection writer appends, read back through the reader
+// the connection uses, one reused buffer threaded through.
 func TestReadWriteMessage(t *testing.T) {
-	var buf bytes.Buffer
+	var stream bytes.Buffer
+	var frame []byte
 	for _, m := range sampleMessages() {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		frame = AppendFrame(frame[:0], m)
+		stream.Write(frame)
 	}
+	var buf []byte
 	for _, want := range sampleMessages() {
-		got, err := ReadMessage(&buf)
+		got, next, err := ReadMessageBuf(&stream, buf)
 		if err != nil {
 			t.Fatalf("read %s: %v", want.Tag(), err)
 		}
-		if !bytes.Equal(EncodeFrame(got), EncodeFrame(want)) {
+		if !bytes.Equal(AppendFrame(nil, got), AppendFrame(nil, want)) {
 			t.Fatalf("stream round-trip mismatch at %s", want.Tag())
 		}
+		buf = next
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d leftover bytes", buf.Len())
+	if stream.Len() != 0 {
+		t.Fatalf("%d leftover bytes", stream.Len())
 	}
 }
 
 // TestDecodeRejectsMalformed: every class of corruption is a clean
 // error, never a panic and never a bogus message.
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid := EncodeFrame(&Evaluate{Lease: 1, Vars: []float64{1, 2, 3}})[4:]
+	valid := AppendFrame(nil, &Evaluate{Lease: 1, Vars: []float64{1, 2, 3}})[4:]
 
 	cases := map[string][]byte{
 		"empty":        {},
@@ -170,11 +174,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestReadMessageLimits(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := ReadMessage(bytes.NewReader(hdr[:])); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, _, err := ReadMessageBuf(bytes.NewReader(hdr[:]), nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized length accepted: %v", err)
 	}
 	binary.BigEndian.PutUint32(hdr[:], 100)
-	if _, err := ReadMessage(bytes.NewReader(append(hdr[:], 1, 2, 3))); err == nil {
+	if _, _, err := ReadMessageBuf(bytes.NewReader(append(hdr[:], 1, 2, 3)), nil); err == nil {
 		t.Fatal("short stream accepted")
 	}
 }
@@ -241,7 +245,7 @@ func hugeDeltaBody() []byte {
 // a panic, never a partial message — and so is a frame whose inner
 // member slices over-claim.
 func TestDecodeTruncatedDelta(t *testing.T) {
-	frame := EncodeFrame(&Delta{Island: 9, Seq: 3, Completed: 512, Members: []DeltaMember{
+	frame := AppendFrame(nil, &Delta{Island: 9, Seq: 3, Completed: 512, Members: []DeltaMember{
 		{Operator: 1, Vars: []float64{0.1, 0.2, 0.3}, Objs: []float64{1, 2}},
 		{Operator: -1, Vars: []float64{0.4}, Objs: []float64{3, 4}, Constrs: []float64{0}},
 	}})[4:]

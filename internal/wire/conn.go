@@ -33,8 +33,6 @@ type Options struct {
 	// write blocked on a peer that stopped reading fails between 1×
 	// and 1.25× WriteTimeout after it started.
 	WriteTimeout time.Duration
-	// DialTimeout bounds the TCP connect (default 5s).
-	DialTimeout time.Duration
 	// Metrics, when set, receives transport telemetry: frame and byte
 	// counters in both directions, the socket read and write calls
 	// beneath the buffering, frame decode errors, and a heartbeat
@@ -113,6 +111,9 @@ const (
 	DefaultIdleTimeout = 30 * time.Second
 )
 
+// dialTimeout bounds Dial's TCP connect.
+const dialTimeout = 5 * time.Second
+
 func (o Options) heartbeat() time.Duration {
 	switch {
 	case o.Heartbeat < 0:
@@ -138,13 +139,6 @@ func (o Options) writeTimeout() time.Duration {
 		return o.WriteTimeout
 	}
 	return 10 * time.Second
-}
-
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout > 0 {
-		return o.DialTimeout
-	}
-	return 5 * time.Second
 }
 
 // Conn is one protocol connection: framed sends under a write deadline,
@@ -330,7 +324,7 @@ func (c *Conn) Close() error {
 // caller decides when to StartHeartbeat — typically right after
 // inspecting the Welcome.
 func Dial(addr string, hello Hello, opt Options) (*Conn, *Welcome, error) {
-	nc, err := net.DialTimeout("tcp", addr, opt.dialTimeout())
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -20,11 +20,11 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with every valid message…
 	for _, m := range sampleMessages() {
-		f.Add(EncodeFrame(m)[4:])
+		f.Add(AppendFrame(nil, m)[4:])
 	}
 	// …and hand-picked malformed shapes: truncations, bit flips,
 	// hostile counts, wrong versions.
-	valid := EncodeFrame(&Result{Lease: 9, Objs: []float64{1, 2, 3, 4, 5}})[4:]
+	valid := AppendFrame(nil, &Result{Lease: 9, Objs: []float64{1, 2, 3, 4, 5}})[4:]
 	for cut := 0; cut <= len(valid); cut += 3 {
 		f.Add(valid[:cut])
 	}
@@ -46,7 +46,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			checkScratchDecode(t, payload, false)
 			return
 		}
-		re := EncodeFrame(m)
+		re := AppendFrame(nil, m)
 		if !bytes.Equal(re[4:], payload) {
 			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
 		}
@@ -75,7 +75,7 @@ func checkScratchDecode(t *testing.T, payload []byte, accepted bool) {
 		if !accepted {
 			t.Fatalf("scratch decode pass %d accepted a rejected payload: %v", pass, m)
 		}
-		if re := EncodeFrame(m); !bytes.Equal(re[4:], payload) {
+		if re := AppendFrame(nil, m); !bytes.Equal(re[4:], payload) {
 			t.Fatalf("scratch decode pass %d not canonical:\n  in  %x\n  out %x", pass, payload, re[4:])
 		}
 	}
@@ -98,9 +98,9 @@ func FuzzDecodeTraced(f *testing.F) {
 		&Migrant{Island: 1, Epoch: 2, Objs: []float64{3}},
 	}
 	for _, m := range seeds {
-		f.Add(EncodeFrame(m)[4:])
+		f.Add(AppendFrame(nil, m)[4:])
 	}
-	valid := EncodeFrame(seeds[0])[4:]
+	valid := AppendFrame(nil, seeds[0])[4:]
 	for cut := 0; cut <= len(valid); cut++ {
 		f.Add(valid[:cut])
 	}
@@ -120,7 +120,7 @@ func FuzzDecodeTraced(f *testing.F) {
 			checkScratchDecode(t, payload, false)
 			return
 		}
-		re := EncodeFrame(m)
+		re := AppendFrame(nil, m)
 		if !bytes.Equal(re[4:], payload) {
 			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
 		}
@@ -144,9 +144,9 @@ func FuzzDecodeFederation(f *testing.F) {
 		}},
 	}
 	for _, m := range seeds {
-		f.Add(EncodeFrame(m)[4:])
+		f.Add(AppendFrame(nil, m)[4:])
 	}
-	valid := EncodeFrame(seeds[3])[4:]
+	valid := AppendFrame(nil, seeds[3])[4:]
 	for cut := 0; cut <= len(valid); cut += 2 {
 		f.Add(valid[:cut])
 	}
@@ -164,7 +164,7 @@ func FuzzDecodeFederation(f *testing.F) {
 			checkScratchDecode(t, payload, false)
 			return
 		}
-		re := EncodeFrame(m)
+		re := AppendFrame(nil, m)
 		if !bytes.Equal(re[4:], payload) {
 			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
 		}

@@ -21,7 +21,7 @@ func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 		&Migrant{Island: 1, Vars: make([]float64, 64), Objs: make([]float64, 64), Constrs: make([]float64, 8)},
 	}
 	for _, m := range dirty {
-		if _, err := DecodeFrameInto(EncodeFrame(m)[4:], &sc); err != nil {
+		if _, err := DecodeFrameInto(AppendFrame(nil, m)[4:], &sc); err != nil {
 			t.Fatalf("dirtying decode: %v", err)
 		}
 	}
@@ -29,7 +29,7 @@ func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 	// of the same tag arrives next. (Done before the sample sweep: a
 	// nil-Vars sample legitimately drops the scratch backing array.)
 	evalBacking := &sc.eval.Vars[0]
-	small := EncodeFrame(&Evaluate{Lease: 3, Vars: []float64{0.5, 0.25}})
+	small := AppendFrame(nil, &Evaluate{Lease: 3, Vars: []float64{0.5, 0.25}})
 	got, err := DecodeFrameInto(small[4:], &sc)
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +39,12 @@ func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 	}
 
 	for _, m := range sampleMessages() {
-		frame := EncodeFrame(m)
+		frame := AppendFrame(nil, m)
 		got, err := DecodeFrameInto(frame[4:], &sc)
 		if err != nil {
 			t.Fatalf("%s: scratch decode: %v", m.Tag(), err)
 		}
-		if re := EncodeFrame(got); !bytes.Equal(re, frame) {
+		if re := AppendFrame(nil, got); !bytes.Equal(re, frame) {
 			t.Errorf("%s: scratch decode re-encodes differently:\n  in  %x\n  out %x", m.Tag(), frame, re)
 		}
 		switch g := got.(type) {
@@ -64,7 +64,7 @@ func TestDecodeFrameIntoMatchesDecodeFrame(t *testing.T) {
 	}
 
 	// Malformed inputs must fail identically through both paths.
-	bad := flip(EncodeFrame(&Result{Lease: 9, Objs: []float64{1, 2}})[4:], 10)
+	bad := flip(AppendFrame(nil, &Result{Lease: 9, Objs: []float64{1, 2}})[4:], 10)
 	if m, err := DecodeFrameInto(bad, &sc); err == nil {
 		t.Fatalf("scratch decode accepted corrupt frame: %v", m)
 	}
@@ -77,9 +77,7 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	msgs := sampleMessages()
 	for _, m := range msgs {
-		if err := WriteMessage(&stream, m); err != nil {
-			t.Fatal(err)
-		}
+		stream.Write(AppendFrame(nil, m))
 	}
 	var buf []byte
 	for _, want := range msgs {
@@ -87,7 +85,7 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read %s: %v", want.Tag(), err)
 		}
-		if !bytes.Equal(EncodeFrame(m), EncodeFrame(want)) {
+		if !bytes.Equal(AppendFrame(nil, m), AppendFrame(nil, want)) {
 			t.Fatalf("round-trip mismatch at %s", want.Tag())
 		}
 		buf = next
@@ -103,9 +101,7 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 	stable := cap(buf)
 	for i := 0; i < 3; i++ {
 		stream.Reset()
-		if err := WriteMessage(&stream, msgs[4]); err != nil {
-			t.Fatal(err)
-		}
+		stream.Write(AppendFrame(nil, msgs[4]))
 		_, next, err := ReadMessageBuf(&stream, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -119,9 +115,7 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 	// A frame above ReuseLimit decodes fine but must not be retained.
 	big := &Evaluate{Lease: 1, Vars: make([]float64, ReuseLimit/8+16)}
 	stream.Reset()
-	if err := WriteMessage(&stream, big); err != nil {
-		t.Fatal(err)
-	}
+	stream.Write(AppendFrame(nil, big))
 	m, next, err := ReadMessageBuf(&stream, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +132,7 @@ func TestReadMessageBufReusesBuffer(t *testing.T) {
 // into the reused payload buffer plus scratch decode allocates nothing
 // once warm.
 func TestRecvSteadyStateAllocs(t *testing.T) {
-	frame := EncodeFrame(&Result{
+	frame := AppendFrame(nil, &Result{
 		Lease: 1, SolID: 2, Operator: 3, EvalNanos: 4,
 		Objs: []float64{1, 2, 3, 4, 5}, Constrs: []float64{0.5},
 		Trace: obs.SpanContext{TraceID: 7, SpanID: 9, Flags: obs.FlagSampled},
