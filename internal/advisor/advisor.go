@@ -30,18 +30,31 @@ import (
 	"borgmoea/internal/obs"
 )
 
-// Defaults for the zero Config value.
+// The detectors' thresholds.
 const (
-	DefaultDriftThreshold  = 0.25
+	// DefaultDriftThreshold is the smoothed relative error between
+	// observed and predicted speedup above which the report raises
+	// DriftAlert: the analytical model is off by more than a quarter —
+	// past the paper's Table II error at saturation, so something the
+	// model does not capture is happening.
+	DefaultDriftThreshold = 0.25
+	// DefaultStragglerFactor is Config.StragglerFactor's default.
 	DefaultStragglerFactor = 3.0
-	DefaultMinSamples      = 5
-	DefaultWarmupEvals     = 100
-	DefaultAlpha           = 0.05
-	driftAlpha             = 0.3 // smoothing of the per-snapshot drift
+	// DefaultMinSamples is how many evaluations a worker needs before
+	// it participates in straggler detection.
+	DefaultMinSamples = 5
+	// DefaultWarmupEvals suppresses the drift alert until this many
+	// results have been accepted: the first estimates are too noisy to
+	// act on.
+	DefaultWarmupEvals = 100
+	// DefaultAlpha is the decay factor of the per-worker T_F average:
+	// roughly the last 20 evaluations dominate.
+	DefaultAlpha = 0.05
+	driftAlpha   = 0.3 // smoothing of the per-snapshot drift
 )
 
 // Config tunes an Advisor. The zero value works: drivers fill
-// Processors and Budget via Configure, and every threshold has a
+// Processors and Budget via Configure, and StragglerFactor has a
 // default.
 type Config struct {
 	// Processors is the total processor count P (master + workers).
@@ -61,25 +74,9 @@ type Config struct {
 	// driver-clock seconds (evaluated at acceptance events, so an idle
 	// system does not snapshot). Called without the advisor's lock.
 	OnSnapshot func(Report)
-	// DriftThreshold is the smoothed relative error between observed
-	// and predicted speedup above which the report raises DriftAlert
-	// (default 0.25: the analytical model is off by more than a
-	// quarter — past the paper's Table II error at saturation, so
-	// something the model does not capture is happening).
-	DriftThreshold float64
 	// StragglerFactor flags a worker whose decayed T_F is at least
 	// this multiple of the fleet median (default 3).
 	StragglerFactor float64
-	// MinSamples is how many evaluations a worker needs before it
-	// participates in straggler detection (default 5).
-	MinSamples uint64
-	// WarmupEvals suppresses the drift alert until this many results
-	// have been accepted (default 100) — the first estimates are too
-	// noisy to act on.
-	WarmupEvals uint64
-	// Alpha is the decay factor of the per-worker T_F average
-	// (default 0.05 — roughly the last 20 evaluations dominate).
-	Alpha float64
 	// Registry, when set, receives the headline figures as gauges
 	// (advisor.predicted_speedup, advisor.drift_score, …) so they ride
 	// along in /debug/vars, -metrics-out and the Prometheus endpoint.
@@ -90,17 +87,6 @@ type Config struct {
 	// to obs.Collector.ForceWorker so a struggling worker's
 	// evaluations are traced regardless of the sampling rate.
 	OnStraggler func(worker int)
-	// StallFraction: the search counts as stalled when the smoothed
-	// ε-progress rate falls below this fraction of its own run peak
-	// (default DefaultStallFraction). Needs ObserveQuality feeding.
-	StallFraction float64
-	// QualityWarmup suppresses quality alerts until this many quality
-	// samples have arrived (default DefaultQualityWarmup).
-	QualityWarmup int
-	// RegressionTolerance is the relative hypervolume shortfall vs
-	// the pre-restart level that counts as "quality regressed after
-	// restart" (default DefaultRegressionTolerance).
-	RegressionTolerance float64
 	// OnQualityAlert, when set, is called on each rising edge of a
 	// quality alert with a short description ("search stalled",
 	// "quality regressed after restart"), outside the advisor's lock.
@@ -108,29 +94,8 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = DefaultDriftThreshold
-	}
 	if c.StragglerFactor <= 0 {
 		c.StragglerFactor = DefaultStragglerFactor
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.WarmupEvals == 0 {
-		c.WarmupEvals = DefaultWarmupEvals
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.StallFraction <= 0 {
-		c.StallFraction = DefaultStallFraction
-	}
-	if c.QualityWarmup <= 0 {
-		c.QualityWarmup = DefaultQualityWarmup
-	}
-	if c.RegressionTolerance <= 0 {
-		c.RegressionTolerance = DefaultRegressionTolerance
 	}
 }
 
@@ -272,7 +237,7 @@ func (a *Advisor) ObserveTF(worker int, sec float64) {
 	a.tfP99.Observe(sec)
 	ws := a.workers[worker]
 	if ws == nil {
-		ws = &workerStat{tf: obs.NewEWMA(a.cfg.Alpha)}
+		ws = &workerStat{tf: obs.NewEWMA(DefaultAlpha)}
 		a.workers[worker] = ws
 	}
 	ws.tf.Observe(sec)
@@ -386,7 +351,7 @@ func (a *Advisor) Report() Report {
 // alert reports whether the smoothed drift warrants an alert; callers
 // hold a.mu.
 func (a *Advisor) alert(smoothed float64) bool {
-	return a.completed >= a.cfg.WarmupEvals && smoothed > a.cfg.DriftThreshold
+	return a.completed >= DefaultWarmupEvals && smoothed > DefaultDriftThreshold
 }
 
 // processors returns the effective P; callers hold a.mu.
@@ -478,7 +443,7 @@ func (a *Advisor) workerReports() ([]WorkerReport, []int) {
 	var eligible []float64
 	for _, id := range ids {
 		ws := a.workers[id]
-		if ws.tf.Count() >= a.cfg.MinSamples {
+		if ws.tf.Count() >= DefaultMinSamples {
 			eligible = append(eligible, ws.tf.Value())
 		}
 	}
@@ -507,7 +472,7 @@ func (a *Advisor) workerReports() ([]WorkerReport, []int) {
 		if mad > 0 {
 			wr.ZScore = sanitize((wr.TFDecayed - med) / mad)
 		}
-		if len(eligible) >= 3 && ws.tf.Count() >= a.cfg.MinSamples &&
+		if len(eligible) >= 3 && ws.tf.Count() >= DefaultMinSamples &&
 			med > 0 && wr.TFDecayed >= a.cfg.StragglerFactor*med {
 			wr.Straggler = true
 			stragglers = append(stragglers, id)

@@ -19,7 +19,7 @@ import (
 //     tolerance). Restarts trade short-term quality for diversity;
 //     this flags the ones that have not paid off yet.
 
-// Quality-health defaults for the zero Config value.
+// Quality-health thresholds.
 const (
 	// DefaultStallFraction: stalled when the smoothed ε-progress rate
 	// drops below this fraction of its peak.
@@ -114,12 +114,12 @@ func (a *Advisor) ObserveQuality(q obs.QualitySample) {
 	s.samples++
 	s.last = q
 
-	warm := s.samples >= uint64(a.cfg.QualityWarmup)
+	warm := s.samples >= DefaultQualityWarmup
 	wasStalled, wasRegressed := s.stalled, s.regressed
 	s.stalled = warm && s.peakRate > 0 &&
-		s.rate.Value() < a.cfg.StallFraction*s.peakRate
+		s.rate.Value() < DefaultStallFraction*s.peakRate
 	s.regressed = warm && s.restartSeen &&
-		q.Hypervolume < s.preHV*(1-a.cfg.RegressionTolerance)
+		q.Hypervolume < s.preHV*(1-DefaultRegressionTolerance)
 	if s.regressed {
 		// Still underwater; keep watching.
 	} else if s.restartSeen && q.Hypervolume >= s.preHV {

@@ -124,13 +124,6 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
-func (c *Config) wallLimit() time.Duration {
-	if c.WallLimit > 0 {
-		return c.WallLimit
-	}
-	return 5 * time.Minute
-}
-
 // Result summarizes a federation run.
 type Result struct {
 	// ElapsedTime is the wall time (seconds) at which the last island
@@ -188,6 +181,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Conn.Metrics == nil {
 		cfg.Conn.Metrics = cfg.Metrics
+	}
+	if cfg.WallLimit <= 0 {
+		cfg.WallLimit = 5 * time.Minute
 	}
 	k := cfg.Islands
 

@@ -162,10 +162,6 @@ type Config struct {
 	LeaseTimeout float64
 	// Policy selects eager or lazy offspring generation.
 	Policy Policy
-	// MaxProbes bounds last-resort grants to suspect workers per death
-	// episode (0 = DefaultMaxProbes), so a run whose workers all died
-	// permanently still terminates instead of probing forever.
-	MaxProbes int
 	// Alg is the optimizer adapter (required).
 	Alg Algorithm
 	// ReuseOnResubmit re-enqueues a lost lease's Item — same wrapper,
@@ -220,7 +216,8 @@ type Config struct {
 }
 
 // DefaultMaxProbes is the bounded number of last-resort sends to a
-// presumed-dead worker per death episode.
+// presumed-dead worker per death episode, so a run whose workers all
+// died permanently still terminates instead of probing forever.
 const DefaultMaxProbes = 2
 
 // Stats is the Core's protocol accounting, mirrored into the drivers'
@@ -274,9 +271,6 @@ type Core struct {
 // metadata so a recorded stream carries everything Replay needs
 // besides the problem and seed.
 func NewCore(cfg Config) *Core {
-	if cfg.MaxProbes == 0 {
-		cfg.MaxProbes = DefaultMaxProbes
-	}
 	cfg.Log.setMeta(LogMeta{Policy: cfg.Policy, Budget: cfg.Budget, LeaseTimeout: cfg.LeaseTimeout})
 	return &Core{
 		cfg:         cfg,
@@ -739,7 +733,7 @@ func (c *Core) dispatch(at float64) {
 				break
 			}
 			w := c.reg.lookup(id)
-			if w.state == StateSuspect && w.probes < c.cfg.MaxProbes {
+			if w.state == StateSuspect && w.probes < DefaultMaxProbes {
 				w.probes++
 				item := c.pending[0]
 				c.pending = c.pending[1:]

@@ -135,7 +135,7 @@ func TestHelloLosesLeaseAndResubmits(t *testing.T) {
 
 func TestExpiryMarksSuspectAndProbes(t *testing.T) {
 	alg := &stubAlg{}
-	c := NewCore(Config{Budget: 4, LeaseTimeout: 10, Policy: EagerOffspring, Alg: alg, MaxProbes: 1})
+	c := NewCore(Config{Budget: 4, LeaseTimeout: 10, Policy: EagerOffspring, Alg: alg})
 	c.Handle(Event{Kind: EvJoin, Worker: 1, At: 0}) // item 1, deadline 10
 	c.Handle(Event{Kind: EvJoin, Worker: 2, At: 1}) // item 2, deadline 11
 
@@ -153,8 +153,14 @@ func TestExpiryMarksSuspectAndProbes(t *testing.T) {
 	wantGrant(t, acts, 0, 1, 3)
 	wantGrant(t, acts, 1, 2, 4)
 
-	// Probe budget is spent: another expiry round has nowhere to go.
+	// The probes expire unanswered: a second round goes out, the last
+	// DefaultMaxProbes allows.
 	acts = c.Handle(Event{Kind: EvTick, At: 30})
+	wantGrant(t, acts, 0, 1, 5)
+	wantGrant(t, acts, 1, 2, 6)
+
+	// Probe budget is spent: another expiry round has nowhere to go.
+	acts = c.Handle(Event{Kind: EvTick, At: 50})
 	if len(acts) != 0 || c.PendingLen() != 2 {
 		t.Fatalf("acts=%v pending=%d, want no actions and 2 stranded items", acts, c.PendingLen())
 	}
@@ -166,7 +172,7 @@ func TestExpiryMarksSuspectAndProbes(t *testing.T) {
 	if st := c.Stats(); st.Duplicates != 1 {
 		t.Fatalf("stats = %+v, want 1 duplicate", st)
 	}
-	wantGrant(t, acts, 0, 1, 5)
+	wantGrant(t, acts, 0, 1, 7)
 }
 
 func TestGoneRetiresAndDrainStops(t *testing.T) {

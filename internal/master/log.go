@@ -255,8 +255,6 @@ type ReplayConfig struct {
 	// worker's function evaluation. Deterministic problems make the
 	// replayed trajectory bit-identical to the original.
 	Evaluate func(item *Item)
-	// MaxProbes must match the recorded run's (0 = DefaultMaxProbes).
-	MaxProbes int
 	// Meters/OnAccept/OnAcceptFrom optionally re-instrument the
 	// replay; the hooks stay attached afterwards, so a driver that
 	// resumes the returned Core live (the job server's checkpoint
@@ -297,7 +295,6 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 		Budget:       log.Meta.Budget,
 		LeaseTimeout: log.Meta.LeaseTimeout,
 		Policy:       log.Meta.Policy,
-		MaxProbes:    rc.MaxProbes,
 		Alg:          rc.Alg,
 		Meters:       rc.Meters,
 		OnAccept:     rc.OnAccept,

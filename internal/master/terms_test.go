@@ -132,7 +132,9 @@ func TestTermsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestNoHandWiredTerms keeps the six master loops from wiring timing
+// TestNoHandWiredTerms keeps the four master loops — the asynchronous
+// master on each transport (parallel's startMaster, federation's
+// SocketMaster), RunSync's and the job scheduler's — from wiring timing
 // samples into sinks by hand again: outside this package's Terms, no
 // non-test file hands a T_A, T_F, T_C or queue-wait sample to a
 // histogram, the advisor or a trace collector. A loop reports each

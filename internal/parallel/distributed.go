@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"borgmoea/internal/core"
+	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
@@ -39,12 +40,6 @@ type DistributedConfig struct {
 	WallLimit time.Duration
 	// Logf, when set, receives worker lifecycle messages.
 	Logf func(format string, args ...any)
-}
-
-func (d *DistributedConfig) logf(format string, args ...any) {
-	if d.Logf != nil {
-		d.Logf(format, args...)
-	}
 }
 
 // RunAsyncDistributed executes the asynchronous master-slave Borg MOEA
@@ -110,7 +105,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// offspring generation (the worker pool is dynamic, so offspring
 	// are suggested on demand at dispatch, bounded by the remaining
 	// budget).
-	res := &Result{Final: b}
 	meters := master.NewMeters(cfg.Metrics)
 	journal := cfg.Events
 	// One meter for the fleet: results arrive one at a time under the
@@ -120,19 +114,8 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		TA: cfg.TA, Rng: rng.New(cfg.Seed ^ 0x6d617374),
 	})
 	start := time.Now()
-	var elapsedAtN float64
 	since := func() float64 { return time.Since(start).Seconds() }
-	record := func(ev obs.Event) {
-		if journal != nil {
-			ev.TS = since()
-			journal.Record(ev)
-		}
-	}
 
-	coreTimeout := 0.0
-	if leaseTimeout > 0 {
-		coreTimeout = leaseTimeout.Seconds()
-	}
 	// Accept and Suggest are metered separately (the lazy policy splits
 	// them across the result and dispatch paths); per completed
 	// evaluation they sum to the paper's T_A. The journal shows each
@@ -144,18 +127,11 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		}
 	})
 	mcfg := master.Config{
-		Budget:       cfg.Evaluations,
-		LeaseTimeout: coreTimeout,
-		Policy:       master.LazyOffspring,
-		// Workers hold deep copies of granted work (frames encode the
-		// solution), so an expired lease's wrapper and Solution can be
-		// reissued in place instead of cloned.
-		ReuseOnResubmit: true,
-		Alg:             alg,
-		Meters:          meters,
-		Emit:            func(kind, detail string) { record(obs.Event{Kind: kind, Actor: "master", Detail: detail}) },
-		Log:             cfg.Protocol,
-		Tracer:          terms.Tracer(),
+		Budget: cfg.Evaluations,
+		Policy: master.LazyOffspring,
+		Alg:    alg,
+		Meters: meters,
+		Log:    cfg.Protocol,
 		OnAccept: func(n uint64) {
 			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
 				meters.Checkpoints.Inc()
@@ -163,172 +139,26 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			}
 		},
 	}
-	if adv != nil {
-		mcfg.OnAcceptFrom = adv.ObserveAccept
-	}
-	if q := cfg.Quality; q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
-	m := master.NewCore(mcfg)
-
-	// Transport: the shared socket host calls handle for every join,
-	// result and death, on that session's reader goroutine under the
-	// host's loop lock; lease ticks and the wall limit enter through Do.
-	var host wire.Host
-
-	// lost records a session the host dropped; the state machine hears
-	// about the death separately (EvGone, or the retire inside a
-	// replacing EvJoin).
-	lost := func(s *wire.Session, why error) {
-		record(obs.Event{Kind: "worker.dead", Actor: fmt.Sprintf("worker%d", s.ID), Detail: fmt.Sprintf("%v", why)})
-		adv.SetLive(host.Live())
-		dcfg.logf("parallel: worker %d gone: %v", s.ID, why)
-	}
-	var exec func(acts []master.Action)
-	// gone declares a dropped session's worker dead.
-	gone := func(s *wire.Session, why error) {
-		lost(s, why)
-		exec(m.Handle(master.Event{Kind: master.EvGone, Worker: int(s.ID), At: since()}))
-	}
-	exec = func(acts []master.Action) {
-		// Handle reuses its action slice, so a session whose grant send
-		// failed is dropped at once (later actions skip it) but declared
-		// gone only after the loop.
-		type failure struct {
-			s   *wire.Session
-			err error
-		}
-		var failed []failure
-		for _, a := range acts {
-			switch a.Kind {
-			case master.ActGrant:
-				if s := host.Lookup(a.Worker); s != nil {
-					tc, err := host.Grant(s, a.Item.ID, a.Item, "")
-					if err != nil {
-						host.Drop(s)
-						failed = append(failed, failure{s, err})
-						continue
-					}
-					terms.Sent(a.Item, tc)
-				}
-			case master.ActStop:
-				host.Stop(a.Worker)
-			case master.ActComplete:
-				elapsedAtN = since()
-				cfg.Protocol.SetElapsed(elapsedAtN)
-			}
-		}
-		for _, f := range failed {
-			gone(f.s, f.err)
+	if journal != nil {
+		mcfg.Emit = func(kind, detail string) {
+			journal.Record(obs.Event{TS: since(), Kind: kind, Actor: "master", Detail: detail})
 		}
 	}
-
-	// over (loop-locked) ends the run: once the budget completes or the
-	// wall limit strikes, the handler ignores whatever still arrives
-	// until Close stops the readers.
-	over := false
-	finished := make(chan struct{})
-	finish := func() {
-		if !over {
-			over = true
-			close(finished)
-		}
+	cfg.Quality.Attach(b)
+	sm := &federation.SocketMaster{
+		Terms: terms, Advisor: adv, Quality: cfg.Quality, Journal: journal,
+		Start: start, LeaseTimeout: leaseTimeout, WallLimit: dcfg.WallLimit,
+		Name: "parallel", Logf: dcfg.Logf,
 	}
-	handle := func(e wire.HostEvent) {
-		if over {
-			return
-		}
-		s := e.Sess
-		switch e.Kind {
-		case wire.HostJoin:
-			if old := host.Admit(s); old != nil {
-				// Reconnect-with-hello: the old incarnation's work
-				// died with it; the machine retires it inside EvJoin.
-				lost(old, fmt.Errorf("replaced by reconnect"))
-			}
-			adv.SetLive(host.Live())
-			record(obs.Event{Kind: "worker.join", Actor: fmt.Sprintf("worker%d", s.ID), Detail: s.RemoteAddr().String()})
-			dcfg.logf("parallel: worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), host.Live())
-			exec(m.Handle(master.Event{Kind: master.EvJoin, Worker: int(s.ID), At: since()}))
-		case wire.HostDead:
-			if host.Drop(s) { // inert when already torn down (replaced, or send failure)
-				gone(s, e.Err)
-			}
-		case wire.HostResult:
-			if s.Gone() {
-				break
-			}
-			msg := e.Result
-			// Fill in the solution and meter T_F only when the
-			// machine will accept this result (a live lease granted
-			// to this worker); late duplicates are discarded inside.
-			if worker, item, live := m.Lease(msg.Lease); live && worker == int(s.ID) {
-				evalSec := msg.Fill(item)
-				terms.Evaluated(int(s.ID), item, evalSec)
-				terms.Queued(item, e.Wait)
-				if journal != nil {
-					// Reconstruct the worker's eval span master-side
-					// from the reported duration.
-					journal.Record(obs.Event{TS: since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
-				}
-			}
-			exec(m.Handle(master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: msg.Lease, At: since()}))
-			// Quality cadence: route the trigger through the master
-			// so the sample point lands in the BMEL log (replayable
-			// even though this driver's clock is wall time).
-			if q := cfg.Quality; q != nil && !m.Done() && q.Due(m.Completed(), since()) {
-				exec(m.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: since()}))
-			}
-		}
-		if m.Done() {
-			finish()
-		}
+	m, elapsed, err := sm.Run(mcfg, listener, dcfg.Conn, cfg.Problem)
+	if err != nil && dcfg.Logf != nil {
+		// Only the wall limit ends the run early; the result says how far
+		// it got.
+		dcfg.Logf("parallel: %v of %d", err, cfg.Evaluations)
 	}
-	host.Serve(listener, dcfg.Conn, cfg.Problem, handle)
-
-	var tickC <-chan time.Time
-	if leaseTimeout > 0 {
-		ticker := time.NewTicker(wire.TickInterval(leaseTimeout))
-		defer ticker.Stop()
-		tickC = ticker.C
-	}
-	var wallC <-chan time.Time
-	if dcfg.WallLimit > 0 {
-		wall := time.NewTimer(dcfg.WallLimit)
-		defer wall.Stop()
-		wallC = wall.C
-	}
-	tick := func() {
-		if !over {
-			exec(m.Handle(master.Event{Kind: master.EvTick, At: since()}))
-		}
-	}
-	wallLimit := func() {
-		if !over {
-			dcfg.logf("parallel: wall limit %v reached with %d/%d evaluations", dcfg.WallLimit, m.Completed(), cfg.Evaluations)
-			finish()
-		}
-	}
-	for waiting := true; waiting; {
-		select {
-		case <-finished:
-			waiting = false
-		case <-tickC:
-			host.Do(tick)
-		case <-wallC:
-			host.Do(wallLimit)
-		}
-	}
-	// Stops every worker the host ever accepted; no handler runs after
-	// it, so the state below is final.
-	host.Close(true)
 
 	st := m.Stats()
-	res.ElapsedTime = elapsedAtN
-	if res.ElapsedTime == 0 {
-		res.ElapsedTime = since()
-	}
+	res := &Result{Final: b, ElapsedTime: elapsed}
 	res.Evaluations = st.Completed
 	res.Completed = st.Completed >= cfg.Evaluations
 	res.Resubmissions = st.Resubmissions

@@ -1,11 +1,13 @@
 package parallel
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/fault"
+	"borgmoea/internal/master"
 	"borgmoea/internal/metrics"
 	"borgmoea/internal/problems"
 	"borgmoea/internal/stats"
@@ -94,22 +96,40 @@ func TestIslandsCompleteBudgets(t *testing.T) {
 	}
 }
 
+// TestSingleIslandMatchesMonolithic: one island is RunAsync — the same
+// master body, on streams derived from the same seed — so the archive,
+// the protocol log and the elapsed time agree to the bit. Sampled T_F,
+// T_A and T_C make every stream count.
 func TestSingleIslandMatchesMonolithic(t *testing.T) {
-	// One island must behave exactly like RunAsync with the same
-	// parameters, modulo the per-island seed derivation.
-	res, err := RunIslands(IslandsConfig{Base: islandBase(8, 2000), Islands: 1})
+	cfg := islandBase(8, 2000)
+	cfg.TF = stats.GammaFromMeanCV(0.001, 0.1)
+	cfg.TA = stats.GammaFromMeanCV(0.000029, 0.5)
+	cfg.TC = stats.GammaFromMeanCV(0.000006, 0.5)
+	islandLog := master.NewLog()
+	res, err := RunIslands(IslandsConfig{Base: cfg, Islands: 1, Logs: []*master.Log{islandLog}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := RunAsync(islandBase(8, 2000))
+	cfg.Protocol = master.NewLog()
+	mono, err := RunAsync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic constant timings: both derive from the same Eq. 2
-	// process, so elapsed times agree to within a cycle.
-	if rel := math.Abs(res.ElapsedTime-mono.ElapsedTime) / mono.ElapsedTime; rel > 0.02 {
-		t.Fatalf("single island %v vs monolithic %v (%.1f%% apart)",
-			res.ElapsedTime, mono.ElapsedTime, 100*rel)
+	var got, want bytes.Buffer
+	if err := core.SaveArchive(&got, res.Islands[0].Archive()); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SaveArchive(&want, mono.Final.Archive()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("single-island archive differs from RunAsync's")
+	}
+	if !bytes.Equal(islandLog.CanonicalBytes(), cfg.Protocol.CanonicalBytes()) {
+		t.Error("single-island protocol log differs canonically from RunAsync's")
+	}
+	if math.Float64bits(res.ElapsedTime) != math.Float64bits(mono.ElapsedTime) {
+		t.Errorf("single island elapsed %v, RunAsync %v", res.ElapsedTime, mono.ElapsedTime)
 	}
 }
 

@@ -59,7 +59,7 @@ func RunSync(cfg Config) (*Result, error) {
 		Meters: meters, Capture: cfg.CaptureTimings,
 		TA: cfg.TA, TC: cfg.TC, Rng: rng.New(cfg.Seed ^ 0x73796e63), // "sync"
 	})
-	startWorkers(cl, &cfg, terms)
+	startWorkers(cl, &cfg, terms, 0)
 
 	node := cl.Node(0)
 	masterTFRng := rng.New(cfg.Seed ^ 0x6d746600)

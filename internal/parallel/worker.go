@@ -84,13 +84,14 @@ func (w *worker) onRespond() {
 	w.serve()
 }
 
-// startWorkers starts the P−1 workers shared by the async and sync
-// virtual-time drivers, worker w on node w with its own T_F stream,
-// reporting to the master's meter.
-func startWorkers(cl *cluster.Cluster, cfg *Config, terms *master.Terms) {
+// startWorkers starts the P−1 workers of the master at rank, shared by
+// the async and sync virtual-time drivers: worker w on the node w ranks
+// past the master's, with its own T_F stream, reporting to the
+// master's meter.
+func startWorkers(cl *cluster.Cluster, cfg *Config, terms *master.Terms, rank int) {
 	for r := 1; r < cfg.Processors; r++ {
 		w := &worker{
-			eng: cl.Engine(), node: cl.Node(r), problem: cfg.Problem, tf: cfg.TF, straggler: 1,
+			eng: cl.Engine(), node: cl.Node(rank + r), master: rank, problem: cfg.Problem, tf: cfg.TF, straggler: 1,
 			rng:   rng.New(cfg.Seed ^ (uint64(r) * 0x9e3779b97f4a7c15)),
 			terms: terms,
 		}

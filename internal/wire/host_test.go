@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"os"
@@ -651,4 +654,90 @@ func TestNoHandRolledHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// masterLoopHomes are the only files under internal/ that may host a
+// master loop, by kind: Host.Serve (a socket host handing worker events
+// to a master) and a DES process started with Engine.Go or GoAfter. The
+// asynchronous master is written once per transport —
+// federation.SocketMaster serves RunAsyncDistributed and every TCP
+// island, startMaster RunAsync and every DES island — beside the job
+// scheduler's multiplexing loop, RunSync's generational loop and the
+// simulation model's processes.
+var masterLoopHomes = map[string][]string{
+	"Host.Serve": {"federation/master.go", "jobs/"},
+	"Engine.Go":  {"parallel/async.go", "parallel/sync.go", "model/simulation.go"},
+}
+
+// TestNoHandRolledMasterLoop keeps a second copy of a master loop from
+// growing back: outside masterLoopHomes, no non-test file under
+// internal/ calls Host.Serve — recognised as a Serve call with four
+// arguments, the listener, options, problem and handler — or starts a
+// process — a Go or GoAfter call handed a func(*des.Process) literal.
+func TestNoHandRolledMasterLoop(t *testing.T) {
+	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		rel := strings.TrimPrefix(filepath.ToSlash(path), "../")
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			kind := ""
+			switch name := sel.Sel.Name; {
+			case name == "Serve" && len(call.Args) == 4:
+				kind = "Host.Serve"
+			case (name == "Go" || name == "GoAfter") && startsProcess(call.Args):
+				kind = "Engine.Go"
+			default:
+				return true
+			}
+			for _, home := range masterLoopHomes[kind] {
+				if rel == home || strings.HasSuffix(home, "/") && strings.HasPrefix(rel, home) {
+					return true
+				}
+			}
+			t.Errorf("%s: %s call outside %v\n\ta master loop is written once per transport: serve a TCP fleet with federation.SocketMaster, simulate one with parallel's startMaster",
+				fset.Position(call.Pos()), kind, masterLoopHomes[kind])
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// startsProcess reports whether args end in a func literal taking a
+// *des.Process — the body of a DES process.
+func startsProcess(args []ast.Expr) bool {
+	if len(args) == 0 {
+		return false
+	}
+	lit, ok := args[len(args)-1].(*ast.FuncLit)
+	if !ok || len(lit.Type.Params.List) != 1 {
+		return false
+	}
+	star, ok := lit.Type.Params.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	switch x := star.X.(type) {
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "Process"
+	case *ast.Ident:
+		return x.Name == "Process"
+	}
+	return false
 }
