@@ -168,6 +168,10 @@ type Advisor struct {
 
 	// quality is the search-health detector state (quality.go).
 	quality qualityState
+
+	// workerReports' scratch, reused across reports.
+	ids           []int
+	eligible, dev []float64
 }
 
 // New returns an advisor with defaults filled in.
@@ -433,27 +437,30 @@ func (a *Advisor) workerReports() ([]WorkerReport, []int) {
 	if len(a.workers) == 0 {
 		return nil, nil
 	}
-	ids := make([]int, 0, len(a.workers))
+	ids := a.ids[:0]
 	for id := range a.workers {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	a.ids = ids
 
 	// Fleet median and MAD over workers with enough samples.
-	var eligible []float64
+	eligible := a.eligible[:0]
 	for _, id := range ids {
 		ws := a.workers[id]
 		if ws.tf.Count() >= DefaultMinSamples {
 			eligible = append(eligible, ws.tf.Value())
 		}
 	}
+	a.eligible = eligible
 	med := median(eligible)
 	var mad float64
 	if len(eligible) >= 3 {
-		dev := make([]float64, len(eligible))
-		for i, v := range eligible {
-			dev[i] = math.Abs(v - med)
+		dev := a.dev[:0]
+		for _, v := range eligible {
+			dev = append(dev, math.Abs(v-med))
 		}
+		a.dev = dev
 		mad = median(dev) * 1.4826 // consistency constant for normal data
 	}
 

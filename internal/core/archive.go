@@ -83,16 +83,40 @@ func NewArchive(epsilons []float64, numOps int) *Archive {
 			panic("core: archive epsilons must be positive")
 		}
 	}
-	a := &Archive{
+	a := new(Archive)
+	a.reset(epsilons, numOps)
+	return a
+}
+
+// reset makes a an empty archive as NewArchive builds it, releasing its
+// members and keeping its owner and the storage of its member, box and
+// grid tables. The ε vector is a fresh copy, so one a former caller
+// holds does not change.
+func (a *Archive) reset(epsilons []float64, numOps int) {
+	for _, m := range a.members {
+		a.owner.leave(m)
+	}
+	clear(a.members)
+	grid := a.grid
+	if len(epsilons) > gridDims {
+		grid = nil
+	} else if grid == nil {
+		grid = make(map[gridKey]int)
+	}
+	clear(grid)
+	*a = Archive{
 		epsilons: append([]float64(nil), epsilons...),
+		members:  a.members[:0],
+		owner:    a.owner,
+		boxData:  a.boxData[:0],
+		sums:     a.sums[:0],
+		sigs:     a.sigs[:0],
+		grid:     grid,
 		scratch:  make([]int64, len(epsilons)),
+		marks:    a.marks[:0],
 		numOps:   numOps,
 		opCounts: make([]int, numOps),
 	}
-	if len(epsilons) <= gridDims {
-		a.grid = make(map[gridKey]int)
-	}
-	return a
 }
 
 // Epsilons returns the archive's ε vector (not a copy; do not modify).

@@ -62,30 +62,75 @@ type Borg struct {
 // New constructs a Borg instance for the problem. cfg is normalized
 // (defaults filled); an invalid configuration returns an error.
 func New(problem problems.Problem, cfg Config) (*Borg, error) {
-	if err := cfg.Normalize(); err != nil {
+	b := new(Borg)
+	if err := b.Reset(problem, cfg); err != nil {
 		return nil, err
 	}
+	return b, nil
+}
+
+// Reset turns b into the Borg New(problem, cfg) returns, whatever b ran
+// before: every later Suggest, Accept and restart, and every value they
+// produce, is New's. It is how a finished run's Borg starts the next
+// one. If the problem has b's variable count, b keeps the storage of
+// the solutions it minted (its free list, its population and archive
+// members, and its undrawn restart injections) and mints the new run's
+// solutions from it; otherwise that storage is dropped. Either way the
+// population and archive keep their tables.
+//
+// Reset ends b's former run: nothing may keep a pointer to a solution
+// b minted, its population or archive members included, since the new
+// run rewrites them. An invalid configuration returns an error and
+// leaves b as it was.
+func (b *Borg) Reset(problem problems.Problem, cfg Config) error {
+	if err := cfg.Normalize(); err != nil {
+		return err
+	}
 	if len(cfg.Epsilons) != problem.NumObjs() {
-		return nil, fmt.Errorf("core: %d epsilons for %d objectives",
+		return fmt.Errorf("core: %d epsilons for %d objectives",
 			len(cfg.Epsilons), problem.NumObjs())
 	}
 	lo, hi := problem.Bounds()
-	b := &Borg{
+	if b.free.mark == nil || len(lo) != len(b.lo) {
+		// A new mark disowns every solution b minted so far: none goes
+		// back on the list.
+		b.free = freeList{mark: new(ownerMark)}
+	}
+	if b.pop == nil {
+		b.pop, b.arch = new(Population), new(Archive)
+		b.pop.owner, b.arch.owner = &b.free, &b.free
+	}
+	b.pop.reset(cfg.InitialPopulationSize)
+	b.arch.reset(cfg.Epsilons, len(cfg.Operators))
+	for _, s := range b.pending[b.pendingHead:] {
+		b.free.release(s)
+	}
+	clear(b.pending)
+	clear(b.parents)
+	r := b.rng
+	if r == nil {
+		r = new(rng.Source)
+	}
+	r.Seed(cfg.Seed ^ 0x626f7267) // "borg"
+	*b = Borg{
 		problem:       problem,
 		cfg:           cfg,
-		rng:           rng.New(cfg.Seed ^ 0x626f7267), // "borg"
+		rng:           r,
 		lo:            lo,
 		hi:            hi,
-		pop:           NewPopulation(cfg.InitialPopulationSize),
-		arch:          NewArchive(cfg.Epsilons, len(cfg.Operators)),
+		pop:           b.pop,
+		arch:          b.arch,
+		free:          b.free,
+		pending:       b.pending[:0],
 		initRemaining: cfg.InitialPopulationSize,
 		opSelected:    make([]uint64, len(cfg.Operators)),
 		injectOp:      operators.NewUM(),
+		probs:         b.probs[:0],
+		parents:       b.parents,
+		opWork:        b.opWork,
 	}
-	b.free.mark = new(ownerMark)
-	b.pop.owner, b.arch.owner = &b.free, &b.free
 	b.tournamentSize = b.tournamentSizeFor(cfg.InitialPopulationSize)
-	return b, nil
+	return nil
 }
 
 // MustNew is New that panics on configuration errors; convenient for

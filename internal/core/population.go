@@ -65,10 +65,27 @@ type Population struct {
 // NewPopulation returns an empty population with the given capacity.
 // It panics if capacity < 1.
 func NewPopulation(capacity int) *Population {
+	p := new(Population)
+	p.reset(capacity)
+	return p
+}
+
+// reset makes p an empty population of the given capacity, as
+// NewPopulation builds, releasing its members and keeping its owner
+// and the storage of its slices. It panics if capacity < 1.
+func (p *Population) reset(capacity int) {
 	if capacity < 1 {
 		panic("core: population capacity must be >= 1")
 	}
-	return &Population{capacity: capacity}
+	p.Clear()
+	*p = Population{
+		members:   p.members,
+		capacity:  capacity,
+		owner:     p.owner,
+		objs:      p.objs,
+		sigs:      p.sigs,
+		dominated: p.dominated[:0],
+	}
 }
 
 // Size returns the current member count.

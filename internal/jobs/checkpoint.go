@@ -50,6 +50,7 @@ type ckpt struct {
 	dir, id string
 	logF    *os.File
 	lw      *master.LogWriter
+	buf     []byte // the archive snapshot, encoded in place at every checkpoint
 }
 
 func newCkpt(dir, id string) (*ckpt, error) {
@@ -127,11 +128,11 @@ func (c *ckpt) sinkTo(l *master.Log) {
 }
 
 func (c *ckpt) saveArchive(a *core.Archive) error {
-	var buf strings.Builder
-	if err := core.SaveArchive(&buf, a); err != nil {
+	var err error
+	if c.buf, err = core.AppendArchive(c.buf[:0], a); err != nil {
 		return err
 	}
-	return c.writeAtomic(c.path("archive.json"), []byte(buf.String()))
+	return c.writeAtomic(c.path("archive.json"), c.buf)
 }
 
 // finalize writes the terminal marker and closes the log stream. It
@@ -229,14 +230,14 @@ func (s *Scheduler) resumeJob(id string) error {
 		return fmt.Errorf("corrupt spec file: %v", err)
 	}
 	j := &job{
-		id:            id,
-		spec:          sf.Spec,
-		state:         StateQueued,
-		workers:       make(map[uint64]struct{}),
-		failed:        make(map[uint64]struct{}),
-		submittedWall: sf.SubmittedAt,
-		submitted:     sf.SubmittedSeconds,
-		ck:            ck,
+		id:          id,
+		spec:        sf.Spec,
+		state:       StateQueued,
+		workers:     make(map[uint64]struct{}),
+		failed:      make(map[uint64]struct{}),
+		submittedAt: sf.SubmittedAt.Format(time.RFC3339Nano),
+		submitted:   sf.SubmittedSeconds,
+		ck:          ck,
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -248,6 +249,7 @@ func (s *Scheduler) resumeJob(id string) error {
 		// server.
 		j.state = StateFailed
 		j.errMsg = err.Error()
+		s.freeze(j)
 		return nil
 	}
 	j.problem, j.name, j.algCfg = problem, problem.Name(), algCfg
@@ -264,7 +266,8 @@ func (s *Scheduler) resumeJob(id string) error {
 		j.errMsg = meta.Error
 		j.firstResult = meta.FirstResultSeconds
 		j.finished = meta.FinishedSeconds
-		j.restored = &meta
+		s.freeze(j)
+		j.final.Evaluations, j.final.ArchiveSize = meta.Evaluations, meta.ArchiveSize
 		if meta.FinishedSeconds > s.clockOff {
 			s.clockOff = meta.FinishedSeconds
 		}
@@ -294,12 +297,14 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = fmt.Sprintf("unreadable checkpoint log: %v", err)
+		s.freeze(j)
 		return nil
 	}
-	b, err := core.New(j.problem, j.algCfg)
+	b, err := s.newBorg(j)
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
+		s.freeze(j)
 		return nil
 	}
 	j.borg = b
@@ -325,6 +330,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = fmt.Sprintf("replay: %v", err)
+		s.freeze(j)
 		return nil
 	}
 	j.mcore = mc
@@ -352,11 +358,12 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		if err := ck.saveArchive(b.Archive()); err != nil {
 			return err
 		}
-		return ck.finalize(j, last)
+		err := ck.finalize(j, last)
+		s.freeze(j)
+		return err
 	}
 
-	j.state = StateRunning
-	s.active++
+	s.setRunning(j)
 	// The recorded workers' transport died with the old server; until
 	// each is declared gone its leases would wait out their timeouts.
 	for _, wid := range mc.LiveWorkers() {

@@ -11,14 +11,16 @@ import (
 	"borgmoea/internal/wire"
 )
 
-// heapAfterJobs runs n jobs of the given budget on a fresh scheduler
-// without StateDir and a two-worker fleet, and returns the live heap
-// after a forced GC, read while the scheduler and every finished job's
-// core are still alive. Each call's workers have exited before it
-// returns, so consecutive calls measure from the same baseline.
-func heapAfterJobs(t *testing.T, n int, budget uint64) uint64 {
+// heapAfterJobs runs n jobs of the given budget, at most maxActive at
+// once (0: all), on a fresh scheduler without StateDir and a two-worker
+// fleet, and returns the live heap after a forced GC, read while the
+// scheduler and every finished job's record are still alive, and the
+// mean size of the finished jobs' results. Each call's workers have
+// exited before it returns, so consecutive calls measure from the same
+// baseline.
+func heapAfterJobs(t *testing.T, n, maxActive int, budget uint64) (heap uint64, result float64) {
 	t.Helper()
-	s, err := New(Config{FleetListen: "127.0.0.1:0", LeaseTimeout: 5 * time.Second})
+	s, err := New(Config{FleetListen: "127.0.0.1:0", LeaseTimeout: 5 * time.Second, MaxActive: maxActive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func heapAfterJobs(t *testing.T, n int, budget uint64) uint64 {
 			t.Fatal(err)
 		}
 	}
-	waitJobs(t, s, 120*time.Second, func(st Status) bool { return st.State == StateDone })
+	list := waitJobs(t, s, 120*time.Second, func(st Status) bool { return st.State == StateDone })
 	if err := s.do(func() {
 		for _, j := range s.jobs {
 			if j.log != nil {
@@ -56,10 +58,17 @@ func heapAfterJobs(t *testing.T, n int, budget uint64) uint64 {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	for _, st := range list {
+		data, err := s.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result += float64(len(data)) / float64(len(list))
+	}
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return ms.HeapAlloc, result
 }
 
 // TestSchedulerHeapFlatPerEvaluation: the job service's live heap
@@ -71,13 +80,33 @@ func TestSchedulerHeapFlatPerEvaluation(t *testing.T) {
 		t.Skip("multi-second integration test")
 	}
 	const jobsN, small, large = 4, 2000, 8000
-	hSmall := heapAfterJobs(t, jobsN, small)
-	hLarge := heapAfterJobs(t, jobsN, large)
+	hSmall, _ := heapAfterJobs(t, jobsN, 0, small)
+	hLarge, _ := heapAfterJobs(t, jobsN, 0, large)
 	slope := (float64(hLarge) - float64(hSmall)) / float64(jobsN*(large-small))
 	t.Logf("live heap %d B after %d evaluations, %d B after %d: %.1f B/eval",
 		hSmall, jobsN*small, hLarge, jobsN*large, slope)
 	if slope >= 8 {
 		t.Errorf("live heap grows %.1f B per evaluation served, want < 8", slope)
+	}
+}
+
+// TestSchedulerHeapFlatPerJob: a finished job keeps its answer, not its
+// algorithm. With two jobs running at a time, the live heap grows per
+// finished job by its archive document and its frozen status, not by a
+// Borg, a core or an advisor: 14 jobs against 2 cost under 8 KB per job
+// beyond the document.
+func TestSchedulerHeapFlatPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second integration test")
+	}
+	const few, many, budget = 2, 14, 2000
+	hFew, _ := heapAfterJobs(t, few, 2, budget)
+	hMany, result := heapAfterJobs(t, many, 2, budget)
+	slope := (float64(hMany) - float64(hFew)) / (many - few)
+	t.Logf("live heap %d B after %d jobs, %d B after %d: %.0f B per job, results %.0f B",
+		hFew, few, hMany, many, slope, result)
+	if slope >= result+8<<10 {
+		t.Errorf("live heap grows %.0f B per finished job, want under its %.0f B result plus 8 KB", slope, result)
 	}
 }
 

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -97,6 +96,12 @@ const strideOne = 1 << 20
 
 // job is the scheduler's per-run state. All fields are guarded by the
 // fleet host's loop lock.
+//
+// A running job holds its algorithm: borg, mcore, adv, terms and
+// quality. A terminal one is frozen (see freeze): it holds its final
+// Status and advisor report, and its archive document in result unless
+// its checkpoint file serves it. A job restored from its terminal
+// marker is frozen from the start.
 type job struct {
 	id      string
 	spec    *Spec
@@ -116,6 +121,10 @@ type job struct {
 	quality *obs.QualitySampler // nil unless Spec.QualityEvery > 0
 	ck      *ckpt               // nil without StateDir
 
+	final  *Status         // frozen Status of a terminal job (Advisor unset); nil while it can still change
+	report *advisor.Report // a frozen job's last advisor report; nil if it never ran
+	result []byte          // a frozen job's archive document, when no checkpoint file holds it
+
 	// stride scheduling: next pass value and per-grant increment.
 	pass, stride uint64
 
@@ -125,13 +134,12 @@ type job struct {
 	workers map[uint64]struct{}
 	failed  map[uint64]struct{}
 
-	submittedWall time.Time
-	submitted     float64 // scheduler-clock seconds
-	firstResult   float64
-	finished      float64
+	submittedAt string  // RFC3339Nano wall time, formatted once
+	submitted   float64 // scheduler-clock seconds
+	firstResult float64
+	finished    float64
 
-	replaying bool          // suppress checkpoint writes while replaying
-	restored  *restoredMeta // terminal outcome restored from StateDir
+	replaying bool // suppress checkpoint writes while replaying
 }
 
 // wantWork reports whether the job's core would grant an evaluation to
@@ -202,6 +210,16 @@ type Scheduler struct {
 	nextJob       uint64
 	start         time.Time
 	clockOff      float64
+	// ending holds jobs that finished inside a handler of theirs, frozen
+	// once the event that ended them has unwound (settle).
+	ending []*job
+	// spares are frozen jobs' Borgs, which the next jobs start on; there
+	// are never more than peakActive, the most jobs that ran at once.
+	spares     []*core.Borg
+	peakActive int
+	// encBuf is the scratch a frozen job's archive document is encoded
+	// into before it is copied out at its size.
+	encBuf []byte
 }
 
 // New binds the fleet listener, resumes any jobs persisted in
@@ -307,7 +325,7 @@ func (s *Scheduler) do(fn func()) error {
 	s.host.Do(func() {
 		if !s.closed {
 			fn()
-			s.updateGauges()
+			s.settle()
 			err = nil
 		}
 	})
@@ -331,6 +349,18 @@ func (s *Scheduler) ticks() {
 	}
 }
 
+// settle ends every loop-locked event: jobs that finished inside it are
+// frozen, now that no handler of theirs is on the stack, and the gauges
+// are updated.
+func (s *Scheduler) settle() {
+	for i, j := range s.ending {
+		s.freeze(j)
+		s.ending[i] = nil
+	}
+	s.ending = s.ending[:0]
+	s.updateGauges()
+}
+
 func (s *Scheduler) updateGauges() {
 	s.gActive.Set(float64(s.active))
 	s.gQueued.Set(float64(len(s.queue)))
@@ -343,7 +373,7 @@ func (s *Scheduler) onFleet(e wire.HostEvent) {
 	if s.closed {
 		return
 	}
-	defer s.updateGauges()
+	defer s.settle()
 	w := s.fleet[e.Sess] // nil once the session is gone: stale events drop
 	switch e.Kind {
 	case wire.HostJoin:
@@ -596,18 +626,19 @@ func (s *Scheduler) submit(spec *Spec) (Status, error) {
 		return Status{}, ErrOverloaded
 	}
 	s.nextJob++
+	wall := time.Now()
 	j := &job{
-		id:            fmt.Sprintf("j%06d", s.nextJob),
-		spec:          spec,
-		problem:       problem,
-		name:          problem.Name(),
-		algCfg:        algCfg,
-		state:         StateQueued,
-		stride:        strideOne / uint64(spec.Priority),
-		workers:       make(map[uint64]struct{}),
-		failed:        make(map[uint64]struct{}),
-		submittedWall: time.Now(),
-		submitted:     s.now(),
+		id:          fmt.Sprintf("j%06d", s.nextJob),
+		spec:        spec,
+		problem:     problem,
+		name:        problem.Name(),
+		algCfg:      algCfg,
+		state:       StateQueued,
+		stride:      strideOne / uint64(spec.Priority),
+		workers:     make(map[uint64]struct{}),
+		failed:      make(map[uint64]struct{}),
+		submittedAt: wall.Format(time.RFC3339Nano),
+		submitted:   s.now(),
 	}
 	if s.cfg.StateDir != "" {
 		ck, err := newCkpt(s.cfg.StateDir, j.id)
@@ -616,7 +647,7 @@ func (s *Scheduler) submit(spec *Spec) (Status, error) {
 			return Status{}, err
 		}
 		j.ck = ck
-		if err := ck.writeSpec(spec, j.submittedWall, j.submitted); err != nil {
+		if err := ck.writeSpec(spec, wall, j.submitted); err != nil {
 			s.mRejected.Inc()
 			return Status{}, err
 		}
@@ -643,10 +674,33 @@ func (s *Scheduler) maybeStart() {
 	}
 }
 
+// newBorg returns the Borg j runs on: a spare reset onto j's problem,
+// or a new one when there is no spare.
+func (s *Scheduler) newBorg(j *job) (*core.Borg, error) {
+	n := len(s.spares)
+	if n == 0 {
+		return core.New(j.problem, j.algCfg)
+	}
+	b := s.spares[n-1]
+	if err := b.Reset(j.problem, j.algCfg); err != nil {
+		return nil, err // b stays a spare
+	}
+	s.spares[n-1] = nil
+	s.spares = s.spares[:n-1]
+	return b, nil
+}
+
+// setRunning counts j as a running job.
+func (s *Scheduler) setRunning(j *job) {
+	j.state = StateRunning
+	s.active++
+	s.peakActive = max(s.peakActive, s.active)
+}
+
 // startJob builds the job's Borg instance, core and checkpoint stream,
 // then pulls in any idle fleet workers.
 func (s *Scheduler) startJob(j *job) {
-	b, err := core.New(j.problem, j.algCfg)
+	b, err := s.newBorg(j)
 	if err != nil {
 		s.failJob(j, fmt.Sprintf("constructing algorithm: %v", err))
 		return
@@ -693,8 +747,7 @@ func (s *Scheduler) startJob(j *job) {
 			return
 		}
 	}
-	j.state = StateRunning
-	s.active++
+	s.setRunning(j)
 	// Floor the new job's pass at the runnable minimum so it neither
 	// monopolizes the fleet (pass 0 would win every assignment until
 	// it caught up) nor waits behind long-running jobs' accumulated
@@ -773,6 +826,8 @@ func (s *Scheduler) finishJob(j *job) {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
+	// exec, and the handler that called it, still use j's core.
+	s.ending = append(s.ending, j)
 	s.maybeStart()
 }
 
@@ -790,6 +845,7 @@ func (s *Scheduler) failJob(j *job, msg string) {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
+	s.freeze(j)
 	s.maybeStart()
 }
 
@@ -811,22 +867,12 @@ func (s *Scheduler) cancel(id string) error {
 			}
 		}
 	}
-	wasRunning := j.state == StateRunning
+	if j.state == StateRunning {
+		s.active--
+	}
 	j.state = StateCancelled
 	j.finished = s.now()
 	s.mCancelled.Inc()
-	if wasRunning {
-		s.active--
-		// Workers park or return in-flight results that now route to a
-		// cancelled job; either way they get reassigned. Clear the
-		// assignment now so idle ones move immediately.
-		for wid := range j.workers {
-			if w := s.worker(int(wid)); w != nil && w.job == j {
-				w.job = nil
-			}
-		}
-		j.workers = make(map[uint64]struct{})
-	}
 	if j.ck != nil {
 		if j.borg != nil {
 			if err := j.ck.saveArchive(j.borg.Archive()); err != nil {
@@ -838,9 +884,53 @@ func (s *Scheduler) cancel(id string) error {
 		}
 	}
 	s.cfg.logf("jobs: %s cancelled", j.id)
+	// Workers park or return in-flight results that now route to a
+	// cancelled job; either way they get reassigned. Freezing clears
+	// their assignment now, so idle ones move immediately.
+	s.freeze(j)
 	s.maybeStart()
 	s.sweepAssign()
 	return nil
+}
+
+// freeze turns a terminal job into its frozen record: the final Status
+// and advisor report, and the archive document unless the job's
+// checkpoint file holds it. The job's workers are unassigned, its Borg
+// becomes a spare for the next job, and the rest of its algorithm state
+// is dropped, so later results, leaves and gone events for it touch no
+// core. No handler of j's may be on the stack.
+func (s *Scheduler) freeze(j *job) {
+	for wid := range j.workers {
+		if w := s.worker(int(wid)); w != nil && w.job == j {
+			w.job = nil
+		}
+	}
+	j.workers = nil
+	st := s.status(j)
+	j.final = &st
+	if j.adv != nil {
+		r := j.adv.Report()
+		j.report = &r
+	}
+	if b := j.borg; b != nil {
+		if j.ck == nil {
+			var err error
+			if s.encBuf, err = core.AppendArchive(s.encBuf[:0], b.Archive()); err != nil {
+				s.cfg.logf("jobs: %s final archive: %v", j.id, err)
+			} else {
+				j.result = append([]byte(nil), s.encBuf...)
+			}
+		}
+		if len(s.spares) < s.peakActive {
+			s.spares = append(s.spares, b)
+		}
+	}
+	// The sampler must not reach the Borg the next job runs on.
+	j.quality.Attach(nil)
+	j.borg, j.mcore, j.adv, j.terms, j.quality = nil, nil, nil, nil, nil
+	if j.ck != nil {
+		j.ck.buf = nil
+	}
 }
 
 // shutdown runs under the loop lock during Close: final checkpoints,
@@ -862,13 +952,16 @@ func (s *Scheduler) shutdown() {
 
 // status builds a job's externally visible snapshot; loop-locked.
 func (s *Scheduler) status(j *job) Status {
+	if j.final != nil {
+		return *j.final
+	}
 	st := Status{
 		ID:                 j.id,
 		State:              j.state,
 		Problem:            j.name,
 		Priority:           j.spec.Priority,
 		Budget:             j.spec.Evaluations,
-		SubmittedAt:        j.submittedWall.Format(time.RFC3339Nano),
+		SubmittedAt:        j.submittedAt,
 		SubmittedSeconds:   j.submitted,
 		FirstResultSeconds: j.firstResult,
 		FinishedSeconds:    j.finished,
@@ -887,9 +980,6 @@ func (s *Scheduler) status(j *job) Status {
 	}
 	if j.borg != nil {
 		st.ArchiveSize = j.borg.Archive().Size()
-	} else if j.restored != nil {
-		st.Evaluations = j.restored.Evaluations
-		st.ArchiveSize = j.restored.ArchiveSize
 	}
 	if j.quality != nil {
 		if latest, ok := j.quality.Latest(); ok {
@@ -911,7 +1001,10 @@ func (s *Scheduler) Submit(spec *Spec) (Status, error) {
 	return st, err
 }
 
-// Get returns one job's status, including its advisor report.
+// Get returns one job's status, including its advisor report: a
+// running job's live analysis, a finished one's last. A finished job's
+// report and quality sample are shared by every Get and must not be
+// modified.
 func (s *Scheduler) Get(id string) (Status, error) {
 	var st Status
 	var adv *advisor.Advisor
@@ -919,6 +1012,7 @@ func (s *Scheduler) Get(id string) (Status, error) {
 	if derr := s.do(func() {
 		if j, ok := s.jobs[id]; ok {
 			st, adv, err = s.status(j), j.adv, nil
+			st.Advisor = j.report
 		}
 	}); derr != nil {
 		return Status{}, derr
@@ -960,8 +1054,10 @@ func (s *Scheduler) Cancel(id string) error {
 
 // Result returns a job's current ε-archive as the canonical archive
 // JSON (core.SaveArchive format) — partial while the job runs, final
-// once it is terminal. Jobs restored from a terminal marker serve
-// their persisted snapshot.
+// once it is terminal. A finished job with StateDir serves its
+// <id>.archive.json, as one restored from its terminal marker does;
+// without StateDir it serves the document encoded when it finished,
+// which every call shares and none may modify.
 func (s *Scheduler) Result(id string) ([]byte, error) {
 	var out []byte
 	var path string
@@ -974,11 +1070,11 @@ func (s *Scheduler) Result(id string) ([]byte, error) {
 		err = nil
 		switch {
 		case j.borg != nil:
-			var buf bytes.Buffer
-			err = core.SaveArchive(&buf, j.borg.Archive())
-			out = buf.Bytes()
+			out, err = core.AppendArchive(nil, j.borg.Archive())
 		case j.ck != nil:
 			path = j.ck.path("archive.json")
+		case j.result != nil:
+			out = j.result
 		default:
 			err = fmt.Errorf("jobs: %s has no results yet", id)
 		}
@@ -1025,18 +1121,26 @@ func (s *Scheduler) Traces() (map[string]*obs.Collector, error) {
 	return out, nil
 }
 
-// Advisors returns the live advisor of every job, for the per-job
-// /debug/scaling report.
-func (s *Scheduler) Advisors() (map[string]*advisor.Advisor, error) {
-	out := make(map[string]*advisor.Advisor)
+// Reports returns the advisor report of every job that has run, for
+// /debug/scaling: a running job's live analysis, a finished one's last.
+func (s *Scheduler) Reports() (map[string]advisor.Report, error) {
+	out := make(map[string]advisor.Report)
+	live := make(map[string]*advisor.Advisor)
 	if derr := s.do(func() {
 		for id, j := range s.jobs {
-			if j.adv != nil {
-				out[id] = j.adv
+			switch {
+			case j.adv != nil:
+				live[id] = j.adv
+			case j.report != nil:
+				out[id] = *j.report
 			}
 		}
 	}); derr != nil {
 		return nil, derr
+	}
+	// Report takes the advisor's own lock; do it off the loop lock.
+	for id, adv := range live {
+		out[id] = adv.Report()
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"borgmoea/internal/advisor"
 	"borgmoea/internal/obs"
 )
 
@@ -168,23 +167,22 @@ func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
 // single-run master serves on /debug/scaling, so borgview top points at a
 // job unchanged. Without it, a map of every job's report.
 func (s *Scheduler) handleScaling(w http.ResponseWriter, r *http.Request) {
-	advs, err := s.Advisors()
+	if id := r.URL.Query().Get("job"); id != "" {
+		st, err := s.Get(id)
+		if err == nil && st.Advisor == nil {
+			err = fmt.Errorf("%w: %s (or it has not started)", ErrNotFound, id)
+		}
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, st.Advisor)
+		return
+	}
+	reports, err := s.Reports()
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	if id := r.URL.Query().Get("job"); id != "" {
-		adv, ok := advs[id]
-		if !ok {
-			httpError(w, fmt.Errorf("%w: %s (or it has not started)", ErrNotFound, id))
-			return
-		}
-		writeJSON(w, http.StatusOK, adv.Report())
-		return
-	}
-	reports := make(map[string]advisor.Report, len(advs))
-	for id, adv := range advs {
-		reports[id] = adv.Report()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": reports})
 }

@@ -191,7 +191,9 @@ func NewQualitySampler(cfg QualityConfig) *QualitySampler {
 }
 
 // Attach binds the sampler to the algorithm it snapshots — the driver
-// calls this once, before the first event. Nil-safe.
+// calls this once, before the first event. Attach(nil) detaches it when
+// the run ends, so the sampler keeps its timeline but no pointer to an
+// algorithm that may be reused; a later Sample is empty. Nil-safe.
 func (s *QualitySampler) Attach(alg *core.Borg) {
 	if s == nil {
 		return
@@ -199,6 +201,9 @@ func (s *QualitySampler) Attach(alg *core.Borg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.alg = alg
+	if alg == nil {
+		return
+	}
 	s.ops = alg.OperatorNames()
 	s.g = newQualityGauges(s.cfg.Metrics, s.cfg.GaugePrefix, s.ops)
 	s.log.Operators = s.ops
