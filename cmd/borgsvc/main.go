@@ -14,9 +14,11 @@
 // With -state-dir every job persists — its spec at submission and a
 // streamed event log while running — and a restarted borgsvc replays
 // each job back to its exact pre-kill state and resumes it as the
-// fleet redials in. /healthz stays green through a drain while
-// /readyz flips to 503 the moment shutdown starts, so a load balancer
-// stops sending submissions before in-flight requests finish.
+// fleet redials in. A job that ends writes its final archive once,
+// <id>.archive.json, which its result serves from then on. /healthz
+// stays green through a drain while /readyz flips to 503 the moment
+// shutdown starts, so a load balancer stops sending submissions before
+// in-flight requests finish.
 //
 // -trace-rate samples distributed per-evaluation traces for every job
 // (each job mints its own trace ids from its job id); -profile-dir
@@ -46,7 +48,6 @@ func run() int {
 		leaseT      = flag.Duration("lease-timeout", 30*time.Second, "per-evaluation lease timeout")
 		maxActive   = flag.Int("max-active", 0, "simultaneously running jobs (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 1024, "queued jobs before submissions are rejected with 429")
-		ckEvery     = flag.Uint64("checkpoint-every", 64, "archive snapshot cadence in accepted evaluations (with -state-dir)")
 		drainT      = flag.Duration("drain-timeout", 5*time.Second, "graceful HTTP drain on shutdown")
 		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1] applied to every job (0 = tracing off)")
 		prof        = cli.ProfileFlags(", served under /debug/profiles/")
@@ -57,15 +58,14 @@ func run() int {
 	reg := borgmoea.NewMetrics()
 
 	sched, err := borgmoea.NewJobScheduler(borgmoea.JobServiceConfig{
-		FleetListen:     *fleetListen,
-		LeaseTimeout:    *leaseT,
-		MaxActive:       *maxActive,
-		MaxQueue:        *maxQueue,
-		StateDir:        *stateDir,
-		CheckpointEvery: *ckEvery,
-		TraceRate:       *traceRate,
-		Metrics:         reg,
-		Logf:            borgmoea.LogfAdapter(logger),
+		FleetListen:  *fleetListen,
+		LeaseTimeout: *leaseT,
+		MaxActive:    *maxActive,
+		MaxQueue:     *maxQueue,
+		StateDir:     *stateDir,
+		TraceRate:    *traceRate,
+		Metrics:      reg,
+		Logf:         borgmoea.LogfAdapter(logger),
 	})
 	if err != nil {
 		logger.Error("starting scheduler", "err", err)
@@ -92,8 +92,8 @@ func run() int {
 
 	// One flusher owns the drain sequence, shared by the signal path
 	// and the normal exit: drain HTTP (in-flight requests finish, new
-	// ones stop arriving), then close the scheduler — final checkpoints
-	// for every running job, worker connections dropped without a Stop
+	// ones stop arriving), then close the scheduler — every running
+	// job's event log closed, worker connections dropped without a Stop
 	// so the fleet redials the next server.
 	var flusher shutdown.Flusher
 	flusher.Add(func() {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 var binaries = []string{"borg", "borgd", "borgexp", "borgfed", "borgq", "borgsvc", "borgview"}
@@ -224,6 +225,49 @@ func TestScripts(t *testing.T) {
 		}
 		tl.ok("borgview", "timeline", "-events", "fed/island-0.bmel")
 		tl.ok("borgview", "timeline", "-quality", "fed/island-1.qlog")
+	})
+
+	t.Run("borgsvc kill restart", func(t *testing.T) {
+		tl.t = t
+		fleet, api := freeAddr(t), freeAddr(t)
+		svcArgs := []string{"-fleet-listen", fleet, "-api-addr", api, "-state-dir", "svc"}
+		q := func(args ...string) []string { return append([]string{"-addr", api}, args...) }
+		// answering polls borgq list until the service's API is up.
+		answering := func() {
+			t.Helper()
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+				if code, _, _ := tl.run("", "borgq", q("list")...); code == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("borgsvc API never answered")
+				}
+			}
+		}
+		result := func(id, out string) {
+			t.Helper()
+			if code, _, stderr := tl.run("", "borgq", q("result", id, "-o", out)...); code != 0 {
+				t.Fatalf("borgq result: exit %d\n%s", code, stderr)
+			}
+		}
+
+		svc := tl.start("borgsvc", svcArgs...)
+		tl.start("borgd", "-connect", fleet, "-quiet")
+		answering()
+		id := strings.Fields(tl.ok("borgq", q("submit", "-problem", "DTLZ2", "-objectives", "3", "-evals", "300", "-population", "16")...))[0]
+		tl.ok("borgq", q("watch", id, "-every", "50ms")...)
+		result(id, "a.json")
+
+		// SIGKILL: no drain, no shutdown hook; the state directory is
+		// all the next server has.
+		if err := svc.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		svc.Wait() //nolint:errcheck // killed on purpose
+		tl.start("borgsvc", svcArgs...)
+		answering()
+		result(id, "b.json")
+		tl.same("a.json", "b.json")
 	})
 
 	t.Run("experiments", func(t *testing.T) {

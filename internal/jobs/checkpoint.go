@@ -19,14 +19,15 @@ import (
 //
 //	<id>.spec.json     the submission, written once at accept time
 //	<id>.bmel          the streamed master event log (append-only)
-//	<id>.archive.json  the latest ε-archive snapshot (core.SaveArchive)
+//	<id>.archive.json  the final ε-archive (core.SaveArchive), written
+//	                   once when the job ends, before its marker
 //	<id>.final.json    terminal-state marker; present once the job ends
 //
-// The BMEL stream is the source of truth for a running job: resume
-// replays it through the deterministic core against a freshly seeded
-// Borg, recomputing each accepted Result's objectives, which lands the
-// job in its exact pre-kill state. The archive snapshot is what result
-// queries serve after the job (or the server) is gone.
+// The BMEL stream is a running job's only checkpoint: resume replays it
+// through the deterministic core against a freshly seeded Borg,
+// recomputing each accepted Result's objectives, which lands the job in
+// its exact pre-kill state. The archive file is what result queries
+// serve once the job has ended.
 
 // specFile wraps the submission with its accept-time stamps.
 type specFile struct {
@@ -50,7 +51,6 @@ type ckpt struct {
 	dir, id string
 	logF    *os.File
 	lw      *master.LogWriter
-	buf     []byte // the archive snapshot, encoded in place at every checkpoint
 }
 
 func newCkpt(dir, id string) (*ckpt, error) {
@@ -127,17 +127,11 @@ func (c *ckpt) sinkTo(l *master.Log) {
 	l.Sink = func(ev master.Event) { lw.Record(ev) } //nolint:errcheck // sticky, read at finalize
 }
 
-func (c *ckpt) saveArchive(a *core.Archive) error {
-	var err error
-	if c.buf, err = core.AppendArchive(c.buf[:0], a); err != nil {
-		return err
-	}
-	return c.writeAtomic(c.path("archive.json"), c.buf)
-}
-
-// finalize writes the terminal marker and closes the log stream. It
-// returns the first durability error seen anywhere in the job's life.
-func (c *ckpt) finalize(j *job, now float64) error {
+// finalize is a terminal job's one write: its final archive (when it
+// has a Borg), then the terminal marker, then the log stream closed.
+// No marker is written without its archive. It returns the first
+// durability error seen anywhere in the job's life.
+func (c *ckpt) finalize(j *job) error {
 	meta := restoredMeta{
 		State:              j.state,
 		Error:              j.errMsg,
@@ -147,12 +141,18 @@ func (c *ckpt) finalize(j *job, now float64) error {
 	if j.mcore != nil {
 		meta.Evaluations = j.mcore.Completed()
 	}
-	if j.borg != nil {
-		meta.ArchiveSize = j.borg.Archive().Size()
+	var doc []byte
+	var err error
+	if b := j.borg; b != nil {
+		meta.ArchiveSize = b.Archive().Size()
+		if doc, err = core.AppendArchive(nil, b.Archive()); err == nil {
+			err = c.writeAtomic(c.path("archive.json"), doc)
+		}
 	}
-	data, err := json.MarshalIndent(meta, "", " ")
 	if err == nil {
-		err = c.writeAtomic(c.path("final.json"), data)
+		if doc, err = json.MarshalIndent(meta, "", " "); err == nil {
+			err = c.writeAtomic(c.path("final.json"), doc)
+		}
 	}
 	if werr := c.close(); err == nil {
 		err = werr
@@ -255,8 +255,8 @@ func (s *Scheduler) resumeJob(id string) error {
 	j.problem, j.name, j.algCfg = problem, problem.Name(), algCfg
 	j.stride = strideOne / uint64(sf.Spec.Priority)
 
-	// Already terminal: a marker records the outcome; the archive
-	// snapshot serves result queries.
+	// Already terminal: a marker records the outcome; the archive file
+	// serves result queries.
 	if data, err := os.ReadFile(ck.path("final.json")); err == nil {
 		var meta restoredMeta
 		if err := json.Unmarshal(data, &meta); err != nil {
@@ -286,17 +286,19 @@ func (s *Scheduler) resumeJob(id string) error {
 // replay it through a fresh core and freshly seeded Borg (recomputing
 // accepted Results — deterministic problems make this exact), then
 // reattach the log so continued events append to the same stream, and
-// declare the dead fleet's workers gone so their leases resubmit.
+// declare the dead fleet's workers gone so their leases resubmit. A
+// stream that stops decoding at some record replays the records before
+// it, and the job ends failed with that prefix's archive.
 func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	f, err := os.Open(ck.path("bmel"))
 	if err != nil {
 		return err
 	}
-	log, err := master.ReadLog(f)
+	log, readErr := master.ReadLog(f)
 	f.Close()
-	if err != nil {
+	if readErr != nil && (log == nil || len(log.Events) == 0) {
 		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("unreadable checkpoint log: %v", err)
+		j.errMsg = fmt.Sprintf("unreadable checkpoint log: %v", readErr)
 		s.freeze(j)
 		return nil
 	}
@@ -334,14 +336,29 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		return nil
 	}
 	j.mcore = mc
-	j.log = log
 
-	// Continue the clock past the recorded run and keep fresh worker
-	// ids above every recorded one (redialing workers reclaim theirs).
+	// Continue the clock past the recorded run.
 	last := log.Events[len(log.Events)-1].At
 	if last > s.clockOff {
 		s.clockOff = last
 	}
+	if readErr != nil || mc.Done() {
+		// Corrupt past its prefix, or completed but the server died
+		// before finalizing: either way the job ends here.
+		j.state, j.finished = StateDone, last
+		if readErr != nil {
+			j.state = StateFailed
+			j.errMsg = fmt.Sprintf("checkpoint log unreadable after %d events: %v", len(log.Events), readErr)
+			s.cfg.logf("jobs: %s failed at %d evaluations: %s", j.id, mc.Completed(), j.errMsg)
+		}
+		err := ck.finalize(j)
+		s.freeze(j)
+		return err
+	}
+
+	// Keep fresh worker ids above every recorded one (redialing workers
+	// reclaim theirs) and append continued events to the same stream.
+	j.log = log
 	for _, ev := range log.Events {
 		s.host.Reserve(uint64(ev.Worker))
 	}
@@ -350,19 +367,6 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		return err
 	}
 	mc.AttachLog(log)
-
-	if mc.Done() {
-		// Completed, but the server died before finalizing.
-		j.state = StateDone
-		j.finished = last
-		if err := ck.saveArchive(b.Archive()); err != nil {
-			return err
-		}
-		err := ck.finalize(j, last)
-		s.freeze(j)
-		return err
-	}
-
 	s.setRunning(j)
 	// The recorded workers' transport died with the old server; until
 	// each is declared gone its leases would wait out their timeouts.

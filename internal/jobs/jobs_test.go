@@ -386,11 +386,10 @@ func TestKillAndRestartResume(t *testing.T) {
 	addr := ln.Addr().String()
 
 	cfg := Config{
-		FleetListener:   ln,
-		LeaseTimeout:    2 * time.Second,
-		StateDir:        dir,
-		CheckpointEvery: 50,
-		Logf:            t.Logf,
+		FleetListener: ln,
+		LeaseTimeout:  2 * time.Second,
+		StateDir:      dir,
+		Logf:          t.Logf,
 	}
 	s1, err := New(cfg)
 	if err != nil {

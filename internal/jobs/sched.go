@@ -65,13 +65,10 @@ type Config struct {
 	// Beyond it, submissions queue.
 	MaxActive int
 	// StateDir, when set, persists every job — spec at submission, a
-	// streamed BMEL event log while running, archive snapshots every
-	// CheckpointEvery accepts — and resumes whatever it finds there on
-	// startup. Empty disables persistence.
+	// streamed BMEL event log while running, the final archive once it
+	// ends — and resumes whatever it finds there on startup. Empty
+	// disables persistence.
 	StateDir string
-	// CheckpointEvery is the archive-snapshot cadence in accepted
-	// evaluations (default 64).
-	CheckpointEvery uint64
 	// Metrics receives the scheduler's counters and gauges.
 	Metrics *obs.Registry
 	// TraceRate, when positive, gives every job its own distributed-
@@ -100,7 +97,7 @@ const strideOne = 1 << 20
 // A running job holds its algorithm: borg, mcore, adv, terms and
 // quality. A terminal one is frozen (see freeze): it holds its final
 // Status and advisor report, and its archive document in result unless
-// its checkpoint file serves it. A job restored from its terminal
+// its archive file serves it. A job restored from its terminal
 // marker is frozen from the start.
 type job struct {
 	id      string
@@ -123,7 +120,7 @@ type job struct {
 
 	final  *Status         // frozen Status of a terminal job (Advisor unset); nil while it can still change
 	report *advisor.Report // a frozen job's last advisor report; nil if it never ran
-	result []byte          // a frozen job's archive document, when no checkpoint file holds it
+	result []byte          // a frozen job's archive document, when no archive file holds it
 
 	// stride scheduling: next pass value and per-grant increment.
 	pass, stride uint64
@@ -139,7 +136,7 @@ type job struct {
 	firstResult float64
 	finished    float64
 
-	replaying bool // suppress checkpoint writes while replaying
+	replaying bool // replayed accepts feed no live metric
 }
 
 // wantWork reports whether the job's core would grant an evaluation to
@@ -242,9 +239,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 1024
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 64
-	}
 	reg := cfg.Metrics
 	s := &Scheduler{
 		cfg:      cfg,
@@ -306,7 +300,7 @@ func (s *Scheduler) now() float64 {
 }
 
 // Close stops the scheduler: the fleet listener closes, every running
-// job takes a final checkpoint, and all worker connections drop
+// job's event log closes, and all worker connections drop
 // without a Stop — the fleet outlives any one server, so workers back
 // off and redial until a new scheduler binds the port. Queued and
 // running jobs resume from StateDir on the next New.
@@ -782,17 +776,11 @@ func newJobQuality(j *job) *obs.QualitySampler {
 	return j.quality
 }
 
-// onAcceptHook checkpoints the archive every CheckpointEvery accepts.
+// onAcceptHook counts live accepts; replay re-accepts counted ones.
 func (s *Scheduler) onAcceptHook(j *job) func(uint64) {
-	return func(completed uint64) {
-		if j.replaying {
-			return
-		}
-		s.mEvals.Inc()
-		if j.ck != nil && completed%s.cfg.CheckpointEvery == 0 {
-			if err := j.ck.saveArchive(j.borg.Archive()); err != nil {
-				s.cfg.logf("jobs: %s archive checkpoint: %v", j.id, err)
-			}
+	return func(uint64) {
+		if !j.replaying {
+			s.mEvals.Inc()
 		}
 	}
 }
@@ -819,10 +807,7 @@ func (s *Scheduler) finishJob(j *job) {
 	s.mCompleted.Inc()
 	s.cfg.logf("jobs: %s done: %d evaluations, archive %d", j.id, j.mcore.Completed(), j.borg.Archive().Size())
 	if j.ck != nil {
-		if err := j.ck.saveArchive(j.borg.Archive()); err != nil {
-			s.cfg.logf("jobs: %s final archive: %v", j.id, err)
-		}
-		if err := j.ck.finalize(j, s.now()); err != nil {
+		if err := j.ck.finalize(j); err != nil {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
@@ -841,7 +826,7 @@ func (s *Scheduler) failJob(j *job, msg string) {
 	s.mFailed.Inc()
 	s.cfg.logf("jobs: %s failed: %s", j.id, msg)
 	if j.ck != nil {
-		if err := j.ck.finalize(j, s.now()); err != nil {
+		if err := j.ck.finalize(j); err != nil {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
@@ -874,12 +859,7 @@ func (s *Scheduler) cancel(id string) error {
 	j.finished = s.now()
 	s.mCancelled.Inc()
 	if j.ck != nil {
-		if j.borg != nil {
-			if err := j.ck.saveArchive(j.borg.Archive()); err != nil {
-				s.cfg.logf("jobs: %s cancel archive: %v", j.id, err)
-			}
-		}
-		if err := j.ck.finalize(j, s.now()); err != nil {
+		if err := j.ck.finalize(j); err != nil {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
@@ -895,7 +875,7 @@ func (s *Scheduler) cancel(id string) error {
 
 // freeze turns a terminal job into its frozen record: the final Status
 // and advisor report, and the archive document unless the job's
-// checkpoint file holds it. The job's workers are unassigned, its Borg
+// archive file holds it. The job's workers are unassigned, its Borg
 // becomes a spare for the next job, and the rest of its algorithm state
 // is dropped, so later results, leaves and gone events for it touch no
 // core. No handler of j's may be on the stack.
@@ -928,23 +908,16 @@ func (s *Scheduler) freeze(j *job) {
 	// The sampler must not reach the Borg the next job runs on.
 	j.quality.Attach(nil)
 	j.borg, j.mcore, j.adv, j.terms, j.quality = nil, nil, nil, nil, nil
-	if j.ck != nil {
-		j.ck.buf = nil
-	}
 }
 
-// shutdown runs under the loop lock during Close: final checkpoints,
-// after which the scheduler is closed to everything but its host's
-// Close, which drops every fleet connection (no Stop — workers redial
-// the next scheduler).
+// shutdown runs under the loop lock during Close: it closes running
+// jobs' log streams, after which the scheduler is closed to everything
+// but its host's Close, which drops every fleet connection (no Stop —
+// workers redial the next scheduler).
 func (s *Scheduler) shutdown() {
 	s.closed = true
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.state == StateRunning && j.ck != nil {
-			if err := j.ck.saveArchive(j.borg.Archive()); err != nil {
-				s.cfg.logf("jobs: %s shutdown archive: %v", j.id, err)
-			}
+		if j := s.jobs[id]; j.state == StateRunning && j.ck != nil {
 			j.ck.close()
 		}
 	}

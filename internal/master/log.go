@@ -184,9 +184,15 @@ func ResumeLogWriter(w io.Writer) *LogWriter {
 // kind, the retired deferred-apply bit, truncated streams, an absurd
 // event count — returns a clean error, never a panic. Only a short
 // trailing record of a streamed log is tolerated (a torn tail).
+// Once the header has decoded, an error in the records still returns
+// the log, holding the events before the first bad record: its intact
+// prefix. A header error returns a nil log.
 func ReadLog(r io.Reader) (*Log, error) {
 	rd := logFormat.NewReader(r)
-	hdr := rd.Header(logHeaderSize) // zeroes after a read error, which Records reports
+	hdr := rd.Header(logHeaderSize)
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
 	if hdr[0]&logDeferFlag != 0 {
 		return nil, fmt.Errorf("master: log was recorded with deferred apply, which no longer exists; it cannot be replayed")
 	}
@@ -216,11 +222,8 @@ func ReadLog(r io.Reader) (*Log, error) {
 			At:     math.Float64frombits(binary.BigEndian.Uint64(rec[13:])),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	l.Events = recs
-	return l, nil
+	return l, err
 }
 
 // traceStubAlg is the throwaway Algorithm ReplayTrace replays with:

@@ -2,8 +2,11 @@ package master
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"borgmoea/internal/reclog"
 )
 
 func sampleLog() *Log {
@@ -109,8 +112,11 @@ func TestReadLogStreamedTornTailOnly(t *testing.T) {
 	}
 }
 
-// FuzzReadLog: ReadLog never panics, and whatever it accepts survives
-// a WriteTo → ReadLog round trip unchanged.
+// FuzzReadLog: ReadLog never panics, whatever it accepts survives a
+// WriteTo → ReadLog round trip unchanged, and a log it returns with an
+// error is the input's intact prefix: streamed back out, it is the
+// input's header and leading records byte for byte, up to the two
+// header fields a stream writes canonically (elapsed 0, stream count).
 func FuzzReadLog(f *testing.F) {
 	var good bytes.Buffer
 	if _, err := sampleLog().WriteTo(&good); err != nil {
@@ -127,6 +133,9 @@ func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := ReadLog(bytes.NewReader(data))
 		if err != nil {
+			if l != nil {
+				checkPrefix(t, data, l)
+			}
 			return
 		}
 		for i, ev := range l.Events {
@@ -153,6 +162,39 @@ func FuzzReadLog(f *testing.F) {
 			t.Fatal("decode/encode fixpoint violated")
 		}
 	})
+}
+
+// checkPrefix fails unless l, streamed, is data's header and its first
+// len(l.Events) records, with the header's elapsed time and count in
+// their streamed form, and unless the record after them is cut short or
+// has a bad kind: the prefix is the longest readable one.
+func checkPrefix(t *testing.T, data []byte, l *Log) {
+	t.Helper()
+	n := StreamLen(len(l.Events))
+	if int64(len(data)) < n {
+		t.Fatalf("prefix of %d events is longer than the %d-byte input", len(l.Events), len(data))
+	}
+	if next := n + EventSize; int64(len(data)) >= next {
+		if kind := EventKind(data[n]); kind >= EvJoin && kind <= EvQuality {
+			t.Fatalf("prefix of %d events stops before a whole record of kind %d", len(l.Events), kind)
+		}
+	}
+	want := append([]byte(nil), data[:n]...)
+	binary.BigEndian.PutUint64(want[HeaderSize-16:], 0)
+	binary.BigEndian.PutUint64(want[HeaderSize-8:], reclog.Stream)
+	var got bytes.Buffer
+	lw, err := NewLogWriter(&got, l.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range l.Events {
+		if err := lw.Record(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("the %d-event prefix returned with an error is not the input's leading bytes", len(l.Events))
+	}
 }
 
 func TestCanonicalBytesIgnoresTicksAndTimestamps(t *testing.T) {

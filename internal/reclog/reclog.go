@@ -67,11 +67,16 @@ func (rd *Reader) Header(n int) []byte {
 	return buf
 }
 
+// Err returns the sticky header error, if any.
+func (rd *Reader) Err() error { return rd.err }
+
 // Records reads what follows the header: count records of width bytes
 // (Stream = until EOF, torn tail dropped), each decoded by dec. A
 // declared count must be met exactly, and reserves at most 65 536
 // records up front — a corrupt header cannot allocate gigabytes before
-// the first record is read.
+// the first record is read. An error in the records (one dec rejects, a
+// counted log cut short, a failed read) returns the records before it
+// with the error: the longest readable prefix.
 func Records[R any](rd *Reader, width int, count uint64, dec func(rec []byte) (R, error)) ([]R, error) {
 	if rd.err != nil {
 		return nil, rd.err
@@ -88,13 +93,13 @@ func Records[R any](rd *Reader, width int, count uint64, dec func(rec []byte) (R
 				break // the log ends wherever its writer stopped
 			}
 			if eof {
-				return nil, fmt.Errorf("%s: truncated at record %d/%d: %w", rd.name, i, count, err)
+				return out, fmt.Errorf("%s: truncated at record %d/%d: %w", rd.name, i, count, err)
 			}
-			return nil, fmt.Errorf("%s: reading record %d: %w", rd.name, i, err)
+			return out, fmt.Errorf("%s: reading record %d: %w", rd.name, i, err)
 		}
 		r, err := dec(rec)
 		if err != nil {
-			return nil, fmt.Errorf("%s: record %d: %w", rd.name, i, err)
+			return out, fmt.Errorf("%s: record %d: %w", rd.name, i, err)
 		}
 		out = append(out, r)
 	}

@@ -84,15 +84,22 @@ func TestContainerRoundTripAndTornTail(t *testing.T) {
 		}
 	}
 
-	for name, data := range map[string][]byte{
-		"empty":        {},
-		"short magic":  []byte("TE"),
-		"bad magic":    []byte("NOPE\x07s"),
-		"bad version":  []byte("TEST\x08s"),
-		"short header": []byte("TEST\x07"),
+	// A bad record is an error, and what precedes it is returned with it.
+	badRec := append([]byte(nil), raw...)
+	badRec[len(badRec)-2*4] = 'x' // record 3 of 5
+	for name, c := range map[string]struct {
+		data   []byte
+		prefix int
+	}{
+		"empty":                        {[]byte{}, 0},
+		"short magic":                  {[]byte("TE"), 0},
+		"bad magic":                    {[]byte("NOPE\x07s"), 0},
+		"bad version":                  {[]byte("TEST\x08s"), 0},
+		"short header":                 {[]byte("TEST\x07"), 0},
+		"bad record after 3 good ones": {badRec, 3},
 	} {
-		if _, err := readAll(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		if n, err := readAll(bytes.NewReader(c.data)); err == nil || n != c.prefix {
+			t.Errorf("%s: %d records, err %v; want %d and an error", name, n, err, c.prefix)
 		}
 	}
 }
