@@ -101,9 +101,6 @@ type (
 	// TraceRecorder journals protocol events for JSONL export and
 	// Chrome trace_event rendering (chrome://tracing, Perfetto).
 	TraceRecorder = obs.Recorder
-	// DebugOption extends the debug server at construction time (see
-	// WithDebugHandler).
-	DebugOption = obs.DebugOption
 )
 
 // Observability constructors and helpers.
@@ -113,11 +110,6 @@ var (
 	// NewTraceRecorder returns an event journal with the given
 	// retention limit (0 = default).
 	NewTraceRecorder = obs.NewRecorder
-	// ServeDebug starts the live debug HTTP listener.
-	ServeDebug = obs.ServeDebug
-	// WithDebugHandler mounts an extra handler on the debug mux (how
-	// the scalability advisor's /debug/scaling endpoint is attached).
-	WithDebugHandler = obs.WithHandler
 	// StartMetricsSnapshots periodically appends one-line JSON registry
 	// snapshots to a writer (borgd's -advise-out journal).
 	StartMetricsSnapshots = obs.StartSnapshots
@@ -171,7 +163,8 @@ var (
 // stream their timing telemetry through the paper's analytical model —
 // predicted vs observed speedup/efficiency, processor bounds, model
 // drift and per-worker straggler detection, served at /debug/scaling
-// and journaled as JSONL snapshots (borgview top renders either).
+// by the serving binaries (internal/httpd) and journaled as JSONL
+// snapshots (borgview top renders either).
 type (
 	// ScalingAdvisor fits the analytical model to a live run.
 	ScalingAdvisor = advisor.Advisor
@@ -264,9 +257,9 @@ var (
 // Multi-tenant job service (see internal/jobs): a scheduler owns a
 // shared borgd fleet and multiplexes many concurrent Borg runs over
 // it — one master core per job, stride-scheduled fair sharing,
-// per-job checkpoint streams that survive server restarts, and an
-// HTTP job API served next to the /debug endpoints. cmd/borgsvc runs
-// the service; borgq is its client.
+// per-job checkpoint streams that survive server restarts. cmd/borgsvc
+// runs the service and serves its HTTP job API (internal/httpd) next
+// to the /debug endpoints; borgq is its client.
 type (
 	// JobServiceConfig parameterizes the scheduler (fleet listener,
 	// backpressure bounds, persistence directory).

@@ -36,6 +36,7 @@ import (
 	"borgmoea"
 	"borgmoea/internal/ascii"
 	"borgmoea/internal/cli"
+	"borgmoea/internal/httpd"
 	"borgmoea/internal/shutdown"
 )
 
@@ -194,14 +195,14 @@ func run() int {
 	}
 
 	if *debugAddr != "" {
-		opts := []borgmoea.DebugOption{}
+		opts := []httpd.DebugOption{}
 		if adv != nil {
-			opts = append(opts, borgmoea.WithDebugHandler("/debug/scaling", adv.Handler()))
+			opts = append(opts, httpd.WithHandler("/debug/scaling", httpd.AdvisorHandler(adv)))
 		}
 		if quality != nil {
-			opts = append(opts, borgmoea.WithDebugHandler("/debug/quality", quality.Handler()))
+			opts = append(opts, httpd.WithHandler("/debug/quality", httpd.QualityHandler(quality)))
 		}
-		srv, err := borgmoea.ServeDebug(*debugAddr, reg, opts...)
+		srv, err := httpd.ServeDebug(*debugAddr, reg, opts...)
 		if err != nil {
 			return fail(1, err.Error())
 		}

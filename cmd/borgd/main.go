@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"borgmoea"
-	"borgmoea/internal/cli"
+	"borgmoea/internal/httpd"
 	"borgmoea/internal/shutdown"
 )
 
@@ -48,7 +48,7 @@ func run() int {
 		debugAddr   = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics and /debug/pprof on this address (e.g. localhost:6061)")
 		adviseOut   = flag.String("advise-out", "", "journal periodic metric snapshots as JSONL to this path")
 		adviseEvery = flag.Duration("advise-every", time.Second, "interval between -advise-out snapshots (min 1s)")
-		prof        = cli.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
+		prof        = httpd.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -81,7 +81,7 @@ func run() int {
 	}
 	defer stopProf()
 	if *debugAddr != "" {
-		srv, err := borgmoea.ServeDebug(*debugAddr, cfg.Conn.Metrics, opts...)
+		srv, err := httpd.ServeDebug(*debugAddr, cfg.Conn.Metrics, opts...)
 		if err != nil {
 			logger.Error("debug listener failed", "err", err)
 			return 1

@@ -52,6 +52,7 @@ import (
 
 	"borgmoea"
 	"borgmoea/internal/cli"
+	"borgmoea/internal/httpd"
 	"borgmoea/internal/shutdown"
 )
 
@@ -219,18 +220,18 @@ func run() int {
 		}
 	}
 	if *debugAddr != "" {
-		opts := []borgmoea.DebugOption{
-			borgmoea.WithDebugHandler("/debug/scaling", cfg.Federation.Handler()),
+		opts := []httpd.DebugOption{
+			httpd.WithHandler("/debug/scaling", httpd.FederationHandler(cfg.Federation)),
 		}
 		if *qualEvery > 0 {
 			// The merged-front quality is computed lazily per request
 			// from the live root, so the run itself pays nothing for it.
 			var liveRoot atomic.Pointer[borgmoea.FederationRoot]
 			cfg.OnRoot = func(r *borgmoea.FederationRoot) { liveRoot.Store(r) }
-			opts = append(opts, borgmoea.WithDebugHandler("/debug/quality",
+			opts = append(opts, httpd.WithHandler("/debug/quality",
 				fedQualityHandler(cfg.Quality, &liveRoot, qualityRef, *seed)))
 		}
-		srv, err := borgmoea.ServeDebug(*debugAddr, cfg.Metrics, opts...)
+		srv, err := httpd.ServeDebug(*debugAddr, cfg.Metrics, opts...)
 		if err != nil {
 			return fail(1, err.Error())
 		}

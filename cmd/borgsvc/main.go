@@ -34,7 +34,7 @@ import (
 	"time"
 
 	"borgmoea"
-	"borgmoea/internal/cli"
+	"borgmoea/internal/httpd"
 	"borgmoea/internal/shutdown"
 )
 
@@ -50,7 +50,7 @@ func run() int {
 		maxQueue    = flag.Int("max-queue", 1024, "queued jobs before submissions are rejected with 429")
 		drainT      = flag.Duration("drain-timeout", 5*time.Second, "graceful HTTP drain on shutdown")
 		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1] applied to every job (0 = tracing off)")
-		prof        = cli.ProfileFlags(", served under /debug/profiles/")
+		prof        = httpd.ProfileFlags(", served under /debug/profiles/")
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
@@ -78,7 +78,7 @@ func run() int {
 		return 1
 	}
 	defer stopProf()
-	srv, err := borgmoea.ServeDebug(*apiAddr, reg, append(sched.DebugOptions(), profOpts...)...)
+	srv, err := httpd.ServeDebug(*apiAddr, reg, append(httpd.JobAPI(sched), profOpts...)...)
 	if err != nil {
 		sched.Close()
 		logger.Error("api listener failed", "err", err)

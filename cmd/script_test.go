@@ -257,6 +257,11 @@ func TestScripts(t *testing.T) {
 		id := strings.Fields(tl.ok("borgq", q("submit", "-problem", "DTLZ2", "-objectives", "3", "-evals", "300", "-population", "16")...))[0]
 		tl.ok("borgq", q("watch", id, "-every", "50ms")...)
 		result(id, "a.json")
+		// The finished job's advisor report, read live from the API's
+		// /debug/scaling?job= route.
+		if out := tl.ok("borgview", "top", "-addr", api, "-job", id, "-once"); !strings.Contains(out, "borg scalability advisor") {
+			t.Fatalf("borgview top -addr -job: unexpected report\n%s", out)
+		}
 
 		// SIGKILL: no drain, no shutdown hook; the state directory is
 		// all the next server has.

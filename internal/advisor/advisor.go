@@ -14,15 +14,14 @@
 // obs.Registry.
 //
 // Three consumers share one Advisor: the /debug/scaling HTTP endpoint
-// (Handler), periodic JSONL snapshots (Config.OnSnapshot, driven by
-// the driver's own clock so DES runs snapshot in virtual time), and
-// borgview top, which renders either of the first two.
+// (internal/httpd's AdvisorHandler), periodic JSONL snapshots
+// (Config.OnSnapshot, driven by the driver's own clock so DES runs
+// snapshot in virtual time), and borgview top, which renders either of
+// the first two.
 package advisor
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 
@@ -502,17 +501,6 @@ func (a *Advisor) mirror(r Report) {
 	a.g.pLB.Set(r.ProcessorLowerBound)
 	a.g.effective.Set(r.EffectiveProcessors)
 	a.g.utilization.Set(r.MasterUtilization)
-}
-
-// Handler serves the current Report as JSON — mounted on the obs debug
-// mux as /debug/scaling via obs.WithHandler.
-func (a *Advisor) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(a.Report()) //nolint:errcheck // best-effort, like /debug/vars
-	})
 }
 
 // median returns the middle value of vs (mean of the middle two for

@@ -1,9 +1,7 @@
 package advisor_test
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"testing"
 
 	"borgmoea/internal/advisor"
@@ -144,9 +142,10 @@ func TestStragglerIsFlagged(t *testing.T) {
 	}
 }
 
-// The advisor mirrors its headline figures into the metrics registry
-// and serves the full report over /debug/scaling.
-func TestGaugesAndHandler(t *testing.T) {
+// The advisor mirrors its headline figures into the metrics registry.
+// internal/httpd's TestAdvisorHandler checks the report it serves over
+// /debug/scaling.
+func TestGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	adv := advisor.New(advisor.Config{SnapshotEvery: 0.05, Registry: reg})
 	cfg := desConfig(4, 1000)
@@ -157,19 +156,6 @@ func TestGaugesAndHandler(t *testing.T) {
 
 	g := reg.Gauge(advisor.MetricPredictedSpeedup).Value()
 	within(t, "gauge "+advisor.MetricPredictedSpeedup, g, model.AsyncSpeedup(4, trueTimes), 0.05)
-
-	rec := httptest.NewRecorder()
-	adv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scaling", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/scaling = %d", rec.Code)
-	}
-	var rep advisor.Report
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON from handler: %v", err)
-	}
-	if rep.Completed != 1000 {
-		t.Fatalf("handler report completed = %d, want 1000", rep.Completed)
-	}
 }
 
 // A nil advisor must be safe to drive: every observation method is a

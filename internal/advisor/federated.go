@@ -1,9 +1,6 @@
 package advisor
 
 import (
-	"encoding/json"
-	"net/http"
-	"strconv"
 	"sync"
 
 	"borgmoea/internal/model"
@@ -45,6 +42,20 @@ func (f *Federation) Islands() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.advisors)
+}
+
+// Island returns island i's advisor (attach order), or nil when i is
+// out of range.
+func (f *Federation) Island(i int) *Advisor {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i < 0 || i >= len(f.advisors) {
+		return nil
+	}
+	return f.advisors[i]
 }
 
 // FederationReport is the federated scalability analysis: per-island
@@ -149,31 +160,4 @@ func (f *Federation) Report() FederationReport {
 		fr.CeilingRatio = sanitize(fr.AggregateEffectiveProcessors / fr.SingleMasterPUB)
 	}
 	return fr
-}
-
-// Handler serves the federated report as JSON — the federation-level
-// /debug/scaling. ?island=i narrows to one island's plain Report.
-func (f *Federation) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if q := req.URL.Query().Get("island"); q != "" {
-			i, err := strconv.Atoi(q)
-			f.mu.Lock()
-			n := len(f.advisors)
-			var a *Advisor
-			if err == nil && i >= 0 && i < n {
-				a = f.advisors[i]
-			}
-			f.mu.Unlock()
-			if a == nil {
-				http.Error(w, "island out of range", http.StatusNotFound)
-				return
-			}
-			enc.Encode(a.Report()) //nolint:errcheck // best-effort, like /debug/vars
-			return
-		}
-		enc.Encode(f.Report()) //nolint:errcheck // best-effort, like /debug/vars
-	})
 }

@@ -1,9 +1,7 @@
 package advisor
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"testing"
 )
 
@@ -81,37 +79,5 @@ func TestFederationEmptyAndNil(t *testing.T) {
 	fr := NewFederation().Report()
 	if fr.Islands != 0 || fr.AggregateObservedSpeedup != 0 || fr.SingleMasterPUB != 0 {
 		t.Fatalf("empty federation report not zero: %+v", fr)
-	}
-}
-
-func TestFederationHandler(t *testing.T) {
-	fed := NewFederation()
-	fed.Attach(seedIsland(3, 100, 0.1, 0.01, 0.001, 5, 50, 1.0))
-	h := fed.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scaling", nil))
-	var fr FederationReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &fr); err != nil {
-		t.Fatalf("federated body does not decode: %v", err)
-	}
-	if fr.Islands != 1 || len(fr.Reports) != 1 {
-		t.Fatalf("federated body rolls up %d islands, want 1", fr.Islands)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scaling?island=0", nil))
-	var r Report
-	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
-		t.Fatalf("island body does not decode: %v", err)
-	}
-	if r.Completed != 50 {
-		t.Fatalf("island report completed = %d, want 50", r.Completed)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scaling?island=7", nil))
-	if rec.Code != 404 {
-		t.Fatalf("island=7 returned %d, want 404", rec.Code)
 	}
 }

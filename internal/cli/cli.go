@@ -1,8 +1,8 @@
 // Package cli holds what the repo's seven binaries share: subcommand
 // dispatch for the two multi-tool binaries (borgview, borgexp), the
-// create/open-and-decode helpers and island-<i>.<ext> naming every
-// tool that writes or reads a run's artefacts uses, and the profiling
-// flags of the two daemons (borgd, borgsvc).
+// create/open-and-decode helpers and the island-<i>.<ext> naming every
+// tool that writes or reads a run's artefacts uses. The daemons'
+// profiling flags live in internal/httpd, next to the ring they serve.
 package cli
 
 import (

@@ -1,4 +1,11 @@
-package obs
+// Package httpd is every HTTP surface of the serving binaries: the
+// debug server and its probes, the continuous profiler, the /debug/
+// reports of the scalability advisor and the quality sampler, and the
+// job service's API. It is the only package below cmd/ that imports
+// net/http or the pprof packages, so a process that runs the algorithm
+// without serving HTTP does not link the HTTP stack (the guard is
+// TestHTTPStaysInServers in the module root).
+package httpd
 
 import (
 	"context"
@@ -10,14 +17,16 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"time"
+
+	"borgmoea/internal/obs"
 )
 
-// writeJSONMap best-effort encodes m; a failed write mid-body leaves
+// writeJSONValue best-effort encodes v; a failed write mid-body leaves
 // the client with a truncated response, which is all HTTP offers.
-func writeJSONMap(w io.Writer, m map[string]any) {
+func writeJSONValue(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(m) //nolint:errcheck
+	enc.Encode(v) //nolint:errcheck
 }
 
 // DebugServer is a live introspection endpoint for a running master or
@@ -44,9 +53,9 @@ type DebugServer struct {
 // DebugOption extends a debug server at construction time.
 type DebugOption func(s *DebugServer, mux *http.ServeMux)
 
-// WithHandler mounts an extra handler on the debug mux — the hook the
-// scalability advisor uses to serve /debug/scaling next to
-// /debug/vars without obs depending on internal/advisor.
+// WithHandler mounts an extra handler on the debug mux — how a binary
+// serves /debug/scaling (AdvisorHandler) or /debug/quality
+// (QualityHandler) next to /debug/vars.
 func WithHandler(pattern string, h http.Handler) DebugOption {
 	return func(_ *DebugServer, mux *http.ServeMux) { mux.Handle(pattern, h) }
 }
@@ -63,10 +72,10 @@ func WithReadiness(check func() error) DebugOption {
 // ":0" to pick a free port — see Addr). The registry may be nil, in
 // which case /debug/vars reports only runtime figures and
 // /debug/metrics is empty.
-func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (*DebugServer, error) {
+func ServeDebug(addr string, reg *obs.Registry, opts ...DebugOption) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: debug listen: %w", err)
+		return nil, fmt.Errorf("httpd: debug listen: %w", err)
 	}
 	s := &DebugServer{ln: ln}
 	mux := http.NewServeMux()
@@ -93,7 +102,7 @@ func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (*DebugServer, 
 		snap["runtime.goroutines"] = runtime.NumGoroutine()
 		snap["runtime.heap_alloc_bytes"] = ms.HeapAlloc
 		snap["runtime.num_gc"] = ms.NumGC
-		writeJSONMap(w, snap)
+		writeJSONValue(w, snap)
 	})
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,4 +1,4 @@
-package jobs
+package httpd
 
 import (
 	"encoding/json"
@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"time"
 
-	"borgmoea/internal/obs"
+	"borgmoea/internal/jobs"
 )
 
-// DebugOptions mounts the job API and the per-job scaling reports on
-// an obs debug server, next to /debug/vars and /debug/pprof:
+// JobAPI mounts a job scheduler's API and its per-job scaling reports
+// on a debug server, next to /debug/vars and /debug/pprof:
 //
 //	POST   /jobs              submit (201; 400 bad spec, 429 queue
 //	                          full, 503 draining)
@@ -27,29 +27,33 @@ import (
 //
 // It also installs the scheduler's readiness check, so /readyz fails
 // the moment the scheduler starts draining while /healthz stays green.
-func (s *Scheduler) DebugOptions() []obs.DebugOption {
-	return []obs.DebugOption{
-		obs.WithHandler("POST /jobs", http.HandlerFunc(s.handleSubmit)),
-		obs.WithHandler("GET /jobs", http.HandlerFunc(s.handleList)),
-		obs.WithHandler("GET /jobs/{id}", http.HandlerFunc(s.handleStatus)),
-		obs.WithHandler("GET /jobs/{id}/watch", http.HandlerFunc(s.handleWatch)),
-		obs.WithHandler("GET /jobs/{id}/result", http.HandlerFunc(s.handleResult)),
-		obs.WithHandler("DELETE /jobs/{id}", http.HandlerFunc(s.handleCancel)),
-		obs.WithHandler("GET /debug/scaling", http.HandlerFunc(s.handleScaling)),
-		obs.WithReadiness(s.Ready),
+func JobAPI(s *jobs.Scheduler) []DebugOption {
+	api := jobAPI{s}
+	return []DebugOption{
+		WithHandler("POST /jobs", http.HandlerFunc(api.handleSubmit)),
+		WithHandler("GET /jobs", http.HandlerFunc(api.handleList)),
+		WithHandler("GET /jobs/{id}", http.HandlerFunc(api.handleStatus)),
+		WithHandler("GET /jobs/{id}/watch", http.HandlerFunc(api.handleWatch)),
+		WithHandler("GET /jobs/{id}/result", http.HandlerFunc(api.handleResult)),
+		WithHandler("DELETE /jobs/{id}", http.HandlerFunc(api.handleCancel)),
+		WithHandler("GET /debug/scaling", http.HandlerFunc(api.handleScaling)),
+		WithReadiness(s.Ready),
 	}
 }
+
+// jobAPI holds the scheduler the job handlers serve.
+type jobAPI struct{ s *jobs.Scheduler }
 
 // httpError maps scheduler errors onto statuses and writes a JSON
 // error body.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, jobs.ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, jobs.ErrOverloaded):
 		code = http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
+	case errors.Is(err, jobs.ErrDraining), errors.Is(err, jobs.ErrClosed):
 		code = http.StatusServiceUnavailable
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -65,13 +69,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // mid-body failures are the client's problem
 }
 
-func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := DecodeSubmit(r.Body)
+func (api jobAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := jobs.DecodeSubmit(r.Body)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	st, err := s.Submit(spec)
+	st, err := api.s.Submit(spec)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -79,8 +83,8 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, st)
 }
 
-func (s *Scheduler) handleList(w http.ResponseWriter, _ *http.Request) {
-	list, err := s.List()
+func (api jobAPI) handleList(w http.ResponseWriter, _ *http.Request) {
+	list, err := api.s.List()
 	if err != nil {
 		httpError(w, err)
 		return
@@ -88,8 +92,8 @@ func (s *Scheduler) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-func (s *Scheduler) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Get(r.PathValue("id"))
+func (api jobAPI) handleStatus(w http.ResponseWriter, r *http.Request) {
+	st, err := api.s.Get(r.PathValue("id"))
 	if err != nil {
 		httpError(w, err)
 		return
@@ -99,7 +103,7 @@ func (s *Scheduler) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleWatch streams one status line per interval until the job is
 // terminal or the client goes away — how borgq watch follows a run.
-func (s *Scheduler) handleWatch(w http.ResponseWriter, r *http.Request) {
+func (api jobAPI) handleWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	interval := time.Second
 	if q := r.URL.Query().Get("interval"); q != "" {
@@ -113,7 +117,7 @@ func (s *Scheduler) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if interval < 100*time.Millisecond {
 		interval = 100 * time.Millisecond
 	}
-	st, err := s.Get(id)
+	st, err := api.s.Get(id)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -138,14 +142,14 @@ func (s *Scheduler) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-tick.C:
 		}
-		if st, err = s.Get(id); err != nil {
+		if st, err = api.s.Get(id); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, err := s.Result(r.PathValue("id"))
+func (api jobAPI) handleResult(w http.ResponseWriter, r *http.Request) {
+	data, err := api.s.Result(r.PathValue("id"))
 	if err != nil {
 		httpError(w, err)
 		return
@@ -154,8 +158,8 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(data) //nolint:errcheck
 }
 
-func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := s.Cancel(r.PathValue("id")); err != nil {
+func (api jobAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
+	if err := api.s.Cancel(r.PathValue("id")); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -166,11 +170,11 @@ func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
 // is that job's advisor.Report verbatim — the same schema the
 // single-run master serves on /debug/scaling, so borgview top points at a
 // job unchanged. Without it, a map of every job's report.
-func (s *Scheduler) handleScaling(w http.ResponseWriter, r *http.Request) {
+func (api jobAPI) handleScaling(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("job"); id != "" {
-		st, err := s.Get(id)
+		st, err := api.s.Get(id)
 		if err == nil && st.Advisor == nil {
-			err = fmt.Errorf("%w: %s (or it has not started)", ErrNotFound, id)
+			err = fmt.Errorf("%w: %s (or it has not started)", jobs.ErrNotFound, id)
 		}
 		if err != nil {
 			httpError(w, err)
@@ -179,7 +183,7 @@ func (s *Scheduler) handleScaling(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st.Advisor)
 		return
 	}
-	reports, err := s.Reports()
+	reports, err := api.s.Reports()
 	if err != nil {
 		httpError(w, err)
 		return

@@ -1,8 +1,10 @@
-package obs
+package httpd
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"borgmoea/internal/obs"
 )
 
 // Continuous profiling: a background loop that captures periodic
@@ -42,10 +46,10 @@ type Profiler struct {
 // StartProfiler begins continuous profiling into cfg.Dir.
 func StartProfiler(cfg ProfileConfig) (*Profiler, error) {
 	if cfg.Dir == "" {
-		return nil, fmt.Errorf("obs: profiler needs a directory")
+		return nil, fmt.Errorf("httpd: profiler needs a directory")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("obs: creating profile dir: %w", err)
+		return nil, fmt.Errorf("httpd: creating profile dir: %w", err)
 	}
 	if cfg.Every <= 0 {
 		cfg.Every = 30 * time.Second
@@ -104,10 +108,10 @@ func (p *Profiler) loop() {
 func (p *Profiler) capture() {
 	epoch := p.epoch.Add(1)
 	if err := p.captureCPU(epoch); err != nil {
-		p.logf("obs: cpu profile epoch %d: %v", epoch, err)
+		p.logf("httpd: cpu profile epoch %d: %v", epoch, err)
 	}
 	if err := p.captureHeap(epoch); err != nil {
-		p.logf("obs: heap profile epoch %d: %v", epoch, err)
+		p.logf("httpd: heap profile epoch %d: %v", epoch, err)
 	}
 	p.prune(epoch)
 }
@@ -239,4 +243,36 @@ func (p *Profiler) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(index)
 	})
+}
+
+// Profiling is the -profile-dir/-profile-every/-profile-keep flag
+// block of the long-running binaries (borgd, borgsvc): a continuous
+// pprof snapshot ring served under /debug/profiles/.
+type Profiling struct {
+	dir   *string
+	every *time.Duration
+	keep  *int
+}
+
+// ProfileFlags registers the block; served ends -profile-dir's help.
+func ProfileFlags(served string) Profiling {
+	return Profiling{
+		flag.String("profile-dir", "", "continuously capture pprof CPU+heap snapshots into this directory"+served),
+		flag.Duration("profile-every", 30*time.Second, "interval between -profile-dir capture epochs"),
+		flag.Int("profile-keep", 8, "capture epochs retained in the -profile-dir ring"),
+	}
+}
+
+// Start runs the ring if -profile-dir was given. It returns the debug
+// options that serve the ring (none without it) and the ring's stop.
+func (p Profiling) Start(logger *slog.Logger) ([]DebugOption, func(), error) {
+	if *p.dir == "" {
+		return nil, func() {}, nil
+	}
+	prof, err := StartProfiler(ProfileConfig{Dir: *p.dir, Every: *p.every, Keep: *p.keep, Logf: obs.Logf(logger)})
+	if err != nil {
+		return nil, nil, err
+	}
+	logger.Info("continuous profiling", "dir", *p.dir, "every", p.every.String(), "keep", *p.keep)
+	return []DebugOption{WithHandler("/debug/profiles/", prof.Handler())}, prof.Close, nil
 }

@@ -1,8 +1,8 @@
 // Package jobs turns the one-shot distributed Borg master into a
 // long-lived multi-tenant service: clients submit named problems with
 // per-run configuration, a scheduler multiplexes every active run over
-// one shared borgd fleet, and results stream back over HTTP while the
-// runs are still going.
+// one shared borgd fleet, and results stream back over HTTP (the job
+// API in internal/httpd) while the runs are still going.
 //
 // The paper's scalability analysis motivates the design. A single
 // asynchronous run saturates once T_F / (T_A + T_C) workers are busy —

@@ -34,7 +34,7 @@ const (
 	MetricFirstResult  = "jobs.first_result_seconds"
 )
 
-// API errors, mapped to HTTP statuses by the handlers in server.go.
+// API errors, mapped to HTTP statuses by internal/httpd's job API.
 var (
 	// ErrOverloaded: the queued-job backlog is at Config.MaxQueue
 	// (HTTP 429) — the service's backpressure signal.

@@ -1,8 +1,9 @@
 // Package obs is the run-telemetry subsystem of the reproduction: a
 // lightweight metrics registry (counters, gauges, fixed-bucket
 // histograms), a structured protocol event journal with a Chrome
-// trace_event exporter (trace.go), a live HTTP debug endpoint
-// (http.go) and the shared CLI logger (log.go).
+// trace_event exporter (trace.go) and the shared CLI logger (log.go).
+// The live HTTP debug endpoint that serves the registry is
+// internal/httpd's.
 //
 // The paper's whole argument rests on timing internals — T_A, T_F,
 // T_C, master utilization and the queueing dynamics of the

@@ -1,13 +1,8 @@
 package obs
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestWritePrometheus(t *testing.T) {
@@ -56,92 +51,5 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 	}
 	if sb.Len() != 0 {
 		t.Fatalf("nil registry wrote %q", sb.String())
-	}
-}
-
-func TestDebugServerPrometheusEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("wire.frames_sent").Add(2)
-	srv, err := ServeDebug("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	code, body := get(t, fmt.Sprintf("http://%s/debug/metrics", srv.Addr()))
-	if code != 200 {
-		t.Fatalf("/debug/metrics = %d", code)
-	}
-	if !strings.Contains(string(body), "wire_frames_sent 2") {
-		t.Fatalf("/debug/metrics body:\n%s", body)
-	}
-}
-
-func TestDebugServerWithHandler(t *testing.T) {
-	extra := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, `{"hello":"scaling"}`)
-	})
-	srv, err := ServeDebug("127.0.0.1:0", nil, WithHandler("/debug/scaling", extra))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	code, body := get(t, fmt.Sprintf("http://%s/debug/scaling", srv.Addr()))
-	if code != 200 || !strings.Contains(string(body), "scaling") {
-		t.Fatalf("/debug/scaling = %d %q", code, body)
-	}
-	// The stock endpoints still work with options attached.
-	if code, _ := get(t, fmt.Sprintf("http://%s/healthz", srv.Addr())); code != 200 {
-		t.Fatalf("/healthz = %d", code)
-	}
-}
-
-func TestReadinessSplitsFromLiveness(t *testing.T) {
-	var reason error
-	srv, err := ServeDebug("127.0.0.1:0", nil, WithReadiness(func() error { return reason }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Ready and alive.
-	if code, _ := get(t, fmt.Sprintf("http://%s/readyz", srv.Addr())); code != 200 {
-		t.Fatalf("/readyz = %d, want 200", code)
-	}
-	// Draining: readiness fails, liveness holds.
-	reason = errors.New("draining: 3 jobs finishing")
-	code, body := get(t, fmt.Sprintf("http://%s/readyz", srv.Addr()))
-	if code != 503 || !strings.Contains(string(body), "draining") {
-		t.Fatalf("/readyz while draining = %d %q, want 503 with reason", code, body)
-	}
-	if code, _ := get(t, fmt.Sprintf("http://%s/healthz", srv.Addr())); code != 200 {
-		t.Fatalf("/healthz while draining = %d, want 200", code)
-	}
-
-	// Without the option, /readyz always succeeds.
-	plain, err := ServeDebug("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if code, _ := get(t, fmt.Sprintf("http://%s/readyz", plain.Addr())); code != 200 {
-		t.Fatalf("default /readyz = %d, want 200", code)
-	}
-}
-
-func TestDebugServerShutdownDrains(t *testing.T) {
-	srv, err := ServeDebug("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	// The port is released: probes fail at the dial layer.
-	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", srv.Addr())); err == nil {
-		t.Fatal("server still serving after Shutdown")
 	}
 }

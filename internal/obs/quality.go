@@ -1,22 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"net/http"
 	"sync"
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/metrics"
 )
-
-// writeJSONValue best-effort encodes v, like writeJSONMap.
-func writeJSONValue(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck
-}
 
 // The quality sampler is the search-health half of the observability
 // stack: where the timing layer (metrics/tracing/advisor) measures the
@@ -61,8 +51,8 @@ type QualityConfig struct {
 	// MCSamples is the Monte Carlo sample count used above MaxExact
 	// (default DefaultQualityMCSamples).
 	MCSamples int
-	// HistoryCap bounds the in-memory sample window served by
-	// Handler (default DefaultQualityHistory). The full timeline is
+	// HistoryCap bounds the in-memory sample window Report returns
+	// (default DefaultQualityHistory). The full timeline is
 	// always kept in Log for sidecar writes.
 	HistoryCap int
 	// Metrics, when non-nil, mirrors the latest sample as
@@ -405,15 +395,6 @@ func (s *QualitySampler) Report() QualityReport {
 		rep.Latest = &latest
 	}
 	return rep
-}
-
-// Handler serves the sampler's report as JSON — mount it on the debug
-// server as /debug/quality via WithHandler.
-func (s *QualitySampler) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		writeJSONValue(w, s.Report())
-	})
 }
 
 // MeasureFront computes the deterministic hypervolume the sampler

@@ -3,9 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
-	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -132,26 +130,6 @@ func TestQualitySamplerUnattached(t *testing.T) {
 	nilS.Sample(0, 0)
 	if _, ok := nilS.Latest(); ok {
 		t.Error("nil sampler has a latest sample")
-	}
-}
-
-func TestQualityHandlerServesJSON(t *testing.T) {
-	s := NewQualitySampler(QualityConfig{Every: 10, Ref: []float64{2, 2}})
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/quality", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status %d", rr.Code)
-	}
-	body := rr.Body.String()
-	// Latest/History carry omitempty, so only the always-present fields
-	// appear on a sampler with no samples yet.
-	for _, want := range []string{"\"ref\"", "\"eps_progress_rate\""} {
-		if !strings.Contains(body, want) {
-			t.Errorf("quality JSON missing %s: %s", want, body)
-		}
-	}
-	if strings.Contains(body, "\"latest\"") {
-		t.Errorf("sampler with no samples reported a latest sample: %s", body)
 	}
 }
 

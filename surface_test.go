@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ var keptUnused = map[string]string{
 // by tests alone; every other name a test needs goes into its
 // package's _test.go, or onto keptUnused with a reason.
 func TestExportedNamesAreUsed(t *testing.T) {
-	m, err := loadModule(".")
+	m, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +68,46 @@ func TestExportedNamesAreUsed(t *testing.T) {
 	for _, k := range s.stale {
 		t.Errorf("keptUnused lists %s, which no longer exists or now has a non-test use", k)
 	}
+}
+
+// serverOnly are the standard packages that only internal/httpd and
+// the binaries under cmd/ may link: the HTTP stack and the profilers.
+var serverOnly = []string{"net/http", "net/http/pprof", "runtime/pprof", "crypto/tls"}
+
+// TestHTTPStaysInServers keeps the HTTP stack out of every process
+// that runs the algorithm without serving HTTP. It fails when the
+// transitive non-test import closure of a module package outside
+// internal/httpd and cmd/ (the facade and bench/ included) reaches a
+// serverOnly package, or when cmd/borgexp's reaches net/http.
+func TestHTTPStaysInServers(t *testing.T) {
+	m, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(from string, banned ...string) {
+		reached, err := m.importClosure(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range banned {
+			if _, ok := reached[b]; !ok {
+				continue
+			}
+			chain := []string{b}
+			for p := reached[b]; p != ""; p = reached[p] {
+				chain = append([]string{p}, chain...)
+			}
+			t.Errorf("%s links %s: %s", from, b, strings.Join(chain, " -> "))
+		}
+	}
+	for _, p := range m.order {
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.path, m.module), "/")
+		if p.types == nil || rel == "internal/httpd" || strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		check(p.path, serverOnly...)
+	}
+	check(m.module+"/cmd/borgexp", "net/http")
 }
 
 type surfaceReport struct {
@@ -84,6 +125,8 @@ type moduleLoader struct {
 	std    types.Importer
 	pkgs   map[string]*modulePkg
 	order  []*modulePkg
+	// stdPkgs caches the standard packages importClosure has read.
+	stdPkgs map[string]*build.Package
 }
 
 type modulePkg struct {
@@ -94,17 +137,21 @@ type modulePkg struct {
 	info  *types.Info
 }
 
+// loadRepo loads this repository once for every test that reads it.
+var loadRepo = sync.OnceValues(func() (*moduleLoader, error) { return loadModule(".") })
+
 func loadModule(root string) (*moduleLoader, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	l := &moduleLoader{
-		fset:   token.NewFileSet(),
-		root:   root,
-		module: modulePath(string(mod)),
-		std:    importer.Default(),
-		pkgs:   map[string]*modulePkg{},
+		fset:    token.NewFileSet(),
+		root:    root,
+		module:  modulePath(string(mod)),
+		std:     importer.Default(),
+		pkgs:    map[string]*modulePkg{},
+		stdPkgs: map[string]*build.Package{},
 	}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -181,6 +228,57 @@ func (l *moduleLoader) load(path string) (*modulePkg, error) {
 	}
 	l.order = append(l.order, p)
 	return p, nil
+}
+
+// importClosure maps every package the non-test imports of path reach,
+// standard library included, to the package it was first reached from
+// (path itself maps to "").
+func (l *moduleLoader) importClosure(path string) (map[string]string, error) {
+	from := map[string]string{path: ""}
+	queue := []string{path}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		var bp *build.Package
+		if l.inModule(p) {
+			mp, err := l.load(p)
+			if err != nil {
+				return nil, err
+			}
+			bp = mp.bp
+		} else {
+			var err error
+			if bp, err = l.stdPackage(p, from[p]); err != nil {
+				return nil, err
+			}
+		}
+		for _, imp := range bp.Imports {
+			if _, seen := from[imp]; !seen && imp != "C" {
+				from[imp] = p
+				queue = append(queue, imp)
+			}
+		}
+	}
+	return from, nil
+}
+
+// stdPackage reads a standard package's imports from its source. A
+// vendored import (golang.org/x/...) resolves from the directory of
+// the standard package that imports it, through GOROOT/src/vendor.
+func (l *moduleLoader) stdPackage(path, importer string) (*build.Package, error) {
+	if bp, ok := l.stdPkgs[path]; ok {
+		return bp, nil
+	}
+	srcDir := filepath.Join(build.Default.GOROOT, "src")
+	if imp, ok := l.stdPkgs[importer]; ok {
+		srcDir = imp.Dir
+	}
+	bp, err := build.Import(path, srcDir, 0)
+	if err != nil {
+		return nil, err
+	}
+	l.stdPkgs[path] = bp
+	return bp, nil
 }
 
 func (l *moduleLoader) parse(dir string, names []string) ([]*ast.File, error) {
