@@ -190,6 +190,26 @@ func TestScripts(t *testing.T) {
 		tl.ok("borg", with("-replay", "tcp.bmel", "-out", "tcp.replay.json")...)
 		tl.same("tcp.json", "tcp.replay.json")
 
+		// The live advisor of a TCP master, read from its /debug/scaling
+		// while the run is in flight; then both processes end cleanly.
+		addr, dbg := freeAddr(t), freeAddr(t)
+		live := tl.start("borg", with("-transport", "tcp", "-listen", addr, "-debug-addr", dbg, "-evals", "200", "-wall-limit", "60s")...)
+		worker = tl.start("borgd", "-connect", addr, "-delay", "0.01", "-quiet")
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			code, out, stderr := tl.run("", "borgview", "top", "-addr", dbg, "-once")
+			if code == 0 && strings.Contains(out, "borg scalability advisor") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("borgview top -addr: no live report within 30s (exit %d)\n%s%s", code, out, stderr)
+			}
+		}
+		for name, cmd := range map[string]*exec.Cmd{"borg": live, "borgd": worker} {
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+
 		// Recorded by the goroutine driver before it was deleted (borg
 		// -parallel 4 -transport realtime -tf 0.0005 -evals 300); the
 		// log is transport-free, so it still replays to the recorded

@@ -268,9 +268,7 @@ func (s *Scheduler) resumeJob(id string) error {
 		j.finished = meta.FinishedSeconds
 		s.freeze(j)
 		j.final.Evaluations, j.final.ArchiveSize = meta.Evaluations, meta.ArchiveSize
-		if meta.FinishedSeconds > s.clockOff {
-			s.clockOff = meta.FinishedSeconds
-		}
+		s.advance(meta.FinishedSeconds)
 		return nil
 	}
 
@@ -339,9 +337,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 
 	// Continue the clock past the recorded run.
 	last := log.Events[len(log.Events)-1].At
-	if last > s.clockOff {
-		s.clockOff = last
-	}
+	s.advance(last)
 	if readErr != nil || mc.Done() {
 		// Corrupt past its prefix, or completed but the server died
 		// before finalizing: either way the job ends here.
@@ -360,7 +356,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	// reclaim theirs) and append continued events to the same stream.
 	j.log = log
 	for _, ev := range log.Events {
-		s.host.Reserve(uint64(ev.Worker))
+		s.sm.Reserve(uint64(ev.Worker))
 	}
 
 	if err := ck.resumeLog(log); err != nil {
@@ -371,7 +367,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	// The recorded workers' transport died with the old server; until
 	// each is declared gone its leases would wait out their timeouts.
 	for _, wid := range mc.LiveWorkers() {
-		s.exec(j, mc.Handle(master.Event{Kind: master.EvGone, Worker: wid, At: s.now()}))
+		s.sm.Feed(j, master.Event{Kind: master.EvGone, Worker: wid, At: s.now()})
 	}
 	s.cfg.logf("jobs: %s resumed at %d/%d evaluations", j.id, mc.Completed(), j.spec.Evaluations)
 	return nil

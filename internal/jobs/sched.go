@@ -6,12 +6,12 @@ import (
 	"net"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
+	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
 	"borgmoea/internal/metrics"
 	"borgmoea/internal/obs"
@@ -91,14 +91,15 @@ func (c *Config) logf(format string, args ...any) {
 // slower and receives p times the grants of a priority-1 job.
 const strideOne = 1 << 20
 
-// job is the scheduler's per-run state. All fields are guarded by the
-// fleet host's loop lock.
+// job is the scheduler's per-run state, and its lane on the fleet's
+// socket master. All fields are guarded by the master's loop lock.
 //
 // A running job holds its algorithm: borg, mcore, adv, terms and
-// quality. A terminal one is frozen (see freeze): it holds its final
-// Status and advisor report, and its archive document in result unless
-// its archive file serves it. A job restored from its terminal
-// marker is frozen from the start.
+// quality; the action that completes its core ends it, so a running
+// job's core is never done. A terminal one is frozen (see freeze): it
+// holds its final Status and advisor report, and its archive document
+// in result unless its archive file serves it. A job restored from its
+// terminal marker is frozen from the start.
 type job struct {
 	id      string
 	spec    *Spec
@@ -139,51 +140,43 @@ type job struct {
 	replaying bool // replayed accepts feed no live metric
 }
 
+// Lane makes a job one lane of the fleet's socket master.
+func (j *job) Lane() (*master.Core, *master.Terms, *obs.QualitySampler) {
+	return j.mcore, j.terms, j.quality
+}
+
 // wantWork reports whether the job's core would grant an evaluation to
 // a newly offered worker: it has resubmitted work pending, or head
 // room under the budget for a fresh offspring chain.
 func (j *job) wantWork() bool {
-	if j.state != StateRunning || j.mcore == nil || j.mcore.Done() {
-		return false
-	}
 	c := j.mcore
-	return c.PendingLen() > 0 ||
-		c.Completed()+uint64(c.Outstanding())+uint64(c.PendingLen()) < j.spec.Evaluations
+	return j.state == StateRunning && (c.PendingLen() > 0 ||
+		c.Completed()+uint64(c.Outstanding())+uint64(c.PendingLen()) < j.spec.Evaluations)
 }
 
-// grantRef routes one outstanding wire lease back to the job and core
-// lease it was granted for.
-type grantRef struct {
-	job  *job
-	item uint64
-}
-
-// fleetWorker is the scheduling state of one live borgd session. A
-// worker evaluates serially, but probe grants to a suspect worker can
-// pipeline, so outstanding wire leases are a small map, not a single
-// slot.
+// fleetWorker is the scheduling state of one live borgd session. Probe
+// grants to a suspect worker can pipeline, so its outstanding wire
+// leases are a small map, each to the core lease it stands for in
+// held's core: a worker changes jobs only with no lease in flight.
 type fleetWorker struct {
 	sess   *wire.Session
 	job    *job // current assignment (nil = unassigned)
-	leases map[uint64]grantRef
+	held   *job // the job whose leases it holds
+	leases map[uint64]uint64
 }
 
 // Scheduler owns the shared borgd fleet and multiplexes every
 // submitted job over it: one ScheduledOffspring master.Core per active
 // job, stride-scheduled fair sharing at per-evaluation granularity,
-// and per-job checkpoint streams. All scheduling state lives under the
-// fleet host's loop lock: fleet events arrive in onFleet on their
-// readers' goroutines, and the public methods and lease ticks enter
-// through do.
+// and per-job checkpoint streams. The fleet is served by a
+// federation.SocketMaster with the scheduler as its Router, so all
+// scheduling state lives under the master's loop lock: fleet events
+// and lease ticks arrive through the router's methods, and the public
+// methods enter through do.
 type Scheduler struct {
-	cfg      Config
-	ln       net.Listener
-	leaseSec float64
-
-	host   wire.Host     // fleet transport; zero until New serves it
-	quit   chan struct{} // closed by Close: stops the ticker
-	done   chan struct{} // closed when the ticker has stopped
-	stopIt sync.Once
+	cfg Config
+	ln  net.Listener
+	sm  federation.SocketMaster // the fleet's master; New serves it
 
 	draining atomic.Bool
 
@@ -202,14 +195,9 @@ type Scheduler struct {
 	order         []string // submission order
 	queue         []*job
 	active        int
-	fleet         map[*wire.Session]*fleetWorker // live sessions only
+	fleet         map[uint64]*fleetWorker // live sessions by worker id
 	nextWireLease uint64
 	nextJob       uint64
-	start         time.Time
-	clockOff      float64
-	// ending holds jobs that finished inside a handler of theirs, frozen
-	// once the event that ended them has unwound (settle).
-	ending []*job
 	// spares are frozen jobs' Borgs, which the next jobs start on; there
 	// are never more than peakActive, the most jobs that ran at once.
 	spares     []*core.Borg
@@ -241,11 +229,9 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	reg := cfg.Metrics
 	s := &Scheduler{
-		cfg:      cfg,
-		ln:       ln,
-		leaseSec: cfg.LeaseTimeout.Seconds(),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg: cfg,
+		ln:  ln,
+		sm:  federation.SocketMaster{Start: time.Now(), LeaseTimeout: cfg.LeaseTimeout, Name: "jobs", Logf: cfg.Logf},
 
 		mSubmitted:    reg.Counter(MetricSubmitted),
 		mRejected:     reg.Counter(MetricRejected),
@@ -264,8 +250,7 @@ func New(cfg Config) (*Scheduler, error) {
 		},
 
 		jobs:  make(map[string]*job),
-		fleet: make(map[*wire.Session]*fleetWorker),
-		start: time.Now(),
+		fleet: make(map[uint64]*fleetWorker),
 	}
 	if cfg.StateDir != "" {
 		if err := s.resume(); err != nil {
@@ -273,10 +258,7 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, err
 		}
 	}
-	// A multi-problem session (nil problem): each grant names its own,
-	// so one fleet serves every job.
-	s.host.Serve(ln, cfg.Conn, nil, s.onFleet)
-	go s.ticks()
+	s.sm.Serve(router{s}, ln, cfg.Conn)
 	return s, nil
 }
 
@@ -292,68 +274,48 @@ func (s *Scheduler) Ready() error {
 	return nil
 }
 
-// now returns seconds on the scheduler clock. The clock survives
-// restarts: resume() advances the origin past the last persisted event
-// so appended log timestamps stay monotone.
-func (s *Scheduler) now() float64 {
-	return time.Since(s.start).Seconds() + s.clockOff
+// now returns seconds on the scheduler clock, which is its fleet
+// master's. The clock survives restarts: resume() advances it past the
+// last persisted event so appended log timestamps stay monotone.
+func (s *Scheduler) now() float64 { return time.Since(s.sm.Start).Seconds() }
+
+// advance moves the clock's origin back, if need be, so it reads at
+// least at (the nanosecond it adds makes up for the truncation).
+func (s *Scheduler) advance(at float64) {
+	if d := at - s.now(); d > 0 {
+		s.sm.Start = s.sm.Start.Add(-time.Duration(d*float64(time.Second)) - 1)
+	}
 }
 
-// Close stops the scheduler: the fleet listener closes, every running
-// job's event log closes, and all worker connections drop
-// without a Stop — the fleet outlives any one server, so workers back
-// off and redial until a new scheduler binds the port. Queued and
-// running jobs resume from StateDir on the next New.
+// Close stops the scheduler: the fleet listener closes, all worker
+// connections drop without a Stop — the fleet outlives any one server,
+// so workers back off and redial until a new scheduler binds the port —
+// and every running job's event log closes. Queued and running jobs
+// resume from StateDir on the next New.
 func (s *Scheduler) Close() error {
 	s.draining.Store(true)
+	s.sm.Close()
 	s.do(s.shutdown) //nolint:errcheck // best effort once closed
-	s.host.Close(false)
-	s.stopIt.Do(func() { close(s.quit) })
-	<-s.done
 	return nil
 }
 
 // do runs fn under the loop lock, unless the scheduler has closed.
 func (s *Scheduler) do(fn func()) error {
 	err := ErrClosed
-	s.host.Do(func() {
+	s.sm.Do(func() {
 		if !s.closed {
 			fn()
-			s.settle()
+			s.updateGauges()
 			err = nil
 		}
 	})
 	return err
 }
 
-// --- event handling -------------------------------------------------
+// --- the fleet's router ---------------------------------------------
 
-// ticks feeds lease ticks until Close.
-func (s *Scheduler) ticks() {
-	defer close(s.done)
-	tick := time.NewTicker(wire.TickInterval(s.cfg.LeaseTimeout))
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.do(s.onTick) //nolint:errcheck // a tick after Close has nothing to do
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// settle ends every loop-locked event: jobs that finished inside it are
-// frozen, now that no handler of theirs is on the stack, and the gauges
-// are updated.
-func (s *Scheduler) settle() {
-	for i, j := range s.ending {
-		s.freeze(j)
-		s.ending[i] = nil
-	}
-	s.ending = s.ending[:0]
-	s.updateGauges()
-}
+// router is the scheduler as its socket master's federation.Router.
+type router struct{ *Scheduler }
 
 func (s *Scheduler) updateGauges() {
 	s.gActive.Set(float64(s.active))
@@ -361,147 +323,106 @@ func (s *Scheduler) updateGauges() {
 	s.gWorkers.Set(float64(len(s.fleet)))
 }
 
-// onFleet is the fleet host's handler: one session event, under the
-// loop lock.
-func (s *Scheduler) onFleet(e wire.HostEvent) {
-	if s.closed {
-		return
+// Assign offers a worker that joined, or whose result was just handled,
+// to the job it should work for.
+func (r router) Assign(sess *wire.Session) {
+	w := r.fleet[sess.ID]
+	if w == nil {
+		w = &fleetWorker{sess: sess, leases: make(map[uint64]uint64)}
+		r.fleet[sess.ID] = w
 	}
-	defer s.settle()
-	w := s.fleet[e.Sess] // nil once the session is gone: stale events drop
-	switch e.Kind {
-	case wire.HostJoin:
-		if old := s.host.Admit(e.Sess); old != nil {
-			// The fleet replaced this identity (borgd redial after a
-			// half-dead link); retire the old session first.
-			s.retire(s.fleet[old])
-		}
-		w = &fleetWorker{sess: e.Sess, leases: make(map[uint64]grantRef)}
-		s.fleet[e.Sess] = w
-		s.cfg.logf("jobs: worker %d joined (%d live)", e.Sess.ID, len(s.fleet))
-		s.assign(w)
-	case wire.HostDead:
-		if w != nil {
-			s.cfg.logf("jobs: worker %d lost: %v", e.Sess.ID, e.Err)
-			s.dropWorker(w)
-		}
-	case wire.HostResult:
-		if w != nil {
-			s.onResult(w, e.Result, e.Wait)
-		}
+	r.assign(w)
+	r.updateGauges()
+}
+
+// Retire forgets a session the master dropped: the job it worked for
+// — its assignment, or the job of the leases it still holds — sees
+// EvGone, resubmitting the work.
+func (r router) Retire(sess *wire.Session) {
+	w := r.fleet[sess.ID]
+	delete(r.fleet, sess.ID)
+	j := w.job
+	if len(w.leases) > 0 {
+		j = w.held
+	}
+	if j != nil {
+		r.detach(w, j, master.EvGone)
+	}
+	r.updateGauges()
+}
+
+// detach removes w from j, whose core hears kind: EvLeave when the
+// scheduler lends w to another job, EvGone when w died or cannot
+// evaluate j's problem. Either resubmits a live lease w held there.
+func (s *Scheduler) detach(w *fleetWorker, j *job, kind master.EventKind) {
+	delete(j.workers, w.sess.ID)
+	j.adv.SetLive(len(j.workers))
+	if j.state == StateRunning {
+		s.sm.Feed(j, master.Event{Kind: kind, Worker: int(w.sess.ID), At: s.now()})
 	}
 }
 
-// worker returns the live fleet worker with the given id, or nil.
-func (s *Scheduler) worker(id int) *fleetWorker { return s.fleet[s.host.Lookup(id)] }
-
-// dropWorker closes a live session and retires its scheduling state.
-func (s *Scheduler) dropWorker(w *fleetWorker) {
-	if s.host.Drop(w.sess) {
-		s.retire(w)
-	}
-}
-
-// retire forgets a session the host dropped: every job holding one of
-// its leases sees EvGone (resubmitting the work), as does its current
-// assignment.
-func (s *Scheduler) retire(w *fleetWorker) {
-	delete(s.fleet, w.sess)
-	goneIn := make(map[*job]struct{})
-	if w.job != nil {
-		goneIn[w.job] = struct{}{}
-	}
-	for _, ref := range w.leases {
-		goneIn[ref.job] = struct{}{}
-	}
-	w.leases = nil
-	for j := range goneIn {
-		s.detachGone(w, j)
-	}
-	w.job = nil
-}
-
-// detachGone removes w from j and declares it dead to j's core, which
-// resubmits any live lease it held there.
-func (s *Scheduler) detachGone(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.sess.ID]; ok {
-		delete(j.workers, w.sess.ID)
-		j.adv.SetLive(len(j.workers))
-	}
-	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvGone, Worker: int(w.sess.ID), At: s.now()}))
-	}
-}
-
-// detach gracefully withdraws a parked worker from j (EvLeave) when
-// the scheduler lends it to another job.
-func (s *Scheduler) detach(w *fleetWorker, j *job) {
-	if _, ok := j.workers[w.sess.ID]; ok {
-		delete(j.workers, w.sess.ID)
-		j.adv.SetLive(len(j.workers))
-	}
-	if j.state == StateRunning && !j.mcore.Done() {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvLeave, Worker: int(w.sess.ID), At: s.now()}))
-	}
-}
-
-// onResult folds one fleet result into its job; wait is how long it
-// queued for the loop lock.
-func (s *Scheduler) onResult(w *fleetWorker, msg *wire.Result, wait float64) {
-	ref, ok := w.leases[msg.Lease]
+// Route returns the job and core lease a fleet result answers, or nil
+// when the result has nowhere to go.
+func (r router) Route(sess *wire.Session, msg *wire.Result) (federation.Lane, uint64) {
+	w := r.fleet[sess.ID]
+	item, ok := w.leases[msg.Lease]
 	if !ok {
-		return // lease of a job that was cancelled mid-flight, or noise
+		return nil, 0 // not a lease this worker holds: noise
 	}
 	delete(w.leases, msg.Lease)
-	j := ref.job
-	if j.state != StateRunning || j.mcore.Done() {
-		// The job ended while this evaluation was in flight; the
-		// result has nowhere to go.
-		s.assign(w)
-		return
+	j := w.held
+	if j.state != StateRunning {
+		return nil, 0 // the job ended while this evaluation was in flight
 	}
 	if len(msg.Objs) != j.problem.NumObjs() || len(msg.Constrs) != problems.NumConstraints(j.problem) {
 		// The worker could not evaluate this problem (not in its
 		// registry, dimension drift): an empty or misshapen Result
 		// fails the lease, not the session. Resubmit the work and never
 		// offer this worker the job again.
-		j.failed[w.sess.ID] = struct{}{}
-		s.mEvalFailures.Inc()
-		s.cfg.logf("jobs: worker %d cannot evaluate %s for %s", w.sess.ID, j.name, j.id)
-		s.detachGone(w, j)
-		if w.job == j {
-			w.job = nil
-		}
-		s.assign(w)
-		return
+		j.failed[sess.ID] = struct{}{}
+		r.mEvalFailures.Inc()
+		r.cfg.logf("jobs: worker %d cannot evaluate %s for %s", sess.ID, j.name, j.id)
+		r.detach(w, j, master.EvGone)
+		w.job = nil
+		return nil, 0
 	}
-	if worker, item, live := j.mcore.Lease(ref.item); live && worker == int(w.sess.ID) {
-		j.terms.Evaluated(int(w.sess.ID), item, msg.Fill(item))
-		j.terms.Queued(item, wait)
+	return j, item
+}
+
+// Lease books a grant under a fresh fleet-wide wire lease: core lease
+// ids are per job and collide across cores.
+func (r router) Lease(sess *wire.Session, l federation.Lane, item uint64) (uint64, string) {
+	j, w := l.(*job), r.fleet[sess.ID]
+	if w == nil || w.job != j {
+		return 0, "" // stale grant to a worker the job lost
 	}
-	s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvResult, Worker: int(w.sess.ID), Item: ref.item, At: s.now()}))
-	// Quality cadence: the trigger detours through the job's core so
-	// the sample point lands in its BMEL log (a restored job replays
-	// its quality timeline too).
-	if q := j.quality; q != nil && j.state == StateRunning && !j.mcore.Done() && q.Due(j.mcore.Completed(), s.now()) {
-		s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvQuality, Item: q.NextSeq(), At: s.now()}))
-	}
-	if !w.sess.Gone() && len(w.leases) == 0 {
-		s.assign(w)
+	r.nextWireLease++
+	w.held, w.leases[r.nextWireLease] = j, item
+	return r.nextWireLease, j.name
+}
+
+// Act carries out a job's ActComplete, and its ActStop, which releases
+// the worker back to the pool — the fleet is shared, so a completed job
+// never stops a worker process.
+func (r router) Act(l federation.Lane, a master.Action) {
+	if a.Kind == master.ActComplete {
+		r.finishJob(l.(*job))
+	} else if w := r.fleet[uint64(a.Worker)]; w != nil {
+		r.assign(w)
 	}
 }
 
-func (s *Scheduler) onTick() {
-	now := s.now()
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.state == StateRunning && !j.mcore.Done() {
-			s.exec(j, j.mcore.Handle(master.Event{Kind: master.EvTick, At: now}))
+// Tick feeds every running job's core the lease tick, then re-offers
+// every idle worker: lease expiries and newly started jobs create
+// demand between result boundaries.
+func (r router) Tick(at float64) {
+	for _, id := range r.order {
+		if j := r.jobs[id]; j.state == StateRunning {
+			r.sm.Feed(j, master.Event{Kind: master.EvTick, At: at})
 		}
 	}
-	// Re-offer every idle worker: lease expiries and newly started
-	// jobs create demand between result boundaries.
-	s.sweepAssign()
+	r.sweepAssign()
 }
 
 func (s *Scheduler) sweepAssign() {
@@ -523,7 +444,7 @@ func (s *Scheduler) sweepAssign() {
 // ordinary events in the job's BMEL log, so replay reproduces every
 // fair-share decision.
 func (s *Scheduler) assign(w *fleetWorker) {
-	if w == nil || w.sess.Gone() || len(w.leases) > 0 {
+	if w.sess.Gone() || len(w.leases) > 0 {
 		return
 	}
 	var best *job
@@ -544,57 +465,16 @@ func (s *Scheduler) assign(w *fleetWorker) {
 	}
 	best.pass += best.stride
 	if w.job == best {
-		s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvReady, Worker: int(w.sess.ID), At: s.now()}))
+		s.sm.Feed(best, master.Event{Kind: master.EvReady, Worker: int(w.sess.ID), At: s.now()})
 		return
 	}
 	if w.job != nil {
-		s.detach(w, w.job)
+		s.detach(w, w.job, master.EvLeave)
 	}
 	w.job = best
 	best.workers[w.sess.ID] = struct{}{}
 	best.adv.SetLive(len(best.workers))
-	s.exec(best, best.mcore.Handle(master.Event{Kind: master.EvJoin, Worker: int(w.sess.ID), At: s.now()}))
-}
-
-// exec carries out a core's actions on the fleet. Grants become wire
-// Evaluates under a fresh globally unique wire lease (core lease ids
-// are per-job and collide across cores); ActStop releases the worker
-// back to the pool — the fleet is shared, so a completed job never
-// stops a worker process.
-func (s *Scheduler) exec(j *job, acts []master.Action) {
-	// Handle reuses the core's action slice, so a worker whose grant
-	// send failed is dropped at once (later actions skip it) but
-	// retired — which feeds its jobs' cores EvGone — after the actions.
-	var failed []*fleetWorker
-	for _, a := range acts {
-		switch a.Kind {
-		case master.ActGrant:
-			w := s.worker(a.Worker)
-			if w == nil || w.job != j {
-				continue // stale grant to a worker the fleet lost
-			}
-			s.nextWireLease++
-			w.leases[s.nextWireLease] = grantRef{job: j, item: a.Item.ID}
-			tc, err := s.host.Grant(w.sess, s.nextWireLease, a.Item, j.name)
-			if err != nil {
-				s.cfg.logf("jobs: send to worker %d failed: %v", a.Worker, err)
-				s.host.Drop(w.sess)
-				failed = append(failed, w)
-				continue
-			}
-			j.terms.Sent(a.Item, tc)
-		case master.ActComplete:
-			s.finishJob(j)
-		case master.ActStop:
-			// Release, don't stop: the worker belongs to the fleet.
-			if w := s.worker(a.Worker); w != nil && w.job == j && len(w.leases) == 0 {
-				s.assign(w)
-			}
-		}
-	}
-	for _, w := range failed {
-		s.retire(w)
-	}
+	s.sm.Feed(best, master.Event{Kind: master.EvJoin, Worker: int(w.sess.ID), At: s.now()})
 }
 
 // --- job lifecycle --------------------------------------------------
@@ -716,25 +596,15 @@ func (s *Scheduler) startJob(j *job) {
 		// without StateDir records no log, since nothing would read it.
 		j.log = master.NewLog()
 	}
-	mcfg := master.Config{
+	newJobQuality(j).Attach(b)
+	j.mcore = master.NewCore(s.sm.CoreConfig(master.Config{
 		Budget:       j.spec.Evaluations,
-		LeaseTimeout: s.leaseSec,
 		Policy:       master.ScheduledOffspring,
-		// Fleet workers hold deep copies of granted work (wire frames
-		// encode the solution), so an expired lease's wrapper and
-		// Solution can be reissued in place instead of cloned.
-		ReuseOnResubmit: true,
-		Alg:             j.terms.Bracket(b, nil),
-		Log:             j.log,
-		OnAccept:        s.onAcceptHook(j),
-		OnAcceptFrom:    s.onAcceptFromHook(j),
-		Tracer:          j.terms.Tracer(),
-	}
-	if q := newJobQuality(j); q != nil {
-		q.Attach(b)
-		mcfg.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
-	}
-	j.mcore = master.NewCore(mcfg)
+		Alg:          j.terms.Bracket(b, nil),
+		Log:          j.log,
+		OnAccept:     s.onAcceptHook(j),
+		OnAcceptFrom: s.onAcceptFromHook(j),
+	}, j.terms, j.quality))
 	if j.ck != nil {
 		if err := j.ck.openLog(j.log); err != nil {
 			s.failJob(j, fmt.Sprintf("opening checkpoint log: %v", err))
@@ -811,8 +681,7 @@ func (s *Scheduler) finishJob(j *job) {
 			s.cfg.logf("jobs: %s finalize: %v", j.id, err)
 		}
 	}
-	// exec, and the handler that called it, still use j's core.
-	s.ending = append(s.ending, j)
+	s.freeze(j)
 	s.maybeStart()
 }
 
@@ -878,10 +747,12 @@ func (s *Scheduler) cancel(id string) error {
 // archive file holds it. The job's workers are unassigned, its Borg
 // becomes a spare for the next job, and the rest of its algorithm state
 // is dropped, so later results, leaves and gone events for it touch no
-// core. No handler of j's may be on the stack.
+// core. A job that completes is frozen inside its core's action loop:
+// the socket master holds the core it feeds, and a completed core's
+// remaining actions, ActStops, touch only workers.
 func (s *Scheduler) freeze(j *job) {
 	for wid := range j.workers {
-		if w := s.worker(int(wid)); w != nil && w.job == j {
+		if w := s.fleet[wid]; w != nil && w.job == j {
 			w.job = nil
 		}
 	}
@@ -910,10 +781,9 @@ func (s *Scheduler) freeze(j *job) {
 	j.borg, j.mcore, j.adv, j.terms, j.quality = nil, nil, nil, nil, nil
 }
 
-// shutdown runs under the loop lock during Close: it closes running
-// jobs' log streams, after which the scheduler is closed to everything
-// but its host's Close, which drops every fleet connection (no Stop —
-// workers redial the next scheduler).
+// shutdown runs under the loop lock at the end of Close, once the fleet
+// is gone: it closes running jobs' log streams, and the scheduler to
+// everything.
 func (s *Scheduler) shutdown() {
 	s.closed = true
 	for _, id := range s.order {

@@ -55,14 +55,14 @@ func (s *Session) Gone() bool { return s.gone }
 // RemoteAddr reports the worker's address.
 func (s *Session) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
 
-// Host is the master side of the worker transport under every TCP
-// master (distributed, federation islands, job service). It owns the
-// accept loop, the off-loop handshake, a reader goroutine per
-// connection, worker-id assignment, the id → Session table, the loop
-// lock that serialises everything a master reacts to, and the teardown
-// of every connection it accepted — and nothing else: master.Core
-// wiring, metering and policy stay with the driver's handler (DESIGN.md
-// §10, "One host, three masters").
+// Host is the master side of the worker transport under the one socket
+// master, federation.SocketMaster. It owns the accept loop, the
+// off-loop handshake, a reader goroutine per connection, worker-id
+// assignment, the id → Session table, the loop lock that serialises
+// everything a master reacts to, and the teardown of every connection
+// it accepted — and nothing else: master.Core wiring, metering and
+// policy stay with the handler (DESIGN.md §10, "One master per
+// transport").
 //
 // Each reader calls the handler itself, under the loop lock, for its
 // session's join, every result and the final dead event; the rest of

@@ -659,13 +659,13 @@ func TestNoHandRolledHosts(t *testing.T) {
 // masterLoopHomes are the only files under internal/ that may host a
 // master loop, by kind: Host.Serve (a socket host handing worker events
 // to a master) and a DES process started with Engine.Go or GoAfter. The
-// asynchronous master is written once per transport —
-// federation.SocketMaster serves RunAsyncDistributed and every TCP
-// island, startMaster RunAsync and every DES island — beside the job
-// scheduler's multiplexing loop, RunSync's generational loop and the
-// simulation model's processes.
+// asynchronous master is written once per transport: one socket master,
+// federation.SocketMaster, serves RunAsyncDistributed, every TCP island
+// and the job scheduler; startMaster serves RunAsync and every DES
+// island, beside RunSync's generational loop and the simulation model's
+// processes.
 var masterLoopHomes = map[string][]string{
-	"Host.Serve": {"federation/master.go", "jobs/"},
+	"Host.Serve": {"federation/master.go"},
 	"Engine.Go":  {"parallel/async.go", "parallel/sync.go", "model/simulation.go"},
 }
 
@@ -708,7 +708,7 @@ func TestNoHandRolledMasterLoop(t *testing.T) {
 					return true
 				}
 			}
-			t.Errorf("%s: %s call outside %v\n\ta master loop is written once per transport: serve a TCP fleet with federation.SocketMaster, simulate one with parallel's startMaster",
+			t.Errorf("%s: %s call outside %v\n\ta master loop is written once per transport: serve a TCP fleet with the one socket master, federation.SocketMaster (a Router shares it among many cores), and simulate one with parallel's startMaster",
 				fset.Position(call.Pos()), kind, masterLoopHomes[kind])
 			return true
 		})
