@@ -41,6 +41,7 @@ package borgmoea
 import (
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
+	"borgmoea/internal/des"
 	"borgmoea/internal/experiment"
 	"borgmoea/internal/fault"
 	"borgmoea/internal/federation"
@@ -90,26 +91,24 @@ type (
 // down at any instant; attach it to ParallelConfig.Fault.
 var FailedFractionPlan = fault.FailedFractionPlan
 
-// Observability types (see internal/obs): attach a MetricsRegistry
-// and/or TraceRecorder to ParallelConfig (or WireOptions) and every
-// driver journals protocol events and records T_A/T_F/T_C, lease and
-// transport telemetry.
+// Observability types (see internal/obs): attach a MetricsRegistry to
+// ParallelConfig (or WireOptions) and every driver records T_A/T_F/T_C,
+// lease and transport telemetry. ParallelConfig.Events hears the
+// virtual-time drivers' simulation trace, one SimTraceEvent at a time.
 type (
 	// MetricsRegistry collects counters, gauges and timing histograms;
 	// nil disables telemetry at zero hot-path cost.
 	MetricsRegistry = obs.Registry
-	// TraceRecorder journals protocol events for JSONL export and
-	// Chrome trace_event rendering (chrome://tracing, Perfetto).
-	TraceRecorder = obs.Recorder
+	// SimTraceEvent is one DES trace event: a send, a receive, or the
+	// start or end of a node's eval/comm/algo busy interval — the
+	// stream the paper's Figure 1/2 timelines are drawn from.
+	SimTraceEvent = des.TraceEvent
 )
 
 // Observability constructors and helpers.
 var (
 	// NewMetrics returns an empty metrics registry.
 	NewMetrics = obs.NewRegistry
-	// NewTraceRecorder returns an event journal with the given
-	// retention limit (0 = default).
-	NewTraceRecorder = obs.NewRecorder
 	// StartMetricsSnapshots periodically appends one-line JSON registry
 	// snapshots to a writer (borgd's -advise-out journal).
 	StartMetricsSnapshots = obs.StartSnapshots

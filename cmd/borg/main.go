@@ -94,15 +94,15 @@ func run() int {
 	}
 
 	// Observability sinks, shared by every transport: a metrics
-	// registry when anything will read it, an event journal when a
-	// trace is requested.
+	// registry when anything will read it, a trace collector that keeps
+	// every evaluation's span tree when a trace is requested.
 	var reg *borgmoea.MetricsRegistry
 	if *metricsOut != "" || *debugAddr != "" {
 		reg = borgmoea.NewMetrics()
 	}
-	var rec *borgmoea.TraceRecorder
+	var tracer *borgmoea.TraceCollector
 	if *tracePath != "" {
-		rec = borgmoea.NewTraceRecorder(0)
+		tracer = borgmoea.NewTraceCollector(borgmoea.TraceCollectorConfig{RunID: *seed, Rate: 1})
 	}
 	var plog *borgmoea.ProtocolLog
 	if *eventLog != "" {
@@ -214,6 +214,10 @@ func run() int {
 
 	var alg *borgmoea.Algorithm
 	if *replayPath != "" {
+		if tracer != nil {
+			logger.Warn("-trace instruments a live parallel run; the replay records no trace")
+			tracer = nil
+		}
 		recorded, err := cli.ReadFile(*replayPath, borgmoea.ReadProtocolLog)
 		if err != nil {
 			return fail(1, "reading event log", "err", err)
@@ -249,7 +253,7 @@ func run() int {
 			Seed:         *seed,
 			LeaseTimeout: *leaseT,
 			Metrics:      reg,
-			Events:       rec,
+			Trace:        tracer,
 			Protocol:     plog,
 			Advisor:      adv,
 			Quality:      quality,
@@ -280,7 +284,7 @@ func run() int {
 			Seed:         *seed,
 			LeaseTimeout: *leaseT,
 			Metrics:      reg,
-			Events:       rec,
+			Trace:        tracer,
 			Protocol:     plog,
 			Advisor:      adv,
 			Quality:      quality,
@@ -310,6 +314,7 @@ func run() int {
 		if *tracePath != "" || *metricsOut != "" || *eventLog != "" || *adviseOut != "" || quality != nil {
 			logger.Warn("-trace/-metrics-out/-event-log/-advise-out/-quality-* instrument the parallel drivers; the serial run records nothing")
 		}
+		tracer = nil
 		var err error
 		if alg, err = borgmoea.NewBorg(problem, cfg); err != nil {
 			return fail(1, err.Error())
@@ -318,11 +323,14 @@ func run() int {
 		fmt.Printf("serial run: N=%d\n", *evals)
 	}
 
-	if *tracePath != "" {
-		if err := cli.WriteFile(*tracePath, rec.WriteChromeTrace); err != nil {
+	if tracer != nil {
+		forest := tracer.Forest()
+		if err := cli.WriteFile(*tracePath, func(w io.Writer) error {
+			return borgmoea.WriteChromeTraceForests(w, []string{"borg"}, []borgmoea.TraceForest{forest})
+		}); err != nil {
 			return fail(1, "writing trace", "err", err)
 		}
-		logger.Info("trace written", "path", *tracePath, "events", rec.Len(), "dropped", rec.Dropped())
+		logger.Info("trace written", "path", *tracePath, "traces", len(forest), "dropped", tracer.Dropped())
 	}
 	flusher.Flush()
 	if plog != nil && len(plog.Events) > 0 {

@@ -1,6 +1,6 @@
 // Command borgview reads what a run leaves behind or serves while it
 // runs: the one reader over the BMEL event log, the BTRC trace and BQLG
-// quality sidecars, JSONL journals and the /debug endpoints. Each
+// quality sidecars, advisor JSONL journals and the /debug endpoints. Each
 // subcommand is documented on its run function and by
 // `borgview <command> -h`.
 package main

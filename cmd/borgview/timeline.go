@@ -1,20 +1,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"borgmoea"
 	"borgmoea/internal/ascii"
+	"borgmoea/internal/cli"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 )
 
 // interval is one busy span of a node.
@@ -37,27 +33,14 @@ func newCollector() *collector {
 	}
 }
 
-// spanKinds maps a journal span kind to its chart letter.
+// spanKinds maps a simulation busy-interval kind to its chart letter.
 var spanKinds = map[string]byte{"comm": 'C', "algo": 'A', "eval": 'E'}
 
-// event folds one journal event into intervals: an event with a
-// duration is a complete span, and "<kind>.start"/"<kind>.end" pairs
-// open and close one.
-func (c *collector) event(ev obs.Event) {
-	if ev.Dur > 0 {
-		k, ok := spanKinds[ev.Kind]
-		if !ok {
-			return
-		}
-		end := ev.TS + ev.Dur
-		if end > c.horizon {
-			c.horizon = end
-		}
-		c.intervals[ev.Actor] = append(c.intervals[ev.Actor], interval{start: ev.TS, end: end, kind: k})
-		return
-	}
-	if ev.TS > c.horizon {
-		c.horizon = ev.TS
+// event folds one simulation trace event into intervals:
+// "<kind>.start"/"<kind>.end" pairs open and close a busy span.
+func (c *collector) event(ev borgmoea.SimTraceEvent) {
+	if ev.At > c.horizon {
+		c.horizon = ev.At
 	}
 	base, isStart := strings.CutSuffix(ev.Kind, ".start")
 	if !isStart {
@@ -70,7 +53,7 @@ func (c *collector) event(ev obs.Event) {
 		if c.open[ev.Actor] == nil {
 			c.open[ev.Actor] = map[string]float64{}
 		}
-		c.open[ev.Actor][base] = ev.TS
+		c.open[ev.Actor][base] = ev.At
 		return
 	}
 	start, ok := c.open[ev.Actor][base]
@@ -82,7 +65,7 @@ func (c *collector) event(ev obs.Event) {
 	if !ok {
 		k = '?'
 	}
-	c.intervals[ev.Actor] = append(c.intervals[ev.Actor], interval{start: start, end: ev.TS, kind: k})
+	c.intervals[ev.Actor] = append(c.intervals[ev.Actor], interval{start: start, end: ev.At, kind: k})
 }
 
 // render draws the Gantt chart over [0, horizon] with the given width.
@@ -124,7 +107,7 @@ func (c *collector) render(width int) {
 // simulate runs one traced virtual-time master-slave run and draws its
 // chart.
 func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, width int) error {
-	rec := borgmoea.NewTraceRecorder(0)
+	col := newCollector()
 	cfg := borgmoea.ParallelConfig{
 		Problem: borgmoea.NewDTLZ2(5),
 		Algorithm: borgmoea.Config{
@@ -138,7 +121,7 @@ func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, wid
 		TA:     borgmoea.ConstantDist(tf / 4),
 		TC:     borgmoea.ConstantDist(tf / 8),
 		Seed:   3,
-		Events: rec,
+		Events: col.event,
 	}
 	var err error
 	if sync {
@@ -149,10 +132,6 @@ func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, wid
 	if err != nil {
 		return err
 	}
-	col := newCollector()
-	for _, ev := range rec.Events() {
-		col.event(ev)
-	}
 	fmt.Printf("%s (P=%d: 1 master + %d workers; C=comm A=algorithm E=evaluation ·=idle)\n",
 		name, p, p-1)
 	col.render(width)
@@ -160,27 +139,14 @@ func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, wid
 	return nil
 }
 
-// loadEventLog reads a recorded run, auto-detecting the format by the
-// BMEL magic, and returns a filled collector.
+// loadEventLog reads a recorded BMEL run and returns a filled
+// collector.
 func loadEventLog(path string) (*collector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
+	log, err := cli.ReadFile(path, borgmoea.ReadProtocolLog)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if bytes.Equal(magic, []byte("BMEL")) {
-		log, err := borgmoea.ReadProtocolLog(br)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return collectProtocol(log), nil
-	}
-	return collectJSONL(br)
+	return collectProtocol(log), nil
 }
 
 // collectProtocol reconstructs per-worker evaluation spans from the
@@ -217,28 +183,6 @@ func collectProtocol(log *borgmoea.ProtocolLog) *collector {
 		col.horizon = log.Elapsed
 	}
 	return col
-}
-
-// collectJSONL folds a JSONL trace journal (one obs.Event per line)
-// into intervals.
-func collectJSONL(r io.Reader) (*collector, error) {
-	col := newCollector()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(text), &ev); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		col.event(ev)
-	}
-	return col, sc.Err()
 }
 
 // renderQuality draws a recorded quality timeline: the hypervolume
@@ -290,11 +234,10 @@ func renderQuality(path string, width int) error {
 //
 //	borgview timeline [-p 4] [-evals 12] [-width 110] [-tf 0.01] [-tfcv 0.3]
 //
-// With -events the tool renders a recorded run instead of simulating
-// one. Both recorded forms are accepted and auto-detected: the binary
-// protocol event log written by `borg -event-log` (BMEL format,
-// internal/master) and the JSONL trace journal (obs.Event per line,
-// TraceRecorder.WriteJSONL):
+// The simulated charts are drawn from the DES engine's trace hook
+// (ParallelConfig.Events). With -events the tool renders a recorded
+// run instead: the binary protocol event log written by `borg
+// -event-log` (BMEL format, internal/master):
 //
 //	borgview timeline -events run.bmel [-width 110]
 //
@@ -311,7 +254,7 @@ func runTimeline(fs *flag.FlagSet, args []string) int {
 		width   = fs.Int("width", 110, "chart width in characters")
 		tf      = fs.Float64("tf", 0.01, "mean evaluation time")
 		tfcv    = fs.Float64("tfcv", 0.3, "evaluation time variability (higher shows the sync barrier cost)")
-		events  = fs.String("events", "", "render a recorded run from this file (binary event log or JSONL trace) instead of simulating")
+		events  = fs.String("events", "", "render a recorded run from this binary event log (BMEL, from borg -event-log) instead of simulating")
 		quality = fs.String("quality", "", "render a quality-timeline sidecar (BQLG, from borg -quality-log) instead of simulating")
 	)
 	fs.Parse(args)

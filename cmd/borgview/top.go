@@ -202,8 +202,12 @@ func lastLine(path string) (*borgmoea.AdvisorReport, error) {
 	if last == "" {
 		return nil, fmt.Errorf("%s: no snapshots yet", path)
 	}
+	// Strict: borgd's -advise-out writes metric snapshots, not advisor
+	// reports, and a lenient decode would render one as all zeros.
+	dec := json.NewDecoder(strings.NewReader(last))
+	dec.DisallowUnknownFields()
 	var rep borgmoea.AdvisorReport
-	if err := json.Unmarshal([]byte(last), &rep); err != nil {
+	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("decoding %s: %w", path, err)
 	}
 	return &rep, nil

@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"os"
 	"os/exec"
@@ -139,6 +140,30 @@ func (tl *tools) same(a, b string) {
 	}
 }
 
+// chromeTF asserts name is a Chrome trace_event document holding at
+// least one tf span.
+func (tl *tools) chromeTF(name string) {
+	tl.t.Helper()
+	data, err := os.ReadFile(filepath.Join(tl.dir, name))
+	if err != nil {
+		tl.t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		tl.t.Fatalf("%s: %v", name, err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "tf" {
+			return
+		}
+	}
+	tl.t.Fatalf("%s: %d trace events, no tf span", name, len(doc.TraceEvents))
+}
+
 // freeAddr returns a loopback address nothing is listening on.
 func freeAddr(t *testing.T) string {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -172,23 +197,60 @@ func TestScripts(t *testing.T) {
 		tl.same("serial.a.json", "serial.b.json")
 
 		tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
-			"-event-log", "v.bmel", "-quality-log", "v.qlog", "-advise-out", "v.adv.jsonl", "-out", "v.json")...)
+			"-event-log", "v.bmel", "-quality-log", "v.qlog", "-advise-out", "v.adv.jsonl",
+			"-trace", "v.trace.json", "-out", "v.json")...)
+		tl.chromeTF("v.trace.json")
 		tl.ok("borg", with("-replay", "v.bmel", "-quality-every", "500",
 			"-quality-log", "v.replay.qlog", "-out", "v.replay.json")...)
 		tl.same("v.json", "v.replay.json")
 		tl.same("v.qlog", "v.replay.qlog")
 
+		// Neither a replay nor a serial run has a live run to trace: each
+		// says so and writes no trace file.
+		for _, args := range [][]string{{"-replay", "v.bmel"}, {"-evals", "100"}} {
+			code, _, stderr := tl.run("", "borg", with(append(args, "-trace", "none.trace.json")...)...)
+			if code != 0 || !strings.Contains(stderr, "records no") {
+				t.Fatalf("borg %v -trace: exit %d, want 0 with a records-nothing warning\n%s", args, code, stderr)
+			}
+			if _, err := os.Stat(filepath.Join(tl.dir, "none.trace.json")); !os.IsNotExist(err) {
+				t.Fatalf("borg %v -trace wrote a trace file (%v)", args, err)
+			}
+		}
+
 		// A live TCP run: borgd redials until the master is up and exits
 		// when the master sends Stop.
 		addr := freeAddr(t)
-		worker := tl.start("borgd", "-connect", addr, "-quiet")
+		worker := tl.start("borgd", "-connect", addr, "-quiet", "-advise-out", "w.jsonl")
 		tl.ok("borg", with("-transport", "tcp", "-listen", addr, "-evals", "600", "-wall-limit", "60s",
-			"-event-log", "tcp.bmel", "-out", "tcp.json")...)
+			"-event-log", "tcp.bmel", "-trace", "tcp.trace.json", "-out", "tcp.json")...)
 		if err := worker.Wait(); err != nil {
 			t.Fatalf("borgd: %v", err)
 		}
+		tl.chromeTF("tcp.trace.json")
 		tl.ok("borg", with("-replay", "tcp.bmel", "-out", "tcp.replay.json")...)
 		tl.same("tcp.json", "tcp.replay.json")
+
+		// borgd's -advise-out is a metrics-snapshot journal whose final
+		// line, written at exit, counts every result the worker sent; it
+		// is no advisor report, so borgview top refuses it.
+		data, err := os.ReadFile(filepath.Join(tl.dir, "w.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		var snap struct {
+			TS      string         `json:"ts"`
+			Metrics map[string]any `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &snap); err != nil || snap.TS == "" {
+			t.Fatalf("borgd -advise-out: last line is no snapshot (%v)\n%s", err, data)
+		}
+		if sent, _ := snap.Metrics["wire.frames_sent"].(float64); sent < 600 {
+			t.Fatalf("borgd -advise-out: final snapshot has wire.frames_sent %v, want >= 600", snap.Metrics["wire.frames_sent"])
+		}
+		if code, _, stderr := tl.run("", "borgview", "top", "-file", "w.jsonl", "-once"); code != 1 || !strings.Contains(stderr, "unknown field") {
+			t.Fatalf("borgview top -file on a borgd journal: exit %d, want 1 naming the unknown field\n%s", code, stderr)
+		}
 
 		// The live advisor of a TCP master, read from its /debug/scaling
 		// while the run is in flight; then both processes end cleanly.
@@ -339,6 +401,7 @@ func TestScripts(t *testing.T) {
 			{2, "-width must be at least 1", "borgview", []string{"timeline", "-width", "0"}},
 			{1, "at least 2 processors", "borgview", []string{"timeline", "-p", "1"}},
 			{1, "no such file", "borgview", []string{"timeline", "-events", "missing.bmel"}},
+			{1, "bad magic", "borgview", []string{"timeline", "-events", "v.json"}},
 			{2, "exactly one of -addr or -file", "borgview", []string{"top"}},
 			{2, "-job needs -addr", "borgview", []string{"top", "-file", "x", "-job", "j1"}},
 			{2, "-fed needs -addr", "borgview", []string{"top", "-file", "x", "-fed"}},

@@ -34,9 +34,6 @@ type SocketMaster struct {
 	// on its cadence through an EvQuality event, so the sample point
 	// lands in the BMEL log. Under Serve each lane brings its own.
 	Quality *obs.QualitySampler
-	// Journal, when set, records worker joins and deaths and each
-	// evaluation's span.
-	Journal *obs.Recorder
 	// Start is the wall-clock instant the run's clock reads zero at.
 	Start time.Time
 	// LeaseTimeout, when positive, expires leases that old.
@@ -107,18 +104,10 @@ func (sm *SocketMaster) logf(format string, args ...any) {
 	}
 }
 
-// record journals a worker lifecycle event at the current clock.
-func (sm *SocketMaster) record(kind string, s *wire.Session, detail string) {
-	if sm.Journal != nil {
-		sm.Journal.Record(obs.Event{TS: sm.since(), Kind: kind, Actor: fmt.Sprintf("worker%d", s.ID), Detail: detail})
-	}
-}
-
 // lost records a session the host dropped; the state machines hear
 // about the death separately (EvGone, or the retire inside a replacing
 // EvJoin).
 func (sm *SocketMaster) lost(s *wire.Session, why error) {
-	sm.record("worker.dead", s, fmt.Sprintf("%v", why))
 	sm.Advisor.SetLive(sm.host.Live())
 	sm.logf("worker %d gone: %v", s.ID, why)
 }
@@ -208,7 +197,6 @@ func (sm *SocketMaster) onEvent(e wire.HostEvent) {
 			}
 		}
 		sm.Advisor.SetLive(sm.host.Live())
-		sm.record("worker.join", s, s.RemoteAddr().String())
 		sm.logf("worker %d joined from %s (%d live)", s.ID, s.RemoteAddr(), sm.host.Live())
 		if r != nil {
 			r.Assign(s)
@@ -248,14 +236,8 @@ func (sm *SocketMaster) result(s *wire.Session, msg *wire.Result, wait float64) 
 	// accept this result (a live lease granted to this worker); late
 	// duplicates are discarded inside.
 	if worker, item, live := c.Lease(lease); live && worker == int(s.ID) {
-		evalSec := msg.Fill(item)
-		terms.Evaluated(int(s.ID), item, evalSec)
+		terms.Evaluated(int(s.ID), item, msg.Fill(item))
 		terms.Queued(item, wait)
-		if sm.Journal != nil {
-			// Reconstruct the worker's eval span master-side from the
-			// reported duration.
-			sm.Journal.Record(obs.Event{TS: sm.since() - evalSec, Dur: evalSec, Kind: "eval", Actor: fmt.Sprintf("worker%d", s.ID)})
-		}
 	}
 	prev := c.Completed()
 	sm.Feed(l, master.Event{Kind: master.EvResult, Worker: int(s.ID), Item: lease, At: sm.since()})

@@ -8,12 +8,12 @@ import (
 	"sort"
 )
 
-// Chrome trace_event export of trace forests. Unlike the Recorder's
-// single-process journal export (trace.go), a forest renders truly
-// cross-process: each island's master is one pid, its worker fleet a
-// second pid with one thread per worker, and flow events ("s"/"f")
-// draw the grant → compute → result arrows across them — plus
-// emigrant → migrant arrows between islands in a merged export.
+// Chrome trace_event export of trace forests, the package's one Chrome
+// exporter. A forest renders cross-process: each island's master is
+// one pid, its worker fleet a second pid with one thread per worker,
+// and flow events ("s"/"f") draw the grant → compute → result arrows
+// across them — plus emigrant → migrant arrows between islands in a
+// merged export.
 
 // WriteChromeForests exports several forests — typically one per
 // island — into one Chrome trace. Forest i's master is pid 2i+1, its
@@ -178,6 +178,79 @@ func emitForest(emit func(chromeEvent) error, f Forest, masterPID int, label str
 				if err := emit(e); err != nil {
 					return err
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// chromeEvent is one trace_event-format record. ID and BindPoint are
+// only set on flow events ("s"/"t"/"f"), which the forest exporter
+// uses to draw cross-process arrows.
+type chromeEvent struct {
+	Name      string         `json:"name"`
+	Phase     string         `json:"ph"`
+	TS        float64        `json:"ts"`
+	Dur       float64        `json:"dur,omitempty"`
+	PID       int            `json:"pid"`
+	TID       int            `json:"tid"`
+	Cat       string         `json:"cat,omitempty"`
+	Scope     string         `json:"s,omitempty"`
+	ID        string         `json:"id,omitempty"`
+	BindPoint string         `json:"bp,omitempty"`
+	Args      map[string]any `json:"args,omitempty"`
+}
+
+// ValidateChromeTrace checks data against the Chrome trace-event
+// schema subset this package emits: a top-level object with a
+// traceEvents array whose entries carry a name, a known phase, a
+// non-negative timestamp, pid/tid, a non-negative dur on complete
+// events — and whose E duration events each close an open B on their
+// thread. Spans still open at the end of the trace are legal (a run
+// captured mid-flight); Perfetto renders them as unterminated slices. It is the
+// golden-test oracle for `-trace` output.
+func ValidateChromeTrace(data []byte) error {
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("obs: trace is not a JSON object: %w", err)
+	}
+	if doc.TraceEvents == nil {
+		return fmt.Errorf("obs: trace has no traceEvents array")
+	}
+	depth := map[[2]int]int{} // (pid,tid) → open B events
+	for i, raw := range doc.TraceEvents {
+		var ev chromeEvent
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			return fmt.Errorf("obs: traceEvents[%d]: %w", i, err)
+		}
+		switch ev.Phase {
+		case "B", "E", "X", "i", "I", "M", "C":
+		case "s", "t", "f": // flow events: cross-process arrows
+			if ev.ID == "" {
+				return fmt.Errorf("obs: traceEvents[%d]: flow event without id", i)
+			}
+		default:
+			return fmt.Errorf("obs: traceEvents[%d]: unknown phase %q", i, ev.Phase)
+		}
+		if ev.Name == "" && ev.Phase != "E" {
+			return fmt.Errorf("obs: traceEvents[%d]: missing name", i)
+		}
+		if ev.TS < 0 {
+			return fmt.Errorf("obs: traceEvents[%d]: negative ts %v", i, ev.TS)
+		}
+		if ev.Phase == "X" && ev.Dur < 0 {
+			return fmt.Errorf("obs: traceEvents[%d]: complete event with negative dur %v", i, ev.Dur)
+		}
+		key := [2]int{ev.PID, ev.TID}
+		switch ev.Phase {
+		case "B":
+			depth[key]++
+		case "E":
+			depth[key]--
+			if depth[key] < 0 {
+				return fmt.Errorf("obs: traceEvents[%d]: E without matching B on pid=%d tid=%d", i, ev.PID, ev.TID)
 			}
 		}
 	}

@@ -1,15 +1,16 @@
 // Package obs is the run-telemetry subsystem of the reproduction: a
 // lightweight metrics registry (counters, gauges, fixed-bucket
-// histograms), a structured protocol event journal with a Chrome
-// trace_event exporter (trace.go) and the shared CLI logger (log.go).
-// The live HTTP debug endpoint that serves the registry is
-// internal/httpd's.
+// histograms), per-evaluation distributed tracing — the span forest
+// (collector.go), replayable from the BMEL event log, with its one
+// Chrome trace_event exporter (chrome.go) — search-quality sampling
+// (quality.go) and the shared CLI logger (log.go). The live HTTP debug
+// endpoint that serves the registry is internal/httpd's.
 //
 // The paper's whole argument rests on timing internals — T_A, T_F,
 // T_C, master utilization and the queueing dynamics of the
 // asynchronous master (Sections IV–V) — so every parallel driver in
 // internal/parallel and the TCP connection layer in internal/wire
-// record into this package when a Registry/Recorder is attached.
+// record into this package when a Registry or Collector is attached.
 //
 // Design constraints, in order:
 //

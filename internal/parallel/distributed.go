@@ -8,7 +8,6 @@ import (
 	"borgmoea/internal/core"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 	"borgmoea/internal/wire"
 )
@@ -106,7 +105,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	// are suggested on demand at dispatch, bounded by the remaining
 	// budget).
 	meters := master.NewMeters(cfg.Metrics)
-	journal := cfg.Events
 	// One meter for the fleet: results arrive one at a time under the
 	// host's loop lock, and each names its worker.
 	terms := master.NewTerms(master.TermsConfig{
@@ -118,18 +116,11 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 
 	// Accept and Suggest are metered separately (the lazy policy splits
 	// them across the result and dispatch paths); per completed
-	// evaluation they sum to the paper's T_A. The journal shows each
-	// accept as an algo span: the master's critical sections on the run's
-	// timeline.
-	alg := terms.Bracket(b, func(ta float64, accept bool) {
-		if accept && journal != nil {
-			journal.Record(obs.Event{TS: since() - ta, Dur: ta, Kind: "algo", Actor: "master"})
-		}
-	})
+	// evaluation they sum to the paper's T_A.
 	mcfg := master.Config{
 		Budget: cfg.Evaluations,
 		Policy: master.LazyOffspring,
-		Alg:    alg,
+		Alg:    terms.Bracket(b, nil),
 		Meters: meters,
 		Log:    cfg.Protocol,
 		OnAccept: func(n uint64) {
@@ -139,14 +130,9 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 			}
 		},
 	}
-	if journal != nil {
-		mcfg.Emit = func(kind, detail string) {
-			journal.Record(obs.Event{TS: since(), Kind: kind, Actor: "master", Detail: detail})
-		}
-	}
 	cfg.Quality.Attach(b)
 	sm := &federation.SocketMaster{
-		Terms: terms, Advisor: adv, Quality: cfg.Quality, Journal: journal,
+		Terms: terms, Advisor: adv, Quality: cfg.Quality,
 		Start: start, LeaseTimeout: leaseTimeout, WallLimit: dcfg.WallLimit,
 		Name: "parallel", Logf: dcfg.Logf,
 	}

@@ -99,7 +99,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 	k := cfg.Islands
 	eng := des.New()
-	installTrace(eng, &base)
+	eng.SetTrace(base.Events)
 	meters := master.NewMeters(base.Metrics)
 	cl := cluster.New(eng, cluster.Config{Nodes: k * base.Processors, Seed: base.Seed})
 

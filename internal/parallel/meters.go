@@ -1,10 +1,6 @@
 package parallel
 
-import (
-	"borgmoea/internal/des"
-	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
-)
+import "borgmoea/internal/master"
 
 // Metric name aliases: the canonical vocabulary lives in
 // internal/master (the protocol counters are recorded by the shared
@@ -27,16 +23,3 @@ const (
 	mMigrants    = master.MetricMigrants
 	mCheckpoints = master.MetricCheckpoints
 )
-
-// installTrace wires the DES engine's trace stream into the run's
-// event journal. Without one the engine keeps its nil hook and emits
-// nothing.
-func installTrace(eng *des.Engine, cfg *Config) {
-	rec := cfg.Events
-	if rec == nil {
-		return
-	}
-	eng.SetTrace(func(ev des.TraceEvent) {
-		rec.Record(obs.Event{TS: ev.At, Kind: ev.Kind, Actor: ev.Actor, Detail: ev.Detail})
-	})
-}

@@ -11,20 +11,29 @@ import (
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
+	"borgmoea/internal/des"
 	"borgmoea/internal/fault"
 	"borgmoea/internal/obs"
 	"borgmoea/internal/wire"
 )
 
 // TestAsyncMetricsAndTrace attaches the full telemetry kit to a
-// virtual-time run and checks that the registry and journal see the
-// protocol: N accepted evaluations, T_A/T_F/T_C and queue-wait timing
-// observations, and a journal that exports to a valid Chrome trace.
+// virtual-time run and checks that the registry, the DES trace hook and
+// the span forest see the protocol: N accepted evaluations, T_A/T_F/T_C
+// and queue-wait timing observations, the simulation's send/recv and
+// busy-interval events, and a forest that exports to a valid Chrome
+// trace.
 func TestAsyncMetricsAndTrace(t *testing.T) {
 	const n = 2000
 	cfg := testConfig(8, n)
 	cfg.Metrics = obs.NewRegistry()
-	cfg.Events = obs.NewRecorder(0)
+	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
+	kinds := map[string]bool{}
+	actors := map[string]bool{}
+	cfg.Events = func(ev des.TraceEvent) {
+		kinds[ev.Kind] = true
+		actors[ev.Actor] = true
+	}
 
 	res, err := RunAsync(cfg)
 	if err != nil {
@@ -49,30 +58,43 @@ func TestAsyncMetricsAndTrace(t *testing.T) {
 		t.Errorf("ta histogram mean %v != result MeanTA %v", ta.Mean(), res.MeanTA)
 	}
 
-	if cfg.Events.Len() == 0 {
-		t.Fatal("journal recorded no events")
-	}
-	var buf bytes.Buffer
-	if err := cfg.Events.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("trace fails schema validation: %v", err)
-	}
+	checkChromeForest(t, cfg.Trace, n)
 	// The DES stream must carry per-worker eval spans and master sends.
-	kinds := map[string]bool{}
-	actors := map[string]bool{}
-	for _, ev := range cfg.Events.Events() {
-		kinds[ev.Kind] = true
-		actors[ev.Actor] = true
-	}
 	for _, k := range []string{"send", "recv", "eval.start", "eval.end", "algo.start", "algo.end"} {
 		if !kinds[k] {
-			t.Errorf("journal missing %q events", k)
+			t.Errorf("trace hook missing %q events", k)
 		}
 	}
 	if !actors["master"] || !actors["worker1"] {
-		t.Errorf("journal missing expected actors, got %v", actors)
+		t.Errorf("trace hook missing expected actors, got %v", actors)
+	}
+}
+
+// checkChromeForest exports col's forest to Chrome trace_event JSON,
+// validates it, and checks that n evaluation trees carry both a tf and
+// a ta span.
+func checkChromeForest(t *testing.T, col *obs.Collector, n int) {
+	t.Helper()
+	forest := col.Forest()
+	var buf bytes.Buffer
+	if err := obs.WriteChromeForests(&buf, []string{"master"}, []obs.Forest{forest}); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("trace fails schema validation: %v\n%s", err, firstKB(buf.Bytes()))
+	}
+	full := 0
+	for _, root := range forest {
+		terms := map[string]bool{}
+		for _, ch := range root.Children {
+			terms[ch.Name] = true
+		}
+		if root.Name == "eval" && terms["tf"] && terms["ta"] {
+			full++
+		}
+	}
+	if full != n {
+		t.Errorf("forest has %d evaluation trees with tf and ta spans, want %d", full, n)
 	}
 }
 
@@ -154,10 +176,10 @@ func TestAsyncDiagnosticsCadence(t *testing.T) {
 }
 
 // TestDistributedObservability is the loopback acceptance test for the
-// telemetry tentpole: a real-TCP run with metrics, journal and a
-// checkpoint hook attached must (a) keep the checkpoint cadence, (b)
-// count evaluations and worker joins, (c) see wire frames on the
-// shared registry, and (d) produce a -trace file that validates
+// telemetry tentpole: a real-TCP run with metrics, a rate-1 trace
+// collector and a checkpoint hook attached must (a) keep the checkpoint
+// cadence, (b) count evaluations and worker joins, (c) see wire frames
+// on the shared registry, and (d) produce a -trace file that validates
 // against the Chrome trace-event schema.
 func TestDistributedObservability(t *testing.T) {
 	if testing.Short() {
@@ -184,7 +206,7 @@ func TestDistributedObservability(t *testing.T) {
 	checkpoints := 0
 	cfg := distConfig(n)
 	cfg.Metrics = conn.Metrics
-	cfg.Events = obs.NewRecorder(0)
+	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
 	cfg.CheckpointEvery = every
 	cfg.OnCheckpoint = func(float64, *core.Borg) { checkpoints++ }
 
@@ -223,29 +245,10 @@ func TestDistributedObservability(t *testing.T) {
 		t.Error("wire layer recorded no received frames")
 	}
 
-	// Golden check: the exported trace validates and shows the
-	// distributed-specific shapes (joins, reconstructed eval spans, one
-	// master algo span per accept).
-	var buf bytes.Buffer
-	if err := cfg.Events.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("trace fails schema validation: %v\n%s", err, firstKB(buf.Bytes()))
-	}
-	kinds := map[string]int{}
-	for _, ev := range cfg.Events.Events() {
-		kinds[ev.Kind]++
-	}
-	if kinds["worker.join"] < 3 {
-		t.Errorf("journal has %d worker.join events, want >= 3", kinds["worker.join"])
-	}
-	if kinds["eval"] != n {
-		t.Errorf("journal has %d eval spans, want %d", kinds["eval"], n)
-	}
-	if kinds["algo"] != n {
-		t.Errorf("journal has %d algo spans, want %d", kinds["algo"], n)
-	}
+	// Golden check: the exported trace validates and holds one
+	// evaluation tree per accept, each with the worker's T_F and the
+	// master's T_A.
+	checkChromeForest(t, cfg.Trace, n)
 }
 
 func firstKB(b []byte) string {
@@ -257,8 +260,7 @@ func firstKB(b []byte) string {
 
 // TestRealtimeMetrics smoke-checks the wall-clock driver's telemetry
 // at a size that also runs under -short: one loopback TCP worker, 300
-// evaluations, every accept metered as T_A and journalled as an algo
-// span.
+// evaluations, every accept metered as T_A and traced with a ta span.
 func TestRealtimeMetrics(t *testing.T) {
 	const n = 300
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -272,7 +274,7 @@ func TestRealtimeMetrics(t *testing.T) {
 	cfg := testConfig(4, n)
 	cfg.TA = nil
 	cfg.Metrics = obs.NewRegistry()
-	cfg.Events = obs.NewRecorder(0)
+	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
 	res, err := RunAsyncDistributed(cfg, DistributedConfig{
 		Listener:     l,
 		LeaseTimeout: 10 * time.Second,
@@ -293,22 +295,7 @@ func TestRealtimeMetrics(t *testing.T) {
 	if got := cfg.Metrics.Histogram(mTA, nil).Count(); got < n {
 		t.Fatalf("%s count = %d, want >= %d", mTA, got, n)
 	}
-	var buf bytes.Buffer
-	if err := cfg.Events.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("wall-clock trace invalid: %v", err)
-	}
-	algo := 0
-	for _, ev := range cfg.Events.Events() {
-		if ev.Kind == "algo" {
-			algo++
-		}
-	}
-	if algo != n {
-		t.Errorf("journal has %d algo spans, want %d", algo, n)
-	}
+	checkChromeForest(t, cfg.Trace, n)
 }
 
 // TestDistributedTermsReachEverySink: on the socket path each grant's
@@ -410,19 +397,20 @@ func BenchmarkAsyncInstrumented(b *testing.B) { benchAsync(b, instrumentedConfig
 func BenchmarkAsyncAdvised(b *testing.B)      { benchAsync(b, advisedConfig) }
 
 // TestAsyncLeaseExpireTraced: the master's lease.expire annotations
-// reach a traced run's journal, formatted as before, while an untraced
-// run hands the master no hook to format them for.
+// reach a traced run's DES trace hook, formatted as before, while an
+// untraced run hands the master no hook to format them for.
 func TestAsyncLeaseExpireTraced(t *testing.T) {
 	cfg := testConfig(12, 1500)
 	cfg.StragglerFraction, cfg.StragglerFactor = 0.2, 30
 	cfg.LeaseTimeout = 0.005
-	cfg.Events = obs.NewRecorder(0)
+	var events []des.TraceEvent
+	cfg.Events = func(ev des.TraceEvent) { events = append(events, ev) }
 	res, err := RunAsync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expired := 0
-	for _, ev := range cfg.Events.Events() {
+	for _, ev := range events {
 		if ev.Kind != "lease.expire" {
 			continue
 		}

@@ -22,6 +22,7 @@ import (
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
+	"borgmoea/internal/des"
 	"borgmoea/internal/fault"
 	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
@@ -118,14 +119,13 @@ type Config struct {
 	// master queue wait). All drivers honor it; nil keeps the hot
 	// path free of telemetry work.
 	Metrics *obs.Registry
-	// Events, when set, journals the run's protocol events — on the
-	// virtual-time drivers every simulation trace event (sends,
-	// receives, and the start/end of eval/comm/algo busy intervals
-	// per node), plus driver-level events (lease expiries, joins,
-	// deaths) — for JSONL export, Chrome trace rendering (see
-	// internal/obs) and Figure 1/2-style timelines. It adds
-	// overhead; leave nil for experiments.
-	Events *obs.Recorder
+	// Events, when set, is the DES engine's trace hook: it receives
+	// every simulation trace event (sends, receives, the start/end of
+	// eval/comm/algo busy intervals per node, crashes, recoveries and
+	// the master's lease expiries) — the stream behind the paper's
+	// Figure 1/2 timelines. Virtual-time drivers only; it adds
+	// overhead, so leave nil for experiments.
+	Events func(des.TraceEvent)
 	// Protocol, when set, records the exact event stream the shared
 	// master state machine consumed — the compact replay log. A
 	// recorded log re-runs deterministically through ReplayAsync (any

@@ -42,7 +42,7 @@ func RunSync(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eng := des.New()
-	installTrace(eng, &cfg)
+	eng.SetTrace(cfg.Events)
 	cl := cluster.New(eng, cluster.Config{Nodes: cfg.Processors, Seed: cfg.Seed})
 	inj := attachFaults(cl, &cfg)
 

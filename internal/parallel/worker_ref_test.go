@@ -13,7 +13,6 @@ import (
 	"borgmoea/internal/fault"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/stats"
 )
 
@@ -66,16 +65,15 @@ func runOracle(t testing.TB, run runner, cfg Config, spawn func(*worker)) oracle
 	var out oracleRun
 	cfg.spawn = spawn
 	cfg.Protocol = master.NewLog()
-	cfg.Events = obs.NewRecorder(0)
-	res, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range cfg.Events.Events() {
+	cfg.Events = func(ev des.TraceEvent) {
 		if ev.Kind == "send" {
 			out.sends++
 		}
 		out.trace = append(out.trace, traceLine(ev))
+	}
+	res, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := core.SaveArchive(&buf, res.Final.Archive()); err != nil {
@@ -85,10 +83,10 @@ func runOracle(t testing.TB, run runner, cfg Config, spawn func(*worker)) oracle
 	return out
 }
 
-// traceLine renders one journal event with its timestamp at full
+// traceLine renders one trace event with its timestamp at full
 // precision, so equal traces mean bit-equal virtual times.
-func traceLine(ev obs.Event) string {
-	return fmt.Sprintf("%.17g %s %s %s", ev.TS, ev.Actor, ev.Kind, ev.Detail)
+func traceLine(ev des.TraceEvent) string {
+	return fmt.Sprintf("%.17g %s %s %s", ev.At, ev.Actor, ev.Kind, ev.Detail)
 }
 
 // diffTrace reports the first position where two trace sequences part.
@@ -244,7 +242,7 @@ func TestWorkerEquivalenceIslands(t *testing.T) {
 		cfg.Base.TF = tf
 		cfg.Base.CaptureTimings = true
 		cfg.Base.spawn = spawn
-		cfg.Base.Events = obs.NewRecorder(0)
+		cfg.Base.Events = func(ev des.TraceEvent) { o.trace = append(o.trace, traceLine(ev)) }
 		for i := 0; i < k; i++ {
 			cfg.Logs = append(cfg.Logs, master.NewLog())
 			cfg.MigrantLogs = append(cfg.MigrantLogs, federation.NewMigrantLog())
@@ -252,9 +250,6 @@ func TestWorkerEquivalenceIslands(t *testing.T) {
 		res, err := RunIslands(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, ev := range cfg.Base.Events.Events() {
-			o.trace = append(o.trace, traceLine(ev))
 		}
 		for i := 0; i < k; i++ {
 			var buf bytes.Buffer

@@ -20,7 +20,6 @@ import (
 // any .go file counts, tests and examples included.
 var facadeTypes = map[string]bool{
 	"internal/core.Borg":             true, // borgmoea.Algorithm
-	"internal/obs.Recorder":          true, // borgmoea.TraceRecorder
 	"internal/obs.Collector":         true, // borgmoea.TraceCollector
 	"internal/obs.Forest":            true, // borgmoea.TraceForest
 	"internal/federation.MigrantLog": true, // borgmoea.MigrantLog
@@ -108,6 +107,44 @@ func TestHTTPStaysInServers(t *testing.T) {
 		check(p.path, serverOnly...)
 	}
 	check(m.module+"/cmd/borgexp", "net/http")
+}
+
+// chromeExporter is the one non-test file that may spell the Chrome
+// trace_event document's "traceEvents" key: the span forest's exporter
+// and its validator.
+const chromeExporter = "internal/obs/chrome.go"
+
+// TestOneChromeExporter keeps the module at one Chrome trace exporter.
+// It fails when a non-test .go file other than chromeExporter contains
+// the "traceEvents" literal, the key every trace_event writer has to
+// spell.
+func TestOneChromeExporter(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel := filepath.ToSlash(path)
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || rel == chromeExporter {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.Contains(string(src), `"traceEvents"`) {
+			t.Errorf("%s spells \"traceEvents\": write Chrome traces through %s (obs.WriteChromeForests)", rel, chromeExporter)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 type surfaceReport struct {
