@@ -420,7 +420,8 @@ var (
 	RunSpeedup = experiment.RunSpeedup
 	// RunSurface reproduces Figure 5.
 	RunSurface = experiment.RunSurface
-	// CollectTimings measures T_A and fits distributions.
+	// CollectTimings times serial T_A brackets and fits distributions
+	// and the core.Work prices to them.
 	CollectTimings = experiment.CollectTimings
 	// PlanHierarchy sizes master-slave islands with the simulation
 	// model.

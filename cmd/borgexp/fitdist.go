@@ -17,8 +17,10 @@ import (
 // on stdin or in a file) and ranks them by log-likelihood — the
 // replacement for the paper's R fitting workflow (Section IV.B).
 //
-// With -collect it instead runs an instrumented Borg MOEA and fits
-// the measured per-evaluation algorithm times T_A directly.
+// With -collect it instead runs a serial Borg MOEA, times each
+// Accept+Suggest bracket (T_A) and fits the times directly, plus the
+// least-squares fits that price the core's counted work: the
+// calibration of the virtual-time drivers' T_A.
 //
 // Usage:
 //
@@ -28,7 +30,7 @@ import (
 func runFitdist(fs *flag.FlagSet, args []string) int {
 	var (
 		file    = fs.String("file", "", "read samples from this file (default stdin)")
-		collect = fs.Bool("collect", false, "measure T_A from an instrumented run instead of reading samples")
+		collect = fs.Bool("collect", false, "time T_A brackets of a serial run instead of reading samples")
 		problem = fs.String("problem", "DTLZ2", "problem for -collect (DTLZ1-7 or UF1-11)")
 		objs    = fs.Int("objectives", 5, "objectives for DTLZ problems")
 		evals   = fs.Uint64("evals", 20000, "evaluations for -collect")

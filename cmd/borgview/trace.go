@@ -75,7 +75,9 @@ func runTrace(fs *flag.FlagSet, args []string) int {
 		if err != nil {
 			return fail("reconstructing traces", "err", err)
 		}
-		labels = append(labels, "master")
+		// WriteChromeForests names the processes "<label> master" and
+		// "<label> workers"; one forest is the run's, as cmd/borg labels it.
+		labels = append(labels, "borg")
 		forests = append(forests, forest)
 	default:
 		return fail("pass either -dir or both -log and -trace")

@@ -141,7 +141,7 @@ func (tl *tools) same(a, b string) {
 }
 
 // chromeTF asserts name is a Chrome trace_event document holding at
-// least one tf span.
+// least one tf span, whose process names repeat no word.
 func (tl *tools) chromeTF(name string) {
 	tl.t.Helper()
 	data, err := os.ReadFile(filepath.Join(tl.dir, name))
@@ -151,17 +151,31 @@ func (tl *tools) chromeTF(name string) {
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		tl.t.Fatalf("%s: %v", name, err)
 	}
+	tf := false
 	for _, ev := range doc.TraceEvents {
-		if ev.Name == "tf" {
-			return
+		tf = tf || ev.Name == "tf"
+		if ev.Name != "process_name" {
+			continue
+		}
+		seen := map[string]bool{}
+		for _, w := range strings.Fields(ev.Args.Name) {
+			if seen[w] {
+				tl.t.Fatalf("%s: process name %q repeats %q", name, ev.Args.Name, w)
+			}
+			seen[w] = true
 		}
 	}
-	tl.t.Fatalf("%s: %d trace events, no tf span", name, len(doc.TraceEvents))
+	if !tf {
+		tl.t.Fatalf("%s: %d trace events, no tf span", name, len(doc.TraceEvents))
+	}
 }
 
 // freeAddr returns a loopback address nothing is listening on.
@@ -196,9 +210,14 @@ func TestScripts(t *testing.T) {
 		tl.ok("borg", with("-evals", "1500", "-out", "serial.b.json")...)
 		tl.same("serial.a.json", "serial.b.json")
 
-		tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
-			"-event-log", "v.bmel", "-quality-log", "v.qlog", "-advise-out", "v.adv.jsonl",
-			"-trace", "v.trace.json", "-out", "v.json")...)
+		// The virtual master charges counted work, not the wall clock, so
+		// the same seed records the same event log, virtual times included.
+		for _, v := range []string{"v", "v2"} {
+			tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
+				"-event-log", v+".bmel", "-quality-log", v+".qlog", "-advise-out", v+".adv.jsonl",
+				"-trace", v+".trace.json", "-out", v+".json")...)
+		}
+		tl.same("v.bmel", "v2.bmel")
 		tl.chromeTF("v.trace.json")
 		tl.ok("borg", with("-replay", "v.bmel", "-quality-every", "500",
 			"-quality-log", "v.replay.qlog", "-out", "v.replay.json")...)
@@ -299,12 +318,12 @@ func TestScripts(t *testing.T) {
 		if out := tl.ok("borgview", "trace", "-dir", "fed", "-jsonl", "spans.jsonl", "-chrome", "trace.json"); !strings.Contains(out, "total: evals=") {
 			t.Fatalf("borgview trace -dir: no total attribution\n%s", out)
 		}
-		tl.ok("borgview", "trace", "-log", "fed/island-0.bmel", "-trace", "fed/island-0.trace")
-		for _, f := range []string{"spans.jsonl", "trace.json"} {
-			if fi, err := os.Stat(filepath.Join(tl.dir, f)); err != nil || fi.Size() == 0 {
-				t.Fatalf("borgview trace wrote no %s (%v)", f, err)
-			}
+		tl.ok("borgview", "trace", "-log", "fed/island-0.bmel", "-trace", "fed/island-0.trace", "-chrome", "island-0.trace.json")
+		if fi, err := os.Stat(filepath.Join(tl.dir, "spans.jsonl")); err != nil || fi.Size() == 0 {
+			t.Fatalf("borgview trace wrote no spans.jsonl (%v)", err)
 		}
+		tl.chromeTF("trace.json")
+		tl.chromeTF("island-0.trace.json")
 		tl.ok("borgview", "timeline", "-events", "fed/island-0.bmel")
 		tl.ok("borgview", "timeline", "-quality", "fed/island-1.qlog")
 	})

@@ -49,6 +49,8 @@ type Borg struct {
 	lastImprovements uint64
 	restarts         uint64
 
+	work Work // Work's counts but the population's Scanned and Draws
+
 	opSelected   []uint64 // times each operator was chosen (diagnostics)
 	injectOp     operators.UM
 	injectParent [1][]float64 // restart's parents argument to injectOp.Child
@@ -244,6 +246,7 @@ func (b *Borg) randomSolution() *Solution {
 	for i := range s.Vars {
 		s.Vars[i] = b.rng.Range(b.lo[i], b.hi[i])
 	}
+	b.work.SampledVars += uint64(len(s.Vars))
 	return s
 }
 
@@ -298,7 +301,10 @@ func (b *Borg) Suggest() *Solution {
 	// Parents are members, so never the free list's storage the child
 	// is written into.
 	child := b.mint(opIdx)
+	swept := b.opWork.Swept()
 	op.Child(child.Vars, parents, b.lo, b.hi, b.rng, &b.opWork)
+	b.work.ChildVars += uint64(len(child.Vars))
+	b.work.SweptVars += b.opWork.Swept() - swept
 	return child
 }
 
@@ -362,6 +368,7 @@ func (b *Borg) InjectEvaluated(s *Solution) {
 // fold offers s to the population and the archive, and releases it at
 // once if both reject it.
 func (b *Borg) fold(s *Solution) {
+	b.work.Folds++
 	b.pop.Add(s, b.rng)
 	b.arch.Add(s)
 	b.free.release(s)
@@ -416,6 +423,7 @@ func (b *Borg) restart() {
 		// does not distort the operator-adaptation signal.
 		s := b.mint(-1)
 		b.injectOp.Child(s.Vars, b.injectParent[:], b.lo, b.hi, b.rng, nil)
+		b.work.SampledVars += uint64(len(s.Vars))
 		b.pending = append(b.pending, s)
 	}
 	b.tournamentSize = b.tournamentSizeFor(newCap)

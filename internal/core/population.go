@@ -60,6 +60,10 @@ type Population struct {
 	stale     int
 
 	dominated []int // Add's scratch
+
+	// Work counts (see Work): members Add compared a solution against,
+	// and Tournament draws.
+	scanned, draws uint64
 }
 
 // NewPopulation returns an empty population with the given capacity.
@@ -150,6 +154,7 @@ func (p *Population) Add(s *Solution, r *rng.Source) bool {
 		for i, m := range p.members {
 			switch Compare(s, m) {
 			case 1:
+				p.scanned += uint64(i + 1)
 				return false // a member dominates the offspring
 			case -1:
 				p.dominated = append(p.dominated, i)
@@ -165,12 +170,16 @@ func (p *Population) Add(s *Solution, r *rng.Source) bool {
 			}
 			switch compareObjs(s.Objs, p.objs[i*n:(i+1)*n]) {
 			case 1:
+				// The loop index, not the rows compared: the count is
+				// the same with or without the prefilter.
+				p.scanned += uint64(i + 1)
 				return false
 			case -1:
 				p.dominated = append(p.dominated, i)
 			}
 		}
 	}
+	p.scanned += uint64(len(p.members))
 	var victim int
 	if len(p.dominated) > 0 {
 		victim = p.dominated[r.Intn(len(p.dominated))]
@@ -189,6 +198,7 @@ func (p *Population) Tournament(k int, r *rng.Source) *Solution {
 	if len(p.members) == 0 {
 		panic("core: tournament on empty population")
 	}
+	p.draws += uint64(max(k, 1))
 	best := r.Intn(len(p.members))
 	if p.plain > 0 {
 		for i := 1; i < k; i++ {

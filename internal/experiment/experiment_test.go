@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"borgmoea/internal/model"
 	"borgmoea/internal/problems"
-	"borgmoea/internal/stats"
 )
 
 // smallTable2Config returns a fast, deterministic Table II setup.
@@ -20,7 +20,6 @@ func smallTable2Config() Table2Config {
 		Evaluations:   4000,
 		Replicates:    2,
 		SimReplicates: 2,
-		TAOverride:    stats.NewConstant(0.000029),
 		Seed:          1,
 	}
 }
@@ -43,7 +42,7 @@ func TestRunTable2SmallShape(t *testing.T) {
 		if c.AnalyticalTime <= 0 || c.SimulationTime <= 0 {
 			t.Fatalf("model predictions missing: %+v", c)
 		}
-		// Unsaturated regime (P_UB ≈ 244): both models should be
+		// Unsaturated regime (P_UB ≈ 670): both models should be
 		// close to experiment.
 		if c.AnalyticalError > 0.1 || c.SimulationError > 0.1 {
 			t.Fatalf("model errors too large in unsaturated regime: %+v", c)
@@ -59,7 +58,7 @@ func TestRunTable2SmallShape(t *testing.T) {
 // error explodes while the simulation model stays accurate.
 func TestTable2SaturatedRegimeErrorOrdering(t *testing.T) {
 	cfg := smallTable2Config()
-	cfg.TFMeans = []float64{0.001} // P_UB ≈ 24
+	cfg.TFMeans = []float64{0.0004} // P_UB ≈ 26 at the counted T_A of ≈ 3.6 µs
 	cfg.Processors = []int{64}
 	cfg.Evaluations = 8000
 	cells, err := RunTable2(cfg)
@@ -78,9 +77,11 @@ func TestTable2SaturatedRegimeErrorOrdering(t *testing.T) {
 	}
 }
 
-func TestTable2MeasuredTAMode(t *testing.T) {
+// TestTable2CountedTA: with no T_A distribution a cell charges the
+// core's counted work, so the table is a function of its seed: two runs
+// give the same cells, the observed T_A and its fitted family included.
+func TestTable2CountedTA(t *testing.T) {
 	cfg := smallTable2Config()
-	cfg.TAOverride = nil // measure real CPU time
 	cfg.Processors = []int{8}
 	cfg.Evaluations = 2000
 	cfg.Replicates = 1
@@ -90,10 +91,34 @@ func TestTable2MeasuredTAMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cells[0].TA <= 0 {
-		t.Fatal("measured TA not recorded")
+		t.Fatal("counted TA not recorded")
 	}
 	if cells[0].FittedTA == "" {
 		t.Fatal("no TA distribution fitted")
+	}
+	again, err := RunTable2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cells, again) {
+		t.Errorf("one seed, two tables:\n %+v\n %+v", cells, again)
+	}
+}
+
+// TestRunSpeedupReproducible: one Figure 3 cell run twice gives the same
+// virtual times, thresholds and speedups, bit for bit.
+func TestRunSpeedupReproducible(t *testing.T) {
+	cfg := smallSpeedupConfig()
+	cfg.Processors = []int{16}
+	run := func() string {
+		res, err := RunSpeedup(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%#v", *res) // NaN-safe, unlike DeepEqual
+	}
+	if a, b := run(), run(); a != b {
+		t.Errorf("one seed, two panels:\n %s\n %s", a, b)
 	}
 }
 
@@ -132,7 +157,6 @@ func smallSpeedupConfig() SpeedupConfig {
 		Replicates:      1,
 		CheckpointEvery: 200,
 		HVSamples:       4000,
-		TAOverride:      stats.NewConstant(0.000029),
 		Seed:            2,
 	}
 }
@@ -167,10 +191,10 @@ func TestRunSpeedupShape(t *testing.T) {
 	}
 }
 
-// TestRunSpeedupPinned: the toy panel's result, recorded from the
-// commit before the hypervolume kernel was rebuilt and the meter
-// stopped re-filtering archive fronts, bit for bit — neither may move
-// a threshold or a series.
+// TestRunSpeedupPinned: the toy panel's result bit for bit, on the
+// counted T_A (core.Work): a function of the seed, so a change that
+// only makes the code faster may move no threshold or series, and one
+// that changes the search or the work it counts must re-pin here.
 func TestRunSpeedupPinned(t *testing.T) {
 	bits := func(vs ...uint64) []float64 {
 		out := make([]float64, len(vs))
@@ -183,30 +207,30 @@ func TestRunSpeedupPinned(t *testing.T) {
 	want := map[uint64]*SpeedupResult{
 		2: {
 			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
-			AttainableHV: math.Float64frombits(0x3ff11dd2f65c932b),
-			Thresholds: bits(0x3fbb62eb23c751df, 0x3fcb62eb23c751df, 0x3fd48a305ad57d67, 0x3fdb62eb23c751df, 0x3fe11dd2f65c932b,
-				0x3fe48a305ad57d67, 0x3fe7f68dbf4e67a2, 0x3feb62eb23c751df, 0x3feecf4888403c1a, 0x3ff11dd2f65c932b),
-			SerialTimeToThreshold: bits(0x40000be0ded288ce, 0x40000be0ded288ce, 0x40100be0ded288ce, 0x401811d14e3bcd35, 0x401811d14e3bcd35,
-				0x40240ed916872b02, 0x40240ed916872b02, 0x40300be0ded288ce, 0x4036105532617c1c, 0x403c14c985f06f69),
+			AttainableHV: math.Float64frombits(0x3ff10efb4ae47fc9),
+			Thresholds: bits(0x3fbb4b2bab0732dc, 0x3fcb4b2bab0732dc, 0x3fd47860c0456624, 0x3fdb4b2bab0732dc, 0x3fe10efb4ae47fc9,
+				0x3fe47860c0456624, 0x3fe7e1c635a64c7f, 0x3feb4b2bab0732dc, 0x3feeb49120681937, 0x3ff10efb4ae47fc9),
+			SerialTimeToThreshold: bits(0x400001247d53b8f3, 0x400001247d53b8f3, 0x40100100ddee83bc, 0x401801d9a5ba4293, 0x401801d9a5ba4293,
+				0x4024015368f962e0, 0x4024015368f962e0, 0x403000fac5f7d11c, 0x4036012ea548d421, 0x403c01d3ba7fa9c2),
 			Series: []SpeedupSeries{
-				{P: 8, Speedup: bits(0x401bdf36b064b3e3, 0x401bdf36b064b3e3, 0x4012bc8c0ef0bbda, 0x401c1ad2166919c7, 0x40151dc7642022dc,
-					0x4017673a02300335, 0x40118ae369dd418d, 0x40145f2d3a4b44d1, 0x4017b6877b2b11e4, 0x40139c54860375be)},
-				{P: 16, Speedup: bits(0x402ca2b3e1abdb9f, 0x401d7d0bb7c9c40d, 0x4023cdebe1512ecd, 0x40264558f757a220, 0x40264558f757a220,
-					0x4028cad3eeeb9e31, 0x40229c834c6e7936, 0x402dc7387a4a5b89, 0x4025eb25464f3bda, 0x4024eb900dcedfca)},
+				{P: 8, Speedup: bits(0x401be51cb33a2b63, 0x401be51cb33a2b63, 0x401c361790fd428c, 0x40151f4109cba2d8, 0x40151f4109cba2d8,
+					0x401c200d904f99e4, 0x40140cb020dd0d97, 0x40167086550ca790, 0x4017b6e612d7a182, 0x40139cba1556ee46)},
+				{P: 16, Speedup: bits(0x402cb32fdbb88bea, 0x401d822a4f110a15, 0x4023d071f453f05a, 0x402db91850163906, 0x4021da7c06e821ea,
+					0x4028cce3417179b1, 0x40254820c5571adf, 0x402a87691a43a8a3, 0x40277c139e0651e8, 0x4024ecc239a32003)},
 			},
 		},
 		3: {
 			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
-			AttainableHV: math.Float64frombits(0x3ff06f034bb9e7c5),
-			Thresholds: bits(0x3fba4b38792972d5, 0x3fca4b38792972d5, 0x3fd3b86a5adf161f, 0x3fda4b38792972d5, 0x3fe06f034bb9e7c5,
-				0x3fe3b86a5adf161f, 0x3fe701d16a04447a, 0x3fea4b38792972d5, 0x3fed949f884ea130, 0x3ff06f034bb9e7c5),
-			SerialTimeToThreshold: bits(0x40000be0ded288ce, 0x40100be0ded288ce, 0x40200be0ded288ce, 0x40240ed916872b02, 0x40240ed916872b02,
-				0x402c14c985f06f69, 0x40320d5cfaacd9e8, 0x403811d14e3bcd35, 0x403c14c985f06f69, 0x40430e1b089a0275),
+			AttainableHV: math.Float64frombits(0x3ff0724faab824f7),
+			Thresholds: bits(0x3fba507f778d07f2, 0x3fca507f778d07f2, 0x3fd3bc5f99a9c5f5, 0x3fda507f778d07f2, 0x3fe0724faab824f7,
+				0x3fe3bc5f99a9c5f5, 0x3fe7066f889b66f3, 0x3fea507f778d07f2, 0x3fed9a8f667ea8f0, 0x3ff0724faab824f7),
+			SerialTimeToThreshold: bits(0x40000104e0aebbc9, 0x401000e280d638b8, 0x402000f0f490b463, 0x402401834f9ae6d9, 0x402401834f9ae6d9,
+				0x402c01ad5b196194, 0x40320171ca1df80e, 0x403801ac158743b3, 0x403c0243492606cb, 0x40430173192e9611),
 			Series: []SpeedupSeries{
-				{P: 8, Speedup: bits(0x401bd819904cf131, 0x401bd7efa75e19ca, 0x402298f097b1131f, 0x40273f2cbd9d57e7, 0x401bf9acf4277bac,
-					0x4023952c448209c5, 0x4024f82769987d58, 0x4022aa7e0f0cc774, 0x4021d1b3ec99b6d6, 0x4021bb84a36a3be8)},
-				{P: 16, Speedup: bits(0x401d84ec0b5f37b2, 0x401db95b313b4191, 0x402db95b313b4191, 0x4028e0d64d8a09c4, 0x4025544c0039464e,
-					0x402ddc6a66b695a0, 0x402de9f4a92f4db0, 0x402de6cc5e4d0aba, 0x402befb55df46670, 0x402c6b8c5b8ab273)},
+				{P: 8, Speedup: bits(0x401bdda532e02cdc, 0x402bdd6958c3e82e, 0x402bd92f912c7d12, 0x40274042842ea773, 0x40217ffd10ff18b5,
+					0x402395eebb151439, 0x402200cb10152719, 0x4022ab49c4831763, 0x4020566506916a52, 0x4020a119f13ac85b)},
+				{P: 16, Speedup: bits(0x402ce22c1bad0780, 0x402d8a78ec28d6f4, 0x4033dd99486aaa18, 0x4032969bb24b77f6, 0x402dd84141f815f9,
+					0x402ddf6fd4932f12, 0x402deafc06683ba5, 0x4031f30bec70d7b1, 0x402df36a30bbaa52, 0x402c6d1234c2e51b)},
 			},
 		},
 	}
@@ -347,43 +371,50 @@ func TestCollectTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Samples) == 0 {
-		t.Fatal("no samples collected")
+	if len(rep.Samples) != 2000 || len(rep.Counted) != 2000 {
+		t.Fatalf("%d samples, %d counted, want one of each per bracket", len(rep.Samples), len(rep.Counted))
 	}
 	if rep.Summary.Mean <= 0 {
 		t.Fatal("non-positive mean TA")
 	}
+	for _, c := range rep.Counted {
+		if c <= 0 {
+			t.Fatalf("bracket counted at %v", c)
+		}
+	}
 	if len(rep.Fits) == 0 {
 		t.Fatal("no distributions fitted")
+	}
+	if len(rep.Work.Coef) != len(workColumns) || len(rep.Sizes.Coef) != 3 || len(rep.DropBlockR2) != len(workColumns) {
+		t.Fatalf("least-squares fits malformed: %+v %+v %v", rep.Work, rep.Sizes, rep.DropBlockR2)
 	}
 	var sb strings.Builder
 	if err := WriteTimingReport(&sb, rep); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "T_A on DTLZ2_5") {
-		t.Errorf("timing report malformed:\n%s", sb.String())
+	for _, want := range []string{"T_A on DTLZ2_5", "counted T_A", "committed", "without swept_vars"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("timing report lacks %q:\n%s", want, sb.String())
+		}
 	}
 }
 
 // TestUF11TAHigherThanDTLZ2 reproduces the paper's Table II pattern
 // that UF11's larger per-evaluation algorithm cost (driven by its
 // 30-variable solutions and harder archive dynamics) exceeds DTLZ2's.
+// The counted T_A makes it a deterministic check.
 func TestUF11TAHigherThanDTLZ2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	repD, err := CollectTimings(problems.NewDTLZ2(5), 4000, 6)
+	cfg := smallTable2Config()
+	cfg.Problems = []problems.Problem{problems.NewDTLZ2(5), problems.NewUF11()}
+	cfg.Processors = []int{16}
+	cfg.Replicates = 1
+	cfg.SimReplicates = 1
+	cells, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repU, err := CollectTimings(problems.NewUF11(), 4000, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Medians are robust to GC spikes.
-	if repU.Summary.Median <= repD.Summary.Median {
-		t.Logf("warning: UF11 median TA %.2e not above DTLZ2 %.2e (timing noise?)",
-			repU.Summary.Median, repD.Summary.Median)
+	if d, u := cells[0], cells[1]; u.TA <= d.TA {
+		t.Errorf("counted mean T_A: %s %.3g s, not above %s %.3g s", u.Problem, u.TA, d.Problem, d.TA)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"borgmoea/internal/stats"
 )
 
 // WriteTable2 renders cells in the paper's Table II layout.
@@ -177,21 +179,38 @@ func WriteSurfaceCSV(w io.Writer, r *SurfaceResult) error {
 	return emit("async", r.Async)
 }
 
-// WriteTimingReport renders a TimingReport with its fit ranking.
+// WriteTimingReport renders a TimingReport: the fit ranking, then the
+// least-squares models of T_A and the counted T_A.
 func WriteTimingReport(w io.Writer, r *TimingReport) error {
-	if _, err := fmt.Fprintf(w, "T_A on %s: %s (CV %.2f)\n", r.Problem, r.Summary, r.Summary.CV()); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "T_A on %s: %s (CV %.2f)\n", r.Problem, r.Summary, r.Summary.CV())
 	for i, f := range r.Fits {
 		marker := " "
 		if i == 0 {
 			marker = "*"
 		}
-		_, err := fmt.Fprintf(w, "  %s %-30s loglik=%12.1f AIC=%12.1f\n",
+		fmt.Fprintf(&b, "  %s %-30s loglik=%12.1f AIC=%12.1f\n",
 			marker, f.Dist.String(), f.LogLikelihood, f.AIC)
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	fmt.Fprintf(&b, "spike share %.1f%% (brackets over 20x the median); counted T_A: mean %.3g s\n",
+		100*r.SpikeShare, stats.Summarize(r.Counted).Mean)
+	fit := func(name string, f CostFit, cols []string) {
+		fmt.Fprintf(&b, "  %-10s R2=%.4f block R2=%.4f", name, f.R2, f.BlockR2)
+		for j, c := range f.Coef {
+			if cols == nil {
+				fmt.Fprintf(&b, " scale=%.3f", c)
+				continue
+			}
+			fmt.Fprintf(&b, " %s=%.4gps", cols[j], 1e12*c)
+		}
+		b.WriteByte('\n')
+	}
+	fit("work", r.Work, workColumns)
+	fit("committed", r.Committed, nil)
+	fit("sizes", r.Sizes, []string{"1", "|A|", "|pop|"})
+	for j, c := range workColumns {
+		fmt.Fprintf(&b, "  without %-12s block R2=%.4f\n", c, r.DropBlockR2[j])
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -42,9 +42,6 @@ type SpeedupConfig struct {
 	// RefPointScale places the hypervolume reference point at this
 	// value in every objective (default metrics.DefaultRefScale).
 	RefPointScale float64
-	// TAOverride fixes the master algorithm time (tests); nil
-	// measures real CPU time.
-	TAOverride stats.Distribution
 	// Epsilon is the archive resolution (default 0.15, matching the
 	// Table II experiments).
 	Epsilon float64
@@ -263,35 +260,18 @@ func meanTimesToThresholds(trs []trajectory, thresholds []float64) []float64 {
 }
 
 // runSerialTrajectory runs the serial Borg MOEA, mapping evaluation
-// counts to virtual serial time N·(T_F + T_A): T_F from the configured
-// delay mean and T_A from the measured (or overridden) per-evaluation
-// algorithm time.
+// counts to virtual serial time N·T_F plus the core's counted cost
+// (core.Work), the T_A the parallel runs charge their master.
 func runSerialTrajectory(cfg *SpeedupConfig, meter hvMeter, seed uint64) trajectory {
 	b := core.MustNew(cfg.Problem, core.Config{
 		Epsilons: core.UniformEpsilons(cfg.Problem.NumObjs(), cfg.Epsilon),
 		Seed:     seed,
 	})
 	var tr trajectory
-	taMean := 0.0
-	if cfg.TAOverride != nil {
-		taMean = cfg.TAOverride.Mean()
-	}
-	taTimer := newWallTimer()
 	for b.Evaluations() < cfg.Evaluations {
-		taTimer.start()
-		s := b.Suggest()
-		taTimer.pause()
-		core.EvaluateSolution(cfg.Problem, s)
-		taTimer.start()
-		b.Accept(s)
-		taTimer.pause()
+		b.Step()
 		if b.Evaluations()%cfg.CheckpointEvery == 0 {
-			ta := taMean
-			if cfg.TAOverride == nil {
-				ta = taTimer.meanPer(b.Evaluations())
-			}
-			virtual := float64(b.Evaluations()) * (cfg.TFMean + ta)
-			tr.times = append(tr.times, virtual)
+			tr.times = append(tr.times, float64(b.Evaluations())*cfg.TFMean+b.Cost())
 			tr.hv = append(tr.hv, meter.of(b.Archive().Objectives()))
 		}
 	}
@@ -308,7 +288,6 @@ func runParallelTrajectory(cfg *SpeedupConfig, meter hvMeter, p int, seed uint64
 		Processors:      p,
 		Evaluations:     cfg.Evaluations,
 		TF:              stats.GammaFromMeanCV(cfg.TFMean, cfg.TFCV),
-		TA:              cfg.TAOverride,
 		Seed:            seed,
 		CheckpointEvery: cfg.CheckpointEvery,
 		OnCheckpoint: func(vt float64, b *core.Borg) {

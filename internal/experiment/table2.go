@@ -38,11 +38,6 @@ type Table2Config struct {
 	// Epsilon is the archive resolution (uniform across the five
 	// objectives). Default 0.15 (see normalize for the rationale).
 	Epsilon float64
-	// TAOverride, when set, replaces the measured master algorithm
-	// time with a distribution — used by tests for speed and
-	// determinism. Nil (default) measures the real Accept+Suggest
-	// CPU time, reproducing the paper's instrumentation.
-	TAOverride stats.Distribution
 	// Seed seeds the whole experiment.
 	Seed uint64
 	// Progress, when non-nil, receives one line per completed cell.
@@ -142,7 +137,6 @@ func runTable2Cell(cfg *Table2Config, prob problems.Problem, tfMean float64, p i
 			Processors:     p,
 			Evaluations:    cfg.Evaluations,
 			TF:             tf,
-			TA:             cfg.TAOverride,
 			Seed:           seed + uint64(r)*7919,
 			CaptureTimings: r == 0, // fit distributions from the first replicate
 		}

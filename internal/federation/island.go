@@ -115,7 +115,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	// T_A is the wall-clock critical section, optionally stretched by a
 	// sampled SimulateTA sleep (the knob that drags the per-island P_UB
 	// into loopback-test range).
-	terms := master.NewTerms(master.TermsConfig{Meters: ic.meters, Advisor: ic.adv, Trace: ic.trace})
+	terms := master.NewTerms(master.Wall, master.TermsConfig{Meters: ic.meters, Advisor: ic.adv, Trace: ic.trace})
 	alg := terms.Bracket(b, nil)
 	if cfg.SimulateTA != nil {
 		simR := rng.New(cfg.Seed ^ (uint64(ic.isl+1) * 0x7461)) // "ta"

@@ -77,7 +77,7 @@ func TestOneJobMatchesSocketMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms := master.NewTerms(master.TermsConfig{})
+	terms := master.NewTerms(master.Wall, master.TermsConfig{})
 	plainLog := master.NewLog()
 	mcfg := master.Config{
 		Budget:          plainSpec.Evaluations,

@@ -482,7 +482,7 @@ func (s *Scheduler) assign(w *fleetWorker) {
 // newTerms builds the job's meter over its advisor, its trace collector
 // (if any) and the scheduler's timing histograms.
 func (s *Scheduler) newTerms(j *job) *master.Terms {
-	return master.NewTerms(master.TermsConfig{Meters: s.timing, Advisor: j.adv, Trace: j.trace})
+	return master.NewTerms(master.Wall, master.TermsConfig{Meters: s.timing, Advisor: j.adv, Trace: j.trace})
 }
 
 func (s *Scheduler) submit(spec *Spec) (Status, error) {

@@ -24,9 +24,9 @@ type TermsConfig struct {
 	// distribution fitting.
 	Capture bool
 	// TA, when set, charges each critical section a draw from it instead
-	// of the section's measured wall-clock time. TC is what Send and Recv
-	// draw a message's T_C from; a master that measures its sends uses
-	// Sent and leaves it nil. Both draw from Rng.
+	// of the clock's advance across it (virtual-time drivers only). TC is
+	// what Send and Recv draw a message's T_C from; a master that
+	// measures its sends uses Sent and leaves it nil. Both draw from Rng.
 	TA, TC stats.Distribution
 	Rng    *rng.Source
 }
@@ -78,22 +78,36 @@ type Terms struct {
 	TA, TF, TC Tally
 
 	cfg   TermsConfig
-	start time.Time // the open section's start (measured T_A)
-	item  uint64    // the evaluation the next accept folds in
+	clock func() float64
+	start float64 // the clock at the open section's Enter
+	item  uint64  // the evaluation the next accept folds in
 }
 
-// NewTerms returns a meter over cfg's sinks.
-func NewTerms(cfg TermsConfig) *Terms { return &Terms{cfg: cfg} }
+// NewTerms returns a meter over cfg's sinks whose T_A is clock's
+// advance across a critical section, in seconds. That is the one T_A
+// source of a transport: a socket master passes Wall, a virtual-time
+// master its Borg's Cost, so the time it charges is the work the seed
+// fixes. A set TermsConfig.TA replaces the clock with a draw.
+func NewTerms(clock func() float64, cfg TermsConfig) *Terms {
+	return &Terms{cfg: cfg, clock: clock}
+}
+
+// wallEpoch anchors Wall.
+var wallEpoch = time.Now()
+
+// Wall is the socket masters' clock: seconds of monotonic wall-clock
+// time since the process started.
+func Wall() float64 { return time.Since(wallEpoch).Seconds() }
 
 // Enter opens a master critical section.
 func (t *Terms) Enter() {
 	if t.cfg.TA == nil {
-		t.start = time.Now()
+		t.start = t.clock()
 	}
 }
 
 // Leave closes the section Enter opened and returns its T_A: a draw
-// when TermsConfig.TA is set, else the wall-clock time since Enter. An
+// when TermsConfig.TA is set, else the clock's advance since Enter. An
 // accept's T_A also lands on the trace of the evaluation it folded in
 // (the one the Core's tracer last saw accepted; see Tracer).
 func (t *Terms) Leave(accept bool) float64 {
@@ -101,7 +115,7 @@ func (t *Terms) Leave(accept bool) float64 {
 	if t.cfg.TA != nil {
 		ta = t.cfg.TA.Sample(t.cfg.Rng)
 	} else {
-		ta = time.Since(t.start).Seconds()
+		ta = t.clock() - t.start
 	}
 	t.TA.add(ta, t.cfg.Capture)
 	t.cfg.Meters.TA.Observe(ta)

@@ -23,7 +23,7 @@ func TestTermsFanOut(t *testing.T) {
 	reg := obs.NewRegistry()
 	adv := advisor.New(advisor.Config{})
 	col := obs.NewCollector(obs.CollectorConfig{RunID: 1, Rate: 1})
-	terms := NewTerms(TermsConfig{
+	terms := NewTerms(nil, TermsConfig{
 		Meters: NewMeters(reg), Advisor: adv, Trace: col, Capture: true,
 		TA: stats.NewConstant(ta), TC: stats.NewConstant(tc), Rng: rng.New(1),
 	})
@@ -88,9 +88,11 @@ func TestTermsFanOut(t *testing.T) {
 }
 
 // TestTermsMeasuresTA: without a T_A distribution a section is charged
-// its wall-clock time, and a bare meter (no sinks) still tallies.
+// its clock's advance — the wall clock's on a socket master, exactly
+// the supplied clock's otherwise — and a bare meter (no sinks) still
+// tallies.
 func TestTermsMeasuresTA(t *testing.T) {
-	terms := NewTerms(TermsConfig{})
+	terms := NewTerms(Wall, TermsConfig{})
 	if terms.Tracer() != nil {
 		t.Fatal("a meter without a collector handed out a tracer")
 	}
@@ -100,6 +102,16 @@ func TestTermsMeasuresTA(t *testing.T) {
 	}
 	if ta := terms.Leave(true); ta <= 0 || terms.TA.N != 1 || terms.TA.Sum != ta {
 		t.Fatalf("measured T_A %v, tally %+v", ta, terms.TA)
+	}
+	work := 0.0
+	counted := NewTerms(func() float64 { return work }, TermsConfig{})
+	for _, w := range []float64{0.25, 0.5} {
+		counted.Enter()
+		work += w
+		if ta := counted.Leave(true); ta != w {
+			t.Fatalf("counted T_A %v, want the clock's advance %v", ta, w)
+		}
+		work += 1 // work outside a section is not charged
 	}
 	terms.Sent(nil, 1e-6)
 	terms.Evaluated(0, nil, 1e-3)
@@ -113,7 +125,7 @@ func TestTermsMeasuresTA(t *testing.T) {
 // into the tallies, histograms and advisor allocates nothing once the
 // advisor has seen the worker.
 func TestTermsNoAllocs(t *testing.T) {
-	terms := NewTerms(TermsConfig{
+	terms := NewTerms(nil, TermsConfig{
 		Meters: NewMeters(obs.NewRegistry()), Advisor: advisor.New(advisor.Config{}),
 		TA: stats.NewConstant(1e-6), TC: stats.NewConstant(1e-6), Rng: rng.New(1),
 	})

@@ -46,7 +46,14 @@ type Scratch struct {
 	g, d  []float64
 	rows  [][]float64
 	basis [][]float64
+	swept uint64 // see Swept
 }
+
+// Swept returns how many variables the Gram-Schmidt sweeps of PCX and
+// UNDX have updated through s: one per basis vector per variable of
+// each vector orthogonalized. Building an n-vector basis sweeps about
+// n³/2, the part of those operators' work that outgrows the child.
+func (s *Scratch) Swept() uint64 { return s.swept }
 
 // grow returns v resized to n elements, reallocating if too small. The
 // contents are stale: callers overwrite every element.
@@ -141,8 +148,10 @@ func norm(a []float64) float64 {
 }
 
 // orthogonalize removes from v its components along each unit vector
-// in basis (modifying v in place) and returns v's remaining length.
-func orthogonalize(v []float64, basis [][]float64) float64 {
+// in basis (modifying v in place), counts the sweep in Swept and
+// returns v's remaining length.
+func (s *Scratch) orthogonalize(v []float64, basis [][]float64) float64 {
+	s.swept += uint64(len(basis) * len(v))
 	for _, e := range basis {
 		c := dot(v, e)
 		for i := range v {

@@ -407,7 +407,7 @@ func TestGramSchmidtHelpers(t *testing.T) {
 	// Orthogonalization removes the e1 component.
 	e1 := []float64{1, 0}
 	w := []float64{2, 5}
-	orthogonalize(w, [][]float64{e1})
+	new(Scratch).orthogonalize(w, [][]float64{e1})
 	if math.Abs(w[0]) > 1e-12 || math.Abs(w[1]-5) > 1e-12 {
 		t.Fatalf("orthogonalize result = %v, want [0 5]", w)
 	}

@@ -91,7 +91,7 @@ func (op PCX) Child(child []float64, parents [][]float64, lo, hi []float64, r *r
 		}
 		v := s.row(len(basis), n)
 		subInto(v, p, g)
-		if orthogonalize(v, basis) > 1e-10 && normalize(v) {
+		if s.orthogonalize(v, basis) > 1e-10 && normalize(v) {
 			basis = append(basis, v)
 		}
 	}
@@ -100,7 +100,7 @@ func (op PCX) Child(child []float64, parents [][]float64, lo, hi []float64, r *r
 		for i := range v {
 			v[i] = r.Norm()
 		}
-		if orthogonalize(v, basis) > 1e-10 && normalize(v) {
+		if s.orthogonalize(v, basis) > 1e-10 && normalize(v) {
 			basis = append(basis, v)
 		}
 	}

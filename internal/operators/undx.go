@@ -60,7 +60,7 @@ func (op UNDX) Child(child []float64, parents [][]float64, lo, hi []float64, r *
 		}
 		e := s.row(len(basis), n)
 		copy(e, d)
-		if orthogonalize(e, basis) < 1e-10 || !normalize(e) {
+		if s.orthogonalize(e, basis) < 1e-10 || !normalize(e) {
 			continue
 		}
 		basis = append(basis, e)
@@ -73,7 +73,7 @@ func (op UNDX) Child(child []float64, parents [][]float64, lo, hi []float64, r *
 	// Orthogonal complement: scale D is the distance from the last
 	// parent to the primary subspace.
 	subInto(d, parents[k-1], g)
-	bigD := orthogonalize(d, basis)
+	bigD := s.orthogonalize(d, basis)
 	if bigD > 1e-12 && n > len(basis) {
 		sigma := op.Eta / math.Sqrt(float64(n))
 		for len(basis) < n {
@@ -81,7 +81,7 @@ func (op UNDX) Child(child []float64, parents [][]float64, lo, hi []float64, r *
 			for i := range v {
 				v[i] = r.Norm()
 			}
-			if orthogonalize(v, basis) < 1e-10 || !normalize(v) {
+			if s.orthogonalize(v, basis) < 1e-10 || !normalize(v) {
 				continue
 			}
 			basis = append(basis, v)

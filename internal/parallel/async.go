@@ -118,7 +118,7 @@ func startMaster(cl *cluster.Cluster, cfg *Config, meters master.Meters, r ring,
 	adv.Configure(cfg.Processors, cfg.Evaluations)
 	rank := r.isl * cfg.Processors
 	succ := ((r.isl + 1) % r.islands) * cfg.Processors
-	am := &asyncMaster{b: b, node: cl.Node(rank), terms: master.NewTerms(master.TermsConfig{
+	am := &asyncMaster{b: b, node: cl.Node(rank), terms: master.NewTerms(b.Cost, master.TermsConfig{
 		Meters: meters, Advisor: adv, Trace: cfg.Trace, Capture: cfg.CaptureTimings,
 		TA: cfg.TA, TC: cfg.TC, Rng: rng.New(cfg.Seed ^ 0x6d617374), // "mast"
 	})}
@@ -130,7 +130,7 @@ func startMaster(cl *cluster.Cluster, cfg *Config, meters master.Meters, r ring,
 	}
 	node, terms := am.node, am.terms
 	eng.Go(name, func(p *des.Process) {
-		// Every critical section is metered (sampled or measured T_A) and
+		// Every critical section is metered (sampled or counted T_A) and
 		// charged to the master node as an "algo" hold, exactly as the
 		// paper instruments it; a migrant costs one too, but no
 		// evaluation.

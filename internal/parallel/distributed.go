@@ -8,7 +8,6 @@ import (
 	"borgmoea/internal/core"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
-	"borgmoea/internal/rng"
 	"borgmoea/internal/wire"
 )
 
@@ -61,6 +60,9 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	if !cfg.Fault.Empty() {
 		return nil, fmt.Errorf("parallel: fault injection requires a virtual-time driver (RunAsync/RunSync); distributed workers fail for real")
 	}
+	if cfg.TA != nil {
+		return nil, fmt.Errorf("parallel: a T_A distribution requires a virtual-time driver (RunAsync/RunSync/RunIslands); the distributed master's T_A is its wall-clock time")
+	}
 	if cfg.Problem == nil {
 		return nil, fmt.Errorf("parallel: Problem is required")
 	}
@@ -107,9 +109,8 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	meters := master.NewMeters(cfg.Metrics)
 	// One meter for the fleet: results arrive one at a time under the
 	// host's loop lock, and each names its worker.
-	terms := master.NewTerms(master.TermsConfig{
+	terms := master.NewTerms(master.Wall, master.TermsConfig{
 		Meters: meters, Advisor: adv, Trace: cfg.Trace, Capture: cfg.CaptureTimings,
-		TA: cfg.TA, Rng: rng.New(cfg.Seed ^ 0x6d617374),
 	})
 	start := time.Now()
 	since := func() float64 { return time.Since(start).Seconds() }

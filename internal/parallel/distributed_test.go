@@ -197,8 +197,7 @@ func TestDistributedAgreesWithVirtual(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		startWorker(ctx, l.Addr().String(), uint64(i+1), stats.NewConstant(tf))
 	}
-	cfg := testConfig(5, 400)
-	cfg.TA = nil // the TCP master measures T_A
+	cfg := distConfig(400)
 	real, err := RunAsyncDistributed(cfg, DistributedConfig{
 		Listener:     l,
 		LeaseTimeout: 10 * time.Second,
@@ -216,6 +215,7 @@ func TestDistributedAgreesWithVirtual(t *testing.T) {
 	if real.MeanTF < tf {
 		t.Fatalf("measured mean T_F %v below the %v slept", real.MeanTF, tf)
 	}
+	cfg.Processors = 5
 	cfg.TF = stats.NewConstant(real.MeanTF)
 	cfg.TA = stats.NewConstant(real.MeanTA)
 	virt, err := RunAsync(cfg)
@@ -237,6 +237,14 @@ func TestDistributedValidation(t *testing.T) {
 	_, err := RunAsyncDistributed(cfg, DistributedConfig{Listen: "127.0.0.1:0"})
 	if err == nil || !strings.Contains(err.Error(), "virtual-time driver") {
 		t.Fatalf("fault plan accepted by distributed driver: %v", err)
+	}
+	// The TCP master's T_A is its wall-clock time; a distribution for it
+	// is a virtual-time option, refused like a fault plan.
+	cfg = distConfig(100)
+	cfg.TA = stats.NewConstant(29e-6)
+	_, err = RunAsyncDistributed(cfg, DistributedConfig{Listen: "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "virtual-time driver") {
+		t.Fatalf("T_A distribution accepted by distributed driver: %v", err)
 	}
 
 	cfg = distConfig(100)

@@ -219,6 +219,7 @@ func TestMasterFaultRejected(t *testing.T) {
 // that wrongly starts the run.
 func TestRealtimeRejectsFaults(t *testing.T) {
 	cfg := testConfig(4, 100)
+	cfg.TA = nil // refused on its own; the fault plan is what is under test
 	cfg.Fault = fault.FailedFractionPlan(0.1, 0.5, 1)
 	if _, err := RunAsyncDistributed(cfg, DistributedConfig{Listen: "127.0.0.1:0", WallLimit: time.Second}); err == nil {
 		t.Fatal("wall-clock driver accepted a fault plan")

@@ -81,9 +81,6 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	if err := base.normalize(); err != nil {
 		return nil, err
 	}
-	if base.TA == nil {
-		return nil, fmt.Errorf("parallel: RunIslands requires an explicit TA distribution (measured TA is ambiguous across concurrent masters)")
-	}
 	if base.CheckpointEvery != 0 || base.StragglerFraction != 0 {
 		return nil, fmt.Errorf("parallel: RunIslands does not support checkpoints or stragglers")
 	}

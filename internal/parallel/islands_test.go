@@ -32,11 +32,6 @@ func TestIslandsValidation(t *testing.T) {
 		t.Error("zero islands accepted")
 	}
 	cfg = IslandsConfig{Base: islandBase(8, 100), Islands: 2}
-	cfg.Base.TA = nil
-	if _, err := RunIslands(cfg); err == nil {
-		t.Error("measured TA accepted for islands")
-	}
-	cfg = IslandsConfig{Base: islandBase(8, 100), Islands: 2}
 	cfg.Base.Fault = fault.FailedFractionPlan(0.1, 0.5, 1)
 	if _, err := RunIslands(cfg); err == nil {
 		t.Error("fault plan accepted for islands")
@@ -44,8 +39,8 @@ func TestIslandsValidation(t *testing.T) {
 }
 
 // TestIslandsCaptureTimings verifies the aggregated per-island timing
-// capture: every island's T_A samples and every worker's T_F samples
-// land in the merged result.
+// capture: every island's T_A samples, drawn or counted, and every
+// worker's T_F samples land in the merged result.
 func TestIslandsCaptureTimings(t *testing.T) {
 	cfg := IslandsConfig{Base: islandBase(8, 500), Islands: 2}
 	cfg.Base.CaptureTimings = true
@@ -71,6 +66,16 @@ func TestIslandsCaptureTimings(t *testing.T) {
 	}
 	if math.Abs(res.MeanTF-0.001) > 1e-12 || math.Abs(res.MeanTA-0.000029) > 1e-12 {
 		t.Fatalf("constant-distribution means drifted: TA=%v TF=%v", res.MeanTA, res.MeanTF)
+	}
+	// Without a distribution each island master charges its own Borg's
+	// counted work.
+	cfg.Base.TA = nil
+	counted, err := RunIslands(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counted.TASamples) != wantTA || counted.MeanTA <= 0 {
+		t.Fatalf("counted T_A: %d samples, mean %v", len(counted.TASamples), counted.MeanTA)
 	}
 }
 

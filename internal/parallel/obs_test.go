@@ -271,8 +271,7 @@ func TestRealtimeMetrics(t *testing.T) {
 	defer cancel()
 	startWorker(ctx, l.Addr().String(), 1, nil)
 
-	cfg := testConfig(4, n)
-	cfg.TA = nil
+	cfg := distConfig(n)
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
 	res, err := RunAsyncDistributed(cfg, DistributedConfig{
@@ -313,8 +312,7 @@ func TestDistributedTermsReachEverySink(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		startWorker(ctx, l.Addr().String(), 1, nil)
 		startWorker(ctx, l.Addr().String(), 2, nil)
-		cfg := testConfig(4, n)
-		cfg.TA = nil
+		cfg := distConfig(n)
 		cfg.Metrics = obs.NewRegistry()
 		cfg.Advisor = advisor.New(advisor.Config{})
 		if traced {

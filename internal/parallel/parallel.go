@@ -11,10 +11,11 @@
 // distribution T_F (the paper's controlled delays), communication cost
 // T_C is charged as master busy time (matching the paper's model where
 // saturation occurs at T_F/(2·T_C + T_A)), and the master's algorithm
-// time T_A is either sampled from a distribution or measured from the
-// actual CPU time of the Go implementation's Accept+Suggest critical
-// section — the latter reproduces the paper's methodology of fitting
-// distributions to measured timings.
+// time T_A is either sampled from a distribution or the counted work of
+// the Accept+Suggest critical section (core.Work), priced at constants
+// fitted to timed brackets — a function of the seed, so a virtual-time
+// run is too, on any machine. Only the TCP driver reads the wall
+// clock.
 package parallel
 
 import (
@@ -57,9 +58,9 @@ type Config struct {
 	// TC is the one-way communication cost charged to the master per
 	// message. Default: constant 6 µs, the paper's measured value.
 	TC stats.Distribution
-	// TA is the master's per-result algorithm time. Nil measures the
-	// actual CPU time of the core's Accept+Suggest critical section
-	// and charges that, reproducing the paper's instrumentation.
+	// TA is the master's per-result algorithm time, for the
+	// virtual-time drivers only. Nil charges each critical section the
+	// core's counted work, priced (core.Work.Cost).
 	TA stats.Distribution
 	// Seed seeds all random streams of the run.
 	Seed uint64

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"borgmoea/internal/core"
@@ -103,24 +105,37 @@ func TestAsyncSaturationShape(t *testing.T) {
 	}
 }
 
-func TestAsyncMeasuredTA(t *testing.T) {
+// TestAsyncCountedTA: with no T_A distribution each critical section is
+// charged the core's counted work, so a run is a function of its seed:
+// the same elapsed time, T_A samples and archive on every run.
+func TestAsyncCountedTA(t *testing.T) {
 	cfg := testConfig(8, 1000)
-	cfg.TA = nil // measure the real Accept+Suggest cost
+	cfg.TA = nil
 	cfg.CaptureTimings = true
 	res, err := RunAsync(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MeanTA <= 0 {
-		t.Fatal("measured TA not positive")
+		t.Fatal("counted TA not positive")
 	}
 	if len(res.TASamples) == 0 || len(res.TFSamples) == 0 {
 		t.Fatal("CaptureTimings recorded no samples")
 	}
 	for _, ta := range res.TASamples {
-		if ta < 0 {
-			t.Fatal("negative TA sample")
+		if ta <= 0 {
+			t.Fatalf("TA sample %v: every section does counted work", ta)
 		}
+	}
+	again, err := RunAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ElapsedTime != res.ElapsedTime || !reflect.DeepEqual(again.TASamples, res.TASamples) {
+		t.Fatalf("one seed, two runs: T_P %v vs %v", res.ElapsedTime, again.ElapsedTime)
+	}
+	if !bytes.Equal(archiveBytes(t, res), archiveBytes(t, again)) {
+		t.Fatal("one seed, two archives")
 	}
 }
 

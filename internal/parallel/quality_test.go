@@ -139,6 +139,7 @@ func TestQualityTimelineReplayTCP(t *testing.T) {
 	startWorker(ctx, l.Addr().String(), 2, nil)
 
 	cfg := testConfig(2, n)
+	cfg.TA = nil // the TCP master's T_A is its wall-clock time
 	cfg.Protocol = master.NewLog()
 	qc := testQualityConfig()
 	qc.WallEvery = 0.05 // mix a wall-clock trigger in

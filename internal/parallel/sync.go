@@ -55,7 +55,7 @@ func RunSync(cfg Config) (*Result, error) {
 
 	res := &Result{Processors: cfg.Processors, Final: b}
 	meters := master.NewMeters(cfg.Metrics)
-	terms := master.NewTerms(master.TermsConfig{
+	terms := master.NewTerms(b.Cost, master.TermsConfig{
 		Meters: meters, Capture: cfg.CaptureTimings,
 		TA: cfg.TA, TC: cfg.TC, Rng: rng.New(cfg.Seed ^ 0x73796e63), // "sync"
 	})

@@ -231,3 +231,40 @@ func TestLogLikelihoodMatchesManualSum(t *testing.T) {
 		t.Errorf("LogLikelihood = %v, want %v", got, want)
 	}
 }
+
+func TestLeastSquares(t *testing.T) {
+	// y = 2 + 3·x1 − 0.5·x2 exactly, with columns of very different
+	// scales.
+	var rows [][]float64
+	var y []float64
+	for i := 0; i < 50; i++ {
+		x1, x2 := float64(i), float64(i*i%17)*1e4
+		rows = append(rows, []float64{1, x1, x2})
+		y = append(y, 2+3*x1-0.5*x2)
+	}
+	beta, err := LeastSquares(rows, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range []float64{2, 3, -0.5} {
+		if math.Abs(beta[j]-want) > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Fatalf("beta = %v, want [2 3 -0.5]", beta)
+		}
+	}
+	if r2 := RSquared(rows, y, beta); math.Abs(r2-1) > 1e-9 {
+		t.Fatalf("exact fit R² = %v", r2)
+	}
+	if r2 := RSquared(rows, y, []float64{0, 0, 0}); r2 >= 0 {
+		t.Fatalf("zero prediction R² = %v, want negative", r2)
+	}
+	for _, bad := range [][][]float64{
+		nil,
+		{{1, 0}, {1, 0}},         // an all-zero column
+		{{1, 2}, {2, 4}, {3, 6}}, // collinear columns
+		{{1, 2}, {1}},            // ragged rows
+	} {
+		if _, err := LeastSquares(bad, make([]float64, len(bad))); err == nil {
+			t.Errorf("rows %v accepted", bad)
+		}
+	}
+}
