@@ -109,9 +109,6 @@ type (
 var (
 	// NewMetrics returns an empty metrics registry.
 	NewMetrics = obs.NewRegistry
-	// StartMetricsSnapshots periodically appends one-line JSON registry
-	// snapshots to a writer (borgd's -advise-out journal).
-	StartMetricsSnapshots = obs.StartSnapshots
 	// NewLogger is the shared leveled CLI logger (log/slog).
 	NewLogger = obs.NewLogger
 	// LogfAdapter adapts a slog.Logger to printf-style Logf callbacks.

@@ -10,12 +10,8 @@
 //	borgd -connect master:7070
 //	borgd -connect master:7070 -delay 0.05 -delay-cv 0.5   # synthetic T_F
 //	borgd -connect master:7070 -debug-addr localhost:6061  # live metrics + pprof
-//	borgd -connect master:7070 -advise-out worker.jsonl    # periodic metric snapshots
 //	borgd -connect master:7070 -profile-dir prof/          # continuous pprof snapshot ring
 //
-// -advise-out journals the worker's transport and evaluation telemetry
-// as one JSON snapshot per second; a final snapshot is flushed on
-// SIGINT/SIGTERM, so an interrupted worker keeps its telemetry.
 // -profile-dir captures periodic pprof CPU and heap snapshots into a
 // bounded on-disk ring; with -debug-addr the ring is served under
 // /debug/profiles/ (index as JSON, raw files for go tool pprof).
@@ -26,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"borgmoea"
 	"borgmoea/internal/httpd"
@@ -37,18 +32,16 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		connect     = flag.String("connect", "", "master address host:port (required)")
-		seed        = flag.Uint64("seed", 1, "random seed for the synthetic delay stream")
-		delay       = flag.Float64("delay", 0, "mean synthetic per-evaluation delay in seconds (0 = none)")
-		delayCV     = flag.Float64("delay-cv", 0.1, "synthetic delay coefficient of variation (with -delay)")
-		hb          = flag.Duration("heartbeat", 0, "heartbeat interval (0 = follow the master's handshake)")
-		idle        = flag.Duration("idle", 0, "idle timeout before redialing (0 = 4x heartbeat)")
-		quiet       = flag.Bool("quiet", false, "suppress connection lifecycle messages")
-		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
-		debugAddr   = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics and /debug/pprof on this address (e.g. localhost:6061)")
-		adviseOut   = flag.String("advise-out", "", "journal periodic metric snapshots as JSONL to this path")
-		adviseEvery = flag.Duration("advise-every", time.Second, "interval between -advise-out snapshots (min 1s)")
-		prof        = httpd.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
+		connect   = flag.String("connect", "", "master address host:port (required)")
+		seed      = flag.Uint64("seed", 1, "random seed for the synthetic delay stream")
+		delay     = flag.Float64("delay", 0, "mean synthetic per-evaluation delay in seconds (0 = none)")
+		delayCV   = flag.Float64("delay-cv", 0.1, "synthetic delay coefficient of variation (with -delay)")
+		hb        = flag.Duration("heartbeat", 0, "heartbeat interval (0 = follow the master's handshake)")
+		idle      = flag.Duration("idle", 0, "idle timeout before redialing (0 = 4x heartbeat)")
+		quiet     = flag.Bool("quiet", false, "suppress connection lifecycle messages")
+		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
+		debugAddr = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics and /debug/pprof on this address (e.g. localhost:6061)")
+		prof      = httpd.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -68,10 +61,9 @@ func run() int {
 	if !*quiet {
 		cfg.Logf = borgmoea.LogfAdapter(logger)
 	}
-	if *debugAddr != "" || *adviseOut != "" {
+	if *debugAddr != "" {
 		// The wire layer shares this registry: frames, bytes, redials
-		// and heartbeat RTT show up live on /debug/vars and in the
-		// -advise-out journal.
+		// and heartbeat RTT show up live on /debug/vars.
 		cfg.Conn.Metrics = borgmoea.NewMetrics()
 	}
 	opts, stopProf, err := prof.Start(logger)
@@ -90,27 +82,6 @@ func run() int {
 		logger.Info("debug listener up", "addr", srv.Addr(),
 			"vars", fmt.Sprintf("http://%s/debug/vars", srv.Addr()))
 	}
-	var flusher shutdown.Flusher
-	defer flusher.Flush()
-	if *adviseOut != "" {
-		f, err := os.Create(*adviseOut)
-		if err != nil {
-			logger.Error("creating advise journal", "err", err)
-			return 1
-		}
-		sw := borgmoea.StartMetricsSnapshots(f, cfg.Conn.Metrics, *adviseEvery)
-		// The flush writes the final snapshot — it runs after the
-		// signal-cancelled context has stopped the worker, so an
-		// interrupted run keeps everything up to the signal.
-		flusher.Add(func() {
-			if err := sw.Close(); err != nil {
-				logger.Error("writing advise journal", "err", err)
-			}
-			f.Close()
-			logger.Info("advise journal written", "path", *adviseOut)
-		})
-	}
-
 	// SIGINT/SIGTERM cancel the context; RunWorker then abandons its
 	// current evaluation and the master's lease recovers it.
 	ctx, stop := shutdown.NotifyContext(context.Background(), func(s os.Signal) {

@@ -202,8 +202,8 @@ func lastLine(path string) (*borgmoea.AdvisorReport, error) {
 	if last == "" {
 		return nil, fmt.Errorf("%s: no snapshots yet", path)
 	}
-	// Strict: borgd's -advise-out writes metric snapshots, not advisor
-	// reports, and a lenient decode would render one as all zeros.
+	// Strict: a lenient decode would render a line that is no advisor
+	// report (a metrics snapshot, say) as all zeros.
 	dec := json.NewDecoder(strings.NewReader(last))
 	dec.DisallowUnknownFields()
 	var rep borgmoea.AdvisorReport

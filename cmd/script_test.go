@@ -239,7 +239,7 @@ func TestScripts(t *testing.T) {
 		// A live TCP run: borgd redials until the master is up and exits
 		// when the master sends Stop.
 		addr := freeAddr(t)
-		worker := tl.start("borgd", "-connect", addr, "-quiet", "-advise-out", "w.jsonl")
+		worker := tl.start("borgd", "-connect", addr, "-quiet")
 		tl.ok("borg", with("-transport", "tcp", "-listen", addr, "-evals", "600", "-wall-limit", "60s",
 			"-event-log", "tcp.bmel", "-trace", "tcp.trace.json", "-out", "tcp.json")...)
 		if err := worker.Wait(); err != nil {
@@ -249,26 +249,12 @@ func TestScripts(t *testing.T) {
 		tl.ok("borg", with("-replay", "tcp.bmel", "-out", "tcp.replay.json")...)
 		tl.same("tcp.json", "tcp.replay.json")
 
-		// borgd's -advise-out is a metrics-snapshot journal whose final
-		// line, written at exit, counts every result the worker sent; it
-		// is no advisor report, so borgview top refuses it.
-		data, err := os.ReadFile(filepath.Join(tl.dir, "w.jsonl"))
-		if err != nil {
+		// A JSONL file that is no advisor journal: borgview top refuses it.
+		if err := os.WriteFile(filepath.Join(tl.dir, "w.jsonl"), []byte(`{"ts":"2026-01-01T00:00:00Z","metrics":{}}`+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		var snap struct {
-			TS      string         `json:"ts"`
-			Metrics map[string]any `json:"metrics"`
-		}
-		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &snap); err != nil || snap.TS == "" {
-			t.Fatalf("borgd -advise-out: last line is no snapshot (%v)\n%s", err, data)
-		}
-		if sent, _ := snap.Metrics["wire.frames_sent"].(float64); sent < 600 {
-			t.Fatalf("borgd -advise-out: final snapshot has wire.frames_sent %v, want >= 600", snap.Metrics["wire.frames_sent"])
-		}
 		if code, _, stderr := tl.run("", "borgview", "top", "-file", "w.jsonl", "-once"); code != 1 || !strings.Contains(stderr, "unknown field") {
-			t.Fatalf("borgview top -file on a borgd journal: exit %d, want 1 naming the unknown field\n%s", code, stderr)
+			t.Fatalf("borgview top -file on a non-advisor journal: exit %d, want 1 naming the unknown field\n%s", code, stderr)
 		}
 
 		// The live advisor of a TCP master, read from its /debug/scaling

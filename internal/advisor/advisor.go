@@ -138,7 +138,7 @@ func newGauges(reg *obs.Registry) gauges {
 
 // workerStat is one worker's decayed evaluation-time state.
 type workerStat struct {
-	tf *obs.EWMA
+	tf *EWMA
 }
 
 // Advisor is the online analysis state. Create with New; the zero
@@ -149,10 +149,10 @@ type Advisor struct {
 	cfg Config
 	g   gauges
 
-	ta, tc, queue obs.Welford
-	tf            obs.Welford
-	tfP50, tfP90  *obs.P2Quantile
-	tfP99         *obs.P2Quantile
+	ta, tc, queue Welford
+	tf            Welford
+	tfP50, tfP90  *P2Quantile
+	tfP99         *P2Quantile
 
 	workers map[int]*workerStat
 	flagged map[int]bool // workers OnStraggler already fired for
@@ -162,7 +162,7 @@ type Advisor struct {
 	elapsed   float64 // driver-clock time of the latest acceptance
 	busy      float64 // master busy time: Σ T_A + Σ T_C observed
 
-	drift    *obs.EWMA // smoothed per-snapshot model drift
+	drift    *EWMA // smoothed per-snapshot model drift
 	lastSnap float64
 
 	// quality is the search-health detector state (quality.go).
@@ -179,12 +179,12 @@ func New(cfg Config) *Advisor {
 	return &Advisor{
 		cfg:     cfg,
 		g:       newGauges(cfg.Registry),
-		tfP50:   obs.NewP2Quantile(0.50),
-		tfP90:   obs.NewP2Quantile(0.90),
-		tfP99:   obs.NewP2Quantile(0.99),
+		tfP50:   NewP2Quantile(0.50),
+		tfP90:   NewP2Quantile(0.90),
+		tfP99:   NewP2Quantile(0.99),
 		workers: make(map[int]*workerStat),
 		flagged: make(map[int]bool),
-		drift:   obs.NewEWMA(driftAlpha),
+		drift:   NewEWMA(driftAlpha),
 	}
 }
 
@@ -240,7 +240,7 @@ func (a *Advisor) ObserveTF(worker int, sec float64) {
 	a.tfP99.Observe(sec)
 	ws := a.workers[worker]
 	if ws == nil {
-		ws = &workerStat{tf: obs.NewEWMA(DefaultAlpha)}
+		ws = &workerStat{tf: NewEWMA(DefaultAlpha)}
 		a.workers[worker] = ws
 	}
 	ws.tf.Observe(sec)

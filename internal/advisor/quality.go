@@ -69,7 +69,7 @@ type QualityHealth struct {
 type qualityState struct {
 	samples  uint64
 	last     obs.QualitySample
-	rate     *obs.EWMA
+	rate     *EWMA
 	peakRate float64
 
 	restartSeen bool
@@ -92,7 +92,7 @@ func (a *Advisor) ObserveQuality(q obs.QualitySample) {
 	a.mu.Lock()
 	s := &a.quality
 	if s.rate == nil {
-		s.rate = obs.NewEWMA(qualityRateAlpha)
+		s.rate = NewEWMA(qualityRateAlpha)
 		s.gStalled = a.cfg.Registry.Gauge(MetricQualityStalled)
 		s.gRegressed = a.cfg.Registry.Gauge(MetricQualityRegressed)
 		s.gRate = a.cfg.Registry.Gauge(MetricEpsRateSmoothed)

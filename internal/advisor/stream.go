@@ -1,4 +1,4 @@
-package obs
+package advisor
 
 import (
 	"fmt"
@@ -6,9 +6,8 @@ import (
 	"sort"
 )
 
-// Streaming estimators for the live scalability advisor
-// (internal/advisor): constant-memory substitutes for the batch
-// statistics in internal/stats, so per-evaluation timings can be
+// Streaming estimators for the advisor: constant-memory substitutes
+// for the batch statistics in internal/stats, so per-evaluation timings can be
 // summarized during a run without retaining samples. None of them are
 // safe for concurrent use on their own; the advisor serializes access
 // behind its mutex.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"borgmoea/internal/metrics"
 	"borgmoea/internal/model"
 	"borgmoea/internal/problems"
 )
@@ -207,30 +208,30 @@ func TestRunSpeedupPinned(t *testing.T) {
 	want := map[uint64]*SpeedupResult{
 		2: {
 			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
-			AttainableHV: math.Float64frombits(0x3ff10efb4ae47fc9),
-			Thresholds: bits(0x3fbb4b2bab0732dc, 0x3fcb4b2bab0732dc, 0x3fd47860c0456624, 0x3fdb4b2bab0732dc, 0x3fe10efb4ae47fc9,
-				0x3fe47860c0456624, 0x3fe7e1c635a64c7f, 0x3feb4b2bab0732dc, 0x3feeb49120681937, 0x3ff10efb4ae47fc9),
-			SerialTimeToThreshold: bits(0x400001247d53b8f3, 0x400001247d53b8f3, 0x40100100ddee83bc, 0x401801d9a5ba4293, 0x401801d9a5ba4293,
-				0x4024015368f962e0, 0x4024015368f962e0, 0x403000fac5f7d11c, 0x4036012ea548d421, 0x403c01d3ba7fa9c2),
+			AttainableHV: math.Float64frombits(0x3ff0c811508a5c11),
+			Thresholds: bits(0x3fbad9b54daa2ce8, 0x3fcad9b54daa2ce8, 0x3fd42347fa3fa1ae, 0x3fdad9b54daa2ce8, 0x3fe0c811508a5c11,
+				0x3fe42347fa3fa1ae, 0x3fe77e7ea3f4e74b, 0x3fead9b54daa2ce8, 0x3fee34ebf75f7285, 0x3ff0c811508a5c11),
+			SerialTimeToThreshold: bits(0x4000159f9e178f08, 0x4000159f9e178f08, 0x40100b3f154cc1f2, 0x40180c17361c2d9d, 0x40180c17361c2d9d,
+				0x40240672312a5865, 0x40240672312a5865, 0x4030038a2a104bdf, 0x403603be3c70e98c, 0x403c04631e982485),
 			Series: []SpeedupSeries{
-				{P: 8, Speedup: bits(0x401be51cb33a2b63, 0x401be51cb33a2b63, 0x401c361790fd428c, 0x40151f4109cba2d8, 0x40151f4109cba2d8,
-					0x401c200d904f99e4, 0x40140cb020dd0d97, 0x40167086550ca790, 0x4017b6e612d7a182, 0x40139cba1556ee46)},
-				{P: 16, Speedup: bits(0x402cb32fdbb88bea, 0x401d822a4f110a15, 0x4023d071f453f05a, 0x402db91850163906, 0x4021da7c06e821ea,
-					0x4028cce3417179b1, 0x40254820c5571adf, 0x402a87691a43a8a3, 0x40277c139e0651e8, 0x4024ecc239a32003)},
+				{P: 8, Speedup: bits(0x401be2c36224a383, 0x401be2c36224a383, 0x401c3b411697987a, 0x401520cd3a9ace31, 0x401520cd3a9ace31,
+					0x401c1d3b01b6d8df, 0x4014108a98ca81eb, 0x40167267c3f6a576, 0x4019b2c21bcab0fe, 0x4015ccc61ade5cca)},
+				{P: 16, Speedup: bits(0x402cc774cac1afaa, 0x401d9e481ca4b898, 0x4023d665ce727ae9, 0x402dbbb005b172f7, 0x4021e0d84d9118dc,
+					0x4028d309b0ab2f3a, 0x402547df42ab32b9, 0x402a8894a2d81d7c, 0x402943da237247d5, 0x40289fc03cde213e)},
 			},
 		},
 		3: {
 			Problem: "DTLZ2_5", TFMean: 0.01, ThresholdFractions: fractions,
-			AttainableHV: math.Float64frombits(0x3ff0724faab824f7),
-			Thresholds: bits(0x3fba507f778d07f2, 0x3fca507f778d07f2, 0x3fd3bc5f99a9c5f5, 0x3fda507f778d07f2, 0x3fe0724faab824f7,
-				0x3fe3bc5f99a9c5f5, 0x3fe7066f889b66f3, 0x3fea507f778d07f2, 0x3fed9a8f667ea8f0, 0x3ff0724faab824f7),
-			SerialTimeToThreshold: bits(0x40000104e0aebbc9, 0x401000e280d638b8, 0x402000f0f490b463, 0x402401834f9ae6d9, 0x402401834f9ae6d9,
-				0x402c01ad5b196194, 0x40320171ca1df80e, 0x403801ac158743b3, 0x403c0243492606cb, 0x40430173192e9611),
+			AttainableHV: math.Float64frombits(0x3ff03a3d5bd614a1),
+			Thresholds: bits(0x3fb9f6c892f02102, 0x3fc9f6c892f02102, 0x3fd379166e3418c1, 0x3fd9f6c892f02102, 0x3fe03a3d5bd614a1,
+				0x3fe379166e3418c1, 0x3fe6b7ef80921ce1, 0x3fe9f6c892f02102, 0x3fed35a1a54e2522, 0x3ff03a3d5bd614a1),
+			SerialTimeToThreshold: bits(0x40001580017291de, 0x40100b20113823c2, 0x40200610e7f5ae54, 0x40200610e7f5ae54, 0x402406a217cbdc5e,
+				0x402806ae7e0bac58, 0x403003af6fe79403, 0x4038043ba1b266f8, 0x403c04d2ece2a602, 0x404102970ea47b7c),
 			Series: []SpeedupSeries{
-				{P: 8, Speedup: bits(0x401bdda532e02cdc, 0x402bdd6958c3e82e, 0x402bd92f912c7d12, 0x40274042842ea773, 0x40217ffd10ff18b5,
-					0x402395eebb151439, 0x402200cb10152719, 0x4022ab49c4831763, 0x4020566506916a52, 0x4020a119f13ac85b)},
-				{P: 16, Speedup: bits(0x402ce22c1bad0780, 0x402d8a78ec28d6f4, 0x4033dd99486aaa18, 0x4032969bb24b77f6, 0x402dd84141f815f9,
-					0x402ddf6fd4932f12, 0x402deafc06683ba5, 0x4031f30bec70d7b1, 0x402df36a30bbaa52, 0x402c6d1234c2e51b)},
+				{P: 8, Speedup: bits(0x401bbe328d4f0f8c, 0x402bac4d5fd70832, 0x402bb720864ef286, 0x40228ee99aee93a9, 0x40217dc1a915a572,
+					0x4020c50378ce1aee, 0x402002c7de61d1c9, 0x402500eee9161cea, 0x4021d26571ccb58c, 0x401fbc8b8d61c38a)},
+				{P: 16, Speedup: bits(0x402d06251460d700, 0x402d849c6f4cf0e9, 0x4033cc502646ecf8, 0x402dc35ac6ad25b6, 0x402dd9aae697530b,
+					0x402ddfd39240a43f, 0x402deae0b561630e, 0x4031eac1e7b98c87, 0x40301caa554b416d, 0x402debcfb1346c50)},
 			},
 		},
 	}
@@ -278,6 +279,33 @@ func TestWriteSpeedupRenders(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "DTLZ2_5,0.01,16,") {
 		t.Errorf("speedup CSV malformed:\n%s", sb.String())
+	}
+}
+
+// TestSerialSamplesWhereMasterDoes: the serial baseline samples at the
+// evaluation counts the virtual master does — the first accept, then
+// every CheckpointEvery, never the final accept — so sample i of every
+// run of a panel shares its evaluation count and its Monte Carlo seed.
+// T_F = 1 s dwarfs the counted T_A, so a sample's time names its count;
+// N = 1 001 puts the final accept on the cadence.
+func TestSerialSamplesWhereMasterDoes(t *testing.T) {
+	cfg := SpeedupConfig{Problem: problems.NewDTLZ2(5), TFMean: 1, Evaluations: 1001, CheckpointEvery: 100, HVSamples: 1000, Seed: 2}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	ref := metrics.RefPoint(5, cfg.RefPointScale)
+	serial := runSerialTrajectory(&cfg, ref, cfg.Seed)
+	par, err := runParallelTrajectory(&cfg, ref, 8, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.times) != 10 || len(par.times) != len(serial.times) {
+		t.Fatalf("serial took %d samples, parallel %d; want 10 each", len(serial.times), len(par.times))
+	}
+	for i, at := range serial.times {
+		if n := uint64(at); n != uint64(1+100*i) {
+			t.Fatalf("serial sample %d at evaluation %d, want %d", i, n, 1+100*i)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/metrics"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/parallel"
 	"borgmoea/internal/problems"
 	"borgmoea/internal/stats"
@@ -33,11 +34,12 @@ type SpeedupConfig struct {
 	// so every series is defined at every threshold (see
 	// EXPERIMENTS.md for the normalization discussion).
 	Thresholds []float64
-	// CheckpointEvery controls trajectory resolution in evaluations
-	// (default N/100).
+	// CheckpointEvery is the hypervolume sampler's cadence in
+	// evaluations (default N/100).
 	CheckpointEvery uint64
 	// HVSamples is the Monte-Carlo sample count per hypervolume
-	// estimate (default 20000).
+	// estimate of a front too large for the exact computation
+	// (default 20000).
 	HVSamples int
 	// RefPointScale places the hypervolume reference point at this
 	// value in every objective (default metrics.DefaultRefScale).
@@ -93,11 +95,11 @@ func (c *SpeedupConfig) normalize() error {
 
 // trajectory is one run's hypervolume-over-virtual-time curve.
 type trajectory struct {
-	times []float64 // virtual seconds at each checkpoint
-	hv    []float64 // hypervolume at each checkpoint
+	times []float64 // virtual seconds at each sample
+	hv    []float64 // hypervolume at each sample
 }
 
-// timeToThreshold returns the earliest checkpoint time at which hv >=
+// timeToThreshold returns the earliest sample time at which hv >=
 // h, or NaN if never reached.
 func (tr trajectory) timeToThreshold(h float64) float64 {
 	for i, v := range tr.hv {
@@ -108,7 +110,7 @@ func (tr trajectory) timeToThreshold(h float64) float64 {
 	return math.NaN()
 }
 
-// finalHV returns the last checkpoint's hypervolume (0 if empty).
+// finalHV returns the last sample's hypervolume (0 if empty).
 func (tr trajectory) finalHV() float64 {
 	if len(tr.hv) == 0 {
 		return 0
@@ -116,22 +118,24 @@ func (tr trajectory) finalHV() float64 {
 	return tr.hv[len(tr.hv)-1]
 }
 
-// hvMeter computes reproducible Monte-Carlo hypervolume estimates
-// with a shared sample stream so trajectories are comparable. It is
-// fed ε-archive fronts, which are mutually nondominated already, so it
-// skips the estimator's O(n²) dominance filter (the estimate is the
-// same either way).
-type hvMeter struct {
-	ref     []float64
-	samples int
-	seed    uint64
+// newSampler returns one run's hypervolume timeline: a quality sampler
+// on the panel's cadence at reference point ref, exact WFG for small
+// fronts and cfg.HVSamples Monte Carlo samples beyond. Sample i sits
+// at the same evaluation count in every run and draws its Monte Carlo
+// points from the same per-sequence seed, so the estimates are common
+// random numbers across configurations.
+func (c *SpeedupConfig) newSampler(ref []float64) *obs.QualitySampler {
+	return obs.NewQualitySampler(obs.QualityConfig{Every: c.CheckpointEvery, Ref: ref, MCSamples: c.HVSamples})
 }
 
-func (h hvMeter) of(objs [][]float64) float64 {
-	if len(objs) == 0 {
-		return 0
+// timeline reads a run's trajectory off its sampler.
+func timeline(q *obs.QualitySampler) trajectory {
+	var tr trajectory
+	for _, s := range q.Log().Samples {
+		tr.times = append(tr.times, s.At)
+		tr.hv = append(tr.hv, s.Hypervolume)
 	}
-	return metrics.HypervolumeMCNondominated(objs, h.ref, h.samples, h.seed)
+	return tr
 }
 
 // SpeedupSeries is one line of a Figure 3/4 panel.
@@ -164,12 +168,11 @@ func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
 	}
 	m := cfg.Problem.NumObjs()
 	ref := metrics.RefPoint(m, cfg.RefPointScale)
-	meter := hvMeter{ref: ref, samples: cfg.HVSamples, seed: cfg.Seed ^ 0x4856}
 
 	// Serial baseline trajectories.
 	serial := make([]trajectory, cfg.Replicates)
 	for r := range serial {
-		serial[r] = runSerialTrajectory(&cfg, meter, cfg.Seed+uint64(r)*104729)
+		serial[r] = runSerialTrajectory(&cfg, ref, cfg.Seed+uint64(r)*104729)
 	}
 	if cfg.Progress != nil {
 		cfg.Progress(fmt.Sprintf("%s TF=%g serial baseline done (final HV %.4f)",
@@ -181,7 +184,7 @@ func RunSpeedup(cfg SpeedupConfig) (*SpeedupResult, error) {
 	for _, p := range cfg.Processors {
 		trs := make([]trajectory, cfg.Replicates)
 		for r := range trs {
-			tr, err := runParallelTrajectory(&cfg, meter, p, cfg.Seed+uint64(p)*31+uint64(r)*104729)
+			tr, err := runParallelTrajectory(&cfg, ref, p, cfg.Seed+uint64(p)*31+uint64(r)*104729)
 			if err != nil {
 				return nil, err
 			}
@@ -261,42 +264,41 @@ func meanTimesToThresholds(trs []trajectory, thresholds []float64) []float64 {
 
 // runSerialTrajectory runs the serial Borg MOEA, mapping evaluation
 // counts to virtual serial time N·T_F plus the core's counted cost
-// (core.Work), the T_A the parallel runs charge their master.
-func runSerialTrajectory(cfg *SpeedupConfig, meter hvMeter, seed uint64) trajectory {
+// (core.Work), the T_A the parallel runs charge their master. It
+// samples where the virtual master does: the first accept, then every
+// CheckpointEvery, never the final accept.
+func runSerialTrajectory(cfg *SpeedupConfig, ref []float64, seed uint64) trajectory {
 	b := core.MustNew(cfg.Problem, core.Config{
 		Epsilons: core.UniformEpsilons(cfg.Problem.NumObjs(), cfg.Epsilon),
 		Seed:     seed,
 	})
-	var tr trajectory
+	q := cfg.newSampler(ref)
+	q.Attach(b)
 	for b.Evaluations() < cfg.Evaluations {
 		b.Step()
-		if b.Evaluations()%cfg.CheckpointEvery == 0 {
-			tr.times = append(tr.times, float64(b.Evaluations())*cfg.TFMean+b.Cost())
-			tr.hv = append(tr.hv, meter.of(b.Archive().Objectives()))
+		n := b.Evaluations()
+		if at := float64(n)*cfg.TFMean + b.Cost(); n < cfg.Evaluations && q.Due(n, at) {
+			q.Sample(q.NextSeq(), at)
 		}
 	}
-	return tr
+	return timeline(q)
 }
 
-func runParallelTrajectory(cfg *SpeedupConfig, meter hvMeter, p int, seed uint64) (trajectory, error) {
-	var tr trajectory
+func runParallelTrajectory(cfg *SpeedupConfig, ref []float64, p int, seed uint64) (trajectory, error) {
+	q := cfg.newSampler(ref)
 	pc := parallel.Config{
 		Problem: cfg.Problem,
 		Algorithm: core.Config{
 			Epsilons: core.UniformEpsilons(cfg.Problem.NumObjs(), cfg.Epsilon),
 		},
-		Processors:      p,
-		Evaluations:     cfg.Evaluations,
-		TF:              stats.GammaFromMeanCV(cfg.TFMean, cfg.TFCV),
-		Seed:            seed,
-		CheckpointEvery: cfg.CheckpointEvery,
-		OnCheckpoint: func(vt float64, b *core.Borg) {
-			tr.times = append(tr.times, vt)
-			tr.hv = append(tr.hv, meter.of(b.Archive().Objectives()))
-		},
+		Processors:  p,
+		Evaluations: cfg.Evaluations,
+		TF:          stats.GammaFromMeanCV(cfg.TFMean, cfg.TFCV),
+		Seed:        seed,
+		Quality:     q,
 	}
 	if _, err := parallel.RunAsync(pc); err != nil {
 		return trajectory{}, err
 	}
-	return tr, nil
+	return timeline(q), nil
 }

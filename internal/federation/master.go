@@ -20,8 +20,8 @@ import (
 // through the host's loop lock. Run drives one core that owns every
 // session, under wire leases that are its core leases; Serve shares the
 // fleet among the lanes of a Router. What only one driver needs — its
-// offspring policy, checkpoints, migration, job lifecycle, result
-// assembly — stays in the driver: in the Core configuration it hands
+// offspring policy, migration, job lifecycle, result assembly — stays
+// in the driver: in the Core configuration it hands
 // Run, in AfterAccept, or in its Router.
 type SocketMaster struct {
 	// Terms is the master's meter: the driver's bracket around its Borg

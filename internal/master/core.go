@@ -180,9 +180,9 @@ type Config struct {
 	// Log, when non-nil, records every event handled — the replay
 	// stream. Nil-safe by construction.
 	Log *Log
-	// OnAccept runs after each accepted evaluation (checkpoint hooks,
-	// migration), before completion is evaluated, with the new
-	// completed count.
+	// OnAccept runs after each accepted evaluation (the job scheduler
+	// counts accepts here), before completion is evaluated, with the
+	// new completed count.
 	OnAccept func(completed uint64)
 	// OnAcceptFrom, when set, additionally reports which worker's
 	// result was accepted and the event timestamp on the driver's

@@ -7,8 +7,8 @@ import "borgmoea/internal/obs"
 // The protocol counters (evaluations, resubmissions, expiries,
 // duplicates, hellos, joins, deaths, live) are recorded once, by the
 // Core; the timing histograms once, by each master's Terms; the
-// driver-level counters (generations, migrants, checkpoints) stay with
-// the drivers.
+// driver-level counters (generations, migrants) stay with the
+// drivers.
 const (
 	MetricEvaluations = "master.evaluations"
 	MetricResub       = "master.resubmissions"
@@ -24,7 +24,6 @@ const (
 	MetricTF          = "worker.tf_seconds"
 	MetricGenerations = "master.generations"
 	MetricMigrants    = "master.migrants"
-	MetricCheckpoints = "master.checkpoints"
 )
 
 // Meters resolves every instrument the protocol records into exactly
@@ -34,7 +33,7 @@ const (
 type Meters struct {
 	Evals, Resub, LeaseExp, Dups, Hellos *obs.Counter
 	Joins, Deaths                        *obs.Counter
-	Generations, Migrants, Checkpoints   *obs.Counter
+	Generations, Migrants                *obs.Counter
 	Live                                 *obs.Gauge
 	TA, TC, TF, QueueWait                *obs.Histogram
 }
@@ -51,7 +50,6 @@ func NewMeters(reg *obs.Registry) Meters {
 		Deaths:      reg.Counter(MetricDeaths),
 		Generations: reg.Counter(MetricGenerations),
 		Migrants:    reg.Counter(MetricMigrants),
-		Checkpoints: reg.Counter(MetricCheckpoints),
 		Live:        reg.Gauge(MetricWorkersLive),
 		TA:          reg.Histogram(MetricTA, nil),
 		TC:          reg.Histogram(MetricTC, nil),

@@ -146,14 +146,6 @@ func startMaster(cl *cluster.Cluster, cfg *Config, meters master.Meters, r ring,
 			Tracer:       terms.Tracer(),
 			OnMigrant:    mig.Fold,
 		}
-		if cfg.CheckpointEvery > 0 && cfg.OnCheckpoint != nil {
-			mcfg.OnAccept = func(n uint64) {
-				if n%cfg.CheckpointEvery == 0 {
-					meters.Checkpoints.Inc()
-					cfg.OnCheckpoint(p.Now(), b)
-				}
-			}
-		}
 		if eng.Tracing() {
 			// Only a traced engine reads the annotations, so only then
 			// is the master handed a hook to format them for.

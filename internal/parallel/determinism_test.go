@@ -2,10 +2,14 @@ package parallel
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/fault"
+	"borgmoea/internal/metrics"
+	"borgmoea/internal/obs"
+	"borgmoea/internal/stats"
 )
 
 // archiveBytes serializes a run's final archive for byte-level
@@ -103,5 +107,41 @@ func TestLeaseTimeoutAloneIsNeutral(t *testing.T) {
 	timedSync.BarrierTimeout = 10
 	if got := runArchive(t, RunSync, timedSync); !bytes.Equal(baseSync, got) {
 		t.Error("sync: barrier timeout without faults changed the run")
+	}
+}
+
+// TestQualitySamplerIsNeutral: a quality sampler only reads the Borg,
+// so attaching one leaves a counted-T_A run as it was — the same T_P,
+// the same T_A samples, the same archive. Figures 3–4 read their
+// hypervolume timelines off one, so their virtual times rest on this.
+func TestQualitySamplerIsNeutral(t *testing.T) {
+	for _, p := range []int{8, 256} {
+		run := func(q *obs.QualitySampler) *Result {
+			cfg := testConfig(p, 4000)
+			cfg.TA = nil // counted work, as the figures charge
+			cfg.TF = stats.GammaFromMeanCV(0.01, 0.1)
+			cfg.CaptureTimings = true
+			cfg.Quality = q
+			res, err := RunAsync(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		base := run(nil)
+		if len(base.TASamples) == 0 {
+			t.Fatalf("P=%d: no T_A samples captured", p)
+		}
+		q := obs.NewQualitySampler(obs.QualityConfig{Every: 200, Ref: metrics.RefPoint(5, metrics.DefaultRefScale), MCSamples: 4000})
+		sampled := run(q)
+		if n := len(q.Log().Samples); n != 20 {
+			t.Fatalf("P=%d: sampler took %d samples, want 20", p, n)
+		}
+		if sampled.ElapsedTime != base.ElapsedTime || !reflect.DeepEqual(sampled.TASamples, base.TASamples) {
+			t.Errorf("P=%d: the sampler moved the run: T_P %v vs %v", p, sampled.ElapsedTime, base.ElapsedTime)
+		}
+		if !bytes.Equal(archiveBytes(t, sampled), archiveBytes(t, base)) {
+			t.Errorf("P=%d: the sampler changed the archive", p)
+		}
 	}
 }

@@ -112,8 +112,6 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 	terms := master.NewTerms(master.Wall, master.TermsConfig{
 		Meters: meters, Advisor: adv, Trace: cfg.Trace, Capture: cfg.CaptureTimings,
 	})
-	start := time.Now()
-	since := func() float64 { return time.Since(start).Seconds() }
 
 	// Accept and Suggest are metered separately (the lazy policy splits
 	// them across the result and dispatch paths); per completed
@@ -124,17 +122,11 @@ func RunAsyncDistributed(cfg Config, dcfg DistributedConfig) (*Result, error) {
 		Alg:    terms.Bracket(b, nil),
 		Meters: meters,
 		Log:    cfg.Protocol,
-		OnAccept: func(n uint64) {
-			if cfg.CheckpointEvery > 0 && n%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-				meters.Checkpoints.Inc()
-				cfg.OnCheckpoint(since(), b)
-			}
-		},
 	}
 	cfg.Quality.Attach(b)
 	sm := &federation.SocketMaster{
 		Terms: terms, Advisor: adv, Quality: cfg.Quality,
-		Start: start, LeaseTimeout: leaseTimeout, WallLimit: dcfg.WallLimit,
+		Start: time.Now(), LeaseTimeout: leaseTimeout, WallLimit: dcfg.WallLimit,
 		Name: "parallel", Logf: dcfg.Logf,
 	}
 	m, elapsed, err := sm.Run(mcfg, listener, dcfg.Conn, cfg.Problem)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"borgmoea/internal/core"
+	"borgmoea/internal/federation"
+	"borgmoea/internal/master"
 	"borgmoea/internal/wire"
 )
 
@@ -50,10 +52,35 @@ func TestDistributedFreshIDsSkipAnnounced(t *testing.T) {
 	}
 }
 
-// TestDistributedGoroutinesConstant: a distributed run leaves nothing
-// behind — not the accept loop, not a reader or pinger, and not the
-// late joiner whose handshake completes after the loop's last read
-// (dialled from the checkpoint hook at the final accept), which must be
+// runSocketMaster runs cfg's Borg on the socket master
+// RunAsyncDistributed drives — lazy offspring, a wall-clock meter,
+// 30 s leases — for the workers that dial l, with onAccept as the
+// core's OnAccept: a probe at an exact accept count, under the loop
+// lock.
+func runSocketMaster(t *testing.T, l net.Listener, cfg Config, onAccept func(accepted uint64)) {
+	t.Helper()
+	algCfg := cfg.Algorithm
+	algCfg.Seed = cfg.Seed
+	b := core.MustNew(cfg.Problem, algCfg)
+	terms := master.NewTerms(master.Wall, master.TermsConfig{})
+	sm := &federation.SocketMaster{
+		Terms: terms, Start: time.Now(), LeaseTimeout: 30 * time.Second, WallLimit: 2 * time.Minute, Name: "parallel",
+	}
+	m, _, err := sm.Run(master.Config{
+		Budget:   cfg.Evaluations,
+		Policy:   master.LazyOffspring,
+		Alg:      terms.Bracket(b, nil),
+		OnAccept: onAccept,
+	}, l, fastConn, cfg.Problem)
+	if err != nil || m.Completed() != cfg.Evaluations {
+		t.Fatalf("run: %v after %d of %d evaluations", err, m.Completed(), cfg.Evaluations)
+	}
+}
+
+// TestDistributedGoroutinesConstant: a socket master's run leaves
+// nothing behind — not the accept loop, not a reader or pinger, and not
+// the late joiner whose handshake completes after the loop's last read
+// (dialled from the core's OnAccept at the final accept), which must be
 // stopped and closed like every admitted worker.
 func TestDistributedGoroutinesConstant(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -66,15 +93,12 @@ func TestDistributedGoroutinesConstant(t *testing.T) {
 	worker := startWorker(ctx, l.Addr().String(), 1, nil)
 
 	cfg := distConfig(300)
-	cfg.CheckpointEvery = cfg.Evaluations
 	var late *wire.Conn
-	cfg.OnCheckpoint = func(float64, *core.Borg) {
-		late, _, err = wire.Dial(l.Addr().String(), wire.Hello{}, fastConn)
-	}
-	res, rerr := RunAsyncDistributed(cfg, DistributedConfig{Listener: l, Conn: fastConn, WallLimit: time.Minute})
-	if rerr != nil || !res.Completed {
-		t.Fatalf("run: %v, completed=%v", rerr, res != nil && res.Completed)
-	}
+	runSocketMaster(t, l, cfg, func(accepted uint64) {
+		if accepted == cfg.Evaluations {
+			late, _, err = wire.Dial(l.Addr().String(), wire.Hello{}, fastConn)
+		}
+	})
 	if late == nil {
 		t.Fatalf("late joiner never dialled: %v", err)
 	}

@@ -313,7 +313,8 @@ func TestRealtimeFaultCheckBeforeNormalize(t *testing.T) {
 // worker and codec — allocates at most 0.05 objects per evaluation
 // once warm. The offspring, its Vars and its objectives reuse the
 // storage of solutions that left the population and archive, so what
-// is left is growth of the live set.
+// is left is growth of the live set. The counts are read from the
+// socket master's OnAccept at accepts warm and n.
 func TestDistributedSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network integration test skipped in -short mode")
@@ -327,25 +328,19 @@ func TestDistributedSteadyStateAllocs(t *testing.T) {
 	defer cancel()
 	startWorker(ctx, l.Addr().String(), 1, nil)
 	cfg := Config{
-		Problem:         problems.NewDTLZ2(3),
-		Algorithm:       core.Config{Epsilons: core.UniformEpsilons(3, 0.1)},
-		Evaluations:     n,
-		Seed:            1,
-		CheckpointEvery: warm,
+		Problem:     problems.NewDTLZ2(3),
+		Algorithm:   core.Config{Epsilons: core.UniformEpsilons(3, 0.1)},
+		Evaluations: n,
+		Seed:        1,
 	}
 	var mallocs [2]uint64
-	cfg.OnCheckpoint = func(float64, *core.Borg) {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		mallocs[0], mallocs[1] = mallocs[1], ms.Mallocs
-	}
-	res, err := RunAsyncDistributed(cfg, DistributedConfig{Listener: l, Conn: fastConn, WallLimit: 2 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("run did not complete")
-	}
+	runSocketMaster(t, l, cfg, func(accepted uint64) {
+		if accepted%warm == 0 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs[0], mallocs[1] = mallocs[1], ms.Mallocs
+		}
+	})
 	perEval := float64(mallocs[1]-mallocs[0]) / (n - warm)
 	t.Logf("%.4f allocations per evaluation after %d warm-up evaluations", perEval, warm)
 	if perEval > 0.05 {

@@ -18,10 +18,9 @@ import (
 // small relative to 2·T_C + T_A (Eq. 3).
 type IslandsConfig struct {
 	// Base configures each island (Processors is the per-island P,
-	// Evaluations the per-island budget). Checkpoint hooks, stragglers
-	// and fault plans are not supported at the island level;
-	// CaptureTimings is, and aggregates every island's T_A/T_F samples
-	// into the merged result.
+	// Evaluations the per-island budget). Stragglers and fault plans
+	// are not supported at the island level; CaptureTimings is, and
+	// aggregates every island's T_A/T_F samples into the merged result.
 	Base Config
 	// Islands is the number of concurrent instances (>= 1).
 	Islands int
@@ -81,8 +80,8 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 	if err := base.normalize(); err != nil {
 		return nil, err
 	}
-	if base.CheckpointEvery != 0 || base.StragglerFraction != 0 {
-		return nil, fmt.Errorf("parallel: RunIslands does not support checkpoints or stragglers")
+	if base.StragglerFraction != 0 {
+		return nil, fmt.Errorf("parallel: RunIslands does not support stragglers")
 	}
 	if !base.Fault.Empty() {
 		return nil, fmt.Errorf("parallel: RunIslands does not support fault injection; use RunAsync or RunSync")

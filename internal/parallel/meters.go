@@ -21,5 +21,4 @@ const (
 	mTF          = master.MetricTF
 	mGenerations = master.MetricGenerations
 	mMigrants    = master.MetricMigrants
-	mCheckpoints = master.MetricCheckpoints
 )

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"borgmoea/internal/advisor"
-	"borgmoea/internal/core"
 	"borgmoea/internal/des"
 	"borgmoea/internal/fault"
 	"borgmoea/internal/obs"
@@ -136,23 +135,16 @@ func TestAsyncMetricsMatchFaultAccounting(t *testing.T) {
 	}
 }
 
-// checkpoint is one snapshot of the algorithm the checkpoint hook saw.
-type checkpoint struct {
-	evaluations uint64
-	archiveSize int
-}
-
-// TestAsyncDiagnosticsCadence snapshots the algorithm through the
-// parallel checkpoint hook — the supported way to observe algorithm
-// dynamics under the parallel drivers — and checks the cadence.
+// TestAsyncDiagnosticsCadence snapshots the algorithm through a
+// quality sampler — the supported way to observe algorithm dynamics
+// under the parallel drivers — and checks the cadence.
 func TestAsyncDiagnosticsCadence(t *testing.T) {
 	const n, every = 5000, 500
-	var snaps []checkpoint
+	var snaps []obs.QualitySample
 	cfg := testConfig(8, n)
-	cfg.CheckpointEvery = every
-	cfg.OnCheckpoint = func(_ float64, b *core.Borg) {
-		snaps = append(snaps, checkpoint{b.Evaluations(), b.Archive().Size()})
-	}
+	cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{Every: every, OnSample: func(s obs.QualitySample) {
+		snaps = append(snaps, s)
+	}})
 
 	res, err := RunAsync(cfg)
 	if err != nil {
@@ -162,22 +154,22 @@ func TestAsyncDiagnosticsCadence(t *testing.T) {
 		t.Fatal("run incomplete")
 	}
 	if got, want := len(snaps), n/every; got != want {
-		t.Fatalf("got %d checkpoints, want %d", got, want)
+		t.Fatalf("got %d samples, want %d", got, want)
 	}
 	for i := 1; i < len(snaps); i++ {
-		if snaps[i].evaluations <= snaps[i-1].evaluations {
-			t.Fatalf("checkpoint %d not monotone: %d after %d", i,
-				snaps[i].evaluations, snaps[i-1].evaluations)
+		if snaps[i].Evaluations <= snaps[i-1].Evaluations {
+			t.Fatalf("sample %d not monotone: %d after %d", i,
+				snaps[i].Evaluations, snaps[i-1].Evaluations)
 		}
 	}
-	if last := snaps[len(snaps)-1]; last.archiveSize == 0 {
-		t.Fatal("final checkpoint has an empty archive")
+	if last := snaps[len(snaps)-1]; last.ArchiveSize == 0 {
+		t.Fatal("final sample has an empty archive")
 	}
 }
 
 // TestDistributedObservability is the loopback acceptance test for the
 // telemetry tentpole: a real-TCP run with metrics, a rate-1 trace
-// collector and a checkpoint hook attached must (a) keep the checkpoint
+// collector and a quality sampler attached must (a) keep the sampling
 // cadence, (b) count evaluations and worker joins, (c) see wire frames
 // on the shared registry, and (d) produce a -trace file that validates
 // against the Chrome trace-event schema.
@@ -203,12 +195,11 @@ func TestDistributedObservability(t *testing.T) {
 		})
 	}
 
-	checkpoints := 0
+	samples := 0
 	cfg := distConfig(n)
 	cfg.Metrics = conn.Metrics
 	cfg.Trace = obs.NewCollector(obs.CollectorConfig{RunID: cfg.Seed, Rate: 1})
-	cfg.CheckpointEvery = every
-	cfg.OnCheckpoint = func(float64, *core.Borg) { checkpoints++ }
+	cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{Every: every, OnSample: func(obs.QualitySample) { samples++ }})
 
 	res, err := RunAsyncDistributed(cfg, DistributedConfig{
 		Listener:     l,
@@ -223,8 +214,8 @@ func TestDistributedObservability(t *testing.T) {
 		t.Fatalf("run incomplete: %d/%d", res.Evaluations, n)
 	}
 
-	if got, want := checkpoints, n/every; got != want {
-		t.Fatalf("got %d checkpoints, want %d", got, want)
+	if got, want := samples, n/every; got != want {
+		t.Fatalf("got %d samples, want %d", got, want)
 	}
 	reg := cfg.Metrics
 	if got := reg.Counter(mEvaluations).Value(); got != n {

@@ -65,14 +65,6 @@ type Config struct {
 	// Seed seeds all random streams of the run.
 	Seed uint64
 
-	// CheckpointEvery invokes OnCheckpoint after every k completed
-	// evaluations (0 disables). Used for hypervolume trajectories.
-	CheckpointEvery uint64
-	// OnCheckpoint receives the current virtual time and the live
-	// Borg instance. The callback must not retain the Borg pointer's
-	// mutable state beyond the call.
-	OnCheckpoint func(virtualTime float64, b *core.Borg)
-
 	// CaptureTimings records every T_A and T_F sample into the
 	// result, for distribution fitting.
 	CaptureTimings bool

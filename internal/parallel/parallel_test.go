@@ -8,6 +8,7 @@ import (
 
 	"borgmoea/internal/core"
 	"borgmoea/internal/model"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/problems"
 	"borgmoea/internal/stats"
 )
@@ -139,27 +140,33 @@ func TestAsyncCountedTA(t *testing.T) {
 	}
 }
 
+// TestAsyncCheckpoints: a sampler on an evaluation cadence samples the
+// first accept, then every 100, never the final accept, at increasing
+// virtual times — the positions the serial baseline of Figures 3–4
+// mirrors.
 func TestAsyncCheckpoints(t *testing.T) {
 	cfg := testConfig(8, 1000)
 	var times []float64
 	var evals []uint64
-	cfg.CheckpointEvery = 100
-	cfg.OnCheckpoint = func(vt float64, b *core.Borg) {
-		times = append(times, vt)
-		evals = append(evals, b.Evaluations())
-	}
+	cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{Every: 100, OnSample: func(s obs.QualitySample) {
+		times = append(times, s.At)
+		evals = append(evals, s.Evaluations)
+	}})
 	if _, err := RunAsync(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 10 {
-		t.Fatalf("got %d checkpoints, want 10", len(times))
+		t.Fatalf("got %d samples, want 10", len(times))
+	}
+	if evals[0] != 1 {
+		t.Fatalf("first sample at evaluation %d, want 1", evals[0])
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] <= times[i-1] {
-			t.Fatal("checkpoint times not increasing")
+			t.Fatal("sample times not increasing")
 		}
 		if evals[i] != evals[i-1]+100 {
-			t.Fatalf("checkpoint evaluations not spaced by 100: %v", evals)
+			t.Fatalf("sample evaluations not spaced by 100: %v", evals)
 		}
 	}
 }

@@ -181,10 +181,6 @@ func RunSync(cfg Config) (*Result, error) {
 				node.HoldBusy(p, terms.Leave(true), "algo")
 				completed++
 				meters.Evals.Inc()
-				if cfg.CheckpointEvery > 0 && completed%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
-					meters.Checkpoints.Inc()
-					cfg.OnCheckpoint(p.Now(), b)
-				}
 				if completed >= cfg.Evaluations {
 					break
 				}

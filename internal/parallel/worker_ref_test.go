@@ -13,6 +13,7 @@ import (
 	"borgmoea/internal/fault"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
+	"borgmoea/internal/obs"
 	"borgmoea/internal/stats"
 )
 
@@ -323,13 +324,14 @@ func TestVirtualRunGoroutinesConstant(t *testing.T) {
 	cfg := testConfig(1024, 20000)
 	cfg.TF = stats.GammaFromMeanCV(0.01, 0.1)
 	var during []int
-	cfg.CheckpointEvery = 2000
-	cfg.OnCheckpoint = func(float64, *core.Borg) { during = append(during, runtime.NumGoroutine()) }
+	cfg.Quality = obs.NewQualitySampler(obs.QualityConfig{Every: 2000, OnSample: func(obs.QualitySample) {
+		during = append(during, runtime.NumGoroutine())
+	}})
 	if _, err := RunAsync(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(during) != 10 {
-		t.Fatalf("sampled %d checkpoints, want 10", len(during))
+		t.Fatalf("took %d samples, want 10", len(during))
 	}
 	for _, n := range during {
 		if n != during[0] || n > base+1 {

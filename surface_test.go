@@ -119,7 +119,57 @@ const chromeExporter = "internal/obs/chrome.go"
 // the "traceEvents" literal, the key every trace_event writer has to
 // spell.
 func TestOneChromeExporter(t *testing.T) {
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	walkSources(t, ".", func(rel string, src []byte) {
+		if rel != chromeExporter && strings.Contains(string(src), `"traceEvents"`) {
+			t.Errorf("%s spells \"traceEvents\": write Chrome traces through %s (obs.WriteChromeForests)", rel, chromeExporter)
+		}
+	})
+}
+
+// qualitySampler is the one non-test file under internal/ and cmd/ that
+// may estimate a front's hypervolume by Monte Carlo: the quality
+// sampler, whose timeline Figures 3–4, the quality logs and the live
+// gauges all read.
+const qualitySampler = "internal/obs/quality.go"
+
+// TestOneHypervolumeTimeline keeps the module at one in-run hypervolume
+// timeline. It fails when a non-test .go file under internal/ or cmd/
+// other than qualitySampler calls (or otherwise refers to)
+// metrics.HypervolumeMCNondominated, or when one names OnCheckpoint,
+// the per-driver hook a second timeline was fed by. bench/ measures its
+// own final fronts and is not walked.
+func TestOneHypervolumeTimeline(t *testing.T) {
+	for _, root := range []string{"internal", "cmd"} {
+		walkSources(t, root, func(rel string, src []byte) {
+			f, err := parser.ParseFile(token.NewFileSet(), rel, src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			declared := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					declared[n.Name] = true
+				case *ast.Ident:
+					switch {
+					case n.Name == "HypervolumeMCNondominated" && !declared[n] && rel != qualitySampler:
+						t.Errorf("%s uses HypervolumeMCNondominated: sample hypervolume through %s (obs.QualitySampler)", rel, qualitySampler)
+					case n.Name == "OnCheckpoint":
+						t.Errorf("%s names OnCheckpoint: observe a run through an obs.QualitySampler", rel)
+					}
+				}
+				return true
+			})
+		})
+	}
+}
+
+// walkSources calls fn with the slash-separated path and contents of
+// every non-test .go file under root, skipping hidden and testdata
+// directories.
+func walkSources(t *testing.T, root string, fn func(rel string, src []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -130,16 +180,14 @@ func TestOneChromeExporter(t *testing.T) {
 			return nil
 		}
 		rel := filepath.ToSlash(path)
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || rel == chromeExporter {
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if strings.Contains(string(src), `"traceEvents"`) {
-			t.Errorf("%s spells \"traceEvents\": write Chrome traces through %s (obs.WriteChromeForests)", rel, chromeExporter)
-		}
+		fn(rel, src)
 		return nil
 	})
 	if err != nil {
