@@ -181,9 +181,9 @@ var NewScalingAdvisor = advisor.New
 // rate, archive/population ratio, front spread and the Borg adaptive
 // state (operator probabilities, restarts, tournament size) — emitted
 // as quality.* gauges, served at /debug/quality, and recorded as
-// EvQuality points in the BMEL log so any run's quality timeline
-// reconstructs byte-identically offline (the BQLG sidecar;
-// borgview timeline -quality renders one). Wire QualitySamplerConfig.OnSample
+// EvQuality points in the BMEL log, so replaying the log reconstructs
+// the run's quality timeline bit for bit offline (borgview timeline
+// -quality replays and renders one). Wire QualitySamplerConfig.OnSample
 // to ScalingAdvisor.ObserveQuality for stall and restart-regression
 // alerting in the /debug/scaling report.
 type (
@@ -202,9 +202,6 @@ var (
 	// NewQualitySampler constructs a quality sampler; attach it via
 	// ParallelConfig.Quality.
 	NewQualitySampler = obs.NewQualitySampler
-	// ReadQualitySidecar deserializes a BQLG timeline written by the
-	// sampler.
-	ReadQualitySidecar = obs.ReadQualityLog
 	// MeasureFront computes a front's hypervolume deterministically:
 	// exact within maxExact points, seeded Monte Carlo beyond.
 	MeasureFront = obs.MeasureFront
@@ -238,14 +235,8 @@ var (
 	// RunFederation executes a multi-master federation over loopback or
 	// LAN TCP.
 	RunFederation = federation.Run
-	// ReplayFederationQuality reconstructs a federated run offline from
-	// its per-island logs, with per-island quality samplers
-	// regenerating each island's BQLG timeline.
-	ReplayFederationQuality = federation.ReplayQuality
 	// NewMigrantLog returns an empty migrant sidecar log.
 	NewMigrantLog = federation.NewMigrantLog
-	// ReadMigrantLog deserializes a log written with MigrantLog.WriteTo.
-	ReadMigrantLog = federation.ReadMigrantLog
 	// NewScalingFederation returns an empty federated advisor roll-up.
 	NewScalingFederation = advisor.NewFederation
 )
@@ -316,7 +307,8 @@ var (
 // Protocol event log (see internal/master): attach a ProtocolLog to
 // ParallelConfig.Protocol and any transport's run records the exact
 // event sequence its master state machine consumed; the log replays
-// off-line to the identical Result with ReplayAsync.
+// off-line to the identical Result with ReplayAsync. A log whose
+// Meta.Run names its spec replays from the file alone.
 type (
 	// ProtocolLog records a master run's protocol events for replay.
 	ProtocolLog = master.Log

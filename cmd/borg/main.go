@@ -14,7 +14,9 @@
 //	borg -parallel 8 -trace run.trace.json        # Chrome/Perfetto timeline
 //	borg -parallel 8 -metrics-out metrics.json    # final metrics snapshot
 //	borg -parallel 8 -advise-out scaling.jsonl    # live scalability analysis
-//	borg -parallel 8 -quality-every 1000 -quality-log run.qlog  # search-quality timeline
+//	borg -parallel 8 -quality-every 1000 -event-log run.bmel  # event log naming its run
+//	borg -replay run.bmel -out replayed.json      # the run again, offline, no run flags
+//	borgview timeline -quality run.bmel           # its search-quality timeline
 //	borg -transport tcp -listen :7070 -debug-addr localhost:6060
 //
 // With -debug-addr the live scalability advisor also serves
@@ -37,6 +39,7 @@ import (
 	"borgmoea/internal/ascii"
 	"borgmoea/internal/cli"
 	"borgmoea/internal/httpd"
+	"borgmoea/internal/master"
 	"borgmoea/internal/shutdown"
 )
 
@@ -69,10 +72,9 @@ func run() int {
 		adviseOut   = flag.String("advise-out", "", "journal the live scalability advisor's reports as JSONL to this path (parallel transports)")
 		adviseEvery = flag.Float64("advise-every", 1.0, "seconds of driver time between advisor snapshots (with -advise-out; virtual seconds for -transport virtual)")
 		eventLog    = flag.String("event-log", "", "record the master's protocol event log to this path (parallel transports)")
-		replayPath  = flag.String("replay", "", "replay a recorded event log off-line instead of running; pass the original run's -problem/-objectives/-epsilon/-seed")
-		qualEvery   = flag.Uint64("quality-every", 0, "sample search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations (parallel transports; 0 = off)")
+		replayPath  = flag.String("replay", "", "replay a recorded event log off-line instead of running; the log names its run (a version-1 log needs the original -problem/-objectives/-epsilon/-seed)")
+		qualEvery   = flag.Uint64("quality-every", 0, "sample search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations; the samples ride -event-log (render with: borgview timeline -quality) (parallel transports; 0 = off)")
 		qualWall    = flag.Float64("quality-wall", 0, "also sample search quality every S seconds of driver time (with or instead of -quality-every)")
-		qualLog     = flag.String("quality-log", "", "write the run's quality timeline as a QLOG sidecar to this path (implies -quality-every 1000 unless set; read with: borgview timeline -quality)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -84,13 +86,37 @@ func run() int {
 		return fail(2, "unknown transport (want virtual or tcp)", "transport", *transport)
 	}
 
-	problem, err := borgmoea.LookupProblem(*problemName, *objectives)
+	spec := master.Spec{Problem: *problemName, Objectives: *objectives, Evaluations: *evals,
+		Epsilon: *epsilon, Seed: *seed, QualityEvery: *qualEvery}
+	var recorded *borgmoea.ProtocolLog
+	if *replayPath != "" {
+		var err error
+		if recorded, err = cli.ReadFile(*replayPath, borgmoea.ReadProtocolLog); err != nil {
+			return fail(1, "reading event log", "err", err)
+		}
+		if spec, err = cli.ReplaySpec(recorded.Meta.Run, spec); err != nil {
+			return fail(2, err.Error())
+		} else if recorded.Meta.Run == nil {
+			logger.Warn("a version-1 event log does not name its run; replaying the run the flags name")
+		}
+	}
+	// A replay or a serial run has no live parallel run to instrument:
+	// each recording flag says so and is dropped (a replay feeds -metrics-out).
+	if recorded != nil || (*transport == "virtual" && *parallelP <= 0) {
+		var live []string
+		flag.Visit(func(f *flag.Flag) {
+			if strings.Contains(" trace event-log advise-out quality-every quality-wall ", " "+f.Name+" ") || f.Name == "metrics-out" && recorded == nil {
+				live = append(live, "-"+f.Name)
+			}
+		})
+		if len(live) > 0 {
+			logger.Warn(strings.Join(live, ", ") + " instrument a live parallel run; a replay or a serial run records nothing for them")
+			*tracePath, *eventLog, *adviseOut, *qualEvery, *qualWall = "", "", "", 0, 0
+		}
+	}
+	problem, cfg, err := spec.Config()
 	if err != nil {
 		return fail(2, err.Error())
-	}
-	cfg := borgmoea.Config{
-		Epsilons: borgmoea.UniformEpsilons(problem.NumObjs(), *epsilon),
-		Seed:     *seed,
 	}
 
 	// Observability sinks, shared by every transport: a metrics
@@ -106,7 +132,8 @@ func run() int {
 	}
 	var plog *borgmoea.ProtocolLog
 	if *eventLog != "" {
-		plog = borgmoea.NewProtocolLog()
+		plog = borgmoea.NewProtocolLog() // its header names the run: it replays without flags
+		plog.Meta.Run = &master.RunHeader{Spec: &spec}
 	}
 
 	// Live scalability advisor: created whenever something will read it
@@ -137,18 +164,13 @@ func run() int {
 		adv = borgmoea.NewScalingAdvisor(acfg)
 	}
 
-	// Search-quality sampler: created when a cadence or a QLOG sink
-	// asks for it. Sample points detour through the master, so a
-	// recorded event log replays to the byte-identical quality timeline
-	// (pass the same -quality flags to -replay to regenerate it).
+	// Search-quality sampler: created when a cadence asks for it. Sample
+	// points detour through the master, so a recorded event log replays
+	// to the bit-identical quality timeline (borgview timeline -quality).
 	var quality *borgmoea.QualitySampler
-	if *qualEvery > 0 || *qualWall > 0 || *qualLog != "" {
-		qe := *qualEvery
-		if qe == 0 && *qualWall == 0 {
-			qe = 1000
-		}
+	if *qualEvery > 0 || *qualWall > 0 {
 		qcfg := borgmoea.QualitySamplerConfig{
-			Every:     qe,
+			Every:     *qualEvery,
 			WallEvery: *qualWall,
 			Ref:       borgmoea.RefPointFor(problem.Name(), problem.NumObjs()),
 			Metrics:   reg,
@@ -213,21 +235,12 @@ func run() int {
 	}
 
 	var alg *borgmoea.Algorithm
-	if *replayPath != "" {
-		if tracer != nil {
-			logger.Warn("-trace instruments a live parallel run; the replay records no trace")
-			tracer = nil
-		}
-		recorded, err := cli.ReadFile(*replayPath, borgmoea.ReadProtocolLog)
-		if err != nil {
-			return fail(1, "reading event log", "err", err)
-		}
+	if recorded != nil {
 		res, err := borgmoea.ReplayAsync(borgmoea.ParallelConfig{
 			Problem:   problem,
 			Algorithm: cfg,
-			Seed:      *seed,
+			Seed:      spec.Seed,
 			Metrics:   reg,
-			Quality:   quality,
 		}, recorded)
 		if err != nil {
 			return fail(1, err.Error())
@@ -311,10 +324,6 @@ func run() int {
 				res.Resubmissions, res.LostEvaluations, res.DuplicateResults, res.MessagesLost)
 		}
 	} else {
-		if *tracePath != "" || *metricsOut != "" || *eventLog != "" || *adviseOut != "" || quality != nil {
-			logger.Warn("-trace/-metrics-out/-event-log/-advise-out/-quality-* instrument the parallel drivers; the serial run records nothing")
-		}
-		tracer = nil
 		var err error
 		if alg, err = borgmoea.NewBorg(problem, cfg); err != nil {
 			return fail(1, err.Error())
@@ -337,16 +346,11 @@ func run() int {
 		if err := cli.WriteLog(*eventLog, plog); err != nil {
 			return fail(1, "writing event log", "err", err)
 		}
-		logger.Info("event log written", "path", *eventLog, "events", len(plog.Events),
-			"hint", fmt.Sprintf("replay with: borg -replay %s -problem %s -objectives %d -epsilon %g -seed %d",
-				*eventLog, *problemName, *objectives, *epsilon, *seed))
-	}
-	if quality != nil && *qualLog != "" {
-		if err := cli.WriteLog(*qualLog, quality.Log()); err != nil {
-			return fail(1, "writing quality log", "err", err)
+		hint := fmt.Sprintf("replay with: borg -replay %s", *eventLog)
+		if quality != nil {
+			hint += fmt.Sprintf("; render its quality timeline with: borgview timeline -quality %s", *eventLog)
 		}
-		logger.Info("quality log written", "path", *qualLog, "samples", len(quality.Log().Samples),
-			"hint", fmt.Sprintf("render with: borgview timeline -quality %s", *qualLog))
+		logger.Info("event log written", "path", *eventLog, "events", len(plog.Events), "hint", hint)
 	}
 
 	front := alg.Archive().Objectives()

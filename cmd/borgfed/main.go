@@ -14,23 +14,24 @@
 //	borgfed -islands 2 -workers 4 -debug-addr localhost:6060          # live federated /debug/scaling
 //	borgfed -islands 2 -workers 4 -log-dir run/                       # record BMEL + migrant logs
 //	borgfed -islands 2 -workers 4 -log-dir run/ -trace-rate 1         # + distributed evaluation traces
-//	borgfed -replay-dir run/ -islands 2 -problem DTLZ2 -objectives 3  # replay a recorded federation
+//	borgfed -replay-dir run/                                          # replay a recorded federation
 //
 // With -debug-addr the federated scalability roll-up serves
 // /debug/scaling (watch it with: borgview top -fed -addr localhost:6060;
 // ?island=i narrows to one island). With -log-dir every island writes
-// island-<i>.bmel and island-<i>.migrants; -replay-dir reconstructs
-// the identical merged front from those files, offline. -trace-rate
+// island-<i>.bmel, whose header names the run, and island-<i>.migrants;
+// -replay-dir reconstructs the identical merged front from those files,
+// offline, with no run flags (a version-1 log needs them). -trace-rate
 // samples distributed per-evaluation traces (advisor-flagged
 // stragglers are always kept); with -log-dir each island adds an
 // island-<i>.trace sidecar that borgview trace turns into the run's
 // critical-path attribution, offline. -quality-every samples every
 // island's search quality (hypervolume, ε-progress, operator
 // adaptation) on that cadence: with -debug-addr the federation serves
-// per-island plus merged-front quality on /debug/quality, with
-// -log-dir each island writes an island-<i>.qlog sidecar, and a
-// -replay-dir replay with -quality-every rebuilds those sidecars byte
-// for byte from the recorded EvQuality trigger points.
+// per-island plus merged-front quality on /debug/quality, and with
+// -log-dir the sample points ride each island's event log, so
+// borgview timeline -quality run/ replays every island's timeline bit
+// for bit.
 //
 // BMEL logs stream to disk at event granularity and every sidecar is
 // flushed on SIGINT/SIGTERM, so an interrupted federation keeps its
@@ -53,6 +54,7 @@ import (
 	"borgmoea"
 	"borgmoea/internal/cli"
 	"borgmoea/internal/httpd"
+	"borgmoea/internal/master"
 	"borgmoea/internal/shutdown"
 )
 
@@ -78,9 +80,9 @@ func run() int {
 		deltaEvery  = flag.Uint64("delta-every", 500, "stream recent archive members to the root every this many accepts per island (0 = off)")
 		debugAddr   = flag.String("debug-addr", "", "serve the federated /debug/scaling (plus /debug/vars, /debug/pprof) on this address (e.g. localhost:6060)")
 		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1]; with -log-dir every island also writes an island-<i>.trace sidecar for offline borgview trace analysis (0 = tracing off)")
-		qualEvery   = flag.Uint64("quality-every", 0, "sample each island's search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations; with -log-dir every island writes an island-<i>.qlog sidecar, with -debug-addr the federation serves /debug/quality (0 = off)")
+		qualEvery   = flag.Uint64("quality-every", 0, "sample each island's search quality (hypervolume, eps-progress, operator adaptation) every N accepted evaluations; with -log-dir the samples ride the event logs (render with: borgview timeline -quality), with -debug-addr the federation serves /debug/quality (0 = off)")
 		logDir      = flag.String("log-dir", "", "write per-island BMEL event logs and migrant sidecar logs into this directory")
-		replayDir   = flag.String("replay-dir", "", "replay a recorded federation from this directory instead of running (pass the original -islands/-problem/-objectives/-epsilon/-seed)")
+		replayDir   = flag.String("replay-dir", "", "replay a recorded federation from this directory instead of running (the logs name the run; -islands pins the island count)")
 		outPath     = flag.String("out", "", "save the merged archive as JSON to this path")
 		printFront  = flag.Bool("front", false, "print the merged Pareto approximation")
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
@@ -102,17 +104,17 @@ func run() int {
 		logger.Warn("signal received; flushing federation logs", "signal", s.String())
 	})
 
-	problem, err := borgmoea.LookupProblem(*problemName, *objectives)
+	spec := master.Spec{Problem: *problemName, Objectives: *objectives, Evaluations: *evals,
+		Epsilon: *epsilon, Seed: *seed, QualityEvery: *qualEvery}
+	if *replayDir != "" {
+		return replay(logger, *replayDir, spec, *islands, *outPath, *printFront)
+	}
+	problem, algCfg, err := spec.Config()
 	if err != nil {
 		return fail(2, err.Error())
 	}
 	if *islands < 1 {
 		return fail(2, "-islands must be at least 1")
-	}
-	algCfg := borgmoea.Config{Epsilons: borgmoea.UniformEpsilons(problem.NumObjs(), *epsilon)}
-
-	if *replayDir != "" {
-		return replay(logger, *replayDir, problem, algCfg, *seed, *islands, *qualEvery, *outPath, *printFront)
 	}
 
 	cfg := borgmoea.FederationConfig{
@@ -159,6 +161,7 @@ func run() int {
 		cfg.MigrantLogs = make([]*borgmoea.MigrantLog, *islands)
 		for i := range cfg.Logs {
 			cfg.Logs[i] = borgmoea.NewProtocolLog()
+			cfg.Logs[i].Meta.Run = &master.RunHeader{Spec: &spec}
 			cfg.MigrantLogs[i] = borgmoea.NewMigrantLog()
 			if err := streamEventLog(&flusher, logger, cli.IslandPath(*logDir, i, "bmel"), cfg.Logs[i]); err != nil {
 				return fail(1, "creating event log", "island", i, "err", err)
@@ -207,15 +210,6 @@ func run() int {
 				Ref:         qualityRef,
 				Metrics:     cfg.Metrics,
 				GaugePrefix: fmt.Sprintf("island%d.quality.", i),
-			})
-			if *logDir == "" {
-				continue
-			}
-			q, path := cfg.Quality[i], cli.IslandPath(*logDir, i, "qlog")
-			flusher.Add(func() {
-				if err := cli.WriteLog(path, q.Log()); err != nil {
-					logger.Error("writing quality sidecar", "path", path, "err", err)
-				}
 			})
 		}
 	}
@@ -286,9 +280,11 @@ func run() int {
 	}
 	flusher.Flush()
 	if *logDir != "" {
-		logger.Info("federation logs written", "dir", *logDir,
-			"hint", fmt.Sprintf("replay with: borgfed -replay-dir %s -islands %d -problem %s -objectives %d -epsilon %g -seed %d",
-				*logDir, *islands, *problemName, *objectives, *epsilon, *seed))
+		hint := fmt.Sprintf("replay with: borgfed -replay-dir %s", *logDir)
+		if *qualEvery > 0 {
+			hint += fmt.Sprintf("; render the quality timelines with: borgview timeline -quality %s", *logDir)
+		}
+		logger.Info("federation logs written", "dir", *logDir, "hint", hint)
 		if *traceRate > 0 {
 			logger.Info("trace sidecars written", "dir", *logDir,
 				"hint", fmt.Sprintf("attribute with: borgview trace -dir %s -islands %d", *logDir, *islands))
@@ -333,54 +329,29 @@ func fedQualityHandler(quality []*borgmoea.QualitySampler, root *atomic.Pointer[
 }
 
 // replay reconstructs a recorded federation from -log-dir files and
-// prints the merged front it reproduces. With qualEvery set it also
-// regenerates every island's quality timeline from the recorded
-// EvQuality trigger points and writes island-<i>.qlog sidecars — byte
-// for byte what the live run would have written.
-func replay(logger *slog.Logger, dir string, problem borgmoea.Problem, algCfg borgmoea.Config, seed uint64, islands int, qualEvery uint64, outPath string, printFront bool) int {
+// prints the merged front it reproduces. The run comes from island 0's
+// log header; -islands, when set, pins the island count.
+func replay(logger *slog.Logger, dir string, flags master.Spec, islands int, outPath string, printFront bool) int {
 	fail := func(code int, msg string, args ...any) int {
 		logger.Error(msg, args...)
 		return code
 	}
-	logs := make([]*borgmoea.ProtocolLog, islands)
-	mlogs := make([]*borgmoea.MigrantLog, islands)
-	for i := 0; i < islands; i++ {
-		var err error
-		if logs[i], err = cli.ReadFile(cli.IslandPath(dir, i, "bmel"), borgmoea.ReadProtocolLog); err != nil {
-			return fail(1, "reading event log", "island", i, "err", err)
+	k := 0
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "islands" {
+			k = islands
 		}
-		if mlogs[i], err = cli.ReadFile(cli.IslandPath(dir, i, "migrants"), borgmoea.ReadMigrantLog); err != nil {
-			return fail(1, "reading migrant log", "island", i, "err", err)
-		}
-	}
-	var quality []*borgmoea.QualitySampler
-	if qualEvery > 0 {
-		ref := borgmoea.RefPointFor(problem.Name(), problem.NumObjs())
-		quality = make([]*borgmoea.QualitySampler, islands)
-		for i := range quality {
-			quality[i] = borgmoea.NewQualitySampler(borgmoea.QualitySamplerConfig{Every: qualEvery, Ref: ref})
-		}
-	}
-	rep, err := borgmoea.ReplayFederationQuality(problem, algCfg, seed, logs, mlogs, quality)
+	})
+	paths, rep, _, err := cli.Replay(dir, k, flags, false)
 	if err != nil {
-		return fail(1, err.Error())
-	}
-	for i, q := range quality {
-		path := cli.IslandPath(dir, i, "qlog")
-		qlog := q.Log()
-		if err := cli.WriteLog(path, qlog); err != nil {
-			return fail(1, "writing quality sidecar", "island", i, "err", err)
-		}
-		logger.Info("quality timeline rebuilt", "island", i,
-			"samples", len(qlog.Samples), "path", path,
-			"hint", fmt.Sprintf("render with: borgview timeline -quality %s", path))
+		return fail(1, "replaying", "err", err)
 	}
 	var evals uint64
 	for _, b := range rep.Islands {
 		evals += b.Evaluations()
 	}
 	fmt.Printf("replayed federation: islands=%d  N=%d  merged-archive=%d\n",
-		islands, evals, rep.MergedArchive.Size())
+		len(paths), evals, rep.MergedArchive.Size())
 	return emitFront(logger, rep.MergedFront, rep.MergedArchive, outPath, printFront)
 }
 

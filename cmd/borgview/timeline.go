@@ -139,16 +139,6 @@ func simulate(name string, sync bool, p int, evals uint64, tf, tfcv float64, wid
 	return nil
 }
 
-// loadEventLog reads a recorded BMEL run and returns a filled
-// collector.
-func loadEventLog(path string) (*collector, error) {
-	log, err := cli.ReadFile(path, borgmoea.ReadProtocolLog)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return collectProtocol(log), nil
-}
-
 // collectProtocol reconstructs per-worker evaluation spans from the
 // binary protocol log. The log records the master's consumed events
 // only (joins, hellos, results, ticks), not grant times, so a worker's
@@ -185,41 +175,43 @@ func collectProtocol(log *borgmoea.ProtocolLog) *collector {
 	return col
 }
 
-// renderQuality draws a recorded quality timeline: the hypervolume
-// trajectory as a scatter over evaluations, one row per sample, and
-// the final operator-probability mix as gauges.
+// renderQuality replays a recorded run (see cli.Replay), which
+// regenerates each master's quality timeline, and draws each: the
+// hypervolume trajectory over evaluations, one row per sample, and the
+// final operator-probability mix as gauges.
 func renderQuality(path string, width int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	log, err := borgmoea.ReadQualitySidecar(f)
+	paths, _, qs, err := cli.Replay(path, 0, master.Spec{}, true)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if len(log.Samples) == 0 {
-		return fmt.Errorf("%s: no quality samples", path)
-	}
-	fmt.Printf("%s (%d samples; ref point %v; hypervolume exact ≤%d else %d-sample MC)\n",
-		path, len(log.Samples), log.Ref, log.MaxExact, log.MCSamples)
-	fmt.Println()
+	for i, q := range qs {
+		log := q.Log()
+		if len(log.Samples) == 0 {
+			return fmt.Errorf("%s: no quality samples (record them with -quality-every)", paths[i])
+		}
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("%s (%d samples; ref point %v; hypervolume exact ≤%d else %d-sample MC)\n",
+			paths[i], len(log.Samples), log.Ref, log.MaxExact, log.MCSamples)
+		fmt.Println()
 
-	fmt.Printf("hypervolume vs evaluations\n%s\n", ascii.Scatter(hvPoints(log.Samples), width-16, 10))
+		fmt.Printf("hypervolume vs evaluations\n%s\n", ascii.Scatter(hvPoints(log.Samples), width-16, 10))
 
-	fmt.Printf("%5s %10s %9s %12s %12s %8s %5s %8s %5s %9s\n",
-		"seq", "at", "evals", "hv", "Δhv", "εprog", "arch", "pop", "rst", "spread")
-	prevHV := 0.0
-	for _, s := range log.Samples {
-		fmt.Printf("%5d %10.4f %9d %12.6f %+12.6f %8d %5d %8d %5d %9.4f\n",
-			s.Seq, s.At, s.Evaluations, s.Hypervolume, s.Hypervolume-prevHV,
-			s.EpsProgress, s.ArchiveSize, s.PopulationSize, s.Restarts, s.FrontSpread)
-		prevHV = s.Hypervolume
-	}
+		fmt.Printf("%5s %10s %9s %12s %12s %8s %5s %8s %5s %9s\n",
+			"seq", "at", "evals", "hv", "Δhv", "εprog", "arch", "pop", "rst", "spread")
+		prevHV := 0.0
+		for _, s := range log.Samples {
+			fmt.Printf("%5d %10.4f %9d %12.6f %+12.6f %8d %5d %8d %5d %9.4f\n",
+				s.Seq, s.At, s.Evaluations, s.Hypervolume, s.Hypervolume-prevHV,
+				s.EpsProgress, s.ArchiveSize, s.PopulationSize, s.Restarts, s.FrontSpread)
+			prevHV = s.Hypervolume
+		}
 
-	last := log.Samples[len(log.Samples)-1]
-	if rows := operatorRows(log.Operators, last.OperatorProbs, 40); rows != "" {
-		fmt.Printf("\nfinal operator mix (tournament size %d)\n%s", last.TournamentSize, rows)
+		last := log.Samples[len(log.Samples)-1]
+		if rows := operatorRows(log.Operators, last.OperatorProbs, 40); rows != "" {
+			fmt.Printf("\nfinal operator mix (tournament size %d)\n%s", last.TournamentSize, rows)
+		}
 	}
 	return nil
 }
@@ -241,12 +233,15 @@ func renderQuality(path string, width int) error {
 //
 //	borgview timeline -events run.bmel [-width 110]
 //
-// With -quality the tool renders a quality-timeline sidecar (BQLG
-// format, written by `borg -quality-log` or rebuilt by replay)
-// instead: a hypervolume curve over evaluations, per-sample quality
-// rows and the final adaptive operator mix:
+// With -quality the tool replays a recorded run through a quality
+// sampler instead — a BMEL log from `borg -event-log -quality-every`
+// or a job's <id>.bmel, or a `borgfed -log-dir` directory, one
+// timeline per island — and renders what the live run sampled: a
+// hypervolume curve over evaluations, per-sample quality rows and the
+// final adaptive operator mix. The log's header names the run:
 //
-//	borgview timeline -quality run.qlog [-width 110]
+//	borgview timeline -quality run.bmel [-width 110]
+//	borgview timeline -quality run/
 func runTimeline(fs *flag.FlagSet, args []string) int {
 	var (
 		p       = fs.Int("p", 4, "processor count")
@@ -255,7 +250,7 @@ func runTimeline(fs *flag.FlagSet, args []string) int {
 		tf      = fs.Float64("tf", 0.01, "mean evaluation time")
 		tfcv    = fs.Float64("tfcv", 0.3, "evaluation time variability (higher shows the sync barrier cost)")
 		events  = fs.String("events", "", "render a recorded run from this binary event log (BMEL, from borg -event-log) instead of simulating")
-		quality = fs.String("quality", "", "render a quality-timeline sidecar (BQLG, from borg -quality-log) instead of simulating")
+		quality = fs.String("quality", "", "replay a recorded run (a BMEL log, or a borgfed -log-dir directory) and render its quality timeline instead of simulating")
 	)
 	fs.Parse(args)
 	if *width < 1 {
@@ -273,10 +268,11 @@ func runTimeline(fs *flag.FlagSet, args []string) int {
 		return 0
 	}
 	if *events != "" {
-		col, err := loadEventLog(*events)
+		log, err := cli.ReadFile(*events, borgmoea.ReadProtocolLog)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", *events, err))
 		}
+		col := collectProtocol(log)
 		if len(col.intervals) == 0 {
 			return fail(fmt.Errorf("%s: no renderable events", *events))
 		}

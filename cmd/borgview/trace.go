@@ -54,10 +54,7 @@ func runTrace(fs *flag.FlagSet, args []string) int {
 	case *dir != "" && *logPath == "":
 		k := *islands
 		if k == 0 {
-			for fileExists(cli.IslandPath(*dir, k, "trace")) {
-				k++
-			}
-			if k == 0 {
+			if k = cli.IslandCount(*dir, "trace"); k == 0 {
 				return fail("no island-<i>.trace sidecars found", "dir", *dir,
 					"hint", "record them with: borgfed -log-dir ... -trace-rate 1")
 			}
@@ -195,9 +192,4 @@ func printAttribution(name string, a borgmoea.TraceAttribution) {
 	if a.Other > 0 && a.Wall > 0 {
 		fmt.Printf("  %-10s %7s %11.3fs %12s %6.1f%%\n", "other", "", a.Other, "", 100*a.Other/a.Wall)
 	}
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

@@ -214,25 +214,40 @@ func TestScripts(t *testing.T) {
 		// the same seed records the same event log, virtual times included.
 		for _, v := range []string{"v", "v2"} {
 			tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
-				"-event-log", v+".bmel", "-quality-log", v+".qlog", "-advise-out", v+".adv.jsonl",
+				"-event-log", v+".bmel", "-advise-out", v+".adv.jsonl",
 				"-trace", v+".trace.json", "-out", v+".json")...)
 		}
 		tl.same("v.bmel", "v2.bmel")
 		tl.chromeTF("v.trace.json")
-		tl.ok("borg", with("-replay", "v.bmel", "-quality-every", "500",
-			"-quality-log", "v.replay.qlog", "-out", "v.replay.json")...)
+		// The log's header names the run: the replay takes no run flag.
+		tl.ok("borg", "-replay", "v.bmel", "-out", "v.replay.json")
 		tl.same("v.json", "v.replay.json")
-		tl.same("v.qlog", "v.replay.qlog")
+		// A run flag that agrees with the header is fine; one that does
+		// not is refused.
+		tl.ok("borg", with("-replay", "v.bmel", "-out", "v.replay2.json")...)
+		tl.same("v.json", "v.replay2.json")
+		if code, _, stderr := tl.run("", "borg", "-replay", "v.bmel", "-problem", "ZDT1"); code != 2 || !strings.Contains(stderr, "-problem ZDT1 disagrees") {
+			t.Fatalf("borg -replay v.bmel -problem ZDT1: exit %d, want 2 naming the flag\n%s", code, stderr)
+		}
 
-		// Neither a replay nor a serial run has a live run to trace: each
-		// says so and writes no trace file.
-		for _, args := range [][]string{{"-replay", "v.bmel"}, {"-evals", "100"}} {
-			code, _, stderr := tl.run("", "borg", with(append(args, "-trace", "none.trace.json")...)...)
-			if code != 0 || !strings.Contains(stderr, "records no") {
-				t.Fatalf("borg %v -trace: exit %d, want 0 with a records-nothing warning\n%s", args, code, stderr)
+		// Neither a replay nor a serial run has a live run to instrument:
+		// each says so for every recording flag and writes no file for it.
+		for _, args := range [][]string{
+			{"-replay", "v.bmel", "-trace", "none.trace.json"},
+			{"-replay", "v.bmel", "-event-log", "none.bmel"},
+			{"-replay", "v.bmel", "-advise-out", "none.adv.jsonl"},
+			{"-replay", "v.bmel", "-quality-every", "100"},
+			{"-replay", "v.bmel", "-quality-wall", "0.01"},
+			{"-evals", "100", "-trace", "none.trace.json"},
+		} {
+			code, _, stderr := tl.run("", "borg", with(args...)...)
+			if code != 0 || !strings.Contains(stderr, "records no") || !strings.Contains(stderr, args[2]) {
+				t.Fatalf("borg %v: exit %d, want 0 with a records-nothing warning naming %s\n%s", args, code, args[2], stderr)
 			}
-			if _, err := os.Stat(filepath.Join(tl.dir, "none.trace.json")); !os.IsNotExist(err) {
-				t.Fatalf("borg %v -trace wrote a trace file (%v)", args, err)
+			for _, name := range []string{"none.trace.json", "none.bmel", "none.adv.jsonl"} {
+				if _, err := os.Stat(filepath.Join(tl.dir, name)); !os.IsNotExist(err) {
+					t.Fatalf("borg %v wrote %s (%v)", args, name, err)
+				}
 			}
 		}
 
@@ -246,7 +261,7 @@ func TestScripts(t *testing.T) {
 			t.Fatalf("borgd: %v", err)
 		}
 		tl.chromeTF("tcp.trace.json")
-		tl.ok("borg", with("-replay", "tcp.bmel", "-out", "tcp.replay.json")...)
+		tl.ok("borg", "-replay", "tcp.bmel", "-out", "tcp.replay.json")
 		tl.same("tcp.json", "tcp.replay.json")
 
 		// A JSONL file that is no advisor journal: borgview top refuses it.
@@ -280,12 +295,16 @@ func TestScripts(t *testing.T) {
 		// Recorded by the goroutine driver before it was deleted (borg
 		// -parallel 4 -transport realtime -tf 0.0005 -evals 300); the
 		// log is transport-free, so it still replays to the recorded
-		// archive. Never regenerate these files with current code.
+		// archive. It is a version-1 log, whose header does not name the
+		// run, so its replay takes the run flags. Never regenerate these
+		// files with current code.
 		tl.ok("borg", with("-replay", testdata(t, "realtime.bmel"), "-out", "rt.replay.json")...)
 		tl.same(testdata(t, "realtime.json"), "rt.replay.json")
 
 		tl.ok("borgview", "timeline", "-events", "v.bmel")
-		tl.ok("borgview", "timeline", "-quality", "v.qlog")
+		if out := tl.ok("borgview", "timeline", "-quality", "v.bmel"); !strings.Contains(out, "v.bmel (3 samples;") {
+			t.Fatalf("borgview timeline -quality v.bmel: want the samples at 1, 501 and 1001 evaluations of -quality-every 500\n%s", out)
+		}
 		if out := tl.ok("borgview", "top", "-file", "v.adv.jsonl", "-once"); !strings.Contains(out, "borg scalability advisor") {
 			t.Fatalf("borgview top -file: unexpected report\n%s", out)
 		}
@@ -298,7 +317,7 @@ func TestScripts(t *testing.T) {
 		}
 		tl.ok("borgfed", with("-islands", "2", "-evals", "300", "-migrate", "100", "-workers", "2",
 			"-log-dir", "fed", "-trace-rate", "1", "-quality-every", "100", "-out", "fed.json")...)
-		tl.ok("borgfed", with("-replay-dir", "fed", "-islands", "2", "-out", "fed.replay.json")...)
+		tl.ok("borgfed", "-replay-dir", "fed", "-out", "fed.replay.json")
 		tl.same("fed.json", "fed.replay.json")
 
 		if out := tl.ok("borgview", "trace", "-dir", "fed", "-jsonl", "spans.jsonl", "-chrome", "trace.json"); !strings.Contains(out, "total: evals=") {
@@ -311,7 +330,12 @@ func TestScripts(t *testing.T) {
 		tl.chromeTF("trace.json")
 		tl.chromeTF("island-0.trace.json")
 		tl.ok("borgview", "timeline", "-events", "fed/island-0.bmel")
-		tl.ok("borgview", "timeline", "-quality", "fed/island-1.qlog")
+		out := tl.ok("borgview", "timeline", "-quality", "fed")
+		for _, island := range []string{"island-0.bmel (", "island-1.bmel ("} {
+			if !strings.Contains(out, island) {
+				t.Fatalf("borgview timeline -quality fed: no timeline for %s\n%s", island, out)
+			}
+		}
 	})
 
 	t.Run("borgsvc kill restart", func(t *testing.T) {
@@ -416,6 +440,7 @@ func TestScripts(t *testing.T) {
 			{1, "epsilons must be positive", "borg", []string{"-epsilon", "0", "-evals", "10"}},
 			{2, "unknown transport", "borg", []string{"-parallel", "4", "-transport", "realtime"}},
 			{2, "needs -listen", "borg", []string{"-transport", "tcp"}},
+			{2, "flag provided but not defined: -quality-log", "borg", []string{"-quality-log", "v.qlog"}},
 			{1, "NOPE", "borgexp", []string{"fitdist", "-collect", "-problem", "NOPE"}},
 			{2, "bad processor count", "borgexp", []string{"scalesim", "-p", "1"}},
 			{2, "-mttr must be positive", "borgexp", []string{"scalesim", "-mtbf", "1", "-mttr", "0"}},

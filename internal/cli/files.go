@@ -8,7 +8,7 @@ import (
 )
 
 // IslandPath names island i's artefact of kind ext (bmel, migrants,
-// trace, qlog) in a federation run directory: the layout borgfed
+// trace) in a federation run directory: the layout borgfed
 // -log-dir writes and borgfed -replay-dir and borgview read.
 func IslandPath(dir string, island int, ext string) string {
 	return filepath.Join(dir, fmt.Sprintf("island-%d.%s", island, ext))

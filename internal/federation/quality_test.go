@@ -2,6 +2,8 @@ package federation_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"borgmoea/internal/core"
@@ -24,18 +26,27 @@ func newQualitySamplers(k int, every uint64) []*obs.QualitySampler {
 	return qs
 }
 
-func qualityTimeline(t testing.TB, s *obs.QualitySampler) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.Log().WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// sameTimeline reports whether got repeats want: the reference point,
+// MaxExact, MCSamples, the operator names and every field of every
+// sample, floats compared by their bits.
+func sameTimeline(want, got *obs.QualityLog) bool {
+	bits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	return buf.Bytes()
+	return bits(want.Ref, got.Ref) && want.MaxExact == got.MaxExact && want.MCSamples == got.MCSamples &&
+		slices.Equal(want.Operators, got.Operators) &&
+		slices.EqualFunc(want.Samples, got.Samples, func(w, g obs.QualitySample) bool {
+			return w.Seq == g.Seq && w.Evaluations == g.Evaluations && w.EpsProgress == g.EpsProgress &&
+				w.ArchiveSize == g.ArchiveSize && w.PopulationSize == g.PopulationSize &&
+				w.Restarts == g.Restarts && w.TournamentSize == g.TournamentSize &&
+				bits([]float64{w.At, w.Hypervolume, w.FrontSpread}, []float64{g.At, g.Hypervolume, g.FrontSpread}) &&
+				bits(w.OperatorProbs, g.OperatorProbs)
+		})
 }
 
 // TestFederationQualityReplay: a federated run with per-island quality
-// samplers replays every island's quality timeline byte-identically
-// from the BMEL + migrant logs — sample points ride the event stream
+// samplers replays every island's quality timeline bit for bit from
+// the BMEL + migrant logs — sample points ride the event stream
 // through migrations, so the offline reconstruction sees the same
 // archives at the same points.
 func TestFederationQualityReplay(t *testing.T) {
@@ -69,7 +80,7 @@ func TestFederationQualityReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := make([][]byte, islands)
+	live := make([]*obs.QualityLog, islands)
 	for i, q := range quality {
 		if len(q.Log().Samples) == 0 {
 			t.Fatalf("island %d produced no quality samples", i)
@@ -78,7 +89,7 @@ func TestFederationQualityReplay(t *testing.T) {
 		if last.Hypervolume <= 0 {
 			t.Errorf("island %d final hypervolume %v, want > 0", i, last.Hypervolume)
 		}
-		live[i] = qualityTimeline(t, q)
+		live[i] = q.Log()
 	}
 
 	// Serialization round trip first: the on-disk logs are what must
@@ -104,7 +115,7 @@ func TestFederationQualityReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range replayQ {
-		if !bytes.Equal(live[i], qualityTimeline(t, replayQ[i])) {
+		if !sameTimeline(live[i], replayQ[i].Log()) {
 			t.Errorf("island %d: replayed quality timeline differs from the live run's", i)
 		}
 	}

@@ -31,8 +31,8 @@ type ReplayResult struct {
 //
 // quality holds optional per-island samplers: island isl's recorded
 // EvQuality points re-trigger quality[isl].Sample against the
-// replayed algorithm, regenerating the live run's QLOG timeline byte
-// for byte (construct each sampler with the live run's
+// replayed algorithm, regenerating the live run's quality timeline bit
+// for bit (construct each sampler with the live run's
 // Ref/MaxExact/MCSamples). quality may be nil, shorter than logs, or
 // hold nil entries — recorded EvQuality events without a sampler are
 // no-ops and do not perturb the archive reconstruction.

@@ -1,13 +1,14 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"borgmoea/internal/advisor"
 	"borgmoea/internal/core"
@@ -17,24 +18,18 @@ import (
 
 // Per-job files under Config.StateDir:
 //
-//	<id>.spec.json     the submission, written once at accept time
-//	<id>.bmel          the streamed master event log (append-only)
+//	<id>.bmel          the run record: a header naming the spec, written
+//	                   at accept time, then the streamed event log
 //	<id>.archive.json  the final ε-archive (core.SaveArchive), written
 //	                   once when the job ends, before its marker
 //	<id>.final.json    terminal-state marker; present once the job ends
 //
-// The BMEL stream is a running job's only checkpoint: resume replays it
-// through the deterministic core against a freshly seeded Borg,
-// recomputing each accepted Result's objectives, which lands the job in
-// its exact pre-kill state. The archive file is what result queries
-// serve once the job has ended.
-
-// specFile wraps the submission with its accept-time stamps.
-type specFile struct {
-	Spec             *Spec     `json:"spec"`
-	SubmittedAt      time.Time `json:"submitted_at"`
-	SubmittedSeconds float64   `json:"submitted_seconds"`
-}
+// A queued job is a log with no events. The BMEL stream is a running
+// job's only checkpoint: resume replays it through the deterministic
+// core against a freshly seeded Borg, recomputing each accepted
+// Result's objectives, which lands the job in its exact pre-kill
+// state. The archive file serves result queries once the job has ended.
+// Older schedulers wrote <id>.spec.json, read when a log is version 1 or missing.
 
 // restoredMeta is the terminal-state marker (<id>.final.json).
 type restoredMeta struct {
@@ -53,13 +48,6 @@ type ckpt struct {
 	lw      *master.LogWriter
 }
 
-func newCkpt(dir, id string) (*ckpt, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: state dir: %w", err)
-	}
-	return &ckpt{dir: dir, id: id}, nil
-}
-
 func (c *ckpt) path(ext string) string {
 	return filepath.Join(c.dir, c.id+"."+ext)
 }
@@ -74,57 +62,34 @@ func (c *ckpt) writeAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-func (c *ckpt) writeSpec(spec *Spec, wall time.Time, at float64) error {
-	data, err := json.MarshalIndent(specFile{Spec: spec, SubmittedAt: wall, SubmittedSeconds: at}, "", " ")
-	if err != nil {
+// create writes the job's run record: a streamed log's header, with no
+// events yet.
+func (c *ckpt) create(meta master.LogMeta) error {
+	var buf bytes.Buffer
+	if _, err := master.NewLogWriter(&buf, meta); err != nil {
 		return err
 	}
-	return c.writeAtomic(c.path("spec.json"), data)
+	return c.writeAtomic(c.path("bmel"), buf.Bytes())
 }
 
-// openLog starts a fresh checkpoint stream for l: header now, then
-// l's Sink writes one record per event as the core handles it, and l
-// itself retains none. Write errors are sticky on the LogWriter and
-// surface at finalize — a run does not stop because its durability
-// did.
-func (c *ckpt) openLog(l *master.Log) error {
-	f, err := os.Create(c.path("bmel"))
-	if err != nil {
-		return err
-	}
-	lw, err := master.NewLogWriter(f, l.Meta)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	c.logF, c.lw = f, lw
-	c.sinkTo(l)
-	return nil
-}
-
-// resumeLog reopens the stream l was read from: any crash-torn partial
-// record is truncated away, and appended events continue the same
-// replayable stream. The replayed prefix is on disk already, so l
-// drops it and from here on streams like a fresh job's log.
-func (c *ckpt) resumeLog(l *master.Log) error {
+// appendLog reopens l's stream, truncating any crash-torn partial
+// record, and makes l's Sink append one record per event; l drops the
+// events already on disk and retains none. Write errors are sticky on
+// the LogWriter and surface at finalize.
+func (c *ckpt) appendLog(l *master.Log) error {
 	path := c.path("bmel")
-	if err := os.Truncate(path, master.StreamLen(len(l.Events))); err != nil {
+	if err := os.Truncate(path, master.StreamLen(l.Meta, len(l.Events))); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	c.logF, c.lw = f, master.ResumeLogWriter(f)
+	lw := master.ResumeLogWriter(f)
+	c.logF, c.lw = f, lw
 	l.Events = nil
-	c.sinkTo(l)
-	return nil
-}
-
-// sinkTo makes the checkpoint writer l's sink.
-func (c *ckpt) sinkTo(l *master.Log) {
-	lw := c.lw
 	l.Sink = func(ev master.Event) { lw.Record(ev) } //nolint:errcheck // sticky, read at finalize
+	return nil
 }
 
 // finalize is a terminal job's one write: its final archive (when it
@@ -187,8 +152,8 @@ func evalFor(p problems.Problem) func(*master.Item) {
 // resume loads every job persisted in StateDir: terminal jobs come
 // back as queryable records, jobs with a recorded event stream replay
 // to their pre-kill state and continue, and jobs that never started
-// re-queue. Runs before the fleet host serves, so it may touch
-// loop-locked state freely.
+// re-queue. Each job's log header names its spec. Runs before the
+// fleet host serves, so it may touch loop-locked state freely.
 func (s *Scheduler) resume() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("jobs: state dir: %w", err)
@@ -199,11 +164,17 @@ func (s *Scheduler) resume() error {
 	}
 	var ids []string
 	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, ".spec.json") {
-			ids = append(ids, strings.TrimSuffix(name, ".spec.json"))
+		// An older scheduler's queued job has a spec file and no log.
+		id, ok := strings.CutSuffix(e.Name(), ".bmel")
+		if !ok {
+			id, ok = strings.CutSuffix(e.Name(), ".spec.json")
+		}
+		if ok {
+			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
+	ids = slices.Compact(ids)
 	for _, id := range ids {
 		var n uint64
 		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > s.nextJob {
@@ -221,39 +192,52 @@ func (s *Scheduler) resume() error {
 
 func (s *Scheduler) resumeJob(id string) error {
 	ck := &ckpt{dir: s.cfg.StateDir, id: id}
-	data, err := os.ReadFile(ck.path("spec.json"))
-	if err != nil {
-		return err
+	var meta master.LogMeta // a missing or unreadable log has no run header
+	if f, err := os.Open(ck.path("bmel")); err == nil {
+		if l, err := master.ReadLogHeader(f); err == nil {
+			meta = l.Meta
+		}
+		f.Close()
 	}
-	var sf specFile
-	if err := json.Unmarshal(data, &sf); err != nil || sf.Spec == nil {
-		return fmt.Errorf("corrupt spec file: %v", err)
+	var err error
+	run := meta.Run
+	if run == nil {
+		// Written before logs named their run: the spec file holds it.
+		run = &master.RunHeader{}
+		var data []byte
+		if data, err = os.ReadFile(ck.path("spec.json")); err == nil {
+			err = json.Unmarshal(data, run)
+		}
+	}
+	if run.Spec == nil {
+		run.Spec = &master.Spec{} // no run record survives: the job is known by its id alone
+		err = fmt.Errorf("unreadable run record: %v", err)
 	}
 	j := &job{
 		id:          id,
-		spec:        sf.Spec,
+		spec:        run.Spec,
 		state:       StateQueued,
 		workers:     make(map[uint64]struct{}),
 		failed:      make(map[uint64]struct{}),
-		submittedAt: sf.SubmittedAt.Format(time.RFC3339Nano),
-		submitted:   sf.SubmittedSeconds,
+		submittedAt: run.SubmittedAt,
+		submitted:   run.SubmittedSeconds,
 		ck:          ck,
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 
-	problem, algCfg, err := sf.Spec.Normalize()
+	problem, algCfg, normErr := run.Spec.Normalize()
+	if err == nil {
+		err = normErr
+	}
 	if err != nil {
-		// The registry no longer accepts this spec (drift across a
-		// binary upgrade): surface it as a failed job, not a dead
-		// server.
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.freeze(j)
-		return nil
+		// No readable run record, or a spec the registry no longer
+		// accepts (drift across a binary upgrade): surface it as a
+		// failed job, not a dead server.
+		return s.restoreFailed(j, err.Error())
 	}
 	j.problem, j.name, j.algCfg = problem, problem.Name(), algCfg
-	j.stride = strideOne / uint64(sf.Spec.Priority)
+	j.stride = strideOne / uint64(run.Spec.Priority)
 
 	// Already terminal: a marker records the outcome; the archive file
 	// serves result queries.
@@ -272,12 +256,21 @@ func (s *Scheduler) resumeJob(id string) error {
 		return nil
 	}
 
-	// No event stream (or an empty one): the job never ran; re-queue.
-	if fi, err := os.Stat(ck.path("bmel")); err != nil || fi.Size() < master.StreamLen(1) {
+	// No events: the job never ran. It re-queues on a header-only log,
+	// which also gives an older scheduler's queued job a run record.
+	if fi, err := os.Stat(ck.path("bmel")); err != nil || fi.Size() < master.StreamLen(meta, 1) {
+		j.log = &master.Log{Meta: s.logMeta(j)}
 		s.queue = append(s.queue, j)
-		return nil
+		return ck.create(j.log.Meta)
 	}
 	return s.replayJob(j, ck)
+}
+
+// restoreFailed restores a job that cannot resume as failed with msg.
+func (s *Scheduler) restoreFailed(j *job, msg string) error {
+	j.state, j.errMsg = StateFailed, msg
+	s.freeze(j)
+	return nil
 }
 
 // replayJob rebuilds a killed-while-running job: read its BMEL stream,
@@ -295,17 +288,11 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	log, readErr := master.ReadLog(f)
 	f.Close()
 	if readErr != nil && (log == nil || len(log.Events) == 0) {
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("unreadable checkpoint log: %v", readErr)
-		s.freeze(j)
-		return nil
+		return s.restoreFailed(j, fmt.Sprintf("unreadable checkpoint log: %v", readErr))
 	}
 	b, err := s.newBorg(j)
 	if err != nil {
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.freeze(j)
-		return nil
+		return s.restoreFailed(j, err.Error())
 	}
 	j.borg = b
 	j.adv = advisor.New(advisor.Config{})
@@ -328,10 +315,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	mc, err := master.Replay(log, rc)
 	j.replaying = false
 	if err != nil {
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("replay: %v", err)
-		s.freeze(j)
-		return nil
+		return s.restoreFailed(j, fmt.Sprintf("replay: %v", err))
 	}
 	j.mcore = mc
 
@@ -359,7 +343,7 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 		s.sm.Reserve(uint64(ev.Worker))
 	}
 
-	if err := ck.resumeLog(log); err != nil {
+	if err := ck.appendLog(log); err != nil {
 		return err
 	}
 	mc.AttachLog(log)

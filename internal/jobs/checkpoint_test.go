@@ -150,7 +150,7 @@ func TestResumeServesCorruptLogPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := archiveJSON(t, b)
-	raw[master.StreamLen(k)] = 0xee // record k's event kind
+	raw[master.StreamLen(full.Meta, k)] = 0xee // record k's event kind
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package jobs
 import (
 	"strings"
 	"testing"
+
+	"borgmoea/internal/master"
 )
 
 // FuzzDecodeSubmit hammers the job-submission decoder — the service's
@@ -35,7 +37,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 		if len(cfg.Epsilons) != p.NumObjs() {
 			t.Fatalf("normalized %q: %d epsilons for %d objectives", data, len(cfg.Epsilons), p.NumObjs())
 		}
-		if spec.Priority < 1 || spec.Priority > MaxPriority {
+		if spec.Priority < 1 || spec.Priority > master.MaxPriority {
 			t.Fatalf("normalized %q: priority %d out of range", data, spec.Priority)
 		}
 		if spec.Seed == 0 || spec.Evaluations == 0 {

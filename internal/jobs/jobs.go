@@ -27,132 +27,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"borgmoea/internal/advisor"
-	"borgmoea/internal/core"
+	"borgmoea/internal/master"
 	"borgmoea/internal/obs"
-	"borgmoea/internal/problems"
 )
 
-// Submission limits. They bound hostile or fat-fingered requests, not
-// legitimate experiments: the caps are orders of magnitude above the
-// paper's largest runs.
-const (
-	// MaxSubmitBytes bounds a submission request body.
-	MaxSubmitBytes = 1 << 16
-	// MaxPriority bounds Spec.Priority (stride scheduling weight).
-	MaxPriority = 16
-	// MaxEvaluations bounds Spec.Evaluations.
-	MaxEvaluations = 1_000_000_000
-	// MaxPopulation bounds Spec.Population.
-	MaxPopulation = 1_000_000
-	// DefaultEpsilon is used when a spec names neither Epsilon nor
-	// Epsilons.
-	DefaultEpsilon = 0.01
-)
-
-// Spec is a job submission: which problem to optimize and how. The
-// zero value of every optional field means "default".
-type Spec struct {
-	// Problem names a registry problem ("DTLZ2_5", "UF11", "ZDT1"...).
-	// Families that need an objective count take it from Objectives
-	// ("DTLZ2" + Objectives 5 ≡ "DTLZ2_5").
-	Problem string `json:"problem"`
-	// Objectives disambiguates problem families; 0 for problems whose
-	// name already fixes the dimensions.
-	Objectives int `json:"objectives,omitempty"`
-	// Evaluations is the NFE budget (required).
-	Evaluations uint64 `json:"evaluations"`
-	// Epsilon is a uniform archive resolution applied to every
-	// objective; Epsilons sets them per objective and wins when both
-	// are given. Default DefaultEpsilon uniform.
-	Epsilon  float64   `json:"epsilon,omitempty"`
-	Epsilons []float64 `json:"epsilons,omitempty"`
-	// Population is the initial population size (default 100).
-	Population int `json:"population,omitempty"`
-	// Seed seeds the run's random stream (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-	// Priority is the job's fair-share weight, 1..MaxPriority
-	// (default 1): a priority-4 job receives evaluation grants at 4x
-	// the rate of a priority-1 job while both are runnable.
-	Priority int `json:"priority,omitempty"`
-	// QualityEvery opts the job into search-quality sampling: every
-	// such number of accepted evaluations the scheduler snapshots the
-	// job's hypervolume, ε-progress and operator adaptation, feeds its
-	// advisor's stall detector, and reports the latest sample in the
-	// job's Status. Sample points ride the job's BMEL log, so a
-	// restored job replays its quality timeline too. 0 (default)
-	// disables sampling.
-	QualityEvery uint64 `json:"quality_every,omitempty"`
-}
-
-// Normalize validates the spec, fills defaults in place, and returns
-// the resolved problem plus the algorithm config the spec implies.
-// Hostile values — unknown problems, non-finite or non-positive
-// epsilons, absurd budgets — come back as clean errors, never panics.
-func (s *Spec) Normalize() (problems.Problem, core.Config, error) {
-	var cfg core.Config
-	if s.Problem == "" {
-		return nil, cfg, errors.New("jobs: spec needs a problem name")
-	}
-	p, err := problems.Lookup(s.Problem, s.Objectives)
-	if err != nil {
-		return nil, cfg, fmt.Errorf("jobs: %w", err)
-	}
-	if s.Evaluations == 0 {
-		return nil, cfg, errors.New("jobs: spec needs a positive evaluation budget")
-	}
-	if s.Evaluations > MaxEvaluations {
-		return nil, cfg, fmt.Errorf("jobs: evaluation budget %d exceeds the %d cap", s.Evaluations, uint64(MaxEvaluations))
-	}
-	if s.Priority == 0 {
-		s.Priority = 1
-	}
-	if s.Priority < 1 || s.Priority > MaxPriority {
-		return nil, cfg, fmt.Errorf("jobs: priority %d outside 1..%d", s.Priority, MaxPriority)
-	}
-	if s.Population < 0 || s.Population > MaxPopulation {
-		return nil, cfg, fmt.Errorf("jobs: population %d outside 0..%d", s.Population, MaxPopulation)
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	eps := s.Epsilons
-	if len(eps) == 0 {
-		e := s.Epsilon
-		if e == 0 {
-			e = DefaultEpsilon
-		}
-		eps = core.UniformEpsilons(p.NumObjs(), e)
-		s.Epsilons = eps
-	}
-	if len(eps) != p.NumObjs() {
-		return nil, cfg, fmt.Errorf("jobs: %d epsilons for %d objectives", len(eps), p.NumObjs())
-	}
-	for _, e := range eps {
-		// NaN fails e > 0 too, so this rejects every non-finite value.
-		if !(e > 0) || math.IsInf(e, 1) {
-			return nil, cfg, fmt.Errorf("jobs: epsilon %v is not a positive finite number", e)
-		}
-	}
-	cfg = core.Config{
-		Epsilons:              eps,
-		InitialPopulationSize: s.Population,
-		Seed:                  s.Seed,
-	}
-	if err := cfg.Normalize(); err != nil {
-		return nil, cfg, fmt.Errorf("jobs: %w", err)
-	}
-	return p, cfg, nil
-}
+// Spec is a job submission, the spec a job's event log names in its header.
+type Spec = master.Spec
 
 // DecodeSubmit parses one submission from r, rejecting unknown fields,
-// bodies over MaxSubmitBytes, and trailing garbage. It only parses —
+// bodies over master.MaxSpecBytes, and trailing garbage. It only parses —
 // callers still Normalize the result. This is the fuzzed entry point
 // of the job API.
 func DecodeSubmit(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxSubmitBytes))
+	dec := json.NewDecoder(io.LimitReader(r, master.MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {

@@ -72,11 +72,11 @@ func TestSpecNormalize(t *testing.T) {
 		{},                                   // no problem
 		{Problem: "NOSUCH", Evaluations: 10}, // unknown problem
 		{Problem: "ZDT1"},                    // no budget
-		{Problem: "ZDT1", Evaluations: MaxEvaluations + 1},
+		{Problem: "ZDT1", Evaluations: master.MaxEvaluations + 1},
 		{Problem: "ZDT1", Evaluations: 10, Priority: -1},
-		{Problem: "ZDT1", Evaluations: 10, Priority: MaxPriority + 1},
+		{Problem: "ZDT1", Evaluations: 10, Priority: master.MaxPriority + 1},
 		{Problem: "ZDT1", Evaluations: 10, Population: 2},
-		{Problem: "ZDT1", Evaluations: 10, Population: MaxPopulation + 1},
+		{Problem: "ZDT1", Evaluations: 10, Population: master.MaxPopulation + 1},
 		{Problem: "ZDT1", Evaluations: 10, Epsilon: -0.1},
 		{Problem: "ZDT1", Evaluations: 10, Epsilons: []float64{0.1}}, // 1 for 2 objs
 		{Problem: "ZDT1", Evaluations: 10, Epsilons: []float64{0.1, math.NaN()}},
@@ -101,7 +101,7 @@ func TestSpecNormalize(t *testing.T) {
 	if sp.Priority != 1 || sp.Seed != 1 {
 		t.Errorf("defaults not filled: priority=%d seed=%d", sp.Priority, sp.Seed)
 	}
-	if len(cfg.Epsilons) != 5 || cfg.Epsilons[0] != DefaultEpsilon {
+	if len(cfg.Epsilons) != 5 || cfg.Epsilons[0] != master.DefaultEpsilon {
 		t.Errorf("epsilon defaults wrong: %v", cfg.Epsilons)
 	}
 }
@@ -120,7 +120,7 @@ func TestDecodeSubmit(t *testing.T) {
 		"not json":      `problem=ZDT1`,
 		"negative nfe":  `{"problem":"ZDT1","evaluations":-5}`,
 		"huge number":   `{"problem":"ZDT1","evaluations":1e99}`,
-		"oversized":     `{"problem":"` + strings.Repeat("a", MaxSubmitBytes) + `"}`,
+		"oversized":     `{"problem":"` + strings.Repeat("a", master.MaxSpecBytes) + `"}`,
 	} {
 		if _, err := DecodeSubmit(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: expected an error", name)

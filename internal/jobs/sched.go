@@ -515,13 +515,9 @@ func (s *Scheduler) submit(spec *Spec) (Status, error) {
 		submitted:   s.now(),
 	}
 	if s.cfg.StateDir != "" {
-		ck, err := newCkpt(s.cfg.StateDir, j.id)
-		if err != nil {
-			s.mRejected.Inc()
-			return Status{}, err
-		}
-		j.ck = ck
-		if err := ck.writeSpec(spec, wall, j.submitted); err != nil {
+		// The run record exists from accept on; without StateDir nothing would read one.
+		j.ck, j.log = &ckpt{dir: s.cfg.StateDir, id: j.id}, &master.Log{Meta: s.logMeta(j)}
+		if err := j.ck.create(j.log.Meta); err != nil {
 			s.mRejected.Inc()
 			return Status{}, err
 		}
@@ -564,6 +560,17 @@ func (s *Scheduler) newBorg(j *job) (*core.Borg, error) {
 	return b, nil
 }
 
+// logMeta is the header of j's log: what j's core stamps on it, and
+// the run record naming j's spec and accept-time stamps.
+func (s *Scheduler) logMeta(j *job) master.LogMeta {
+	return master.LogMeta{
+		Policy:       master.ScheduledOffspring,
+		Budget:       j.spec.Evaluations,
+		LeaseTimeout: max(0, s.sm.LeaseTimeout.Seconds()),
+		Run:          &master.RunHeader{Spec: j.spec, SubmittedAt: j.submittedAt, SubmittedSeconds: j.submitted},
+	}
+}
+
 // setRunning counts j as a running job.
 func (s *Scheduler) setRunning(j *job) {
 	j.state = StateRunning
@@ -591,11 +598,6 @@ func (s *Scheduler) startJob(j *job) {
 	j.adv = advisor.New(advCfg)
 	j.adv.Configure(0, j.spec.Evaluations)
 	j.terms = s.newTerms(j)
-	if j.ck != nil {
-		// The events go to the checkpoint stream or nowhere: a job
-		// without StateDir records no log, since nothing would read it.
-		j.log = master.NewLog()
-	}
 	newJobQuality(j).Attach(b)
 	j.mcore = master.NewCore(s.sm.CoreConfig(master.Config{
 		Budget:       j.spec.Evaluations,
@@ -606,7 +608,7 @@ func (s *Scheduler) startJob(j *job) {
 		OnAcceptFrom: s.onAcceptFromHook(j),
 	}, j.terms, j.quality))
 	if j.ck != nil {
-		if err := j.ck.openLog(j.log); err != nil {
+		if err := j.ck.appendLog(j.log); err != nil {
 			s.failJob(j, fmt.Sprintf("opening checkpoint log: %v", err))
 			return
 		}

@@ -1,7 +1,9 @@
 package master
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,14 +13,14 @@ import (
 	"borgmoea/internal/reclog"
 )
 
-// LogMeta is the configuration slice a recorded run carries with it:
-// everything Replay needs to reconstruct the Core besides the problem,
-// the seed and the algorithm (which the replaying caller supplies —
-// the log deliberately holds protocol structure, not solutions).
+// LogMeta is the configuration a recorded run carries with it: what
+// Replay needs to reconstruct the Core and, in Run, the spec that
+// rebuilds the algorithm — protocol structure and spec, no solutions.
 type LogMeta struct {
 	Policy       Policy
 	Budget       uint64
 	LeaseTimeout float64
+	Run          *RunHeader // set by the recorder, kept by the Core's stamp; makes the log version 2
 }
 
 // Log records the exact event stream a Core consumed. Because the
@@ -61,9 +63,11 @@ func (l *Log) record(ev Event) {
 	}
 }
 
-// setMeta stamps the recording Core's configuration (nil-safe).
+// setMeta stamps the recording Core's configuration (nil-safe),
+// keeping the recorder's run header.
 func (l *Log) setMeta(m LogMeta) {
 	if l != nil {
+		m.Run = l.Meta.Run
 		l.Meta = m
 	}
 }
@@ -103,14 +107,15 @@ func (l *Log) CanonicalBytes() []byte {
 
 // Binary log format ("BMEL"), a reclog container: after magic and
 // version the header is policy u8, budget u64, lease timeout f64,
-// elapsed f64, event count u64; then fixed-width events: kind u8,
-// worker u32, item u64, at f64. Everything big-endian; floats as IEEE
-// 754 bits.
-var logFormat = reclog.Format{Name: "master: event log", Magic: "BMEL", Version: 1}
+// elapsed f64, event count u64 and, in version 2, a u32 length and the
+// RunHeader's JSON (as json.Marshal encodes it); then fixed-width
+// events: kind u8, worker u32, item u64, at f64. Everything big-endian;
+// floats as IEEE 754 bits. A log without a run header is version 1.
+var logFormat = reclog.Format{Name: "master: event log", Magic: "BMEL", Version: 2}
 
 const (
-	// HeaderSize is the byte length of a BMEL log header and EventSize
-	// that of one fixed-width event record.
+	// HeaderSize is the byte length of a version-1 BMEL log header and
+	// EventSize that of one fixed-width event record.
 	HeaderSize = 4 + 1 + logHeaderSize
 	EventSize  = 1 + 4 + 8 + 8
 
@@ -122,14 +127,26 @@ const (
 	logDeferFlag = 0x80
 )
 
-// appendLogHeader encodes the header; count is the event count, or
-// reclog.Stream for a streamed log whose writer cannot know it.
-func appendLogHeader(dst []byte, meta LogMeta, elapsed float64, count uint64) []byte {
-	dst = append(dst, byte(meta.Policy))
+// logHeader encodes the header after magic and version, with the
+// format version it needs; count is the event count, or reclog.Stream
+// for a streamed log whose writer cannot know it.
+func logHeader(meta LogMeta, elapsed float64, count uint64) (reclog.Format, []byte, error) {
+	f := logFormat
+	dst := append(make([]byte, 0, logHeaderSize), byte(meta.Policy))
 	dst = binary.BigEndian.AppendUint64(dst, meta.Budget)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(meta.LeaseTimeout))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(elapsed))
-	return binary.BigEndian.AppendUint64(dst, count)
+	dst = binary.BigEndian.AppendUint64(dst, count)
+	if meta.Run == nil {
+		f.Version = 1
+		return f, dst, nil
+	}
+	doc, err := json.Marshal(meta.Run)
+	if err != nil {
+		return f, nil, fmt.Errorf("master: encoding the run header: %w", err)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(doc)))
+	return f, append(dst, doc...), nil
 }
 
 func appendLogEvent(dst []byte, ev Event) []byte {
@@ -141,15 +158,21 @@ func appendLogEvent(dst []byte, ev Event) []byte {
 
 // WriteTo serializes the log. It implements io.WriterTo.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	hdr := appendLogHeader(nil, l.Meta, l.Elapsed, uint64(len(l.Events)))
-	return reclog.WriteAll(logFormat, w, hdr, l.Events, appendLogEvent)
+	f, hdr, err := logHeader(l.Meta, l.Elapsed, uint64(len(l.Events)))
+	if err != nil {
+		return 0, err
+	}
+	return reclog.WriteAll(f, w, hdr, l.Events, appendLogEvent)
 }
 
-// StreamLen is the byte length of a streamed log holding n events: the
-// header plus n fixed-width records. A resuming writer truncates a
-// crash-interrupted file to the StreamLen of the events ReadLog
-// returned, dropping the torn partial record ReadLog skipped.
-func StreamLen(n int) int64 { return HeaderSize + int64(n)*EventSize }
+// StreamLen is the byte length of a streamed log with meta's header
+// holding n events. A resuming writer truncates a crash-interrupted
+// file to the StreamLen of the log ReadLog returned, dropping the torn
+// partial record ReadLog skipped.
+func StreamLen(meta LogMeta, n int) int64 {
+	_, hdr, _ := logHeader(meta, 0, reclog.Stream) // ReadLog accepts only headers that re-encode to themselves
+	return HeaderSize + int64(len(hdr)-logHeaderSize) + int64(n)*EventSize
+}
 
 // LogWriter streams a BMEL log as events are recorded, instead of
 // serializing a finished Log in one WriteTo pass: the header
@@ -167,7 +190,11 @@ type LogWriter = reclog.Writer[Event]
 // writer. A streamed log's Elapsed is unknown up front and reads back
 // as 0.
 func NewLogWriter(w io.Writer, meta LogMeta) (*LogWriter, error) {
-	return reclog.NewWriter(logFormat, w, appendLogHeader(nil, meta, 0, reclog.Stream), appendLogEvent)
+	f, hdr, err := logHeader(meta, 0, reclog.Stream)
+	if err != nil {
+		return nil, err
+	}
+	return reclog.NewWriter(f, w, hdr, appendLogEvent)
 }
 
 // ResumeLogWriter returns a LogWriter that appends to an existing
@@ -182,12 +209,18 @@ func ResumeLogWriter(w io.Writer) *LogWriter {
 // ReadLog deserializes a log written by WriteTo or a LogWriter.
 // Malformed input — wrong magic or version, an unknown policy or event
 // kind, the retired deferred-apply bit, truncated streams, an absurd
-// event count — returns a clean error, never a panic. Only a short
-// trailing record of a streamed log is tolerated (a torn tail).
+// event count, a run header over MaxSpecBytes or not as json.Marshal
+// encodes a RunHeader — returns a clean error, never a panic. Only a
+// short trailing record of a streamed log is tolerated (a torn tail).
 // Once the header has decoded, an error in the records still returns
 // the log, holding the events before the first bad record: its intact
 // prefix. A header error returns a nil log.
-func ReadLog(r io.Reader) (*Log, error) {
+func ReadLog(r io.Reader) (*Log, error) { return readLog(r, true) }
+
+// ReadLogHeader reads a log's header and none of its events.
+func ReadLogHeader(r io.Reader) (*Log, error) { return readLog(r, false) }
+
+func readLog(r io.Reader, events bool) (*Log, error) {
 	rd := logFormat.NewReader(r)
 	hdr := rd.Header(logHeaderSize)
 	if err := rd.Err(); err != nil {
@@ -209,6 +242,32 @@ func ReadLog(r io.Reader) (*Log, error) {
 	const maxEvents = 1 << 28 // ~5.6 GiB of events; far beyond any real run
 	if count != reclog.Stream && count > maxEvents {
 		return nil, fmt.Errorf("master: log claims %d events (limit %d)", count, maxEvents)
+	}
+	if rd.Version() == 2 {
+		// The length is checked before anything is allocated for it.
+		n := binary.BigEndian.Uint32(rd.Header(4)) // 0 after a read error, which the next check reports
+		if n > MaxSpecBytes {
+			return nil, fmt.Errorf("master: run header claims %d bytes (limit %d)", n, MaxSpecBytes)
+		}
+		doc := rd.Header(int(n))
+		if err := rd.Err(); err != nil {
+			return nil, err
+		}
+		var run RunHeader
+		if err := json.Unmarshal(doc, &run); err != nil {
+			return nil, fmt.Errorf("master: run header: %w", err)
+		}
+		if run.Spec == nil {
+			return nil, fmt.Errorf("master: run header names no spec")
+		}
+		// A log must re-encode to its own bytes (and StreamLen measure it).
+		if canon, err := json.Marshal(&run); err != nil || !bytes.Equal(canon, doc) {
+			return nil, fmt.Errorf("master: run header is not in canonical form")
+		}
+		l.Meta.Run = &run
+	}
+	if !events {
+		return l, nil
 	}
 	recs, err := reclog.Records(rd, EventSize, count, func(rec []byte) (Event, error) {
 		kind := EventKind(rec[0])

@@ -3,7 +3,9 @@ package master
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"borgmoea/internal/reclog"
@@ -24,6 +26,16 @@ func sampleLog() *Log {
 	}
 }
 
+// sampleLogV2 is sampleLog naming its run: a version-2 log.
+func sampleLogV2() *Log {
+	l := sampleLog()
+	l.Meta.Run = &RunHeader{
+		Spec:        &Spec{Problem: "DTLZ2", Objectives: 3, Evaluations: 42, Epsilon: 0.1, Seed: 7, QualityEvery: 10},
+		SubmittedAt: "2026-01-02T03:04:05.123456789Z", SubmittedSeconds: 1.5,
+	}
+	return l
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	orig := sampleLog()
 	var buf bytes.Buffer
@@ -36,6 +48,102 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatalf("round trip mismatch:\n  wrote %+v\n  read  %+v", orig, got)
+	}
+}
+
+// TestLogVersions: a log naming its run is version 2 and reads back
+// whole; one without a run header is version 1, its header exactly
+// HeaderSize bytes, as every log was before version 2.
+func TestLogVersions(t *testing.T) {
+	for _, c := range []struct {
+		log     *Log
+		version byte
+	}{{sampleLog(), 1}, {sampleLogV2(), 2}} {
+		var buf bytes.Buffer
+		if _, err := c.log.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		if raw[4] != c.version {
+			t.Fatalf("version byte %d, want %d", raw[4], c.version)
+		}
+		got, err := ReadLog(bytes.NewReader(raw))
+		if err != nil || !reflect.DeepEqual(got, c.log) {
+			t.Fatalf("v%d round trip: err %v\n  wrote %+v\n  read  %+v", c.version, err, c.log, got)
+		}
+		hdr, err := ReadLogHeader(bytes.NewReader(raw))
+		if err != nil || !reflect.DeepEqual(hdr.Meta, c.log.Meta) || hdr.Elapsed != c.log.Elapsed || hdr.Events != nil {
+			t.Fatalf("v%d ReadLogHeader = %+v, %v; want %+v and no events", c.version, hdr, err, c.log.Meta)
+		}
+		streamed := streamedLog(t, c.log)
+		if n := StreamLen(c.log.Meta, len(c.log.Events)); int64(len(streamed)) != n {
+			t.Fatalf("v%d: streamed %d bytes, StreamLen says %d", c.version, len(streamed), n)
+		}
+	}
+	if n := StreamLen(LogMeta{}, 0); n != HeaderSize {
+		t.Fatalf("a version-1 header is %d bytes, want %d", n, HeaderSize)
+	}
+}
+
+// TestReadLogRejectsBadRunHeader: a version-2 header whose document is
+// over MaxSpecBytes, cut short, not JSON, names no spec or is not in
+// canonical form is a clean error — and a claimed length of 2^32-1 is
+// refused before anything is allocated for it.
+func TestReadLogRejectsBadRunHeader(t *testing.T) {
+	raw := streamedLog(t, sampleLogV2())
+	withDoc := func(n uint32, doc string) []byte {
+		out := append([]byte(nil), raw[:HeaderSize]...)
+		out = binary.BigEndian.AppendUint32(out, n)
+		return append(out, doc...)
+	}
+	doc := func(s string) []byte { return withDoc(uint32(len(s)), s) }
+	cases := map[string][]byte{
+		"length 2^32-1":     withDoc(math.MaxUint32, ""),
+		"over MaxSpecBytes": withDoc(MaxSpecBytes+1, ""),
+		"short document":    withDoc(100, `{"spec":`),
+		"short length":      raw[:HeaderSize+2],
+		"not JSON":          doc(`spec=DTLZ2`),
+		"no spec":           doc(`{"spec":null}`),
+		"empty object":      doc(`{}`),
+		"not canonical":     doc(`{"spec": {"problem":"DTLZ2","evaluations":42}}`),
+		"unknown field":     doc(`{"spec":{"problem":"DTLZ2","evaluations":42},"extra":1}`),
+		"trailing data":     doc(`{"spec":{"problem":"DTLZ2","evaluations":42}}x`),
+	}
+	for name, data := range cases {
+		if _, err := ReadLog(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadLog accepted the header", name)
+		}
+	}
+	huge := withDoc(math.MaxUint32, "")
+	if allocs := testing.AllocsPerRun(10, func() { ReadLog(bytes.NewReader(huge)) }); allocs > 20 {
+		t.Errorf("rejecting a 2^32-1-byte claim allocated %v times", allocs)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	ReadLog(bytes.NewReader(huge)) //nolint:errcheck // rejected above
+	runtime.ReadMemStats(&ms1)
+	if d := ms1.TotalAlloc - ms0.TotalAlloc; d > 1<<20 {
+		t.Errorf("rejecting a 2^32-1-byte claim allocated %d bytes", d)
+	}
+	if _, err := ReadLog(bytes.NewReader(doc(`{"spec":{"problem":"DTLZ2","evaluations":42}}`))); err != nil {
+		t.Errorf("canonical minimal header rejected: %v", err)
+	}
+}
+
+// TestCoreKeepsRunHeader: the Core's configuration stamps, at NewCore
+// and at AttachLog, leave the recorder's run header in place.
+func TestCoreKeepsRunHeader(t *testing.T) {
+	log := sampleLogV2()
+	run := log.Meta.Run
+	c := NewCore(Config{Budget: 9, Policy: ScheduledOffspring, LeaseTimeout: 2, Alg: &stubAlg{}, Log: log})
+	want := LogMeta{Policy: ScheduledOffspring, Budget: 9, LeaseTimeout: 2, Run: run}
+	if log.Meta != want {
+		t.Fatalf("NewCore stamped %+v, want %+v", log.Meta, want)
+	}
+	other := sampleLogV2()
+	c.AttachLog(other)
+	if other.Meta.Run == nil || other.Meta.Budget != 9 {
+		t.Fatalf("AttachLog stamped %+v", other.Meta)
 	}
 }
 
@@ -82,9 +190,11 @@ func patched(raw []byte, off int, b byte) []byte {
 }
 
 // streamedSample is sampleLog as a LogWriter wrote it.
-func streamedSample(t testing.TB) []byte {
+func streamedSample(t testing.TB) []byte { return streamedLog(t, sampleLog()) }
+
+// streamedLog is l as a LogWriter writes it.
+func streamedLog(t testing.TB, l *Log) []byte {
 	var buf bytes.Buffer
-	l := sampleLog()
 	lw, err := NewLogWriter(&buf, l.Meta)
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +240,18 @@ func FuzzReadLog(f *testing.F) {
 	f.Add(patched(raw, HeaderSize+EventSize, 99)) // bad kind
 	f.Add(raw[:len(raw)-5])                       // torn tail
 	f.Add([]byte{})
+	var v2 bytes.Buffer
+	if _, err := sampleLogV2().WriteTo(&v2); err != nil {
+		f.Fatal(err)
+	}
+	raw2 := v2.Bytes()
+	f.Add(raw2)
+	streamed2 := streamedLog(f, sampleLogV2())
+	f.Add(streamed2)
+	f.Add(streamed2[:len(streamed2)-5])      // torn tail
+	f.Add(patched(raw2, HeaderSize+4, '['))  // not the document
+	f.Add(patched(raw2, HeaderSize, 0xff))   // length over the cap
+	f.Add(patched(raw2, HeaderSize+3, 0x10)) // length short of the document
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := ReadLog(bytes.NewReader(data))
 		if err != nil {
@@ -170,7 +292,7 @@ func FuzzReadLog(f *testing.F) {
 // has a bad kind: the prefix is the longest readable one.
 func checkPrefix(t *testing.T, data []byte, l *Log) {
 	t.Helper()
-	n := StreamLen(len(l.Events))
+	n := StreamLen(l.Meta, len(l.Events))
 	if int64(len(data)) < n {
 		t.Fatalf("prefix of %d events is longer than the %d-byte input", len(l.Events), len(data))
 	}

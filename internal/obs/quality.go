@@ -14,8 +14,18 @@ import (
 // actually converging — incremental hypervolume, ε-progress, front
 // spread, and Borg's adaptive state (operator probabilities, restarts,
 // tournament size). Samples are triggered by the master as EvQuality
-// events, so a recorded run replays its quality timeline offline,
-// byte-identically (see QualityLog).
+// events, so a recorded run's BMEL log replays its quality timeline
+// offline, bit for bit: the log is the timeline's only record.
+
+// QualityLog is a run's quality timeline in memory: the samples and
+// what they were measured against.
+type QualityLog struct {
+	Ref       []float64
+	MaxExact  int
+	MCSamples int
+	Operators []string
+	Samples   []QualitySample
+}
 
 // Default sampler tuning. MaxExact bounds the archive size up to which
 // the exact WFG hypervolume runs; larger archives fall back to a
@@ -53,7 +63,7 @@ type QualityConfig struct {
 	MCSamples int
 	// HistoryCap bounds the in-memory sample window Report returns
 	// (default DefaultQualityHistory). The full timeline is
-	// always kept in Log for sidecar writes.
+	// always kept in Log.
 	HistoryCap int
 	// Metrics, when non-nil, mirrors the latest sample as
 	// quality.* gauges.
@@ -347,8 +357,7 @@ func (s *QualitySampler) History() []QualitySample {
 	return append([]QualitySample(nil), s.log.Samples[len(s.log.Samples)-n:]...)
 }
 
-// Log returns a snapshot of the full quality timeline for sidecar
-// writes (QualityLog.WriteTo).
+// Log returns a snapshot of the full quality timeline.
 func (s *QualitySampler) Log() *QualityLog {
 	if s == nil {
 		return nil

@@ -3,7 +3,9 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,14 +15,35 @@ import (
 	"borgmoea/internal/obs"
 )
 
-// qualityBytes serializes a sampler's timeline for byte comparison.
-func qualityBytes(t testing.TB, s *obs.QualitySampler) []byte {
+// sameTimeline fails unless got repeats want: the reference point,
+// MaxExact, MCSamples, the operator names and every field of every
+// sample, floats compared by their bits.
+func sameTimeline(t testing.TB, want, got *obs.QualityLog) {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := s.Log().WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	if !sameFloats(want.Ref, got.Ref) || want.MaxExact != got.MaxExact || want.MCSamples != got.MCSamples ||
+		!slices.Equal(want.Operators, got.Operators) || len(want.Samples) != len(got.Samples) {
+		t.Fatalf("timelines differ: ref %v/%v, exact ≤%d/%d, %d/%d MC samples, operators %v/%v, %d/%d samples",
+			want.Ref, got.Ref, want.MaxExact, got.MaxExact, want.MCSamples, got.MCSamples,
+			want.Operators, got.Operators, len(want.Samples), len(got.Samples))
 	}
-	return buf.Bytes()
+	for i, w := range want.Samples {
+		if g := got.Samples[i]; !sameSample(w, g) {
+			t.Fatalf("sample %d differs:\nwant %+v\n got %+v", i, w, g)
+		}
+	}
+}
+
+// sameSample compares every field of two samples, floats by their bits.
+func sameSample(w, g obs.QualitySample) bool {
+	return w.Seq == g.Seq && w.Evaluations == g.Evaluations && w.EpsProgress == g.EpsProgress &&
+		w.ArchiveSize == g.ArchiveSize && w.PopulationSize == g.PopulationSize &&
+		w.Restarts == g.Restarts && w.TournamentSize == g.TournamentSize &&
+		sameFloats([]float64{w.At, w.Hypervolume, w.FrontSpread}, []float64{g.At, g.Hypervolume, g.FrontSpread}) &&
+		sameFloats(w.OperatorProbs, g.OperatorProbs)
+}
+
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func testQualityConfig() obs.QualityConfig {
@@ -78,7 +101,7 @@ func TestQualityCadenceDeferApply(t *testing.T) {
 }
 
 // TestQualityTimelineReplayDES: a recorded DES run's quality timeline
-// must reconstruct byte-identically offline from the BMEL log alone.
+// must reconstruct bit for bit offline from the BMEL log alone.
 func TestQualityTimelineReplayDES(t *testing.T) {
 	cfg := testConfig(8, 1500)
 	cfg.Protocol = master.NewLog()
@@ -86,8 +109,8 @@ func TestQualityTimelineReplayDES(t *testing.T) {
 	if _, err := RunAsync(cfg); err != nil {
 		t.Fatal(err)
 	}
-	live := qualityBytes(t, cfg.Quality)
-	if len(cfg.Quality.Log().Samples) == 0 {
+	live := cfg.Quality.Log()
+	if len(live.Samples) == 0 {
 		t.Fatal("live run produced no quality samples")
 	}
 
@@ -106,24 +129,13 @@ func TestQualityTimelineReplayDES(t *testing.T) {
 	if _, err := ReplayAsync(repCfg, loaded); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(live, qualityBytes(t, repCfg.Quality)) {
-		t.Fatal("replayed quality timeline differs from the live run's")
-	}
-
-	// And the sidecar itself round-trips.
-	rt, err := obs.ReadQualityLog(bytes.NewReader(live))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.Samples) != len(cfg.Quality.Log().Samples) {
-		t.Fatalf("sidecar round trip lost samples: %d != %d", len(rt.Samples), len(cfg.Quality.Log().Samples))
-	}
+	sameTimeline(t, live, repCfg.Quality.Log())
 }
 
 // TestQualityTimelineReplayTCP: same property over real sockets, with
 // a wall-clock cadence in the mix — wall-triggered samples are
 // nondeterministic live, but the EvQuality events pin them in the
-// recorded stream, so the replayed timeline is still byte-identical.
+// recorded stream, so the replayed timeline is still bit-identical.
 func TestQualityTimelineReplayTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP in -short mode")
@@ -152,8 +164,8 @@ func TestQualityTimelineReplayTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	live := qualityBytes(t, cfg.Quality)
-	if len(cfg.Quality.Log().Samples) == 0 {
+	live := cfg.Quality.Log()
+	if len(live.Samples) == 0 {
 		t.Fatal("TCP run produced no quality samples")
 	}
 
@@ -162,9 +174,7 @@ func TestQualityTimelineReplayTCP(t *testing.T) {
 	if _, err := ReplayAsync(repCfg, cfg.Protocol); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(live, qualityBytes(t, repCfg.Quality)) {
-		t.Fatal("replayed TCP quality timeline differs from the live run's")
-	}
+	sameTimeline(t, live, repCfg.Quality.Log())
 }
 
 // TestQualityAdvisorWiring: OnSample → ObserveQuality wiring produces

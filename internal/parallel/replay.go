@@ -44,7 +44,7 @@ func ReplayAsync(cfg Config, log *master.Log) (*Result, error) {
 	if q := cfg.Quality; q != nil {
 		// Re-trigger the recorded quality samples against the replayed
 		// algorithm: the regenerated timeline (q.Log()) is
-		// byte-identical to the live run's.
+		// bit-identical to the live run's.
 		q.Attach(b)
 		rc.OnQuality = func(seq uint64, at float64) { q.Sample(seq, at) }
 	}

@@ -1,6 +1,7 @@
 // Package reclog is the one record container under the repo's binary
-// run artefacts: the master event log (BMEL, internal/master) and the
-// trace and quality sidecars (BTRC, BQLG, internal/obs). All three are
+// run artefacts: the master event log (BMEL, internal/master), a run's
+// record, and the trace sidecar (BTRC, internal/obs) of the span
+// durations a replay cannot reproduce. Both are
 //
 //	magic (4 bytes) | version u8 | format header | fixed-width records
 //
@@ -26,20 +27,21 @@ const Stream = ^uint64(0)
 type Format struct {
 	Name    string // error prefix, e.g. "master: event log"
 	Magic   string // 4 bytes
-	Version byte
+	Version byte   // what NewWriter stamps; NewReader accepts 1..Version
 }
 
 // Reader decodes one log: Header calls in the format's order, then one
 // Records call. The first error sticks — later Header calls return
 // zeroes — and Records reports it, so a format checks once.
 type Reader struct {
-	name string
-	br   *bufio.Reader
-	err  error
+	name    string
+	br      *bufio.Reader
+	err     error
+	version byte
 }
 
-// NewReader checks r's magic and version. It buffers r, so an *os.File
-// costs one read per buffer, not per record.
+// NewReader checks r's magic and version (1..Version). It buffers r,
+// so an *os.File costs one read per buffer, not per record.
 func (f Format) NewReader(r io.Reader) *Reader {
 	rd := &Reader{name: f.Name, br: bufio.NewReader(r)}
 	pre := rd.Header(len(f.Magic) + 1)
@@ -48,11 +50,15 @@ func (f Format) NewReader(r io.Reader) *Reader {
 	case rd.err != nil:
 	case string(magic) != f.Magic:
 		rd.err = fmt.Errorf("%s: bad magic %q, want %q", f.Name, magic, f.Magic)
-	case v != f.Version:
-		rd.err = fmt.Errorf("%s: version %d, want %d", f.Name, v, f.Version)
+	case v == 0 || v > f.Version:
+		rd.err = fmt.Errorf("%s: version %d, want 1..%d", f.Name, v, f.Version)
 	}
+	rd.version = v
 	return rd
 }
+
+// Version returns the version the log declares.
+func (rd *Reader) Version() byte { return rd.version }
 
 // Header returns the next n header bytes.
 func (rd *Reader) Header(n int) []byte {

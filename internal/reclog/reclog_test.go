@@ -209,12 +209,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestReadersBufferInternally: handing a sidecar reader a bare file
-// must cost one read per buffer, not one per record.
+// TestReadersBufferInternally: handing a log reader a bare file must
+// cost one read per buffer, not one per record.
 func TestReadersBufferInternally(t *testing.T) {
 	const n = 100_000
 	tl := &obs.TraceLog{RunID: 1, Rate: 1, Recs: make([]obs.TraceRec, n)}
-	ql := &obs.QualityLog{Ref: []float64{1.1, 1.1}, Operators: []string{"sbx", "de"}, Samples: make([]obs.QualitySample, n)}
+	ml := &master.Log{Meta: master.LogMeta{Budget: n, Run: &master.RunHeader{Spec: &master.Spec{Problem: "ZDT1", Evaluations: n}}},
+		Events: make([]master.Event, n)}
+	for i := range ml.Events {
+		ml.Events[i].Kind = master.EvTick
+	}
 	for name, c := range map[string]struct {
 		write func(io.Writer) (int64, error)
 		read  func(io.Reader) (int, error)
@@ -226,12 +230,12 @@ func TestReadersBufferInternally(t *testing.T) {
 			}
 			return len(l.Recs), nil
 		}},
-		"BQLG": {ql.WriteTo, func(r io.Reader) (int, error) {
-			l, err := obs.ReadQualityLog(r)
+		"BMEL": {ml.WriteTo, func(r io.Reader) (int, error) {
+			l, err := master.ReadLog(r)
 			if err != nil {
 				return 0, err
 			}
-			return len(l.Samples), nil
+			return len(l.Events), nil
 		}},
 	} {
 		var buf bytes.Buffer
@@ -260,7 +264,10 @@ func golden(t testing.TB, name string) []byte {
 
 // TestGoldenFilesRoundTrip: files recorded by the binaries of the
 // commit before the container existed read and re-serialise to the
-// identical bytes — the on-disk formats did not move.
+// identical bytes — the on-disk formats did not move. run.bmel, the
+// first version-2 log (borg -parallel 4 -tf 0.001 -evals 200
+// -quality-every 50 -event-log, as its header says), pins version 2
+// the same way.
 func TestGoldenFilesRoundTrip(t *testing.T) {
 	t.Run("BMEL batch", func(t *testing.T) {
 		raw := golden(t, "batch.bmel")
@@ -282,7 +289,7 @@ func TestGoldenFilesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole := master.StreamLen(len(l.Events))
+		whole := master.StreamLen(l.Meta, len(l.Events))
 		if torn := int64(len(raw)) - whole; torn <= 0 || torn >= master.EventSize {
 			t.Fatalf("fixture has %d trailing bytes, want a partial record", torn)
 		}
@@ -314,23 +321,26 @@ func TestGoldenFilesRoundTrip(t *testing.T) {
 			t.Fatal("re-serialised BTRC differs from the recorded file")
 		}
 	})
-	t.Run("BQLG", func(t *testing.T) {
-		raw := golden(t, "quality.bqlg")
-		l, err := obs.ReadQualityLog(bytes.NewReader(raw))
-		if err != nil || len(l.Samples) == 0 || len(l.Operators) == 0 {
-			t.Fatalf("%d samples, %d operators, err %v", len(l.Samples), len(l.Operators), err)
+	t.Run("BMEL version 2", func(t *testing.T) {
+		raw := golden(t, "run.bmel")
+		l, err := master.ReadLog(bytes.NewReader(raw))
+		if err != nil || len(l.Events) == 0 || l.Meta.Run == nil {
+			t.Fatalf("%d events, header %+v, err %v", len(l.Events), l.Meta, err)
+		}
+		if raw[4] != 2 || l.Meta.Run.Spec.Problem != "DTLZ2" || l.Meta.Run.Spec.QualityEvery != 50 {
+			t.Fatalf("version %d, run %+v", raw[4], *l.Meta.Run.Spec)
 		}
 		var out bytes.Buffer
 		if _, err := l.WriteTo(&out); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), raw) {
-			t.Fatal("re-serialised BQLG differs from the recorded file")
+			t.Fatal("re-serialised version-2 BMEL differs from the recorded file")
 		}
 	})
 }
 
-// codecs are the three formats as read → write functions over bytes.
+// codecs are the two formats as read → write functions over bytes.
 var codecs = map[string]func([]byte) ([]byte, error){
 	"BMEL": func(data []byte) ([]byte, error) {
 		l, err := master.ReadLog(bytes.NewReader(data))
@@ -350,22 +360,13 @@ var codecs = map[string]func([]byte) ([]byte, error){
 		_, err = l.WriteTo(&out)
 		return out.Bytes(), err
 	},
-	"BQLG": func(data []byte) ([]byte, error) {
-		l, err := obs.ReadQualityLog(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		var out bytes.Buffer
-		_, err = l.WriteTo(&out)
-		return out.Bytes(), err
-	},
 }
 
-// FuzzContainer runs every input through all three formats: no reader
+// FuzzContainer runs every input through both formats: no reader
 // panics, and whatever one accepts re-encodes to bytes that read back
 // and re-encode to themselves (NaN-safe, unlike comparing floats).
 func FuzzContainer(f *testing.F) {
-	for _, name := range []string{"batch.bmel", "streamed-torn.bmel", "trace.btrc", "quality.bqlg"} {
+	for _, name := range []string{"batch.bmel", "streamed-torn.bmel", "trace.btrc", "run.bmel"} {
 		raw := golden(f, name)
 		f.Add(raw)
 		f.Add(raw[:len(raw)-3])
@@ -419,5 +420,42 @@ func TestNoHandRolledRecordCodecs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneRunRecord keeps the event log a run's one record: a non-test
+// file under internal/ or cmd/ that names the retired BQLG format,
+// builds a .qlog path or writes a spec.json is a second copy of what
+// the log's header and its replay hold. The one exception is the
+// legacy read of a state directory an older job scheduler wrote.
+func TestOneRunRecord(t *testing.T) {
+	retired := regexp.MustCompile(`BQLG|"qlog"|\.qlog\b`)
+	specWrite := regexp.MustCompile(`(?i)(write|create).*spec\.json|spec\.json.*(write|create)`)
+	legacyRead := filepath.Join("internal", "jobs", "checkpoint.go")
+	root := filepath.Join("..", "..")
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			if m := retired.Find(src); m != nil {
+				t.Errorf("%s names %s: a run's quality timeline is its event log's replay", rel, m)
+			}
+			if m := specWrite.Find(src); m != nil {
+				t.Errorf("%s writes a spec file (%q): a run's spec is its event log's header", rel, m)
+			}
+			if bytes.Contains(src, []byte(`"spec.json"`)) && rel != legacyRead {
+				t.Errorf("%s names spec.json: only %s reads one, for a state directory written before logs named their run", rel, legacyRead)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
