@@ -120,10 +120,9 @@ var (
 // and every evaluation becomes one trace — a span context minted at
 // grant time travels to the worker on the wire, and the collector
 // assembles per-evaluation span trees whose children are the paper's
-// model terms (queue wait, T_C send/recv, T_F, T_A). The collector's
-// BTRC sidecar plus the BMEL protocol log reconstruct the identical
-// forest offline (TracesFromProtocolLog); borgview trace renders the
-// attribution and Chrome trace exports.
+// model terms (queue wait, T_C send/recv, T_F, T_A). Traces are live
+// only: borg -trace writes the Chrome export and prints the
+// attribution when the run ends.
 type (
 	// TraceCollector assembles distributed evaluation traces.
 	TraceCollector = obs.Collector
@@ -143,12 +142,6 @@ type (
 var (
 	// NewTraceCollector constructs a live trace collector.
 	NewTraceCollector = obs.NewCollector
-	// ReadTraceSidecar deserializes a BTRC sidecar written by the
-	// collector.
-	ReadTraceSidecar = obs.ReadTraceLog
-	// TracesFromProtocolLog reconstructs a run's trace forest offline
-	// from its BMEL protocol log and BTRC sidecar.
-	TracesFromProtocolLog = obs.TracesFromLog
 	// WriteChromeTraceForests renders one or more forests as a merged
 	// Chrome trace_event file with cross-process flow arrows.
 	WriteChromeTraceForests = obs.WriteChromeForests
@@ -202,20 +195,15 @@ var (
 	// NewQualitySampler constructs a quality sampler; attach it via
 	// ParallelConfig.Quality.
 	NewQualitySampler = obs.NewQualitySampler
-	// MeasureFront computes a front's hypervolume deterministically:
-	// exact within maxExact points, seeded Monte Carlo beyond.
-	MeasureFront = obs.MeasureFront
-	// FrontSpread is the bounding-box diagonal of a front.
-	FrontSpread = obs.FrontSpread
 )
 
 // Multi-master federation (see internal/federation): k island masters
 // — each a full asynchronous master-slave instance over its own worker
-// pool — exchange ε-archive members in a ring over TCP and optionally
-// stream archive deltas to a merging root. The paper's Eq. 3 ceiling
-// P_UB = T_F/(2·T_C + T_A) binds each island separately, so the
-// federation's aggregate useful processor count approaches k·P_UB.
-// cmd/borgfed runs a federation; borgview top -fed watches one.
+// pool — exchange ε-archive members in a ring over TCP. The paper's
+// Eq. 3 ceiling P_UB = T_F/(2·T_C + T_A) binds each island separately,
+// so the federation's aggregate useful processor count approaches
+// k·P_UB. borg -islands k runs one (RunIslands on the virtual cluster,
+// RunFederation over TCP); borgview top -fed watches one.
 type (
 	// FederationConfig describes one TCP federation run.
 	FederationConfig = federation.Config
@@ -223,9 +211,8 @@ type (
 	// that, together with the BMEL log, makes a federated run
 	// replayable.
 	MigrantLog = federation.MigrantLog
-	// FederationRoot is the live merging root (FederationConfig.OnRoot
-	// hands it out so merged-front quality can be served mid-run).
-	FederationRoot = federation.Root
+	// IslandsConfig describes k islands on the virtual cluster.
+	IslandsConfig = parallel.IslandsConfig
 	// FederationScalingReport is the federated advisor roll-up's
 	// response body (the federation-level /debug/scaling).
 	FederationScalingReport = advisor.FederationReport
@@ -235,6 +222,9 @@ var (
 	// RunFederation executes a multi-master federation over loopback or
 	// LAN TCP.
 	RunFederation = federation.Run
+	// RunIslands executes k islands on one virtual cluster, on the
+	// same migration protocol.
+	RunIslands = parallel.RunIslands
 	// NewMigrantLog returns an empty migrant sidecar log.
 	NewMigrantLog = federation.NewMigrantLog
 	// NewScalingFederation returns an empty federated advisor roll-up.
@@ -309,18 +299,8 @@ var (
 // event sequence its master state machine consumed; the log replays
 // off-line to the identical Result with ReplayAsync. A log whose
 // Meta.Run names its spec replays from the file alone.
-type (
-	// ProtocolLog records a master run's protocol events for replay.
-	ProtocolLog = master.Log
-	// MasterEvent is one recorded master protocol event (the
-	// argument of a ProtocolLog's Sink).
-	MasterEvent = master.Event
-	// ProtocolLogWriter streams a BMEL log to disk at event
-	// granularity — make it a recording ProtocolLog's Sink and an
-	// interrupted run keeps every complete record while the log holds
-	// none in memory.
-	ProtocolLogWriter = master.LogWriter
-)
+// ProtocolLog records a master run's protocol events for replay.
+type ProtocolLog = master.Log
 
 var (
 	// NewProtocolLog returns an empty event log ready to attach to
@@ -328,9 +308,6 @@ var (
 	NewProtocolLog = master.NewLog
 	// ReadProtocolLog deserializes a log written with ProtocolLog.WriteTo.
 	ReadProtocolLog = master.ReadLog
-	// NewProtocolLogWriter writes the streaming header and returns the
-	// event-granular writer.
-	NewProtocolLogWriter = master.NewLogWriter
 	// ReplayAsync re-executes a recorded run from its event log.
 	ReplayAsync = parallel.ReplayAsync
 )

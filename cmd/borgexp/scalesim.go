@@ -45,6 +45,11 @@ func runScalesim(fs *flag.FlagSet, args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	times := borgmoea.Times{TF: *tf, TA: *ta, TC: *tc}
+	if err := times.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	if *mtbf > 0 {
 		if *mttr <= 0 {
@@ -57,7 +62,6 @@ func runScalesim(fs *flag.FlagSet, args []string) int {
 		return 0
 	}
 
-	times := borgmoea.Times{TF: *tf, TA: *ta, TC: *tc}
 	fmt.Printf("TF=%g (CV %g)  TA=%g  TC=%g  N=%d\n", *tf, *tfcv, *ta, *tc, *n)
 	fmt.Printf("P_LB (Eq. 4) = %.2f    P_UB (Eq. 3) = %.0f    T_S (Eq. 1) = %.1fs\n\n",
 		borgmoea.ProcessorLowerBound(times), borgmoea.ProcessorUpperBound(times),

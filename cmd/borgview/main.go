@@ -1,8 +1,9 @@
 // Command borgview reads what a run leaves behind or serves while it
 // runs: the one reader over the BMEL event log (and the quality timeline
-// its replay regenerates), the BTRC trace sidecar, advisor JSONL
-// journals and the /debug endpoints. Each subcommand is documented on
-// its run function and by `borgview <command> -h`.
+// its replay regenerates), advisor JSONL journals and the /debug
+// endpoints. Traces are live only: borg -trace writes them. Each
+// subcommand is documented on its run function and by
+// `borgview <command> -h`.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 func main() {
 	cli.Main("borgview", []cli.Command{
 		{Name: "top", Doc: "follow a live master's /debug/scaling (or an -advise-out journal) as a terminal dashboard", Run: runTop},
-		{Name: "trace", Doc: "attribute recorded evaluation traces (BMEL log + trace sidecar) to T_F, T_C, T_A and queue wait", Run: runTrace},
 		{Name: "timeline", Doc: "render Figures 1-2, a recorded run (-events) or its replayed quality timeline (-quality) as ASCII charts", Run: runTimeline},
 	})
 }

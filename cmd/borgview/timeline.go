@@ -235,7 +235,7 @@ func renderQuality(path string, width int) error {
 //
 // With -quality the tool replays a recorded run through a quality
 // sampler instead — a BMEL log from `borg -event-log -quality-every`
-// or a job's <id>.bmel, or a `borgfed -log-dir` directory, one
+// or a job's <id>.bmel, or a `borg -islands k -event-log` directory, one
 // timeline per island — and renders what the live run sampled: a
 // hypervolume curve over evaluations, per-sample quality rows and the
 // final adaptive operator mix. The log's header names the run:
@@ -250,7 +250,7 @@ func runTimeline(fs *flag.FlagSet, args []string) int {
 		tf      = fs.Float64("tf", 0.01, "mean evaluation time")
 		tfcv    = fs.Float64("tfcv", 0.3, "evaluation time variability (higher shows the sync barrier cost)")
 		events  = fs.String("events", "", "render a recorded run from this binary event log (BMEL, from borg -event-log) instead of simulating")
-		quality = fs.String("quality", "", "replay a recorded run (a BMEL log, or a borgfed -log-dir directory) and render its quality timeline instead of simulating")
+		quality = fs.String("quality", "", "replay a recorded run (a BMEL log, or a borg -islands k -event-log directory) and render its quality timeline instead of simulating")
 	)
 	fs.Parse(args)
 	if *width < 1 {

@@ -28,14 +28,14 @@ import (
 //
 //	borgview top -addr localhost:6060             # follow a live master (-debug-addr)
 //	borgview top -addr localhost:6060 -job j000001  # one job on a borgsvc server
-//	borgview top -fed -addr localhost:6060        # follow a borgfed federation roll-up
+//	borgview top -fed -addr localhost:6060        # follow a borg -islands federation roll-up
 //	borgview top -file scaling.jsonl              # follow an -advise-out journal
 //	borgview top -addr localhost:6060 -once       # one report, no screen control
 //
-// -fed renders the federated view of a borgfed -debug-addr endpoint:
-// the pooled timing fit, the single-master P_UB the federation is
-// sailing past, aggregate speedup/effective processors, and one row
-// per island.
+// -fed renders the federated view of a borg -islands k -transport tcp
+// -debug-addr endpoint: the pooled timing fit, the single-master P_UB
+// the federation is sailing past, aggregate speedup/effective
+// processors, and one row per island.
 func runTop(fs *flag.FlagSet, args []string) int {
 	var (
 		addr  = fs.String("addr", "", "master debug address to poll (host:port of borg -debug-addr)")
@@ -43,7 +43,7 @@ func runTop(fs *flag.FlagSet, args []string) int {
 		file  = fs.String("file", "", "advisor JSONL journal to follow (borg -advise-out path)")
 		every = fs.Duration("every", time.Second, "refresh interval")
 		once  = fs.Bool("once", false, "render one report and exit (no screen control)")
-		fed   = fs.Bool("fed", false, "the endpoint is a borgfed federation: render the multi-island roll-up")
+		fed   = fs.Bool("fed", false, "the endpoint is a federation (borg -islands k -transport tcp): render the multi-island roll-up")
 	)
 	fs.Parse(args)
 	if (*addr == "") == (*file == "") {
@@ -55,7 +55,7 @@ func runTop(fs *flag.FlagSet, args []string) int {
 		return 2
 	}
 	if *fed && *addr == "" {
-		fmt.Fprintln(os.Stderr, "borgview top: -fed needs -addr (a borgfed -debug-addr endpoint)")
+		fmt.Fprintln(os.Stderr, "borgview top: -fed needs -addr (a borg -islands -debug-addr endpoint)")
 		return 2
 	}
 	if *every < 100*time.Millisecond {
@@ -115,7 +115,7 @@ func fetchFed(addr string) (*borgmoea.FederationScalingReport, error) {
 		return nil, err
 	}
 	if fr.Islands == 0 {
-		return nil, fmt.Errorf("%s: no islands attached yet (is this a borgfed endpoint?)", url)
+		return nil, fmt.Errorf("%s: no islands attached yet (is this a borg -islands endpoint?)", url)
 	}
 	return &fr, nil
 }

@@ -1,4 +1,4 @@
-// Package cmd_test drives the seven binaries end to end, the way
+// Package cmd_test drives the six binaries end to end, the way
 // .claude/skills/verify/SKILL.md's recipes do by hand: build once,
 // record → replay → cmp, render the recorded artefacts, run each
 // experiment at toy size, and check every bad-input exit status.
@@ -17,12 +17,13 @@ import (
 	"time"
 )
 
-var binaries = []string{"borg", "borgd", "borgexp", "borgfed", "borgq", "borgsvc", "borgview"}
+var binaries = []string{"borg", "borgd", "borgexp", "borgq", "borgsvc", "borgview"}
 
-// TestCmdHoldsExactlyTheSevenBinaries keeps the merged tools merged: a
+// TestCmdHoldsExactlyTheSixBinaries keeps the merged tools merged: a
 // new directory under cmd/ is a new binary to document, test and keep
-// in step with the others, and should be a subcommand instead.
-func TestCmdHoldsExactlyTheSevenBinaries(t *testing.T) {
+// in step with the others, and should be a subcommand or a flag
+// instead (a federation is borg -islands k).
+func TestCmdHoldsExactlyTheSixBinaries(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
@@ -239,12 +240,13 @@ func TestScripts(t *testing.T) {
 			{"-replay", "v.bmel", "-quality-every", "100"},
 			{"-replay", "v.bmel", "-quality-wall", "0.01"},
 			{"-evals", "100", "-trace", "none.trace.json"},
+			{"-evals", "100", "-metrics-out", "none.metrics.json"},
 		} {
 			code, _, stderr := tl.run("", "borg", with(args...)...)
 			if code != 0 || !strings.Contains(stderr, "records no") || !strings.Contains(stderr, args[2]) {
 				t.Fatalf("borg %v: exit %d, want 0 with a records-nothing warning naming %s\n%s", args, code, args[2], stderr)
 			}
-			for _, name := range []string{"none.trace.json", "none.bmel", "none.adv.jsonl"} {
+			for _, name := range []string{"none.trace.json", "none.bmel", "none.adv.jsonl", "none.metrics.json"} {
 				if _, err := os.Stat(filepath.Join(tl.dir, name)); !os.IsNotExist(err) {
 					t.Fatalf("borg %v wrote %s (%v)", args, name, err)
 				}
@@ -310,27 +312,37 @@ func TestScripts(t *testing.T) {
 		}
 	})
 
-	t.Run("borgfed record replay view", func(t *testing.T) {
+	t.Run("borg islands record replay view", func(t *testing.T) {
 		tl.t = t
-		if err := os.Mkdir(filepath.Join(tl.dir, "fed"), 0o755); err != nil {
-			t.Fatal(err)
+		// Two tcp islands, one borgd each; the run records a directory.
+		a, b := freeAddr(t), freeAddr(t)
+		workers := []*exec.Cmd{tl.start("borgd", "-connect", a, "-quiet"), tl.start("borgd", "-connect", b, "-quiet")}
+		out := tl.ok("borg", with("-islands", "2", "-transport", "tcp", "-listen", a+","+b, "-evals", "300", "-migrate", "100",
+			"-wall-limit", "60s", "-event-log", "fed", "-trace", "fed.trace.json", "-quality-every", "100", "-out", "fed.json")...)
+		for _, w := range workers {
+			if err := w.Wait(); err != nil {
+				t.Fatalf("borgd: %v", err)
+			}
 		}
-		tl.ok("borgfed", with("-islands", "2", "-evals", "300", "-migrate", "100", "-workers", "2",
-			"-log-dir", "fed", "-trace-rate", "1", "-quality-every", "100", "-out", "fed.json")...)
-		tl.ok("borgfed", "-replay-dir", "fed", "-out", "fed.replay.json")
-		tl.same("fed.json", "fed.replay.json")
+		for _, want := range []string{"island-0: evals=", "island-1: evals=", "total: evals=", "empirical ceiling: P_UB"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("borg -islands 2 -trace: no %q in the report\n%s", want, out)
+			}
+		}
+		tl.chromeTF("fed.trace.json")
 
-		if out := tl.ok("borgview", "trace", "-dir", "fed", "-jsonl", "spans.jsonl", "-chrome", "trace.json"); !strings.Contains(out, "total: evals=") {
-			t.Fatalf("borgview trace -dir: no total attribution\n%s", out)
+		// The directory replays to the merged archive, with no run flag.
+		tl.ok("borg", "-replay", "fed", "-out", "fed.replay.json")
+		tl.same("fed.json", "fed.replay.json")
+		if code, _, stderr := tl.run("", "borg", "-replay", "fed", "-problem", "ZDT1"); code != 2 || !strings.Contains(stderr, "-problem ZDT1 disagrees") {
+			t.Fatalf("borg -replay fed -problem ZDT1: exit %d, want 2 naming the flag\n%s", code, stderr)
 		}
-		tl.ok("borgview", "trace", "-log", "fed/island-0.bmel", "-trace", "fed/island-0.trace", "-chrome", "island-0.trace.json")
-		if fi, err := os.Stat(filepath.Join(tl.dir, "spans.jsonl")); err != nil || fi.Size() == 0 {
-			t.Fatalf("borgview trace wrote no spans.jsonl (%v)", err)
+		if code, _, stderr := tl.run("", "borg", "-replay", "fed", "-quality-every", "100"); code != 0 || !strings.Contains(stderr, "records nothing") {
+			t.Fatalf("borg -replay fed -quality-every 100: exit %d, want 0 with a records-nothing warning\n%s", code, stderr)
 		}
-		tl.chromeTF("trace.json")
-		tl.chromeTF("island-0.trace.json")
+
 		tl.ok("borgview", "timeline", "-events", "fed/island-0.bmel")
-		out := tl.ok("borgview", "timeline", "-quality", "fed")
+		out = tl.ok("borgview", "timeline", "-quality", "fed")
 		for _, island := range []string{"island-0.bmel (", "island-1.bmel ("} {
 			if !strings.Contains(out, island) {
 				t.Fatalf("borgview timeline -quality fed: no timeline for %s\n%s", island, out)
@@ -435,15 +447,20 @@ func TestScripts(t *testing.T) {
 			{2, "-job needs -addr", "borgview", []string{"top", "-file", "x", "-job", "j1"}},
 			{2, "-fed needs -addr", "borgview", []string{"top", "-file", "x", "-fed"}},
 			{1, "no such file", "borgview", []string{"top", "-file", "missing.jsonl", "-once"}},
-			{1, "pass either -dir or both -log and -trace", "borgview", []string{"trace"}},
-			{1, "no island-<i>.trace sidecars found", "borgview", []string{"trace", "-dir", "missing"}},
+			{2, `unknown command "trace"`, "borgview", []string{"trace"}},
 			{1, "epsilons must be positive", "borg", []string{"-epsilon", "0", "-evals", "10"}},
 			{2, "unknown transport", "borg", []string{"-parallel", "4", "-transport", "realtime"}},
 			{2, "needs -listen", "borg", []string{"-transport", "tcp"}},
 			{2, "flag provided but not defined: -quality-log", "borg", []string{"-quality-log", "v.qlog"}},
+			{2, "-islands must be at least 1", "borg", []string{"-islands", "0"}},
+			{2, "-listen names 1 addresses for 2 islands", "borg", []string{"-islands", "2", "-transport", "tcp", "-listen", "127.0.0.1:1"}},
+			{2, "-mtbf needs a single master", "borg", []string{"-islands", "2", "-parallel", "4", "-mtbf", "1"}},
+			{2, "needs -parallel P", "borg", []string{"-islands", "2"}},
 			{1, "NOPE", "borgexp", []string{"fitdist", "-collect", "-problem", "NOPE"}},
 			{2, "bad processor count", "borgexp", []string{"scalesim", "-p", "1"}},
 			{2, "-mttr must be positive", "borgexp", []string{"scalesim", "-mtbf", "1", "-mttr", "0"}},
+			{2, "negative time", "borgexp", []string{"scalesim", "-ta", "-0.001"}},
+			{2, "negative time", "borgexp", []string{"scalesim", "-ta", "-0.001", "-mtbf", "1"}},
 			{1, "unknown figure 9", "borgexp", []string{"figures", "-fig", "9"}},
 			{1, "bad TF value", "borgexp", []string{"figures", "-tf", "abc"}},
 			{1, "no samples", "borgexp", []string{"fitdist", "-file", os.DevNull}},

@@ -1,8 +1,10 @@
-// Package cli holds what the repo's seven binaries share: subcommand
+// Package cli holds what the repo's six binaries share: subcommand
 // dispatch for the two multi-tool binaries (borgview, borgexp), the
-// create/open-and-decode helpers and the island-<i>.<ext> naming every
-// tool that writes or reads a run's artefacts uses. The daemons'
-// profiling flags live in internal/httpd, next to the ring they serve.
+// create/open-and-decode helpers, the island-<i>.<ext> naming every
+// tool that writes or reads a run's artefacts uses, the one streaming
+// event-log writer and the one replay of a recorded run, a single log
+// or a federation's directory. The daemons' profiling flags live in
+// internal/httpd, next to the ring they serve.
 package cli
 
 import (

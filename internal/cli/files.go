@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// IslandPath names island i's artefact of kind ext (bmel, migrants,
-// trace) in a federation run directory: the layout borgfed
-// -log-dir writes and borgfed -replay-dir and borgview read.
+// IslandPath names island i's artefact of kind ext (bmel, migrants)
+// in a federation run directory: the layout borg -islands k
+// -event-log writes and borg -replay and borgview read.
 func IslandPath(dir string, island int, ext string) string {
 	return filepath.Join(dir, fmt.Sprintf("island-%d.%s", island, ext))
 }
@@ -42,7 +42,7 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// WriteLog writes one serialised log or sidecar to path.
+// WriteLog writes one serialised log to path.
 func WriteLog(path string, log io.WriterTo) error {
 	return WriteFile(path, func(w io.Writer) error {
 		_, err := log.WriteTo(w)

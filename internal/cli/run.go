@@ -4,14 +4,75 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
+	"sync"
 
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
 	"borgmoea/internal/metrics"
 	"borgmoea/internal/obs"
+	"borgmoea/internal/shutdown"
 )
+
+// StreamEventLog makes a streaming BMEL writer to path the log's Sink,
+// so the recording master holds no copy of its events: they are on
+// disk at event granularity, and a signal or a crash costs at most the
+// trailing partial record, which the replay reader tolerates. The hook
+// it adds to flusher closes the file; the mutex covers a signal's
+// flush racing the recording goroutine. Call the returned seal once the
+// run has returned, before the flush: it rewrites the header with the
+// event count and the log's T_P (master.SealLog), so a finished run's
+// file is the one Log.WriteTo writes.
+func StreamEventLog(flusher *shutdown.Flusher, logger *slog.Logger, path string, log *master.Log) (seal func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		mu     sync.Mutex
+		lw     *master.LogWriter
+		n      uint64
+		werr   error // the first error of the stream; nothing is written after it
+		closed bool
+	)
+	log.Sink = func(ev master.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed || werr != nil {
+			return
+		}
+		if lw == nil {
+			// First event: the recording Core stamped log.Meta when it
+			// was constructed, before anything could be recorded.
+			if lw, werr = master.NewLogWriter(f, log.Meta); werr != nil {
+				return
+			}
+		}
+		if werr = lw.Record(ev); werr == nil {
+			n++
+		}
+	}
+	flusher.Add(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		closed = true
+		if err := f.Close(); werr == nil {
+			werr = err
+		}
+		if werr != nil {
+			logger.Error("writing event log", "path", path, "err", werr)
+		}
+	})
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if !closed && werr == nil && lw != nil {
+			werr = master.SealLog(f, log.Meta, log.Elapsed, n)
+		}
+	}, nil
+}
 
 // ReplaySpec returns the spec a replay runs. A version-2 log names its
 // run in its header, and then every run flag set on the command line

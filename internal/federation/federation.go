@@ -18,8 +18,7 @@ import (
 
 // Config parameterizes a TCP federation run: k islands in one process,
 // each with its own worker listener (for borgd daemons or in-process
-// workers), a ring peer link for migration, and optionally a root that
-// merges archive deltas live.
+// workers) and a ring peer link for migration.
 type Config struct {
 	// Problem and Algorithm configure each island's Borg instance;
 	// island isl runs with seed IslandAlgSeed(Seed, isl).
@@ -63,14 +62,6 @@ type Config struct {
 	// Conn tunes every connection the federation makes.
 	Conn wire.Options
 
-	// DeltaEvery streams a batch of recent archive members to the root
-	// after every such number of accepts (0 disables delta traffic).
-	// Deltas feed live monitoring only; the final MergedFront is
-	// always recomputed exactly from the island archives.
-	DeltaEvery uint64
-	// Root, when true, runs the merging root alongside the islands.
-	Root bool
-
 	// Logs, when non-nil, must have length Islands: island isl records
 	// its BMEL event stream into Logs[isl]. MigrantLogs likewise
 	// captures each island's outgoing migrants — together they make
@@ -85,8 +76,6 @@ type Config struct {
 	// sender's context around the ring, and the collector attributes
 	// the paper's model terms (T_C, T_F, T_A) per evaluation. Each
 	// island's advisor force-samples workers it flags as stragglers.
-	// Paired with Logs, the collector's TraceLog sidecar reconstructs
-	// the identical forest offline (obs.TracesFromLog).
 	Tracers []*obs.Collector
 
 	// Federation, when set, is the advisor roll-up the per-island
@@ -101,16 +90,8 @@ type Config struct {
 	// own GaugePrefix (e.g. "island0.") when they share a registry.
 	// The sample points ride the island's BMEL log as EvQuality events,
 	// so ReplayQuality regenerates every island's timeline byte for
-	// byte. Merged-front quality is computed lazily from Root.Front()
-	// by whoever serves it (see cmd/borgfed) — the steady-state run
-	// pays nothing for it.
+	// byte.
 	Quality []*obs.QualitySampler
-
-	// OnRoot, when set, receives the live merging root right after it
-	// binds, before any island runs — a debug server can serve
-	// merged-front quality while the run is in flight (Root.Front is
-	// safe to call concurrently). Only fires when Root is true.
-	OnRoot func(*Root)
 
 	// Metrics receives the shared protocol counters of all islands.
 	Metrics *obs.Registry
@@ -149,13 +130,10 @@ type Result struct {
 	// Federation is the advisor roll-up with every island's advisor
 	// attached — Report() gives the federated scalability analysis.
 	Federation *advisor.Federation
-	// Root holds the root's live merge state when Config.Root was set.
-	Root *Root
 }
 
 // Run executes the federation: k island masters in this process, their
-// ring peer links, optional in-process workers, and the optional
-// merging root. It blocks until every island completes its budget (or
+// ring peer links and optional in-process workers. It blocks until every island completes its budget (or
 // fails), then computes the merged Result.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Problem == nil {
@@ -229,26 +207,11 @@ func Run(cfg Config) (*Result, error) {
 		peerAddrs[isl] = pln.Addr().String()
 	}
 
-	var root *Root
-	if cfg.Root {
-		var err error
-		root, err = startRoot(&cfg)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		defer root.sink.Close()
-		if cfg.OnRoot != nil {
-			cfg.OnRoot(root)
-		}
-	}
-
 	res := &Result{
 		Islands:       make([]*core.Borg, k),
 		IslandElapsed: make([]float64, k),
 		IslandStats:   make([]master.Stats, k),
 		Federation:    fed,
-		Root:          root,
 	}
 	meters := master.NewMeters(cfg.Metrics)
 
@@ -287,7 +250,6 @@ func Run(cfg Config) (*Result, error) {
 			workerLn: workerLns[isl],
 			peerLn:   peerLns[isl],
 			succAddr: peerAddrs[(isl+1)%k],
-			root:     root,
 			trace:    trace,
 		}
 		if cfg.Logs != nil {

@@ -44,7 +44,7 @@ var fastConn = wire.Options{Heartbeat: 50 * time.Millisecond, IdleTimeout: 10 * 
 // T_F/(2·T_C+T_A) sits near 4 — and the 2×4-worker federation's
 // aggregate observed speedup sails past it. The run records BMEL and
 // migrant sidecar logs and must replay offline to the byte-identical
-// merged archive, with the root's live delta merge having tracked it.
+// merged archive.
 func TestFederationLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback federation run takes ~2s of wall time")
@@ -69,8 +69,6 @@ func TestFederationLoopback(t *testing.T) {
 		WorkerDelay:    stats.NewConstant(0.020),
 		SimulateTA:     stats.NewConstant(0.005),
 		Conn:           fastConn,
-		DeltaEvery:     every,
-		Root:           true,
 		Logs:           logs,
 		MigrantLogs:    mlogs,
 	}
@@ -106,17 +104,6 @@ func TestFederationLoopback(t *testing.T) {
 	if fr.AggregateObservedSpeedup <= 1.5*fr.SingleMasterPUB {
 		t.Fatalf("aggregate observed speedup %.2f does not beat 1.5x the single-master P_UB %.2f",
 			fr.AggregateObservedSpeedup, fr.SingleMasterPUB)
-	}
-
-	// The root saw live deltas and its merged view tracked real progress.
-	if res.Root == nil || res.Root.Deltas() == 0 {
-		t.Fatal("root merged no deltas")
-	}
-	if res.Root.Size() == 0 {
-		t.Fatal("root's live merged archive is empty")
-	}
-	if res.Root.Completed() == 0 {
-		t.Fatal("root never learned any island's completed count")
 	}
 
 	// Offline replay from the BMEL + migrant sidecar logs reproduces the

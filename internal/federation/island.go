@@ -13,9 +13,9 @@ import (
 	"borgmoea/internal/wire"
 )
 
-// migrationTimeout bounds every ring wait — the successor and root
-// dials, a frame write, each wait for the predecessor's next migrant —
-// failing the island rather than hanging the ring.
+// migrationTimeout bounds every ring wait — the successor dial, a
+// frame write, each wait for the predecessor's next migrant — failing
+// the island rather than hanging the ring.
 const migrationTimeout = 30 * time.Second
 
 // islandContext is everything one island master needs, assembled by
@@ -29,7 +29,6 @@ type islandContext struct {
 	workerLn net.Listener
 	peerLn   net.Listener
 	succAddr string
-	root     *Root
 	log      *master.Log
 	mlog     *MigrantLog
 	trace    *obs.Collector      // nil disables tracing for this island
@@ -101,17 +100,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 		}
 		defer succ.Close()
 	}
-	var rootConn net.Conn
-	if ic.root != nil && cfg.DeltaEvery > 0 {
-		var err error
-		rootConn, err = dialPeer(ic.root.Addr(), time.Now().Add(migrationTimeout))
-		if err != nil {
-			ic.workerLn.Close()
-			return islandResult{}, err
-		}
-		defer rootConn.Close()
-	}
-
 	// T_A is the wall-clock critical section, optionally stretched by a
 	// sampled SimulateTA sleep (the knob that drags the per-island P_UB
 	// into loopback-test range).
@@ -142,9 +130,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 		Name: fmt.Sprintf("federation: island %d", ic.isl), Logf: cfg.Logf,
 	}
 
-	var deltaBuf []byte // delta frame scratch, reused per send
-	var deltaSeq uint64
-
 	write := func(nc net.Conn, frame []byte) error {
 		if err := nc.SetWriteDeadline(time.Now().Add(migrationTimeout)); err != nil {
 			return err
@@ -169,7 +154,7 @@ func runIsland(ic islandContext) (islandResult, error) {
 	}
 
 	// The island's migration hook: the epoch protocol at accept count n
-	// over the ring link, plus the root delta stream.
+	// over the ring link.
 	sm.AfterAccept = func(n uint64) error {
 		if epoch, ok := mig.Boundary(n); ok {
 			// The emigrant span context rides the wire to the ring
@@ -193,15 +178,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 			// force-sampling even when nothing serves /debug/scaling.
 			ic.adv.Report()
 		}
-		if rootConn != nil && n%cfg.DeltaEvery == 0 {
-			deltaSeq++
-			deltaBuf = wire.AppendFrame(deltaBuf[:0], archiveDelta(ic.isl, deltaSeq, n, b.Archive()))
-			if err := write(rootConn, deltaBuf); err != nil {
-				cfg.logf("federation: island %d delta: %v", ic.isl, err)
-				rootConn.Close()
-				rootConn = nil
-			}
-		}
 		return nil
 	}
 
@@ -212,24 +188,3 @@ func runIsland(ic islandContext) (islandResult, error) {
 // stragglerCheckEvery is how many accepts pass between polls of the
 // advisor's straggler detector when tracing is on.
 const stragglerCheckEvery = 64
-
-// archiveDelta packages the most recent archive members (capped at
-// deltaCap) as a root-bound Delta frame.
-const deltaCap = 32
-
-func archiveDelta(isl int, seq, completed uint64, arch *core.Archive) *wire.Delta {
-	members := arch.Members()
-	if len(members) > deltaCap {
-		members = members[len(members)-deltaCap:]
-	}
-	d := &wire.Delta{Island: uint32(isl), Seq: seq, Completed: completed}
-	for _, s := range members {
-		d.Members = append(d.Members, wire.DeltaMember{
-			Operator: int32(s.Operator),
-			Vars:     s.Vars,
-			Objs:     s.Objs,
-			Constrs:  s.Constrs,
-		})
-	}
-	return d
-}

@@ -2,8 +2,7 @@
 // bounds: N islands, each a full asynchronous master-slave Borg
 // instance running the shared state machine (internal/master) over its
 // own worker pool, exchange ε-archive members in a ring over
-// internal/wire and optionally report archive deltas up to a merging
-// root. The single-master processor ceiling P_UB = T_F/(2·T_C + T_A)
+// internal/wire. The single-master processor ceiling P_UB = T_F/(2·T_C + T_A)
 // applies per island, so k islands raise the federation's useful
 // processor count toward k·P_UB — the speedup-past-the-bound
 // demonstration ROADMAP item 1 calls for.

@@ -17,6 +17,22 @@ func QualityHandler(s *obs.QualitySampler) http.Handler {
 	})
 }
 
+// FederationQualityHandler serves one quality report per island, in
+// island order, as {"islands": [...]}: the federation-level
+// /debug/quality.
+func FederationQualityHandler(qs []*obs.QualitySampler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		doc := struct {
+			Islands []obs.QualityReport `json:"islands"`
+		}{Islands: make([]obs.QualityReport, len(qs))}
+		for i, q := range qs {
+			doc.Islands[i] = q.Report()
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		writeJSONValue(w, doc)
+	})
+}
+
 // AdvisorHandler serves the advisor's current Report as JSON — mounted
 // on the debug mux as /debug/scaling via WithHandler.
 func AdvisorHandler(a *advisor.Advisor) http.Handler {

@@ -44,6 +44,26 @@ func TestQualityHandlerServesJSON(t *testing.T) {
 	}
 }
 
+// The federation's /debug/quality holds one report per island, in
+// island order.
+func TestFederationQualityHandler(t *testing.T) {
+	qs := []*obs.QualitySampler{
+		obs.NewQualitySampler(obs.QualityConfig{Every: 10, Ref: []float64{2, 2}}),
+		obs.NewQualitySampler(obs.QualityConfig{Every: 10, Ref: []float64{3, 3}}),
+	}
+	rr := httptest.NewRecorder()
+	FederationQualityHandler(qs).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/quality", nil))
+	var doc struct {
+		Islands []obs.QualityReport `json:"islands"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("body does not decode: %v", err)
+	}
+	if len(doc.Islands) != 2 || doc.Islands[1].Ref[0] != 3 {
+		t.Fatalf("got %+v, want island 1's report second", doc.Islands)
+	}
+}
+
 // The advisor serves its full report over /debug/scaling.
 func TestAdvisorHandler(t *testing.T) {
 	adv := seedIsland(4, 1000, 0.001, 0.000023, 0.000006, 10, 1000, 1.0)

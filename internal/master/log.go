@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 
-	"borgmoea/internal/core"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/reclog"
 )
 
@@ -41,7 +39,7 @@ type Log struct {
 	Events  []Event
 	// Sink, when set, receives every recorded event instead of Events:
 	// a Log with a Sink passes each event on and appends nothing, so a
-	// run streamed to disk through a LogWriter (borgfed -log-dir, the
+	// run streamed to disk through a LogWriter (borg -event-log, the
 	// job server's per-job checkpoints) holds no copy in memory and
 	// Events stays as the caller left it. Without a Sink the Log
 	// retains the whole stream, which is what WriteTo, Replay and
@@ -197,6 +195,20 @@ func NewLogWriter(w io.Writer, meta LogMeta) (*LogWriter, error) {
 	return reclog.NewWriter(f, w, hdr, appendLogEvent)
 }
 
+// SealLog rewrites the header of a log a LogWriter streamed n events
+// into with the header WriteTo writes: the event count and the run's
+// elapsed time in place of the streaming sentinel and 0. The sealed
+// file is byte for byte the log WriteTo would have written for the
+// same events.
+func SealLog(w io.WriterAt, meta LogMeta, elapsed float64, n uint64) error {
+	_, hdr, err := logHeader(meta, elapsed, n)
+	if err != nil {
+		return err
+	}
+	_, err = w.WriteAt(hdr, HeaderSize-logHeaderSize)
+	return err
+}
+
 // ResumeLogWriter returns a LogWriter that appends to an existing
 // streamed log without writing a fresh header. The caller must have
 // positioned w at the end of the last complete record (truncating the
@@ -285,28 +297,6 @@ func readLog(r io.Reader, events bool) (*Log, error) {
 	return l, err
 }
 
-// traceStubAlg is the throwaway Algorithm ReplayTrace replays with:
-// the Core's protocol decisions — and therefore its tracer calls — do
-// not depend on solution contents, so empty suggestions suffice.
-type traceStubAlg struct{}
-
-func (traceStubAlg) Suggest() *core.Solution { return &core.Solution{} }
-func (traceStubAlg) Accept(*core.Solution)   {}
-func (traceStubAlg) AcceptSuggest(*core.Solution) *core.Solution {
-	return &core.Solution{}
-}
-
-// ReplayTrace re-feeds the recorded event stream through a fresh Core
-// with only the tracer attached, re-deriving the exact tracer-call
-// sequence of the live run (span contexts are minted deterministically
-// from event data). It implements obs.LogSource, so
-// obs.TracesFromLog(log, sidecar) reconstructs a run's trace forest
-// entirely offline.
-func (l *Log) ReplayTrace(t obs.ProtocolTracer) error {
-	_, err := Replay(l, ReplayConfig{Alg: traceStubAlg{}, Tracer: t})
-	return err
-}
-
 // ReplayConfig parameterizes Replay.
 type ReplayConfig struct {
 	// Alg is the optimizer adapter, seeded exactly as the recorded run
@@ -335,11 +325,6 @@ type ReplayConfig struct {
 	// quality timeline byte-for-byte (parallel.ReplayAsync rides
 	// this).
 	OnQuality func(seq uint64, at float64)
-	// Tracer re-derives the recorded run's trace hooks: because the
-	// Core mints span contexts deterministically from event data, the
-	// replayed hooks are identical to the live ones (obs.TracesFromLog
-	// rides this).
-	Tracer obs.ProtocolTracer
 }
 
 // Replay re-feeds a recorded event stream to a fresh Core and returns
@@ -363,7 +348,6 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 		OnAcceptFrom: rc.OnAcceptFrom,
 		OnMigrant:    rc.OnMigrant,
 		OnQuality:    rc.OnQuality,
-		Tracer:       rc.Tracer,
 	})
 	for _, ev := range log.Events {
 		if ev.Kind == EvResult && rc.Evaluate != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -447,6 +449,44 @@ func TestLogWriterStreamsAndTolerates(t *testing.T) {
 	}
 	if _, err := ReadLog(bytes.NewReader(fixed.Bytes()[:fixed.Len()-5])); err == nil {
 		t.Fatal("ReadLog accepted a truncated fixed-count log")
+	}
+}
+
+// TestSealLogIsWriteTo: a streamed log, sealed with its event count
+// and elapsed time, is byte for byte the log WriteTo writes, in both
+// versions.
+func TestSealLogIsWriteTo(t *testing.T) {
+	for _, orig := range []*Log{sampleLog(), sampleLogV2()} {
+		f, err := os.Create(filepath.Join(t.TempDir(), "run.bmel"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lw, err := NewLogWriter(f, orig.Meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range orig.Events {
+			if err := lw.Record(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := SealLog(f, orig.Meta, orig.Elapsed, uint64(len(orig.Events))); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if _, err := orig.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealed, want.Bytes()) {
+			t.Fatalf("sealed stream differs from WriteTo:\n  sealed %x\n  want   %x", sealed, want.Bytes())
+		}
 	}
 }
 

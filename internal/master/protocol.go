@@ -59,10 +59,6 @@ const (
 	// its ring successor in a federation — the TCP lift of the
 	// in-process island migration side channel.
 	TagMigrant
-	// TagDelta carries a batch of archive members from an island master
-	// up to the federation root, which merges them into the global
-	// ε-archive for live monitoring.
-	TagDelta
 )
 
 func (t Tag) String() string {
@@ -83,8 +79,6 @@ func (t Tag) String() string {
 		return "pong"
 	case TagMigrant:
 		return "migrant"
-	case TagDelta:
-		return "delta"
 	}
 	return fmt.Sprintf("tag(%d)", uint8(t))
 }

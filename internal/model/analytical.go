@@ -15,7 +15,9 @@ type Times struct {
 	TC float64 // one-way communication time
 }
 
-func (t Times) validate() error {
+// Validate rejects a negative T_F, T_A or T_C: the models would
+// return a meaningless, possibly negative, time or bound for it.
+func (t Times) Validate() error {
 	if t.TF < 0 || t.TA < 0 || t.TC < 0 {
 		return fmt.Errorf("model: negative time in %+v", t)
 	}

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 )
@@ -31,14 +28,8 @@ type ProtocolTracer interface {
 	TraceMigrant(source int, epoch uint64, at float64)
 }
 
-// LogSource is a recorded run that can replay its protocol events
-// through a ProtocolTracer — master.Log implements it via ReplayTrace.
-type LogSource interface {
-	ReplayTrace(ProtocolTracer) error
-}
-
-// DefaultSpanLimit bounds the per-run trace state (items + sidecar
-// records); beyond it new evaluations are dropped and counted.
+// DefaultSpanLimit bounds the per-run trace state (tracked items);
+// beyond it new evaluations are dropped and counted.
 const DefaultSpanLimit = 1 << 20
 
 // CollectorConfig configures a Collector.
@@ -49,11 +40,9 @@ type CollectorConfig struct {
 }
 
 // traceItem is one evaluation's accumulated state. Protocol hooks
-// (grant/result/expire/resubmit — deterministic, from BMEL events)
-// and driver observations (measured durations — live-only, persisted
-// in the trace sidecar) merge here commutatively, so live collection
-// and offline reconstruction reach the identical state regardless of
-// arrival order.
+// (grant/result/expire/resubmit, stamped with the causing event's
+// time) and driver observations (measured durations) merge here
+// commutatively, so the state does not depend on their arrival order.
 type traceItem struct {
 	worker   int
 	root     uint64 // lineage root item id; trace id derives from it
@@ -71,7 +60,7 @@ type traceItem struct {
 type traceMigrant struct {
 	source int
 	at     float64
-	seen   bool // EvMigrant applied (vs link/emigrant record only)
+	seen   bool // EvMigrant applied (vs link only)
 	link   SpanContext
 }
 
@@ -94,7 +83,6 @@ type Collector struct {
 	mig     map[uint64]*traceMigrant // keyed by migration epoch
 	emig    map[uint64]float64       // outgoing emigrant send times
 	forced  map[int]bool
-	recs    []TraceRec
 	dropped uint64
 }
 
@@ -232,23 +220,19 @@ func (c *Collector) migrant(epoch uint64) *traceMigrant {
 	return m
 }
 
-// record appends one sidecar record. Callers hold c.mu.
-func (c *Collector) record(r TraceRec) {
-	if len(c.recs) >= c.limit*recsPerItem {
-		c.dropped++
-		return
-	}
-	c.recs = append(c.recs, r)
-}
+// term names one measured model term of an evaluation.
+type term uint8
 
-// recsPerItem bounds the sidecar relative to the item limit: the five
-// model terms plus slack for forced workers and migrant links.
-const recsPerItem = 8
+const (
+	termTCSend term = iota
+	termTCRecv
+	termWait
+	termTF
+	termTA
+)
 
-// observe stores one measured model-term duration for the evaluation
-// and, when persist is set (live observation rather than sidecar
-// replay), mirrors it into the sidecar record stream.
-func (c *Collector) observe(kind uint8, item uint64, d float64, persist bool) {
+// observe stores one measured model-term duration for the evaluation.
+func (c *Collector) observe(kind term, item uint64, d float64) {
 	if c == nil {
 		return
 	}
@@ -259,54 +243,46 @@ func (c *Collector) observe(kind uint8, item uint64, d float64, persist bool) {
 		return
 	}
 	switch kind {
-	case recTCSend:
+	case termTCSend:
 		e.tcs, e.hasTCS = d, true
-	case recTCRecv:
+	case termTCRecv:
 		e.tcr, e.hasTCR = d, true
-	case recWait:
+	case termWait:
 		e.wait, e.hasWait = d, true
-	case recTF:
+	case termTF:
 		e.tf, e.hasTF = d, true
-	case recTA:
+	case termTA:
 		e.ta, e.hasTA = d, true
-	}
-	if persist {
-		c.record(TraceRec{Kind: kind, A: item, C: f64bits(d)})
 	}
 }
 
 // ObserveTCSend records the measured master→worker send time (T_C
 // outbound) for the evaluation.
-func (c *Collector) ObserveTCSend(item uint64, d float64) { c.observe(recTCSend, item, d, true) }
+func (c *Collector) ObserveTCSend(item uint64, d float64) { c.observe(termTCSend, item, d) }
 
 // ObserveTCRecv records the measured worker→master receive time (T_C
 // inbound).
-func (c *Collector) ObserveTCRecv(item uint64, d float64) { c.observe(recTCRecv, item, d, true) }
+func (c *Collector) ObserveTCRecv(item uint64, d float64) { c.observe(termTCRecv, item, d) }
 
 // ObserveQueueWait records the time the result sat queued before the
 // master processed it.
-func (c *Collector) ObserveQueueWait(item uint64, d float64) { c.observe(recWait, item, d, true) }
+func (c *Collector) ObserveQueueWait(item uint64, d float64) { c.observe(termWait, item, d) }
 
 // ObserveTF records the worker's evaluation time (T_F).
-func (c *Collector) ObserveTF(item uint64, d float64) { c.observe(recTF, item, d, true) }
+func (c *Collector) ObserveTF(item uint64, d float64) { c.observe(termTF, item, d) }
 
 // ObserveTA records the master's archive-insertion time (T_A).
-func (c *Collector) ObserveTA(item uint64, d float64) { c.observe(recTA, item, d, true) }
+func (c *Collector) ObserveTA(item uint64, d float64) { c.observe(termTA, item, d) }
 
 // ForceWorker forces emission of every trace granted to worker w —
-// the hook the drivers call for advisor-flagged stragglers. The
-// decision persists in the sidecar so offline reconstruction emits
-// the same forest.
+// the hook the drivers call for advisor-flagged stragglers.
 func (c *Collector) ForceWorker(w int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.forced[w] {
-		c.forced[w] = true
-		c.record(TraceRec{Kind: recForce, A: uint64(w)})
-	}
+	c.forced[w] = true
 }
 
 // LinkMigrant attaches the remote span context carried by an incoming
@@ -320,7 +296,6 @@ func (c *Collector) LinkMigrant(epoch uint64, remote SpanContext) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.migrant(epoch).link = remote
-	c.record(TraceRec{Kind: recMigLink, A: epoch, B: remote.TraceID, C: remote.SpanID, Flags: remote.Flags})
 }
 
 // ObserveEmigrant records an outgoing emigrant sent at time at and
@@ -333,7 +308,6 @@ func (c *Collector) ObserveEmigrant(epoch uint64, at float64) SpanContext {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.emig[epoch] = at
-	c.record(TraceRec{Kind: recEmigrant, A: epoch, C: f64bits(at)})
 	tid := MintTraceID(c.runID, emigrantKey(epoch))
 	return SpanContext{
 		TraceID: tid,
@@ -367,8 +341,8 @@ type Span struct {
 
 // Forest is a deterministic set of root spans: sorted by (start,
 // trace id, span id), children in fixed model-term order — a pure
-// function of the collector's accumulated state, so a live run and
-// its offline reconstruction serialize byte-identically.
+// function of the collector's accumulated state, so two collectors
+// fed the same hooks serialize byte-identically.
 type Forest []*Span
 
 // Forest assembles and returns the emitted trace forest: traces that
@@ -497,20 +471,6 @@ func (c *Collector) buildEval(id uint64, e *traceItem, tid uint64) *Span {
 	return root
 }
 
-// WriteJSONL writes the forest as one span tree per line — the
-// canonical byte-comparable serialization of a run's traces.
-func (f Forest) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	for _, s := range f {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // TermStats aggregates one model term across a forest.
 type TermStats struct {
 	N    int     `json:"n"`
@@ -589,18 +549,4 @@ func (f Forest) Attribution() Attribution {
 		t.finish(a.Wall)
 	}
 	return a
-}
-
-// TracesFromLog reconstructs the trace forest of a recorded run: the
-// trace sidecar replays the live-measured durations and forced
-// workers, then the BMEL event log replays the protocol through a
-// fresh collector. The result is byte-identical to the forest the
-// live collector held — the repo's replayability invariant extended
-// to traces.
-func TracesFromLog(src LogSource, tl *TraceLog) (Forest, error) {
-	c := NewCollectorFromLog(tl)
-	if err := src.ReplayTrace(c); err != nil {
-		return nil, err
-	}
-	return c.Forest(), nil
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"testing"
 )
@@ -195,75 +194,6 @@ func TestCollectorSpanLimit(t *testing.T) {
 	}
 }
 
-// replayProtocol re-feeds the same protocol hook sequence driveEval and
-// friends produced — standing in for master.Log.ReplayTrace, which this
-// package cannot import.
-func TestSidecarReconstructsForest(t *testing.T) {
-	protocol := func(tr ProtocolTracer) {
-		tr.TraceGrant(1, 1, 0.5)
-		tr.TraceResult(1, 1, 1.5, true)
-		tr.TraceGrant(2, 2, 0.6)
-		tr.TraceExpire(2, 2, 5.0)
-		tr.TraceResubmit(2, 3)
-		tr.TraceGrant(1, 3, 5.1)
-		tr.TraceResult(1, 3, 6.0, true)
-		tr.TraceMigrant(4, 1, 7.0)
-	}
-	live := NewCollector(CollectorConfig{RunID: 77, Rate: 0.5})
-	protocol(live)
-	// Live-only observations: durations, a forced worker, migration
-	// links — exactly what the sidecar must carry.
-	live.ObserveTCSend(1, 0.001)
-	live.ObserveTF(1, 0.9)
-	live.ObserveTA(1, 0.002)
-	live.ObserveTF(3, 0.8)
-	live.ForceWorker(1)
-	live.LinkMigrant(1, SpanContext{TraceID: 0xabc, SpanID: 0xdef, Flags: FlagSampled})
-	live.ObserveEmigrant(1, 6.5)
-
-	var liveJSON bytes.Buffer
-	if err := live.Forest().WriteJSONL(&liveJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	// Serialize the sidecar, read it back, replay the protocol.
-	var disk bytes.Buffer
-	if _, err := live.TraceLog().WriteTo(&disk); err != nil {
-		t.Fatal(err)
-	}
-	tl, err := ReadTraceLog(bytes.NewReader(disk.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.RunID != 77 || tl.Rate != 0.5 {
-		t.Fatalf("sidecar header %+v, want run 77 rate 0.5", tl)
-	}
-	recon := NewCollectorFromLog(tl)
-	protocol(recon)
-	var reconJSON bytes.Buffer
-	if err := recon.Forest().WriteJSONL(&reconJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveJSON.Bytes(), reconJSON.Bytes()) {
-		t.Fatalf("reconstructed forest differs from live:\nlive:\n%s\nreconstructed:\n%s", &liveJSON, &reconJSON)
-	}
-
-	// A torn trailing record is tolerated and costs only itself.
-	torn := disk.Bytes()[:disk.Len()-5]
-	tl2, err := ReadTraceLog(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("torn sidecar rejected: %v", err)
-	}
-	if len(tl2.Recs) != len(tl.Recs)-1 {
-		t.Fatalf("torn sidecar kept %d records, want %d", len(tl2.Recs), len(tl.Recs)-1)
-	}
-
-	// Garbage is rejected cleanly.
-	if _, err := ReadTraceLog(bytes.NewReader([]byte("BOGUS sidecar"))); err == nil {
-		t.Fatal("bogus magic accepted")
-	}
-}
-
 func TestChromeForestExport(t *testing.T) {
 	// Island A evaluates and emigrates; island B links the migrant in.
 	a := NewCollector(CollectorConfig{RunID: 1, Rate: 1})
@@ -319,5 +249,3 @@ func TestChromeForestExport(t *testing.T) {
 		t.Fatalf("emigrant flow id %q does not meet migrant flow id %q — the cross-island arrow is broken", flowStart, flowFinish)
 	}
 }
-
-var _ io.WriterTo = (*TraceLog)(nil)

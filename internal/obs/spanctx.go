@@ -12,9 +12,8 @@ import "math"
 //
 // Ids are minted deterministically — a splitmix64-style hash of
 // (run id, lineage-root item id) — so an offline replay of the same
-// BMEL event log re-mints the identical context for every evaluation.
-// That is what lets TracesFromLog reproduce a live trace forest
-// byte-for-byte without the ids ever being recorded.
+// BMEL event log re-mints the identical context for every evaluation,
+// without the ids ever being recorded.
 type SpanContext struct {
 	TraceID uint64
 	SpanID  uint64

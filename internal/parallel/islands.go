@@ -51,9 +51,10 @@ type IslandsResult struct {
 	IslandElapsed []float64
 	// Migrants is the number of archive members exchanged.
 	Migrants uint64
-	// MergedFront is the ε-nondominated union of all island
-	// archives (objective vectors).
-	MergedFront [][]float64
+	// MergedArchive is the ε-nondominated union of all island
+	// archives, and MergedFront its objective vectors.
+	MergedArchive *core.Archive
+	MergedFront   [][]float64
 
 	// MeanTA and MeanTF are the observed timing means across all
 	// islands; TASamples and TFSamples hold the raw samples (island-
@@ -144,6 +145,7 @@ func RunIslands(cfg IslandsConfig) (*IslandsResult, error) {
 
 	// Merge: ε-nondominated union of all island archives, via the same
 	// helper the federation (and its replays) use.
-	res.MergedFront = federation.MergeArchives(base.Algorithm.Epsilons, res.Islands).Objectives()
+	res.MergedArchive = federation.MergeArchives(base.Algorithm.Epsilons, res.Islands)
+	res.MergedFront = res.MergedArchive.Objectives()
 	return res, nil
 }

@@ -137,9 +137,8 @@ type Config struct {
 	// the master mints span contexts at grant time, the drivers feed
 	// the collector the paper's model terms (T_C send/recv, queue
 	// wait, T_F, T_A) per item, and Collector.Forest assembles the
-	// span trees (see internal/obs). The sidecar (Collector.TraceLog)
-	// plus the Protocol log reconstruct the same forest offline via
-	// obs.TracesFromLog. Honored by the async drivers; nil disables.
+	// span trees (see internal/obs). Traces are live only: nothing
+	// records them. Honored by the async drivers; nil disables.
 	Trace *obs.Collector
 	// Quality, when set, samples the run's search health (incremental
 	// hypervolume, ε-progress, operator adaptation — see

@@ -1,13 +1,12 @@
-// Package reclog is the one record container under the repo's binary
-// run artefacts: the master event log (BMEL, internal/master), a run's
-// record, and the trace sidecar (BTRC, internal/obs) of the span
-// durations a replay cannot reproduce. Both are
+// Package reclog is the record container under the master event log
+// (BMEL, internal/master), a run's one binary record:
 //
 //	magic (4 bytes) | version u8 | format header | fixed-width records
 //
-// and differ only in their header and record fields, which the formats
-// encode and decode themselves. The package imports nothing from the
-// repo.
+// The format encodes and decodes its own header and record fields. A
+// federated run adds one migrant log per island, which is wire frames
+// (internal/federation), not a container. The package imports nothing
+// from the repo.
 package reclog
 
 import (

@@ -10,9 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/reclog"
+	"borgmoea/internal/wire"
 )
 
 var testFormat = reclog.Format{Name: "test: log", Magic: "TEST", Version: 7}
@@ -209,11 +210,20 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestReadersBufferInternally: handing a log reader a bare file must
-// cost one read per buffer, not one per record.
+// migrantLog is a migrant log of n migrants, one per epoch.
+func migrantLog(n int) *federation.MigrantLog {
+	l := federation.NewMigrantLog()
+	for i := 1; i <= n; i++ {
+		l.Record(&wire.Migrant{Island: 1, Epoch: uint64(i), SolID: uint64(i), Vars: []float64{0.5}, Objs: []float64{1, 2}})
+	}
+	return l
+}
+
+// TestReadersBufferInternally: handing a run-record reader (an event
+// log, a migrant log) a bare file must cost one read per buffer, not
+// one per record.
 func TestReadersBufferInternally(t *testing.T) {
 	const n = 100_000
-	tl := &obs.TraceLog{RunID: 1, Rate: 1, Recs: make([]obs.TraceRec, n)}
 	ml := &master.Log{Meta: master.LogMeta{Budget: n, Run: &master.RunHeader{Spec: &master.Spec{Problem: "ZDT1", Evaluations: n}}},
 		Events: make([]master.Event, n)}
 	for i := range ml.Events {
@@ -223,12 +233,12 @@ func TestReadersBufferInternally(t *testing.T) {
 		write func(io.Writer) (int64, error)
 		read  func(io.Reader) (int, error)
 	}{
-		"BTRC": {tl.WriteTo, func(r io.Reader) (int, error) {
-			l, err := obs.ReadTraceLog(r)
+		"migrants": {migrantLog(n).WriteTo, func(r io.Reader) (int, error) {
+			l, err := federation.ReadMigrantLog(r)
 			if err != nil {
 				return 0, err
 			}
-			return len(l.Recs), nil
+			return l.Len(), nil
 		}},
 		"BMEL": {ml.WriteTo, func(r io.Reader) (int, error) {
 			l, err := master.ReadLog(r)
@@ -307,20 +317,6 @@ func TestGoldenFilesRoundTrip(t *testing.T) {
 			t.Fatal("re-streamed BMEL differs from the recorded file's consistent prefix")
 		}
 	})
-	t.Run("BTRC", func(t *testing.T) {
-		raw := golden(t, "trace.btrc")
-		l, err := obs.ReadTraceLog(bytes.NewReader(raw))
-		if err != nil || len(l.Recs) == 0 {
-			t.Fatalf("%d records, err %v", len(l.Recs), err)
-		}
-		var out bytes.Buffer
-		if _, err := l.WriteTo(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), raw) {
-			t.Fatal("re-serialised BTRC differs from the recorded file")
-		}
-	})
 	t.Run("BMEL version 2", func(t *testing.T) {
 		raw := golden(t, "run.bmel")
 		l, err := master.ReadLog(bytes.NewReader(raw))
@@ -340,7 +336,8 @@ func TestGoldenFilesRoundTrip(t *testing.T) {
 	})
 }
 
-// codecs are the two formats as read → write functions over bytes.
+// codecs are the two files of a run record, the event log and the
+// migrant log, as read → write functions over bytes.
 var codecs = map[string]func([]byte) ([]byte, error){
 	"BMEL": func(data []byte) ([]byte, error) {
 		l, err := master.ReadLog(bytes.NewReader(data))
@@ -351,8 +348,8 @@ var codecs = map[string]func([]byte) ([]byte, error){
 		_, err = l.WriteTo(&out)
 		return out.Bytes(), err
 	},
-	"BTRC": func(data []byte) ([]byte, error) {
-		l, err := obs.ReadTraceLog(bytes.NewReader(data))
+	"migrants": func(data []byte) ([]byte, error) {
+		l, err := federation.ReadMigrantLog(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
@@ -362,12 +359,15 @@ var codecs = map[string]func([]byte) ([]byte, error){
 	},
 }
 
-// FuzzContainer runs every input through both formats: no reader
+// FuzzContainer runs every input through both files: no reader
 // panics, and whatever one accepts re-encodes to bytes that read back
 // and re-encode to themselves (NaN-safe, unlike comparing floats).
 func FuzzContainer(f *testing.F) {
-	for _, name := range []string{"batch.bmel", "streamed-torn.bmel", "trace.btrc", "run.bmel"} {
-		raw := golden(f, name)
+	var migrants bytes.Buffer
+	if _, err := migrantLog(3).WriteTo(&migrants); err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range [][]byte{golden(f, "batch.bmel"), golden(f, "streamed-torn.bmel"), migrants.Bytes(), golden(f, "run.bmel")} {
 		f.Add(raw)
 		f.Add(raw[:len(raw)-3])
 	}
@@ -428,8 +428,12 @@ func TestNoHandRolledRecordCodecs(t *testing.T) {
 // builds a .qlog path or writes a spec.json is a second copy of what
 // the log's header and its replay hold. The one exception is the
 // legacy read of a state directory an older job scheduler wrote.
+// Traces are live only: a file that names the retired BTRC trace
+// sidecar or builds an island "trace" path records them beside the
+// log.
 func TestOneRunRecord(t *testing.T) {
 	retired := regexp.MustCompile(`BQLG|"qlog"|\.qlog\b`)
+	sidecar := regexp.MustCompile(`BTRC|IslandPath\([^)]*"trace"\)|island-(<i>|%d|\d+)\.trace\b`)
 	specWrite := regexp.MustCompile(`(?i)(write|create).*spec\.json|spec\.json.*(write|create)`)
 	legacyRead := filepath.Join("internal", "jobs", "checkpoint.go")
 	root := filepath.Join("..", "..")
@@ -445,6 +449,9 @@ func TestOneRunRecord(t *testing.T) {
 			rel, _ := filepath.Rel(root, path)
 			if m := retired.Find(src); m != nil {
 				t.Errorf("%s names %s: a run's quality timeline is its event log's replay", rel, m)
+			}
+			if m := sidecar.Find(src); m != nil {
+				t.Errorf("%s names %s: traces are live only (borg -trace)", rel, m)
 			}
 			if m := specWrite.Find(src); m != nil {
 				t.Errorf("%s writes a spec file (%q): a run's spec is its event log's header", rel, m)

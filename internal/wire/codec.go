@@ -77,7 +77,6 @@ const (
 	TagPing     = master.TagPing
 	TagPong     = master.TagPong
 	TagMigrant  = master.TagMigrant
-	TagDelta    = master.TagDelta
 )
 
 // Message is one protocol message. Implementations are the exported
@@ -176,27 +175,6 @@ type Migrant struct {
 	Trace obs.SpanContext
 }
 
-// DeltaMember is one archive member inside a Delta batch.
-type DeltaMember struct {
-	Operator int32
-	Vars     []float64
-	Objs     []float64
-	Constrs  []float64
-}
-
-// Delta carries a batch of archive members from an island master up
-// to the federation root, which folds them into the global ε-archive
-// for live monitoring. Seq orders a single island's deltas; Completed
-// is the island's accepted-evaluation count when the batch was cut.
-// Deltas are monitoring traffic only — the root never feeds anything
-// back — so they do not participate in replay.
-type Delta struct {
-	Island    uint32
-	Seq       uint64
-	Completed uint64
-	Members   []DeltaMember
-}
-
 // Ping and Pong are heartbeat probes exchanged by the connection layer
 // whenever a link is otherwise idle; they never surface from Recv.
 type (
@@ -212,7 +190,6 @@ func (Stop) Tag() Tag      { return TagStop }
 func (Ping) Tag() Tag      { return TagPing }
 func (Pong) Tag() Tag      { return TagPong }
 func (*Migrant) Tag() Tag  { return TagMigrant }
-func (*Delta) Tag() Tag    { return TagDelta }
 
 // --- encoding -------------------------------------------------------
 
@@ -271,21 +248,6 @@ func (m *Migrant) appendBody(dst []byte) []byte {
 	dst = appendF64s(dst, m.Vars)
 	dst = appendF64s(dst, m.Objs)
 	return appendF64s(dst, m.Constrs)
-}
-
-func (m *Delta) appendBody(dst []byte) []byte {
-	dst = appendU32(dst, m.Island)
-	dst = appendU64(dst, m.Seq)
-	dst = appendU64(dst, m.Completed)
-	dst = appendU32(dst, uint32(len(m.Members)))
-	for i := range m.Members {
-		dm := &m.Members[i]
-		dst = appendU32(dst, uint32(dm.Operator))
-		dst = appendF64s(dst, dm.Vars)
-		dst = appendF64s(dst, dm.Objs)
-		dst = appendF64s(dst, dm.Constrs)
-	}
-	return dst
 }
 
 // frameTrace returns the span context a message carries on the wire
@@ -377,8 +339,6 @@ func (r *bodyReader) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (r *bodyReader) f64s() []float64 { return r.f64sInto(nil) }
-
 // f64sInto decodes a float64 slice, reusing dst's backing array when
 // its capacity suffices. Empty slices decode as nil — the canonical
 // form every other decode path produces — which drops dst.
@@ -463,7 +423,7 @@ func DecodeFrame(payload []byte) (Message, error) {
 
 // DecodeFrameInto is DecodeFrame with allocation reuse: the hot-path
 // messages decode into sc's scratch structs (see DecodeScratch for the
-// aliasing contract); everything else — handshake, control, Delta —
+// aliasing contract); everything else — handshake, control —
 // decodes fresh, exactly as DecodeFrame would. Accepted inputs, error
 // cases, and decoded values are identical to DecodeFrame's.
 func DecodeFrameInto(payload []byte, sc *DecodeScratch) (Message, error) {
@@ -581,28 +541,6 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 			Objs:     r.f64sInto(m.Objs),
 			Constrs:  r.f64sInto(m.Constrs),
 			Trace:    trace,
-		}
-		return r.finish(m)
-	case TagDelta:
-		m := &Delta{Island: r.u32(), Seq: r.u64(), Completed: r.u64()}
-		n := int(r.u32())
-		if r.err == nil {
-			// A member is at least an operator plus three empty slices;
-			// reject hostile counts before allocating.
-			const minMember = 4 + 3*4
-			if n*minMember > len(r.b) {
-				r.fail("delta member count %d exceeds remaining %d bytes", n, len(r.b))
-			} else if n > 0 {
-				m.Members = make([]DeltaMember, n)
-				for i := range m.Members {
-					m.Members[i] = DeltaMember{
-						Operator: int32(r.u32()),
-						Vars:     r.f64s(),
-						Objs:     r.f64s(),
-						Constrs:  r.f64s(),
-					}
-				}
-			}
 		}
 		return r.finish(m)
 	}

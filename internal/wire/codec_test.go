@@ -38,11 +38,6 @@ func sampleMessages() []Message {
 		&Evaluate{Lease: 11, SolID: 12, Vars: []float64{0.5}, Trace: obs.SpanContext{TraceID: 0xdead, SpanID: 0xbeef, Flags: obs.FlagSampled}},
 		&Result{Lease: 11, EvalNanos: 77, Objs: []float64{1}, Trace: obs.SpanContext{TraceID: 1, SpanID: 2}},
 		&Migrant{Island: 1, Epoch: 3, Objs: []float64{4}, Trace: obs.SpanContext{TraceID: math.MaxUint64, SpanID: math.MaxUint64, Flags: 0xff}},
-		&Delta{Island: 1, Seq: 5, Completed: 640},
-		&Delta{Island: 2, Seq: 1, Completed: 10, Members: []DeltaMember{
-			{Operator: 0, Vars: []float64{0.5}, Objs: []float64{1, 2}},
-			{Operator: -1, Objs: []float64{math.NaN()}, Constrs: []float64{3}},
-		}},
 	}
 }
 
@@ -133,16 +128,16 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	valid := AppendFrame(nil, &Evaluate{Lease: 1, Vars: []float64{1, 2, 3}})[4:]
 
 	cases := map[string][]byte{
-		"empty":        {},
-		"one byte":     {Version},
-		"short":        {Version, byte(TagStop), 0, 0, 0},
-		"bad crc":      flip(valid, len(valid)-1),
-		"bad body":     flip(valid, 10),
-		"version":      flip(valid, 0),
-		"trailing":     withCRC(append([]byte{Version, byte(TagStop)}, 0xff)),
-		"unknown":      withCRC([]byte{Version, 0x7f}),
-		"huge vars":    withCRC(append([]byte{Version, byte(TagEvaluate)}, hugeCountBody()...)),
-		"huge members": withCRC(append([]byte{Version, byte(TagDelta)}, hugeDeltaBody()...)),
+		"empty":       {},
+		"one byte":    {Version},
+		"short":       {Version, byte(TagStop), 0, 0, 0},
+		"bad crc":     flip(valid, len(valid)-1),
+		"bad body":    flip(valid, 10),
+		"version":     flip(valid, 0),
+		"trailing":    withCRC(append([]byte{Version, byte(TagStop)}, 0xff)),
+		"unknown":     withCRC([]byte{Version, 0x7f}),
+		"huge vars":   withCRC(append([]byte{Version, byte(TagEvaluate)}, hugeCountBody()...)),
+		"retired tag": withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)),
 		// Trace-header defects: a header on a tag that cannot carry
 		// one, a truncated header, a wrong header length, and the
 		// non-canonical zero trace id (the encoder emits Version 1 for
@@ -228,27 +223,52 @@ func evalBody() []byte {
 	return b
 }
 
-// hugeDeltaBody builds a Delta body whose member count claims far more
-// archive members than the body could hold — the decoder must reject
-// it before allocating.
-func hugeDeltaBody() []byte {
+// retiredDeltaTag is the tag byte of the Delta frame the federation's
+// merging root once received: TagMigrant+1, which no message holds now.
+const retiredDeltaTag = byte(TagMigrant) + 1
+
+// deltaBody builds a body in the retired Delta layout: island, seq,
+// completed, a member count and one member (operator, vars, objs,
+// constrs).
+func deltaBody() []byte {
 	var b []byte
-	b = appendU32(b, 1)     // island
-	b = appendU64(b, 1)     // seq
-	b = appendU64(b, 100)   // completed
-	b = appendU32(b, 1<<30) // member count
-	return b
+	b = appendU32(b, 1)   // island
+	b = appendU64(b, 1)   // seq
+	b = appendU64(b, 100) // completed
+	b = appendU32(b, 1)   // member count
+	b = appendU32(b, 0)   // operator
+	b = appendF64s(b, []float64{0.5})
+	b = appendF64s(b, []float64{1, 2})
+	return appendF64s(b, nil)
 }
 
-// TestDecodeTruncatedDelta hardens the nested delta decoder: a valid
-// multi-member frame cut at every byte offset is a clean error — never
-// a panic, never a partial message — and so is a frame whose inner
-// member slices over-claim.
+// TestDecodeTruncatedDelta: the Delta frame is retired, and its tag
+// byte, 9, stays unknown. A whole Delta frame and every truncation of
+// it fail to decode cleanly — never a panic, never a message — and the
+// whole frame fails as an unknown tag.
 func TestDecodeTruncatedDelta(t *testing.T) {
-	frame := AppendFrame(nil, &Delta{Island: 9, Seq: 3, Completed: 512, Members: []DeltaMember{
-		{Operator: 1, Vars: []float64{0.1, 0.2, 0.3}, Objs: []float64{1, 2}},
-		{Operator: -1, Vars: []float64{0.4}, Objs: []float64{3, 4}, Constrs: []float64{0}},
-	}})[4:]
+	if retiredDeltaTag != 9 {
+		t.Fatalf("retired Delta tag is %d, want 9: a tag value moved", retiredDeltaTag)
+	}
+	content := append([]byte{Version, retiredDeltaTag}, deltaBody()...)
+	for cut := 2; cut <= len(content); cut++ {
+		m, err := DecodeFrame(withCRC(content[:cut]))
+		if err == nil || m != nil {
+			t.Fatalf("Delta frame cut at %d decoded to %v, %v; want an error", cut, m, err)
+		}
+		if cut == len(content) && !strings.Contains(err.Error(), "unknown message tag 9") {
+			t.Fatalf("whole Delta frame: %v, want an unknown-tag error", err)
+		}
+	}
+}
+
+// TestDecodeTruncatedMigrant hardens the migrant decoder, the one
+// message with three float slices: a valid frame cut at every byte
+// offset is a clean error — never a panic, never a partial message —
+// and so is a frame whose inner slice over-claims.
+func TestDecodeTruncatedMigrant(t *testing.T) {
+	frame := AppendFrame(nil, &Migrant{Island: 9, Epoch: 3, SolID: 512, Operator: 1,
+		Vars: []float64{0.1, 0.2, 0.3}, Objs: []float64{1, 2}, Constrs: []float64{0}})[4:]
 	// Raw truncations trip the CRC; re-checksummed truncations reach
 	// the body decoder. Both must fail cleanly at every cut point.
 	content := frame[:len(frame)-4]
@@ -266,16 +286,15 @@ func TestDecodeTruncatedDelta(t *testing.T) {
 			t.Fatalf("truncated body at %d returned non-nil message", cut)
 		}
 	}
-	// Inner member slice over-claims: member 2's objs count says 1<<20.
+	// Inner slice over-claims: the objs count says 1<<20.
 	var b []byte
 	b = appendU32(b, 1)     // island
-	b = appendU64(b, 1)     // seq
-	b = appendU64(b, 1)     // completed
-	b = appendU32(b, 1)     // member count
+	b = appendU64(b, 1)     // epoch
+	b = appendU64(b, 1)     // sol id
 	b = appendU32(b, 0)     // operator
 	b = appendU32(b, 0)     // vars: empty
 	b = appendU32(b, 1<<20) // objs: hostile count
-	if m, err := DecodeFrame(withCRC(append([]byte{Version, byte(TagDelta)}, b...))); err == nil {
+	if m, err := DecodeFrame(withCRC(append([]byte{Version, byte(TagMigrant)}, b...))); err == nil {
 		t.Fatalf("hostile inner count accepted: %v", m)
 	}
 }

@@ -36,6 +36,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{Version + 1, byte(TagStop), 0, 0, 0, 0})
 	f.Add(withCRC([]byte{Version, 0xee}))
 	f.Add(withCRC(append([]byte{Version, byte(TagEvaluate)}, hugeCountBody()...)))
+	// The retired Delta tag, bare and with a body in its old layout.
+	f.Add(withCRC([]byte{Version, retiredDeltaTag}))
+	f.Add(withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := DecodeFrame(payload)
@@ -129,31 +132,30 @@ func FuzzDecodeTraced(f *testing.F) {
 }
 
 // FuzzDecodeFederation focuses the same decoder invariants on the
-// federation frames (Migrant, Delta), whose nested member layout has
-// more length fields — and therefore more truncation and over-claim
-// shapes — than the flat worker-protocol messages. CI runs this as a
+// federation's Migrant frame, whose three float slices and trace
+// header have more length fields — and therefore more truncation and
+// over-claim shapes — than the flat worker-protocol messages, and on
+// the retired Delta tag, which must stay unknown. CI runs this as a
 // second fuzz smoke.
 func FuzzDecodeFederation(f *testing.F) {
 	seeds := []Message{
 		&Migrant{Island: 1, Epoch: 2, SolID: 3, Operator: 4, Vars: []float64{0.5, 0.25}, Objs: []float64{1, 2, 3}},
 		&Migrant{Operator: -1, Constrs: []float64{0}},
-		&Delta{Island: 2, Seq: 9, Completed: 4096},
-		&Delta{Island: 1, Seq: 1, Completed: 64, Members: []DeltaMember{
-			{Operator: 5, Vars: []float64{0.1}, Objs: []float64{2, 4}},
-			{Operator: -1, Objs: []float64{8, 16}, Constrs: []float64{1}},
-		}},
+		&Migrant{Island: 2, Epoch: 9, SolID: 4096, Operator: 5, Vars: []float64{0.1, 0.2, 0.3},
+			Objs: []float64{2, 4, 8}, Constrs: []float64{1}, Trace: obs.SpanContext{TraceID: 7, SpanID: 8, Flags: obs.FlagSampled}},
 	}
 	for _, m := range seeds {
 		f.Add(AppendFrame(nil, m)[4:])
 	}
-	valid := AppendFrame(nil, seeds[3])[4:]
+	valid := AppendFrame(nil, seeds[2])[4:]
 	for cut := 0; cut <= len(valid); cut += 2 {
 		f.Add(valid[:cut])
 	}
 	for i := 0; i < len(valid); i += 3 {
 		f.Add(flip(valid, i))
 	}
-	f.Add(withCRC(append([]byte{Version, byte(TagDelta)}, hugeDeltaBody()...)))
+	f.Add(withCRC([]byte{Version, retiredDeltaTag}))
+	f.Add(withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := DecodeFrame(payload)

@@ -377,7 +377,7 @@ func TickInterval(lease time.Duration) time.Duration {
 }
 
 // FrameSink is a handshake-less listener: each connection is a one-way
-// stream of frames (a ring predecessor's migrants, the root's deltas).
+// stream of frames (a ring predecessor's migrants).
 type FrameSink struct {
 	ln    net.Listener
 	wg    sync.WaitGroup
