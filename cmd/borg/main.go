@@ -592,8 +592,14 @@ func writeTrace(logger *slog.Logger, path string, tracers []*borgmoea.TraceColle
 	}
 	total := all.Attribution()
 	printAttribution("total", total)
-	if denom := total.TCSend.Mean + total.TCRecv.Mean + total.TA.Mean; total.TF.N > 0 && denom > 0 {
-		fmt.Printf("empirical ceiling: P_UB = tf.mean/(tc.send.mean+tc.recv.mean+ta.mean) = %.1f\n", total.TF.Mean/denom)
+	// Eq. 3 charges two T_C per evaluation. A socket master meters no
+	// receive (tc.recv has no samples), so its send counts twice.
+	tc, terms := total.TCSend.Mean+total.TCRecv.Mean, "tc.send.mean+tc.recv.mean"
+	if total.TCRecv.N == 0 {
+		tc, terms = 2*total.TCSend.Mean, "2*tc.send.mean"
+	}
+	if denom := tc + total.TA.Mean; total.TF.N > 0 && denom > 0 {
+		fmt.Printf("empirical ceiling: P_UB = tf.mean/(%s+ta.mean) = %.1f\n", terms, total.TF.Mean/denom)
 	}
 	logger.Info("trace written", "path", path, "traces", len(all), "dropped", dropped)
 	return nil

@@ -214,9 +214,13 @@ func TestScripts(t *testing.T) {
 		// The virtual master charges counted work, not the wall clock, so
 		// the same seed records the same event log, virtual times included.
 		for _, v := range []string{"v", "v2"} {
-			tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
+			out := tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
 				"-event-log", v+".bmel", "-advise-out", v+".adv.jsonl",
 				"-trace", v+".trace.json", "-out", v+".json")...)
+			// The virtual master meters both T_C of Eq. 3.
+			if want := "empirical ceiling: P_UB = tf.mean/(tc.send.mean+tc.recv.mean+ta.mean) = "; !strings.Contains(out, want) {
+				t.Fatalf("borg -parallel 8 -trace: no %q in the report\n%s", want, out)
+			}
 		}
 		tl.same("v.bmel", "v2.bmel")
 		tl.chromeTF("v.trace.json")
@@ -257,10 +261,14 @@ func TestScripts(t *testing.T) {
 		// when the master sends Stop.
 		addr := freeAddr(t)
 		worker := tl.start("borgd", "-connect", addr, "-quiet")
-		tl.ok("borg", with("-transport", "tcp", "-listen", addr, "-evals", "600", "-wall-limit", "60s",
+		out := tl.ok("borg", with("-transport", "tcp", "-listen", addr, "-evals", "600", "-wall-limit", "60s",
 			"-event-log", "tcp.bmel", "-trace", "tcp.trace.json", "-out", "tcp.json")...)
 		if err := worker.Wait(); err != nil {
 			t.Fatalf("borgd: %v", err)
+		}
+		// The socket master meters no receive: Eq. 3's two T_C are two sends.
+		if want := "empirical ceiling: P_UB = tf.mean/(2*tc.send.mean+ta.mean) = "; !strings.Contains(out, want) {
+			t.Fatalf("borg -transport tcp -trace: no %q in the report\n%s", want, out)
 		}
 		tl.chromeTF("tcp.trace.json")
 		tl.ok("borg", "-replay", "tcp.bmel", "-out", "tcp.replay.json")

@@ -337,13 +337,15 @@ sweep:
 				dirty = true
 			}
 		default:
-			// Equal sums (rare): either direction is still possible,
-			// so run both full tests.
+			// Equal sums, common on a front whose boxes lie on a
+			// simplex or sphere: either direction is still possible
+			// (float rounding can hide a strict difference), so each
+			// full test runs where its lane signatures allow it.
 			box := data[i*m : i*m+m : i*m+m]
-			if boxDominates(box, cand) {
+			if lanesLE(sigs[i], sig) && boxDominates(box, cand) {
 				return false
 			}
-			if boxDominates(cand, box) {
+			if lanesLE(sig, sigs[i]) && boxDominates(cand, box) {
 				a.marks[i] = true
 				dirty = true
 			}

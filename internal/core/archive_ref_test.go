@@ -206,9 +206,11 @@ func checkArchivesEqual(t *testing.T, step int, a *Archive, ref *refArchive) {
 
 // diffStream drives both archives with an identical solution stream
 // derived from the seed, mixing feasible and infeasible solutions,
-// clustered points (same-box duels, corner-distance ties) and exact
-// duplicates.
-func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) {
+// clustered points (same-box duels, corner-distance ties), exact
+// duplicates and rotations (equal box sums in other boxes). It returns
+// how many times a feasible candidate met a member in another box with
+// the same coordinate sum: the sweep's equal-sum case.
+func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) (equalSums int) {
 	t.Helper()
 	r := rng.New(seed)
 	a := NewArchive(UniformEpsilons(m, eps), 6)
@@ -227,6 +229,11 @@ func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) {
 			for i := range s.Objs {
 				s.Objs[i] = prev.Objs[i] + (r.Float64()-0.5)*eps*0.5
 			}
+		case mode == 3 && prev != nil:
+			// An earlier candidate rotated by one objective: under a
+			// uniform ε its box has the same coordinate sum.
+			copy(s.Objs, prev.Objs[1:])
+			s.Objs[m-1] = prev.Objs[0]
 		case mode == 2:
 			// Infeasible with a coarse violation level (coarse so
 			// equal-violation rejections occur).
@@ -240,6 +247,18 @@ func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) {
 			}
 		}
 		prev = s
+		if s.Violation() == 0 {
+			box := a.box(s)
+			sum := 0.0
+			for _, b := range box {
+				sum += float64(b)
+			}
+			for i, si := range a.sums {
+				if si == sum && !boxEqual(a.boxAt(i), box) {
+					equalSums++
+				}
+			}
+		}
 		got, want := a.Add(s), ref.Add(s)
 		if got != want {
 			t.Fatalf("seed %d step %d: Add=%v ref=%v objs=%v constrs=%v",
@@ -247,6 +266,7 @@ func diffStream(t *testing.T, seed uint64, m int, eps float64, steps int) {
 		}
 		checkArchivesEqual(t, step, a, ref)
 	}
+	return equalSums
 }
 
 // TestArchiveMatchesReference is the differential property harness: on
@@ -270,18 +290,48 @@ func TestArchiveMatchesReference(t *testing.T) {
 // values, so the seed corpus keeps the original ε = 0.1.
 var archiveEpsilons = []float64{0.1, 0.25, 0.05, 0.001}
 
+// archiveFuzzSeeds is FuzzArchiveEquivalence's seed corpus.
+var archiveFuzzSeeds = []struct {
+	seed uint64
+	dims uint8
+}{
+	{1, 2},
+	{42, 5},
+	{7, 9},
+	{11, 3*9 + 4}, // ε = 0.001: clamped lanes
+	{5, 9 + 4},    // ε = 0.25: coarse boxes, many equal sums
+}
+
+// fuzzArchive is one FuzzArchiveEquivalence input: the dims byte picks
+// the objective count and ε.
+func fuzzArchive(t *testing.T, seed uint64, dims uint8) int {
+	m := 1 + int(dims%9)
+	eps := archiveEpsilons[int(dims/9)%len(archiveEpsilons)]
+	return diffStream(t, seed, m, eps, 200)
+}
+
 // FuzzArchiveEquivalence lets the fuzzer hunt for divergence between
 // the indexed archive and the reference implementation.
 func FuzzArchiveEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(2))
-	f.Add(uint64(42), uint8(5))
-	f.Add(uint64(7), uint8(9))
-	f.Add(uint64(11), uint8(3*9+4)) // ε = 0.001: clamped lanes
-	f.Fuzz(func(t *testing.T, seed uint64, dims uint8) {
-		m := 1 + int(dims%9)
-		eps := archiveEpsilons[int(dims/9)%len(archiveEpsilons)]
-		diffStream(t, seed, m, eps, 200)
-	})
+	for _, c := range archiveFuzzSeeds {
+		f.Add(c.seed, c.dims)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, dims uint8) { fuzzArchive(t, seed, dims) })
+}
+
+// TestArchiveFuzzSeedsMeetEqualSums: every seed of the fuzz corpus
+// with more than one objective sends candidates against members in
+// other boxes with the same coordinate sum, so the sweep's equal-sum
+// case, and its lane prefilter, face the reference from the start.
+func TestArchiveFuzzSeedsMeetEqualSums(t *testing.T) {
+	for _, c := range archiveFuzzSeeds {
+		if c.dims%9 == 0 {
+			continue // one objective: an equal sum is the same box
+		}
+		if n := fuzzArchive(t, c.seed, c.dims); n == 0 {
+			t.Errorf("seed %d dims %d: no equal-sum pair in another box", c.seed, c.dims)
+		}
+	}
 }
 
 // TestArchiveAddNoAllocs pins the steady-state allocation discipline:

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"borgmoea/internal/problems"
 	"borgmoea/internal/rng"
 )
 
@@ -46,6 +47,28 @@ func TestArchiveRemovesDominatedMembers(t *testing.T) {
 	}
 	if a.Members()[0].Objs[0] != 0.1 {
 		t.Fatal("wrong member survived")
+	}
+}
+
+// TestArchiveEqualSumDominance: past 2^53 a float64 coordinate sum
+// rounds, so box (2^53, 0) dominates box (2^53, 1) although the sums
+// are equal. The sweep's equal-sum case must still test both
+// directions, in either arrival order.
+func TestArchiveEqualSumDominance(t *testing.T) {
+	const big = 1 << 53
+	if float64(big)+0 != float64(big)+1 {
+		t.Fatal("the sums do not round together")
+	}
+	loser, winner := sol(big, 1), sol(big, 0)
+	a := newTestArchive(1, 2)
+	a.Add(loser)
+	if !a.Add(winner) || a.Size() != 1 || a.Members()[0] != winner {
+		t.Fatalf("the dominating box did not displace the member: %d members", a.Size())
+	}
+	b := newTestArchive(1, 2)
+	b.Add(winner)
+	if b.Add(loser) || b.Size() != 1 {
+		t.Fatalf("the dominated box was accepted: %d members", b.Size())
 	}
 }
 
@@ -338,8 +361,49 @@ func benchArchive(size int) (*Archive, []*Solution) {
 	return a, pts
 }
 
-func benchmarkAdd(b *testing.B, size int) {
-	a, pts := benchArchive(size)
+// benchArchiveDTLZ2 builds the archive of DTLZ2_5 evaluations at
+// ε = 0.15, the benchmark workloads' setting, and a candidate stream
+// like benchArchive's. The front is a sphere octant, so its boxes'
+// coordinate sums cluster: most members share their sum with many
+// others, and the sweep's equal-sum case is the common one.
+func benchArchiveDTLZ2() (*Archive, []*Solution) {
+	const eps = 0.15
+	r := rng.New(1)
+	p := problems.NewDTLZ2(5)
+	near := func(pos []float64) *Solution {
+		vars := make([]float64, p.NumVars())
+		copy(vars, pos)
+		for j := len(pos); j < len(vars); j++ {
+			vars[j] = 0.5 + 0.1*(r.Float64()-0.5)
+		}
+		objs := make([]float64, 5)
+		p.Evaluate(vars, objs)
+		return &Solution{Vars: vars, Objs: objs}
+	}
+	fresh := func() *Solution {
+		return near([]float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()})
+	}
+	a := NewArchive(UniformEpsilons(5, eps), 6)
+	for i := 0; i < 20000; i++ {
+		a.Add(fresh())
+	}
+	pts := make([]*Solution, 1024)
+	for i := range pts {
+		if i%3 != 0 {
+			parent := a.Members()[r.Intn(a.Size())]
+			pos := make([]float64, 4)
+			for j := range pos {
+				pos[j] = min(max(parent.Vars[j]+0.02*(r.Float64()-0.5), 0), 1)
+			}
+			pts[i] = near(pos)
+		} else {
+			pts[i] = fresh()
+		}
+	}
+	return a, pts
+}
+
+func benchmarkAdd(b *testing.B, a *Archive, pts []*Solution) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,9 +414,14 @@ func benchmarkAdd(b *testing.B, size int) {
 func BenchmarkArchiveAdd(b *testing.B) {
 	for _, size := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			benchmarkAdd(b, size)
+			a, pts := benchArchive(size)
+			benchmarkAdd(b, a, pts)
 		})
 	}
+	b.Run("dtlz2_5,eps=0.15", func(b *testing.B) {
+		a, pts := benchArchiveDTLZ2()
+		benchmarkAdd(b, a, pts)
+	})
 }
 
 // BenchmarkArchiveAddReference runs the identical workload through the

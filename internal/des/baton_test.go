@@ -27,8 +27,8 @@ func TestRunUntilBoundsBatonHolder(t *testing.T) {
 	if len(holds) != 3 || holds[2] != 3 || len(callbacks) != 1 || callbacks[0] != 2.5 {
 		t.Fatalf("by t=3: holds %v callbacks %v, want [1 2 3] and [2.5]", holds, callbacks)
 	}
-	if len(e.events) == 0 {
-		t.Fatal("events after the limit were dropped")
+	if e.pending() != 2 {
+		t.Fatalf("%d events after the limit, want the hold and the callback", e.pending())
 	}
 	e.Run()
 	if len(holds) != 6 || len(callbacks) != 2 || e.Now() != 6 {
@@ -115,7 +115,7 @@ func TestShutdownUnwindsEveryParkedState(t *testing.T) {
 			t.Errorf("%s not unwound", name)
 		}
 	}
-	if len(e.events) > 0 {
+	if e.pending() > 0 {
 		t.Error("events pending after Shutdown")
 	}
 	waitGoroutines(t, base)

@@ -84,7 +84,7 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("canceled event still ran")
 	}
-	if len(e.events) > 0 {
+	if e.pending() > 0 {
 		t.Fatal("events queued after cancel + run")
 	}
 }

@@ -4,16 +4,18 @@
 // master/worker interaction) and this repository's virtual cluster,
 // which executes the real Borg MOEA under virtual time.
 //
-// Events sit in a priority queue ordered by virtual time (ties broken
-// FIFO by scheduling order). There is no engine goroutine: the event
-// loop runs on whichever goroutine holds the baton, exactly one at any
-// instant, so simulation code may touch engine and shared simulation
-// state without locks. The Run/RunUntil/Step caller starts with it. A
-// process that parks keeps it and pops events itself: its own wake
-// makes it return with no goroutine switch, callback events it runs
-// inline, another process's wake gets the baton handed straight over,
-// and only with nothing left inside the run's limit does the baton go
-// back to the Run caller. A callback may thus run on any goroutine of
+// Events run in virtual-time order, ties broken FIFO by scheduling
+// order. They wait in one of three queues: a FIFO of events due at the
+// current instant, a heap of Process.Hold wakes (one per holding
+// process) and a heap of every other later event; see Engine. There is
+// no engine goroutine: the event loop runs on whichever goroutine
+// holds the baton, exactly one at any instant, so simulation code may
+// touch engine and shared simulation state without locks. The
+// Run/RunUntil/Step caller starts with it. A process that parks keeps
+// it and pops events itself: its own wake makes it return with no
+// goroutine switch, callback events it runs inline, another process's
+// wake gets the baton handed straight over, and only with nothing left
+// inside the run's limit does the baton go back to the Run caller. A callback may thus run on any goroutine of
 // the simulation; it may schedule events and wake or start processes,
 // but must not block — it has no process of its own to park.
 package des
@@ -34,9 +36,22 @@ type event struct {
 	call func(any)
 	arg  any
 	proc *Process
-	idx  int // position of the slot's entry in Engine.events
 	gen  uint64
+	// idx is the position of the slot's entry in its heap or, queued in
+	// the due-now FIFO, the next slot in line (-1 at the tail). As an
+	// int32 it shares a word with in, so a slot stays 56 bytes.
+	idx int32
+	in  queue
 }
+
+// queue says where a slot waits.
+type queue uint8
+
+const (
+	inHeap queue = iota // Engine.events or Engine.holds
+	inNow               // the due-now FIFO
+	inVoid              // canceled in the FIFO; freed when the FIFO reaches it
+)
 
 // entry is one heap element: an event's key and its slot. It holds no
 // pointers, so sifting it is plain memory traffic — no GC write
@@ -55,12 +70,27 @@ func (a *entry) before(b *entry) bool {
 // Engine is a discrete-event simulator. An Engine and everything
 // scheduled on it must be used from a single simulation domain: the
 // goroutine that calls Run, or simulation code running under it.
+//
+// An event due at the current instant (a zero delay: a delivery, a
+// server or process wake) joins the due-now FIFO, with no key and no
+// sift; a Process.Hold wake due later joins the holds heap, which has
+// at most one entry per process; any other later event joins the
+// events heap. The next event is the (at, seq) minimum of the two
+// heaps if that is due now, else the FIFO head, else that minimum.
+// This is exactly the one-heap order: a heap entry due now was queued
+// before time reached now, so its seq is smaller than that of every
+// FIFO entry, all of which were queued at now; and time cannot advance
+// while the FIFO holds an event.
 type Engine struct {
 	now    Time
-	events []entry // binary min-heap on (at, seq)
-	slab   []event // event storage, indexed by entry.slot
-	free   []int   // recycled slots
-	seq    uint64
+	events []entry // later events but Hold wakes: binary min-heap on (at, seq)
+	holds  []entry // later Process.Hold wakes: binary min-heap on (at, seq)
+	// head and tail are the ends of the due-now FIFO, threaded through
+	// event.idx; head is -1 when it is empty.
+	head, tail int
+	slab       []event // event storage, indexed by entry.slot
+	free       []int   // recycled slots
+	seq        uint64
 	// limit and quota bound the current run wherever the baton is: no
 	// event after limit runs, and at most quota more.
 	limit Time
@@ -76,7 +106,7 @@ type Engine struct {
 
 // New returns an empty simulation at time 0.
 func New() *Engine {
-	return &Engine{root: make(chan struct{}, 1)}
+	return &Engine{head: -1, root: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -120,18 +150,26 @@ type Handle struct {
 
 // Cancel prevents the event from running and takes it out of the queue
 // at once. Canceling an already-run or already-canceled event is a
-// no-op, also once the engine has reused the event's slot.
+// no-op, also once the engine has reused the event's slot. An event
+// due now leaves a void slot in the FIFO, freed when the FIFO reaches
+// it: before time next advances.
 func (h Handle) Cancel() {
-	if e := h.eng; e != nil && e.slab[h.slot].gen == h.gen {
-		e.remove(e.slab[h.slot].idx)
-		e.recycle(h.slot)
+	e := h.eng
+	if e == nil || e.slab[h.slot].gen != h.gen {
+		return
+	}
+	if ev := e.release(h.slot); ev.in == inNow {
+		ev.in = inVoid
+	} else { // a Handle is never a Hold wake's
+		e.remove(&e.events, int(ev.idx))
+		e.free = append(e.free, h.slot)
 	}
 }
 
 // Schedule runs fn after delay units of virtual time. It panics on a
 // negative or NaN delay.
 func (e *Engine) Schedule(delay Time, fn func()) Handle {
-	slot := e.after(delay)
+	slot := e.after(delay, &e.events)
 	ev := &e.slab[slot]
 	ev.fn = fn
 	return Handle{e, slot, ev.gen}
@@ -140,23 +178,25 @@ func (e *Engine) Schedule(delay Time, fn func()) Handle {
 // ScheduleCall runs fn(arg) after delay: Schedule without a closure
 // per event, for a caller that keeps fn and passes a pointer.
 func (e *Engine) ScheduleCall(delay Time, fn func(any), arg any) Handle {
-	slot := e.after(delay)
+	slot := e.after(delay, &e.events)
 	ev := &e.slab[slot]
 	ev.call, ev.arg = fn, arg
 	return Handle{e, slot, ev.gen}
 }
 
-// after queues an event delay from now and returns its slot for the
-// caller to fill in.
-func (e *Engine) after(delay Time) int {
+// after queues an event delay from now, in heap h (e.events or
+// e.holds) unless it is due now, and returns its slot for the caller
+// to fill in.
+func (e *Engine) after(delay Time, h *[]entry) int {
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("des: Schedule with invalid delay %v", delay))
 	}
-	return e.push(e.now + delay)
+	return e.push(e.now+delay, h)
 }
 
-// push queues an event at time t in a recycled (or new) slot.
-func (e *Engine) push(t Time) int {
+// push queues an event at time t in a recycled (or new) slot: at the
+// FIFO's tail if t is now, else in heap h.
+func (e *Engine) push(t Time, h *[]entry) int {
 	var slot int
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -165,35 +205,47 @@ func (e *Engine) push(t Time) int {
 		slot = len(e.slab)
 		e.slab = append(e.slab, event{})
 	}
-	e.events = append(e.events, entry{})
-	e.siftUp(len(e.events)-1, entry{at: t, seq: e.seq, slot: slot})
+	ev := &e.slab[slot]
+	if t == e.now {
+		ev.in, ev.idx = inNow, -1
+		if e.head < 0 {
+			e.head = slot
+		} else {
+			e.slab[e.tail].idx = int32(slot)
+		}
+		e.tail = slot
+		return slot
+	}
+	ev.in = inHeap
+	q := append(*h, entry{})
+	*h = q
+	e.siftUp(q, len(q)-1, entry{at: t, seq: e.seq, slot: slot})
 	e.seq++
 	return slot
 }
 
-// siftUp places x at or above the hole at heap position i.
-func (e *Engine) siftUp(i int, x entry) {
-	h := e.events
+// siftUp places x at or above the hole at position i of heap h.
+func (e *Engine) siftUp(h []entry, i int, x entry) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !x.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		e.slab[h[i].slot].idx = i
+		e.slab[h[i].slot].idx = int32(i)
 		i = parent
 	}
 	h[i] = x
-	e.slab[x.slot].idx = i
+	e.slab[x.slot].idx = int32(i)
 }
 
-// remove takes the entry at heap position i out of the queue.
-func (e *Engine) remove(i int) {
-	h := e.events
+// remove takes the entry at position i out of heap *q.
+func (e *Engine) remove(q *[]entry, i int) {
+	h := *q
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]
-	e.events = h
+	*q = h
 	if i == n {
 		return
 	}
@@ -211,36 +263,60 @@ func (e *Engine) remove(i int) {
 			break
 		}
 		h[i] = h[child]
-		e.slab[h[i].slot].idx = i
+		e.slab[h[i].slot].idx = int32(i)
 		i = child
 	}
-	e.siftUp(i, last)
+	e.siftUp(h, i, last)
 }
 
-// recycle frees a popped or canceled event's slot and voids its
+// release clears a popped or canceled event's slot and voids its
 // Handles.
-func (e *Engine) recycle(slot int) {
+func (e *Engine) release(slot int) *event {
 	ev := &e.slab[slot]
 	ev.fn, ev.call, ev.arg, ev.proc = nil, nil, nil, nil
 	ev.gen++
+	return ev
+}
+
+// recycle releases a slot and frees it for reuse.
+func (e *Engine) recycle(slot int) {
+	e.release(slot)
 	e.free = append(e.free, slot)
 }
 
 // next pops the earliest event, if the current run may execute it, and
 // returns its slot.
 func (e *Engine) next() (slot int, ok bool) {
-	if len(e.events) == 0 || e.quota == 0 {
+	for e.head >= 0 && e.slab[e.head].in == inVoid { // canceled: skip and free
+		slot = e.head
+		e.head = int(e.slab[slot].idx)
+		e.free = append(e.free, slot)
+	}
+	if e.quota == 0 {
 		return 0, false
 	}
-	top := e.events[0]
-	if top.at > e.limit {
+	h := &e.events
+	if len(e.holds) > 0 && (len(e.events) == 0 || e.holds[0].before(&e.events[0])) {
+		h = &e.holds
+	}
+	// A heap entry due now precedes the whole FIFO, one due later
+	// follows it (see Engine).
+	if q := *h; len(q) > 0 && (e.head < 0 || q[0].at == e.now) {
+		top := q[0]
+		if top.at > e.limit {
+			return 0, false
+		}
+		e.remove(h, 0)
+		e.now, slot = top.at, top.slot
+	} else if e.head >= 0 && e.now <= e.limit {
+		slot = e.head
+		e.head = int(e.slab[slot].idx)
+	} else {
 		return 0, false
 	}
 	e.quota--
-	e.remove(0)
-	e.now = top.at
 	e.processed++
-	return top.slot, true
+	return slot, true
 }
 
 // drive runs the event loop on the calling goroutine, which holds the
@@ -327,9 +403,18 @@ func (e *Engine) Shutdown() {
 		}
 	}
 	e.procs = nil
-	for _, x := range e.events {
-		e.recycle(x.slot) // a Handle kept past Shutdown stays inert
+	// A Handle kept past Shutdown stays inert.
+	for _, h := range []*[]entry{&e.events, &e.holds} {
+		for _, x := range *h {
+			e.recycle(x.slot)
+		}
+		*h = (*h)[:0]
 	}
-	e.events = e.events[:0]
+	for slot := e.head; slot >= 0; {
+		next := int(e.slab[slot].idx)
+		e.recycle(slot)
+		slot = next
+	}
+	e.head = -1
 	e.rethrow()
 }

@@ -13,8 +13,21 @@ import (
 // hand-offs; the simulations themselves only Run and RunUntil.
 func (e *Engine) Step() bool { return e.run(math.Inf(1), 1) }
 
+// pending counts the events waiting in all three queues; a void FIFO
+// slot is no event.
+func (e *Engine) pending() int {
+	n := len(e.events) + len(e.holds)
+	for slot := e.head; slot >= 0; slot = int(e.slab[slot].idx) {
+		if e.slab[slot].in == inNow {
+			n++
+		}
+	}
+	return n
+}
+
 // refEngine is the event queue as it was before the heap held
-// pointer-free entries — a min-heap of *refEvent with the index
+// pointer-free entries and before due-now events and Hold wakes left
+// it — a min-heap of *refEvent with the index
 // back-pointer and generation kept in the event — verbatim apart from
 // the ref prefix and without processes or run bounds. FuzzEngineOrder
 // holds Engine's pop order to it.
@@ -139,8 +152,9 @@ var engineOrderDelays = []Time{0, 0, 0.5, 1, 1, 2.25, 3, 7}
 
 // checkEngineOrder replays one op string on Engine and refEngine and
 // fails at the first pop that differs. Each byte is one op: schedule
-// (a delay), cancel (any handle ever issued, so stale ones too), or
-// step; the queues are drained at the end.
+// (a delay), hold (a delay through the path of a Process.Hold wake,
+// which has no Handle), cancel (any handle ever issued, so stale ones
+// too), or step; the queues are drained at the end.
 func checkEngineOrder(t *testing.T, ops []byte) {
 	t.Helper()
 	e, ref := New(), &refEngine{}
@@ -158,12 +172,16 @@ func checkEngineOrder(t *testing.T, ops []byte) {
 		return ran
 	}
 	for _, op := range ops {
+		id := len(hs) + 1
+		d := engineOrderDelays[int(op)%len(engineOrderDelays)]
 		switch {
-		case op < 128:
-			id := len(hs) + 1
-			d := engineOrderDelays[int(op)%len(engineOrderDelays)]
+		case op < 96:
 			hs = append(hs, e.Schedule(d, func() { popped = id }))
 			refHs = append(refHs, ref.Schedule(d, id))
+		case op < 128:
+			e.slab[e.after(d, &e.holds)].fn = func() { popped = id }
+			ref.Schedule(d, id)
+			hs, refHs = append(hs, Handle{}), append(refHs, refHandle{})
 		case op < 224:
 			if len(hs) > 0 {
 				i := int(op) % len(hs)
@@ -173,8 +191,8 @@ func checkEngineOrder(t *testing.T, ops []byte) {
 		default:
 			step()
 		}
-		if len(e.events) != len(ref.events) {
-			t.Fatalf("queue length %d, reference %d", len(e.events), len(ref.events))
+		if n := e.pending(); n != len(ref.events) {
+			t.Fatalf("%d events queued, reference %d", n, len(ref.events))
 		}
 	}
 	for step() {
@@ -187,6 +205,11 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 130, 4, 5, 255, 255})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 200, 201, 202, 255, 255, 255})
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0, 224, 140, 141, 142, 224, 7, 7})
+	// Two holds and two schedules queued at t = 0 for t = 1; at t = 1,
+	// zero-delay schedules and a zero-delay hold, two of the schedules
+	// canceled: the keyed events due at t = 1 pop before the FIFO, and
+	// the canceled slots are skipped.
+	f.Add([]byte{3, 99, 100, 4, 255, 0, 1, 96, 130, 255, 255, 0, 135, 255, 255, 255, 7, 103, 255})
 	f.Fuzz(checkEngineOrder)
 }
 

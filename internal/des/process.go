@@ -100,7 +100,7 @@ func (p *Process) Hold(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: Hold(%v) with negative duration", d))
 	}
-	p.WakeLater(d)
+	p.eng.slab[p.eng.after(d, &p.eng.holds)].proc = p
 	p.parkSelf()
 }
 
@@ -114,4 +114,4 @@ func (p *Process) Park() { p.parkSelf() }
 //
 // Unlike most Process methods, WakeLater may be called from any
 // simulation domain (a callback or another process).
-func (p *Process) WakeLater(delay Time) { p.eng.slab[p.eng.after(delay)].proc = p }
+func (p *Process) WakeLater(delay Time) { p.eng.slab[p.eng.after(delay, &p.eng.events)].proc = p }

@@ -133,17 +133,19 @@ func dtlz1G(dist []float64) float64 {
 }
 
 // evalSpherical maps position variables onto the unit hypersphere
-// octant scaled by (1+g): the DTLZ2/3/4 objective geometry.
+// octant scaled by (1+g): the DTLZ2/3/4 objective geometry. With
+// θ_j = pos[j]^α·π/2 and the running product P_k = (1+g)·cos θ_0 ⋯
+// cos θ_{k−1}, objective m−1−k is P_k·sin θ_k and objective 0 is
+// P_{m−1}: one Pow, one Cos and one Sin per position variable, and the
+// products are formed in the textbook nested loop's order, so every
+// objective is bit-identical to it.
 func evalSpherical(pos []float64, g, alpha float64, objs []float64) {
 	m := len(objs)
-	for i := 0; i < m; i++ {
-		f := 1 + g
-		for j := 0; j < m-1-i; j++ {
-			f *= math.Cos(math.Pow(pos[j], alpha) * math.Pi / 2)
-		}
-		if i > 0 {
-			f *= math.Sin(math.Pow(pos[m-1-i], alpha) * math.Pi / 2)
-		}
-		objs[i] = f
+	f := 1 + g
+	for k := 0; k < m-1; k++ {
+		theta := math.Pow(pos[k], alpha) * math.Pi / 2
+		objs[m-1-k] = f * math.Sin(theta)
+		f *= math.Cos(theta)
 	}
+	objs[0] = f
 }
