@@ -17,7 +17,9 @@ import "math"
 // cross-box dominance sweep which direction each member could dominate
 // in, and a packed lane signature per box rules most members out of
 // that direction with one word operation before any coordinate is
-// compared. All working storage is reused across calls,
+// compared; an orthant index over the signatures hands the sweep only
+// the members whose signatures could pass, 64 at a time. All working
+// storage is reused across calls,
 // so Add performs no heap allocations in steady state. Observable
 // behavior — acceptance decisions, member ordering (swap-remove),
 // ε-progress, operator credits — is byte-identical to the original
@@ -40,10 +42,13 @@ type Archive struct {
 	// sigs[i] packs member i's first sigLanes box coordinates, each
 	// clamped to [0, sigBuckets), one byte per lane: clamping is
 	// monotone, so box x ≤ box y implies lanesLE(sigs[x], sigs[y]) —
-	// an exact prefilter for the coordinatewise dominance test.
+	// an exact prefilter for the coordinatewise dominance test. index
+	// is the orthant index over sigs at levels min(lane, 15): box
+	// coordinates are small integers (0–10 at ε = 0.1 on DTLZ2).
 	boxData []int64
 	sums    []float64
 	sigs    []uint64
+	index   laneIndex
 	grid    map[gridKey]int
 
 	scratch []int64 // candidate's box vector, reused across Add calls
@@ -111,12 +116,14 @@ func (a *Archive) reset(epsilons []float64, numOps int) {
 		boxData:  a.boxData[:0],
 		sums:     a.sums[:0],
 		sigs:     a.sigs[:0],
+		index:    laneIndex{words: a.index.words},
 		grid:     grid,
 		scratch:  make([]int64, len(epsilons)),
 		marks:    a.marks[:0],
 		numOps:   numOps,
 		opCounts: make([]int, numOps),
 	}
+	a.index.reset(min(len(epsilons), sigLanes), boxLevels)
 }
 
 // Epsilons returns the archive's ε vector (not a copy; do not modify).
@@ -292,62 +299,68 @@ func (a *Archive) Add(s *Solution) bool {
 	// nondominance by transitivity), so a rejection can only occur
 	// with no removal marks set: returning early never leaves state
 	// behind. Before a test reads the member's box, the lane signatures
-	// must allow it; the coordinate loops are hand-inlined.
+	// must allow it; the coordinate loops are hand-inlined. The orthant
+	// index leaves out, 64 members at a time, those whose lane levels
+	// already allow neither direction; the walk keeps index order.
 	dirty := false
 	cand := a.scratch
 	m := len(a.epsilons)
 	data := a.boxData
 	sigs := a.sigs
-sweep:
-	for i, si := range a.sums {
-		switch {
-		case si < sum:
-			// Only the member can dominate the candidate.
-			if !lanesLE(sigs[i], sig) {
-				continue
-			}
-			box := data[i*m : i*m+m : i*m+m]
-			better := false
-			for j, c := range cand {
-				if b := box[j]; b > c {
-					continue sweep
-				} else if b < c {
-					better = true
+	q := a.index.query(sig)
+	for blk := range blocks(len(a.sums)) {
+	sweep:
+		for mask := q.mask(blk); mask != 0; mask &= mask - 1 {
+			i := member(blk, mask)
+			switch si := a.sums[i]; {
+			case si < sum:
+				// Only the member can dominate the candidate.
+				if !lanesLE(sigs[i], sig) {
+					continue
 				}
-			}
-			if better {
-				return false // an existing box ε-dominates the candidate
-			}
-		case si > sum:
-			// Only the candidate can dominate the member.
-			if !lanesLE(sig, sigs[i]) {
-				continue
-			}
-			box := data[i*m : i*m+m : i*m+m]
-			better := false
-			for j, c := range cand {
-				if b := box[j]; c > b {
-					continue sweep
-				} else if c < b {
-					better = true
+				box := data[i*m : i*m+m : i*m+m]
+				better := false
+				for j, c := range cand {
+					if b := box[j]; b > c {
+						continue sweep
+					} else if b < c {
+						better = true
+					}
 				}
-			}
-			if better {
-				a.marks[i] = true
-				dirty = true
-			}
-		default:
-			// Equal sums, common on a front whose boxes lie on a
-			// simplex or sphere: either direction is still possible
-			// (float rounding can hide a strict difference), so each
-			// full test runs where its lane signatures allow it.
-			box := data[i*m : i*m+m : i*m+m]
-			if lanesLE(sigs[i], sig) && boxDominates(box, cand) {
-				return false
-			}
-			if lanesLE(sig, sigs[i]) && boxDominates(cand, box) {
-				a.marks[i] = true
-				dirty = true
+				if better {
+					return false // an existing box ε-dominates the candidate
+				}
+			case si > sum:
+				// Only the candidate can dominate the member.
+				if !lanesLE(sig, sigs[i]) {
+					continue
+				}
+				box := data[i*m : i*m+m : i*m+m]
+				better := false
+				for j, c := range cand {
+					if b := box[j]; c > b {
+						continue sweep
+					} else if c < b {
+						better = true
+					}
+				}
+				if better {
+					a.marks[i] = true
+					dirty = true
+				}
+			default:
+				// Equal sums, common on a front whose boxes lie on a
+				// simplex or sphere: either direction is still possible
+				// (float rounding can hide a strict difference), so each
+				// full test runs where its lane signatures allow it.
+				box := data[i*m : i*m+m : i*m+m]
+				if lanesLE(sigs[i], sig) && boxDominates(box, cand) {
+					return false
+				}
+				if lanesLE(sig, sigs[i]) && boxDominates(cand, box) {
+					a.marks[i] = true
+					dirty = true
+				}
 			}
 		}
 	}
@@ -416,6 +429,8 @@ func (a *Archive) appendMember(s *Solution, sum float64, sig uint64) {
 	a.boxData = append(a.boxData, a.scratch...)
 	a.sums = append(a.sums, sum)
 	a.sigs = append(a.sigs, sig)
+	a.index.grow(len(a.sigs))
+	a.index.move(len(a.sigs)-1, plainSig, sig)
 	a.marks = append(a.marks, false)
 	if a.grid != nil {
 		a.grid[makeKey(a.scratch)] = len(a.members) - 1
@@ -427,7 +442,7 @@ func (a *Archive) appendMember(s *Solution, sum float64, sig uint64) {
 // removeAt removes member i by swapping the last member into its slot
 // (the seed's ordering artifact, preserved because member order is
 // observable) and keeps every parallel structure — boxData, sums,
-// sigs, marks, grid — consistent.
+// sigs, index, marks, grid — consistent.
 func (a *Archive) removeAt(i int) {
 	gone := a.members[i]
 	a.credit(gone, -1)
@@ -436,6 +451,8 @@ func (a *Archive) removeAt(i int) {
 	if a.grid != nil {
 		delete(a.grid, makeKey(a.boxAt(i)))
 	}
+	a.index.move(i, a.sigs[i], a.sigs[last])
+	a.index.move(last, a.sigs[last], plainSig)
 	if i != last {
 		a.members[i] = a.members[last]
 		copy(a.boxData[i*m:(i+1)*m], a.boxData[last*m:(last+1)*m])

@@ -146,7 +146,8 @@ func (a *refArchive) credit(s *Solution, delta int) {
 // checkArchivesEqual asserts the indexed archive and the reference are
 // in identical observable states: same members in the same order
 // (pointer identity), same ε-progress, same operator credits — and
-// that the index's internal structures agree with the members.
+// that the index's internal structures, the orthant index included,
+// agree with the members.
 func checkArchivesEqual(t *testing.T, step int, a *Archive, ref *refArchive) {
 	t.Helper()
 	if len(a.members) != len(ref.members) {
@@ -201,6 +202,12 @@ func checkArchivesEqual(t *testing.T, step int, a *Archive, ref *refArchive) {
 	}
 	if a.grid != nil && len(a.grid) != len(a.members) {
 		t.Fatalf("step %d: grid has %d entries for %d members", step, len(a.grid), len(a.members))
+	}
+	if !a.index.valid {
+		t.Fatalf("step %d: orthant index invalid", step)
+	}
+	if msg := a.index.mismatch(a.sigs); msg != "" {
+		t.Fatalf("step %d: stale orthant index: %s", step, msg)
 	}
 }
 

@@ -38,11 +38,13 @@ func lanesLE(a, b uint64) bool { return ((b|sigHigh)-a)&sigHigh == sigHigh }
 // per member. Lane j of a signature is a monotone bucket of objective
 // j, so "a dominates b" implies every lane of sig(a) <= that of sig(b);
 // a scan rules a row out with two word operations and runs the float
-// comparison only on the rows that survive. The pruning is exact — it
-// changes no decision, see DESIGN.md §14 — but it cannot describe
-// constraint violations or NaN, so a call that meets either uses
-// Compare on the members directly. A member's Objs and Constrs must
-// not change while it is in the population.
+// comparison only on the rows that survive. An orthant index over the
+// signatures (laneIndex, at levels lane>>3) hands Add the rows that
+// could pass those tests, 64 at a time, so the rest are never read.
+// The pruning is exact — it changes no decision, see DESIGN.md §14 —
+// but it cannot describe constraint violations or NaN, so a call that
+// meets either uses Compare on the members directly. A member's Objs
+// and Constrs must not change while it is in the population.
 type Population struct {
 	members  []*Solution
 	capacity int
@@ -52,6 +54,7 @@ type Population struct {
 	objs  []float64 // row i is a copy of members[i].Objs
 	sigs  []uint64  // signature of row i, or plainSig
 	plain int       // members carrying plainSig
+	index laneIndex // over sigs; invalid from Clear to the next at-capacity Add
 
 	// Lane j buckets f as (f - lo[j]) * scale[j], clamped to
 	// [0, sigBuckets). stale counts the rows written since the bounds
@@ -88,6 +91,7 @@ func (p *Population) reset(capacity int) {
 		owner:     p.owner,
 		objs:      p.objs,
 		sigs:      p.sigs,
+		index:     laneIndex{words: p.index.words},
 		dominated: p.dominated[:0],
 	}
 }
@@ -122,6 +126,7 @@ func (p *Population) Clear() {
 	p.objs = p.objs[:0]
 	p.sigs = p.sigs[:0]
 	p.plain = 0
+	p.index.valid = false // a refill skips the upkeep; the next at-capacity Add rebuilds
 }
 
 // Add inserts an evaluated solution using Borg's steady-state rule:
@@ -147,6 +152,8 @@ func (p *Population) Add(s *Solution, r *rng.Source) bool {
 	}
 	if p.stale >= len(p.members) {
 		p.rebucket()
+	} else if !p.index.valid {
+		p.reindex()
 	}
 	sig := p.signature(s)
 	p.dominated = p.dominated[:0]
@@ -162,20 +169,26 @@ func (p *Population) Add(s *Solution, r *rng.Source) bool {
 		}
 	} else {
 		n := p.nobj
-		for i, ms := range p.sigs {
-			// The member can dominate s only if no lane of ms exceeds
-			// sig's, and s the member only the other way round.
-			if !lanesLE(ms, sig) && !lanesLE(sig, ms) {
-				continue
-			}
-			switch compareObjs(s.Objs, p.objs[i*n:(i+1)*n]) {
-			case 1:
-				// The loop index, not the rows compared: the count is
-				// the same with or without the prefilter.
-				p.scanned += uint64(i + 1)
-				return false
-			case -1:
-				p.dominated = append(p.dominated, i)
+		q := p.index.query(sig)
+		for b := range blocks(len(p.sigs)) {
+			for mask := q.mask(b); mask != 0; mask &= mask - 1 {
+				// The member can dominate s only if no lane of ms
+				// exceeds sig's, and s the member only the other way
+				// round; the index dropped the rows whose levels
+				// already rule both out.
+				i := member(b, mask)
+				if ms := p.sigs[i]; !lanesLE(ms, sig) && !lanesLE(sig, ms) {
+					continue
+				}
+				switch compareObjs(s.Objs, p.objs[i*n:(i+1)*n]) {
+				case 1:
+					// The loop index, not the rows compared: the count
+					// is the same whatever the prefilters skip.
+					p.scanned += uint64(i + 1)
+					return false
+				case -1:
+					p.dominated = append(p.dominated, i)
+				}
 			}
 		}
 	}
@@ -227,6 +240,17 @@ func (p *Population) Tournament(k int, r *rng.Source) *Solution {
 // set writes s, whose signature is sig, as member i; i == Size()
 // appends.
 func (p *Population) set(i int, s *Solution, sig uint64) {
+	if p.index.valid {
+		if i < p.index.room() {
+			old := uint64(plainSig)
+			if i < len(p.sigs) {
+				old = p.sigs[i]
+			}
+			p.index.move(i, old, sig)
+		} else {
+			p.index.valid = false // grown past the capacity it was built for
+		}
+	}
 	if i == len(p.members) {
 		p.members = append(p.members, s)
 		p.objs = append(p.objs, s.Objs...)
@@ -253,6 +277,10 @@ func (p *Population) removeAt(i int) {
 	}
 	p.owner.leave(p.members[i])
 	last, n := len(p.members)-1, p.nobj
+	if p.index.valid {
+		p.index.move(i, p.sigs[i], p.sigs[last])
+		p.index.move(last, p.sigs[last], plainSig)
+	}
 	p.members[i] = p.members[last]
 	p.members[last] = nil
 	p.members = p.members[:last]
@@ -329,4 +357,12 @@ func (p *Population) rebucket() {
 		}
 	}
 	p.stale = 0
+	p.reindex()
+}
+
+// reindex rebuilds the orthant index from the signatures, with room
+// for the population's capacity.
+func (p *Population) reindex() {
+	p.index.reset(min(p.nobj, sigLanes), popLevels)
+	p.index.rebuild(p.sigs, p.capacity)
 }

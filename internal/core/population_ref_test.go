@@ -105,9 +105,13 @@ func newPopPair(t *testing.T, capacity int, seed uint64) *popPair {
 
 func (pp *popPair) add(s *Solution) {
 	pp.t.Helper()
+	full := pp.p.Size() == pp.p.Capacity()
 	got, want := pp.p.Add(s, pp.pr), pp.ref.Add(s, pp.rr)
 	if got != want {
 		pp.t.Fatalf("step %d: Add=%v ref=%v objs=%v constrs=%v", pp.step, got, want, s.Objs, s.Constrs)
+	}
+	if full && !pp.p.index.valid {
+		pp.t.Fatalf("step %d: an at-capacity Add left the orthant index invalid", pp.step)
 	}
 	pp.check()
 }
@@ -136,7 +140,8 @@ func (pp *popPair) clear() {
 }
 
 // check asserts identical members (pointer identity, in order) and RNG
-// state, and that the mirror agrees with the members it shadows.
+// state, and that the mirror, and the orthant index while it is kept,
+// agree with the members they shadow.
 func (pp *popPair) check() {
 	pp.t.Helper()
 	pp.step++
@@ -175,6 +180,11 @@ func (pp *popPair) check() {
 	}
 	if p.plain != plain {
 		pp.t.Fatalf("step %d: plain count %d, members say %d", pp.step, p.plain, plain)
+	}
+	if p.index.valid {
+		if msg := p.index.mismatch(p.sigs); msg != "" {
+			pp.t.Fatalf("step %d: stale orthant index: %s", pp.step, msg)
+		}
 	}
 }
 
@@ -369,7 +379,9 @@ func benchPopulation(n int) (*Population, []*Solution) {
 	return p, pts
 }
 
-var benchPopulationSizes = []int{100, 1000, 4000}
+// benchPopulationSizes run from 40, the population of the TCP
+// workloads on DTLZ2_3, to 4 000, the DTLZ2_5 population at capacity.
+var benchPopulationSizes = []int{40, 100, 1000, 4000}
 
 func BenchmarkPopulationAdd(b *testing.B) {
 	for _, n := range benchPopulationSizes {

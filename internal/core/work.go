@@ -9,8 +9,10 @@ type Work struct {
 	// (Accept and InjectEvaluated).
 	Folds uint64
 	// Scanned counts the population members Population.Add compared a
-	// solution against: the loop index at exit, so the lane prefilter,
-	// which skips comparisons, leaves it as it is.
+	// solution against: the loop index at exit — one past the member
+	// that rejected it, or the population size — so neither the lane
+	// prefilter nor the orthant index, which skip members, changes it.
+	// It counts the members a flat scan passes, not those Add reads.
 	Scanned uint64
 	// Draws counts Tournament draws.
 	Draws uint64

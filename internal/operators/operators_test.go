@@ -461,24 +461,22 @@ func TestQuickBoundsProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkSBX(b *testing.B)  { benchOp(b, NewWithPM(NewSBX())) }
-func BenchmarkDE(b *testing.B)   { benchOp(b, NewWithPM(NewDE())) }
-func BenchmarkPCX(b *testing.B)  { benchOp(b, NewWithPM(NewPCX())) }
-func BenchmarkSPX(b *testing.B)  { benchOp(b, NewWithPM(NewSPX())) }
-func BenchmarkUNDX(b *testing.B) { benchOp(b, NewWithPM(NewUNDX())) }
-func BenchmarkUM(b *testing.B)   { benchOp(b, NewUM()) }
-
-// benchOp times Child, the call Borg makes per offspring.
-func benchOp(b *testing.B, op Operator) {
-	const n = 14 // DTLZ2 M=5 size
-	lo, hi := bounds(n)
-	r := rng.New(1)
-	parents := randomParents(r, op.Arity(), n, lo, hi)
-	child := make([]float64, n)
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.Child(child, parents, lo, hi, r, &s)
+// BenchmarkChild times Child, the call Borg makes per offspring, for
+// each operator of the ensemble at the DTLZ2 M=5 size.
+func BenchmarkChild(b *testing.B) {
+	const n = 14
+	for _, op := range BorgEnsemble() {
+		b.Run(op.Name(), func(b *testing.B) {
+			lo, hi := bounds(n)
+			r := rng.New(1)
+			parents := randomParents(r, op.Arity(), n, lo, hi)
+			child := make([]float64, n)
+			var s Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Child(child, parents, lo, hi, r, &s)
+			}
+		})
 	}
 }

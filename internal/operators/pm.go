@@ -1,10 +1,6 @@
 package operators
 
-import (
-	"math"
-
-	"borgmoea/internal/rng"
-)
+import "borgmoea/internal/rng"
 
 // PM is Deb's polynomial mutation (bounded variant). Borg applies it
 // after every recombination operator with probability 1/L and
@@ -65,12 +61,12 @@ func (op PM) mutate(x, lo, hi []float64, r *rng.Source) {
 		var deltaq float64
 		if u < 0.5 {
 			xy := 1 - d1
-			val := 2*u + (1-2*u)*math.Pow(xy, eta+1)
-			deltaq = math.Pow(val, mpow) - 1
+			val := 2*u + (1-2*u)*pow(xy, eta+1)
+			deltaq = pow(val, mpow) - 1
 		} else {
 			xy := 1 - d2
-			val := 2*(1-u) + (2*u-1)*math.Pow(xy, eta+1)
-			deltaq = 1 - math.Pow(val, mpow)
+			val := 2*(1-u) + (2*u-1)*pow(xy, eta+1)
+			deltaq = 1 - pow(val, mpow)
 		}
 		x[i] = xi + deltaq*(ub-lb)
 	}

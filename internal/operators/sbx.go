@@ -95,12 +95,12 @@ func sbxChild(x1, x2, lb, ub, u, eta float64, lower bool) float64 {
 	} else {
 		beta = 1 + 2*(ub-x2)/dx
 	}
-	alpha := 2 - math.Pow(beta, -(eta+1))
+	alpha := 2 - pow(beta, -(eta+1))
 	var betaq float64
 	if u <= 1/alpha {
-		betaq = math.Pow(u*alpha, 1/(eta+1))
+		betaq = pow(u*alpha, 1/(eta+1))
 	} else {
-		betaq = math.Pow(1/(2-u*alpha), 1/(eta+1))
+		betaq = pow(1/(2-u*alpha), 1/(eta+1))
 	}
 	if lower {
 		return 0.5 * ((x1 + x2) - betaq*dx)

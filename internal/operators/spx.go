@@ -1,10 +1,6 @@
 package operators
 
-import (
-	"math"
-
-	"borgmoea/internal/rng"
-)
+import "borgmoea/internal/rng"
 
 // SPX is Tsutsui, Yamamura & Higuchi's simplex crossover: the parents
 // span a simplex which is expanded about its centroid by Epsilon, and
@@ -53,7 +49,7 @@ func (op SPX) Child(child []float64, parents [][]float64, lo, hi []float64, r *r
 	c := s.d
 	clear(c)
 	for i := 1; i < k; i++ {
-		ri := math.Pow(r.Float64(), 1/float64(i))
+		ri := pow(r.Float64(), 1/float64(i))
 		for j := 0; j < n; j++ {
 			c[j] = ri * (y[i-1][j] - y[i][j] + c[j])
 		}
