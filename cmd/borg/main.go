@@ -28,12 +28,15 @@
 //	borg -replay run/ -out replayed.json          # the federation again, offline
 //	borg -transport tcp -listen :7070 -debug-addr localhost:6060
 //
-// With -debug-addr the live scalability advisor also serves
-// /debug/scaling (watch it with: borgview top -addr localhost:6060, or
-// borgview top -fed for tcp islands). The event log streams to disk as
-// the run goes; on SIGINT/SIGTERM an instrumented run closes it and
-// flushes its final metrics and advisor snapshot before exiting, so
-// interrupted runs keep their telemetry.
+// With -debug-addr the run serves its metrics on /debug/vars (the
+// document -metrics-out writes at the end), profiles on demand under
+// /debug/pprof/ (for go tool pprof), and the live scalability advisor's
+// /debug/scaling and the quality sampler's /debug/quality (watch them
+// with: borgview top -addr localhost:6060, or borgview top -fed for tcp
+// islands). The event log streams to disk as the run goes; on
+// SIGINT/SIGTERM an instrumented run closes it and flushes its final
+// metrics and advisor snapshot before exiting, so interrupted runs keep
+// their telemetry.
 package main
 
 import (
@@ -80,7 +83,7 @@ func run() int {
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event timeline of the run to this path (open in chrome://tracing or Perfetto)")
 		metricsOut  = flag.String("metrics-out", "", "write the run's final metrics snapshot as JSON to this path")
-		debugAddr   = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics, /debug/scaling and /debug/pprof on this address during the run (e.g. localhost:6060)")
+		debugAddr   = flag.String("debug-addr", "", "serve live /debug/vars, /debug/scaling, /debug/pprof and, with -quality-*, /debug/quality on this address during the run (e.g. localhost:6060)")
 		adviseOut   = flag.String("advise-out", "", "journal the live scalability advisor's reports as JSONL to this path (parallel transports)")
 		adviseEvery = flag.Float64("advise-every", 1.0, "seconds of driver time between advisor snapshots (with -advise-out; virtual seconds for -transport virtual)")
 		eventLog    = flag.String("event-log", "", "record the master's protocol event log to this path (parallel transports); with -islands k, a directory of island-<i>.bmel and island-<i>.migrants")

@@ -10,11 +10,10 @@
 //	borgd -connect master:7070
 //	borgd -connect master:7070 -delay 0.05 -delay-cv 0.5   # synthetic T_F
 //	borgd -connect master:7070 -debug-addr localhost:6061  # live metrics + pprof
-//	borgd -connect master:7070 -profile-dir prof/          # continuous pprof snapshot ring
 //
-// -profile-dir captures periodic pprof CPU and heap snapshots into a
-// bounded on-disk ring; with -debug-addr the ring is served under
-// /debug/profiles/ (index as JSON, raw files for go tool pprof).
+// -debug-addr serves the worker's wire metrics as JSON on /debug/vars
+// and CPU, heap and trace profiles on demand under /debug/pprof/, which
+// go tool pprof reads directly.
 package main
 
 import (
@@ -40,8 +39,7 @@ func run() int {
 		idle      = flag.Duration("idle", 0, "idle timeout before redialing (0 = 4x heartbeat)")
 		quiet     = flag.Bool("quiet", false, "suppress connection lifecycle messages")
 		verbose   = flag.Bool("v", false, "verbose (debug-level) logging")
-		debugAddr = flag.String("debug-addr", "", "serve live /debug/vars, /debug/metrics and /debug/pprof on this address (e.g. localhost:6061)")
-		prof      = httpd.ProfileFlags(" (served under /debug/profiles/ with -debug-addr)")
+		debugAddr = flag.String("debug-addr", "", "serve live /debug/vars and /debug/pprof on this address (e.g. localhost:6061)")
 	)
 	flag.Parse()
 	logger := borgmoea.NewLogger(os.Stderr, *verbose)
@@ -66,14 +64,8 @@ func run() int {
 		// and heartbeat RTT show up live on /debug/vars.
 		cfg.Conn.Metrics = borgmoea.NewMetrics()
 	}
-	opts, stopProf, err := prof.Start(logger)
-	if err != nil {
-		logger.Error("starting profiler", "err", err)
-		return 1
-	}
-	defer stopProf()
 	if *debugAddr != "" {
-		srv, err := httpd.ServeDebug(*debugAddr, cfg.Conn.Metrics, opts...)
+		srv, err := httpd.ServeDebug(*debugAddr, cfg.Conn.Metrics)
 		if err != nil {
 			logger.Error("debug listener failed", "err", err)
 			return 1

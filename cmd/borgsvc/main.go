@@ -20,10 +20,9 @@
 // shutdown starts, so a load balancer stops sending submissions before
 // in-flight requests finish.
 //
-// -trace-rate samples distributed per-evaluation traces for every job
-// (each job mints its own trace ids from its job id); -profile-dir
-// runs the continuous pprof snapshot ring, served under
-// /debug/profiles/ next to the job API.
+// The -api-addr server also carries the debug routes: the scheduler's
+// registry as JSON on /debug/vars, and CPU, heap and trace profiles on
+// demand under /debug/pprof/, which go tool pprof reads directly.
 package main
 
 import (
@@ -49,8 +48,6 @@ func run() int {
 		maxActive   = flag.Int("max-active", 0, "simultaneously running jobs (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 1024, "queued jobs before submissions are rejected with 429")
 		drainT      = flag.Duration("drain-timeout", 5*time.Second, "graceful HTTP drain on shutdown")
-		traceRate   = flag.Float64("trace-rate", 0, "distributed-trace sampling rate in [0,1] applied to every job (0 = tracing off)")
-		prof        = httpd.ProfileFlags(", served under /debug/profiles/")
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
@@ -63,7 +60,6 @@ func run() int {
 		MaxActive:    *maxActive,
 		MaxQueue:     *maxQueue,
 		StateDir:     *stateDir,
-		TraceRate:    *traceRate,
 		Metrics:      reg,
 		Logf:         borgmoea.LogfAdapter(logger),
 	})
@@ -71,14 +67,7 @@ func run() int {
 		logger.Error("starting scheduler", "err", err)
 		return 1
 	}
-	profOpts, stopProf, err := prof.Start(logger)
-	if err != nil {
-		sched.Close()
-		logger.Error("starting profiler", "err", err)
-		return 1
-	}
-	defer stopProf()
-	srv, err := httpd.ServeDebug(*apiAddr, reg, append(httpd.JobAPI(sched), profOpts...)...)
+	srv, err := httpd.ServeDebug(*apiAddr, reg, httpd.JobAPI(sched)...)
 	if err != nil {
 		sched.Close()
 		logger.Error("api listener failed", "err", err)

@@ -179,6 +179,29 @@ func (tl *tools) chromeTF(name string) {
 	}
 }
 
+// metricsTerms asserts name is the registry's JSON document (what
+// -metrics-out writes and /debug/vars serves) and that each of the
+// paper's timing terms has a histogram with observations in it.
+func (tl *tools) metricsTerms(name string) {
+	tl.t.Helper()
+	data, err := os.ReadFile(filepath.Join(tl.dir, name))
+	if err != nil {
+		tl.t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		tl.t.Fatalf("%s: %v", name, err)
+	}
+	for _, key := range []string{"master.ta_seconds", "worker.tf_seconds", "master.tc_seconds", "master.queue_wait_seconds"} {
+		var h struct {
+			Count uint64 `json:"count"`
+		}
+		if err := json.Unmarshal(doc[key], &h); err != nil || h.Count == 0 {
+			tl.t.Fatalf("%s: %s = %s, want a histogram with observations (%v)", name, key, doc[key], err)
+		}
+	}
+}
+
 // freeAddr returns a loopback address nothing is listening on.
 func freeAddr(t *testing.T) string {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -216,7 +239,7 @@ func TestScripts(t *testing.T) {
 		for _, v := range []string{"v", "v2"} {
 			out := tl.ok("borg", with("-parallel", "8", "-tf", "0.001", "-evals", "1500", "-quality-every", "500",
 				"-event-log", v+".bmel", "-advise-out", v+".adv.jsonl",
-				"-trace", v+".trace.json", "-out", v+".json")...)
+				"-trace", v+".trace.json", "-metrics-out", v+".metrics.json", "-out", v+".json")...)
 			// The virtual master meters both T_C of Eq. 3.
 			if want := "empirical ceiling: P_UB = tf.mean/(tc.send.mean+tc.recv.mean+ta.mean) = "; !strings.Contains(out, want) {
 				t.Fatalf("borg -parallel 8 -trace: no %q in the report\n%s", want, out)
@@ -224,6 +247,7 @@ func TestScripts(t *testing.T) {
 		}
 		tl.same("v.bmel", "v2.bmel")
 		tl.chromeTF("v.trace.json")
+		tl.metricsTerms("v.metrics.json")
 		// The log's header names the run: the replay takes no run flag.
 		tl.ok("borg", "-replay", "v.bmel", "-out", "v.replay.json")
 		tl.same("v.json", "v.replay.json")

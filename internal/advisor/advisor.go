@@ -78,7 +78,7 @@ type Config struct {
 	StragglerFactor float64
 	// Registry, when set, receives the headline figures as gauges
 	// (advisor.predicted_speedup, advisor.drift_score, …) so they ride
-	// along in /debug/vars, -metrics-out and the Prometheus endpoint.
+	// along in /debug/vars and -metrics-out.
 	Registry *obs.Registry
 	// OnStraggler, when set, is called once per worker the first time
 	// the straggler detector flags it — from Report or a periodic
@@ -86,10 +86,6 @@ type Config struct {
 	// to obs.Collector.ForceWorker so a struggling worker's
 	// evaluations are traced regardless of the sampling rate.
 	OnStraggler func(worker int)
-	// OnQualityAlert, when set, is called on each rising edge of a
-	// quality alert with a short description ("search stalled",
-	// "quality regressed after restart"), outside the advisor's lock.
-	OnQualityAlert func(alert string)
 }
 
 func (c *Config) fillDefaults() {
@@ -268,11 +264,12 @@ func (a *Advisor) SetLive(n int) {
 	a.mu.Unlock()
 }
 
-// ObserveAccept records one accepted result: the worker it came from,
-// the cumulative completed count, and the event time on the driver's
-// clock. This is the advisor's heartbeat — progress, drift smoothing
-// and periodic snapshots all advance here.
-func (a *Advisor) ObserveAccept(worker int, completed uint64, at float64) {
+// ObserveAccept records one accepted result: the cumulative completed
+// count and the event time on the driver's clock. This is the
+// advisor's heartbeat — progress, drift smoothing and periodic
+// snapshots all advance here. Per-worker attribution lives in
+// ObserveTF.
+func (a *Advisor) ObserveAccept(completed uint64, at float64) {
 	if a == nil {
 		return
 	}
@@ -309,7 +306,6 @@ func (a *Advisor) ObserveAccept(worker int, completed uint64, at float64) {
 	if fire {
 		cb(snap)
 	}
-	_ = worker // attribution lives in ObserveTF; kept for future per-worker accept rates
 }
 
 // newlyFlagged records which of the given stragglers have not been

@@ -168,7 +168,7 @@ func TestNilAdvisorIsSafe(t *testing.T) {
 	a.ObserveTC(1e-6)
 	a.ObserveQueueWait(1e-6)
 	a.SetLive(3)
-	a.ObserveAccept(1, 1, 0.01)
+	a.ObserveAccept(1, 0.01)
 }
 
 // An advised run must leave the optimization trajectory untouched:

@@ -15,7 +15,7 @@ func seedIsland(procs int, budget uint64, tf, ta, tc float64, samples int, compl
 		a.ObserveTA(ta)
 		a.ObserveTC(tc)
 	}
-	a.ObserveAccept(1, completed, elapsed)
+	a.ObserveAccept(completed, elapsed)
 	return a
 }
 

@@ -82,9 +82,9 @@ type qualityState struct {
 }
 
 // ObserveQuality feeds one quality sample into the stall/regression
-// detector — wire it to obs.QualityConfig.OnSample. Nil-safe.
-// Alert callbacks (Config.OnQualityAlert) fire on rising edges,
-// outside the advisor's lock.
+// detector — wire it to obs.QualityConfig.OnSample. Nil-safe. The
+// stalled and regressed states are read off Report().Quality and the
+// MetricQualityStalled and MetricQualityRegressed gauges.
 func (a *Advisor) ObserveQuality(q obs.QualitySample) {
 	if a == nil {
 		return
@@ -115,7 +115,6 @@ func (a *Advisor) ObserveQuality(q obs.QualitySample) {
 	s.last = q
 
 	warm := s.samples >= DefaultQualityWarmup
-	wasStalled, wasRegressed := s.stalled, s.regressed
 	s.stalled = warm && s.peakRate > 0 &&
 		s.rate.Value() < DefaultStallFraction*s.peakRate
 	s.regressed = warm && s.restartSeen &&
@@ -130,22 +129,7 @@ func (a *Advisor) ObserveQuality(q obs.QualitySample) {
 	s.gRate.Set(sanitize(s.rate.Value()))
 	s.gStalled.Set(b2f(s.stalled))
 	s.gRegressed.Set(b2f(s.regressed))
-
-	var alerts []string
-	if s.stalled && !wasStalled {
-		alerts = append(alerts, "search stalled")
-	}
-	if s.regressed && !wasRegressed {
-		alerts = append(alerts, "quality regressed after restart")
-	}
-	cb := a.cfg.OnQualityAlert
 	a.mu.Unlock()
-
-	if cb != nil {
-		for _, msg := range alerts {
-			cb(msg)
-		}
-	}
 }
 
 // qualityReport assembles the Report section; callers hold a.mu.

@@ -6,18 +6,19 @@ import (
 	"borgmoea/internal/obs"
 )
 
-func newQualityAdvisor(alerts *[]string) *Advisor {
-	return New(Config{
-		OnQualityAlert: func(msg string) { *alerts = append(*alerts, msg) },
-	})
+// newQualityAdvisor returns an advisor that mirrors its quality states
+// onto reg's gauges.
+func newQualityAdvisor(reg *obs.Registry) *Advisor {
+	return New(Config{Registry: reg})
 }
 
-// TestQualityStallDetector: the stall alert must raise when ε-progress
-// dries up relative to the run's own peak rate, and the scaling report
-// must carry the search-health section.
+// TestQualityStallDetector: the stall state must raise when ε-progress
+// dries up relative to the run's own peak rate, on the report and on
+// its gauge, and the scaling report must carry the search-health
+// section.
 func TestQualityStallDetector(t *testing.T) {
-	var alerts []string
-	adv := newQualityAdvisor(&alerts)
+	reg := obs.NewRegistry()
+	adv := newQualityAdvisor(reg)
 	// Healthy phase: brisk, steady ε-progress.
 	for i := 0; i < 10; i++ {
 		adv.ObserveQuality(obs.QualitySample{
@@ -26,6 +27,9 @@ func TestQualityStallDetector(t *testing.T) {
 	}
 	if r := adv.Report(); r.Quality == nil || r.Quality.Stalled {
 		t.Fatalf("healthy phase misreported: %+v", r.Quality)
+	}
+	if g := reg.Gauge(MetricQualityStalled).Value(); g != 0 {
+		t.Fatalf("%s = %v in the healthy phase, want 0", MetricQualityStalled, g)
 	}
 	// Stalled phase: no new ε-boxes for a long stretch.
 	for i := 10; i < 40; i++ {
@@ -37,8 +41,8 @@ func TestQualityStallDetector(t *testing.T) {
 	if r.Quality == nil || !r.Quality.Stalled {
 		t.Fatalf("stall not detected: %+v", r.Quality)
 	}
-	if len(alerts) == 0 || alerts[0] != "search stalled" {
-		t.Fatalf("stall alert not fired: %v", alerts)
+	if g := reg.Gauge(MetricQualityStalled).Value(); g != 1 {
+		t.Fatalf("%s = %v after the stall, want 1", MetricQualityStalled, g)
 	}
 	if r.Quality.EpsRatePeak <= 0 || r.Quality.EpsRateSmoothed >= r.Quality.EpsRatePeak {
 		t.Errorf("rate bookkeeping wrong: smoothed %v, peak %v", r.Quality.EpsRateSmoothed, r.Quality.EpsRatePeak)
@@ -46,11 +50,12 @@ func TestQualityStallDetector(t *testing.T) {
 }
 
 // TestQualityRestartRegression: a restart that fails to win back its
-// pre-restart hypervolume must raise the regression alert; recovery
-// must clear both the flag and the episode.
+// pre-restart hypervolume must raise the regression state, on the
+// report and on its gauge; recovery must clear both and settle the
+// episode.
 func TestQualityRestartRegression(t *testing.T) {
-	var alerts []string
-	adv := newQualityAdvisor(&alerts)
+	reg := obs.NewRegistry()
+	adv := newQualityAdvisor(reg)
 	for i := 0; i < 8; i++ {
 		adv.ObserveQuality(obs.QualitySample{
 			Seq: uint64(i), At: float64(i), EpsProgress: uint64(10 * i), Hypervolume: 0.8,
@@ -65,14 +70,8 @@ func TestQualityRestartRegression(t *testing.T) {
 	if r.Quality.PreRestartHypervolume != 0.8 {
 		t.Errorf("pre-restart hypervolume %v, want 0.8", r.Quality.PreRestartHypervolume)
 	}
-	found := false
-	for _, a := range alerts {
-		if a == "quality regressed after restart" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("regression alert not fired: %v", alerts)
+	if g := reg.Gauge(MetricQualityRegressed).Value(); g != 1 {
+		t.Fatalf("%s = %v after the collapse, want 1", MetricQualityRegressed, g)
 	}
 	// Recovery past the pre-restart level clears the flag and settles
 	// the episode.
@@ -80,21 +79,33 @@ func TestQualityRestartRegression(t *testing.T) {
 	if r := adv.Report(); r.Quality.Regressed {
 		t.Fatal("regression flag not cleared after recovery")
 	}
+	if g := reg.Gauge(MetricQualityRegressed).Value(); g != 0 {
+		t.Fatalf("%s = %v after recovery, want 0", MetricQualityRegressed, g)
+	}
 }
 
-// TestQualityAlertsEdgeTriggered: holding a stalled state must not
-// re-fire the callback every sample.
+// TestQualityAlertsEdgeTriggered: a stall rises once and then holds
+// while progress stays flat; it does not flicker off and on from
+// sample to sample.
 func TestQualityAlertsEdgeTriggered(t *testing.T) {
-	var alerts []string
-	adv := newQualityAdvisor(&alerts)
+	adv := newQualityAdvisor(nil)
+	rises, stalled := 0, false
+	observe := func(q obs.QualitySample) {
+		adv.ObserveQuality(q)
+		now := adv.Report().Quality.Stalled
+		if now && !stalled {
+			rises++
+		}
+		stalled = now
+	}
 	for i := 0; i < 10; i++ {
-		adv.ObserveQuality(obs.QualitySample{At: float64(i), EpsProgress: uint64(100 * i)})
+		observe(obs.QualitySample{At: float64(i), EpsProgress: uint64(100 * i)})
 	}
 	for i := 10; i < 60; i++ {
-		adv.ObserveQuality(obs.QualitySample{At: float64(i), EpsProgress: 1000})
+		observe(obs.QualitySample{At: float64(i), EpsProgress: 1000})
 	}
-	if len(alerts) != 1 {
-		t.Fatalf("stall alert fired %d times, want once: %v", len(alerts), alerts)
+	if rises != 1 || !stalled {
+		t.Fatalf("stall rose %d times and ends stalled=%v, want one rise that holds", rises, stalled)
 	}
 }
 

@@ -28,7 +28,8 @@ type SocketMaster struct {
 	// reports T_A to it, and Run reports T_F, T_C and queue waits.
 	// Under Serve each lane brings its own.
 	Terms *master.Terms
-	// Advisor hears the live worker count and every accept.
+	// Advisor hears the live worker count and, as Run's core's
+	// OnAccept (in place of any cfg sets), every accept.
 	Advisor *advisor.Advisor
 	// Quality, when set, is attached to the driver's Borg and sampled
 	// on its cadence through an EvQuality event, so the sample point
@@ -303,7 +304,7 @@ func (sm *SocketMaster) loop() {
 func (sm *SocketMaster) Run(cfg master.Config, ln net.Listener, conn wire.Options, problem problems.Problem) (*master.Core, float64, error) {
 	cfg = sm.CoreConfig(cfg, sm.Terms, sm.Quality)
 	if sm.Advisor != nil {
-		cfg.OnAcceptFrom = sm.Advisor.ObserveAccept
+		cfg.OnAccept = sm.Advisor.ObserveAccept
 	}
 	sm.core, sm.log = master.NewCore(cfg), cfg.Log
 	sm.finished = make(chan struct{})

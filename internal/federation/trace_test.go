@@ -184,7 +184,7 @@ func TestFederationStragglerForcedTracing(t *testing.T) {
 			adv.ObserveTF(w, tf)
 			col.ObserveTF(item, tf)
 			col.TraceResult(w, item, float64(item)+tf, true)
-			adv.ObserveAccept(w, item, float64(item)+tf)
+			adv.ObserveAccept(item, float64(item)+tf)
 		}
 	}
 	r := adv.Report()

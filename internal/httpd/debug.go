@@ -1,10 +1,10 @@
 // Package httpd is every HTTP surface of the serving binaries: the
-// debug server and its probes, the continuous profiler, the /debug/
-// reports of the scalability advisor and the quality sampler, and the
-// job service's API. It is the only package below cmd/ that imports
-// net/http or the pprof packages, so a process that runs the algorithm
-// without serving HTTP does not link the HTTP stack (the guard is
-// TestHTTPStaysInServers in the module root).
+// debug server and its probes, the /debug/ reports of the scalability
+// advisor and the quality sampler, and the job service's API. It is the
+// only package below cmd/ that imports net/http or the pprof packages,
+// so a process that runs the algorithm without serving HTTP does not
+// link the HTTP stack (the guard is TestHTTPStaysInServers in the
+// module root).
 package httpd
 
 import (
@@ -37,10 +37,11 @@ func writeJSONValue(w io.Writer, v any) {
 //	                check, so a draining job server can fail it while
 //	                staying alive
 //	/debug/vars     — the attached Registry's metrics as JSON
-//	                (expvar-style), plus runtime goroutine/heap figures
-//	/debug/metrics  — the same registry in Prometheus text exposition
-//	                format, for standard scrapers
-//	/debug/pprof/   — the standard Go profiling handlers
+//	                (expvar-style, the document -metrics-out writes),
+//	                plus runtime goroutine/heap figures
+//	/debug/pprof/   — the standard Go profiling handlers: CPU, heap,
+//	                goroutine and execution-trace profiles on demand,
+//	                which go tool pprof reads directly
 //
 // It binds its own listener and mux, so importing this package never
 // touches http.DefaultServeMux.
@@ -69,9 +70,9 @@ func WithReadiness(check func() error) DebugOption {
 }
 
 // ServeDebug starts a debug server on addr (e.g. "localhost:6060", or
-// ":0" to pick a free port — see Addr). The registry may be nil, in
-// which case /debug/vars reports only runtime figures and
-// /debug/metrics is empty.
+// ":0" to pick a free port — see Addr) serving the routes listed on
+// DebugServer, plus whatever opts mount. The registry may be nil, in
+// which case /debug/vars reports only runtime figures.
 func ServeDebug(addr string, reg *obs.Registry, opts ...DebugOption) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -103,10 +104,6 @@ func ServeDebug(addr string, reg *obs.Registry, opts ...DebugOption) (*DebugServ
 		snap["runtime.heap_alloc_bytes"] = ms.HeapAlloc
 		snap["runtime.num_gc"] = ms.NumGC
 		writeJSONValue(w, snap)
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w) //nolint:errcheck // best-effort, like /debug/vars
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -86,21 +86,33 @@ func TestDebugServerNilRegistry(t *testing.T) {
 	}
 }
 
-func TestDebugServerPrometheusEndpoint(t *testing.T) {
+// TestDebugServerRoutes pins the debug server's route set: the probes,
+// the registry as JSON, the pprof handlers and a WithHandler mount
+// answer, and nothing else is served — the registry has one format
+// (/debug/vars), and profiles are taken on demand from /debug/pprof/.
+func TestDebugServerRoutes(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("wire.frames_sent").Add(2)
-	srv, err := ServeDebug("127.0.0.1:0", reg)
+	mount := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "{}") })
+	srv, err := ServeDebug("127.0.0.1:0", reg, WithHandler("/debug/scaling", mount))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	base := fmt.Sprintf("http://%s", srv.Addr())
 
-	code, body := get(t, fmt.Sprintf("http://%s/debug/metrics", srv.Addr()))
-	if code != 200 {
-		t.Fatalf("/debug/metrics = %d", code)
-	}
-	if !strings.Contains(string(body), "wire_frames_sent 2") {
-		t.Fatalf("/debug/metrics body:\n%s", body)
+	for path, want := range map[string]int{
+		"/healthz":         200,
+		"/readyz":          200,
+		"/debug/vars":      200,
+		"/debug/pprof/":    200,
+		"/debug/scaling":   200,
+		"/debug/metrics":   404,
+		"/debug/profiles/": 404,
+	} {
+		if code, _ := get(t, base+path); code != want {
+			t.Errorf("GET %s = %d, want %d", path, code, want)
+		}
 	}
 }
 

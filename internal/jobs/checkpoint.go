@@ -300,10 +300,9 @@ func (s *Scheduler) replayJob(j *job, ck *ckpt) error {
 	j.terms = s.newTerms(j)
 	j.replaying = true
 	rc := master.ReplayConfig{
-		Alg:          j.terms.Bracket(b, nil),
-		Evaluate:     evalFor(j.problem),
-		OnAccept:     s.onAcceptHook(j),
-		OnAcceptFrom: s.onAcceptFromHook(j),
+		Alg:      j.terms.Bracket(b, nil),
+		Evaluate: evalFor(j.problem),
+		OnAccept: s.onAcceptHook(j),
 	}
 	if q := newJobQuality(j); q != nil {
 		// Recorded EvQuality points re-trigger sampling against the

@@ -600,12 +600,11 @@ func (s *Scheduler) startJob(j *job) {
 	j.terms = s.newTerms(j)
 	newJobQuality(j).Attach(b)
 	j.mcore = master.NewCore(s.sm.CoreConfig(master.Config{
-		Budget:       j.spec.Evaluations,
-		Policy:       master.ScheduledOffspring,
-		Alg:          j.terms.Bracket(b, nil),
-		Log:          j.log,
-		OnAccept:     s.onAcceptHook(j),
-		OnAcceptFrom: s.onAcceptFromHook(j),
+		Budget:   j.spec.Evaluations,
+		Policy:   master.ScheduledOffspring,
+		Alg:      j.terms.Bracket(b, nil),
+		Log:      j.log,
+		OnAccept: s.onAcceptHook(j),
 	}, j.terms, j.quality))
 	if j.ck != nil {
 		if err := j.ck.appendLog(j.log); err != nil {
@@ -648,27 +647,24 @@ func newJobQuality(j *job) *obs.QualitySampler {
 	return j.quality
 }
 
-// onAcceptHook counts live accepts; replay re-accepts counted ones.
-func (s *Scheduler) onAcceptHook(j *job) func(uint64) {
-	return func(uint64) {
-		if !j.replaying {
-			s.mEvals.Inc()
-		}
-	}
-}
-
-// onAcceptFromHook records first-result latency on the scheduler
-// clock. It fires during replay too — `at` is the recorded timestamp —
-// so a resumed job keeps its original latency figures.
-func (s *Scheduler) onAcceptFromHook(j *job) func(int, uint64, float64) {
-	return func(worker int, completed uint64, at float64) {
+// onAcceptHook counts live accepts, records first-result latency on
+// the scheduler clock and feeds the job's advisor. Replay re-accepts
+// results the dead server already counted and timed, so it neither
+// counts nor times them again; firstResult and the advisor still see
+// the recorded timestamps, so a resumed job keeps its original
+// figures.
+func (s *Scheduler) onAcceptHook(j *job) func(uint64, float64) {
+	return func(completed uint64, at float64) {
 		if completed == 1 {
 			j.firstResult = at
 			if !j.replaying {
 				s.hFirstResult.Observe(at - j.submitted)
 			}
 		}
-		j.adv.ObserveAccept(worker, completed, at)
+		if !j.replaying {
+			s.mEvals.Inc()
+		}
+		j.adv.ObserveAccept(completed, at)
 	}
 }
 

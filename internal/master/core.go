@@ -180,16 +180,13 @@ type Config struct {
 	// Log, when non-nil, records every event handled — the replay
 	// stream. Nil-safe by construction.
 	Log *Log
-	// OnAccept runs after each accepted evaluation (the job scheduler
-	// counts accepts here), before completion is evaluated, with the
-	// new completed count.
-	OnAccept func(completed uint64)
-	// OnAcceptFrom, when set, additionally reports which worker's
-	// result was accepted and the event timestamp on the driver's
-	// clock — the per-worker residual feed of the live scalability
-	// advisor. It runs after OnAccept (and after completion may have
-	// been decided), so it observes and never steers the protocol.
-	OnAcceptFrom func(worker int, completed uint64, at float64)
+	// OnAccept runs after each accepted evaluation with the new
+	// completed count and the result's timestamp on the driver's
+	// clock: the job scheduler's accept counter and first-result
+	// latency, and the live scalability advisor's heartbeat. It runs
+	// after completion may have been decided, so it observes and never
+	// steers the protocol.
+	OnAccept func(completed uint64, at float64)
 	// OnMigrant runs under every EvMigrant with the source island and
 	// migration epoch. Live federation drivers stage the decoded
 	// migrant solution and inject it here; Replay looks the same epoch
@@ -448,8 +445,7 @@ func (c *Core) result(ev Event) {
 	if c.cfg.Policy == EagerOffspring {
 		next := c.cfg.Alg.AcceptSuggest(item.S)
 		c.recycleItem(item)
-		c.accepted()
-		c.acceptedFrom(ev)
+		c.accepted(ev.At)
 		if c.done {
 			return
 		}
@@ -470,8 +466,7 @@ func (c *Core) result(ev Event) {
 	}
 	c.cfg.Alg.Accept(item.S)
 	c.recycleItem(item)
-	c.accepted()
-	c.acceptedFrom(ev)
+	c.accepted(ev.At)
 	if c.done {
 		return
 	}
@@ -669,22 +664,16 @@ func (c *Core) retire(worker int) bool {
 	return true
 }
 
-func (c *Core) accepted() {
+// accepted counts the result accepted at time at, completes the run
+// at its budget, and reports the accept to the OnAccept hook, if any.
+func (c *Core) accepted(at float64) {
 	c.stats.Completed++
 	c.cfg.Meters.Evals.Inc()
-	if c.cfg.OnAccept != nil {
-		c.cfg.OnAccept(c.stats.Completed)
-	}
 	if c.stats.Completed >= c.cfg.Budget {
 		c.complete()
 	}
-}
-
-// acceptedFrom reports the accepted result's worker and timestamp to
-// the advisor hook, if any.
-func (c *Core) acceptedFrom(ev Event) {
-	if c.cfg.OnAcceptFrom != nil {
-		c.cfg.OnAcceptFrom(ev.Worker, c.stats.Completed, ev.At)
+	if c.cfg.OnAccept != nil {
+		c.cfg.OnAccept(c.stats.Completed, at)
 	}
 }
 

@@ -283,18 +283,20 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestOnAcceptFromReportsAcceptedResults: OnAccept hears every
+// accepted result, from whichever worker, with the new completed count
+// and the result's timestamp, and never a duplicate.
 func TestOnAcceptFromReportsAcceptedResults(t *testing.T) {
 	for _, policy := range []Policy{EagerOffspring, LazyOffspring} {
 		type accept struct {
-			worker    int
 			completed uint64
 			at        float64
 		}
 		var got []accept
 		alg := &stubAlg{}
 		c := NewCore(Config{Budget: 3, Policy: policy, Alg: alg,
-			OnAcceptFrom: func(worker int, completed uint64, at float64) {
-				got = append(got, accept{worker, completed, at})
+			OnAccept: func(completed uint64, at float64) {
+				got = append(got, accept{completed, at})
 			}})
 		c.Handle(Event{Kind: EvJoin, Worker: 1, At: 0}) // item 1
 		c.Handle(Event{Kind: EvJoin, Worker: 2, At: 0}) // item 2
@@ -304,12 +306,12 @@ func TestOnAcceptFromReportsAcceptedResults(t *testing.T) {
 		// A duplicate id must not be reported as an accept.
 		c.Handle(Event{Kind: EvResult, Worker: 1, Item: 1, At: 2.1})
 
-		want := []accept{{2, 1, 1.5}, {1, 2, 2.0}}
+		want := []accept{{1, 1.5}, {2, 2.0}}
 		// Eager policy has a third chain in flight; finish the run and
 		// confirm the final accept is reported too.
 		if policy == EagerOffspring {
 			c.Handle(Event{Kind: EvResult, Worker: 2, Item: 3, At: 3.0})
-			want = append(want, accept{2, 3, 3.0})
+			want = append(want, accept{3, 3.0})
 		}
 		if len(got) != len(want) {
 			t.Fatalf("policy %v: %d accepts reported, want %d: %v", policy, len(got), len(want), got)

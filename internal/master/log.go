@@ -307,13 +307,12 @@ type ReplayConfig struct {
 	// worker's function evaluation. Deterministic problems make the
 	// replayed trajectory bit-identical to the original.
 	Evaluate func(item *Item)
-	// Meters/OnAccept/OnAcceptFrom optionally re-instrument the
-	// replay; the hooks stay attached afterwards, so a driver that
-	// resumes the returned Core live (the job server's checkpoint
-	// restore) keeps its accept-time instrumentation.
-	Meters       Meters
-	OnAccept     func(completed uint64)
-	OnAcceptFrom func(worker int, completed uint64, at float64)
+	// Meters/OnAccept optionally re-instrument the replay; the hook
+	// stays attached afterwards, so a driver that resumes the returned
+	// Core live (the job server's checkpoint restore) keeps its
+	// accept-time instrumentation.
+	Meters   Meters
+	OnAccept func(completed uint64, at float64)
 	// OnMigrant re-injects federated migrants at their recorded epochs:
 	// the replaying caller resolves (source, epoch) against the migrant
 	// sidecar log the original run kept and folds the same solution
@@ -345,7 +344,6 @@ func Replay(log *Log, rc ReplayConfig) (*Core, error) {
 		Alg:          rc.Alg,
 		Meters:       rc.Meters,
 		OnAccept:     rc.OnAccept,
-		OnAcceptFrom: rc.OnAcceptFrom,
 		OnMigrant:    rc.OnMigrant,
 		OnQuality:    rc.OnQuality,
 	})

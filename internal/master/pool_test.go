@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"borgmoea/internal/core"
+	"borgmoea/internal/obs"
 )
 
 // TestItemWrappersRecycled: the wrapper of an accepted result is reused
@@ -67,7 +68,7 @@ func TestReuseOnResubmit(t *testing.T) {
 	if reissued.ID != 2 || reissued.ResubmitOf != 1 {
 		t.Fatalf("reissued id=%d resubmitOf=%d, want 2/1", reissued.ID, reissued.ResubmitOf)
 	}
-	if reissued.Trace.Sampled() {
+	if reissued.Trace != (obs.SpanContext{}) {
 		t.Fatal("reissued item kept the old trace context")
 	}
 	if got := c.Stats().Resubmissions; got != 1 {

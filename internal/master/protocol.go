@@ -102,13 +102,3 @@ type Item struct {
 	// parent's trace id, so a resubmission lineage reads as one trace.
 	ResubmitOf uint64
 }
-
-// SampledTraceID returns the item's trace id when its evaluation is
-// sampled, else 0 (obs.Histogram.ObserveExemplar treats 0 as "no
-// exemplar").
-func (it *Item) SampledTraceID() uint64 {
-	if it.Trace.Sampled() {
-		return it.Trace.TraceID
-	}
-	return 0
-}

@@ -69,8 +69,8 @@ func (t *Tally) Mean() float64 {
 // received) and the queue wait of a result the master has not taken
 // yet. A master loop reports each sample once, with the evaluation it
 // belongs to, and the meter hands it to every sink the run configured:
-// the tallies a Result reads, the shared histograms (with the sampled
-// trace id as exemplar), the advisor and the trace collector.
+// the tallies a Result reads, the shared histograms, the advisor and
+// the trace collector.
 //
 // A Terms serves one master and is not safe for concurrent use; its
 // sinks are.
@@ -166,12 +166,10 @@ func (tt termsTracer) TraceResult(worker int, item uint64, at float64, accepted 
 func (t *Terms) Evaluated(worker int, item *Item, sec float64) {
 	t.TF.add(sec, t.cfg.Capture)
 	t.cfg.Advisor.ObserveTF(worker, sec)
-	if item == nil {
-		t.cfg.Meters.TF.Observe(sec)
-		return
+	t.cfg.Meters.TF.Observe(sec)
+	if item != nil {
+		t.cfg.Trace.ObserveTF(item.ID, sec)
 	}
-	t.cfg.Meters.TF.ObserveExemplar(sec, item.SampledTraceID())
-	t.cfg.Trace.ObserveTF(item.ID, sec)
 }
 
 // Send draws the T_C of a message to a worker, records it and returns
@@ -211,10 +209,8 @@ func (t *Terms) tc(sec float64) {
 // master took it. item is the evaluation it returns, or nil.
 func (t *Terms) Queued(item *Item, sec float64) {
 	t.cfg.Advisor.ObserveQueueWait(sec)
-	if item == nil {
-		t.cfg.Meters.QueueWait.Observe(sec)
-		return
+	t.cfg.Meters.QueueWait.Observe(sec)
+	if item != nil {
+		t.cfg.Trace.ObserveQueueWait(item.ID, sec)
 	}
-	t.cfg.Meters.QueueWait.ObserveExemplar(sec, item.SampledTraceID())
-	t.cfg.Trace.ObserveQueueWait(item.ID, sec)
 }

@@ -65,7 +65,7 @@ func driveEval(c *Collector, worker int, item uint64, grantAt, endAt float64) Sp
 func TestCollectorAssemblesEvalTree(t *testing.T) {
 	c := NewCollector(CollectorConfig{RunID: 9, Rate: 1})
 	ctx := driveEval(c, 2, 1, 10.0, 11.0)
-	if !ctx.Valid() || !ctx.Sampled() {
+	if !ctx.Valid() || ctx.Flags&FlagSampled == 0 {
 		t.Fatalf("rate-1 grant returned %+v, want a valid sampled context", ctx)
 	}
 

@@ -88,16 +88,6 @@ type Histogram struct {
 	counts  []atomic.Uint64 // len(bounds)+1, last = overflow
 	n       atomic.Uint64
 	sumBits atomic.Uint64
-	// exemplars holds, per bucket, the last sampled trace that landed
-	// there — allocated lazily on the first ObserveExemplar, so plain
-	// histograms pay nothing.
-	exemplars atomic.Pointer[[]atomic.Pointer[exemplar]]
-}
-
-// exemplar links a histogram bucket to one concrete trace.
-type exemplar struct {
-	TraceID uint64
-	Value   float64
 }
 
 // Observe records one value. No-op on a nil histogram.
@@ -115,41 +105,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveExemplar records one value and remembers traceID as the
-// bucket's exemplar, linking the latency distribution to a concrete
-// trace (surfaced on /debug/vars and as OpenMetrics-style exemplars
-// on /debug/metrics). Called on the sampled-trace path only; plain
-// observations stay on Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	if traceID == 0 {
-		return
-	}
-	exs := h.exemplars.Load()
-	if exs == nil {
-		fresh := make([]atomic.Pointer[exemplar], len(h.counts))
-		if !h.exemplars.CompareAndSwap(nil, &fresh) {
-			exs = h.exemplars.Load()
-		} else {
-			exs = &fresh
-		}
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	(*exs)[i].Store(&exemplar{TraceID: traceID, Value: v})
-}
-
-// bucketExemplar returns bucket i's exemplar, if any.
-func (h *Histogram) bucketExemplar(i int) *exemplar {
-	exs := h.exemplars.Load()
-	if exs == nil {
-		return nil
-	}
-	return (*exs)[i].Load()
 }
 
 // Count returns the number of observations (0 for nil).
@@ -302,13 +257,10 @@ type HistogramSnapshot struct {
 }
 
 // BucketSnap is one non-empty histogram bucket: the upper bound (its
-// "less than or equal" edge; +Inf for the overflow bucket), count,
-// and — when a sampled trace landed there — the exemplar trace id
-// linking the bucket to a concrete trace.
+// "less than or equal" edge; +Inf for the overflow bucket) and count.
 type BucketSnap struct {
-	LE       float64 `json:"le"`
-	N        uint64  `json:"n"`
-	Exemplar string  `json:"exemplar,omitempty"`
+	LE float64 `json:"le"`
+	N  uint64  `json:"n"`
 }
 
 // MarshalJSON renders the overflow bucket's +Inf bound as the string
@@ -316,10 +268,9 @@ type BucketSnap struct {
 func (b BucketSnap) MarshalJSON() ([]byte, error) {
 	if math.IsInf(b.LE, 1) {
 		return json.Marshal(struct {
-			LE       string `json:"le"`
-			N        uint64 `json:"n"`
-			Exemplar string `json:"exemplar,omitempty"`
-		}{"+Inf", b.N, b.Exemplar})
+			LE string `json:"le"`
+			N  uint64 `json:"n"`
+		}{"+Inf", b.N})
 	}
 	type plain BucketSnap
 	return json.Marshal(plain(b))
@@ -359,11 +310,7 @@ func (r *Registry) Snapshot() map[string]any {
 				if i < len(m.bounds) {
 					le = m.bounds[i]
 				}
-				b := BucketSnap{LE: le, N: n}
-				if ex := m.bucketExemplar(i); ex != nil {
-					b.Exemplar = fmt.Sprintf("%016x", ex.TraceID)
-				}
-				hs.Buckets = append(hs.Buckets, b)
+				hs.Buckets = append(hs.Buckets, BucketSnap{LE: le, N: n})
 			}
 			out[name] = hs
 		}

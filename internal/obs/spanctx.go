@@ -30,9 +30,6 @@ const FlagSampled uint8 = 1 << 0
 // encode as version-1 wire frames with no trace header.
 func (c SpanContext) Valid() bool { return c.TraceID != 0 }
 
-// Sampled reports the head-based sampling bit.
-func (c SpanContext) Sampled() bool { return c.Flags&FlagSampled != 0 }
-
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // hash used for trace-id minting and sampling decisions.
 func Mix64(x uint64) uint64 {

@@ -152,7 +152,7 @@ func startMaster(cl *cluster.Cluster, cfg *Config, meters master.Meters, r ring,
 			mcfg.Emit = func(kind, detail string) { eng.Emit(kind, name, detail) }
 		}
 		if adv != nil {
-			mcfg.OnAcceptFrom = adv.ObserveAccept
+			mcfg.OnAccept = adv.ObserveAccept
 		}
 		if q := cfg.Quality; q != nil {
 			q.Attach(b)

@@ -70,7 +70,7 @@ func runSocketMaster(t *testing.T, l net.Listener, cfg Config, onAccept func(acc
 		Budget:   cfg.Evaluations,
 		Policy:   master.LazyOffspring,
 		Alg:      terms.Bracket(b, nil),
-		OnAccept: onAccept,
+		OnAccept: func(accepted uint64, _ float64) { onAccept(accepted) },
 	}, l, fastConn, cfg.Problem)
 	if err != nil || m.Completed() != cfg.Evaluations {
 		t.Fatalf("run: %v after %d of %d evaluations", err, m.Completed(), cfg.Evaluations)
