@@ -117,10 +117,10 @@ var (
 
 // Distributed evaluation tracing (see internal/obs): attach a
 // TraceCollector to ParallelConfig.Trace (or FederationConfig.Tracers)
-// and every evaluation becomes one trace — a span context minted at
-// grant time travels to the worker on the wire, and the collector
-// assembles per-evaluation span trees whose children are the paper's
-// model terms (queue wait, T_C send/recv, T_F, T_A). Traces are live
+// and every evaluation becomes one trace: the master records what it
+// measures, and the collector assembles per-evaluation span trees
+// whose children are the paper's model terms (queue wait, T_C
+// send/recv, T_F, T_A). Traces are live
 // only: borg -trace writes the Chrome export and prints the
 // attribution when the run ends.
 type (

@@ -70,12 +70,12 @@ type Config struct {
 	MigrantLogs []*MigrantLog
 
 	// Tracers, when non-nil, must have length Islands (nil entries
-	// disable tracing for that island): island isl mints one
-	// distributed trace per evaluation into Tracers[isl] — span
-	// contexts travel to workers on the wire, migrants carry their
-	// sender's context around the ring, and the collector attributes
-	// the paper's model terms (T_C, T_F, T_A) per evaluation. Each
+	// disable tracing for that island): island isl's master records
+	// one trace per evaluation, and its emigrants and migrants, into
+	// Tracers[isl], which attributes the paper's model terms (T_C, T_F,
+	// T_A) per evaluation; nothing about a trace goes on the wire. Each
 	// island's advisor force-samples workers it flags as stragglers.
+	// Pass the forests to obs.WriteChromeForests in island order.
 	Tracers []*obs.Collector
 
 	// Federation, when set, is the advisor roll-up the per-island

@@ -2,7 +2,12 @@ package federation_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,6 +41,50 @@ func newLogs(k int) ([]*master.Log, []*federation.MigrantLog) {
 
 // fastConn keeps loopback heartbeats snappy in short test runs.
 var fastConn = wire.Options{Heartbeat: 50 * time.Millisecond, IdleTimeout: 10 * time.Second}
+
+// TestMigrantLogRejectsTracedFrames: a migrant sidecar holding a frame
+// of the retired version-2 traced encoding — a trace header between tag
+// and body — fails to read with an error naming the version, while the
+// same sidecar's untraced frames still read.
+func TestMigrantLogRejectsTracedFrames(t *testing.T) {
+	mg := &wire.Migrant{Island: 1, Epoch: 2, SolID: 3, Operator: 4, Vars: []float64{0.5}, Objs: []float64{1, 2}}
+	ml := federation.NewMigrantLog()
+	ml.Record(mg)
+	var side bytes.Buffer
+	if _, err := ml.WriteTo(&side); err != nil {
+		t.Fatal(err)
+	}
+	untraced := side.Len()
+
+	// The version-2 frame: version 2, tag, header length 17, trace id,
+	// span id, flags, then the version-1 body and a CRC over it all.
+	frame := wire.AppendFrame(nil, mg)
+	payload := []byte{2, byte(wire.TagMigrant), 17}
+	payload = binary.BigEndian.AppendUint64(payload, 0x1234) // trace id
+	payload = binary.BigEndian.AppendUint64(payload, 0x5678) // span id
+	payload = append(payload, 1)                             // flags: sampled
+	payload = append(payload, frame[6:len(frame)-4]...)
+	payload = binary.BigEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	side.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload))))
+	side.Write(payload)
+
+	path := filepath.Join(t.TempDir(), "island-0.migrants")
+	if err := os.WriteFile(path, side.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := federation.ReadMigrantLog(f); err == nil || !strings.Contains(err.Error(), "protocol version 2") {
+		t.Fatalf("traced sidecar read with error %v, want one naming protocol version 2", err)
+	}
+	l, err := federation.ReadMigrantLog(bytes.NewReader(side.Bytes()[:untraced]))
+	if err != nil || l.Len() != 1 {
+		t.Fatalf("untraced sidecar read %d migrants, error %v; want 1, nil", l.Len(), err)
+	}
+}
 
 // TestFederationLoopback is the live half of the ISSUE's acceptance
 // demonstration: a real two-island federation over loopback TCP, with

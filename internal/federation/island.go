@@ -157,10 +157,8 @@ func runIsland(ic islandContext) (islandResult, error) {
 	// over the ring link.
 	sm.AfterAccept = func(n uint64) error {
 		if epoch, ok := mig.Boundary(n); ok {
-			// The emigrant span context rides the wire to the ring
-			// successor, which links it into its own forest — the
-			// cross-island flow arrow in a merged Chrome export.
-			frame := mig.Emigrant(ic.trace.ObserveEmigrant(epoch, sm.since()))
+			ic.trace.ObserveEmigrant(epoch, sm.since())
+			frame := mig.Emigrant()
 			if err := write(succ, frame); err != nil {
 				return fmt.Errorf("send migrant epoch %d: %w", epoch, err)
 			}
@@ -169,7 +167,6 @@ func runIsland(ic islandContext) (islandResult, error) {
 				return err
 			}
 			if in != nil {
-				ic.trace.LinkMigrant(epoch, in.Trace)
 				sm.handle(master.Event{Kind: master.EvMigrant, Worker: int(in.Island), Item: epoch, At: sm.since()})
 			}
 		}

@@ -87,16 +87,15 @@ func (m *Migration) Boundary(n uint64) (epoch uint64, ok bool) {
 }
 
 // Emigrant selects the open epoch's emigrant — a random ε-archive
-// member, which after any accept exists — stamps it with the sender's
-// trace context, records and counts it, and returns its frame, scratch
-// the next epoch overwrites. A failed send ends the run, so the record
-// stands.
-func (m *Migration) Emigrant(trace obs.SpanContext) []byte {
+// member, which after any accept exists — records and counts it, and
+// returns its frame, scratch the next epoch overwrites. A failed send
+// ends the run, so the record stands.
+func (m *Migration) Emigrant() []byte {
 	arch := m.b.Archive()
 	s := arch.Members()[m.rng.Intn(arch.Size())]
 	// The frame is the copy: mg references the member's live slices.
 	mg := &wire.Migrant{Island: uint32(m.isl), Epoch: m.epoch, SolID: s.ID, Operator: int32(s.Operator),
-		Vars: s.Vars, Objs: s.Objs, Constrs: s.Constrs, Trace: trace}
+		Vars: s.Vars, Objs: s.Objs, Constrs: s.Constrs}
 	m.frame = wire.AppendFrame(m.frame[:0], mg)
 	m.log.Record(mg)
 	m.sent++

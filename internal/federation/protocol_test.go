@@ -66,7 +66,7 @@ func (isl *island) boundary(t *testing.T, n, want uint64) {
 	if !ok || epoch != want {
 		t.Fatalf("accept %d opened epoch %d (%v), want %d", n, epoch, ok, want)
 	}
-	if len(isl.mig.Emigrant(obs.SpanContext{})) == 0 {
+	if len(isl.mig.Emigrant()) == 0 {
 		t.Fatalf("epoch %d: empty emigrant frame", epoch)
 	}
 }
@@ -150,7 +150,7 @@ func TestMigrationProtocol(t *testing.T) {
 	t.Run("budget completes on a boundary", func(t *testing.T) {
 		isl := newIsland(t)
 		epoch, _ := isl.mig.Boundary(10)
-		frame := isl.mig.Emigrant(obs.SpanContext{})
+		frame := isl.mig.Emigrant()
 		msg, err := wire.DecodeFrame(frame[4:])
 		if err != nil {
 			t.Fatal(err)

@@ -200,9 +200,8 @@ type Config struct {
 	// is how a recorded quality timeline reconstructs byte-identically
 	// offline.
 	OnQuality func(seq uint64, at float64)
-	// Tracer, when set, receives the distributed-tracing hooks: every
-	// grant mints a span context (stamped on the Item, carried on the
-	// wire), results/expiries close the span, resubmissions link the
+	// Tracer, when set, receives the tracing hooks: every grant opens
+	// a span, results/expiries close it, resubmissions link the
 	// clone's lineage, migrants record cross-island arrivals. The Core
 	// calls it only with event data and timestamps it already logs, so
 	// replaying the BMEL stream through the same tracer reproduces the
@@ -566,7 +565,7 @@ func (c *Core) recycleItem(it *Item) {
 func (c *Core) grant(worker int, item *Item, at float64) {
 	w := c.reg.lookup(worker)
 	if c.cfg.Tracer != nil {
-		item.Trace = c.cfg.Tracer.TraceGrant(worker, item.ID, at)
+		c.cfg.Tracer.TraceGrant(worker, item.ID, at)
 	}
 	c.nextSeq++
 	var l *lease
@@ -632,7 +631,6 @@ func (c *Core) lose(l *lease) {
 		// into the reissued solution.
 		c.nextID++
 		item.ID = c.nextID
-		item.Trace = obs.SpanContext{}
 		item.ResubmitOf = oldID
 		clone = item
 	} else {
@@ -640,8 +638,6 @@ func (c *Core) lose(l *lease) {
 		clone.ResubmitOf = oldID
 	}
 	if c.cfg.Tracer != nil {
-		// Linked before the clone is granted, so the grant's minted
-		// context already carries the lineage-root trace id.
 		c.cfg.Tracer.TraceResubmit(oldID, clone.ID)
 	}
 	c.pending = append(c.pending, clone)

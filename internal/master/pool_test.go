@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"borgmoea/internal/core"
-	"borgmoea/internal/obs"
 )
 
 // TestItemWrappersRecycled: the wrapper of an accepted result is reused
@@ -51,7 +50,7 @@ func TestLoseDoesNotRecycleAbandonedWrapper(t *testing.T) {
 }
 
 // TestReuseOnResubmit: wire-transport cores reissue the same wrapper
-// and Solution under a fresh id, with trace context cleared.
+// and Solution under a fresh id.
 func TestReuseOnResubmit(t *testing.T) {
 	alg := &stubAlg{}
 	c := NewCore(Config{Budget: 100, Policy: LazyOffspring, ReuseOnResubmit: true, Alg: alg})
@@ -67,9 +66,6 @@ func TestReuseOnResubmit(t *testing.T) {
 	}
 	if reissued.ID != 2 || reissued.ResubmitOf != 1 {
 		t.Fatalf("reissued id=%d resubmitOf=%d, want 2/1", reissued.ID, reissued.ResubmitOf)
-	}
-	if reissued.Trace != (obs.SpanContext{}) {
-		t.Fatal("reissued item kept the old trace context")
 	}
 	if got := c.Stats().Resubmissions; got != 1 {
 		t.Fatalf("resubmissions = %d, want 1", got)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"borgmoea/internal/core"
-	"borgmoea/internal/obs"
 )
 
 // Tag identifies a master/worker message type. This is the canonical
@@ -93,10 +92,6 @@ type Item struct {
 	ID  uint64
 	Gen uint64
 	S   *core.Solution
-	// Trace is the evaluation's span context, minted by the Core's
-	// tracer at grant time (zero when tracing is off). Transports that
-	// cross process boundaries put it on the wire (Evaluate.Trace).
-	Trace obs.SpanContext
 	// ResubmitOf is the lease id this item was cloned from after a
 	// presumed loss (0 for fresh offspring). The clone shares its
 	// parent's trace id, so a resubmission lineage reads as one trace.

@@ -32,7 +32,7 @@ func TestTermsFanOut(t *testing.T) {
 
 	// One evaluation's life: grant, evaluate, queue, receive, accept;
 	// then a Suggest, which no evaluation owns.
-	item.Trace = tracer.TraceGrant(1, item.ID, 0)
+	tracer.TraceGrant(1, item.ID, 0)
 	if got := terms.Send(item); got != tc {
 		t.Fatalf("Send charged %v, want %v", got, tc)
 	}

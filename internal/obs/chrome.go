@@ -17,9 +17,10 @@ import (
 
 // WriteChromeForests exports several forests — typically one per
 // island — into one Chrome trace. Forest i's master is pid 2i+1, its
-// workers pid 2i+2; migration links between forests connect as flow
-// arrows because emigrant and migrant spans share the emigrant's
-// trace id.
+// workers pid 2i+2. Forest i must be island i's: a migrant span names
+// its source island and epoch, so island i's emigrant of epoch e and
+// the migrant it became on the ring successor share the flow id
+// migrateFlowID(i, e) and draw one arrow between the two forests.
 func WriteChromeForests(w io.Writer, labels []string, forests []Forest) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
@@ -42,7 +43,7 @@ func WriteChromeForests(w io.Writer, labels []string, forests []Forest) error {
 		if i < len(labels) {
 			label = labels[i]
 		}
-		if err := emitForest(emit, f, 2*i+1, label); err != nil {
+		if err := emitForest(emit, f, i, label); err != nil {
 			return err
 		}
 	}
@@ -52,7 +53,14 @@ func WriteChromeForests(w io.Writer, labels []string, forests []Forest) error {
 	return bw.Flush()
 }
 
-func emitForest(emit func(chromeEvent) error, f Forest, masterPID int, label string) error {
+// migrateFlowID names the flow arrow from island's emigrant of epoch
+// to the migrant it becomes on the receiving island.
+func migrateFlowID(island int, epoch uint64) string {
+	return fmt.Sprintf("migrate.%d.%d", island, epoch)
+}
+
+func emitForest(emit func(chromeEvent) error, f Forest, island int, label string) error {
+	masterPID := 2*island + 1
 	workerPID := masterPID + 1
 	meta := []chromeEvent{
 		{Name: "process_name", Phase: "M", PID: masterPID,
@@ -124,19 +132,17 @@ func emitForest(emit func(chromeEvent) error, f Forest, masterPID int, label str
 			if err := emit(ce); err != nil {
 				return err
 			}
-			if root.LinkID != 0 {
-				err := emit(flow("f", "migrate", fmt.Sprintf("%016x", root.LinkID),
-					root.Start, masterPID, 0))
-				if err != nil {
-					return err
-				}
+			err := emit(flow("f", "migrate", migrateFlowID(root.Worker, root.Item),
+				root.Start, masterPID, 0))
+			if err != nil {
+				return err
 			}
 			continue
 		case "emigrant":
 			if err := emit(span(root, masterPID, 0, "migration")); err != nil {
 				return err
 			}
-			err := emit(flow("s", "migrate", fmt.Sprintf("%016x", root.TraceID),
+			err := emit(flow("s", "migrate", migrateFlowID(island, root.Item),
 				root.Start, masterPID, 0))
 			if err != nil {
 				return err

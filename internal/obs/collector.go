@@ -7,13 +7,14 @@ import (
 
 // ProtocolTracer receives the master protocol's trace hooks. The
 // master core calls these with the causing BMEL event's timestamp, so
-// the identical calls replay from a recorded event log. Built from
-// builtin types only: internal/master implements the caller side
-// without this package importing it.
+// the identical calls replay from a recorded event log. They only
+// record: every span is built later, in the master, by
+// Collector.Forest, so nothing a hook computes travels to a worker or
+// a peer island. Built from builtin types only: internal/master
+// implements the caller side without this package importing it.
 type ProtocolTracer interface {
-	// TraceGrant mints and returns the span context stamped on the
-	// granted item — the context that rides the Evaluate wire frame.
-	TraceGrant(worker int, item uint64, at float64) SpanContext
+	// TraceGrant opens the evaluation's span at grant time.
+	TraceGrant(worker int, item uint64, at float64)
 	// TraceResult closes the evaluation. accepted=false marks a
 	// duplicate/stale result whose lease was already gone.
 	TraceResult(worker int, item uint64, at float64, accepted bool)
@@ -60,8 +61,6 @@ type traceItem struct {
 type traceMigrant struct {
 	source int
 	at     float64
-	seen   bool // EvMigrant applied (vs link only)
-	link   SpanContext
 }
 
 // Collector assembles per-evaluation spans from two feeds: the master
@@ -80,8 +79,8 @@ type Collector struct {
 	rate    float64
 	limit   int
 	items   map[uint64]*traceItem
-	mig     map[uint64]*traceMigrant // keyed by migration epoch
-	emig    map[uint64]float64       // outgoing emigrant send times
+	mig     map[uint64]traceMigrant // keyed by migration epoch
+	emig    map[uint64]float64      // outgoing emigrant send times
 	forced  map[int]bool
 	dropped uint64
 }
@@ -98,7 +97,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		rate:   cfg.Rate,
 		limit:  limit,
 		items:  make(map[uint64]*traceItem),
-		mig:    make(map[uint64]*traceMigrant),
+		mig:    make(map[uint64]traceMigrant),
 		emig:   make(map[uint64]float64),
 		forced: make(map[int]bool),
 	}
@@ -134,25 +133,16 @@ func (c *Collector) traceID(e *traceItem) uint64 {
 	return MintTraceID(c.runID, e.root)
 }
 
-// TraceGrant implements ProtocolTracer: it mints the span context the
-// core stamps on the granted item.
-func (c *Collector) TraceGrant(worker int, item uint64, at float64) SpanContext {
+// TraceGrant implements ProtocolTracer.
+func (c *Collector) TraceGrant(worker int, item uint64, at float64) {
 	if c == nil {
-		return SpanContext{}
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.item(item)
-	if e == nil {
-		return SpanContext{}
+	if e := c.item(item); e != nil {
+		e.worker, e.grantAt, e.granted = worker, at, true
 	}
-	e.worker, e.grantAt, e.granted = worker, at, true
-	tid := c.traceID(e)
-	ctx := SpanContext{TraceID: tid, SpanID: mintSpanID(tid, item, roleEval)}
-	if SampleHead(tid, c.rate) {
-		ctx.Flags |= FlagSampled
-	}
-	return ctx
 }
 
 // TraceResult implements ProtocolTracer.
@@ -206,18 +196,7 @@ func (c *Collector) TraceMigrant(source int, epoch uint64, at float64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.migrant(epoch)
-	m.source, m.at, m.seen = source, at, true
-}
-
-// migrant returns the epoch's migrant state. Callers hold c.mu.
-func (c *Collector) migrant(epoch uint64) *traceMigrant {
-	m, ok := c.mig[epoch]
-	if !ok {
-		m = &traceMigrant{}
-		c.mig[epoch] = m
-	}
-	return m
+	c.mig[epoch] = traceMigrant{source: source, at: at}
 }
 
 // term names one measured model term of an evaluation.
@@ -285,35 +264,15 @@ func (c *Collector) ForceWorker(w int) {
 	c.forced[w] = true
 }
 
-// LinkMigrant attaches the remote span context carried by an incoming
-// Migrant frame to its migration epoch, preserving cross-island
-// lineage (the Chrome export draws a flow arrow from the remote
-// emigrant to the local apply).
-func (c *Collector) LinkMigrant(epoch uint64, remote SpanContext) {
-	if c == nil || !remote.Valid() {
+// ObserveEmigrant records the outgoing emigrant of a migration epoch,
+// sent at time at.
+func (c *Collector) ObserveEmigrant(epoch uint64, at float64) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.migrant(epoch).link = remote
-}
-
-// ObserveEmigrant records an outgoing emigrant sent at time at and
-// returns the span context to stamp on the Migrant wire frame, so the
-// receiving island can link back to this trace.
-func (c *Collector) ObserveEmigrant(epoch uint64, at float64) SpanContext {
-	if c == nil {
-		return SpanContext{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.emig[epoch] = at
-	tid := MintTraceID(c.runID, emigrantKey(epoch))
-	return SpanContext{
-		TraceID: tid,
-		SpanID:  mintSpanID(tid, epoch, roleEmigrant),
-		Flags:   FlagSampled,
-	}
 }
 
 // emigrantKey salts migration-epoch trace ids away from item ids.
@@ -322,8 +281,9 @@ func emigrantKey(epoch uint64) uint64 { return epoch ^ 0x6d696772616e7400 } // "
 // Span is one node of the trace forest. An evaluation's root span
 // ("eval") covers grant to archive-insert; its children are exactly
 // the paper's model terms: "tc.send", "tf", "queue.wait", "tc.recv",
-// "ta". Migration spans ("emigrant", "migrant") are instants carrying
-// the cross-island link.
+// "ta". Migration spans ("emigrant", "migrant") are instants whose
+// Item is the migration epoch; a migrant's Worker is its source
+// island, which is how WriteChromeForests joins the two.
 type Span struct {
 	TraceID  uint64  `json:"trace_id"`
 	SpanID   uint64  `json:"span_id"`
@@ -334,8 +294,6 @@ type Span struct {
 	Worker   int     `json:"worker"`
 	Item     uint64  `json:"item,omitempty"`
 	Status   string  `json:"status,omitempty"` // "", "expired", "open"
-	LinkID   uint64  `json:"link_trace,omitempty"`
-	LinkSpan uint64  `json:"link_span,omitempty"`
 	Children []*Span `json:"children,omitempty"`
 }
 
@@ -367,22 +325,15 @@ func (c *Collector) Forest() Forest {
 		out = append(out, c.buildEval(id, e, tid))
 	}
 	for epoch, m := range c.mig {
-		if !m.seen {
-			continue
-		}
 		tid := MintTraceID(c.runID, emigrantKey(epoch))
-		s := &Span{
+		out = append(out, &Span{
 			TraceID: tid,
 			SpanID:  mintSpanID(tid, epoch, roleMigrant),
 			Name:    "migrant",
 			Start:   m.at, End: m.at,
 			Worker: m.source,
 			Item:   epoch,
-		}
-		if m.link.Valid() {
-			s.LinkID, s.LinkSpan = m.link.TraceID, m.link.SpanID
-		}
-		out = append(out, s)
+		})
 	}
 	for epoch, at := range c.emig {
 		tid := MintTraceID(c.runID, emigrantKey(epoch))

@@ -51,30 +51,26 @@ func TestSampleHead(t *testing.T) {
 
 // driveEval walks one evaluation through the collector's protocol and
 // observation hooks with fixed durations.
-func driveEval(c *Collector, worker int, item uint64, grantAt, endAt float64) SpanContext {
-	ctx := c.TraceGrant(worker, item, grantAt)
+func driveEval(c *Collector, worker int, item uint64, grantAt, endAt float64) {
+	c.TraceGrant(worker, item, grantAt)
 	c.ObserveTCSend(item, 0.001)
 	c.ObserveTF(item, 0.5)
 	c.ObserveQueueWait(item, 0.01)
 	c.ObserveTCRecv(item, 0.002)
 	c.TraceResult(worker, item, endAt, true)
 	c.ObserveTA(item, 0.003)
-	return ctx
 }
 
 func TestCollectorAssemblesEvalTree(t *testing.T) {
 	c := NewCollector(CollectorConfig{RunID: 9, Rate: 1})
-	ctx := driveEval(c, 2, 1, 10.0, 11.0)
-	if !ctx.Valid() || ctx.Flags&FlagSampled == 0 {
-		t.Fatalf("rate-1 grant returned %+v, want a valid sampled context", ctx)
-	}
+	driveEval(c, 2, 1, 10.0, 11.0)
 
 	f := c.Forest()
 	if len(f) != 1 {
 		t.Fatalf("forest has %d roots, want 1", len(f))
 	}
 	root := f[0]
-	if root.Name != "eval" || root.TraceID != ctx.TraceID || root.Worker != 2 {
+	if root.Name != "eval" || root.TraceID != MintTraceID(9, 1) || root.Worker != 2 {
 		t.Fatalf("unexpected root span %+v", root)
 	}
 	if root.Start != 10.0 {
@@ -118,33 +114,25 @@ func TestCollectorAssemblesEvalTree(t *testing.T) {
 
 func TestCollectorResubmitSharesTrace(t *testing.T) {
 	c := NewCollector(CollectorConfig{RunID: 5, Rate: 1})
-	parent := c.TraceGrant(1, 10, 0)
+	c.TraceGrant(1, 10, 0)
 	c.TraceExpire(1, 10, 2.0)
 	c.TraceResubmit(10, 11)
-	clone := c.TraceGrant(3, 11, 2.5)
+	c.TraceGrant(3, 11, 2.5)
 	c.TraceResult(3, 11, 3.0, true)
 
-	if clone.TraceID != parent.TraceID {
-		t.Fatalf("resubmitted clone minted trace %x, want parent's %x", clone.TraceID, parent.TraceID)
-	}
-	if clone.SpanID == parent.SpanID {
-		t.Fatal("clone reused the parent's span id")
-	}
 	f := c.Forest()
 	if len(f) != 2 {
 		t.Fatalf("forest has %d roots, want expired parent + completed clone", len(f))
 	}
-	var expired int
-	for _, s := range f {
-		if s.TraceID != parent.TraceID {
-			t.Fatalf("span %+v not in the lineage trace", s)
-		}
-		if s.Status == "expired" {
-			expired++
-		}
+	parent, clone := f[0], f[1]
+	if parent.Item != 10 || parent.Status != "expired" || clone.Item != 11 || clone.Status != "" {
+		t.Fatalf("roots %+v, %+v; want expired item 10 then completed item 11", parent, clone)
 	}
-	if expired != 1 {
-		t.Fatalf("%d expired spans, want 1", expired)
+	if want := MintTraceID(5, 10); parent.TraceID != want || clone.TraceID != want {
+		t.Fatalf("lineage traces %x and %x, want the root's %x", parent.TraceID, clone.TraceID, want)
+	}
+	if clone.SpanID == parent.SpanID {
+		t.Fatal("clone reused the parent's span id")
 	}
 }
 
@@ -195,14 +183,14 @@ func TestCollectorSpanLimit(t *testing.T) {
 }
 
 func TestChromeForestExport(t *testing.T) {
-	// Island A evaluates and emigrates; island B links the migrant in.
+	// Island A (forest 0) evaluates and emigrates; island B applies the
+	// migrant from source island 0.
 	a := NewCollector(CollectorConfig{RunID: 1, Rate: 1})
 	driveEval(a, 1, 1, 0, 1)
-	emCtx := a.ObserveEmigrant(1, 1.5)
+	a.ObserveEmigrant(1, 1.5)
 
 	b := NewCollector(CollectorConfig{RunID: 2, Rate: 1})
 	driveEval(b, 1, 1, 0, 1)
-	b.LinkMigrant(1, emCtx)
 	b.TraceMigrant(0, 1, 1.6)
 
 	var buf bytes.Buffer

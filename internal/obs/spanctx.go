@@ -2,33 +2,13 @@ package obs
 
 import "math"
 
-// SpanContext identifies one evaluation's trace as it crosses process
-// boundaries: a 64-bit trace id shared by every span of the
-// evaluation (and by lease-resubmitted clones, which inherit their
-// parent's id so a lineage reads as one trace), a span id naming the
-// position inside the trace, and a flags byte carrying the head-based
-// sampling decision. The zero value is "not traced"; wire frames only
-// grow the trace header when the context is Valid.
-//
-// Ids are minted deterministically — a splitmix64-style hash of
-// (run id, lineage-root item id) — so an offline replay of the same
-// BMEL event log re-mints the identical context for every evaluation,
-// without the ids ever being recorded.
-type SpanContext struct {
-	TraceID uint64
-	SpanID  uint64
-	Flags   uint8
-}
-
-// FlagSampled marks a trace selected by head-based sampling. Spans of
-// unsampled traces are still collected (attribution wants every
-// evaluation) but only sampled, expired, or straggler-forced traces
-// are emitted by Collector.Forest.
-const FlagSampled uint8 = 1 << 0
-
-// Valid reports whether the context names a trace. Invalid contexts
-// encode as version-1 wire frames with no trace header.
-func (c SpanContext) Valid() bool { return c.TraceID != 0 }
+// Trace and span ids are minted deterministically when Collector.Forest
+// builds the forest: a 64-bit trace id is a splitmix64-style hash of
+// (run id, lineage-root item id), shared by every span of an
+// evaluation and by its lease-resubmitted clones, so a lineage reads
+// as one trace; a span id hashes (trace id, item id, role). Replaying
+// the same BMEL event log therefore re-mints the identical ids, without
+// the ids ever being recorded or sent.
 
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // hash used for trace-id minting and sampling decisions.

@@ -8,7 +8,6 @@ import (
 	"borgmoea/internal/des"
 	"borgmoea/internal/federation"
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 	"borgmoea/internal/wire"
 )
@@ -232,7 +231,7 @@ func startMaster(cl *cluster.Cluster, cfg *Config, meters master.Meters, r ring,
 				// (one T_C) and waits; a result that was not accepted
 				// leaves the count where Boundary saw it.
 				if _, ok := mig.Boundary(m.Completed()); ok {
-					frame := mig.Emigrant(obs.SpanContext{})
+					frame := mig.Emigrant()
 					node.HoldBusy(p, terms.Send(nil), "comm")
 					node.Send(succ, tagMigrant, append([]byte(nil), frame...))
 					// The mailbox never fails, so neither does the wait.

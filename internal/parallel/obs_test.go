@@ -242,6 +242,70 @@ func TestDistributedObservability(t *testing.T) {
 	checkChromeForest(t, cfg.Trace, n)
 }
 
+// TestTracingAddsNoWireBytes: spans are built in the master from what
+// it measures, so a traced run puts exactly the frames and bytes of an
+// untraced one on the wire. One loopback worker runs the same seed and
+// budget twice, with a rate-1 collector and without; heartbeats are
+// far apart so no Ping or Pong is counted.
+func TestTracingAddsNoWireBytes(t *testing.T) {
+	const n = 200
+	stop := uint64(len(wire.AppendFrame(nil, wire.Stop{})))
+	run := func(trace *obs.Collector) [6]uint64 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mconn := wire.Options{Heartbeat: time.Hour, IdleTimeout: time.Minute, Metrics: obs.NewRegistry()}
+		wconn := mconn
+		wconn.Metrics = obs.NewRegistry()
+		errc := make(chan error, 1)
+		go func() {
+			errc <- wire.RunWorker(context.Background(), wire.WorkerConfig{Addr: l.Addr().String(), Seed: 1, Conn: wconn})
+		}()
+		cfg := distConfig(n)
+		cfg.Trace = trace
+		res, err := RunAsyncDistributed(cfg, DistributedConfig{
+			Listener:     l,
+			LeaseTimeout: 10 * time.Second,
+			Conn:         mconn,
+			WallLimit:    time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("run incomplete: %d/%d", res.Evaluations, n)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		m := func(name string) uint64 { return mconn.Metrics.Counter(name).Value() }
+		w := func(name string) uint64 { return wconn.Metrics.Counter(name).Value() }
+		// The master stops the finished worker, then stops every
+		// session again as it closes. The worker returns on the first
+		// Stop, so the frames it never decoded are repeated Stops, and
+		// whether their bytes reach its socket is a race: the master →
+		// worker direction counts what the worker decoded.
+		unread := m(wire.MetricFramesSent) - w(wire.MetricFramesRecv)
+		return [6]uint64{
+			w(wire.MetricFramesSent), w(wire.MetricBytesSent),
+			m(wire.MetricFramesRecv), m(wire.MetricBytesRecv),
+			w(wire.MetricFramesRecv), m(wire.MetricBytesSent) - unread*stop,
+		}
+	}
+	plain := run(nil)
+	traced := run(obs.NewCollector(obs.CollectorConfig{RunID: 42, Rate: 1}))
+	names := []string{
+		"worker frames sent", "worker bytes sent", "master frames received", "master bytes received",
+		"worker frames received", "master bytes sent, less unread Stops",
+	}
+	for i, name := range names {
+		if plain[i] == 0 || traced[i] != plain[i] {
+			t.Errorf("%s: traced run %d, untraced %d; want equal and nonzero", name, traced[i], plain[i])
+		}
+	}
+}
+
 func firstKB(b []byte) string {
 	if len(b) > 1024 {
 		b = b[:1024]

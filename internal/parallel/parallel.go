@@ -134,8 +134,8 @@ type Config struct {
 	// Honored by the async drivers; nil disables at zero cost.
 	Advisor *advisor.Advisor
 	// Trace, when set, collects one distributed trace per evaluation:
-	// the master mints span contexts at grant time, the drivers feed
-	// the collector the paper's model terms (T_C send/recv, queue
+	// the master reports each grant, result and expiry, the drivers
+	// feed the collector the paper's model terms (T_C send/recv, queue
 	// wait, T_F, T_A) per item, and Collector.Forest assembles the
 	// span trees (see internal/obs). Traces are live only: nothing
 	// records them. Honored by the async drivers; nil disables.

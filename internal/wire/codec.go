@@ -8,9 +8,11 @@
 // The package has three layers:
 //
 //   - a compact binary codec (this file): length-prefixed frames, a
-//     version byte, and a CRC32 trailer, with one message type per
-//     protocol tag (Hello/Welcome/Evaluate/Result/Stop plus Ping/Pong
-//     heartbeats);
+//     version byte (always Version), and a CRC32 trailer, with one
+//     message type per protocol tag (Hello/Welcome/Evaluate/Result/Stop,
+//     Ping/Pong heartbeats and the islands' Migrant). Frames carry no
+//     trace context: the master builds every span from what it
+//     measures;
 //   - a connection layer (conn.go): dial/accept with a handshake,
 //     per-connection read/write with deadlines, background heartbeats,
 //     and idle timeouts;
@@ -28,25 +30,11 @@ import (
 	"math"
 
 	"borgmoea/internal/master"
-	"borgmoea/internal/obs"
 )
 
 // Version is the protocol version carried in every frame. A peer
 // speaking a different version is rejected at decode time.
 const Version = 1
-
-// VersionTraced marks a frame carrying the optional trace header: a
-// length byte (always traceHeaderLen for this version) followed by
-// the span context — trace id, span id, flags — CRC-covered like the
-// rest of the frame. Only the evaluation-path messages (Evaluate,
-// Result, Migrant) may carry it, and only when the context is Valid;
-// everything else still encodes as Version 1, so tracing-off runs
-// put zero extra bytes on the wire and old logs decode unchanged.
-const VersionTraced = 2
-
-// traceHeaderLen is the trace header's payload size: trace id (8) +
-// span id (8) + flags (1).
-const traceHeaderLen = 17
 
 // MaxFrame bounds the payload (version + tag + body + CRC) of one
 // frame. It is far above any legitimate message — a 1 MiB frame holds
@@ -127,11 +115,6 @@ type Evaluate struct {
 	Operator int32
 	Problem  string
 	Vars     []float64
-	// Trace is the evaluation's span context, minted at grant time by
-	// the master core's tracer. When Valid the frame encodes as
-	// VersionTraced with the trace header; the worker echoes it on the
-	// Result so the collector can close the cross-process span.
-	Trace obs.SpanContext
 }
 
 // Result returns an evaluated solution. EvalNanos is the worker-side
@@ -145,8 +128,6 @@ type Result struct {
 	EvalNanos uint64
 	Objs      []float64
 	Constrs   []float64
-	// Trace echoes the Evaluate's span context (see Evaluate.Trace).
-	Trace obs.SpanContext
 }
 
 // Stop tells a worker to shut down cleanly.
@@ -169,10 +150,6 @@ type Migrant struct {
 	Vars     []float64
 	Objs     []float64
 	Constrs  []float64
-	// Trace is the sending island's emigrant span context; the
-	// receiver links it to its migrant span, preserving cross-island
-	// lineage in the trace forest.
-	Trace obs.SpanContext
 }
 
 // Ping and Pong are heartbeat probes exchanged by the connection layer
@@ -250,43 +227,19 @@ func (m *Migrant) appendBody(dst []byte) []byte {
 	return appendF64s(dst, m.Constrs)
 }
 
-// frameTrace returns the span context a message carries on the wire
-// (the zero context for untraced messages and message types that
-// never carry one).
-func frameTrace(m Message) obs.SpanContext {
-	switch t := m.(type) {
-	case *Evaluate:
-		return t.Trace
-	case *Result:
-		return t.Trace
-	case *Migrant:
-		return t.Trace
-	}
-	return obs.SpanContext{}
-}
-
 // AppendFrame serializes a message as one wire frame appended to dst:
 //
-//	uint32 length | version(1) tag(1) [traceHdr] body... crc32(4)
+//	uint32 length | version(1) tag(1) body... crc32(4)
 //
 // where length counts everything after itself and the CRC (IEEE) is
-// computed over version+tag+(header+)body. A message carrying a Valid
-// span context encodes as VersionTraced with the trace header —
-// hdrLen(1)=17, trace id(8), span id(8), flags(1) — between tag and
-// body; all others encode as Version 1. Appending lets hot paths —
+// computed over version+tag+body. Every message encodes as Version 1:
+// trace spans are built in the master from what it measures, so no
+// trace context rides the wire. Appending lets hot paths —
 // the connection send loop, island migration — reuse one scratch
 // buffer instead of allocating a frame per message.
 func AppendFrame(dst []byte, m Message) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	if tc := frameTrace(m); tc.Valid() {
-		dst = append(dst, VersionTraced, byte(m.Tag()), traceHeaderLen)
-		dst = appendU64(dst, tc.TraceID)
-		dst = appendU64(dst, tc.SpanID)
-		dst = append(dst, tc.Flags)
-	} else {
-		dst = append(dst, Version, byte(m.Tag()))
-	}
+	dst = append(dst, 0, 0, 0, 0, Version, byte(m.Tag()))
 	dst = m.appendBody(dst)
 	crc := crc32.ChecksumIEEE(dst[start+4:])
 	dst = appendU32(dst, crc)
@@ -437,8 +390,8 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 	if len(payload) < 6 { // version + tag + crc32
 		return nil, fmt.Errorf("wire: frame payload too short (%d bytes)", len(payload))
 	}
-	if payload[0] != Version && payload[0] != VersionTraced {
-		return nil, fmt.Errorf("wire: protocol version %d, want %d or %d", payload[0], Version, VersionTraced)
+	if payload[0] != Version {
+		return nil, fmt.Errorf("wire: protocol version %d, want %d", payload[0], Version)
 	}
 	content, trailer := payload[:len(payload)-4], payload[len(payload)-4:]
 	if got, want := crc32.ChecksumIEEE(content), binary.BigEndian.Uint32(trailer); got != want {
@@ -447,32 +400,6 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 	tag := Tag(payload[1])
 	r := &bodyReader{b: content[2:]}
 
-	// VersionTraced: the trace header sits between tag and body. The
-	// decode is strict — traced tags only, exact header length, a
-	// nonzero trace id — because the encoder never produces anything
-	// else, and the fuzz invariant (successful decode ⇒ re-encoding is
-	// byte-identical) requires one canonical wire form per message.
-	var trace obs.SpanContext
-	if payload[0] == VersionTraced {
-		if tag != TagEvaluate && tag != TagResult && tag != TagMigrant {
-			return nil, fmt.Errorf("wire: %s frame cannot carry a trace header", tag)
-		}
-		hdr := r.take(1 + traceHeaderLen)
-		if hdr == nil {
-			return nil, r.err
-		}
-		if hdr[0] != traceHeaderLen {
-			return nil, fmt.Errorf("wire: trace header length %d, want %d", hdr[0], traceHeaderLen)
-		}
-		trace = obs.SpanContext{
-			TraceID: binary.BigEndian.Uint64(hdr[1:]),
-			SpanID:  binary.BigEndian.Uint64(hdr[9:]),
-			Flags:   hdr[17],
-		}
-		if !trace.Valid() {
-			return nil, fmt.Errorf("wire: traced frame with zero trace id")
-		}
-	}
 	switch tag {
 	case TagHello:
 		m := &Hello{WorkerID: r.u64()}
@@ -499,7 +426,6 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 			Operator: int32(r.u32()),
 			Problem:  r.strReuse(m.Problem),
 			Vars:     r.f64sInto(m.Vars),
-			Trace:    trace,
 		}
 		return r.finish(m)
 	case TagResult:
@@ -516,7 +442,6 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 			EvalNanos: r.u64(),
 			Objs:      r.f64sInto(m.Objs),
 			Constrs:   r.f64sInto(m.Constrs),
-			Trace:     trace,
 		}
 		return r.finish(m)
 	case TagStop:
@@ -540,7 +465,6 @@ func decodeFrame(payload []byte, sc *DecodeScratch) (Message, error) {
 			Vars:     r.f64sInto(m.Vars),
 			Objs:     r.f64sInto(m.Objs),
 			Constrs:  r.f64sInto(m.Constrs),
-			Trace:    trace,
 		}
 		return r.finish(m)
 	}

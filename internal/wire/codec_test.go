@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"borgmoea/internal/obs"
 	"borgmoea/internal/rng"
 )
 
@@ -33,11 +32,6 @@ func sampleMessages() []Message {
 		Pong{},
 		&Migrant{Island: 3, Epoch: 7, SolID: 99, Operator: 2, Vars: []float64{0.1, 0.9}, Objs: []float64{1, 2, 3}},
 		&Migrant{Epoch: 1, Operator: -1, Objs: []float64{math.Inf(-1)}, Constrs: []float64{0}},
-		// Traced variants: a Valid span context grows the VersionTraced
-		// header; the codec must round-trip it on every carrier tag.
-		&Evaluate{Lease: 11, SolID: 12, Vars: []float64{0.5}, Trace: obs.SpanContext{TraceID: 0xdead, SpanID: 0xbeef, Flags: obs.FlagSampled}},
-		&Result{Lease: 11, EvalNanos: 77, Objs: []float64{1}, Trace: obs.SpanContext{TraceID: 1, SpanID: 2}},
-		&Migrant{Island: 1, Epoch: 3, Objs: []float64{4}, Trace: obs.SpanContext{TraceID: math.MaxUint64, SpanID: math.MaxUint64, Flags: 0xff}},
 	}
 }
 
@@ -79,9 +73,7 @@ func TestRoundTripRandomized(t *testing.T) {
 			&Welcome{WorkerID: r.Uint64(), Problem: "UF11", NumVars: uint32(r.Intn(1000)), NumObjs: uint32(r.Intn(16))},
 			&Evaluate{Lease: r.Uint64(), SolID: r.Uint64(), Operator: int32(r.Intn(7) - 1), Problem: []string{"", "ZDT1", MultiProblem}[r.Intn(3)], Vars: randFloats()},
 			&Result{Lease: r.Uint64(), EvalNanos: r.Uint64(), Objs: randFloats(), Constrs: randFloats()},
-			&Evaluate{Lease: r.Uint64(), Vars: randFloats(), Trace: obs.SpanContext{TraceID: r.Uint64() | 1, SpanID: r.Uint64(), Flags: uint8(r.Intn(256))}},
-			&Result{Lease: r.Uint64(), Objs: randFloats(), Trace: obs.SpanContext{TraceID: r.Uint64() | 1, SpanID: r.Uint64(), Flags: uint8(r.Intn(256))}},
-			&Migrant{Island: uint32(r.Intn(8)), Epoch: r.Uint64(), Vars: randFloats(), Objs: randFloats(), Trace: obs.SpanContext{TraceID: r.Uint64() | 1, SpanID: r.Uint64()}},
+			&Migrant{Island: uint32(r.Intn(8)), Epoch: r.Uint64(), Vars: randFloats(), Objs: randFloats()},
 		}
 		for _, m := range msgs {
 			frame := AppendFrame(nil, m)
@@ -138,15 +130,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"unknown":     withCRC([]byte{Version, 0x7f}),
 		"huge vars":   withCRC(append([]byte{Version, byte(TagEvaluate)}, hugeCountBody()...)),
 		"retired tag": withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)),
-		// Trace-header defects: a header on a tag that cannot carry
-		// one, a truncated header, a wrong header length, and the
-		// non-canonical zero trace id (the encoder emits Version 1 for
-		// untraced messages, so a traced frame claiming trace id 0 has
-		// no canonical re-encoding and must be rejected).
-		"trace on stop":      withCRC(append([]byte{VersionTraced, byte(TagStop)}, traceHeader(5, 6, 0)...)),
-		"trace short header": withCRC([]byte{VersionTraced, byte(TagEvaluate), 17, 1, 2, 3}),
-		"trace bad hdrlen":   withCRC(append([]byte{VersionTraced, byte(TagEvaluate)}, append([]byte{16}, traceHeader(5, 6, 0)[2:]...)...)),
-		"trace zero id":      withCRC(append(append([]byte{VersionTraced, byte(TagEvaluate)}, traceHeader(0, 6, 1)...), evalBody()...)),
+		// A well-formed frame of the retired traced encoding.
+		"version 2": tracedV2(&Evaluate{Lease: 1, SolID: 2}),
 	}
 	for name, payload := range cases {
 		m, err := DecodeFrame(payload)
@@ -203,24 +188,16 @@ func hugeCountBody() []byte {
 	return b
 }
 
-// traceHeader builds the VersionTraced header bytes: length byte +
-// trace id + span id + flags.
-func traceHeader(traceID, spanID uint64, flags uint8) []byte {
-	b := []byte{traceHeaderLen}
-	b = appendU64(b, traceID)
-	b = appendU64(b, spanID)
-	return append(b, flags)
-}
-
-// evalBody builds a minimal valid Evaluate body (no problem, no vars).
-func evalBody() []byte {
-	var b []byte
-	b = appendU64(b, 1) // lease
-	b = appendU64(b, 2) // sol id
-	b = appendU32(b, 0) // operator
-	b = appendU32(b, 0) // problem: empty
-	b = appendU32(b, 0) // vars: empty
-	return b
+// tracedV2 encodes m in the retired version-2 layout: version 2, tag,
+// an 18-byte trace header (length byte 17, trace id, span id, flags),
+// m's body and the CRC. Decoders reject it.
+func tracedV2(m Message) []byte {
+	frame := AppendFrame(nil, m)
+	b := []byte{2, byte(m.Tag()), 17}
+	b = appendU64(b, 0x1234) // trace id
+	b = appendU64(b, 0x5678) // span id
+	b = append(b, 1)         // flags: sampled
+	return withCRC(append(b, frame[6:len(frame)-4]...))
 }
 
 // retiredDeltaTag is the tag byte of the Delta frame the federation's

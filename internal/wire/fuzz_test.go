@@ -3,8 +3,6 @@ package wire
 import (
 	"bytes"
 	"testing"
-
-	"borgmoea/internal/obs"
 )
 
 // FuzzDecodeFrame feeds arbitrary (and seeded malformed) payloads to
@@ -12,7 +10,8 @@ import (
 // message; a successful decode implies the payload was canonical — re-
 // encoding the message reproduces it byte for byte (so there is exactly
 // one wire form per message and corrupted-but-accepted frames are
-// impossible).
+// impossible). The encoder writes only Version 1, so the invariant also
+// rejects every frame of the retired version-2 traced encoding.
 //
 // CI runs this as a short fuzz smoke (go test -fuzz=FuzzDecodeFrame
 // -fuzztime=10s ./internal/wire); without -fuzz the seed corpus still
@@ -39,6 +38,24 @@ func FuzzDecodeFrame(f *testing.F) {
 	// The retired Delta tag, bare and with a body in its old layout.
 	f.Add(withCRC([]byte{Version, retiredDeltaTag}))
 	f.Add(withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)))
+	// Frames of the retired version-2 traced encoding: well formed on
+	// Evaluate and Result, truncated and bit-flipped, on a tag that never
+	// carried the header, with a wrong header length, and with the zero
+	// trace id.
+	traced := tracedV2(&Evaluate{Lease: 1, Vars: []float64{0.5}})
+	f.Add(traced)
+	f.Add(tracedV2(&Result{Lease: 1, EvalNanos: 9, Objs: []float64{1, 2}}))
+	for cut := 0; cut <= len(traced); cut += 4 {
+		f.Add(traced[:cut])
+	}
+	for i := 0; i < len(traced); i += 3 {
+		f.Add(flip(traced, i))
+	}
+	f.Add(tracedV2(Stop{}))
+	f.Add(withCRC(append([]byte{2, byte(TagEvaluate), 16}, traced[3:len(traced)-4]...)))
+	zero := append([]byte(nil), traced[:len(traced)-4]...)
+	copy(zero[3:11], make([]byte, 8))
+	f.Add(withCRC(zero))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := DecodeFrame(payload)
@@ -84,65 +101,18 @@ func checkScratchDecode(t *testing.T, payload []byte, accepted bool) {
 	}
 }
 
-// FuzzDecodeTraced focuses the decoder invariants on the VersionTraced
-// trace header: traced frames on every carrier tag, old-version frames
-// without the header (backward compat must stay green), headers on
-// non-carrier tags, truncated and wrong-length headers, and the
-// non-canonical zero trace id. CI runs this as a third fuzz smoke.
-func FuzzDecodeTraced(f *testing.F) {
-	tc := obs.SpanContext{TraceID: 0x1234, SpanID: 0x5678, Flags: obs.FlagSampled}
-	seeds := []Message{
-		&Evaluate{Lease: 1, Vars: []float64{0.5}, Trace: tc},
-		&Result{Lease: 1, EvalNanos: 9, Objs: []float64{1, 2}, Trace: tc},
-		&Migrant{Island: 1, Epoch: 2, Objs: []float64{3}, Trace: tc},
-		// The same messages untraced: their frames must stay Version 1.
-		&Evaluate{Lease: 1, Vars: []float64{0.5}},
-		&Result{Lease: 1, EvalNanos: 9, Objs: []float64{1, 2}},
-		&Migrant{Island: 1, Epoch: 2, Objs: []float64{3}},
-	}
-	for _, m := range seeds {
-		f.Add(AppendFrame(nil, m)[4:])
-	}
-	valid := AppendFrame(nil, seeds[0])[4:]
-	for cut := 0; cut <= len(valid); cut++ {
-		f.Add(valid[:cut])
-	}
-	for i := 0; i < len(valid); i += 2 {
-		f.Add(flip(valid, i))
-	}
-	f.Add(withCRC(append([]byte{VersionTraced, byte(TagStop)}, traceHeader(5, 6, 0)...)))
-	f.Add(withCRC(append(append([]byte{VersionTraced, byte(TagEvaluate)}, traceHeader(0, 6, 1)...), evalBody()...)))
-	f.Add(withCRC(append(append([]byte{VersionTraced, byte(TagEvaluate)}, append([]byte{16}, traceHeader(5, 6, 0)[2:]...)...), evalBody()...)))
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := DecodeFrame(payload)
-		if err != nil {
-			if m != nil {
-				t.Fatalf("error %v returned alongside message %v", err, m)
-			}
-			checkScratchDecode(t, payload, false)
-			return
-		}
-		re := AppendFrame(nil, m)
-		if !bytes.Equal(re[4:], payload) {
-			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
-		}
-		checkScratchDecode(t, payload, true)
-	})
-}
-
 // FuzzDecodeFederation focuses the same decoder invariants on the
-// federation's Migrant frame, whose three float slices and trace
-// header have more length fields — and therefore more truncation and
-// over-claim shapes — than the flat worker-protocol messages, and on
-// the retired Delta tag, which must stay unknown. CI runs this as a
-// second fuzz smoke.
+// federation's Migrant frame, whose three float slices have more
+// length fields — and therefore more truncation and over-claim shapes
+// — than the flat worker-protocol messages, and on two retired forms
+// that must stay rejected: the Delta tag and the version-2 traced
+// Migrant. CI runs this as a second fuzz smoke.
 func FuzzDecodeFederation(f *testing.F) {
 	seeds := []Message{
 		&Migrant{Island: 1, Epoch: 2, SolID: 3, Operator: 4, Vars: []float64{0.5, 0.25}, Objs: []float64{1, 2, 3}},
 		&Migrant{Operator: -1, Constrs: []float64{0}},
 		&Migrant{Island: 2, Epoch: 9, SolID: 4096, Operator: 5, Vars: []float64{0.1, 0.2, 0.3},
-			Objs: []float64{2, 4, 8}, Constrs: []float64{1}, Trace: obs.SpanContext{TraceID: 7, SpanID: 8, Flags: obs.FlagSampled}},
+			Objs: []float64{2, 4, 8}, Constrs: []float64{1}},
 	}
 	for _, m := range seeds {
 		f.Add(AppendFrame(nil, m)[4:])
@@ -156,6 +126,13 @@ func FuzzDecodeFederation(f *testing.F) {
 	}
 	f.Add(withCRC([]byte{Version, retiredDeltaTag}))
 	f.Add(withCRC(append([]byte{Version, retiredDeltaTag}, deltaBody()...)))
+	for _, m := range seeds {
+		f.Add(tracedV2(m))
+	}
+	traced := tracedV2(seeds[2])
+	for cut := 0; cut < len(traced); cut += 4 {
+		f.Add(traced[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := DecodeFrame(payload)

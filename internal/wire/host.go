@@ -302,7 +302,6 @@ func (h *Host) Grant(s *Session, lease uint64, item *master.Item, problem string
 		Operator: int32(item.S.Operator),
 		Problem:  problem,
 		Vars:     item.S.Vars,
-		Trace:    item.Trace,
 	}
 	start := time.Now()
 	if err := s.conn.Send(&h.grant); err != nil {

@@ -5,8 +5,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"borgmoea/internal/obs"
 )
 
 // TestDecodeFrameIntoMatchesDecodeFrame: the scratch decode accepts
@@ -135,7 +133,6 @@ func TestRecvSteadyStateAllocs(t *testing.T) {
 	frame := AppendFrame(nil, &Result{
 		Lease: 1, SolID: 2, Operator: 3, EvalNanos: 4,
 		Objs: []float64{1, 2, 3, 4, 5}, Constrs: []float64{0.5},
-		Trace: obs.SpanContext{TraceID: 7, SpanID: 9, Flags: obs.FlagSampled},
 	})
 	r := bytes.NewReader(frame)
 	var buf []byte
@@ -209,10 +206,7 @@ func grantResultRoundTrip(tb testing.TB) func() {
 	for i := range vars {
 		vars[i] = float64(i) / 11
 	}
-	ev := &Evaluate{
-		Lease: 1, SolID: 1, Operator: 2, Vars: vars,
-		Trace: obs.SpanContext{TraceID: 7, SpanID: 9, Flags: obs.FlagSampled},
-	}
+	ev := &Evaluate{Lease: 1, SolID: 1, Operator: 2, Vars: vars}
 	var gbuf, rbuf []byte
 	var workerSc, masterSc DecodeScratch
 	var res Result
@@ -230,7 +224,6 @@ func grantResultRoundTrip(tb testing.TB) func() {
 		for i := range res.Objs {
 			res.Objs[i] = req.Vars[i] * 2
 		}
-		res.Trace = req.Trace
 		rbuf = AppendFrame(rbuf[:0], &res)
 		m2, err := DecodeFrameInto(rbuf[4:], &masterSc)
 		if err != nil {

@@ -207,7 +207,7 @@ func serve(ctx context.Context, conn *Conn, problem problems.Problem, cfg *Worke
 						len(req.Vars), problem.Name(), problem.NumVars())
 				}
 				// Multi-problem: fail this lease, keep the session.
-				empty := &Result{Lease: req.Lease, SolID: req.SolID, Operator: req.Operator, Trace: req.Trace}
+				empty := &Result{Lease: req.Lease, SolID: req.SolID, Operator: req.Operator}
 				if err := conn.Send(empty); err != nil {
 					return err
 				}
@@ -235,9 +235,6 @@ func serve(ctx context.Context, conn *Conn, problem problems.Problem, cfg *Worke
 				EvalNanos: uint64(time.Since(start).Nanoseconds()),
 				Objs:      objs,
 				Constrs:   constrs,
-				// Echo the span context so the master-side collector
-				// closes the cross-process span.
-				Trace: req.Trace,
 			}
 			if err := conn.Send(&res); err != nil {
 				return err
