@@ -57,21 +57,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	copy(zero[3:11], make([]byte, 8))
 	f.Add(withCRC(zero))
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := DecodeFrame(payload)
-		if err != nil {
-			if m != nil {
-				t.Fatalf("error %v returned alongside message %v", err, m)
-			}
-			checkScratchDecode(t, payload, false)
-			return
+	f.Fuzz(checkDecode)
+}
+
+// checkDecode is the invariant every decode fuzzer holds: no panic; an
+// error implies a nil message; an accepted payload re-encodes byte for
+// byte; and DecodeFrameInto agrees with DecodeFrame.
+func checkDecode(t *testing.T, payload []byte) {
+	m, err := DecodeFrame(payload)
+	if err != nil {
+		if m != nil {
+			t.Fatalf("error %v returned alongside message %v", err, m)
 		}
-		re := AppendFrame(nil, m)
-		if !bytes.Equal(re[4:], payload) {
-			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
-		}
-		checkScratchDecode(t, payload, true)
-	})
+		checkScratchDecode(t, payload, false)
+		return
+	}
+	re := AppendFrame(nil, m)
+	if !bytes.Equal(re[4:], payload) {
+		t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
+	}
+	checkScratchDecode(t, payload, true)
 }
 
 // checkScratchDecode holds DecodeFrameInto to DecodeFrame's verdict on
@@ -134,19 +139,50 @@ func FuzzDecodeFederation(f *testing.F) {
 		f.Add(traced[:cut])
 	}
 
+	f.Fuzz(checkDecode)
+}
+
+// FuzzDecodeTraced focuses the decoder invariants on the retired
+// version-2 traced encoding (version 2, tag, an 18-byte trace header,
+// body, CRC), which the decoder must now reject in every shape: well
+// formed on Evaluate, Result and Migrant, truncated and bit-flipped, a
+// header on a tag that never carried one, a wrong header length and the
+// zero trace id. The same messages as version-1 frames are seeded too
+// and must still decode canonically. CI runs this as a third fuzz smoke.
+func FuzzDecodeTraced(f *testing.F) {
+	seeds := []Message{
+		&Evaluate{Lease: 1, Vars: []float64{0.5}},
+		&Result{Lease: 1, EvalNanos: 9, Objs: []float64{1, 2}},
+		&Migrant{Island: 2, Epoch: 9, SolID: 4096, Operator: 5, Vars: []float64{0.1, 0.2, 0.3},
+			Objs: []float64{2, 4, 8}, Constrs: []float64{1}},
+	}
+	for _, m := range seeds {
+		f.Add(tracedV2(m))
+		f.Add(AppendFrame(nil, m)[4:])
+	}
+	traced := tracedV2(seeds[0])
+	for cut := 0; cut <= len(traced); cut++ {
+		f.Add(traced[:cut])
+	}
+	for i := 0; i < len(traced); i += 2 {
+		f.Add(flip(traced, i))
+	}
+	migrant := tracedV2(seeds[2])
+	for cut := 0; cut < len(migrant); cut += 4 {
+		f.Add(migrant[:cut])
+	}
+	f.Add(tracedV2(Stop{}))
+	f.Add(withCRC(append([]byte{2, byte(TagEvaluate), 16}, traced[3:len(traced)-4]...)))
+	zero := append([]byte(nil), traced[:len(traced)-4]...)
+	copy(zero[3:11], make([]byte, 8))
+	f.Add(withCRC(zero))
+
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := DecodeFrame(payload)
-		if err != nil {
-			if m != nil {
-				t.Fatalf("error %v returned alongside message %v", err, m)
+		if len(payload) > 0 && payload[0] != Version {
+			if m, err := DecodeFrame(payload); err == nil {
+				t.Fatalf("accepted a version-%d frame: %v", payload[0], m)
 			}
-			checkScratchDecode(t, payload, false)
-			return
 		}
-		re := AppendFrame(nil, m)
-		if !bytes.Equal(re[4:], payload) {
-			t.Fatalf("accepted non-canonical payload:\n  in  %x\n  out %x", payload, re[4:])
-		}
-		checkScratchDecode(t, payload, true)
+		checkDecode(t, payload)
 	})
 }
